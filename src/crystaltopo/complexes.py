@@ -549,6 +549,29 @@ def coboundary_map(cochain: Cochain, complex_: DeltaComplex) -> Cochain:
     return Cochain(target, data, cochain.ring)
 
 
+def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
+    """Columns of the k-th boundary operator as {face id: coefficient}.
+
+    Built straight from ``Cell.faces``: repeated faces are summed and
+    entries that cancel to 0 are dropped.  The list is cached on the
+    complex and must not be modified.
+    """
+    if k < 1 or k > complex_.dim:
+        raise DimensionError(
+            f"boundary columns defined for 1 <= k <= {complex_.dim}, got {k}")
+    key = ("columns", k)
+    cached = complex_._cache.get(key)
+    if cached is None:
+        cached = []
+        for cell in complex_.cells[k]:
+            col: dict[int, int] = {}
+            for fid, coeff in cell.faces:
+                col[fid] = col.get(fid, 0) + coeff
+            cached.append({fid: v for fid, v in col.items() if v})
+        complex_._cache[key] = cached
+    return cached
+
+
 def incidence_matrix(complex_: DeltaComplex, k: int) -> np.ndarray:
     """Matrix of the k-th boundary operator.
 
@@ -562,12 +585,11 @@ def incidence_matrix(complex_: DeltaComplex, k: int) -> np.ndarray:
     cached = complex_._cache.get(key)
     if cached is not None:
         return cached
-    rows = complex_.n_cells(k - 1)
-    cols = complex_.n_cells(k)
-    M = np.zeros((rows, cols), dtype=np.int64)
-    for j, cell in enumerate(complex_.cells[k]):
-        for fid, coeff in cell.faces:
-            M[fid, j] += coeff
+    M = np.zeros((complex_.n_cells(k - 1), complex_.n_cells(k)),
+                 dtype=np.int64)
+    for j, col in enumerate(boundary_columns(complex_, k)):
+        for fid, v in col.items():
+            M[fid, j] = v
     M.setflags(write=False)
     complex_._cache[key] = M
     return M

@@ -1,9 +1,13 @@
 """Homology, cohomology and orientation analysis over three coefficient rings.
 
-Integer results come from exact Smith reduction of the incidence matrices;
-mod-2 results from bitmask Gaussian elimination.  Real coefficients give
-the same ranks as the integers with no torsion, so they share the integer
-rank computation rather than trusting floating point.
+Ranks and torsion come from one exact sparse reduction per boundary
+matrix and ring: the columns of d_k are taken straight from ``Cell.faces``
+and ``sparse_invariant_factors`` eliminates the unit pivots, handing only
+the small non-unit leftover to the dense Smith reducer.  The mod-2 ranks
+use the same elimination modulo 2.  Real coefficients give the same ranks
+as the integers with no torsion, so they share the integer result rather
+than trusting floating point.  Generators and boundary membership use
+the dense Smith normal form with transforms.
 """
 
 from __future__ import annotations
@@ -19,17 +23,17 @@ from .complexes import (
     RING_MOD2,
     RING_REAL,
     RINGS,
+    boundary_columns,
     boundary_map,
     incidence_matrix,
 )
 from .errors import DimensionError, InternalInconsistencyError
 from .snf import (
-    gf2_rank,
     gf2_solve,
     matmul_int,
-    smith_diagonal,
     smith_normal_form,
     solve_integer,
+    sparse_invariant_factors,
 )
 
 
@@ -61,32 +65,22 @@ def _matrix_rows(matrix: np.ndarray) -> list[list[int]]:
     return [[int(x) for x in row] for row in matrix]
 
 
-def _boundary_rank(complex_: DeltaComplex, k: int, ring: str) -> int:
-    """Rank of the k-th boundary matrix over the ring (0 when out of range)."""
-    if k < 1 or k > complex_.dim or complex_.n_cells(k) == 0:
-        return 0
-    key = ("rank", k, RING_MOD2 if ring == RING_MOD2 else RING_INT)
-    cached = complex_._cache.get(key)
-    if cached is not None:
-        return cached
-    M = incidence_matrix(complex_, k)
-    if ring == RING_MOD2:
-        value = gf2_rank(_matrix_rows(M))
-    else:
-        value = sum(1 for d in smith_diagonal(_matrix_rows(M)) if d != 0)
-    complex_._cache[key] = value
-    return value
+def _reduction(complex_: DeltaComplex, k: int,
+               ring: str) -> tuple[int, tuple[int, ...]]:
+    """(rank, invariant factors > 1) of the k-th boundary matrix.
 
-
-def _torsion_of(complex_: DeltaComplex, k: int) -> tuple[int, ...]:
-    """Invariant factors > 1 of the k-th boundary matrix."""
+    Reals share the integer result; each matrix is reduced at most once
+    per ring and cached.  Out-of-range degrees give (0, ()).
+    """
     if k < 1 or k > complex_.dim or complex_.n_cells(k) == 0:
-        return ()
-    key = ("torsion", k)
+        return 0, ()
+    mod2 = ring == RING_MOD2
+    key = ("reduction", k, mod2)
     cached = complex_._cache.get(key)
     if cached is None:
-        diag = smith_diagonal(_matrix_rows(incidence_matrix(complex_, k)))
-        cached = tuple(d for d in diag if d > 1)
+        factors = sparse_invariant_factors(boundary_columns(complex_, k),
+                                           mod2=mod2)
+        cached = (len(factors), tuple(d for d in factors if d > 1))
         complex_._cache[key] = cached
     return cached
 
@@ -98,16 +92,12 @@ def homology(complex_: DeltaComplex, k: int,
         raise ValueError(f"unknown ring {ring!r}")
     if k < 0 or k > complex_.dim:
         return HomologyGroup(k, ring, 0)
-    n_k = complex_.n_cells(k)
-    if ring == RING_MOD2:
-        betti = n_k - _boundary_rank(complex_, k, ring) \
-            - _boundary_rank(complex_, k + 1, ring)
+    rank_k, _ = _reduction(complex_, k, ring)
+    rank_up, torsion = _reduction(complex_, k + 1, ring)
+    betti = complex_.n_cells(k) - rank_k - rank_up
+    if ring != RING_INT:
         return HomologyGroup(k, ring, betti)
-    betti = n_k - _boundary_rank(complex_, k, RING_INT) \
-        - _boundary_rank(complex_, k + 1, RING_INT)
-    if ring == RING_REAL:
-        return HomologyGroup(k, ring, betti)
-    return HomologyGroup(k, ring, betti, _torsion_of(complex_, k + 1))
+    return HomologyGroup(k, ring, betti, torsion)
 
 
 def cohomology(complex_: DeltaComplex, k: int,
@@ -117,7 +107,7 @@ def cohomology(complex_: DeltaComplex, k: int,
     base = homology(complex_, k, ring)
     if ring != RING_INT:
         return HomologyGroup(k, ring, base.betti)
-    return HomologyGroup(k, ring, base.betti, _torsion_of(complex_, k))
+    return HomologyGroup(k, ring, base.betti, _reduction(complex_, k, ring)[1])
 
 
 def betti_numbers(complex_: DeltaComplex,

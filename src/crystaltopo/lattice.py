@@ -26,6 +26,12 @@ from .errors import (
 
 INDEPENDENCE_RTOL = 1e-10
 
+# Largest index box, in sites, that a sample may span.  A 3D cubic build
+# with its homology peaks near 15 kB per site (about 400 MB for a 30^3
+# box), so this cap stays far above 30^3 while a hostile box is refused
+# before any site is materialised instead of hanging the build.
+MAX_BOX_SITES = 200_000
+
 BOUNDARY_FREE = "free"
 BOUNDARY_CONSTANT = "constant"
 BOUNDARY_PERIODIC = "periodic"
@@ -145,9 +151,17 @@ def lattice_positions(generators: np.ndarray,
 
 
 def box_points(index_box: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Every multi-index of the box; the site count is checked against
+    ``MAX_BOX_SITES`` before any index is generated."""
+    sites = 1
     for lo, hi in index_box:
         if hi < lo:
             raise ComplexBuildError(f"empty index box range ({lo}, {hi})")
+        sites *= hi - lo + 1
+    if sites > MAX_BOX_SITES:
+        raise ComplexBuildError(
+            f"index box holds {sites} sites, above the limit of "
+            f"{MAX_BOX_SITES}")
     return [tuple(p) for p in
             product(*(range(lo, hi + 1) for lo, hi in index_box))]
 
@@ -421,7 +435,8 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
                 raise ComplexBuildError(
                     f"periodic axis {a + 1} needs box extent of at least 1")
 
-    points = set(box_points(spec.index_box))
+    box = frozenset(box_points(spec.index_box))
+    points = set(box)
     removed = set()
     for idx in spec.removed_indices:
         idx = tuple(idx)
@@ -438,8 +453,8 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     if spec.boundary == BOUNDARY_PERIODIC and defect_report["removed_total"]:
         # Defect loci must be orbit-closed as well.
         expanded = expand_removed_for_periodic(
-            set(box_points(spec.index_box)) - points, spec.index_box, axes0)
-        points = set(box_points(spec.index_box)) - removed - expanded
+            box - points, spec.index_box, axes0)
+        points = box - removed - expanded
     if not points:
         raise ComplexBuildError("every lattice site was removed")
 

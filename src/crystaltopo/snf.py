@@ -2,14 +2,20 @@
 
 Everything here works on plain Python ints so intermediate values can grow
 without overflow; numpy arrays are accepted at the boundary and converted.
-The Smith normal form routine keeps the full transform pair (and the inverse
-of the left transform) so that integer linear systems A x = b can be solved
-exactly afterwards.
+
+Ranks and invariant factors of boundary matrices come from
+``sparse_invariant_factors``, which eliminates the +-1 pivots of a sparse
+column representation and hands only the leftover non-unit block to the
+dense Euclidean reducer.  The dense Smith normal form routine keeps the
+full transform pair (and the inverse of the left transform) so that
+integer linear systems A x = b can be solved exactly afterwards.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .errors import InternalInconsistencyError
 
@@ -218,6 +224,81 @@ def smith_diagonal(matrix) -> list[int]:
     red.reduce()
     n = min(red.m, red.n)
     return [red.A[i][i] for i in range(n)]
+
+
+def sparse_invariant_factors(columns: Sequence[Mapping[int, int]],
+                             mod2: bool = False) -> list[int]:
+    """Nonzero invariant factors of a sparse integer matrix.
+
+    ``columns[j]`` maps row ids to the nonzero entries of column j; it is
+    read, never modified.  With ``mod2`` the matrix is reduced modulo 2
+    and the result is a list of ones whose length is the GF(2) rank.
+
+    Only +-1 pivots are eliminated sparsely.  Their row and column
+    operations are unimodular, so SNF(A) = I_r + SNF(S) with S the Schur
+    complement left when no column holds a unit entry any more.  S goes
+    to ``smith_diagonal`` as a dense block and its nonzero diagonal
+    follows the r ones, keeping the divisibility order.  Modulo 2 every
+    nonzero entry is a unit and nothing is left over.
+
+    Pivot order is shortest column first (a lazy heap: a column is pushed
+    again whenever an elimination changes it) and, within the column, the
+    unit entry whose row has the fewest entries.
+    """
+    if mod2:
+        cols = [{r: 1 for r, v in col.items() if v % 2} for col in columns]
+    else:
+        cols = [{r: v for r, v in col.items() if v} for col in columns]
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        length, j = heapq.heappop(heap)
+        col_j = cols[j]
+        if col_j is None or len(col_j) != length:
+            continue  # stale entry; the column was pushed again or removed
+        units = [r for r, v in col_j.items() if v == 1 or v == -1]
+        if not units:
+            continue  # re-pushed if a later elimination changes it
+        i = min(units, key=lambda r: (len(rows[r]), r))
+        p = col_j[i]
+        # Column operations clear row i outside column j; row operations
+        # then clear column j, touching nothing else, so both drop out.
+        for c in rows[i] - {j}:
+            col_c = cols[c]
+            f = col_c[i] * p
+            for r, v in col_j.items():
+                nv = col_c.get(r, 0) - f * v
+                if mod2:
+                    nv &= 1
+                if nv:
+                    if r not in col_c:
+                        rows[r].add(c)
+                    col_c[r] = nv
+                elif r in col_c:
+                    del col_c[r]
+                    rows[r].discard(c)
+            if col_c:
+                heapq.heappush(heap, (len(col_c), c))
+        for r in col_j:
+            rows[r].discard(j)
+        cols[j] = None
+        rank += 1
+    factors = [1] * rank
+    leftover = [col for col in cols if col]
+    if leftover:
+        row_ids = sorted({r for col in leftover for r in col})
+        pos = {r: t for t, r in enumerate(row_ids)}
+        block = [[0] * len(leftover) for _ in row_ids]
+        for t, col in enumerate(leftover):
+            for r, v in col.items():
+                block[pos[r]][t] = v
+        factors.extend(abs(d) for d in smith_diagonal(block) if d)
+    return factors
 
 
 def integer_rank(matrix) -> int:

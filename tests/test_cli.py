@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,15 @@ def test_misaddressed_defect_exits_2(capsys, tmp_path):
     assert "vacancy" in err
 
 
+def test_hostile_index_box_exits_2_quickly(capsys, tmp_path):
+    doc = dict(TORUS_DOC, index_box=[[0, 1000000], [0, 1000000]])
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "build", write_doc(tmp_path, doc))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "sites" in err and "limit" in err
+
+
 def test_negative_math_results_still_exit_zero(capsys):
     # a violated exactness check is a finding, not a tool failure
     rc, _, _ = run(capsys, "network", str(SAMPLES / "circle_network.json"))
@@ -215,3 +226,116 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# byte-identical sample reports
+# ---------------------------------------------------------------------------
+
+REPORT_ARGS = {
+    "build": ["build"],
+    "z": ["homology", "--ring", "z"],
+    "z2": ["homology", "--ring", "z2"],
+    "r": ["homology", "--ring", "r"],
+    "generators": ["homology", "--generators"],
+}
+
+# SHA-256 of the ``--report json`` output for every sample document; a
+# change to any of these is a change of the report contract.
+SAMPLE_REPORT_SHA256 = {
+    ("circle_network", "build"):
+        "d8ba98fa5511b9dcaa1ef11b9fa9377f33d182b7bb99dadc0a8d6abf22d7cb01",
+    ("circle_network", "z"):
+        "5d51deed7f7fba0e80ceaa4f976f421443223166334d0a6089ca2a320391f6dd",
+    ("circle_network", "z2"):
+        "99ef88c1b6fd1624db3448a5dfb5d32a04e90f0bce5a5668ff1d353c6df62363",
+    ("circle_network", "r"):
+        "5a53314fd4f99eae83ee150b17fe91a5b8e7f3247cbd6660ccf50a8d70b87fd9",
+    ("circle_network", "generators"):
+        "2a5888e48e6e3b14f5cc0c75d034d91c4431ed6a9faf3226b8f361a405631626",
+    ("disc", "build"):
+        "10ff6431ee331cd81a10f31273c9d183904061c42a6006e60c9eb07b9b751d85",
+    ("disc", "z"):
+        "d4d702192d2f28caa99805df777e1516ecd112427935261676481d2f0122acc9",
+    ("disc", "z2"):
+        "d2c06d707ab0d715d8efa1e4710a201c52c0679fd7db26b09335d572db62ea26",
+    ("disc", "r"):
+        "62afa2f16d77e2362d051f0d1a5909dff24028eee364e51a5e26715b6a3e6bdc",
+    ("disc", "generators"):
+        "0183e2c5063bd2c3e4f366ec7106d4879cf86e76356f5b6ca74d2b9d1801f507",
+    ("mobius", "build"):
+        "df6c9ec07a76a6fd893d6cb756b7673d06ee383126a8f6c1ab55c32fc1ef81e8",
+    ("mobius", "z"):
+        "94219f40e39adb5c1c4b7c52c3f75b1a0f6332683d8ec93a70bf085665530b5b",
+    ("mobius", "z2"):
+        "f6feface6e8e1572229850899a010d73545bd04395980f9c1e832971ab06c9e0",
+    ("mobius", "r"):
+        "1a2167310c3a5808ca4848abb6811577cdbd79786f7c823929769afda292cf47",
+    ("mobius", "generators"):
+        "334dbfb524958ce0ac0f0025054d252d249e34226f3b47c57d7653c17df2219f",
+    ("punctured_grid", "build"):
+        "ac6618a062fe1304357bcc45f0614001fe6fc680d2941cb3cc17c0a2dec0f89b",
+    ("punctured_grid", "z"):
+        "fe2502020d065aa93ad6a89305d6e5d4556e48b4694bf4a23e0976b7451d1f58",
+    ("punctured_grid", "z2"):
+        "d2e2def6528ddba1624779406eb4c9b035fe05b661bdee11369a14fd17b4a471",
+    ("punctured_grid", "r"):
+        "703f52fd066999b9475dbfd4bc9f66744b75b9192ac3673aafbd7c36af47be03",
+    ("punctured_grid", "generators"):
+        "32211543f7d8793c7224dd7e2eab47c465e0f2bf9f0136894ea232c16d0f0c67",
+    ("sphere_vortex_pair", "build"):
+        "b2bbd40b5104ea6fb6eabf25ea0428faf61b1d8d99d7df3ca66bf0ecd22b55f6",
+    ("sphere_vortex_pair", "z"):
+        "25fcc98df1d1f870e08821eb0c56184798e1a0bb92b00137c41babbcd86dec0b",
+    ("sphere_vortex_pair", "z2"):
+        "fc5b2e42650d9a762d299e07ac44b3d12483b011de7effb78b9c94f9e8dd7de1",
+    ("sphere_vortex_pair", "r"):
+        "f915331911f0e0be631e14a154236cbe3b60b952fcbc1b7e2f25ab64246c194d",
+    ("sphere_vortex_pair", "generators"):
+        "d860633d7a32ed0f62db056d26b88597730609954b3f31254e4ff9d917a8233c",
+    ("spin_interface", "build"):
+        "d3dd022bf8c69e4ebd6bb456512375e04da05e2cf1a46989d9b5d2ed36c27e50",
+    ("spin_interface", "z"):
+        "f5a53784d657a509e1cb27115af543f424b0eecd492660f615c3cac1628d2df1",
+    ("spin_interface", "z2"):
+        "8c8cb629c18b04c4b5d518aeb144c72abf6e240389aa9bd49d734e96ba4cc421",
+    ("spin_interface", "r"):
+        "8ab32edb1d0abd41e896288280b6c38203bfbf04d97ac51b7c217d9933b2bdd1",
+    ("spin_interface", "generators"):
+        "8a30a56999ba5eb3e9b588e7bf917c61b98ba7f0c9e63b8dada02d0ed96c844b",
+    ("tetrahedron", "build"):
+        "3f6a55f57557df73da0430c8eb1032953ec0ebf947ed832fd47774b097c3c744",
+    ("tetrahedron", "z"):
+        "1bcf152a08f2d76f6572b022a57c216ffbdb0eabaf0e63466c08c7be5e5bcfea",
+    ("tetrahedron", "z2"):
+        "678018a71bcaa558e06f8dfce61fd114fa0a361adaf142cfde1a1d0494a29c85",
+    ("tetrahedron", "r"):
+        "1e1f91bbcaa7e17becb01b52381c7588e5fa2ac4c0c39cbdbf22b6d02898cc1d",
+    ("tetrahedron", "generators"):
+        "1b8f0dde9cf46534c0b6782ee62aabe18800a4c33a17f7f842e47765e0d16ac1",
+    ("torus", "build"):
+        "20481b15db5c968eaa016fd4e95c08e45ebdbf9ae5638bfa74f07eecc1e9a6c8",
+    ("torus", "z"):
+        "aed1f196ff2f07f70cf7e7dc274c4f0989076da1239cd44b31dec9b3bf515dfb",
+    ("torus", "z2"):
+        "7b35d12789066bbe0027401b08d91c313a80640fa7a67cc0d797bc6b0aa7bafd",
+    ("torus", "r"):
+        "9f96cea12af995d87b89b50fb689aef99c9b3c20b3a02b46ae0d3faab12fd583",
+    ("torus", "generators"):
+        "592887b8eccf58af4de1e45739d38ecac80c1cec1591c66788609331b3a07e48",
+}
+
+
+@pytest.mark.parametrize("sample,command", sorted(SAMPLE_REPORT_SHA256))
+def test_sample_reports_are_byte_identical(capsys, sample, command):
+    cmd, *flags = REPORT_ARGS[command]
+    rc, out, _ = run(capsys, cmd, str(SAMPLES / f"{sample}.json"), *flags,
+                     "--report", "json")
+    assert rc == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SAMPLE_REPORT_SHA256[(sample, command)]
+
+
+def test_every_sample_has_pinned_reports():
+    pinned = {sample for sample, _ in SAMPLE_REPORT_SHA256}
+    assert pinned == {p.stem for p in SAMPLES.glob("*.json")}

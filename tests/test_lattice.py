@@ -15,7 +15,7 @@ from crystaltopo import (
     reciprocal_basis,
     unit_cell_volume,
 )
-from crystaltopo.lattice import box_points, lattice_positions
+from crystaltopo.lattice import MAX_BOX_SITES, box_points, lattice_positions
 
 
 def _spec(**kw):
@@ -107,6 +107,17 @@ def test_line_defect_removes_a_full_line():
         pts, box, [DefectSpec("line_defect", axis=3, transverse=(1, 1))])
     assert len(pts) - len(out) == 3
     assert all((1, 1, z) not in out for z in range(3))
+
+
+def test_oversized_box_is_refused_before_materialising():
+    side = math.isqrt(MAX_BOX_SITES)
+    assert len(box_points(((1, side), (1, side)))) == side * side
+    with pytest.raises(ComplexBuildError, match="limit"):
+        box_points(((0, side), (0, side)))
+    with pytest.raises(ComplexBuildError, match=str((10 ** 6 + 1) ** 2)):
+        build_lattice_complex(_spec(index_box=((0, 10 ** 6), (0, 10 ** 6))))
+    with pytest.raises(ComplexBuildError, match="empty"):
+        box_points(((0, 2), (3, 1)))
 
 
 def test_substitution_marker_removes_nothing():

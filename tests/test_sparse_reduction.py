@@ -1,0 +1,207 @@
+"""Sparse unit-pivot reduction against the dense reducer and the oracles."""
+
+import importlib
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from crystaltopo import LatticeSpec, build_lattice_complex
+from crystaltopo.complexes import (
+    RING_INT,
+    RING_MOD2,
+    RING_REAL,
+    boundary_columns,
+    incidence_matrix,
+)
+from crystaltopo.errors import ComplexBuildError
+from crystaltopo.homology import (
+    betti_numbers,
+    cohomology,
+    euler_characteristic,
+    homology,
+)
+from crystaltopo.lattice import DefectSpec
+from crystaltopo.snf import gf2_rank, smith_diagonal, sparse_invariant_factors
+
+from conftest import make_rp2, make_torus
+from oracles import gf2_rank_oracle, snf_diagonal_oracle
+
+# The package namespace exports a function named ``homology``.
+homology_mod = importlib.import_module("crystaltopo.homology")
+snf_mod = importlib.import_module("crystaltopo.snf")
+
+# Dense oracles are slow in pure Python; lattice matrices above this many
+# entries are compared with the dense reducer only.
+ORACLE_MAX_ENTRIES = 1500
+
+
+def columns_of(matrix, width=None):
+    if width is None:
+        width = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+            for j in range(width)]
+
+
+def assert_agrees(matrix, oracle=True):
+    cols = columns_of(matrix)
+    got = sparse_invariant_factors(cols)
+    assert got == [abs(d) for d in smith_diagonal(matrix) if d]
+    got2 = sparse_invariant_factors(cols, mod2=True)
+    assert set(got2) <= {1}
+    assert len(got2) == gf2_rank(matrix)
+    if oracle:
+        assert got == snf_diagonal_oracle(matrix)
+        assert len(got2) == gf2_rank_oracle(matrix)
+
+
+@st.composite
+def int_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1 if rows else 0, 6))
+    # Half the draws avoid units entirely, forcing the leftover block.
+    values = draw(st.sampled_from([range(-3, 4), (-3, -2, 0, 2, 3)]))
+    matrix = [[draw(st.sampled_from(values)) for _ in range(cols)]
+              for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1))] = [0] * cols
+    if cols and draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in matrix:
+            row[zero] = 0
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_random_matrices_match_dense_and_oracles(matrix):
+    if not matrix or not matrix[0]:
+        assert sparse_invariant_factors(columns_of(matrix)) == []
+        return
+    assert_agrees(matrix)
+
+
+@st.composite
+def lattice_specs(draw):
+    m = draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(["triangular", "cubic"]))
+    boundary = draw(st.sampled_from(["free", "constant", "periodic"]))
+    # 3D triangular boxes stay at extent 1 to keep the dense oracles fast.
+    top = 1 if (m == 3 and scheme == "triangular") else 2
+    box = tuple((0, draw(st.integers(1, top))) for _ in range(m))
+    axes = ()
+    if boundary == "periodic":
+        axes = tuple(a + 1 for a in range(m) if draw(st.booleans())) or (1,)
+    sites = [tuple(p) for p in _box_sites(box)]
+    vacancies = draw(st.lists(st.sampled_from(sites), max_size=2,
+                              unique=True))
+    return LatticeSpec(
+        dimension=m, ambient=m,
+        generators=tuple(tuple(float(i == j) for j in range(m))
+                         for i in range(m)),
+        index_box=box, scheme=scheme, boundary=boundary,
+        periodic_axes=axes,
+        defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
+
+
+def _box_sites(box):
+    out = [()]
+    for lo, hi in box:
+        out = [p + (c,) for p in out for c in range(lo, hi + 1)]
+    return out
+
+
+def _build(spec):
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except ComplexBuildError:
+        assume(False)  # every site removed, or a vacancy hit its own orbit
+    return cx
+
+
+def _even(torsion):
+    return sum(1 for t in torsion if t % 2 == 0)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(lattice_specs())
+def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
+    cx = _build(spec)
+    for k in range(1, cx.dim + 1):
+        if cx.n_cells(k) == 0:
+            continue
+        M = incidence_matrix(cx, k)
+        assert boundary_columns(cx, k) == columns_of(M.tolist(), M.shape[1])
+        if M.size:
+            assert_agrees(M.tolist(), oracle=M.size <= ORACLE_MAX_ENTRIES)
+    z = [homology(cx, k, RING_INT) for k in range(cx.dim + 1)]
+    z2 = [homology(cx, k, RING_MOD2) for k in range(cx.dim + 1)]
+    for k in range(cx.dim + 1):
+        below = _even(z[k - 1].torsion) if k else 0
+        assert z2[k].betti == z[k].betti + _even(z[k].torsion) + below
+    euler_characteristic(cx)
+
+
+def test_leftover_block_gives_lcm_factor(monkeypatch):
+    blocks = []
+
+    def spy(matrix):
+        blocks.append([list(row) for row in matrix])
+        return smith_diagonal(matrix)
+
+    monkeypatch.setattr(snf_mod, "smith_diagonal", spy)
+    assert sparse_invariant_factors(columns_of([[2, 0], [0, 3]])) == [1, 6]
+    assert blocks == [[[2, 0], [0, 3]]]
+    assert sparse_invariant_factors(columns_of([[2, 0], [0, 3]]),
+                                    mod2=True) == [1]
+
+
+def test_rp2_boundary_torsion_comes_from_leftover():
+    rp2 = make_rp2()
+    factors = sparse_invariant_factors(boundary_columns(rp2, 2))
+    assert factors == [1] * (len(factors) - 1) + [2]
+    assert homology(rp2, 1).torsion == (2,)
+    assert len(sparse_invariant_factors(boundary_columns(rp2, 2),
+                                        mod2=True)) == len(factors) - 1
+
+
+def test_cancelling_faces_are_dropped():
+    # A periodic axis of period 1 glues an edge's endpoints together.
+    cx = make_torus(1)
+    for k in range(1, cx.dim + 1):
+        assert all(all(v for v in col.values())
+                   for col in boundary_columns(cx, k))
+    assert betti_numbers(cx) == [1, 2, 1]
+
+
+def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
+    cx = make_torus(3)
+    calls = []
+
+    def counting(columns, mod2=False):
+        calls.append((id(columns), mod2))
+        return sparse_invariant_factors(columns, mod2=mod2)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense incidence matrix built for a rank")
+
+    monkeypatch.setattr(homology_mod, "sparse_invariant_factors", counting)
+    monkeypatch.setattr(homology_mod, "incidence_matrix", no_dense)
+    for ring in (RING_INT, RING_MOD2, RING_REAL):
+        for k in range(-1, cx.dim + 2):
+            homology(cx, k, ring)
+            cohomology(cx, k, ring)
+        betti_numbers(cx, ring)
+    assert euler_characteristic(cx) == 0
+    assert len(calls) == len(set(calls)) == 2 * cx.dim
+    assert not any(key[0] == "incidence" for key in cx._cache)
+
+
+@pytest.mark.parametrize("ring", [RING_INT, RING_MOD2])
+def test_empty_and_zero_columns(ring):
+    mod2 = ring == RING_MOD2
+    assert sparse_invariant_factors([], mod2=mod2) == []
+    assert sparse_invariant_factors([{}, {0: 0}], mod2=mod2) == []
+    assert sparse_invariant_factors([{0: 2}], mod2=mod2) == ([] if mod2
+                                                             else [2])
