@@ -338,13 +338,6 @@ class DeltaComplex:
         return cls(labels, layers, lattice_info=lattice_info,
                    closure_defects=defects)
 
-    @classmethod
-    def from_resolved(cls, vertex_labels: Sequence,
-                      layers: Sequence[Sequence[Cell]], *,
-                      lattice_info: dict | None = None) -> "DeltaComplex":
-        """Trusting constructor for quotient code: ids already resolved."""
-        return cls(vertex_labels, layers, lattice_info=lattice_info)
-
 
 # ---------------------------------------------------------------------------
 # Lattice-grid builders

@@ -6,15 +6,18 @@ and ``sparse_invariant_factors`` eliminates the unit pivots, handing only
 the small non-unit leftover to the dense Smith reducer.  The mod-2 ranks
 use the same elimination modulo 2.  Real coefficients give the same ranks
 as the integers with no torsion, so they share the integer result rather
-than trusting floating point.  Generators and boundary membership use
-the dense Smith normal form with transforms.
+than trusting floating point.  Boundary and coboundary membership
+append the vector to the same sparse columns and compare invariant
+factors with the cached reduction.  Generators of a nonzero group use the
+dense Smith normal form with transforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from typing import Mapping
 
 from .complexes import (
     Chain,
@@ -28,13 +31,7 @@ from .complexes import (
     incidence_matrix,
 )
 from .errors import DimensionError, InternalInconsistencyError
-from .snf import (
-    gf2_solve,
-    matmul_int,
-    smith_normal_form,
-    solve_integer,
-    sparse_invariant_factors,
-)
+from .snf import matmul_int, smith_normal_form, sparse_invariant_factors
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,6 @@ class HomologyGroup:
         if not self.betti:
             return "0"
         return sym if self.betti == 1 else f"{sym}^{self.betti}"
-
-
-def _matrix_rows(matrix: np.ndarray) -> list[list[int]]:
-    return [[int(x) for x in row] for row in matrix]
 
 
 def _reduction(complex_: DeltaComplex, k: int,
@@ -162,34 +155,54 @@ def is_cycle(chain: Chain, complex_: DeltaComplex, tol: float = 1e-9) -> bool:
     return not image.coeffs
 
 
-def _chain_vector(chain: Chain, complex_: DeltaComplex) -> list:
-    n = complex_.n_cells(chain.dim)
-    vec = [0] * n
-    for cid, v in chain.coeffs.items():
-        if not 0 <= cid < n:
-            raise DimensionError(f"cell id {cid} out of range for dim {chain.dim}")
-        vec[cid] = v
-    return vec
+def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
+              ring: str, transpose: bool = False) -> bool:
+    """Whether ``vector`` lies in the image of d_k over ``ring``.
+
+    With ``transpose`` the map is the coboundary delta^{k-1}, whose columns
+    are the rows of d_k.  ``vector`` is appended to the sparse columns and
+    the invariant factors are compared with the cached reduction of d_k,
+    which a matrix shares with its transpose.  Over Z the vector lies in
+    the image exactly when rank and torsion are unchanged: both lattices
+    span the same saturation, so equal rank and an equal product of
+    invariant factors mean equal lattices.  Over Z/2 and R the rank
+    decides.  Real coefficients are taken at their exact binary value and
+    scaled to integers, which leaves the rank over Q unchanged.
+    """
+    n = complex_.n_cells(k if transpose else k - 1)
+    if any(not 0 <= i < n for i in vector):
+        raise DimensionError(f"vector index out of range for {n} cells")
+    columns = boundary_columns(complex_, k)
+    if transpose:
+        rows: list[dict] = [{} for _ in range(complex_.n_cells(k - 1))]
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        columns = rows
+    if ring == RING_REAL:
+        exact = {i: Fraction(v) for i, v in vector.items()}
+        scale = math.lcm(*(q.denominator for q in exact.values()))
+        vector = {i: int(q * scale) for i, q in exact.items()}
+    rank, torsion = _reduction(complex_, k, ring)
+    factors = sparse_invariant_factors([*columns, vector],
+                                       mod2=ring == RING_MOD2)
+    if len(factors) != rank:
+        return False
+    return ring != RING_INT or tuple(d for d in factors if d > 1) == torsion
 
 
-def is_boundary(chain: Chain, complex_: DeltaComplex,
-                tol: float = 1e-9) -> bool:
-    """Whether the chain bounds, over its own coefficient ring."""
+def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
+    """Whether the chain bounds, exactly, over its own coefficient ring.
+
+    Real coefficients are taken at their exact binary value; there is no
+    tolerance.
+    """
     k = chain.dim
     if not chain.coeffs:
         return True
     if k >= complex_.dim or complex_.n_cells(k + 1) == 0:
         return False
-    M = incidence_matrix(complex_, k + 1)
-    vec = _chain_vector(chain, complex_)
-    if chain.ring == RING_MOD2:
-        return gf2_solve(_matrix_rows(M), [int(v) % 2 for v in vec]) is not None
-    if chain.ring == RING_INT:
-        return solve_integer(_matrix_rows(M), [int(v) for v in vec]) is not None
-    x, residuals, *_ = np.linalg.lstsq(
-        np.asarray(M, dtype=float), np.asarray(vec, dtype=float), rcond=None)
-    return bool(np.linalg.norm(
-        np.asarray(M, dtype=float) @ x - np.asarray(vec, dtype=float)) <= tol)
+    return _in_image(complex_, k + 1, chain.coeffs, chain.ring)
 
 
 def are_homologous(a: Chain, b: Chain, complex_: DeltaComplex) -> bool:
@@ -209,56 +222,33 @@ def homology_generators(complex_: DeltaComplex,
     the image of the (k+1)-st, so each basis vector carries one invariant
     factor.
     """
-    if k < 0 or k > complex_.dim:
-        return []
+    group = homology(complex_, k)
+    if not group.betti and not group.torsion:
+        return []  # one entry per free or torsion summand: none
     n_k = complex_.n_cells(k)
-    if n_k == 0:
-        return []
 
     if k == 0:
         kernel = [[1 if i == j else 0 for j in range(n_k)] for i in range(n_k)]
     else:
-        A = _matrix_rows(incidence_matrix(complex_, k))
-        dec = smith_normal_form(A)
+        dec = smith_normal_form(incidence_matrix(complex_, k))
         r = dec.rank
         kernel = [[dec.V[i][j] for j in range(r, n_k)] for i in range(n_k)]
-    z = len(kernel[0]) if kernel else 0
-    if z == 0:
-        return []
+    z = len(kernel[0])
 
     if k == complex_.dim or complex_.n_cells(k + 1) == 0:
-        Y = [[0] * 0 for _ in range(z)]
-        cols_b = 0
-    else:
-        B = _matrix_rows(incidence_matrix(complex_, k + 1))
-        cols_b = len(B[0])
-        dec_k = smith_normal_form(kernel)
-        dk = dec_k.diagonal
-        Y = [[0] * cols_b for _ in range(z)]
-        for j in range(cols_b):
-            rhs = [B[i][j] for i in range(n_k)]
-            ub = [sum(dec_k.U[i][t] * rhs[t] for t in range(n_k))
-                  for i in range(n_k)]
-            y = [0] * z
-            for i in range(n_k):
-                d = dk[i] if i < len(dk) else 0
-                if d == 0:
-                    if ub[i] != 0:
-                        raise InternalInconsistencyError(
-                            "boundary column escapes the cycle lattice")
-                elif ub[i] % d != 0:
-                    raise InternalInconsistencyError(
-                        "boundary column is not integral over the cycle basis")
-                elif i < z:
-                    y[i] = ub[i] // d
-            yy = [sum(dec_k.V[i][t] * y[t] for t in range(z)) for i in range(z)]
-            for i in range(z):
-                Y[i][j] = yy[i]
-
-    if cols_b == 0:
-        gens = [(0, Chain(k, {i: kernel[i][j] for i in range(n_k)}, RING_INT))
+        return [(0, Chain(k, {i: kernel[i][j] for i in range(n_k)}, RING_INT))
                 for j in range(z)]
-        return gens
+
+    columns = boundary_columns(complex_, k + 1)
+    dec_k = smith_normal_form(kernel)
+    Y = [[0] * len(columns) for _ in range(z)]
+    for j, col in enumerate(columns):
+        y = dec_k.solve([col.get(i, 0) for i in range(n_k)])
+        if y is None:
+            raise InternalInconsistencyError(
+                "boundary column is not an integral cycle combination")
+        for i in range(z):
+            Y[i][j] = y[i]
 
     dec_y = smith_normal_form(Y)
     adapted = matmul_int(kernel, dec_y.uinv)

@@ -307,7 +307,7 @@ def apply_constant_boundary(complex_: DeltaComplex,
         prev_new_ids = new_ids
     info = dict(complex_.lattice_info or {})
     info.update({"boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
-    return DeltaComplex.from_resolved(new_labels, layers, lattice_info=info)
+    return DeltaComplex(new_labels, layers, lattice_info=info)
 
 
 def periodic_image(label: tuple[int, ...], box: Sequence[tuple[int, int]],
@@ -379,7 +379,7 @@ def apply_periodic_boundary(complex_: DeltaComplex,
     info = dict(complex_.lattice_info or {})
     info.update({"boundary": BOUNDARY_PERIODIC,
                  "periodic_axes": tuple(a + 1 for a in axes)})
-    return DeltaComplex.from_resolved(new_labels, layers, lattice_info=info)
+    return DeltaComplex(new_labels, layers, lattice_info=info)
 
 
 def expand_removed_for_periodic(removed: Iterable[tuple[int, ...]],

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import Chain, DeltaComplex, RING_INT, incidence_matrix
+from .complexes import Chain, DeltaComplex, RING_INT, RING_MOD2
 from .errors import (
     DimensionError,
     UnsupportedConfigurationError,
 )
 from .homology import (
+    _in_image,
     euler_characteristic,
     homology_generators,
     orientability,
@@ -31,7 +32,6 @@ from .orderfield import (
     boundary_class,
     pi0_classes,
 )
-from .snf import gf2_solve, solve_integer
 
 
 @dataclass
@@ -160,28 +160,18 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
         return "trivial"
     cx = cochain.complex_
     k = cochain.k
-    n_k = cx.n_cells(k)
     if k < 1 or cx.n_cells(k - 1) == 0:
         return "nontrivial"
     # delta: C^{k-1} -> C^k is the transpose of the k-th boundary matrix.
-    M = incidence_matrix(cx, k)
-    D = [[int(M[i, j]) for i in range(M.shape[0])] for j in range(M.shape[1])]
-
-    def solvable(vec: list[int], mod2: bool) -> bool:
-        if mod2:
-            return gf2_solve(D, [v % 2 for v in vec]) is not None
-        return solve_integer(D, vec) is not None
-
     if group.rank == 2:
-        for comp in range(2):
-            vec = [cochain.values.get(j, (0, 0))[comp] for j in range(n_k)]
-            if not solvable(vec, mod2=False):
-                return "nontrivial"
+        parts = [({j: v[c] for j, v in cochain.values.items()}, RING_INT)
+                 for c in range(2)]
+    else:
+        ring = RING_MOD2 if group.order == 2 else RING_INT
+        parts = [({j: int(v) for j, v in cochain.values.items()}, ring)]
+    if all(_in_image(cx, k, vec, ring, transpose=True) for vec, ring in parts):
         return "trivial"
-    vec = [int(cochain.values.get(j, 0)) for j in range(n_k)]
-    if group.order == 2:
-        return "trivial" if solvable(vec, mod2=True) else "nontrivial"
-    return "trivial" if solvable(vec, mod2=False) else "nontrivial"
+    return "nontrivial"
 
 
 def pair_with_generators(cochain: ObstructionCochain) -> list[dict]:

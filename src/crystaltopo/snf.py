@@ -6,9 +6,11 @@ without overflow; numpy arrays are accepted at the boundary and converted.
 Ranks and invariant factors of boundary matrices come from
 ``sparse_invariant_factors``, which eliminates the +-1 pivots of a sparse
 column representation and hands only the leftover non-unit block to the
-dense Euclidean reducer.  The dense Smith normal form routine keeps the
-full transform pair (and the inverse of the left transform) so that
-integer linear systems A x = b can be solved exactly afterwards.
+dense Euclidean reducer; appending a vector as one more column and
+comparing the factors decides whether it lies in the image.  The dense
+Smith normal form routine keeps the full transform pair (and the inverse
+of the left transform); it serves the explicit generators and the exact
+integer solve of ``SmithDecomposition.solve``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-from .errors import InternalInconsistencyError
 
 
 def _as_int_rows(matrix) -> list[list[int]]:
@@ -69,6 +69,31 @@ class SmithDecomposition:
     @property
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal if d != 0]
+
+    def solve(self, rhs: Sequence[int]) -> list[int] | None:
+        """One integer solution x of A x = b, or None when unsolvable.
+
+        With U A V = D the system becomes D y = U b, solvable iff each
+        pivot divides its target and the rank-excess entries of U b vanish.
+        """
+        m = len(self.U)
+        n = len(self.V)
+        if len(rhs) != m:
+            raise ValueError("rhs length mismatch")
+        ub = [sum(self.U[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+        diag = self.diagonal
+        y = [0] * n
+        for i in range(m):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if ub[i] != 0:
+                    return None
+            else:
+                if ub[i] % d != 0:
+                    return None
+                if i < n:
+                    y[i] = ub[i] // d
+        return [sum(self.V[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
 def _min_abs_position(A, start: int) -> tuple[int, int] | None:
@@ -301,10 +326,6 @@ def sparse_invariant_factors(columns: Sequence[Mapping[int, int]],
     return factors
 
 
-def integer_rank(matrix) -> int:
-    return sum(1 for d in smith_diagonal(matrix) if d != 0)
-
-
 def exact_determinant(matrix) -> int:
     """Bareiss fraction-free determinant of a square integer matrix."""
     A = _as_int_rows(matrix)
@@ -354,51 +375,8 @@ def matmul_int(A, B) -> list[list[int]]:
 
 
 def solve_integer(matrix, rhs: list[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None when unsolvable.
-
-    Uses the Smith decomposition: with U A V = D the system becomes
-    D y = U b, solvable iff each pivot divides its target and the
-    rank-excess entries of U b vanish.
-    """
-    snf = smith_normal_form(matrix)
-    m = len(snf.U)
-    n = len(snf.V)
-    if len(rhs) != m:
-        raise ValueError("rhs length mismatch")
-    ub = [sum(snf.U[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-    diag = snf.diagonal
-    y = [0] * n
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            if i < n:
-                y[i] = ub[i] // d
-    x = [sum(snf.V[i][k] * y[k] for k in range(n)) for i in range(n)]
-    return x
-
-
-def verify_decomposition(matrix, snf: SmithDecomposition) -> bool:
-    """Check U A V == D and that U, V are unimodular."""
-    A = _as_int_rows(matrix)
-    lhs = matmul_int(matmul_int(snf.U, A), snf.V)
-    if lhs != snf.D:
-        return False
-    if abs(exact_determinant(snf.U)) != 1:
-        return False
-    if abs(exact_determinant(snf.V)) != 1:
-        return False
-    ident = _identity(len(snf.U))
-    return matmul_int(snf.U, snf.uinv) == ident
-
-
-def require_consistent(snf: SmithDecomposition, matrix) -> None:
-    if not verify_decomposition(matrix, snf):
-        raise InternalInconsistencyError("Smith decomposition failed self-check")
+    """One integer solution x of A x = b, or None when unsolvable."""
+    return smith_normal_form(matrix).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +410,3 @@ def gf2_rank(matrix) -> int:
                 nxt.append(r)
         rows = nxt
     return rank
-
-
-def gf2_solve(matrix, rhs) -> list[int] | None:
-    """Solve A x = b over GF(2); returns a 0/1 list or None.
-
-    ``matrix`` is m x n (any integer entries, reduced mod 2), ``rhs`` a
-    length-m 0/1 sequence.
-    """
-    rows = gf2_rows(matrix)
-    m = len(rows)
-    n = max((len(r) for r in matrix), default=0) if matrix else 0
-    work = [rows[i] | ((int(rhs[i]) & 1) << n) for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    for col in range(n):
-        bit = 1 << col
-        pivot_idx = None
-        for i in range(len(pivots), m):
-            if work[i] & bit:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        work[len(pivots)], work[pivot_idx] = work[pivot_idx], work[len(pivots)]
-        prow = work[len(pivots)]
-        for i in range(m):
-            if i != len(pivots) and work[i] & bit:
-                work[i] ^= prow
-        pivots.append((col, len(pivots)))
-    for i in range(len(pivots), m):
-        if work[i] >> n:
-            return None
-    x = [0] * n
-    for col, row_idx in pivots:
-        x[col] = (work[row_idx] >> n) & 1
-    return x

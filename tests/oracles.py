@@ -206,12 +206,14 @@ def components_oracle(n_vertices, edges):
     return seen
 
 
-def rational_nullity(matrix):
-    """Kernel dimension over the rationals, by Fraction Gauss elimination."""
-    a = [[Fraction(int(x)) for x in row] for row in np.atleast_2d(matrix)]
-    if not a or not a[0]:
-        return np.atleast_2d(matrix).shape[1] if np.atleast_2d(matrix).size else 0
-    rows, cols = len(a), len(a[0])
+def rational_rank(matrix):
+    """Rank over the rationals, by Fraction Gauss elimination.
+
+    Entries may be ints, Fractions or floats; a float counts at its exact
+    binary value.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    rows, cols = len(a), (len(a[0]) if a else 0)
     rank = 0
     for j in range(cols):
         pivot = None
@@ -229,4 +231,5 @@ def rational_nullity(matrix):
                 f = a[i][j]
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
-    return cols - rank
+    return rank
+

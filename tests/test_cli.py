@@ -238,6 +238,8 @@ REPORT_ARGS = {
     "z2": ["homology", "--ring", "z2"],
     "r": ["homology", "--ring", "r"],
     "generators": ["homology", "--generators"],
+    "obstruct": ["obstruct"],
+    "network": ["network"],
 }
 
 # SHA-256 of the ``--report json`` output for every sample document; a
@@ -253,6 +255,8 @@ SAMPLE_REPORT_SHA256 = {
         "5a53314fd4f99eae83ee150b17fe91a5b8e7f3247cbd6660ccf50a8d70b87fd9",
     ("circle_network", "generators"):
         "2a5888e48e6e3b14f5cc0c75d034d91c4431ed6a9faf3226b8f361a405631626",
+    ("circle_network", "network"):
+        "2eb16054bcdd22303216873e78815d429b1c8bd5186819f483eebfb7bb75f9ac",
     ("disc", "build"):
         "10ff6431ee331cd81a10f31273c9d183904061c42a6006e60c9eb07b9b751d85",
     ("disc", "z"):
@@ -293,6 +297,8 @@ SAMPLE_REPORT_SHA256 = {
         "f915331911f0e0be631e14a154236cbe3b60b952fcbc1b7e2f25ab64246c194d",
     ("sphere_vortex_pair", "generators"):
         "d860633d7a32ed0f62db056d26b88597730609954b3f31254e4ff9d917a8233c",
+    ("sphere_vortex_pair", "obstruct"):
+        "4842cc110dfc9ae81c966721a82896ad12a466c5125135077e0fdf84c53dfccd",
     ("spin_interface", "build"):
         "d3dd022bf8c69e4ebd6bb456512375e04da05e2cf1a46989d9b5d2ed36c27e50",
     ("spin_interface", "z"):
@@ -303,6 +309,8 @@ SAMPLE_REPORT_SHA256 = {
         "8ab32edb1d0abd41e896288280b6c38203bfbf04d97ac51b7c217d9933b2bdd1",
     ("spin_interface", "generators"):
         "8a30a56999ba5eb3e9b588e7bf917c61b98ba7f0c9e63b8dada02d0ed96c844b",
+    ("spin_interface", "obstruct"):
+        "a590867bb3958c8bd97fd5773a5d2e8aea67d00e84d2742c0ed4c4c714eeccd2",
     ("tetrahedron", "build"):
         "3f6a55f57557df73da0430c8eb1032953ec0ebf947ed832fd47774b097c3c744",
     ("tetrahedron", "z"):

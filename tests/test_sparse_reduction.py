@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from crystaltopo import LatticeSpec, build_lattice_complex
 from crystaltopo.complexes import (
+    Cell,
+    Chain,
+    DeltaComplex,
     RING_INT,
     RING_MOD2,
     RING_REAL,
@@ -20,12 +23,21 @@ from crystaltopo.homology import (
     cohomology,
     euler_characteristic,
     homology,
+    homology_generators,
+    is_boundary,
 )
 from crystaltopo.lattice import DefectSpec
-from crystaltopo.snf import gf2_rank, smith_diagonal, sparse_invariant_factors
+from crystaltopo.obstruction import ObstructionCochain, obstruction_class
+from crystaltopo.orderfield import GROUP_Z, GROUP_Z2, GROUP_ZxZ
+from crystaltopo.snf import (
+    gf2_rank,
+    smith_diagonal,
+    solve_integer,
+    sparse_invariant_factors,
+)
 
-from conftest import make_rp2, make_torus
-from oracles import gf2_rank_oracle, snf_diagonal_oracle
+from conftest import make_circle, make_disc, make_rp2, make_torus
+from oracles import gf2_rank_oracle, rational_rank, snf_diagonal_oracle
 
 # The package namespace exports a function named ``homology``.
 homology_mod = importlib.import_module("crystaltopo.homology")
@@ -184,10 +196,11 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
         return sparse_invariant_factors(columns, mod2=mod2)
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense incidence matrix built for a rank")
+        raise AssertionError("dense matrix built for a rank or membership")
 
     monkeypatch.setattr(homology_mod, "sparse_invariant_factors", counting)
     monkeypatch.setattr(homology_mod, "incidence_matrix", no_dense)
+    monkeypatch.setattr(homology_mod, "smith_normal_form", no_dense)
     for ring in (RING_INT, RING_MOD2, RING_REAL):
         for k in range(-1, cx.dim + 2):
             homology(cx, k, ring)
@@ -195,7 +208,100 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
         betti_numbers(cx, ring)
     assert euler_characteristic(cx) == 0
     assert len(calls) == len(set(calls)) == 2 * cx.dim
+
+    # Membership tests reduce only [d_k | b], never the cached d_k again.
+    base = {id(boundary_columns(cx, k)) for k in range(1, cx.dim + 1)}
+    face_boundary = boundary_columns(cx, 2)[0]
+    for ring in (RING_INT, RING_MOD2, RING_REAL):
+        assert not is_boundary(Chain(1, {0: 1}, ring), cx)
+        assert is_boundary(Chain(1, face_boundary, ring), cx)
+    delta_edge = {j: col[0] for j, col in enumerate(boundary_columns(cx, 2))
+                  if 0 in col}
+    for group, values, status in (
+            (GROUP_Z, {0: 1}, "nontrivial"),
+            (GROUP_Z, delta_edge, "trivial"),
+            (GROUP_Z2, {0: 1}, "nontrivial"),
+            (GROUP_ZxZ, {j: (v, 0) for j, v in delta_edge.items()},
+             "trivial")):
+        cochain = ObstructionCochain(cx, 2, group, values)
+        assert obstruction_class(cochain) == status
+    assert sum(1 for key in calls if key[0] in base) == 2 * cx.dim
     assert not any(key[0] == "incidence" for key in cx._cache)
+
+
+def matrix_complex(matrix):
+    """A 1-dimensional complex whose d_1 is ``matrix``: rows are vertices."""
+    vertices = [Cell((i,), ()) for i in range(len(matrix))]
+    edges = [Cell((0,), tuple((i, row[j]) for i, row in enumerate(matrix)
+                              if row[j]))
+             for j in range(len(matrix[0]))]
+    return DeltaComplex(range(len(matrix)), [vertices, edges])
+
+
+@st.composite
+def membership_cases(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    values = draw(st.sampled_from([range(-3, 4), (-3, -2, 0, 2, 3)]))
+    matrix = [[draw(st.sampled_from(values)) for _ in range(cols)]
+              for _ in range(rows)]
+    transpose = draw(st.booleans())
+    A = [list(col) for col in zip(*matrix)] if transpose else matrix
+    if draw(st.booleans()):
+        x = [draw(st.integers(-2, 2)) for _ in A[0]]
+        b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+    else:
+        b = [draw(st.integers(-3, 3)) for _ in A]
+    scale = draw(st.sampled_from([1, 0.5, 0.25, 0.1, 1 / 3]))
+    return matrix, transpose, A, b, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_image_membership_matches_dense_references(case):
+    matrix, transpose, A, b, scale = case
+    cx = matrix_complex(matrix)
+
+    def member(vector, ring):
+        vec = {i: v for i, v in enumerate(vector) if v}
+        return homology_mod._in_image(cx, 1, vec, ring, transpose=transpose)
+
+    def gains_rank(vector, rank):
+        return rank([row + [v] for row, v in zip(A, vector)]) != rank(A)
+
+    assert member(b, RING_INT) == (solve_integer(A, b) is not None)
+    assert member(b, RING_MOD2) == (not gains_rank(b, gf2_rank_oracle))
+    real = [v * scale for v in b]
+    assert member(real, RING_REAL) == (not gains_rank(real, rational_rank))
+
+
+def test_rp2_torsion_loop_bounds_over_the_reals_only():
+    rp2 = make_rp2()
+    (order, gen), = homology_generators(rp2, 1)
+    assert order == 2
+    assert not is_boundary(gen, rp2)
+    assert is_boundary(gen.scale(2), rp2)
+    assert not is_boundary(Chain(1, gen.coeffs, RING_MOD2), rp2)
+    assert is_boundary(Chain(1, gen.coeffs, RING_REAL), rp2)
+    assert is_boundary(Chain(1, gen.coeffs, RING_REAL).scale(0.1), rp2)
+    assert not is_boundary(Chain(1, {0: 0.3}, RING_REAL), rp2)
+
+
+def test_trivial_groups_skip_the_dense_smith_form(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return snf_mod.smith_normal_form(matrix)
+
+    monkeypatch.setattr(homology_mod, "smith_normal_form", counting)
+    ball = DeltaComplex.from_simplices([("A", "B", "C", "D")])
+    assert homology_generators(ball, 3) == []
+    assert homology_generators(make_disc(), 2) == []
+    assert calls == []
+    # The spy does see the dense path when the group is nonzero.
+    assert len(homology_generators(make_circle(), 1)) == 1
+    assert calls
 
 
 @pytest.mark.parametrize("ring", [RING_INT, RING_MOD2])
