@@ -22,7 +22,7 @@ from .complexes import (
     RING_INT,
     RING_MOD2,
     RING_REAL,
-    incidence_matrix,
+    boundary_columns,
     validate_complex,
 )
 from .errors import CrystalTopoError, DocumentError
@@ -405,12 +405,11 @@ def cmd_build(args) -> tuple[int, dict]:
     if args.dump_matrices:
         mats = {}
         for k in range(1, cx.dim + 1):
-            M = incidence_matrix(cx, k)
             mats[f"d{k}"] = {
-                "shape": list(M.shape),
-                "entries": [[int(i), int(j), int(M[i, j])]
-                            for i in range(M.shape[0])
-                            for j in range(M.shape[1]) if M[i, j] != 0],
+                "shape": [cx.n_cells(k - 1), cx.n_cells(k)],
+                "entries": sorted(
+                    [i, j, v] for j, col in enumerate(boundary_columns(cx, k))
+                    for i, v in col.items()),
             }
         report["matrices"] = mats
     return 0, report

@@ -272,11 +272,7 @@ class DeltaComplex:
 
     def cochain(self, k: int, terms: Mapping[Sequence, object],
                 ring: str = RING_INT) -> Cochain:
-        data: dict[int, object] = {}
-        for labels, coeff in terms.items():
-            cid, sign = self.find_cell(k, labels)
-            data[cid] = data.get(cid, 0) + sign * coeff
-        return Cochain(k, data, ring)
+        return Cochain(k, self.chain(k, terms, ring).coeffs, ring)
 
     # -- constructors --------------------------------------------------------
 

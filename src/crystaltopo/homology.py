@@ -146,13 +146,28 @@ def vertex_components(complex_: DeltaComplex) -> list[int]:
 # Cycle and boundary membership
 
 
-def is_cycle(chain: Chain, complex_: DeltaComplex, tol: float = 1e-9) -> bool:
+def _integral(coeffs: Mapping[int, float]) -> dict[int, int]:
+    """Real coefficients at their exact binary value, scaled to integers.
+
+    The scale is the lcm of the denominators, so neither the rank of a
+    vector set nor the vanishing of a linear image changes.
+    """
+    exact = {i: Fraction(v) for i, v in coeffs.items()}
+    scale = math.lcm(*(q.denominator for q in exact.values()))
+    return {i: int(q * scale) for i, q in exact.items()}
+
+
+def is_cycle(chain: Chain, complex_: DeltaComplex) -> bool:
+    """Whether the boundary of the chain vanishes, exactly.
+
+    Real coefficients are taken at their exact binary value; there is no
+    tolerance.
+    """
     if chain.dim == 0:
         return True
-    image = boundary_map(chain, complex_)
     if chain.ring == RING_REAL:
-        return all(abs(v) <= tol for v in image.coeffs.values())
-    return not image.coeffs
+        chain = Chain(chain.dim, _integral(chain.coeffs))
+    return not boundary_map(chain, complex_).coeffs
 
 
 def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
@@ -180,9 +195,7 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
                 rows[i][j] = v
         columns = rows
     if ring == RING_REAL:
-        exact = {i: Fraction(v) for i, v in vector.items()}
-        scale = math.lcm(*(q.denominator for q in exact.values()))
-        vector = {i: int(q * scale) for i, q in exact.items()}
+        vector = _integral(vector)
     rank, torsion = _reduction(complex_, k, ring)
     factors = sparse_invariant_factors([*columns, vector],
                                        mod2=ring == RING_MOD2)

@@ -232,9 +232,46 @@ def apply_defects(points: set, box: Sequence[tuple[int, int]],
 # Boundary conditions
 
 
-def _collapsed_label(box: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    # Below every box coordinate, so the new vertex sorts first.
-    return tuple(lo - 1 for lo, _ in box)
+def _quotient(complex_: DeltaComplex, images: Sequence[tuple[int, ...]],
+              cell_key, info: dict) -> DeltaComplex:
+    """Identify or collapse cells, then renumber: the one quotient pass.
+
+    ``images[v]`` is the new label of old vertex ``v``; the new vertices
+    are the distinct images in sorted order.  ``cell_key(k, i, cell)`` is
+    called once per old cell: cells with equal keys are identified, the
+    first one standing for all, and the survivors are numbered in key
+    order.  A ``None`` key collapses the cell, and faces that pointed at
+    it are dropped.  ``info`` is merged over the old lattice info.
+    """
+    labels = sorted(set(images))
+    new_vid = {lab: i for i, lab in enumerate(labels)}
+    image = [new_vid[lab] for lab in images]
+    layers: list[list[Cell]] = []
+    new_id: list = []
+    for k, layer in enumerate(complex_.cells):
+        keys = [cell_key(k, i, cell) for i, cell in enumerate(layer)]
+        reps: dict = {}
+        for key, cell in zip(keys, layer):
+            if key is not None:
+                reps.setdefault(key, cell)
+        order = sorted(reps)
+        layers.append([
+            Cell(tuple(image[v] for v in cell.vertices),
+                 tuple((new_id[f], c) for f, c in cell.faces
+                       if new_id[f] is not None), cell.shape)
+            for cell in map(reps.get, order)])
+        rank = {key: j for j, key in enumerate(order)}
+        new_id = [rank.get(key) for key in keys]
+    return DeltaComplex(labels, layers,
+                        lattice_info={**(complex_.lattice_info or {}), **info})
+
+
+def _common_bits(bits: Sequence[int], vertices: Sequence[int]) -> int:
+    """The flags of ``bits`` that every one of ``vertices`` carries."""
+    out = -1
+    for v in vertices:
+        out &= bits[v]
+    return out
 
 
 def apply_constant_boundary(complex_: DeltaComplex,
@@ -247,67 +284,27 @@ def apply_constant_boundary(complex_: DeltaComplex,
     the relative complex of the sample against its hull.
     """
     m = len(box)
-
-    def on_hull(label) -> bool:
-        return any(label[a] == lo or label[a] == hi
-                   for a, (lo, hi) in enumerate(box))
-
-    def pinned(labels) -> bool:
-        for a, (lo, hi) in enumerate(box):
-            coords = {lab[a] for lab in labels}
-            if coords == {lo} or coords == {hi}:
-                return True
-        return False
-
-    w = _collapsed_label(box)
+    # Below every box coordinate, so the new vertex sorts first.
+    w = tuple(lo - 1 for lo, _ in box)
     if w in complex_.label_to_id:
         raise ComplexBuildError(
             f"label {w} is taken; cannot introduce the collapsed vertex")
-    kept_labels = [lab for lab in complex_.vertex_labels if not on_hull(lab)]
-    new_labels = sorted(kept_labels + [w])
-    new_vid = {lab: i for i, lab in enumerate(new_labels)}
-    wid = new_vid[w]
+    # Bit a: at the low end of axis a; bit m + a: at its high end.
+    hull = [sum((lab[a] == lo) << a | (lab[a] == hi) << (m + a)
+                for a, (lo, hi) in enumerate(box))
+            for lab in complex_.vertex_labels]
+    images = [w if h else lab
+              for lab, h in zip(complex_.vertex_labels, hull)]
 
-    def map_vertex(old_id: int) -> int:
-        lab = complex_.vertex_labels[old_id]
-        return wid if on_hull(lab) else new_vid[lab]
+    def cell_key(k, i, cell):
+        if k == 0:
+            return images[cell.vertices[0]]
+        if _common_bits(hull, cell.vertices):
+            return None
+        return tuple(images[v] for v in cell.vertices), i
 
-    layers: list[list[Cell]] = [
-        [Cell((i,), (), complex_.cells[0][0].shape if complex_.cells[0]
-              else "simplex") for i in range(len(new_labels))]]
-    survivors_prev: dict[int, int] = {}
-    for old_id, cell in enumerate(complex_.cells[0]):
-        lab = complex_.vertex_labels[cell.vertices[0]]
-        if not on_hull(lab):
-            survivors_prev[old_id] = new_vid[lab]
-        else:
-            survivors_prev[old_id] = wid
-    # Every 0-cell maps somewhere (hull vertices merge into w); for k >= 1
-    # only unpinned cells survive.
-    for k in range(1, complex_.dim + 1):
-        kept: list[tuple[int, Cell]] = []
-        for old_id, cell in enumerate(complex_.cells[k]):
-            labels = [complex_.vertex_labels[v] for v in cell.vertices]
-            if not pinned(labels):
-                kept.append((old_id, cell))
-        kept.sort(key=lambda item: (
-            tuple(map_vertex(v) for v in item[1].vertices), item[0]))
-        new_ids = {old_id: i for i, (old_id, _) in enumerate(kept)}
-        layer = []
-        for old_id, cell in kept:
-            verts = tuple(map_vertex(v) for v in cell.vertices)
-            faces = []
-            for fid, coeff in cell.faces:
-                if k == 1:
-                    faces.append((survivors_prev[fid], coeff))
-                elif fid in prev_new_ids:
-                    faces.append((prev_new_ids[fid], coeff))
-            layer.append(Cell(verts, tuple(faces), cell.shape))
-        layers.append(layer)
-        prev_new_ids = new_ids
-    info = dict(complex_.lattice_info or {})
-    info.update({"boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
-    return DeltaComplex(new_labels, layers, lattice_info=info)
+    return _quotient(complex_, images, cell_key,
+                     {"boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
 
 
 def periodic_image(label: tuple[int, ...], box: Sequence[tuple[int, int]],
@@ -326,60 +323,35 @@ def apply_periodic_boundary(complex_: DeltaComplex,
                             axes: Sequence[int]) -> DeltaComplex:
     """Identify opposite box facets by translation on the given 0-based axes.
 
-    Cells are grouped into translation orbits; the canonical orbit
-    representative shifts an axis down by one period whenever every corner
-    sits at that axis's top coordinate.  Face identities and signs carry
-    over because translation preserves both.
+    Cells are grouped into translation orbits; the canonical orbit label
+    shifts an axis down by one period whenever every corner sits at that
+    axis's top coordinate.  Translation carries vertices, face order and
+    signs, so any orbit member represents the orbit.
     """
     for a in axes:
         lo, hi = box[a]
         if hi - lo < 1:
             raise ComplexBuildError(
                 f"periodic axis {a + 1} needs box extent of at least 1")
+    labels = complex_.vertex_labels
+    # Bit a: at the top coordinate of periodic axis a.
+    top = [sum(1 << a for a in axes if lab[a] == box[a][1])
+           for lab in labels]
+    images = [periodic_image(lab, box, axes) for lab in labels]
 
-    def canonical_key(labels: Sequence[tuple[int, ...]]) -> tuple:
-        shifted = [list(lab) for lab in labels]
-        for a in axes:
-            lo, hi = box[a]
-            if all(lab[a] == hi for lab in labels):
-                for row in shifted:
-                    row[a] -= hi - lo
-        return tuple(tuple(row) for row in shifted)
+    def cell_key(k, i, cell):
+        corners = tuple(labels[v] for v in cell.vertices)
+        shift = _common_bits(top, cell.vertices)
+        if not shift:
+            return corners
+        return tuple(
+            tuple(c - (hi - lo) * (shift >> a & 1)
+                  for a, (c, (lo, hi)) in enumerate(zip(lab, box)))
+            for lab in corners)
 
-    new_labels = sorted({periodic_image(lab, box, axes)
-                         for lab in complex_.vertex_labels})
-    new_vid = {lab: i for i, lab in enumerate(new_labels)}
-
-    layers: list[list[Cell]] = []
-    id_maps: list[dict[int, int]] = []
-    for k in range(complex_.dim + 1):
-        orbit_of: dict[int, tuple] = {}
-        reps: dict[tuple, tuple[int, Cell]] = {}
-        for old_id, cell in enumerate(complex_.cells[k]):
-            labels = [complex_.vertex_labels[v] for v in cell.vertices]
-            key = canonical_key(labels)
-            orbit_of[old_id] = key
-            prev = reps.get(key)
-            # The representative is the cell whose labels equal the key.
-            if tuple(labels) == key or prev is None:
-                reps[key] = (old_id, cell)
-        ordered = sorted(reps.items(), key=lambda item: item[0])
-        orbit_new_id = {key: i for i, (key, _) in enumerate(ordered)}
-        id_map = {old_id: orbit_new_id[key] for old_id, key in orbit_of.items()}
-        layer = []
-        for key, (old_id, cell) in ordered:
-            verts = tuple(
-                new_vid[periodic_image(complex_.vertex_labels[v], box, axes)]
-                for v in cell.vertices)
-            faces = tuple((id_maps[k - 1][fid], coeff)
-                          for fid, coeff in cell.faces) if k > 0 else ()
-            layer.append(Cell(verts, faces, cell.shape))
-        layers.append(layer)
-        id_maps.append(id_map)
-    info = dict(complex_.lattice_info or {})
-    info.update({"boundary": BOUNDARY_PERIODIC,
-                 "periodic_axes": tuple(a + 1 for a in axes)})
-    return DeltaComplex(new_labels, layers, lattice_info=info)
+    return _quotient(complex_, images, cell_key,
+                     {"boundary": BOUNDARY_PERIODIC,
+                      "periodic_axes": tuple(a + 1 for a in axes)})
 
 
 def expand_removed_for_periodic(removed: Iterable[tuple[int, ...]],
@@ -461,33 +433,20 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     positions = lattice_positions(A, points)
     complex_ = build_complex(points, spec.scheme, index_box=spec.index_box,
                              positions=positions)
-    info = dict(complex_.lattice_info or {})
-    info.update({
+    complex_.lattice_info.update({
         "generators": tuple(tuple(float(x) for x in row) for row in A),
         "ambient": n,
         "boundary": spec.boundary,
     })
-
     if spec.boundary == BOUNDARY_CONSTANT:
-        result = apply_constant_boundary(complex_, spec.index_box)
-        merged = dict(result.lattice_info or {})
-        merged.update({k: v for k, v in info.items()
-                       if k not in ("boundary",)})
-        result.lattice_info.update(merged)
+        complex_ = apply_constant_boundary(complex_, spec.index_box)
     elif spec.boundary == BOUNDARY_PERIODIC:
-        result = apply_periodic_boundary(complex_, spec.index_box, axes0)
-        merged = dict(result.lattice_info or {})
-        merged.update({k: v for k, v in info.items()
-                       if k not in ("boundary",)})
-        result.lattice_info.update(merged)
-    else:
-        complex_.lattice_info.update(info)
-        result = complex_
+        complex_ = apply_periodic_boundary(complex_, spec.index_box, axes0)
 
     report = {
         "defects": defect_report,
         "removed_indices": sorted(removed),
         "sites": len(points),
-        "cells": result.cell_counts(),
+        "cells": complex_.cell_counts(),
     }
-    return result, report
+    return complex_, report

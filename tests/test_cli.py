@@ -234,6 +234,7 @@ def test_version_flag(capsys):
 
 REPORT_ARGS = {
     "build": ["build"],
+    "dump": ["build", "--dump-matrices"],
     "z": ["homology", "--ring", "z"],
     "z2": ["homology", "--ring", "z2"],
     "r": ["homology", "--ring", "r"],
@@ -247,6 +248,8 @@ REPORT_ARGS = {
 SAMPLE_REPORT_SHA256 = {
     ("circle_network", "build"):
         "d8ba98fa5511b9dcaa1ef11b9fa9377f33d182b7bb99dadc0a8d6abf22d7cb01",
+    ("circle_network", "dump"):
+        "1b6ae1175ff837cc4dfd80fa7924339f609ed34cc648e6fa3054d7a004de8bb1",
     ("circle_network", "z"):
         "5d51deed7f7fba0e80ceaa4f976f421443223166334d0a6089ca2a320391f6dd",
     ("circle_network", "z2"):
@@ -259,6 +262,8 @@ SAMPLE_REPORT_SHA256 = {
         "2eb16054bcdd22303216873e78815d429b1c8bd5186819f483eebfb7bb75f9ac",
     ("disc", "build"):
         "10ff6431ee331cd81a10f31273c9d183904061c42a6006e60c9eb07b9b751d85",
+    ("disc", "dump"):
+        "87376721fbe825ee8d990a98767e9344f3dbe75e646f1de8d0eed276f1ae100e",
     ("disc", "z"):
         "d4d702192d2f28caa99805df777e1516ecd112427935261676481d2f0122acc9",
     ("disc", "z2"):
@@ -269,6 +274,8 @@ SAMPLE_REPORT_SHA256 = {
         "0183e2c5063bd2c3e4f366ec7106d4879cf86e76356f5b6ca74d2b9d1801f507",
     ("mobius", "build"):
         "df6c9ec07a76a6fd893d6cb756b7673d06ee383126a8f6c1ab55c32fc1ef81e8",
+    ("mobius", "dump"):
+        "e989d7be7db95fee22127b3f2e37a9b111cc50570bced3322216b1771d69ba0f",
     ("mobius", "z"):
         "94219f40e39adb5c1c4b7c52c3f75b1a0f6332683d8ec93a70bf085665530b5b",
     ("mobius", "z2"):
@@ -279,6 +286,8 @@ SAMPLE_REPORT_SHA256 = {
         "334dbfb524958ce0ac0f0025054d252d249e34226f3b47c57d7653c17df2219f",
     ("punctured_grid", "build"):
         "ac6618a062fe1304357bcc45f0614001fe6fc680d2941cb3cc17c0a2dec0f89b",
+    ("punctured_grid", "dump"):
+        "a6d93e4a13b414cdb0eaeb33b6146c352812ee21c006575109e5246500910afd",
     ("punctured_grid", "z"):
         "fe2502020d065aa93ad6a89305d6e5d4556e48b4694bf4a23e0976b7451d1f58",
     ("punctured_grid", "z2"):
@@ -289,6 +298,8 @@ SAMPLE_REPORT_SHA256 = {
         "32211543f7d8793c7224dd7e2eab47c465e0f2bf9f0136894ea232c16d0f0c67",
     ("sphere_vortex_pair", "build"):
         "b2bbd40b5104ea6fb6eabf25ea0428faf61b1d8d99d7df3ca66bf0ecd22b55f6",
+    ("sphere_vortex_pair", "dump"):
+        "4bbd15582bdb07cfe7994e5b3656f9c6406520a3c46a569e8ae1213858a9f111",
     ("sphere_vortex_pair", "z"):
         "25fcc98df1d1f870e08821eb0c56184798e1a0bb92b00137c41babbcd86dec0b",
     ("sphere_vortex_pair", "z2"):
@@ -301,6 +312,8 @@ SAMPLE_REPORT_SHA256 = {
         "4842cc110dfc9ae81c966721a82896ad12a466c5125135077e0fdf84c53dfccd",
     ("spin_interface", "build"):
         "d3dd022bf8c69e4ebd6bb456512375e04da05e2cf1a46989d9b5d2ed36c27e50",
+    ("spin_interface", "dump"):
+        "12b4c690c5d1475df7068d214e302ccbabd09ec5d018ff4430a7ab3f5b1126dc",
     ("spin_interface", "z"):
         "f5a53784d657a509e1cb27115af543f424b0eecd492660f615c3cac1628d2df1",
     ("spin_interface", "z2"):
@@ -313,6 +326,8 @@ SAMPLE_REPORT_SHA256 = {
         "a590867bb3958c8bd97fd5773a5d2e8aea67d00e84d2742c0ed4c4c714eeccd2",
     ("tetrahedron", "build"):
         "3f6a55f57557df73da0430c8eb1032953ec0ebf947ed832fd47774b097c3c744",
+    ("tetrahedron", "dump"):
+        "f78042055148d1593f0b34e7151e2904b7f41c084d99e6ccff2e5032bb466437",
     ("tetrahedron", "z"):
         "1bcf152a08f2d76f6572b022a57c216ffbdb0eabaf0e63466c08c7be5e5bcfea",
     ("tetrahedron", "z2"):
@@ -323,6 +338,8 @@ SAMPLE_REPORT_SHA256 = {
         "1b8f0dde9cf46534c0b6782ee62aabe18800a4c33a17f7f842e47765e0d16ac1",
     ("torus", "build"):
         "20481b15db5c968eaa016fd4e95c08e45ebdbf9ae5638bfa74f07eecc1e9a6c8",
+    ("torus", "dump"):
+        "6e91919a9a53de7e69354663643a5e6cbf104b59fcc4381ba7f05b2fc3953d3c",
     ("torus", "z"):
         "aed1f196ff2f07f70cf7e7dc274c4f0989076da1239cd44b31dec9b3bf515dfb",
     ("torus", "z2"):

@@ -3,6 +3,7 @@ import pytest
 from crystaltopo import (
     RING_MOD2,
     RING_REAL,
+    Chain,
     DeltaComplex,
     are_homologous,
     betti_numbers,
@@ -107,6 +108,33 @@ def test_perimeter_classification(circle, disc):
     loop_d = disc.chain(1, {("A", "B"): 1, ("B", "C"): 1, ("A", "C"): -1})
     assert is_cycle(loop_d, disc)
     assert is_boundary(loop_d, disc)
+
+
+def test_real_cycle_test_is_exact(circle):
+    # A tiny coefficient is still a coefficient: no tolerance hides it,
+    # so cycle and boundary tests agree.
+    tiny = Chain(1, {0: 1e-10}, RING_REAL)
+    assert boundary_map(tiny, circle)
+    assert not is_cycle(tiny, circle)
+    assert not is_boundary(tiny, circle)
+    loop = circle.chain(1, {("A", "B"): 0.1, ("B", "C"): 0.1,
+                            ("A", "C"): -0.1}, RING_REAL)
+    assert is_cycle(loop, circle)
+    assert not is_boundary(loop, circle)
+
+
+def test_real_cycle_test_ignores_float_cancellation():
+    # Edge PQ plus t times the path P-R-Q minus the path P-S-Q: the exact
+    # boundary is t (Q - P), but summed in floats 1 + 2**-60 - 1 gives 0.
+    graph = DeltaComplex.from_simplices(
+        [("P", "Q"), ("P", "R"), ("P", "S"), ("Q", "R"), ("Q", "S")],
+        auto_close=False)
+    t = 2.0 ** -60
+    chain = graph.chain(1, {("P", "Q"): 1.0, ("P", "R"): t, ("P", "S"): -1.0,
+                            ("Q", "R"): -t, ("Q", "S"): 1.0}, RING_REAL)
+    assert not boundary_map(chain, graph)
+    assert not is_cycle(chain, graph)
+    assert not is_cycle(chain.scale(2.0 ** 60), graph)
 
 
 def test_homologous_loops_on_cylinder(cylinder):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -210,6 +212,113 @@ def test_removed_indices_expand_over_periodic_orbit():
         removed_indices=((3, 1),),
         boundary="periodic", periodic_axes=(1, 2)))
     assert cx.n_cells(0) == 8
+
+
+# ---------------------------------------------------------------------------
+# quotient contract: byte-identical complexes across boundary treatments
+# ---------------------------------------------------------------------------
+
+def _grid_spec(m, scheme, box, **kw):
+    gens = tuple(tuple(1.0 if i == j else 0.0 for j in range(m))
+                 for i in range(m))
+    return LatticeSpec(dimension=m, ambient=m, generators=gens,
+                       index_box=box, scheme=scheme, **kw)
+
+
+_LINE = DefectSpec("line_defect", axis=2, transverse=(0,))
+_SEAM_LINE = DefectSpec("line_defect", axis=3, transverse=(0, 0))
+
+# name -> spec.  Both schemes, dimensions 1-3, every boundary kind,
+# subsets of periodic axes, period-1 axes, and defects on periodic seams.
+QUOTIENT_SPECS = {
+    "cubic1-free": _grid_spec(1, "cubic", ((0, 4),)),
+    "cubic1-constant": _grid_spec(1, "cubic", ((0, 4),), boundary="constant"),
+    "cubic1-periodic": _grid_spec(1, "cubic", ((0, 4),), boundary="periodic"),
+    "tri1-period1": _grid_spec(1, "triangular", ((0, 1),),
+                               boundary="periodic"),
+    "cubic2-constant-vacancy": _grid_spec(
+        2, "cubic", ((0, 3), (0, 2)), boundary="constant",
+        defects=(DefectSpec("vacancy", index=(1, 1)),)),
+    "tri2-constant": _grid_spec(2, "triangular", ((0, 3), (0, 3)),
+                                boundary="constant"),
+    "tri2-periodic-seam-vacancy": _grid_spec(
+        2, "triangular", ((0, 3), (0, 3)), boundary="periodic",
+        removed_indices=((0, 0),)),
+    "cubic2-periodic-axis1-seam-line": _grid_spec(
+        2, "cubic", ((0, 3), (0, 2)), boundary="periodic",
+        periodic_axes=(1,), defects=(_LINE,)),
+    "tri2-periodic-axis2": _grid_spec(2, "triangular", ((0, 2), (0, 3)),
+                                      boundary="periodic", periodic_axes=(2,)),
+    "tri2-period1": _grid_spec(2, "triangular", ((0, 1), (0, 3)),
+                               boundary="periodic"),
+    "cubic3-periodic-corner-vacancy": _grid_spec(
+        3, "cubic", ((0, 2), (0, 2), (0, 2)), boundary="periodic",
+        defects=(DefectSpec("vacancy", index=(2, 2, 2)),)),
+    "cubic3-constant": _grid_spec(3, "cubic", ((0, 2), (0, 3), (0, 2)),
+                                  boundary="constant"),
+    "tri3-periodic-axes13": _grid_spec(
+        3, "triangular", ((0, 2), (0, 2), (0, 2)), boundary="periodic",
+        periodic_axes=(1, 3)),
+    "tri3-constant-vacancy": _grid_spec(
+        3, "triangular", ((0, 3), (0, 3), (0, 3)), boundary="constant",
+        removed_indices=((1, 2, 1),)),
+    "cubic3-period1-seam-line": _grid_spec(
+        3, "cubic", ((0, 1), (0, 2), (0, 2)), boundary="periodic",
+        periodic_axes=(1, 2), defects=(_SEAM_LINE,)),
+    "tri3-free": _grid_spec(3, "triangular", ((0, 1), (0, 1), (0, 2))),
+}
+
+# SHA-256 of the canonical JSON of (vertex labels, cells, lattice info,
+# build report); a change to any of these is a change of the quotient.
+QUOTIENT_SHA256 = {
+    "cubic1-constant":
+        "d993bebbb8d599f23d2ee18c15a2e941dedba3b2843c89526924fa49a579a89d",
+    "cubic1-free":
+        "2f64d8173e1bfc8498977015ca57fe3471a6e4aa5b0dc7c920072f1a1674ae64",
+    "cubic1-periodic":
+        "468b6ddee9c21d01d246c2f5fbffb54941e22c1677312160c9ef9f73491c83f6",
+    "cubic2-constant-vacancy":
+        "94bdc940d39621c43f53fbc29d450def52c62941dc91afe46abaf1bf2fb422ba",
+    "cubic2-periodic-axis1-seam-line":
+        "35ff4350598668fd8b50612de4492a5b3d84a410b997fd8ec5a21781537b5cd3",
+    "cubic3-constant":
+        "2638a287b3dab74d2b258788860c9f84990f05fc7bb93a368b1a07e11bbf71c3",
+    "cubic3-period1-seam-line":
+        "6606ab03f66f30c5ab179e739d3468aabaed411c70861fd48a7f20a36ae6510f",
+    "cubic3-periodic-corner-vacancy":
+        "da0be6666a25d28dc6685203a86c25c377121a7a01dce78574385f6ac346cbdd",
+    "tri1-period1":
+        "472bd2acdf85b5acb493e8333d2e49e4b68ea91ec78b4c2e9bc9d8c39297ba42",
+    "tri2-constant":
+        "a32dd231b61b932a51a1d3328e7253f4d2b8936ba970d268eb46ec9858fc1bfd",
+    "tri2-period1":
+        "6afa406b54fc077d3b44bb5f0d55a1969f0c026251c4200fd17375ec0f285a4d",
+    "tri2-periodic-axis2":
+        "bbf66dba4f6eb2f077934947b267334e644583b2d92080896db477a021022d40",
+    "tri2-periodic-seam-vacancy":
+        "5e619ceb020e607ed1b4b4c66d05a0ccf39467e1d5228f9e0eee310e889b5967",
+    "tri3-constant-vacancy":
+        "97240769f7810d25c89a2a7ecf28c787313dd390477e8b21f998eb04ed14de9c",
+    "tri3-free":
+        "59cb37beddc1a812394010ba45ab284378895cb875ff8492860d2f0e20f93eb6",
+    "tri3-periodic-axes13":
+        "8799fe029335f0ff57e453108504a9c07bf2fd278a224f70da974d7efd3a0a28",
+}
+
+
+def _quotient_digest(spec):
+    cx, report = build_lattice_complex(spec)
+    payload = [cx.vertex_labels,
+               [[[c.vertices, c.faces, c.shape] for c in layer]
+                for layer in cx.cells],
+               cx.lattice_info, report]
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_SPECS))
+def test_quotient_output_is_pinned(name):
+    assert _quotient_digest(QUOTIENT_SPECS[name]) == QUOTIENT_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
