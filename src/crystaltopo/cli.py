@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -64,11 +65,34 @@ def _fail(msg: str) -> DocumentError:
     return DocumentError(msg)
 
 
-def _as_label(x: Any):
+def _as_label(x: Any, where: str):
     """JSON labels: lists become tuples so they can key vertex lookups."""
     if isinstance(x, list):
-        return tuple(_as_label(v) for v in x)
+        return tuple(_as_label(v, where) for v in x)
+    if isinstance(x, dict):
+        raise _fail(f"{where}: a vertex label cannot be an object")
     return x
+
+
+def _number(x: Any, cast, where: str):
+    """``cast(x)`` for a finite JSON number, a whole one when ``cast`` is
+    int; anything else is a DocumentError naming ``where``."""
+    if isinstance(x, float):
+        ok = x.is_integer() if cast is int else math.isfinite(x)
+    else:
+        ok = isinstance(x, int) and not isinstance(x, bool) and (
+            cast is int or abs(x) <= sys.float_info.max)
+    if not ok:
+        kind = "an integer" if cast is int else "a number"
+        raise _fail(f"{where}: expected {kind}, got {x!r}")
+    return cast(x)
+
+
+def _numbers(xs: Any, cast, where: str) -> tuple:
+    """``cast`` applied to every entry of a JSON list of numbers."""
+    if not isinstance(xs, list):
+        raise _fail(f"{where}: expected a list of numbers, got {xs!r}")
+    return tuple(_number(x, cast, f"{where}[{i}]") for i, x in enumerate(xs))
 
 
 def load_document(path: str) -> tuple[dict, str]:
@@ -86,6 +110,9 @@ def load_document(path: str) -> tuple[dict, str]:
         raise _fail(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Integer literals past Python's digit limit, or nesting too deep.
+        raise _fail(f"{path}: unreadable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _fail(f"{path}: top level must be a JSON object")
     return doc, digest
@@ -106,7 +133,7 @@ def _parse_defect(entry: Any, pos: int) -> DefectSpec:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise _fail(f"{where}: each defect is an object with a 'kind'")
     kind = entry["kind"]
-    if kind not in DEFECT_KEYS:
+    if not isinstance(kind, str) or kind not in DEFECT_KEYS:
         raise _fail(f"{where}: unknown defect kind {kind!r}")
     unknown = set(entry) - DEFECT_KEYS[kind]
     if unknown:
@@ -118,9 +145,12 @@ def _parse_defect(entry: Any, pos: int) -> DefectSpec:
                     f"{', '.join(sorted(missing))}")
     return DefectSpec(
         kind=kind,
-        index=tuple(entry["index"]) if "index" in entry else None,
-        axis=entry.get("axis"),
-        transverse=tuple(entry["transverse"]) if "transverse" in entry else None,
+        index=(_numbers(entry["index"], int, f"{where}.index")
+               if "index" in entry else None),
+        axis=(_number(entry["axis"], int, f"{where}.axis")
+              if "axis" in entry else None),
+        transverse=(_numbers(entry["transverse"], int, f"{where}.transverse")
+                    if "transverse" in entry else None),
         coordinate=entry.get("coordinate"),
     )
 
@@ -140,7 +170,7 @@ def _parse_boundary(value: Any) -> tuple[str, tuple[int, ...]]:
         kind = value.get("kind")
         if kind not in BOUNDARY_KINDS:
             raise _fail(f"boundary_condition: unknown kind {kind!r}")
-        axes = tuple(int(a) for a in value.get("axes", ()))
+        axes = _numbers(value.get("axes", []), int, "boundary_condition.axes")
         return kind, axes
     raise _fail("boundary_condition: expected a string or an object")
 
@@ -162,26 +192,27 @@ def build_from_document(doc: dict) -> tuple[DeltaComplex, dict]:
         auto_close = body.get("auto_close", True)
         if not isinstance(auto_close, bool):
             raise _fail("complex.auto_close must be a boolean")
-        cx = DeltaComplex.from_simplices(
-            [tuple(_as_label(v) for v in c) for c in cells],
-            auto_close=auto_close)
+        simplices = [tuple(_as_label(v, f"complex.cells[{i}]") for v in c)
+                     for i, c in enumerate(cells)]
+        try:
+            cx = DeltaComplex.from_simplices(simplices, auto_close=auto_close)
+        except TypeError:
+            # Vertex labels are sorted; JSON values of unlike kinds are not.
+            raise _fail("complex.cells: vertex labels must be mutually "
+                        "comparable (all numbers, all strings, or lists "
+                        "of those)") from None
         return cx, {"form": "explicit", "cells": cx.cell_counts()}
 
     _check_keys(doc, LATTICE_KEYS_REQUIRED, LATTICE_KEYS_OPTIONAL, "document")
-    try:
-        dimension = int(doc["dimension"])
-        ambient = int(doc["ambient"])
-    except (TypeError, ValueError):
-        raise _fail("dimension and ambient must be integers") from None
+    dimension = _number(doc["dimension"], int, "dimension")
+    ambient = _number(doc["ambient"], int, "ambient")
     generators = doc["generators"]
-    if (not isinstance(generators, list)
-            or not all(isinstance(g, list) for g in generators)):
+    if not isinstance(generators, list):
         raise _fail("generators must be a list of coordinate lists")
     index_box = doc["index_box"]
     if (not isinstance(index_box, list)
             or not all(isinstance(r, list) and len(r) == 2 for r in index_box)):
         raise _fail("index_box must be a list of [lo, hi] pairs")
-    scheme = doc["scheme"]
     removed = doc.get("removed_indices", [])
     if not isinstance(removed, list):
         raise _fail("removed_indices must be a list of multi-indices")
@@ -192,10 +223,13 @@ def build_from_document(doc: dict) -> tuple[DeltaComplex, dict]:
     spec = LatticeSpec(
         dimension=dimension,
         ambient=ambient,
-        generators=tuple(tuple(float(x) for x in g) for g in generators),
-        index_box=tuple((int(lo), int(hi)) for lo, hi in index_box),
-        scheme=scheme,
-        removed_indices=tuple(tuple(int(c) for c in r) for r in removed),
+        generators=tuple(_numbers(g, float, f"generators[{i}]")
+                         for i, g in enumerate(generators)),
+        index_box=tuple(_numbers(r, int, f"index_box[{i}]")
+                        for i, r in enumerate(index_box)),
+        scheme=doc["scheme"],
+        removed_indices=tuple(_numbers(r, int, f"removed_indices[{i}]")
+                              for i, r in enumerate(removed)),
         defects=tuple(_parse_defect(d, i) for i, d in enumerate(defects)),
         boundary=boundary,
         periodic_axes=axes,
@@ -212,8 +246,10 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
     if not isinstance(body, dict):
         raise _fail("'field' must be an object")
     _check_keys(body, {"space", "samples"}, {"labels"}, "field")
-    space = make_space(body["space"],
-                       tuple(body.get("labels", ())))
+    labels = body.get("labels", [])
+    if not isinstance(labels, list):
+        raise _fail("field.labels must be a list")
+    space = make_space(body["space"], labels)
     samples = body["samples"]
     if not isinstance(samples, list):
         raise _fail("field.samples must be a list of [vertex, value] pairs")
@@ -221,7 +257,7 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
     for i, entry in enumerate(samples):
         if not isinstance(entry, list) or len(entry) != 2:
             raise _fail(f"field.samples[{i}]: expected [vertex, value]")
-        label = _as_label(entry[0])
+        label = _as_label(entry[0], f"field.samples[{i}]")
         if label in mapping:
             raise _fail(f"field.samples[{i}]: vertex {label!r} sampled twice")
         mapping[label] = entry[1]
@@ -251,9 +287,9 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
                 raise _fail(f"{key}[{i}]: edge id {edge} out of range")
             cid, sign = edge, 1
         elif isinstance(edge, list) and len(edge) == 2:
+            ends = tuple(_as_label(v, f"{key}[{i}]") for v in edge)
             try:
-                cid, sign = cx.find_cell(
-                    1, (_as_label(edge[0]), _as_label(edge[1])))
+                cid, sign = cx.find_cell(1, ends)
             except CrystalTopoError as exc:
                 raise _fail(f"{key}[{i}]: {exc}") from None
         else:

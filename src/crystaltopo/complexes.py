@@ -18,7 +18,8 @@ ring for cubes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from operator import add, itemgetter, le
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -180,8 +181,7 @@ class DeltaComplex:
 
     def __init__(self, vertex_labels: Sequence, cells: Sequence[Sequence[Cell]],
                  *, lattice_info: dict | None = None,
-                 closure_defects: Sequence = (),
-                 vertex_positions: np.ndarray | None = None):
+                 closure_defects: Sequence = ()):
         self.vertex_labels = tuple(vertex_labels)
         self.label_to_id = {lab: i for i, lab in enumerate(self.vertex_labels)}
         if len(self.label_to_id) != len(self.vertex_labels):
@@ -193,7 +193,6 @@ class DeltaComplex:
             tuple(layer) for layer in trimmed)
         self.lattice_info = lattice_info
         self.closure_defects = tuple(closure_defects)
-        self.vertex_positions = vertex_positions
         self._by_key: list[dict] = []
         for layer in self.cells:
             index: dict = {}
@@ -340,67 +339,78 @@ class DeltaComplex:
 
 
 def _cube_corner_labels(base: tuple, axes: tuple[int, ...]) -> tuple:
-    """Corners of the unit cube at ``base`` spanning ``axes``.
+    """Corners of the unit cube at ``base`` spanning up to three ``axes``.
 
     Order is circular for squares and bottom-ring-then-top-ring for cubes,
     so a 2-cell's tuple doubles as its boundary traversal.
     """
-    def shift(idx, ax_set):
-        return tuple(c + (1 if a in ax_set else 0) for a, c in enumerate(idx))
-
-    k = len(axes)
-    if k == 0:
-        return (base,)
-    if k == 1:
-        return (base, shift(base, {axes[0]}))
-    if k == 2:
-        a, b = axes
-        return (base, shift(base, {a}), shift(base, {a, b}), shift(base, {b}))
-    if k == 3:
-        a, b, c = axes
-        bottom = (base, shift(base, {a}), shift(base, {a, b}), shift(base, {b}))
-        top = tuple(shift(v, {c}) for v in bottom)
-        return bottom + top
-    raise DimensionError("cubic cells supported up to dimension 3")
+    # Axis subsets to step along: the ring of the first two axes, then
+    # the same ring lifted along the third.
+    ring = [(), axes[:1], axes[:2], axes[1:2]][:2 ** min(len(axes), 2)]
+    if len(axes) == 3:
+        ring += [r + axes[2:] for r in ring]
+    return tuple(tuple(c + (a in r) for a, c in enumerate(base)) for r in ring)
 
 
 def _unit_chains(m: int) -> list[list[tuple[tuple[int, ...], ...]]]:
-    """Strictly increasing chains of nonzero 0/1 offset vectors, by length.
+    """Strictly increasing chains of 0/1 vectors from the origin, by length.
 
-    Chains anchored at the origin enumerate the simplices of the
-    fixed-diagonal split of a unit cube exactly once per base vertex.
+    ``_unit_chains(m)[k]`` holds the chains of k + 1 vectors: placed at
+    every base vertex they enumerate the k-simplices of the fixed-diagonal
+    split of the unit cubes exactly once.
     """
-    vectors = [v for v in
-               (tuple((n >> i) & 1 for i in range(m)) for n in range(1, 2 ** m))]
-    vectors.sort()
+    vectors = list(product((0, 1), repeat=m))
+    chains = [[(vectors[0],)]]
+    for _ in range(m):
+        chains.append([chain + (v,) for chain in chains[-1] for v in vectors
+                       if v != chain[-1] and all(map(le, chain[-1], v))])
+    return chains
 
-    def lt(u, v):
-        return u != v and all(a <= b for a, b in zip(u, v))
 
-    per_length: list[list[tuple]] = [[] for _ in range(m + 1)]
-    stack = [(v,) for v in vectors]
-    while stack:
-        chain = stack.pop()
-        if len(chain) <= m:
-            per_length[len(chain)].append(chain)
-            for v in vectors:
-                if lt(chain[-1], v):
-                    stack.append(chain + (v,))
-    for bucket in per_length:
-        bucket.sort()
-    return per_length
+def _cell_templates(scheme: str, m: int) -> list[list[tuple]]:
+    """Unit-cell shapes of ``scheme`` in ``m`` dimensions, by degree k >= 1.
+
+    Each template is (corner offsets from the base site, faces), where a
+    face is (positions of its corners within the cell's corners, sign).
+    Cubic shapes span one axis subset each and pair a lower and an upper
+    face per axis with alternating signs; simplices are the chains of
+    ``_unit_chains``, face i deleting corner i with sign (-1)^i.
+    """
+    per_degree = []
+    if scheme == SCHEME_TRIANGULAR:
+        for k, chains in enumerate(_unit_chains(m)[1:], start=1):
+            faces = tuple((tuple(p for p in range(k + 1) if p != i), (-1) ** i)
+                          for i in range(k + 1))
+            per_degree.append([(chain, faces) for chain in chains])
+        return per_degree
+    origin = (0,) * m
+    for k in range(1, m + 1):
+        templates = []
+        for axes in combinations(range(m), k):
+            corners = _cube_corner_labels(origin, axes)
+            faces = []
+            for j, axis in enumerate(axes, start=1):
+                sub = tuple(a for a in axes if a != axis)
+                up = tuple(int(a == axis) for a in range(m))
+                for face_base, sign in ((origin, (-1) ** j), (up, -(-1) ** j)):
+                    face = _cube_corner_labels(face_base, sub)
+                    faces.append((tuple(map(corners.index, face)), sign))
+            templates.append((corners, tuple(faces)))
+        per_degree.append(templates)
+    return per_degree
 
 
 def build_complex(indices: Iterable[tuple], scheme: str, *,
-                  index_box: Sequence[tuple[int, int]] | None = None,
-                  positions: Mapping[tuple, Sequence[float]] | None = None
+                  index_box: Sequence[tuple[int, int]] | None = None
                   ) -> DeltaComplex:
     """Build the grid complex on a set of integer multi-indices.
 
     ``scheme`` selects cubic cells (all unit boxes whose corners survive)
-    or the triangular split along each box's main diagonal.  A k-cell
-    exists exactly when all of its own corners are present, so deleting a
-    vertex beforehand removes precisely its closed star.  ``index_box``
+    or the triangular split along each box's main diagonal.  Every cell
+    template of the scheme is placed at every site, and a k-cell exists
+    exactly when all of its own corners are present, so deleting a
+    vertex beforehand removes precisely its closed star.  Cells of each
+    degree are numbered in order of their vertex-id tuples.  ``index_box``
     is retained for later boundary-condition application and defaults to
     the componentwise hull.
     """
@@ -420,76 +430,32 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
             for a in range(m))
     else:
         index_box = tuple((int(lo), int(hi)) for lo, hi in index_box)
-    vset = set(verts)
     label_to_id = {v: i for i, v in enumerate(verts)}
+    shape = SHAPE_CUBE if scheme == SCHEME_CUBIC else SHAPE_SIMPLEX
 
-    layers: list[list[Cell]] = [
-        [Cell((i,), (), SHAPE_SIMPLEX if scheme == SCHEME_TRIANGULAR
-              else SHAPE_CUBE) for i in range(len(verts))]]
-    id_of: list[dict[tuple, int]] = [
-        {(i,): i for i in range(len(verts))}]
-
-    if scheme == SCHEME_CUBIC:
-        for k in range(1, m + 1):
-            entries = []
-            for axes in combinations(range(m), k):
-                for base in verts:
-                    corners = _cube_corner_labels(base, axes)
-                    if all(c in vset for c in corners):
-                        ids = tuple(label_to_id[c] for c in corners)
-                        entries.append((ids, base, axes))
-            entries.sort(key=lambda e: e[0])
-            index = {e[0]: i for i, e in enumerate(entries)}
-            layer = []
-            for ids, base, axes in entries:
-                faces = []
-                for j, axis in enumerate(axes, start=1):
-                    sub = tuple(a for a in axes if a != axis)
-                    lower = tuple(label_to_id[c]
-                                  for c in _cube_corner_labels(base, sub))
-                    upper_base = tuple(
-                        c + (1 if a == axis else 0) for a, c in enumerate(base))
-                    upper = tuple(label_to_id[c]
-                                  for c in _cube_corner_labels(upper_base, sub))
-                    sign = (-1) ** j
-                    faces.append((id_of[k - 1][lower], sign))
-                    faces.append((id_of[k - 1][upper], -sign))
-                layer.append(Cell(ids, tuple(faces), SHAPE_CUBE))
-            layers.append(layer)
-            id_of.append(index)
-    else:
-        chains = _unit_chains(m)
-        for k in range(1, m + 1):
-            tuples = set()
+    layers = [[Cell((i,), (), shape) for i in range(len(verts))]]
+    index: dict[tuple, int] = {(i,): i for i in range(len(verts))}
+    for templates in _cell_templates(scheme, m):
+        found = []
+        for offsets, faces in templates:
             for base in verts:
-                for chain in chains[k]:
-                    corners = [base]
-                    ok = True
-                    for off in chain:
-                        c = tuple(b + o for b, o in zip(base, off))
-                        if c not in vset:
-                            ok = False
-                            break
-                        corners.append(c)
-                    if ok:
-                        tuples.add(tuple(label_to_id[c] for c in corners))
-            ordered = sorted(tuples)
-            index = {t: i for i, t in enumerate(ordered)}
-            layer = []
-            for t in ordered:
-                faces = tuple(
-                    (id_of[k - 1][t[:i] + t[i + 1:]], (-1) ** i)
-                    for i in range(len(t)))
-                layer.append(Cell(t, faces, SHAPE_SIMPLEX))
-            layers.append(layer)
-            id_of.append(index)
+                ids = []
+                for off in offsets:
+                    vid = label_to_id.get(tuple(map(add, base, off)))
+                    if vid is None:
+                        break
+                    ids.append(vid)
+                else:
+                    found.append((tuple(ids), faces))
+        found.sort(key=itemgetter(0))
+        layer = [Cell(ids, tuple((index[tuple(ids[p] for p in pos)], sign)
+                                 for pos, sign in faces), shape)
+                 for ids, faces in found]
+        index = {cell.vertices: i for i, cell in enumerate(layer)}
+        layers.append(layer)
 
-    pos_array = None
-    if positions is not None:
-        pos_array = np.array([positions[v] for v in verts], dtype=float)
     info = {"index_box": index_box, "scheme": scheme, "dimension": m}
-    return DeltaComplex(verts, layers, lattice_info=info,
-                        vertex_positions=pos_array)
+    return DeltaComplex(verts, layers, lattice_info=info)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Finite Bravais-lattice samples: geometry, defects, boundary conditions.
 
 A lattice sample is the set of integer multi-indices in a box, minus
-removed sites, mapped into ambient space by the generator matrix.  The
-complex on top of it comes from :func:`crystaltopo.complexes.build_complex`;
-this module owns everything before and after: generator checks, defect
-removal, and the free/constant/periodic boundary treatments.
+removed sites.  The generator matrix is validated (shape and linear
+independence) and recorded in the complex's ``lattice_info``; the
+topology depends only on the multi-indices.  The complex on top of them
+comes from :func:`crystaltopo.complexes.build_complex`; this module owns
+everything before and after: generator checks, defect removal, and the
+free/constant/periodic boundary treatments.
 """
 
 from __future__ import annotations
@@ -142,12 +144,6 @@ def reciprocal_basis(generators: Sequence[Sequence[float]]) -> np.ndarray:
     A = check_generators(generators, len(generators), len(generators[0]))
     gram = A @ A.T
     return np.linalg.solve(gram, A)
-
-
-def lattice_positions(generators: np.ndarray,
-                      indices: Iterable[tuple[int, ...]]) -> dict:
-    """Map each multi-index I to sum_k I_k a_k."""
-    return {idx: np.asarray(idx, dtype=float) @ generators for idx in indices}
 
 
 def box_points(index_box: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -430,9 +426,7 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     if not points:
         raise ComplexBuildError("every lattice site was removed")
 
-    positions = lattice_positions(A, points)
-    complex_ = build_complex(points, spec.scheme, index_box=spec.index_box,
-                             positions=positions)
+    complex_ = build_complex(points, spec.scheme, index_box=spec.index_box)
     complex_.lattice_info.update({
         "generators": tuple(tuple(float(x) for x in row) for row in A),
         "ambient": n,

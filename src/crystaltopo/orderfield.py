@@ -205,18 +205,9 @@ def _angle_steps(angles: Sequence[float]) -> float:
     return total
 
 
-def winding_number(field: OrderField, loop: Sequence[int]) -> int:
-    """Net turns of a circle-valued field around a closed vertex loop.
-
-    ``loop`` lists vertex ids; the closing edge back to the start is
-    implicit when absent.
-    """
-    ids = list(loop)
-    if not ids:
-        raise DimensionError("empty loop")
-    if ids[0] != ids[-1]:
-        ids.append(ids[0])
-    angles = [field.angle(v) for v in ids]
+def _whole_turns(angles: Sequence[float]) -> int:
+    """Net whole turns along a closed angle sequence; a sum that is not
+    within 1e-9 of an integer is refused."""
     total = _angle_steps(angles) / math.tau
     nearest = round(total)
     if abs(total - nearest) > 1e-9:
@@ -225,21 +216,32 @@ def winding_number(field: OrderField, loop: Sequence[int]) -> int:
     return int(nearest)
 
 
-def torus_winding(field: OrderField, loop: Sequence[int]) -> tuple[int, int]:
+def _closed(loop: Sequence[int]) -> list[int]:
+    """``loop`` as a vertex-id list ending where it starts.
+
+    The closing edge back to the start is implicit when absent; an empty
+    loop has no start and is refused.
+    """
     ids = list(loop)
+    if not ids:
+        raise DimensionError("empty loop")
     if ids[0] != ids[-1]:
         ids.append(ids[0])
-    out = []
-    for offset in (0, 2):
-        angles = [math.atan2(field.values[v][offset + 1],
-                             field.values[v][offset]) for v in ids]
-        total = _angle_steps(angles) / math.tau
-        nearest = round(total)
-        if abs(total - nearest) > 1e-9:
-            raise AmbiguousSamplingError(
-                f"winding sum {total!r} is not an integer")
-        out.append(int(nearest))
-    return tuple(out)
+    return ids
+
+
+def winding_number(field: OrderField, loop: Sequence[int]) -> int:
+    """Net turns of a circle-valued field around a closed vertex loop."""
+    return _whole_turns([field.angle(v) for v in _closed(loop)])
+
+
+def torus_winding(field: OrderField, loop: Sequence[int]) -> tuple[int, int]:
+    """Net turns of each circle factor of a torus-valued field on a loop."""
+    ids = _closed(loop)
+    return tuple(
+        _whole_turns([math.atan2(field.values[v][offset + 1],
+                                 field.values[v][offset]) for v in ids])
+        for offset in (0, 2))
 
 
 def _lift_sign(prev: np.ndarray, cur: np.ndarray) -> int:
@@ -257,9 +259,7 @@ def rp_parity(field: OrderField, loop: Sequence[int]) -> int:
     0 when the line field lifts to a closed vector field along the loop,
     1 when the lift comes back flipped.
     """
-    ids = list(loop)
-    if ids[0] != ids[-1]:
-        ids.append(ids[0])
+    ids = _closed(loop)
     first = np.asarray(field.values[ids[0]], dtype=float)
     prev = first
     for vid in ids[1:-1]:

@@ -216,6 +216,53 @@ def test_hostile_index_box_exits_2_quickly(capsys, tmp_path):
     assert "sites" in err and "limit" in err
 
 
+CUBE_DOC = dict(TORUS_DOC, dimension=3, ambient=3, scheme="cubic",
+                generators=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                index_box=[[0, 2], [0, 2], [0, 2]], boundary_condition="free")
+
+# name -> (document or raw JSON text, text the error line must name)
+HOSTILE_DOCS = {
+    "axes-string": (dict(TORUS_DOC, boundary_condition={
+        "kind": "periodic", "axes": ["x"]}), "boundary_condition.axes[0]"),
+    "axes-scalar": (dict(TORUS_DOC, boundary_condition={
+        "kind": "periodic", "axes": 3}), "boundary_condition.axes"),
+    "generator-string": (dict(TORUS_DOC, generators=[[1.0, "a"], [0.0, 1.0]]),
+                         "generators[0][1]"),
+    "index-box-null": (dict(TORUS_DOC, index_box=[[0, None], [0, 3]]),
+                       "index_box[0][1]"),
+    "index-box-fraction": (dict(TORUS_DOC, index_box=[[0, 2.5], [0, 3]]),
+                           "index_box[0][1]"),
+    "removed-scalar": (dict(TORUS_DOC, removed_indices=[3]),
+                       "removed_indices[0]"),
+    "vacancy-index-scalar": (dict(TORUS_DOC, defects=[
+        {"kind": "vacancy", "index": 3}]), "defects[0].index"),
+    "line-axis-string": (dict(CUBE_DOC, defects=[
+        {"kind": "line_defect", "axis": "3", "transverse": [1, 1]}]),
+        "defects[0].axis"),
+    "labels-nested-and-flat": ({"complex": {"cells": [[[1], 2]]}},
+                               "complex.cells"),
+    "labels-numbers-and-strings": (
+        {"complex": {"cells": [[1, 2], ["a", "b"]]}}, "complex.cells"),
+    "label-object": ({"complex": {"cells": [[{"a": 1}, 2]]}},
+                     "complex.cells[0]"),
+    "integer-past-digit-limit": ('{"dimension": ' + "1" * 5000 + "}",
+                                 "unreadable JSON"),
+    "nesting-too-deep": ("[" * 100_000 + "]" * 100_000, "unreadable JSON"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCS))
+def test_hostile_document_exits_2_with_reason(capsys, tmp_path, name):
+    doc, field_name = HOSTILE_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    rc, out, err = run(capsys, "build", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and field_name in err
+    assert "Traceback" not in err
+
+
 def test_negative_math_results_still_exit_zero(capsys):
     # a violated exactness check is a finding, not a tool failure
     rc, _, _ = run(capsys, "network", str(SAMPLES / "circle_network.json"))

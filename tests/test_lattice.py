@@ -17,7 +17,7 @@ from crystaltopo import (
     reciprocal_basis,
     unit_cell_volume,
 )
-from crystaltopo.lattice import MAX_BOX_SITES, box_points, lattice_positions
+from crystaltopo.lattice import MAX_BOX_SITES, box_points
 
 
 def _spec(**kw):
@@ -33,12 +33,6 @@ def _spec(**kw):
 # generators
 # ---------------------------------------------------------------------------
 
-def test_hexagonal_generators_place_points():
-    gens = check_generators([(1.0, 0.0), (0.5, math.sqrt(3) / 2)], m=2, n=2)
-    pos = lattice_positions(gens, [(1, 1)])
-    assert np.allclose(pos[(1, 1)], (1.5, math.sqrt(3) / 2))
-
-
 def test_colinear_generators_rejected():
     with pytest.raises(DegenerateGeneratorsError):
         check_generators([(1.0, 0.0), (2.0, 0.0)], m=2, n=2)
@@ -52,6 +46,9 @@ def test_nearly_dependent_generators_rejected():
 def test_fewer_generators_than_ambient_dimensions():
     gens = check_generators([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], m=2, n=3)
     assert gens.shape == (2, 3)
+    # a sheared full-rank (hexagonal) basis is accepted and returned as is
+    hexagonal = [(1.0, 0.0), (0.5, math.sqrt(3) / 2)]
+    assert np.array_equal(check_generators(hexagonal, m=2, n=2), hexagonal)
 
 
 def test_unit_cell_volume_rectangular():
@@ -229,7 +226,8 @@ _LINE = DefectSpec("line_defect", axis=2, transverse=(0,))
 _SEAM_LINE = DefectSpec("line_defect", axis=3, transverse=(0, 0))
 
 # name -> spec.  Both schemes, dimensions 1-3, every boundary kind,
-# subsets of periodic axes, period-1 axes, and defects on periodic seams.
+# subsets of periodic axes, period-1 axes, defects on periodic seams, and
+# free grids with defects (which pin the grid builder itself).
 QUOTIENT_SPECS = {
     "cubic1-free": _grid_spec(1, "cubic", ((0, 4),)),
     "cubic1-constant": _grid_spec(1, "cubic", ((0, 4),), boundary="constant"),
@@ -266,6 +264,16 @@ QUOTIENT_SPECS = {
         3, "cubic", ((0, 1), (0, 2), (0, 2)), boundary="periodic",
         periodic_axes=(1, 2), defects=(_SEAM_LINE,)),
     "tri3-free": _grid_spec(3, "triangular", ((0, 1), (0, 1), (0, 2))),
+    "cubic2-free-vacancy": _grid_spec(
+        2, "cubic", ((0, 3), (0, 2)),
+        defects=(DefectSpec("vacancy", index=(1, 1)),)),
+    "cubic3-free-line": _grid_spec(
+        3, "cubic", ((0, 2), (0, 2), (0, 3)),
+        defects=(DefectSpec("line_defect", axis=3, transverse=(1, 1)),)),
+    "tri1-free": _grid_spec(1, "triangular", ((0, 4),)),
+    "tri2-free-vacancy": _grid_spec(
+        2, "triangular", ((0, 3), (0, 3)),
+        defects=(DefectSpec("vacancy", index=(1, 2)),)),
 }
 
 # SHA-256 of the canonical JSON of (vertex labels, cells, lattice info,
@@ -279,18 +287,26 @@ QUOTIENT_SHA256 = {
         "468b6ddee9c21d01d246c2f5fbffb54941e22c1677312160c9ef9f73491c83f6",
     "cubic2-constant-vacancy":
         "94bdc940d39621c43f53fbc29d450def52c62941dc91afe46abaf1bf2fb422ba",
+    "cubic2-free-vacancy":
+        "bde1ca0656a9fb6bd17459ff40f594eb67f1c7c57b9673018ec415dcd724ef41",
     "cubic2-periodic-axis1-seam-line":
         "35ff4350598668fd8b50612de4492a5b3d84a410b997fd8ec5a21781537b5cd3",
     "cubic3-constant":
         "2638a287b3dab74d2b258788860c9f84990f05fc7bb93a368b1a07e11bbf71c3",
+    "cubic3-free-line":
+        "4e0541dfdbe8b6fbbb1cb276e9ea918e88744beb0326b36d13a71161eb390537",
     "cubic3-period1-seam-line":
         "6606ab03f66f30c5ab179e739d3468aabaed411c70861fd48a7f20a36ae6510f",
     "cubic3-periodic-corner-vacancy":
         "da0be6666a25d28dc6685203a86c25c377121a7a01dce78574385f6ac346cbdd",
+    "tri1-free":
+        "f14089b73b2b0861ec1cd1081d9651b8e44bad2b6a7c7f581e2e9475243b3474",
     "tri1-period1":
         "472bd2acdf85b5acb493e8333d2e49e4b68ea91ec78b4c2e9bc9d8c39297ba42",
     "tri2-constant":
         "a32dd231b61b932a51a1d3328e7253f4d2b8936ba970d268eb46ec9858fc1bfd",
+    "tri2-free-vacancy":
+        "2c4f82fcd2bd4862a62fbc55ce85fe3e08b9e2e38faf9e62703552d6adcfde5c",
     "tri2-period1":
         "6afa406b54fc077d3b44bb5f0d55a1969f0c026251c4200fd17375ec0f285a4d",
     "tri2-periodic-axis2":

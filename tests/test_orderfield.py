@@ -8,6 +8,7 @@ from crystaltopo import (
     AmbiguousSamplingError,
     CoverageError,
     DeltaComplex,
+    DimensionError,
     OrderField,
     UnsupportedConfigurationError,
     boundary_class,
@@ -20,6 +21,8 @@ from crystaltopo import (
     vertex_components,
     winding_number,
 )
+
+from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _lift_sign
 
 from conftest import make_circle, make_grid, make_tetra_surface
 
@@ -162,6 +165,28 @@ def test_antipodal_step_is_ambiguous():
         winding_number(f, loop)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_antipodal_threshold_is_exact(sign):
+    with pytest.raises(AmbiguousSamplingError):
+        _angle_steps([0.0, sign * (math.pi - ANGLE_TOL)])
+    step = sign * (math.pi - 2 * ANGLE_TOL)
+    assert _angle_steps([0.0, step]) == step
+
+
+def test_empty_loop_is_refused_by_every_probe():
+    cx, names, _ = polygon(3)
+    probes = [
+        (winding_number, "circle", 0.0),
+        (torus_winding, "torus", (0.0, 0.0)),
+        (rp_parity, "projective_plane", (1.0, 0.0, 0.0)),
+    ]
+    for probe, space, value in probes:
+        f = OrderField.from_samples(cx, make_space(space),
+                                    {v: value for v in names})
+        with pytest.raises(DimensionError, match="empty loop"):
+            probe(f, [])
+
+
 # ---------------------------------------------------------------------------
 # director parity
 # ---------------------------------------------------------------------------
@@ -209,6 +234,18 @@ def test_orthogonal_directors_are_ambiguous():
         names[2]: (math.cos(0.7), math.sin(0.7), 0.0)})
     with pytest.raises(AmbiguousSamplingError):
         rp_parity(f, loop)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_perpendicular_threshold_is_exact(sign):
+    prev = np.array([1.0, 0.0, 0.0])
+
+    def director(dot):
+        return np.array([dot, math.sqrt(1.0 - dot * dot), 0.0])
+
+    with pytest.raises(AmbiguousSamplingError):
+        _lift_sign(prev, director(sign * ANGLE_TOL))
+    assert _lift_sign(prev, director(sign * 2 * ANGLE_TOL)) == sign
 
 
 # ---------------------------------------------------------------------------
