@@ -63,7 +63,6 @@ from .lattice import (
     LatticeSpec,
     apply_constant_boundary,
     apply_defects,
-    apply_periodic_boundary,
     build_lattice_complex,
     check_generators,
     reciprocal_basis,

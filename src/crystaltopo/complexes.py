@@ -4,9 +4,13 @@ A cell of dimension k is an ordered tuple of vertex ids together with a
 signed list of its (k-1)-faces.  Triangular cells follow the alternating
 vertex-deletion rule; cubic cells pair a lower and an upper face per spanned
 axis with alternating signs.  Face lists are stored explicitly because
-quotient constructions (periodic or collapsed boundaries) produce distinct
-cells sharing one vertex tuple, and may drop faces entirely; the vertex
-tuple alone cannot define incidence there.
+periodic grids and quotients produce distinct cells sharing one vertex
+tuple, and collapsed boundaries drop faces entirely; the vertex tuple
+alone cannot define incidence there.
+
+The grid builder places unit-cell templates at every site of a free box
+or, with periodic axes, directly on the torus, so a periodic sample
+needs no quotient pass.
 
 Orientation bookkeeping: freshly built triangular cells are stored with
 their vertex tuple ascending; a query for a permuted spelling resolves to
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from operator import add, itemgetter, le
+from operator import add, itemgetter, le, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -186,20 +190,12 @@ class DeltaComplex:
         self.label_to_id = {lab: i for i, lab in enumerate(self.vertex_labels)}
         if len(self.label_to_id) != len(self.vertex_labels):
             raise ComplexBuildError("duplicate vertex labels")
-        trimmed = [list(layer) for layer in cells]
+        trimmed = [tuple(layer) for layer in cells]
         while len(trimmed) > 1 and not trimmed[-1]:
             trimmed.pop()
-        self.cells: tuple[tuple[Cell, ...], ...] = tuple(
-            tuple(layer) for layer in trimmed)
+        self.cells: tuple[tuple[Cell, ...], ...] = tuple(trimmed)
         self.lattice_info = lattice_info
         self.closure_defects = tuple(closure_defects)
-        self._by_key: list[dict] = []
-        for layer in self.cells:
-            index: dict = {}
-            for i, cell in enumerate(layer):
-                key = tuple(sorted(cell.vertices))
-                index.setdefault(key, []).append(i)
-            self._by_key.append(index)
         self._cache: dict = {}
 
     # -- structure queries -------------------------------------------------
@@ -229,6 +225,17 @@ class DeltaComplex:
         except KeyError:
             raise ComplexBuildError(f"unknown vertex label {label!r}") from None
 
+    def _cells_by_vertex_set(self, k: int) -> dict[tuple, list[int]]:
+        """{sorted vertex ids: cell ids} of degree k, built on first use."""
+        key = ("vertex sets", k)
+        index = self._cache.get(key)
+        if index is None:
+            index = {}
+            for i, cell in enumerate(self.cells[k]):
+                index.setdefault(tuple(sorted(cell.vertices)), []).append(i)
+            self._cache[key] = index
+        return index
+
     def label_tuple(self, k: int, cell_id: int) -> tuple:
         return tuple(self.vertex_labels[v] for v in self.cells[k][cell_id].vertices)
 
@@ -244,7 +251,7 @@ class DeltaComplex:
         if k < 0 or k > self.dim:
             raise DimensionError(f"no cells of dimension {k}")
         key_sorted = tuple(sorted(ids))
-        hits = self._by_key[k].get(key_sorted, [])
+        hits = self._cells_by_vertex_set(k).get(key_sorted, [])
         if not hits:
             raise ComplexBuildError(
                 f"no {k}-cell with vertices {tuple(vertex_labels)!r}")
@@ -370,49 +377,74 @@ def _unit_chains(m: int) -> list[list[tuple[tuple[int, ...], ...]]]:
 def _cell_templates(scheme: str, m: int) -> list[list[tuple]]:
     """Unit-cell shapes of ``scheme`` in ``m`` dimensions, by degree k >= 1.
 
-    Each template is (corner offsets from the base site, faces), where a
-    face is (positions of its corners within the cell's corners, sign).
-    Cubic shapes span one axis subset each and pair a lower and an upper
-    face per axis with alternating signs; simplices are the chains of
-    ``_unit_chains``, face i deleting corner i with sign (-1)^i.
+    Each template is (corner offsets from the anchor site, faces), and the
+    templates of one degree are sorted by their offsets.  Every shape
+    starts at the origin and no offset is below it, so a cell's first
+    corner, its anchor, is also its least corner.  A face is (position of
+    its own anchor among the cell's corners, index of its template one
+    degree down, sign).  Cubic shapes span one axis subset each and pair a
+    lower and an upper face per axis with alternating signs; simplices are
+    the chains of ``_unit_chains``, face i deleting corner i with sign
+    (-1)^i.
     """
-    per_degree = []
-    if scheme == SCHEME_TRIANGULAR:
-        for k, chains in enumerate(_unit_chains(m)[1:], start=1):
-            faces = tuple((tuple(p for p in range(k + 1) if p != i), (-1) ** i)
-                          for i in range(k + 1))
-            per_degree.append([(chain, faces) for chain in chains])
-        return per_degree
     origin = (0,) * m
+    chains = _unit_chains(m)
+    # Per degree: (corner offsets, [(corner offsets of a face, sign)]).
+    shapes = []
     for k in range(1, m + 1):
+        if scheme == SCHEME_TRIANGULAR:
+            shapes.append([(c, [(c[:i] + c[i + 1:], (-1) ** i)
+                                for i in range(k + 1)]) for c in chains[k]])
+            continue
         templates = []
         for axes in combinations(range(m), k):
-            corners = _cube_corner_labels(origin, axes)
             faces = []
             for j, axis in enumerate(axes, start=1):
-                sub = tuple(a for a in axes if a != axis)
+                rest = tuple(a for a in axes if a != axis)
                 up = tuple(int(a == axis) for a in range(m))
-                for face_base, sign in ((origin, (-1) ** j), (up, -(-1) ** j)):
-                    face = _cube_corner_labels(face_base, sub)
-                    faces.append((tuple(map(corners.index, face)), sign))
-            templates.append((corners, tuple(faces)))
-        per_degree.append(templates)
+                faces += [(_cube_corner_labels(origin, rest), (-1) ** j),
+                          (_cube_corner_labels(up, rest), -(-1) ** j)]
+            templates.append((_cube_corner_labels(origin, axes), faces))
+        shapes.append(templates)
+    per_degree = []
+    below = {(origin,): 0}
+    for templates in shapes:
+        templates.sort(key=itemgetter(0))
+        per_degree.append([
+            (corners, tuple(
+                (corners.index(face[0]),
+                 below[tuple(tuple(map(sub, q, face[0])) for q in face)],
+                 sign)
+                for face, sign in faces))
+            for corners, faces in templates])
+        below = {corners: t for t, (corners, _) in enumerate(per_degree[-1])}
     return per_degree
 
 
 def build_complex(indices: Iterable[tuple], scheme: str, *,
-                  index_box: Sequence[tuple[int, int]] | None = None
-                  ) -> DeltaComplex:
+                  index_box: Sequence[tuple[int, int]] | None = None,
+                  periodic_axes: Sequence[int] = ()) -> DeltaComplex:
     """Build the grid complex on a set of integer multi-indices.
 
     ``scheme`` selects cubic cells (all unit boxes whose corners survive)
     or the triangular split along each box's main diagonal.  Every cell
     template of the scheme is placed at every site, and a k-cell exists
     exactly when all of its own corners are present, so deleting a
-    vertex beforehand removes precisely its closed star.  Cells of each
-    degree are numbered in order of their vertex-id tuples.  ``index_box``
-    is retained for later boundary-condition application and defaults to
-    the componentwise hull.
+    vertex beforehand removes precisely its closed star.  ``index_box``
+    is recorded in the lattice info and defaults to the componentwise
+    hull.
+
+    On each of the 0-based ``periodic_axes`` the top coordinate of
+    ``index_box`` names the same site as the bottom one, so the indices
+    must lie below it there and the complex is built directly on the
+    torus: a cell at the top of such an axis wraps onto the bottom, and
+    each translation orbit of cells is built once.
+
+    A cell is named by its anchor vertex and its template.  Anchors run
+    in vertex order and the templates of a degree in order of their
+    offsets, so each degree comes out ordered by the cells' unwrapped
+    corner labels (by vertex-id tuples on a free grid), and a face is
+    found from its own anchor and template without any search.
     """
     if scheme not in SCHEMES:
         raise ComplexBuildError(f"unknown cell scheme {scheme!r}")
@@ -430,29 +462,44 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
             for a in range(m))
     else:
         index_box = tuple((int(lo), int(hi)) for lo, hi in index_box)
-    label_to_id = {v: i for i, v in enumerate(verts)}
+    # Corner label -> vertex id; on a periodic axis the top coordinate
+    # looks up the site at the bottom.
+    lookup = {v: i for i, v in enumerate(verts)}
+    for a in periodic_axes:
+        lo, hi = index_box[a]
+        if not all(lo <= v[a] < hi for v in verts):
+            raise ComplexBuildError(
+                f"periodic axis {a + 1} needs every index in [{lo}, {hi})")
+        lookup.update([(lab[:a] + (hi,) + lab[a + 1:], i)
+                       for lab, i in lookup.items() if lab[a] == lo])
+    unit = list(product((0, 1), repeat=m))
+    around = [[lookup.get(tuple(map(add, v, u))) for u in unit]
+              for v in verts]
     shape = SHAPE_CUBE if scheme == SCHEME_CUBIC else SHAPE_SIMPLEX
 
-    layers = [[Cell((i,), (), shape) for i in range(len(verts))]]
-    index: dict[tuple, int] = {(i,): i for i in range(len(verts))}
+    n = len(verts)
+    layers = [[Cell((i,), (), shape) for i in range(n)]]
+    # Cell id of (anchor, template) at slot anchor * width + template,
+    # None where a corner is missing.
+    slot: list = list(range(n))
+    width = 1
     for templates in _cell_templates(scheme, m):
-        found = []
-        for offsets, faces in templates:
-            for base in verts:
-                ids = []
-                for off in offsets:
-                    vid = label_to_id.get(tuple(map(add, base, off)))
-                    if vid is None:
-                        break
-                    ids.append(vid)
-                else:
-                    found.append((tuple(ids), faces))
-        found.sort(key=itemgetter(0))
-        layer = [Cell(ids, tuple((index[tuple(ids[p] for p in pos)], sign)
-                                 for pos, sign in faces), shape)
-                 for ids, faces in found]
-        index = {cell.vertices: i for i, cell in enumerate(layer)}
+        plan = [(itemgetter(*map(unit.index, offsets)), faces)
+                for offsets, faces in templates]
+        layer: list[Cell] = []
+        next_slot: list = [None] * (n * len(plan))
+        s = 0
+        for corners in around:
+            for get, faces in plan:
+                ids = get(corners)
+                if None not in ids:
+                    next_slot[s] = len(layer)
+                    layer.append(Cell(ids, tuple([
+                        (slot[ids[p] * width + t], sign)
+                        for p, t, sign in faces]), shape))
+                s += 1
         layers.append(layer)
+        slot, width = next_slot, len(plan)
 
     info = {"index_box": index_box, "scheme": scheme, "dimension": m}
     return DeltaComplex(verts, layers, lattice_info=info)
@@ -630,8 +677,8 @@ def barycentric_subdivide(complex_: DeltaComplex) -> DeltaComplex:
                 raise UnsupportedConfigurationError(
                     f"cell ({k},{i}) repeats vertices; subdivision of "
                     "quotient complexes is not supported")
-    for k, index in enumerate(complex_._by_key):
-        for key, hits in index.items():
+    for k in range(complex_.dim + 1):
+        for hits in complex_._cells_by_vertex_set(k).values():
             if len(hits) > 1:
                 raise UnsupportedConfigurationError(
                     "two cells share one vertex set; subdivision of "

@@ -6,7 +6,9 @@ independence) and recorded in the complex's ``lattice_info``; the
 topology depends only on the multi-indices.  The complex on top of them
 comes from :func:`crystaltopo.complexes.build_complex`; this module owns
 everything before and after: generator checks, defect removal, and the
-free/constant/periodic boundary treatments.
+boundary treatments.  A periodic sample is closed under its translation
+orbits and built directly on the torus; the quotient pass only serves
+the constant boundary, which pins the hull to one vertex.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,6 +108,8 @@ def check_generators(generators: Sequence[Sequence[float]], m: int,
     if A.shape != (m, n):
         raise DegenerateGeneratorsError(
             f"expected {m} generators of length {n}, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise DegenerateGeneratorsError("generator entries must be finite")
     norms = np.linalg.norm(A, axis=1)
     if np.any(norms == 0.0):
         k = int(np.argmin(norms))
@@ -228,40 +232,6 @@ def apply_defects(points: set, box: Sequence[tuple[int, int]],
 # Boundary conditions
 
 
-def _quotient(complex_: DeltaComplex, images: Sequence[tuple[int, ...]],
-              cell_key, info: dict) -> DeltaComplex:
-    """Identify or collapse cells, then renumber: the one quotient pass.
-
-    ``images[v]`` is the new label of old vertex ``v``; the new vertices
-    are the distinct images in sorted order.  ``cell_key(k, i, cell)`` is
-    called once per old cell: cells with equal keys are identified, the
-    first one standing for all, and the survivors are numbered in key
-    order.  A ``None`` key collapses the cell, and faces that pointed at
-    it are dropped.  ``info`` is merged over the old lattice info.
-    """
-    labels = sorted(set(images))
-    new_vid = {lab: i for i, lab in enumerate(labels)}
-    image = [new_vid[lab] for lab in images]
-    layers: list[list[Cell]] = []
-    new_id: list = []
-    for k, layer in enumerate(complex_.cells):
-        keys = [cell_key(k, i, cell) for i, cell in enumerate(layer)]
-        reps: dict = {}
-        for key, cell in zip(keys, layer):
-            if key is not None:
-                reps.setdefault(key, cell)
-        order = sorted(reps)
-        layers.append([
-            Cell(tuple(image[v] for v in cell.vertices),
-                 tuple((new_id[f], c) for f, c in cell.faces
-                       if new_id[f] is not None), cell.shape)
-            for cell in map(reps.get, order)])
-        rank = {key: j for j, key in enumerate(order)}
-        new_id = [rank.get(key) for key in keys]
-    return DeltaComplex(labels, layers,
-                        lattice_info={**(complex_.lattice_info or {}), **info})
-
-
 def _common_bits(bits: Sequence[int], vertices: Sequence[int]) -> int:
     """The flags of ``bits`` that every one of ``vertices`` carries."""
     out = -1
@@ -274,10 +244,12 @@ def apply_constant_boundary(complex_: DeltaComplex,
                             box: Sequence[tuple[int, int]]) -> DeltaComplex:
     """Quotient that pins the sample's outer hull to a single state.
 
-    All hull vertices become one vertex; cells lying inside a hull facet
-    (every corner sharing one extreme coordinate on some axis) are
-    collapsed away, and surviving cells lose those faces.  The result is
-    the relative complex of the sample against its hull.
+    All hull vertices become one vertex, the first; cells lying inside a
+    hull facet (every corner sharing one extreme coordinate on some axis)
+    are collapsed away, and surviving cells lose those faces.  The other
+    cells keep their corner order and are renumbered in order of their
+    new corner labels.  The result is the relative complex of the sample
+    against its hull.
     """
     m = len(box)
     # Below every box coordinate, so the new vertex sorts first.
@@ -291,16 +263,35 @@ def apply_constant_boundary(complex_: DeltaComplex,
             for lab in complex_.vertex_labels]
     images = [w if h else lab
               for lab, h in zip(complex_.vertex_labels, hull)]
-
-    def cell_key(k, i, cell):
+    labels = sorted(set(images))
+    new_vid = {lab: i for i, lab in enumerate(labels)}
+    image = [new_vid[lab] for lab in images]
+    layers: list[list[Cell]] = []
+    new_id: list = []
+    for k, layer in enumerate(complex_.cells):
+        # Cells with one key become one cell, the first standing for all;
+        # a None key collapses the cell.
         if k == 0:
-            return images[cell.vertices[0]]
-        if _common_bits(hull, cell.vertices):
-            return None
-        return tuple(images[v] for v in cell.vertices), i
-
-    return _quotient(complex_, images, cell_key,
-                     {"boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
+            keys = [images[cell.vertices[0]] for cell in layer]
+        else:
+            keys = [None if _common_bits(hull, cell.vertices)
+                    else (tuple(images[v] for v in cell.vertices), i)
+                    for i, cell in enumerate(layer)]
+        reps: dict = {}
+        for key, cell in zip(keys, layer):
+            if key is not None:
+                reps.setdefault(key, cell)
+        order = sorted(reps)
+        layers.append([
+            Cell(tuple(image[v] for v in cell.vertices),
+                 tuple((new_id[f], c) for f, c in cell.faces
+                       if new_id[f] is not None), cell.shape)
+            for cell in map(reps.get, order)])
+        rank = {key: j for j, key in enumerate(order)}
+        new_id = [rank.get(key) for key in keys]
+    return DeltaComplex(labels, layers, lattice_info={
+        **(complex_.lattice_info or {}),
+        "boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
 
 
 def periodic_image(label: tuple[int, ...], box: Sequence[tuple[int, int]],
@@ -312,64 +303,6 @@ def periodic_image(label: tuple[int, ...], box: Sequence[tuple[int, int]],
         period = hi - lo
         out[a] = lo + (out[a] - lo) % period
     return tuple(out)
-
-
-def apply_periodic_boundary(complex_: DeltaComplex,
-                            box: Sequence[tuple[int, int]],
-                            axes: Sequence[int]) -> DeltaComplex:
-    """Identify opposite box facets by translation on the given 0-based axes.
-
-    Cells are grouped into translation orbits; the canonical orbit label
-    shifts an axis down by one period whenever every corner sits at that
-    axis's top coordinate.  Translation carries vertices, face order and
-    signs, so any orbit member represents the orbit.
-    """
-    for a in axes:
-        lo, hi = box[a]
-        if hi - lo < 1:
-            raise ComplexBuildError(
-                f"periodic axis {a + 1} needs box extent of at least 1")
-    labels = complex_.vertex_labels
-    # Bit a: at the top coordinate of periodic axis a.
-    top = [sum(1 << a for a in axes if lab[a] == box[a][1])
-           for lab in labels]
-    images = [periodic_image(lab, box, axes) for lab in labels]
-
-    def cell_key(k, i, cell):
-        corners = tuple(labels[v] for v in cell.vertices)
-        shift = _common_bits(top, cell.vertices)
-        if not shift:
-            return corners
-        return tuple(
-            tuple(c - (hi - lo) * (shift >> a & 1)
-                  for a, (c, (lo, hi)) in enumerate(zip(lab, box)))
-            for lab in corners)
-
-    return _quotient(complex_, images, cell_key,
-                     {"boundary": BOUNDARY_PERIODIC,
-                      "periodic_axes": tuple(a + 1 for a in axes)})
-
-
-def expand_removed_for_periodic(removed: Iterable[tuple[int, ...]],
-                                box: Sequence[tuple[int, int]],
-                                axes: Sequence[int]) -> set:
-    """All box preimages of removed sites under the wrap, so that deleting
-    a site deletes its whole translation orbit."""
-    out = set()
-    pts = [tuple(p) for p in removed]
-    for p in pts:
-        images = [[]]
-        for a, c in enumerate(p):
-            lo, hi = box[a]
-            if a in axes:
-                period = hi - lo
-                base = lo + (c - lo) % period
-                values = [v for v in range(base, hi + 1, period)]
-            else:
-                values = [c]
-            images = [img + [v] for img in images for v in values]
-        out.update(tuple(img) for img in images)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +324,11 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     if spec.boundary not in BOUNDARY_KINDS:
         raise ComplexBuildError(f"unknown boundary condition {spec.boundary!r}")
 
-    axes0 = tuple(a - 1 for a in (spec.periodic_axes or
-                                  tuple(range(1, m + 1))))
+    periodic_axes = ()
     if spec.boundary == BOUNDARY_PERIODIC:
-        for a in axes0:
+        periodic_axes = tuple(a - 1 for a in (spec.periodic_axes or
+                                              tuple(range(1, m + 1))))
+        for a in periodic_axes:
             if not 0 <= a < m:
                 raise ComplexBuildError(
                     f"periodic axis {a + 1} out of range 1..{m}")
@@ -404,7 +338,6 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
                     f"periodic axis {a + 1} needs box extent of at least 1")
 
     box = frozenset(box_points(spec.index_box))
-    points = set(box)
     removed = set()
     for idx in spec.removed_indices:
         idx = tuple(idx)
@@ -413,29 +346,35 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
         if not _in_box(idx, spec.index_box):
             raise DefectLocusError(f"removed index {idx} is outside the box")
         removed.add(idx)
-    if spec.boundary == BOUNDARY_PERIODIC and removed:
-        removed = expand_removed_for_periodic(removed, spec.index_box, axes0)
-    points -= removed
+    # Each site's image in the fundamental domain of the periodic axes.
+    # Removing a site removes every site with the same image, its whole
+    # translation orbit, and the complex is built on the images.
+    image = {p: periodic_image(p, spec.index_box, periodic_axes) for p in box}
 
-    points, defect_report = apply_defects(points, spec.index_box, spec.defects)
-    if spec.boundary == BOUNDARY_PERIODIC and defect_report["removed_total"]:
-        # Defect loci must be orbit-closed as well.
-        expanded = expand_removed_for_periodic(
-            box - points, spec.index_box, axes0)
-        points = box - removed - expanded
+    def orbits(sites):
+        hit = {image[p] for p in sites}
+        return {p for p in box if image[p] in hit}
+
+    removed = orbits(removed)
+    points, defect_report = apply_defects(box - removed, spec.index_box,
+                                          spec.defects)
+    points = box - orbits(box - points)
     if not points:
         raise ComplexBuildError("every lattice site was removed")
 
-    complex_ = build_complex(points, spec.scheme, index_box=spec.index_box)
+    complex_ = build_complex({image[p] for p in points}, spec.scheme,
+                             index_box=spec.index_box,
+                             periodic_axes=periodic_axes)
     complex_.lattice_info.update({
         "generators": tuple(tuple(float(x) for x in row) for row in A),
         "ambient": n,
         "boundary": spec.boundary,
     })
-    if spec.boundary == BOUNDARY_CONSTANT:
+    if periodic_axes:
+        complex_.lattice_info["periodic_axes"] = tuple(
+            a + 1 for a in periodic_axes)
+    elif spec.boundary == BOUNDARY_CONSTANT:
         complex_ = apply_constant_boundary(complex_, spec.index_box)
-    elif spec.boundary == BOUNDARY_PERIODIC:
-        complex_ = apply_periodic_boundary(complex_, spec.index_box, axes0)
 
     report = {
         "defects": defect_report,

@@ -106,8 +106,16 @@ def make_space(name: str, labels: Sequence = ()) -> OrderSpace:
 # Value validation per space
 
 
+def _as_floats(value, where: str) -> np.ndarray:
+    """``value`` as a float array; anything but numbers is refused."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected numbers") from None
+
+
 def _as_unit(vec, length: int, where: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float)
+    arr = _as_floats(vec, where)
     if arr.shape != (length,):
         raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
     norm = float(np.linalg.norm(arr))
@@ -123,12 +131,13 @@ def _validate_value(space: OrderSpace, value, where: str):
         return value
     if space.name == SPACE_CIRCLE:
         if isinstance(value, (int, float)):
-            return np.array([math.cos(value), math.sin(value)])
+            angle = float(_as_floats(value, where))
+            return np.array([math.cos(angle), math.sin(angle)])
         return _as_unit(value, 2, where)
     if space.name in (SPACE_RP2, SPACE_SPHERE):
         return _as_unit(value, 3, where)
     if space.name == SPACE_TORUS:
-        arr = np.asarray(value, dtype=float)
+        arr = _as_floats(value, where)
         if arr.shape == (2,):
             return np.array([math.cos(arr[0]), math.sin(arr[0]),
                              math.cos(arr[1]), math.sin(arr[1])])
@@ -139,7 +148,7 @@ def _validate_value(space: OrderSpace, value, where: str):
         _as_unit(arr[2:], 2, where)
         return arr
     # Frame-valued spaces: a proper rotation matrix.
-    arr = np.asarray(value, dtype=float)
+    arr = _as_floats(value, where)
     if arr.shape != (3, 3):
         raise ValueError(f"{where}: expected a 3x3 frame")
     if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):

@@ -6,6 +6,7 @@ it dependency-free apart from numpy so a bug in the package cannot leak in
 here.  Do not import crystaltopo from this module.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -233,3 +234,72 @@ def rational_rank(matrix):
         rank += 1
     return rank
 
+
+# ---------------------------------------------------------------------------
+# Periodic grids, the slow way
+# ---------------------------------------------------------------------------
+
+def periodic_orbits_oracle(sites, box, axes):
+    """Every site of ``box`` that a translation by whole periods along the
+    0-based ``axes`` carries onto one of ``sites``, found by listing each
+    coordinate's preimages."""
+    out = set()
+    for site in sites:
+        choices = []
+        for a, (c, (lo, hi)) in enumerate(zip(site, box)):
+            if a in axes:
+                period = hi - lo
+                first = lo + (c - lo) % period
+                choices.append(range(first, hi + 1, period))
+            else:
+                choices.append([c])
+        out.update(itertools.product(*choices))
+    return out
+
+
+def periodic_quotient_oracle(free, box, axes):
+    """Glue a free grid complex into a torus, cell by cell.
+
+    ``free`` is a complex built on a whole box (anything with
+    ``vertex_labels`` and ``cells`` whose entries carry ``vertices``,
+    ``faces`` and ``shape``); on each 0-based axis in ``axes`` the top
+    coordinate of ``box`` is glued to the bottom one.  A cell's orbit key
+    is its corner labels, shifted down one period on every glued axis
+    where all of its corners sit at the top; cells with one key become one
+    cell, represented by the first of them, and each degree is numbered in
+    key order.  Returns (vertex labels, per degree a list of (vertices,
+    faces, shape), per degree the sorted keys).
+    """
+    labels = free.vertex_labels
+
+    def wrap(label):
+        return tuple(lo + (c - lo) % (hi - lo) if a in axes else c
+                     for a, (c, (lo, hi)) in enumerate(zip(label, box)))
+
+    def orbit_key(corners):
+        shift = [a in axes and all(q[a] == box[a][1] for q in corners)
+                 for a in range(len(box))]
+        return tuple(tuple(c - (hi - lo) * s
+                           for c, (lo, hi), s in zip(q, box, shift))
+                     for q in corners)
+
+    new_labels = sorted({wrap(lab) for lab in labels})
+    vertex_id = {lab: i for i, lab in enumerate(new_labels)}
+    layers, keys = [], []
+    renumber = None
+    for layer in free.cells:
+        cell_keys = [orbit_key([labels[v] for v in cell.vertices])
+                     for cell in layer]
+        reps = {}
+        for key, cell in zip(cell_keys, layer):
+            reps.setdefault(key, cell)
+        order = sorted(reps)
+        layers.append([
+            (tuple(vertex_id[wrap(labels[v])] for v in reps[key].vertices),
+             tuple((renumber[f], c) for f, c in reps[key].faces),
+             reps[key].shape)
+            for key in order])
+        keys.append(order)
+        position = {key: j for j, key in enumerate(order)}
+        renumber = [position[key] for key in cell_keys]
+    return new_labels, layers, keys

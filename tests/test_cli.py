@@ -220,7 +220,8 @@ CUBE_DOC = dict(TORUS_DOC, dimension=3, ambient=3, scheme="cubic",
                 generators=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                 index_box=[[0, 2], [0, 2], [0, 2]], boundary_condition="free")
 
-# name -> (document or raw JSON text, text the error line must name)
+# name -> (document or raw JSON text, text the error line must name[,
+# subcommand if not build])
 HOSTILE_DOCS = {
     "axes-string": (dict(TORUS_DOC, boundary_condition={
         "kind": "periodic", "axes": ["x"]}), "boundary_condition.axes[0]"),
@@ -248,15 +249,21 @@ HOSTILE_DOCS = {
     "integer-past-digit-limit": ('{"dimension": ' + "1" * 5000 + "}",
                                  "unreadable JSON"),
     "nesting-too-deep": ("[" * 100_000 + "]" * 100_000, "unreadable JSON"),
+    "sample-object": ({"complex": {"cells": [["A", "B"], ["B", "C"],
+                                             ["A", "C"]]},
+                       "field": {"space": "circle",
+                                 "samples": [["A", {"x": 1}], ["B", 0.0],
+                                             ["C", 1.0]]}},
+                      "field", "obstruct"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_DOCS))
 def test_hostile_document_exits_2_with_reason(capsys, tmp_path, name):
-    doc, field_name = HOSTILE_DOCS[name]
+    doc, field_name, *command = HOSTILE_DOCS[name]
     path = tmp_path / "doc.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    rc, out, err = run(capsys, "build", str(path))
+    rc, out, err = run(capsys, *(command or ["build"]), str(path))
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and field_name in err

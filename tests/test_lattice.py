@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystaltopo import (
     ComplexBuildError,
@@ -11,13 +15,17 @@ from crystaltopo import (
     DefectSpec,
     DegenerateGeneratorsError,
     LatticeSpec,
+    apply_defects,
     betti_numbers,
+    build_complex,
     build_lattice_complex,
     check_generators,
     reciprocal_basis,
     unit_cell_volume,
 )
 from crystaltopo.lattice import MAX_BOX_SITES, box_points
+
+from oracles import periodic_orbits_oracle, periodic_quotient_oracle
 
 
 def _spec(**kw):
@@ -49,6 +57,15 @@ def test_fewer_generators_than_ambient_dimensions():
     # a sheared full-rank (hexagonal) basis is accepted and returned as is
     hexagonal = [(1.0, 0.0), (0.5, math.sqrt(3) / 2)]
     assert np.array_equal(check_generators(hexagonal, m=2, n=2), hexagonal)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_generators_rejected(bad):
+    # refused before the Gram test, which would only warn on them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeneratorsError, match="finite"):
+            check_generators([(1.0, 0.0), (0.0, bad)], m=2, n=2)
 
 
 def test_unit_cell_volume_rectangular():
@@ -335,6 +352,109 @@ def _quotient_digest(spec):
 @pytest.mark.parametrize("name", sorted(QUOTIENT_SPECS))
 def test_quotient_output_is_pinned(name):
     assert _quotient_digest(QUOTIENT_SPECS[name]) == QUOTIENT_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# direct torus build against the free build glued by the slow reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def torus_specs(draw):
+    m = draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(["triangular", "cubic"]))
+    top = 2 if m == 3 else 3
+    box = tuple((lo, lo + draw(st.integers(1, top)))
+                for lo in draw(st.lists(st.sampled_from([-1, 0, 2]),
+                                        min_size=m, max_size=m)))
+    axes = tuple(a + 1 for a in range(m) if draw(st.booleans()))
+    sites = box_points(box)
+    removed = draw(st.lists(st.sampled_from(sites), max_size=2, unique=True))
+    defects = [DefectSpec("vacancy", index=v) for v in
+               draw(st.lists(st.sampled_from(sites), max_size=2, unique=True))]
+    if m > 1 and draw(st.booleans()):
+        axis = draw(st.integers(1, m))
+        site = draw(st.sampled_from(sites))
+        defects.append(DefectSpec(
+            "line_defect", axis=axis,
+            transverse=tuple(c for a, c in enumerate(site) if a != axis - 1)))
+    return _grid_spec(m, scheme, box, boundary="periodic", periodic_axes=axes,
+                      removed_indices=tuple(removed), defects=tuple(defects))
+
+
+def _torus_by_quotient(spec):
+    """The torus the slow way: the orbit-closed sites of the whole box, a
+    free build on them, and the reference quotient."""
+    box = spec.index_box
+    axes = tuple(a - 1 for a in spec.periodic_axes) or tuple(range(len(box)))
+    whole = set(box_points(box))
+    removed = periodic_orbits_oracle(spec.removed_indices, box, axes)
+    points, defects = apply_defects(whole - removed, box, spec.defects)
+    points = whole - periodic_orbits_oracle(whole - points, box, axes)
+    if not points:
+        raise ComplexBuildError("every lattice site was removed")
+    free = build_complex(points, spec.scheme, index_box=box)
+    labels, layers, keys = periodic_quotient_oracle(free, box, axes)
+    info = {**free.lattice_info, "generators": spec.generators,
+            "ambient": spec.ambient, "boundary": "periodic",
+            "periodic_axes": tuple(a + 1 for a in axes)}
+    report = {"defects": defects, "removed_indices": sorted(removed),
+              "sites": len(points), "cells": [len(cells) for cells in layers]}
+    return labels, layers, info, report
+
+
+def _lifted_corners(cx, box, axes):
+    """Each cell's corner labels as before the wrap: on a glued axis a
+    corner below the anchor (the first corner) came from the top."""
+    out = []
+    for cells in cx.cells:
+        lifted = []
+        for cell in cells:
+            corners = [cx.vertex_labels[v] for v in cell.vertices]
+            anchor = corners[0]
+            lifted.append(tuple(
+                tuple(c + (hi - lo) * (a in axes and c < anchor[a])
+                      for a, (c, (lo, hi)) in enumerate(zip(q, box)))
+                for q in corners))
+        out.append(lifted)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(torus_specs())
+def test_torus_build_matches_free_build_then_quotient(spec):
+    try:
+        labels, layers, info, report = _torus_by_quotient(spec)
+    except (ComplexBuildError, DefectLocusError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            build_lattice_complex(spec)
+        return
+    cx, rep = build_lattice_complex(spec)
+    assert list(cx.vertex_labels) == labels
+    assert [[(c.vertices, c.faces, c.shape) for c in cells]
+            for cells in cx.cells] == layers
+    assert list(cx.lattice_info.items()) == list(info.items())
+    assert rep == report
+    # Anchor-major enumeration leaves every degree sorted by unwrapped
+    # corner labels.  A period-1 axis wraps a corner onto its own anchor,
+    # so the lift cannot be read off the labels there; the equality with
+    # the reference order above covers that case.
+    axes = tuple(a - 1 for a in info["periodic_axes"])
+    if all(spec.index_box[a][1] - spec.index_box[a][0] > 1 for a in axes):
+        for lifted in _lifted_corners(cx, spec.index_box, axes):
+            assert all(p < q for p, q in zip(lifted, lifted[1:]))
+
+
+def test_free_grid_degrees_are_sorted_by_vertex_ids():
+    cx = build_complex(box_points(((0, 2), (0, 3), (0, 2))), "cubic")
+    for cells in cx.cells:
+        ids = [c.vertices for c in cells]
+        assert all(p < q for p, q in zip(ids, ids[1:]))
+
+
+def test_torus_indices_must_lie_in_the_fundamental_domain():
+    with pytest.raises(ComplexBuildError, match="periodic axis 2"):
+        build_complex([(0, 0), (0, 3)], "cubic", index_box=((0, 3), (0, 3)),
+                      periodic_axes=(1,))
 
 
 # ---------------------------------------------------------------------------
