@@ -91,6 +91,7 @@ from .orderfield import (
     OrderField,
     OrderSpace,
     boundary_class,
+    boundary_classes,
     make_space,
     pi0_classes,
     rp_parity,

@@ -74,15 +74,18 @@ def _as_label(x: Any, where: str):
     return x
 
 
-def _number(x: Any, cast, where: str):
+def _number(x: Any, cast, where: str, index: int | None = None):
     """``cast(x)`` for a finite JSON number, a whole one when ``cast`` is
-    int; anything else is a DocumentError naming ``where``."""
+    int; anything else is a DocumentError naming ``where``, or its entry
+    ``where[index]`` (formatted only then)."""
     if isinstance(x, float):
         ok = x.is_integer() if cast is int else math.isfinite(x)
     else:
         ok = isinstance(x, int) and not isinstance(x, bool) and (
             cast is int or abs(x) <= sys.float_info.max)
     if not ok:
+        if index is not None:
+            where = f"{where}[{index}]"
         kind = "an integer" if cast is int else "a number"
         raise _fail(f"{where}: expected {kind}, got {x!r}")
     return cast(x)
@@ -92,7 +95,7 @@ def _numbers(xs: Any, cast, where: str) -> tuple:
     """``cast`` applied to every entry of a JSON list of numbers."""
     if not isinstance(xs, list):
         raise _fail(f"{where}: expected a list of numbers, got {xs!r}")
-    return tuple(_number(x, cast, f"{where}[{i}]") for i, x in enumerate(xs))
+    return tuple(_number(x, cast, where, i) for i, x in enumerate(xs))
 
 
 def load_document(path: str) -> tuple[dict, str]:
@@ -278,10 +281,7 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise _fail(f"{key}[{i}]: expected [edge, value]")
         edge, value = entry
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise _fail(f"{key}[{i}]: value must be a number") from None
+        value = _number(value, float, key, i)
         if isinstance(edge, int):
             if not 0 <= edge < cx.n_cells(1):
                 raise _fail(f"{key}[{i}]: edge id {edge} out of range")

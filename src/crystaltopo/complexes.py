@@ -263,9 +263,17 @@ class DeltaComplex:
         cell = self.cells[k][cell_id]
         if cell.shape == SHAPE_CUBE or k == 0:
             return cell_id, 1
-        _, sign_query = _sort_with_parity(ids)
-        _, sign_stored = _sort_with_parity(cell.vertices)
-        return cell_id, sign_query * sign_stored
+        if len(set(ids)) < len(ids):
+            raise ComplexBuildError(f"repeated vertex in cell {ids}")
+        # The parity of the permutation taking the stored spelling to the
+        # query, one sign flip per transposition that sorts it into place.
+        spelling, sign = list(cell.vertices), 1
+        for i, v in enumerate(ids):
+            j = spelling.index(v, i)
+            if j != i:
+                spelling[i], spelling[j] = spelling[j], spelling[i]
+                sign = -sign
+        return cell_id, sign
 
     def chain(self, k: int, terms: Mapping[Sequence, object],
               ring: str = RING_INT) -> Chain:

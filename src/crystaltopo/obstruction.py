@@ -29,7 +29,7 @@ from .orderfield import (
     CoefficientGroup,
     OrderField,
     SPACE_FINITE,
-    boundary_class,
+    boundary_classes,
     pi0_classes,
 )
 
@@ -61,10 +61,6 @@ def _zero(group: CoefficientGroup):
     return (0, 0) if group.rank == 2 else 0
 
 
-def _is_zero(group: CoefficientGroup, v) -> bool:
-    return v == _zero(group)
-
-
 def _combine(group: CoefficientGroup, acc, v, scale: int):
     if group.rank == 2:
         return (acc[0] + scale * v[0], acc[1] + scale * v[1])
@@ -85,12 +81,11 @@ def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     group = field_.space.homotopy_group(k - 1)
     values: dict[int, object] = {}
     if not group.trivial:
-        for cid in range(cx.n_cells(k)):
-            v = boundary_class(field_, k, cid)
-            if group.name != "set":
-                v = _reduce(group, v)
-            if not _is_zero(group, v):
-                values[cid] = v
+        classes = boundary_classes(field_, k)
+        if group.name != "set":
+            classes = [_reduce(group, v) for v in classes]
+        zero = _zero(group)
+        values = {cid: v for cid, v in enumerate(classes) if v != zero}
     return ObstructionCochain(cx, k, group, values, field_.space.name)
 
 

@@ -7,10 +7,16 @@ of a 3-cell.  Each probe yields an element of the relevant homotopy group
 of the value space, computed by explicit geometry (angle winding, sign
 lifts, summed solid angles), with ambiguity errors whenever two adjacent
 samples are too far apart for the reconstruction to be trustworthy.
+
+:func:`boundary_classes` probes all requested cells of one degree in one
+batched pass: stacked determinants and dot products for every shell
+triangle, one vectorised sign lift for every director shell.  Each value
+and each refusal is the one the cell gives when probed alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -106,8 +112,20 @@ def make_space(name: str, labels: Sequence = ()) -> OrderSpace:
 # Value validation per space
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "b" or (
+            value.dtype == object and _holds_bool(value.tolist()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
 def _as_floats(value, where: str) -> np.ndarray:
-    """``value`` as a float array; anything but numbers is refused."""
+    """``value`` as a float array; anything but numbers is refused,
+    booleans too."""
+    if _holds_bool(value):
+        raise ValueError(f"{where}: expected numbers")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -200,6 +218,14 @@ class OrderField:
 
 # ---------------------------------------------------------------------------
 # Probe computations
+#
+# Each probe runs as one pass over all the loops or shells it is given.  The
+# vertex angles or vectors are gathered once, the determinants and dot
+# products of every shell triangle come from stacked numpy calls, and only
+# the steps whose rounding numpy would change (math.remainder, math.atan2
+# and the running sums) stay scalar, in the order of the cell.  So every
+# value is bit-identical to probing one cell alone, and a refusal is raised
+# for the first failing cell, within it in the order that cell meets it.
 
 
 def _angle_steps(angles: Sequence[float]) -> float:
@@ -239,94 +265,177 @@ def _closed(loop: Sequence[int]) -> list[int]:
     return ids
 
 
-def winding_number(field: OrderField, loop: Sequence[int]) -> int:
-    """Net turns of a circle-valued field around a closed vertex loop."""
-    return _whole_turns([field.angle(v) for v in _closed(loop)])
+def _windings(field: OrderField, loops: Sequence[Sequence[int]],
+              offsets: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Whole turns of each circle factor around each loop; the factor at
+    ``offset`` is the value pair (offset, offset + 1)."""
+    ids = {v for loop in loops for v in loop}
+    angles = [{v: math.atan2(field.values[v][o + 1], field.values[v][o])
+               for v in ids} for o in offsets]
+    return [tuple(_whole_turns([a[v] for v in loop]) for a in angles)
+            for loop in map(_closed, loops)]
 
 
-def torus_winding(field: OrderField, loop: Sequence[int]) -> tuple[int, int]:
-    """Net turns of each circle factor of a torus-valued field on a loop."""
-    ids = _closed(loop)
-    return tuple(
-        _whole_turns([math.atan2(field.values[v][offset + 1],
-                                 field.values[v][offset]) for v in ids])
-        for offset in (0, 2))
+def _vectors(field: OrderField, ids: np.ndarray) -> np.ndarray:
+    """The values at the vertex ids ``ids`` (any shape) as floats, with
+    one more axis; each distinct vertex is converted once."""
+    seen = np.zeros(len(field.values), dtype=bool)
+    seen[ids] = True
+    table = np.array([field.values[v] for v in np.flatnonzero(seen).tolist()],
+                     dtype=float)
+    return table[(np.cumsum(seen) - 1)[ids]]
 
 
-def _lift_sign(prev: np.ndarray, cur: np.ndarray) -> int:
-    dot = float(prev @ cur)
-    if abs(dot) <= ANGLE_TOL:
-        raise AmbiguousSamplingError(
-            "adjacent line-field samples are nearly perpendicular; "
-            "the sign lift is not determined")
-    return 1 if dot > 0 else -1
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays.
 
-
-def rp_parity(field: OrderField, loop: Sequence[int]) -> int:
-    """Orientation parity of a projective-plane-valued field on a loop.
-
-    0 when the line field lifts to a closed vector field along the loop,
-    1 when the lift comes back flipped.
+    A stack of (1, 3) @ (3, 1) products runs the dot kernel of a 1-D
+    ``a[i] @ b[i]``, so each entry is bit-identical to it; einsum and
+    ``(a * b).sum(axis=1)`` round differently.
     """
-    ids = _closed(loop)
-    first = np.asarray(field.values[ids[0]], dtype=float)
-    prev = first
-    for vid in ids[1:-1]:
-        cur = np.asarray(field.values[vid], dtype=float)
-        prev = cur * _lift_sign(prev, cur)
-    return 0 if _lift_sign(prev, first) == 1 else 1
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Signed solid angle of the spherical triangle (a, b, c)."""
-    det = float(np.linalg.det(np.stack([a, b, c])))
-    s = 1.0 + float(a @ b) + float(b @ c) + float(c @ a)
-    if abs(det) < 1e-12 and abs(s) < 1e-9:
-        raise AmbiguousSamplingError(
-            "a spherical triangle of samples is degenerate (near a half "
-            "great circle); the solid angle is not determined")
-    return 2.0 * math.atan2(det, s)
+def _lift_signs(dots: np.ndarray) -> np.ndarray:
+    """+1 or -1 for each pair of adjacent directors, by the sign of their
+    dot product; 0 where they are too nearly perpendicular to tell."""
+    return np.where(dots > ANGLE_TOL, 1, np.where(dots < -ANGLE_TOL, -1, 0))
 
 
-def _shell_triangles(complex_: DeltaComplex, cell: Cell
-                     ) -> list[tuple[int, tuple[int, int, int]]]:
-    """Oriented triangles covering a 3-cell's boundary shell."""
-    tris: list[tuple[int, tuple[int, int, int]]] = []
-    for fid, coeff in cell.faces:
-        f = complex_.cells[2][fid]
-        v = f.vertices
-        if len(v) == 3:
-            tris.append((coeff, (v[0], v[1], v[2])))
-        elif len(v) == 4:
-            tris.append((coeff, (v[0], v[1], v[2])))
-            tris.append((coeff, (v[0], v[2], v[3])))
+def _perpendicular() -> AmbiguousSamplingError:
+    return AmbiguousSamplingError(
+        "adjacent line-field samples are nearly perpendicular; "
+        "the sign lift is not determined")
+
+
+def _parities(field: OrderField, loops: Sequence[Sequence[int]]) -> list[int]:
+    """Orientation parity of a line field around each nonempty loop: 1 when
+    an odd number of steps join directors that point apart."""
+    if not loops:
+        return []
+    size = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    heads = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64,
+                        count=int(size.sum()))
+    first = np.cumsum(size) - size
+    last = first + size - 1
+    # Each vertex steps to the next and the last one back to the first,
+    # except on a loop that already ends where it starts; a one-vertex
+    # loop steps from its vertex to itself.
+    tails = np.roll(heads, -1)
+    tails[last] = heads[first]
+    closed = (heads[last] == heads[first]) & (size > 1)
+    step = np.ones(len(heads), dtype=bool)
+    step[last[closed]] = False
+    x = _vectors(field, np.stack([heads[step], tails[step]]))
+    signs = _lift_signs(_dots(x[0], x[1]))
+    starts = first - np.cumsum(closed) + closed
+    if (signs == 0).any():
+        raise _perpendicular()
+    return np.logical_xor.reduceat(signs < 0, starts).astype(int).tolist()
+
+
+def _shells(complex_: DeltaComplex, cells: Sequence[Cell]):
+    """The oriented triangles covering the boundary shells of 3-cells.
+
+    A triangular face gives itself, a square (v0, v1, v2, v3) gives
+    (v0, v1, v2) and (v0, v2, v3), in the order of each cell's faces.
+    Returns the coefficients, vertex triples and owning cell positions
+    of all triangles, the number of cells covered, and the DimensionError
+    of the first cell with any other face, for the caller to raise once
+    the cells before it are probed.
+    """
+    count = np.fromiter((len(c.faces) for c in cells), np.int64, len(cells))
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(
+            c.faces for c in cells)), np.int64, 2 * int(count.sum()))
+    fid, coeff = pairs.reshape(-1, 2).T
+    layer = complex_.cells[2]
+    corners = [layer[f].vertices for f in fid.tolist()]
+    size = np.fromiter(map(len, corners), np.int64, len(corners))
+    flat = np.fromiter(itertools.chain.from_iterable(corners), np.int64,
+                       int(size.sum()))
+    owner = np.repeat(np.arange(len(cells)), count)
+    covered, refusal = len(cells), None
+    bad = (size != 3) & (size != 4)
+    if bad.any():
+        j = int(np.argmax(bad))
+        covered = int(owner[j])
+        refusal = DimensionError(f"unexpected 2-cell with {size[j]} vertices")
+    halves = np.where(owner < covered, size - 2, 0)
+    face = np.repeat(np.arange(len(size)), halves)
+    second = np.arange(len(face)) - np.repeat(np.cumsum(halves) - halves,
+                                              halves)
+    start = (np.cumsum(size) - size)[face]
+    tri = np.stack([flat[start], flat[start + 1 + second],
+                    flat[start + 2 + second]], axis=1)
+    return coeff[face], tri, owner[face], covered, refusal
+
+
+def _lift_shells(edges: np.ndarray, tri: np.ndarray, owner: np.ndarray,
+                 n_shells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign the directors of each shell so that every pair joined by a
+    triangle edge points the same way.
+
+    Triangle t has vertices ``tri[t]`` on shell ``owner[t]`` and lift signs
+    ``edges[t]`` for its edges (a, b), (b, c), (c, a).  Each connected part
+    of a shell keeps the sign of its least vertex, as a walk of the shell
+    from there would.  Returns the sign of every triangle corner and a flag
+    per shell whose lift is refused: an edge sign of 0, or edge signs that
+    no choice per vertex satisfies.
+    """
+    # Number the (shell, vertex) pairs in that order, so that each shell's
+    # least vertex comes first among its own.
+    keys = (owner[:, None] * (int(tri.max()) + 1) + tri).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    node = np.empty(len(keys), dtype=np.int64)
+    node[order] = np.cumsum(fresh) - 1
+    node = node.reshape(tri.shape)
+    shell = np.repeat(owner, 3)[order[fresh]]
+    # A triangle edge from a vertex to itself joins a unit director to
+    # itself: its sign is +1 and it neither spreads nor breaks a lift.
+    u, w, e = node.ravel(), node[:, [1, 2, 0]].ravel(), edges.ravel()
+    src, dst = np.concatenate([u, w]), np.concatenate([w, u])
+    spread = np.tile(e, 2).astype(float)
+    # Each shell's least unsigned vertex starts a part with +1, and the
+    # part grows by all unsigned neighbours of signed vertices at once.
+    def leads(ids):
+        return ids[np.diff(shell[ids], prepend=-1) != 0]
+
+    sign = np.zeros(len(shell))
+    sign[leads(np.arange(len(shell)))] = 1
+    todo = sign == 0
+    while todo.any():
+        pull = np.bincount(dst, weights=sign[src] * spread,
+                           minlength=len(sign))
+        grow = todo & (pull != 0)
+        if grow.any():
+            sign[grow] = np.sign(pull[grow])
         else:
-            raise DimensionError(f"unexpected 2-cell with {len(v)} vertices")
-    return tris
+            sign[leads(np.flatnonzero(todo))] = 1
+        todo = sign == 0
+    refused = np.zeros(n_shells, dtype=bool)
+    refused[shell[u[(e == 0) | (sign[u] * sign[w] != e)]]] = True
+    return sign[node], refused
 
 
-def sphere_degree(field: OrderField,
-                  triangles: Sequence[tuple[int, tuple[int, int, int]]]) -> int:
-    """Degree of a sphere-valued field over a closed oriented triangle set."""
-    total = 0.0
-    for coeff, (a, b, c) in triangles:
-        total += coeff * _solid_angle(field.values[a], field.values[b],
-                                      field.values[c])
-    degree = total / (4.0 * math.pi)
-    nearest = round(degree)
-    if abs(degree - nearest) > 0.01:
-        raise AmbiguousSamplingError(
-            f"summed solid angle {degree!r} turns is not close to an integer")
-    return int(nearest)
+def _lift_refusal(triangles: list, edges: list) -> AmbiguousSamplingError:
+    """The refusal a walk of a refused director shell meets first.
 
-
-def _lift_shell(field: OrderField, triangles) -> dict[int, int]:
-    """Global sign lift of a line field over a 3-cell shell."""
+    The walk starts at the least vertex of each connected part and follows
+    the shell edges in the order of the per-cell probe; ``edges[t]`` holds
+    the lift signs of the edges of the vertex triple ``triangles[t]``.
+    """
+    sign_of: dict[tuple[int, int], int] = {}
     adjacency: dict[int, set[int]] = {}
-    for _, tri in triangles:
+    for tri, signs in zip(triangles, edges):
         for i in range(3):
             a, b = tri[i], tri[(i + 1) % 3]
             if a != b:
+                sign_of[a, b] = sign_of[b, a] = signs[i]
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
     signs: dict[int, int] = {}
@@ -338,67 +447,162 @@ def _lift_shell(field: OrderField, triangles) -> dict[int, int]:
         while queue:
             cur = queue.pop()
             for nxt in adjacency[cur]:
-                s = signs[cur] * _lift_sign(
-                    np.asarray(field.values[cur], dtype=float),
-                    np.asarray(field.values[nxt], dtype=float))
+                if not sign_of[cur, nxt]:
+                    return _perpendicular()
+                s = signs[cur] * sign_of[cur, nxt]
                 if nxt not in signs:
                     signs[nxt] = s
                     queue.append(nxt)
                 elif signs[nxt] != s:
-                    raise AmbiguousSamplingError(
+                    return AmbiguousSamplingError(
                         "line-field samples on the cell shell admit no "
                         "consistent sign lift; refine the sampling")
-    return signs
 
 
-def boundary_class(field: OrderField, k: int, cell_id: int):
-    """Homotopy class of the field on the boundary of one k-cell.
+def _degrees(field: OrderField, coeff: np.ndarray, tri: np.ndarray,
+             owner: np.ndarray, count: int, lift: bool = False) -> list[int]:
+    """Degree of a sphere-valued field over each of ``count`` closed
+    oriented triangle sets; triangle t has vertices ``tri[t]`` and
+    coefficient ``coeff[t]`` in set ``owner[t]``, each set contiguous.
+    With ``lift`` the values are directors, signed per set first."""
+    sizes = np.bincount(owner, minlength=count)
+    if not len(tri):
+        return [0] * count
+    x = _vectors(field, tri)
+    a, b, c = x[:, 0], x[:, 1], x[:, 2]
+    det = np.linalg.det(x)
+    dots = np.stack([_dots(a, b), _dots(b, c), _dots(c, a)], axis=1)
+    if lift:
+        edges = _lift_signs(dots)
+        sign, refused = _lift_shells(edges, tri, owner, count)
+        # Negating a director negates the determinant and its dot products
+        # exactly, so these are the values of the signed directors.
+        det = det * sign.prod(axis=1)
+        dots = dots * (sign * sign[:, [1, 2, 0]])
+    s = 1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
+    degenerate = np.zeros(count, dtype=bool)
+    degenerate[owner[(np.abs(det) < 1e-12) & (np.abs(s) < 1e-9)]] = True
+    omega = [2.0 * math.atan2(d, t) for d, t in zip(det.tolist(), s.tolist())]
+    # Column j holds the j-th term of every shell, so adding the columns
+    # in turn sums each shell in its own order; the zero padding is exact.
+    first = np.cumsum(sizes) - sizes
+    terms = np.zeros((count, sizes.max()))
+    terms[owner, np.arange(len(owner)) - first[owner]] = coeff * np.array(omega)
+    total = np.zeros(count)
+    for column in terms.T:
+        total += column
+    degree = total / (4.0 * math.pi)
+    nearest = np.round(degree)
+    failing = degenerate | (np.abs(degree - nearest) > 0.01)
+    if lift:
+        failing |= refused
+    if failing.any():
+        i = int(np.argmax(failing))
+        if lift and refused[i]:
+            rows = slice(first[i], first[i] + sizes[i])
+            raise _lift_refusal(tri[rows].tolist(), edges[rows].tolist())
+        if degenerate[i]:
+            raise AmbiguousSamplingError(
+                "a spherical triangle of samples is degenerate (near a "
+                "half great circle); the solid angle is not determined")
+        raise AmbiguousSamplingError(
+            f"summed solid angle {float(degree[i])!r} turns is not close to "
+            "an integer")
+    return nearest.astype(int).tolist()
 
-    The value lives in pi_{k-1} of the order-parameter space: a 0/1
-    transition flag for pi_0, integers or parities for pi_1, an integer
-    degree for pi_2.  Spaces with nonabelian pi_1 are refused at k = 2.
+
+def winding_number(field: OrderField, loop: Sequence[int]) -> int:
+    """Net turns of a circle-valued field around a closed vertex loop."""
+    return _windings(field, [_closed(loop)], (0,))[0][0]
+
+
+def torus_winding(field: OrderField, loop: Sequence[int]) -> tuple[int, int]:
+    """Net turns of each circle factor of a torus-valued field on a loop."""
+    return _windings(field, [_closed(loop)], (0, 2))[0]
+
+
+def rp_parity(field: OrderField, loop: Sequence[int]) -> int:
+    """Orientation parity of a projective-plane-valued field on a loop.
+
+    0 when the line field lifts to a closed vector field along the loop,
+    1 when the lift comes back flipped.
+    """
+    return _parities(field, [_closed(loop)])[0]
+
+
+def sphere_degree(field: OrderField,
+                  triangles: Sequence[tuple[int, tuple[int, int, int]]]) -> int:
+    """Degree of a sphere-valued field over a closed oriented triangle set."""
+    tris = list(triangles)
+    coeff = np.array([c for c, _ in tris])
+    tri = np.array([t for _, t in tris], dtype=np.int64).reshape(-1, 3)
+    return _degrees(field, coeff, tri, np.zeros(len(tris), np.int64), 1)[0]
+
+
+def boundary_classes(field: OrderField, k: int,
+                     cell_ids: Sequence[int] | None = None) -> list:
+    """Homotopy classes of the field on the boundaries of k-cells.
+
+    One batched pass over the cells ``cell_ids`` (every k-cell by
+    default), with one value per cell in that order; an unknown id raises
+    IndexError before any probe runs.  Each value lives in pi_{k-1} of the
+    order-parameter space: a 0/1 transition flag for pi_0, integers or
+    parities for pi_1, an integer degree for pi_2.  Spaces with nonabelian
+    pi_1 are refused at k = 2.  A refusal is the one the first failing
+    cell would raise on its own.
     """
     cx = field.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
-    cell = cx.cells[k][cell_id]
+    layer = cx.cells[k]
+    cells = list(layer) if cell_ids is None else [layer[c] for c in cell_ids]
+    if not cells:
+        return []
     space = field.space
     group = space.homotopy_group(k - 1)
 
     if k == 1:
         if space.name == SPACE_FINITE:
-            a, b = cell.vertices[0], cell.vertices[-1]
-            return 0 if field.values[a] == field.values[b] else 1
-        return 0
+            values = field.values
+            return [0 if values[c.vertices[0]] == values[c.vertices[-1]]
+                    else 1 for c in cells]
+        return [0] * len(cells)
 
     if k == 2:
         if not group.abelian:
             raise UnsupportedConfigurationError(
                 f"pi_1 of {space.name} is nonabelian; single-cell classes "
                 "do not assemble into an additive cochain")
-        loop = list(cell.vertices)
+        if space.name not in (SPACE_CIRCLE, SPACE_RP2, SPACE_TORUS):
+            return [0] * len(cells)
+        # An empty loop is refused once the loops before it are probed.
+        loops = [c.vertices for c in cells]
+        refusal = None
+        if () in loops:
+            loops = loops[:loops.index(())]
+            refusal = DimensionError("empty loop")
         if space.name == SPACE_CIRCLE:
-            return winding_number(field, loop)
-        if space.name == SPACE_RP2:
-            return rp_parity(field, loop)
-        if space.name == SPACE_TORUS:
-            return torus_winding(field, loop)
-        return 0
+            out = [turns for turns, in _windings(field, loops, (0,))]
+        elif space.name == SPACE_TORUS:
+            out = _windings(field, loops, (0, 2))
+        else:
+            out = _parities(field, loops)
+    else:
+        coeff, tri, owner, covered, refusal = _shells(cx, cells)
+        if space.name in (SPACE_SPHERE, SPACE_RP2):
+            out = _degrees(field, coeff, tri, owner, covered,
+                           lift=space.name == SPACE_RP2)
+        else:
+            out = [0] * covered
+    if refusal is not None:
+        raise refusal
+    return out
 
-    if k == 3:
-        tris = _shell_triangles(cx, cell)
-        if space.name == SPACE_SPHERE:
-            return sphere_degree(field, tris)
-        if space.name == SPACE_RP2:
-            signs = _lift_shell(field, tris)
-            values = [np.asarray(v, dtype=float) for v in field.values]
-            for vid, s in signs.items():
-                values[vid] = values[vid] * s
-            lifted = OrderField(cx, OrderSpace(SPACE_SPHERE), values)
-            return sphere_degree(lifted, tris)
-        return 0
 
-    raise DimensionError(f"probe dimension {k} is out of scope")
+def boundary_class(field: OrderField, k: int, cell_id: int):
+    """Homotopy class of the field on the boundary of one k-cell; see
+    :func:`boundary_classes`."""
+    return boundary_classes(field, k, [cell_id])[0]
 
 
 def pi0_classes(field: OrderField, components: Sequence[int]) -> list[dict]:

@@ -303,3 +303,191 @@ def periodic_quotient_oracle(free, box, axes):
         position = {key: j for j, key in enumerate(order)}
         renumber = [position[key] for key in cell_keys]
     return new_labels, layers, keys
+
+
+# ---------------------------------------------------------------------------
+# Field probes, one cell and one numpy call at a time
+# ---------------------------------------------------------------------------
+
+PROBE_ANGLE_TOL = 1e-6
+
+
+class ProbeRefused(Exception):
+    """A refused probe; ``kind`` names the package exception it stands for."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _ambiguous(message):
+    return ProbeRefused("AmbiguousSamplingError", message)
+
+
+def _probe_closed(loop):
+    ids = list(loop)
+    if not ids:
+        raise ProbeRefused("DimensionError", "empty loop")
+    if ids[0] != ids[-1]:
+        ids.append(ids[0])
+    return ids
+
+
+def _probe_whole_turns(angles):
+    total = 0.0
+    for a, b in zip(angles, angles[1:]):
+        step = math.remainder(b - a, math.tau)
+        if abs(step) >= math.pi - PROBE_ANGLE_TOL:
+            raise _ambiguous(
+                "adjacent circle samples are antipodal within tolerance; "
+                "the winding is not determined")
+        total += step
+    total /= math.tau
+    nearest = round(total)
+    if abs(total - nearest) > 1e-9:
+        raise _ambiguous(f"winding sum {total!r} is not an integer")
+    return int(nearest)
+
+
+def winding_number_oracle(values, loop, offset=0):
+    """Net turns of the circle factor at ``offset`` of ``values`` (vertex
+    id -> vector) around a vertex loop."""
+    return _probe_whole_turns(
+        [math.atan2(values[v][offset + 1], values[v][offset])
+         for v in _probe_closed(loop)])
+
+
+def _probe_lift_sign(prev, cur):
+    dot = float(prev @ cur)
+    if abs(dot) <= PROBE_ANGLE_TOL:
+        raise _ambiguous(
+            "adjacent line-field samples are nearly perpendicular; "
+            "the sign lift is not determined")
+    return 1 if dot > 0 else -1
+
+
+def rp_parity_oracle(values, loop):
+    """Parity of a director loop, lifting one step at a time."""
+    ids = _probe_closed(loop)
+    first = np.asarray(values[ids[0]], dtype=float)
+    prev = first
+    for vid in ids[1:-1]:
+        cur = np.asarray(values[vid], dtype=float)
+        prev = cur * _probe_lift_sign(prev, cur)
+    return 0 if _probe_lift_sign(prev, first) == 1 else 1
+
+
+def _probe_solid_angle(a, b, c):
+    det = float(np.linalg.det(np.stack([a, b, c])))
+    s = 1.0 + float(a @ b) + float(b @ c) + float(c @ a)
+    if abs(det) < 1e-12 and abs(s) < 1e-9:
+        raise _ambiguous(
+            "a spherical triangle of samples is degenerate (near a half "
+            "great circle); the solid angle is not determined")
+    return 2.0 * math.atan2(det, s)
+
+
+def sphere_degree_oracle(values, triangles):
+    """Degree over oriented triangles, one solid angle at a time."""
+    total = 0.0
+    for coeff, (a, b, c) in triangles:
+        total += coeff * _probe_solid_angle(values[a], values[b], values[c])
+    degree = total / (4.0 * math.pi)
+    nearest = round(degree)
+    if abs(degree - nearest) > 0.01:
+        raise _ambiguous(
+            f"summed solid angle {degree!r} turns is not close to an integer")
+    return int(nearest)
+
+
+def _probe_shell(complex_, cell):
+    tris = []
+    for fid, coeff in cell.faces:
+        v = complex_.cells[2][fid].vertices
+        if len(v) == 3:
+            tris.append((coeff, (v[0], v[1], v[2])))
+        elif len(v) == 4:
+            tris.append((coeff, (v[0], v[1], v[2])))
+            tris.append((coeff, (v[0], v[2], v[3])))
+        else:
+            raise ProbeRefused("DimensionError",
+                               f"unexpected 2-cell with {len(v)} vertices")
+    return tris
+
+
+def _probe_lift_shell(values, triangles):
+    adjacency = {}
+    for _, tri in triangles:
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            if a != b:
+                adjacency.setdefault(a, set()).add(b)
+                adjacency.setdefault(b, set()).add(a)
+    signs = {}
+    for start in sorted(adjacency):
+        if start in signs:
+            continue
+        signs[start] = 1
+        queue = [start]
+        while queue:
+            cur = queue.pop()
+            for nxt in adjacency[cur]:
+                s = signs[cur] * _probe_lift_sign(
+                    np.asarray(values[cur], dtype=float),
+                    np.asarray(values[nxt], dtype=float))
+                if nxt not in signs:
+                    signs[nxt] = s
+                    queue.append(nxt)
+                elif signs[nxt] != s:
+                    raise _ambiguous(
+                        "line-field samples on the cell shell admit no "
+                        "consistent sign lift; refine the sampling")
+    return signs
+
+
+def boundary_class_oracle(field, k, cell_id):
+    """The class of ``field`` on the boundary of one k-cell, probed alone.
+
+    ``field`` needs ``complex_``, ``space`` (with ``name`` and
+    ``homotopy_group``) and ``values``.  Refusals raise ProbeRefused in
+    the order the cell meets them: for a director shell the sign lift
+    over the shell graph first, then each triangle, then the sum.  The
+    lift copies the whole field for every shell.
+    """
+    cx = field.complex_
+    if not 1 <= k <= cx.dim:
+        raise ProbeRefused("DimensionError", f"no {k}-cells to probe")
+    cell = cx.cells[k][cell_id]
+    space = field.space.name
+    group = field.space.homotopy_group(k - 1)
+    values = field.values
+    if k == 1:
+        if space == "finite_set":
+            a, b = cell.vertices[0], cell.vertices[-1]
+            return 0 if values[a] == values[b] else 1
+        return 0
+    if k == 2:
+        if not group.abelian:
+            raise ProbeRefused(
+                "UnsupportedConfigurationError",
+                f"pi_1 of {space} is nonabelian; single-cell classes "
+                "do not assemble into an additive cochain")
+        loop = list(cell.vertices)
+        if space == "circle":
+            return winding_number_oracle(values, loop)
+        if space == "projective_plane":
+            return rp_parity_oracle(values, loop)
+        if space == "torus":
+            return tuple(winding_number_oracle(values, loop, offset)
+                         for offset in (0, 2))
+        return 0
+    tris = _probe_shell(cx, cell)
+    if space == "sphere_2":
+        return sphere_degree_oracle(values, tris)
+    if space == "projective_plane":
+        signs = _probe_lift_shell(values, tris)
+        lifted = [np.asarray(v, dtype=float) for v in values]
+        for vid, s in signs.items():
+            lifted[vid] = lifted[vid] * s
+        return sphere_degree_oracle(lifted, tris)
+    return 0

@@ -255,6 +255,28 @@ HOSTILE_DOCS = {
                                  "samples": [["A", {"x": 1}], ["B", 0.0],
                                              ["C", 1.0]]}},
                       "field", "obstruct"),
+    "sample-boolean-angle": (
+        {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
+         "field": {"space": "circle",
+                   "samples": [["A", True], ["B", 0.0], ["C", 1.0]]}},
+        "field", "obstruct"),
+    "sample-boolean-vector": (
+        {"complex": {"cells": [["A", "B", "C"]]},
+         "field": {"space": "sphere_2",
+                   "samples": [["A", [True, False, False]],
+                               ["B", [1.0, 0.0, 0.0]],
+                               ["C", [1.0, 0.0, 0.0]]]}},
+        "field", "obstruct"),
+    **{f"current-{name}": (
+        {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
+         "currents": [[["A", "B"], 1.0], [["B", "C"], value]]},
+        "currents[1]", "network")
+       for name, value in [("nan-string", "nan"),
+                           ("infinity-string", "Infinity"),
+                           ("numeric-string", "0.5"), ("boolean", True)]},
+    "drop-boolean": (
+        {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
+         "drops": [[0, False]]}, "drops[0]", "network"),
 }
 
 

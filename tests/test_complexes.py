@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from crystaltopo import (
     RING_MOD2,
+    Cell,
     Chain,
+    ComplexBuildError,
     DeltaComplex,
     UnsupportedConfigurationError,
     barycentric_subdivide,
@@ -86,6 +89,20 @@ def test_vertex_and_cell_lookup(disc):
     fid, sign = disc.find_cell(2, ("B", "A", "D"))
     assert disc.label_tuple(2, fid) == ("A", "B", "D")
     assert sign == -1  # one transposition
+
+
+def test_find_cell_sign_is_the_permutation_parity():
+    # a stored spelling need not be sorted; the sign relates it to the query
+    stored = (2, 0, 3, 1)
+    points = [Cell((v,), ()) for v in range(4)]
+    cx = DeltaComplex("ABCD", [points, [], [], [Cell(stored, ())]])
+    for query in itertools.permutations("ABCD"):
+        at = [stored.index(cx.vertex_id(v)) for v in query]
+        parity = round(np.linalg.det(np.eye(4)[at]))
+        assert cx.find_cell(3, query) == (0, parity)
+    pinched = DeltaComplex("AB", [points[:2], [], [Cell((0, 0, 1), ())]])
+    with pytest.raises(ComplexBuildError, match=r"repeated vertex in cell \(0, 0, 1\)"):
+        pinched.find_cell(2, ("A", "A", "B"))
 
 
 def test_boundary_of_edge(circle):

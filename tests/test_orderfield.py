@@ -1,17 +1,25 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystaltopo import (
     AmbiguousSamplingError,
+    Cell,
     CoverageError,
+    CrystalTopoError,
     DeltaComplex,
     DimensionError,
+    LatticeSpec,
     OrderField,
     UnsupportedConfigurationError,
     boundary_class,
+    boundary_classes,
+    build_lattice_complex,
     make_space,
     orientability,
     pi0_classes,
@@ -22,11 +30,18 @@ from crystaltopo import (
     winding_number,
 )
 
-from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _lift_sign
+from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _whole_turns
 
 from conftest import make_circle, make_grid, make_tetra_surface
 
-from oracles import winding_oracle
+from oracles import (
+    ProbeRefused,
+    boundary_class_oracle,
+    rp_parity_oracle,
+    sphere_degree_oracle,
+    winding_number_oracle,
+    winding_oracle,
+)
 
 
 def polygon(n, prefix="P"):
@@ -92,6 +107,16 @@ def test_non_unit_vectors_rejected(circle):
     cx = make_tetra_surface()
     with pytest.raises(Exception):
         OrderField.from_samples(cx, sp, {v: (2.0, 0.0, 0.0) for v in "ABCD"})
+
+
+@pytest.mark.parametrize("space, value", [
+    ("circle", True), ("circle", np.bool_(False)),
+    ("sphere_2", [True, False, False]), ("sphere_2", (1.0, False, 0.0)),
+    ("sphere_2", np.array([True, False, False])), ("torus", (True, 0.0))])
+def test_boolean_samples_are_refused(circle, space, value):
+    samples = {"A": value, "B": 0.0, "C": 0.0}
+    with pytest.raises(ValueError, match="vertex 'A': expected numbers"):
+        OrderField.from_samples(circle, make_space(space), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +198,20 @@ def test_antipodal_threshold_is_exact(sign):
     assert _angle_steps([0.0, step]) == step
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("turns", [0, 1])
+def test_whole_turn_threshold_is_exact(sign, turns):
+    # a winding sum is accepted within 1e-9 turns of an integer, refused
+    # beyond; the last step closes ``turns`` turns plus the offset
+    def angles(offset):
+        return [sign * a for a in [0.0, 2.0, 4.0, 6.0][:1 + 3 * turns]] + [
+            sign * (turns + offset) * math.tau]
+
+    assert _whole_turns(angles(0.99e-9)) == sign * turns
+    with pytest.raises(AmbiguousSamplingError, match="not an integer"):
+        _whole_turns(angles(1.01e-9))
+
+
 def test_empty_loop_is_refused_by_every_probe():
     cx, names, _ = polygon(3)
     probes = [
@@ -238,14 +277,20 @@ def test_orthogonal_directors_are_ambiguous():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_perpendicular_threshold_is_exact(sign):
-    prev = np.array([1.0, 0.0, 0.0])
+    # directors u and w with u.w = dot, and x at 45 degrees to both: the
+    # loop u, w, x is odd exactly when u and w point apart
+    cx, names, loop = polygon(3)
 
-    def director(dot):
-        return np.array([dot, math.sqrt(1.0 - dot * dot), 0.0])
+    def parity(dot):
+        f = OrderField.from_samples(cx, make_space("projective_plane"), {
+            names[0]: (1.0, 0.0, 0.0),
+            names[1]: (dot, math.sqrt(1.0 - dot * dot), 0.0),
+            names[2]: (math.sqrt(0.5), math.sqrt(0.5), 0.0)})
+        return rp_parity(f, loop)
 
-    with pytest.raises(AmbiguousSamplingError):
-        _lift_sign(prev, director(sign * ANGLE_TOL))
-    assert _lift_sign(prev, director(sign * 2 * ANGLE_TOL)) == sign
+    with pytest.raises(AmbiguousSamplingError, match="perpendicular"):
+        parity(sign * ANGLE_TOL)
+    assert parity(sign * 2 * ANGLE_TOL) == (0 if sign > 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +327,29 @@ def test_constant_shell_has_degree_zero(tetra_surface):
     f = OrderField.from_samples(tetra_surface, sp,
                                 {v: (0.0, 0.0, 1.0) for v in "ABCD"})
     assert sphere_degree(f, _oriented_triangles(tetra_surface)) == 0
+
+
+def _small_triangle_field(tetra_surface, degree):
+    # the triangle (pole, t on the x-z arc, t on the y-z arc) has
+    # tan(solid angle / 2) = tan(t / 2)**2
+    t = 2.0 * math.atan(math.sqrt(math.tan(2.0 * math.pi * degree)))
+    s, c = math.sin(t), math.cos(t)
+    return OrderField.from_samples(
+        tetra_surface, make_space("sphere_2"),
+        {"A": (0.0, 0.0, 1.0), "B": (s, 0.0, c), "C": (0.0, s, c),
+         "D": (0.0, 0.0, -1.0)})
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_degree_threshold_is_exact(tetra_surface, sign):
+    # a summed solid angle is accepted within 0.01 turns of an integer
+    abc = [(sign, tuple(tetra_surface.vertex_id(v) for v in "ABC"))]
+    inside = _small_triangle_field(tetra_surface, 0.0099)
+    assert sphere_degree(inside, abc) == 0
+    outside = _small_triangle_field(tetra_surface, 0.0101)
+    with pytest.raises(AmbiguousSamplingError,
+                       match="not close to an integer"):
+        sphere_degree(outside, abc)
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +400,245 @@ def test_winding_on_two_cell_boundary(torus):
     sp = make_space("circle")
     f = OrderField.from_function(torus, sp, lambda label: 0.0)
     assert all(boundary_class(f, 2, c) == 0 for c in range(torus.n_cells(2)))
+
+
+# ---------------------------------------------------------------------------
+# batched probes against the per-cell reference
+# ---------------------------------------------------------------------------
+
+def _probe_outcome(fn):
+    try:
+        return "value", fn()
+    except ProbeRefused as exc:
+        return exc.kind, str(exc)
+    except CrystalTopoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _icosahedron():
+    """One 3-cell whose shell is the 20 outward triangles of an
+    icosahedron; each vertex is labelled by its coordinates."""
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    points = [p for a in (1.0, -1.0) for b in (g, -g)
+              for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))]
+    tris = [t for t in itertools.combinations(points, 3)
+            if all(math.isclose(math.dist(p, q), 2.0)
+                   for p, q in itertools.combinations(t, 2))]
+    skeleton = DeltaComplex.from_simplices(tris)
+    labels = skeleton.vertex_labels
+    faces = tuple(
+        (fid, 1 if np.linalg.det([labels[v] for v in c.vertices]) > 0 else -1)
+        for fid, c in enumerate(skeleton.cells[2]))
+    return DeltaComplex(labels, [*skeleton.cells,
+                                 [Cell(tuple(range(len(labels))), faces)]])
+
+
+def _field_complex(kind, scheme, side, removed):
+    if kind == "icosahedron":
+        return _icosahedron()
+    dim = 2 if kind == "torus" else 3
+    boundary = {"torus": "periodic", "free": "free",
+                "constant": "constant"}[kind]
+    spec = LatticeSpec(
+        dimension=dim, ambient=dim,
+        generators=tuple(tuple(float(i == j) for j in range(dim))
+                         for i in range(dim)),
+        index_box=((0, side),) * dim, scheme=scheme,
+        removed_indices=tuple(removed), boundary=boundary,
+        periodic_axes=tuple(range(1, dim + 1)) if kind == "torus" else ())
+    return build_lattice_complex(spec)[0]
+
+
+def test_director_lift_keeps_the_sign_of_the_least_vertex():
+    # Adjacent icosahedron vertices are 63 degrees apart, so a director
+    # field pointing at them lifts over the shell whatever signs it is
+    # stored with, and the lift has degree +-1 by the sign of vertex 0.
+    cx = _icosahedron()
+    rng = np.random.default_rng(3)
+    for flip0 in (1, -1, 1, -1):
+        signs = rng.choice([1, -1], cx.n_vertices)
+        signs[0], signs[-1] = flip0, -flip0
+        f = OrderField.from_samples(cx, make_space("projective_plane"), {
+            lab: _unit(np.multiply(lab, s))
+            for lab, s in zip(cx.vertex_labels, signs)})
+        assert boundary_class(f, 3, 0) == flip0
+        assert boundary_class_oracle(f, 3, 0) == flip0
+    sphere = OrderField.from_samples(cx, make_space("sphere_2"), {
+        lab: _unit(lab) for lab in cx.vertex_labels})
+    assert boundary_classes(sphere, 3) == [1]
+
+
+def _unit(v):
+    return tuple(np.asarray(v) / np.linalg.norm(v))
+
+
+def _pushed(rng, base, tangent):
+    """A unit vector at one of the probe thresholds against ``base``."""
+    pick = rng.integers(4)
+    if pick == 0:
+        # antipodal, or turned off the antipode towards ``tangent`` by an
+        # angle around the 1e-9 degeneracy bound on 1 + a.b + b.c + c.a
+        delta = rng.choice([0.0, 0.5e-9, 2e-9, 5e-9, 2e-8])
+        return _unit(-(math.cos(delta) * base + math.sin(delta) * tangent))
+    if pick == 1:
+        return tuple(tangent)
+    tol = ANGLE_TOL * rng.choice([0.5, 1.0, 2.0]) * rng.choice([1, -1])
+    side = tangent if pick == 2 else _unit(np.cross(base, rng.normal(size=3)))
+    return _unit(tol * base + math.sqrt(1.0 - tol * tol) * np.asarray(side))
+
+
+def _sample(rng, space, base, tangent, mode):
+    """One vertex sample: ``base`` itself, near it, pushed to a probe
+    threshold against it, or anywhere."""
+    if space in ("circle", "torus"):
+        if mode == "same":
+            angles = list(base)
+        elif mode == "near":
+            angles = [b + rng.normal(0.0, 0.3) for b in base]
+        elif mode == "push":
+            tol = ANGLE_TOL * rng.choice([0.5, 1.0, 2.0]) * rng.choice([1, -1])
+            angles = [b + math.pi - tol for b in base]
+        else:
+            angles = list(rng.uniform(-math.pi, math.pi, len(base)))
+        return angles[0] if space == "circle" else tuple(angles)
+    if space == "finite_set":
+        return rng.choice(["a", "b"]) if mode == "far" else "a"
+    if space == "biaxial_nematic":
+        return np.eye(3).tolist()
+    if mode == "same":
+        v = base
+    elif mode == "near":
+        v = _unit(base + rng.normal(0.0, 0.3, 3))
+    elif mode == "push":
+        v = _pushed(rng, base, tangent)
+    else:
+        v = _unit(rng.normal(size=3))
+    # a director is stored with either sign
+    flip = space == "projective_plane" and rng.random() < 0.5
+    return tuple(-x if flip else x for x in v)
+
+
+# (space, degree) pairs; the zero probes and refused spaces once each
+PROBED = [("circle", 2), ("torus", 2), ("projective_plane", 2),
+          ("projective_plane", 3), ("sphere_2", 3)] * 3 + [
+    ("finite_set", 1), ("circle", 1), ("sphere_2", 2), ("circle", 3),
+    ("finite_set", 3), ("biaxial_nematic", 2)]
+
+
+@st.composite
+def probe_cases(draw):
+    space, k = draw(st.sampled_from(PROBED))
+    kind = draw(st.sampled_from(
+        ["free", "constant", "icosahedron"] + (["torus"] if k < 3 else [])))
+    scheme = draw(st.sampled_from(["cubic", "triangular"]))
+    side = draw(st.integers(3, 4) if kind == "torus" else st.integers(1, 2))
+    dim = 2 if kind == "torus" else 3
+    sites = list(itertools.product(range(side + (kind != "torus")),
+                                   repeat=dim))
+    removed = draw(st.lists(st.sampled_from(sites), max_size=2, unique=True)
+                   ) if kind != "icosahedron" else []
+    # weights of the sample modes same, near, push, far
+    weights = draw(st.sampled_from([(6, 1, 0, 1), (3, 1, 1, 1), (4, 0, 1, 0),
+                                    (2, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)]))
+    radial = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return kind, scheme, side, removed, space, k, weights, radial, seed
+
+
+def _bases(rng, cx, space, radial):
+    """Per vertex the value samples gather around: one value everywhere,
+    or a vortex or hedgehog centred at a random point of the sample."""
+    labels = cx.vertex_labels
+    if radial:
+        points = np.asarray(labels, dtype=float)
+        offsets = points - rng.uniform(points.min(0), points.max(0))
+        if space in ("circle", "torus"):
+            return [[math.atan2(d[1], d[0])] * (1 if space == "circle" else 2)
+                    for d in offsets]
+        return [np.asarray(_unit(np.resize(d, 3) + [0.0, 0.0, 0.3]))
+                for d in offsets]
+    if space in ("circle", "torus"):
+        return [rng.uniform(-math.pi, math.pi,
+                            1 if space == "circle" else 2)] * len(labels)
+    return [np.asarray(_unit(rng.normal(size=3)))] * len(labels)
+
+
+def _random_field(rng, cx, space, weights, radial):
+    """Samples drawn in the modes same, near, push and far by ``weights``."""
+    towards = rng.normal(size=3)
+    modes = rng.choice(["same", "near", "push", "far"], size=cx.n_vertices,
+                       p=np.asarray(weights, dtype=float) / sum(weights))
+    samples = {}
+    for lab, base, mode in zip(cx.vertex_labels,
+                               _bases(rng, cx, space, radial), modes):
+        # one tangent per base, perpendicular to it
+        tangent = (None if space in ("circle", "torus")
+                   else np.asarray(_unit(np.cross(base, towards))))
+        samples[lab] = _sample(rng, space, base, tangent, mode)
+    return OrderField.from_samples(
+        cx, make_space(space, ("a", "b") if space == "finite_set" else ()),
+        samples)
+
+
+@pytest.mark.parametrize("space", ["projective_plane", "sphere_2"])
+def test_shell_refusals_match_the_per_cell_reference(space):
+    # Which refusal a director shell meets first depends on the order of
+    # its walk, and few lattice shells are large enough to tell; the
+    # icosahedron shell is, in about one field in seventy.
+    shells = [_icosahedron(), _field_complex("free", "cubic", 1, [])]
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        cx = shells[seed % 2]
+        f = _random_field(rng, cx, space, [(3, 1, 1, 1), (2, 0, 1, 0),
+                                           (1, 0, 2, 0)][seed % 3], seed % 4 < 2)
+        assert _probe_outcome(lambda: boundary_classes(f, 3)) == \
+            _probe_outcome(lambda: [boundary_class_oracle(f, 3, c)
+                                    for c in range(cx.n_cells(3))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_cases())
+def test_batched_probes_match_the_per_cell_reference(case):
+    kind, scheme, side, removed, space, k, weights, radial, seed = case
+    try:
+        cx = _field_complex(kind, scheme, side, removed)
+    except CrystalTopoError:
+        return
+    rng = np.random.default_rng(seed)
+    f = _random_field(rng, cx, space, weights, radial)
+    if k > cx.dim:
+        return
+    n = cx.n_cells(k)
+
+    def reference(ids):
+        return [boundary_class_oracle(f, k, c) for c in ids]
+
+    assert _probe_outcome(lambda: boundary_classes(f, k)) == \
+        _probe_outcome(lambda: reference(range(n)))
+    ids = rng.integers(0, n, size=min(n, 6)).tolist() if n else []
+    assert _probe_outcome(lambda: boundary_classes(f, k, ids)) == \
+        _probe_outcome(lambda: reference(ids))
+    for c in ids[:3]:
+        assert _probe_outcome(lambda: boundary_class(f, k, c)) == \
+            _probe_outcome(lambda: boundary_class_oracle(f, k, c))
+    # the public probes on loose vertex walks and triangle sets, whose
+    # sums need not be whole
+    for _ in range(4):
+        walk = rng.integers(0, cx.n_vertices, rng.integers(1, 6)).tolist()
+        tris = [(int(rng.choice([1, -1])),
+                 tuple(rng.integers(0, cx.n_vertices, 3).tolist()))
+                for _ in range(rng.integers(0, 5))]
+        public = {
+            "circle": (lambda: winding_number(f, walk),
+                       lambda: winding_number_oracle(f.values, walk)),
+            "torus": (lambda: torus_winding(f, walk),
+                      lambda: tuple(winding_number_oracle(f.values, walk, o)
+                                    for o in (0, 2))),
+            "projective_plane": (lambda: rp_parity(f, walk),
+                                 lambda: rp_parity_oracle(f.values, walk)),
+            "sphere_2": (lambda: sphere_degree(f, tris),
+                         lambda: sphere_degree_oracle(f.values, tris)),
+        }
+        if space in public:
+            batched, reference = public[space]
+            assert _probe_outcome(batched) == _probe_outcome(reference)
