@@ -82,7 +82,7 @@ def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     values: dict[int, object] = {}
     if not group.trivial:
         classes = boundary_classes(field_, k)
-        if group.name != "set":
+        if group.order == 2:
             classes = [_reduce(group, v) for v in classes]
         zero = _zero(group)
         values = {cid: v for cid, v in enumerate(classes) if v != zero}

@@ -10,8 +10,9 @@ samples are too far apart for the reconstruction to be trustworthy.
 
 :func:`boundary_classes` probes all requested cells of one degree in one
 batched pass: stacked determinants and dot products for every shell
-triangle, one vectorised sign lift for every director shell.  Each value
-and each refusal is the one the cell gives when probed alone.
+triangle, one vectorised sign lift over the director shells that need
+one.  Each value and each refusal is the one the cell gives when probed
+alone.
 """
 
 from __future__ import annotations
@@ -474,11 +475,20 @@ def _degrees(field: OrderField, coeff: np.ndarray, tri: np.ndarray,
     dots = np.stack([_dots(a, b), _dots(b, c), _dots(c, a)], axis=1)
     if lift:
         edges = _lift_signs(dots)
-        sign, refused = _lift_shells(edges, tri, owner, count)
-        # Negating a director negates the determinant and its dot products
-        # exactly, so these are the values of the signed directors.
-        det = det * sign.prod(axis=1)
-        dots = dots * (sign * sign[:, [1, 2, 0]])
+        # A shell whose joined directors all point the same way already is
+        # its own lift; only the others are walked.
+        refused = np.zeros(count, dtype=bool)
+        turned = np.zeros(count, dtype=bool)
+        turned[owner[(edges != 1).any(axis=1)]] = True
+        walk = turned[owner]
+        if walk.any():
+            sign = np.ones(tri.shape)
+            sign[walk], refused = _lift_shells(edges[walk], tri[walk],
+                                               owner[walk], count)
+            # Negating a director negates the determinant and its dot
+            # products exactly: these are the signed directors' values.
+            det = det * sign.prod(axis=1)
+            dots = dots * (sign * sign[:, [1, 2, 0]])
     s = 1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
     degenerate = np.zeros(count, dtype=bool)
     degenerate[owner[(np.abs(det) < 1e-12) & (np.abs(s) < 1e-9)]] = True

@@ -487,9 +487,10 @@ def _pushed(rng, base, tangent):
     return _unit(tol * base + math.sqrt(1.0 - tol * tol) * np.asarray(side))
 
 
-def _sample(rng, space, base, tangent, mode):
+def _sample(rng, space, base, tangent, mode, flips):
     """One vertex sample: ``base`` itself, near it, pushed to a probe
-    threshold against it, or anywhere."""
+    threshold against it, or anywhere; a director is stored negated with
+    probability ``flips``."""
     if space in ("circle", "torus"):
         if mode == "same":
             angles = list(base)
@@ -513,8 +514,7 @@ def _sample(rng, space, base, tangent, mode):
         v = _pushed(rng, base, tangent)
     else:
         v = _unit(rng.normal(size=3))
-    # a director is stored with either sign
-    flip = space == "projective_plane" and rng.random() < 0.5
+    flip = space == "projective_plane" and rng.random() < flips
     return tuple(-x if flip else x for x in v)
 
 
@@ -566,6 +566,7 @@ def _bases(rng, cx, space, radial):
 def _random_field(rng, cx, space, weights, radial):
     """Samples drawn in the modes same, near, push and far by ``weights``."""
     towards = rng.normal(size=3)
+    flips = rng.choice([0.0, 0.5])
     modes = rng.choice(["same", "near", "push", "far"], size=cx.n_vertices,
                        p=np.asarray(weights, dtype=float) / sum(weights))
     samples = {}
@@ -574,7 +575,7 @@ def _random_field(rng, cx, space, weights, radial):
         # one tangent per base, perpendicular to it
         tangent = (None if space in ("circle", "torus")
                    else np.asarray(_unit(np.cross(base, towards))))
-        samples[lab] = _sample(rng, space, base, tangent, mode)
+        samples[lab] = _sample(rng, space, base, tangent, mode, flips)
     return OrderField.from_samples(
         cx, make_space(space, ("a", "b") if space == "finite_set" else ()),
         samples)
@@ -627,7 +628,7 @@ def test_batched_probes_match_the_per_cell_reference(case):
         walk = rng.integers(0, cx.n_vertices, rng.integers(1, 6)).tolist()
         tris = [(int(rng.choice([1, -1])),
                  tuple(rng.integers(0, cx.n_vertices, 3).tolist()))
-                for _ in range(rng.integers(0, 5))]
+                for _ in range(rng.integers(0, 17))]
         public = {
             "circle": (lambda: winding_number(f, walk),
                        lambda: winding_number_oracle(f.values, walk)),
