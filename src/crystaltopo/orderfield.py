@@ -113,12 +113,22 @@ def make_space(name: str, labels: Sequence = ()) -> OrderSpace:
 # Value validation per space
 
 
+_PLAIN_NUMBERS = {float, int}
+
+
 def _holds_bool(value) -> bool:
+    """Whether a sample (a number, nested lists of numbers or an array)
+    holds a Python or numpy boolean anywhere."""
+    if type(value) in _PLAIN_NUMBERS:
+        return False
+    if isinstance(value, (list, tuple)):
+        # a list of plain floats and ints, the usual sample, is settled
+        # without a call per entry
+        return (not _PLAIN_NUMBERS.issuperset(map(type, value))
+                and any(map(_holds_bool, value)))
     if isinstance(value, np.ndarray):
         return value.dtype.kind == "b" or (
             value.dtype == object and _holds_bool(value.tolist()))
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
     return isinstance(value, (bool, np.bool_))
 
 
