@@ -10,9 +10,9 @@ samples are too far apart for the reconstruction to be trustworthy.
 
 :func:`boundary_classes` probes all requested cells of one degree in one
 batched pass: stacked determinants and dot products for every shell
-triangle, one vectorised sign lift over the director shells that need
-one.  Each value and each refusal is the one the cell gives when probed
-alone.
+triangle, and a sign-lift walk of each director shell whose joined
+samples point apart.  Each value and each refusal is the one the cell
+gives when probed alone.
 """
 
 from __future__ import annotations
@@ -290,11 +290,9 @@ def _windings(field: OrderField, loops: Sequence[Sequence[int]],
 def _vectors(field: OrderField, ids: np.ndarray) -> np.ndarray:
     """The values at the vertex ids ``ids`` (any shape) as floats, with
     one more axis; each distinct vertex is converted once."""
-    seen = np.zeros(len(field.values), dtype=bool)
-    seen[ids] = True
-    table = np.array([field.values[v] for v in np.flatnonzero(seen).tolist()],
-                     dtype=float)
-    return table[(np.cumsum(seen) - 1)[ids]]
+    used, where = np.unique(ids, return_inverse=True)
+    table = np.array([field.values[v] for v in used.tolist()], dtype=float)
+    return table[where.reshape(np.shape(ids))]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -355,90 +353,43 @@ def _shells(complex_: DeltaComplex, cells: Sequence[Cell]):
     of the first cell with any other face, for the caller to raise once
     the cells before it are probed.
     """
-    count = np.fromiter((len(c.faces) for c in cells), np.int64, len(cells))
-    pairs = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(
-            c.faces for c in cells)), np.int64, 2 * int(count.sum()))
-    fid, coeff = pairs.reshape(-1, 2).T
     layer = complex_.cells[2]
-    corners = [layer[f].vertices for f in fid.tolist()]
-    size = np.fromiter(map(len, corners), np.int64, len(corners))
-    flat = np.fromiter(itertools.chain.from_iterable(corners), np.int64,
-                       int(size.sum()))
-    owner = np.repeat(np.arange(len(cells)), count)
+    coeff: list[int] = []
+    corners: list[int] = []
+    owner: list[int] = []
     covered, refusal = len(cells), None
-    bad = (size != 3) & (size != 4)
-    if bad.any():
-        j = int(np.argmax(bad))
-        covered = int(owner[j])
-        refusal = DimensionError(f"unexpected 2-cell with {size[j]} vertices")
-    halves = np.where(owner < covered, size - 2, 0)
-    face = np.repeat(np.arange(len(size)), halves)
-    second = np.arange(len(face)) - np.repeat(np.cumsum(halves) - halves,
-                                              halves)
-    start = (np.cumsum(size) - size)[face]
-    tri = np.stack([flat[start], flat[start + 1 + second],
-                    flat[start + 2 + second]], axis=1)
-    return coeff[face], tri, owner[face], covered, refusal
+    for i, cell in enumerate(cells):
+        mark = len(coeff)
+        for fid, c in cell.faces:
+            v = layer[fid].vertices
+            if len(v) == 4:
+                corners += (v[0], v[1], v[2], v[0], v[2], v[3])
+                coeff += (c, c)
+            elif len(v) == 3:
+                corners += v
+                coeff.append(c)
+            else:
+                refusal = DimensionError(
+                    f"unexpected 2-cell with {len(v)} vertices")
+                break
+        if refusal is not None:
+            del coeff[mark:], corners[3 * mark:]
+            covered = i
+            break
+        owner += [i] * (len(coeff) - mark)
+    return (coeff, np.array(corners, np.int64).reshape(-1, 3),
+            np.array(owner, np.int64), covered, refusal)
 
 
-def _lift_shells(edges: np.ndarray, tri: np.ndarray, owner: np.ndarray,
-                 n_shells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign the directors of each shell so that every pair joined by a
+def _walk_shell(triangles: list, edges: list) -> dict[int, int]:
+    """Signs for the directors of one shell, so that every pair joined by a
     triangle edge points the same way.
 
-    Triangle t has vertices ``tri[t]`` on shell ``owner[t]`` and lift signs
-    ``edges[t]`` for its edges (a, b), (b, c), (c, a).  Each connected part
-    of a shell keeps the sign of its least vertex, as a walk of the shell
-    from there would.  Returns the sign of every triangle corner and a flag
-    per shell whose lift is refused: an edge sign of 0, or edge signs that
-    no choice per vertex satisfies.
-    """
-    # Number the (shell, vertex) pairs in that order, so that each shell's
-    # least vertex comes first among its own.
-    keys = (owner[:, None] * (int(tri.max()) + 1) + tri).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
-    node = np.empty(len(keys), dtype=np.int64)
-    node[order] = np.cumsum(fresh) - 1
-    node = node.reshape(tri.shape)
-    shell = np.repeat(owner, 3)[order[fresh]]
-    # A triangle edge from a vertex to itself joins a unit director to
-    # itself: its sign is +1 and it neither spreads nor breaks a lift.
-    u, w, e = node.ravel(), node[:, [1, 2, 0]].ravel(), edges.ravel()
-    src, dst = np.concatenate([u, w]), np.concatenate([w, u])
-    spread = np.tile(e, 2).astype(float)
-    # Each shell's least unsigned vertex starts a part with +1, and the
-    # part grows by all unsigned neighbours of signed vertices at once.
-    def leads(ids):
-        return ids[np.diff(shell[ids], prepend=-1) != 0]
-
-    sign = np.zeros(len(shell))
-    sign[leads(np.arange(len(shell)))] = 1
-    todo = sign == 0
-    while todo.any():
-        pull = np.bincount(dst, weights=sign[src] * spread,
-                           minlength=len(sign))
-        grow = todo & (pull != 0)
-        if grow.any():
-            sign[grow] = np.sign(pull[grow])
-        else:
-            sign[leads(np.flatnonzero(todo))] = 1
-        todo = sign == 0
-    refused = np.zeros(n_shells, dtype=bool)
-    refused[shell[u[(e == 0) | (sign[u] * sign[w] != e)]]] = True
-    return sign[node], refused
-
-
-def _lift_refusal(triangles: list, edges: list) -> AmbiguousSamplingError:
-    """The refusal a walk of a refused director shell meets first.
-
-    The walk starts at the least vertex of each connected part and follows
-    the shell edges in the order of the per-cell probe; ``edges[t]`` holds
-    the lift signs of the edges of the vertex triple ``triangles[t]``.
+    ``edges[t]`` holds the lift signs of the edges (a, b), (b, c), (c, a)
+    of the vertex triple ``triangles[t]``.  The walk starts at the least
+    vertex of each connected part, which keeps its sign, follows the shell
+    edges in the order of the per-cell probe and raises the first refusal
+    it meets.
     """
     sign_of: dict[tuple[int, int], int] = {}
     adjacency: dict[int, set[int]] = {}
@@ -449,86 +400,83 @@ def _lift_refusal(triangles: list, edges: list) -> AmbiguousSamplingError:
                 sign_of[a, b] = sign_of[b, a] = signs[i]
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
-    signs: dict[int, int] = {}
+    lifted: dict[int, int] = {}
     for start in sorted(adjacency):
-        if start in signs:
+        if start in lifted:
             continue
-        signs[start] = 1
+        lifted[start] = 1
         queue = [start]
         while queue:
             cur = queue.pop()
             for nxt in adjacency[cur]:
                 if not sign_of[cur, nxt]:
-                    return _perpendicular()
-                s = signs[cur] * sign_of[cur, nxt]
-                if nxt not in signs:
-                    signs[nxt] = s
+                    raise _perpendicular()
+                s = lifted[cur] * sign_of[cur, nxt]
+                if nxt not in lifted:
+                    lifted[nxt] = s
                     queue.append(nxt)
-                elif signs[nxt] != s:
-                    return AmbiguousSamplingError(
+                elif lifted[nxt] != s:
+                    raise AmbiguousSamplingError(
                         "line-field samples on the cell shell admit no "
                         "consistent sign lift; refine the sampling")
+    return lifted
 
 
-def _degrees(field: OrderField, coeff: np.ndarray, tri: np.ndarray,
+def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
              owner: np.ndarray, count: int, lift: bool = False) -> list[int]:
     """Degree of a sphere-valued field over each of ``count`` closed
     oriented triangle sets; triangle t has vertices ``tri[t]`` and
     coefficient ``coeff[t]`` in set ``owner[t]``, each set contiguous.
     With ``lift`` the values are directors, signed per set first."""
-    sizes = np.bincount(owner, minlength=count)
     if not len(tri):
         return [0] * count
     x = _vectors(field, tri)
     a, b, c = x[:, 0], x[:, 1], x[:, 2]
     det = np.linalg.det(x)
     dots = np.stack([_dots(a, b), _dots(b, c), _dots(c, a)], axis=1)
+    stop, refusal = count, None
     if lift:
         edges = _lift_signs(dots)
+        sign = np.ones(tri.shape)
+        sizes = np.bincount(owner, minlength=count)
+        first = np.cumsum(sizes) - sizes
         # A shell whose joined directors all point the same way already is
-        # its own lift; only the others are walked.
-        refused = np.zeros(count, dtype=bool)
-        turned = np.zeros(count, dtype=bool)
-        turned[owner[(edges != 1).any(axis=1)]] = True
-        walk = turned[owner]
-        if walk.any():
-            sign = np.ones(tri.shape)
-            sign[walk], refused = _lift_shells(edges[walk], tri[walk],
-                                               owner[walk], count)
-            # Negating a director negates the determinant and its dot
-            # products exactly: these are the signed directors' values.
-            det = det * sign.prod(axis=1)
-            dots = dots * (sign * sign[:, [1, 2, 0]])
+        # its own lift; the others are walked, up to the first refused.
+        for i in np.unique(owner[(edges != 1).any(axis=1)]).tolist():
+            rows = slice(first[i], first[i] + sizes[i])
+            corners = tri[rows].tolist()
+            try:
+                lifted = _walk_shell(corners, edges[rows].tolist())
+            except AmbiguousSamplingError as err:
+                stop, refusal = i, err
+                break
+            sign[rows] = [[lifted.get(v, 1) for v in t] for t in corners]
+        # Negating a director negates the determinant and its dot products
+        # exactly: these are the signed directors' values.
+        det = det * sign.prod(axis=1)
+        dots = dots * (sign * sign[:, [1, 2, 0]])
     s = 1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
     degenerate = np.zeros(count, dtype=bool)
     degenerate[owner[(np.abs(det) < 1e-12) & (np.abs(s) < 1e-9)]] = True
-    omega = [2.0 * math.atan2(d, t) for d, t in zip(det.tolist(), s.tolist())]
-    # Column j holds the j-th term of every shell, so adding the columns
-    # in turn sums each shell in its own order; the zero padding is exact.
-    first = np.cumsum(sizes) - sizes
-    terms = np.zeros((count, sizes.max()))
-    terms[owner, np.arange(len(owner)) - first[owner]] = coeff * np.array(omega)
-    total = np.zeros(count)
-    for column in terms.T:
-        total += column
-    degree = total / (4.0 * math.pi)
-    nearest = np.round(degree)
-    failing = degenerate | (np.abs(degree - nearest) > 0.01)
-    if lift:
-        failing |= refused
-    if failing.any():
-        i = int(np.argmax(failing))
-        if lift and refused[i]:
-            rows = slice(first[i], first[i] + sizes[i])
-            raise _lift_refusal(tri[rows].tolist(), edges[rows].tolist())
+    total = [0.0] * count
+    for o, k, d, t in zip(owner.tolist(), coeff, det.tolist(), s.tolist()):
+        total[o] += k * (2.0 * math.atan2(d, t))
+    out = []
+    for i in range(stop):
         if degenerate[i]:
             raise AmbiguousSamplingError(
                 "a spherical triangle of samples is degenerate (near a "
                 "half great circle); the solid angle is not determined")
-        raise AmbiguousSamplingError(
-            f"summed solid angle {float(degree[i])!r} turns is not close to "
-            "an integer")
-    return nearest.astype(int).tolist()
+        degree = total[i] / (4.0 * math.pi)
+        nearest = round(degree)
+        if abs(degree - nearest) > 0.01:
+            raise AmbiguousSamplingError(
+                f"summed solid angle {degree!r} turns is not close to an "
+                "integer")
+        out.append(nearest)
+    if refusal is not None:
+        raise refusal
+    return out
 
 
 def winding_number(field: OrderField, loop: Sequence[int]) -> int:
@@ -554,7 +502,7 @@ def sphere_degree(field: OrderField,
                   triangles: Sequence[tuple[int, tuple[int, int, int]]]) -> int:
     """Degree of a sphere-valued field over a closed oriented triangle set."""
     tris = list(triangles)
-    coeff = np.array([c for c, _ in tris])
+    coeff = [c for c, _ in tris]
     tri = np.array([t for _, t in tris], dtype=np.int64).reshape(-1, 3)
     return _degrees(field, coeff, tri, np.zeros(len(tris), np.int64), 1)[0]
 
