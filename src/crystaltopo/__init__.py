@@ -23,9 +23,6 @@ from .complexes import (
     boundary_of_cell,
     build_complex,
     coboundary_map,
-    coboundary_matrix,
-    format_matrix_dense,
-    format_matrix_triples,
     incidence_matrix,
     validate_complex,
 )
@@ -101,10 +98,8 @@ from .orderfield import (
 )
 from .snf import (
     SmithDecomposition,
-    exact_determinant,
     smith_diagonal,
     smith_normal_form,
-    solve_integer,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -65,11 +65,18 @@ def _fail(msg: str) -> DocumentError:
     return DocumentError(msg)
 
 
-def _as_label(x: Any, where: str):
-    """JSON labels: lists become tuples so they can key vertex lookups."""
+def _as_label(x: Any, where: str, index: int | None = None):
+    """JSON labels: lists become tuples so they can key vertex lookups.
+
+    Only list and object elements are walked; scalars pass through as they
+    are.  A refusal names ``where``, or its entry ``where[index]``
+    (formatted only then)."""
     if isinstance(x, list):
-        return tuple(_as_label(v, where) for v in x)
+        return tuple([_as_label(v, where, index)
+                      if isinstance(v, (list, dict)) else v for v in x])
     if isinstance(x, dict):
+        if index is not None:
+            where = f"{where}[{index}]"
         raise _fail(f"{where}: a vertex label cannot be an object")
     return x
 
@@ -195,7 +202,7 @@ def build_from_document(doc: dict) -> tuple[DeltaComplex, dict]:
         auto_close = body.get("auto_close", True)
         if not isinstance(auto_close, bool):
             raise _fail("complex.auto_close must be a boolean")
-        simplices = [tuple(_as_label(v, f"complex.cells[{i}]") for v in c)
+        simplices = [_as_label(c, "complex.cells", i)
                      for i, c in enumerate(cells)]
         try:
             cx = DeltaComplex.from_simplices(simplices, auto_close=auto_close)
@@ -260,7 +267,7 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
     for i, entry in enumerate(samples):
         if not isinstance(entry, list) or len(entry) != 2:
             raise _fail(f"field.samples[{i}]: expected [vertex, value]")
-        label = _as_label(entry[0], f"field.samples[{i}]")
+        label = _as_label(entry[0], "field.samples", i)
         if label in mapping:
             raise _fail(f"field.samples[{i}]: vertex {label!r} sampled twice")
         mapping[label] = entry[1]
@@ -287,7 +294,7 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
                 raise _fail(f"{key}[{i}]: edge id {edge} out of range")
             cid, sign = edge, 1
         elif isinstance(edge, list) and len(edge) == 2:
-            ends = tuple(_as_label(v, f"{key}[{i}]") for v in edge)
+            ends = _as_label(edge, key, i)
             try:
                 cid, sign = cx.find_cell(1, ends)
             except CrystalTopoError as exc:

@@ -605,13 +605,8 @@ def incidence_matrix(complex_: DeltaComplex, k: int) -> np.ndarray:
     return M
 
 
-def coboundary_matrix(complex_: DeltaComplex, k: int) -> np.ndarray:
-    """Matrix of delta^k: the transpose of [d_{k+1}]."""
-    return incidence_matrix(complex_, k + 1).T
-
-
 # ---------------------------------------------------------------------------
-# Validation and export
+# Validation
 
 
 @dataclass
@@ -647,21 +642,6 @@ def validate_complex(complex_: DeltaComplex) -> ValidationReport:
     ok = not messages
     return ValidationReport(ok, complex_.closure_defects, tuple(failures),
                             tuple(messages))
-
-
-def format_matrix_dense(matrix: np.ndarray) -> str:
-    """Plain-text dense integer grid, one row per line."""
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in matrix)
-
-
-def format_matrix_triples(matrix: np.ndarray) -> str:
-    """Sparse export: 'row col value' per nonzero, row-major."""
-    lines = []
-    for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if x != 0:
-                lines.append(f"{i} {j} {int(x)}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

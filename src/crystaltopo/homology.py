@@ -8,8 +8,9 @@ use the same elimination modulo 2.  Real coefficients give the same ranks
 as the integers with no torsion, so they share the integer result rather
 than trusting floating point.  Boundary and coboundary membership
 append the vector to the same sparse columns and compare invariant
-factors with the cached reduction.  Generators of a nonzero group use the
-dense Smith normal form with transforms.
+factors with the cached reduction.  Generators of a nonzero group come
+from one tracked Smith reduction of d_k, whose V^-1 gives the cycle
+coordinates Y of the columns of d_{k+1}, plus the Smith form of Y.
 """
 
 from __future__ import annotations
@@ -231,9 +232,12 @@ def homology_generators(complex_: DeltaComplex,
     """Integer homology generators as (order, chain) pairs.
 
     Order 0 marks a free generator; d >= 2 a torsion generator of order d.
-    The kernel of the k-th boundary map is expressed in a basis adapted to
-    the image of the (k+1)-st, so each basis vector carries one invariant
-    factor.
+    One tracked Smith form U d_k V = D gives the cycle basis V[:, r:] and,
+    since V is unimodular, the unique coordinates V^-1 c of every cycle c
+    in it; for k = 0 every chain is a cycle and the basis is the standard
+    one.  The coordinates Y of the columns of d_{k+1} are reduced once
+    more, and the basis is adapted to the image so each basis vector
+    carries one invariant factor.
     """
     group = homology(complex_, k)
     if not group.betti and not group.torsion:
@@ -241,29 +245,30 @@ def homology_generators(complex_: DeltaComplex,
     n_k = complex_.n_cells(k)
 
     if k == 0:
+        r = 0
         kernel = [[1 if i == j else 0 for j in range(n_k)] for i in range(n_k)]
+        vinv = kernel
     else:
         dec = smith_normal_form(incidence_matrix(complex_, k))
         r = dec.rank
-        kernel = [[dec.V[i][j] for j in range(r, n_k)] for i in range(n_k)]
-    z = len(kernel[0])
+        kernel = [row[r:] for row in dec.V]
+        vinv = dec.vinv
+    z = n_k - r
 
     if k == complex_.dim or complex_.n_cells(k + 1) == 0:
         return [(0, Chain(k, {i: kernel[i][j] for i in range(n_k)}, RING_INT))
                 for j in range(z)]
 
-    columns = boundary_columns(complex_, k + 1)
-    dec_k = smith_normal_form(kernel)
-    Y = [[0] * len(columns) for _ in range(z)]
-    for j, col in enumerate(columns):
-        y = dec_k.solve([col.get(i, 0) for i in range(n_k)])
-        if y is None:
-            raise InternalInconsistencyError(
-                "boundary column is not an integral cycle combination")
-        for i in range(z):
-            Y[i][j] = y[i]
+    # Cycle coordinates of the columns of d_{k+1}: one sparse dot per row
+    # of V^-1.  Each column is a cycle, so its head coordinates vanish.
+    columns = [list(col.items()) for col in boundary_columns(complex_, k + 1)]
+    coords = [[sum(row[i] * v for i, v in col) for col in columns]
+              for row in vinv]
+    if any(any(row) for row in coords[:r]):
+        raise InternalInconsistencyError(
+            "boundary column is not an integral cycle combination")
 
-    dec_y = smith_normal_form(Y)
+    dec_y = smith_normal_form(coords[r:])
     adapted = matmul_int(kernel, dec_y.uinv)
     orders = dec_y.diagonal
     out: list[tuple[int, Chain]] = []

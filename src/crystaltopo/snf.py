@@ -8,9 +8,10 @@ Ranks and invariant factors of boundary matrices come from
 column representation and hands only the leftover non-unit block to the
 dense Euclidean reducer; appending a vector as one more column and
 comparing the factors decides whether it lies in the image.  The dense
-Smith normal form routine keeps the full transform pair (and the inverse
-of the left transform); it serves the explicit generators and the exact
-integer solve of ``SmithDecomposition.solve``.
+Smith normal form routine keeps both transforms and their inverses; it
+serves the explicit generators, which come from one tracked reduction of
+d_k (its V spans the cycles, its V^-1 gives cycle coordinates Y of the
+columns of d_{k+1}) plus the Smith form of Y.
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ class SmithDecomposition:
     """Result of ``smith_normal_form``: U @ A @ V == D.
 
     U and V are square unimodular (|det| = 1); D is diagonal with
-    nonnegative entries, each dividing the next.  ``uinv`` is the exact
-    inverse of U, kept so solvers can reconstruct solutions without a
-    separate inversion pass.
+    nonnegative entries, each dividing the next.  ``uinv`` and ``vinv``
+    are the exact inverses of U and V, updated alongside them, so no
+    inversion pass is needed.
     """
 
     U: list[list[int]]
     D: list[list[int]]
     V: list[list[int]]
     uinv: list[list[int]]
+    vinv: list[list[int]]
 
     @property
     def diagonal(self) -> list[int]:
@@ -69,31 +71,6 @@ class SmithDecomposition:
     @property
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal if d != 0]
-
-    def solve(self, rhs: Sequence[int]) -> list[int] | None:
-        """One integer solution x of A x = b, or None when unsolvable.
-
-        With U A V = D the system becomes D y = U b, solvable iff each
-        pivot divides its target and the rank-excess entries of U b vanish.
-        """
-        m = len(self.U)
-        n = len(self.V)
-        if len(rhs) != m:
-            raise ValueError("rhs length mismatch")
-        ub = [sum(self.U[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-        diag = self.diagonal
-        y = [0] * n
-        for i in range(m):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % d != 0:
-                    return None
-                if i < n:
-                    y[i] = ub[i] // d
-        return [sum(self.V[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
 def _min_abs_position(A, start: int) -> tuple[int, int] | None:
@@ -129,9 +106,11 @@ class _Reducer:
             self.U = _identity(self.m)
             self.uinv = _identity(self.m)
             self.V = _identity(self.n)
+            self.vinv = _identity(self.n)
 
-    # Row operations mirror onto U (left transform); the inverse gets the
-    # inverse column operation so U @ uinv stays the identity throughout.
+    # Row operations mirror onto U (left transform) and column operations
+    # onto V; each inverse gets the inverse operation on the other side,
+    # so U @ uinv and V @ vinv stay the identity throughout.
     def swap_rows(self, i, j):
         if i == j:
             return
@@ -169,6 +148,7 @@ class _Reducer:
         if self.track:
             for row in self.V:
                 row[i], row[j] = row[j], row[i]
+            self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def add_col(self, dst, src, k):
         if k == 0:
@@ -178,6 +158,9 @@ class _Reducer:
         if self.track:
             for row in self.V:
                 row[dst] += k * row[src]
+            v_src, v_dst = self.vinv[src], self.vinv[dst]
+            for idx in range(self.n):
+                v_src[idx] -= k * v_dst[idx]
 
     def reduce(self) -> None:
         """Diagonalize A in place with the divisibility chain."""
@@ -213,16 +196,18 @@ class _Reducer:
                 self.swap_rows(s, pos[0])
                 self.swap_cols(s, pos[1])
             # Enforce divisibility: pivot must divide the whole tail block.
+            # A unit divides everything, so only other pivots need the scan.
             pivot = A[s][s]
             offender = None
-            for i in range(s + 1, self.m):
-                row = A[i]
-                for j in range(s + 1, self.n):
-                    if row[j] % pivot != 0:
-                        offender = i
+            if pivot not in (1, -1):
+                for i in range(s + 1, self.m):
+                    row = A[i]
+                    for j in range(s + 1, self.n):
+                        if row[j] % pivot != 0:
+                            offender = i
+                            break
+                    if offender is not None:
                         break
-                if offender is not None:
-                    break
             if offender is not None:
                 self.add_row(s, offender, 1)
                 continue
@@ -240,7 +225,8 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     """
     red = _Reducer(matrix, track=True)
     red.reduce()
-    return SmithDecomposition(U=red.U, D=red.A, V=red.V, uinv=red.uinv)
+    return SmithDecomposition(U=red.U, D=red.A, V=red.V, uinv=red.uinv,
+                              vinv=red.vinv)
 
 
 def smith_diagonal(matrix) -> list[int]:
@@ -326,31 +312,6 @@ def sparse_invariant_factors(columns: Sequence[Mapping[int, int]],
     return factors
 
 
-def exact_determinant(matrix) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    A = _as_int_rows(matrix)
-    n = len(A)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in A):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def matmul_int(A, B) -> list[list[int]]:
     """Exact product of two int-list matrices."""
     if not A:
@@ -372,41 +333,3 @@ def matmul_int(A, B) -> list[list[int]]:
                     new[j] += a * b
         out.append(new)
     return out
-
-
-def solve_integer(matrix, rhs: list[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None when unsolvable."""
-    return smith_normal_form(matrix).solve(rhs)
-
-
-# ---------------------------------------------------------------------------
-# GF(2) kernels: rows are stored as Python ints used as bit masks.
-
-def gf2_rows(matrix) -> list[int]:
-    rows = []
-    for row in matrix:
-        bits = 0
-        for j, x in enumerate(row):
-            if int(x) & 1:
-                bits |= 1 << j
-        rows.append(bits)
-    return rows
-
-
-def gf2_rank(matrix) -> int:
-    rows = [r for r in gf2_rows(matrix) if r]
-    rank = 0
-    while rows:
-        pivot_row = min(rows, key=lambda r: r.bit_length())
-        pivot_bit = pivot_row & -pivot_row
-        rank += 1
-        nxt = []
-        for r in rows:
-            if r is pivot_row:
-                continue
-            if r & pivot_bit:
-                r ^= pivot_row
-            if r:
-                nxt.append(r)
-        rows = nxt
-    return rank

@@ -146,6 +146,49 @@ def gf2_rank_oracle(matrix):
     return rank
 
 
+def integer_solvable_oracle(A, b):
+    """Whether A x = b has an integer solution x, by determinantal divisors.
+
+    Appending b as one more column keeps every gcd of minors exactly when
+    b lies in the integer column span of A.  Exponential; keep small.
+    """
+    augmented = [list(row) + [v] for row, v in zip(A, b)]
+    return determinantal_divisors(A) == determinantal_divisors(augmented)
+
+
+def gf2_rows(matrix):
+    """Rows of a 0/1 matrix as Python ints used as bit masks."""
+    rows = []
+    for row in matrix:
+        bits = 0
+        for j, x in enumerate(row):
+            if int(x) & 1:
+                bits |= 1 << j
+        rows.append(bits)
+    return rows
+
+
+def gf2_rank(matrix):
+    """Rank over GF(2) by bit-mask row elimination; fast enough for the
+    lattice matrices that ``gf2_rank_oracle`` is too slow for."""
+    rows = [r for r in gf2_rows(matrix) if r]
+    rank = 0
+    while rows:
+        pivot_row = min(rows, key=lambda r: r.bit_length())
+        pivot_bit = pivot_row & -pivot_row
+        rank += 1
+        nxt = []
+        for r in rows:
+            if r is pivot_row:
+                continue
+            if r & pivot_bit:
+                r ^= pivot_row
+            if r:
+                nxt.append(r)
+        rows = nxt
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # Geometry and field oracles
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ from crystaltopo import (
     boundary_of_cell,
     build_complex,
     coboundary_map,
-    coboundary_matrix,
-    format_matrix_dense,
-    format_matrix_triples,
     incidence_matrix,
     validate_complex,
 )
@@ -136,12 +133,6 @@ def test_coboundary_of_vertex_on_circle(circle):
     assert delta == circle.cochain(1, {("A", "B"): -1, ("A", "C"): -1})
 
 
-def test_coboundary_matrix_is_transpose(disc):
-    for k in range(1, disc.dim + 1):
-        assert np.array_equal(coboundary_matrix(disc, k - 1),
-                              incidence_matrix(disc, k).T)
-
-
 def test_cochain_pairing(circle):
     z = circle.chain(1, {("A", "B"): 2, ("B", "C"): 1})
     f = circle.cochain(1, {("A", "B"): 3, ("A", "C"): 7})
@@ -226,15 +217,3 @@ def test_subdivision_refuses_degenerate_cells():
     from conftest import make_torus
     with pytest.raises(UnsupportedConfigurationError):
         barycentric_subdivide(make_torus(1))
-
-
-# ---------------------------------------------------------------------------
-# formatting helpers
-# ---------------------------------------------------------------------------
-
-def test_matrix_formatting(circle):
-    m = incidence_matrix(circle, 1)
-    dense = format_matrix_dense(m)
-    assert dense.count("\n") == 2
-    triples = format_matrix_triples(m)
-    assert "(0, 0, -1)" in triples or "0 0 -1" in triples

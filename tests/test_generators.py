@@ -1,13 +1,15 @@
 """Explicit homology generators: a byte-level pin and their meaning."""
 
 import hashlib
+import importlib
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo import LatticeSpec, build_lattice_complex
 from crystaltopo.complexes import RING_INT
-from crystaltopo.errors import ComplexBuildError
+from crystaltopo.errors import ComplexBuildError, InternalInconsistencyError
 from crystaltopo.homology import (
     homology,
     homology_generators,
@@ -24,6 +26,9 @@ from conftest import (
     make_sphere,
     make_torus,
 )
+
+# The package namespace exports a function named ``homology``.
+homology_mod = importlib.import_module("crystaltopo.homology")
 
 
 def _cubic_torus_3d(n):
@@ -102,7 +107,7 @@ def assert_generators_mean_homology(cx):
                 assert is_boundary(chain.scale(order), cx)
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(lattice_specs())
 def test_generators_are_cycles_that_realise_the_group(spec):
@@ -116,3 +121,17 @@ def test_generators_are_cycles_that_realise_the_group(spec):
 def test_torsion_and_non_orientable_generators():
     for cx in (make_rp2(), make_mobius()):
         assert_generators_mean_homology(cx)
+
+
+def test_a_boundary_column_that_is_no_cycle_is_refused(monkeypatch):
+    cx = make_torus(3)
+    homology(cx, 1)  # cache the ranks before the columns are corrupted
+    real = homology_mod.boundary_columns
+
+    def corrupt(complex_, k):
+        columns = real(complex_, k)
+        return [{0: 1}, *columns[1:]] if k == 2 else columns
+
+    monkeypatch.setattr(homology_mod, "boundary_columns", corrupt)
+    with pytest.raises(InternalInconsistencyError):
+        homology_generators(cx, 1)
