@@ -8,9 +8,16 @@ periodic grids and quotients produce distinct cells sharing one vertex
 tuple, and collapsed boundaries drop faces entirely; the vertex tuple
 alone cannot define incidence there.
 
+Each degree is stored only as int64 arrays in compressed sparse rows
+(:class:`CellLayer`): the vertex ids of its cells with row offsets, their
+face ids and coefficients with row offsets, and a shape code per cell.
+Every reader in the package works on these arrays.  ``DeltaComplex.cells``
+is a read-only view of :class:`Cell` objects, built only when asked for.
+
 The grid builder places unit-cell templates at every site of a free box
 or, with periodic axes, directly on the torus, so a periodic sample
-needs no quotient pass.
+needs no quotient pass.  Each template is placed at all sites at once by
+numpy gathers; no Python loop runs over sites or cells.
 
 Orientation bookkeeping: freshly built triangular cells are stored with
 their vertex tuple ascending; a query for a permuted spelling resolves to
@@ -21,9 +28,11 @@ ring for cubes).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from operator import add, itemgetter, le, sub
+from operator import itemgetter, le, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -144,12 +153,175 @@ class Cell:
 
     ``faces`` holds (face_cell_id, coefficient) pairs; a face that a
     quotient collapsed is simply absent.  ``shape`` records which boundary
-    convention produced the cell.
+    convention produced the cell.  Complexes store their cells as arrays
+    (:class:`CellLayer`); a ``Cell`` is their per-cell view.
     """
 
     vertices: tuple[int, ...]
     faces: tuple[tuple[int, int], ...]
     shape: str = SHAPE_SIMPLEX
+
+
+# Shape code of a cell in ``CellLayer.shapes``: the index of its name here.
+SHAPE_NAMES = (SHAPE_SIMPLEX, SHAPE_CUBE)
+SHAPE_CODES = {name: code for code, name in enumerate(SHAPE_NAMES)}
+CUBE = SHAPE_CODES[SHAPE_CUBE]
+
+
+def _int64(values: Sequence, what: str) -> np.ndarray:
+    """Integers as an int64 array; floats and values beyond int64 are
+    refused."""
+    try:
+        return np.fromiter(map(operator.index, values), dtype=np.int64,
+                           count=len(values))
+    except (TypeError, OverflowError):
+        raise ComplexBuildError(
+            f"{what} must be integers within int64") from None
+
+
+def _row_positions(ptr: np.ndarray,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the CSR rows ``rows``, concatenated in order, and
+    for each position the index into ``rows`` of the row it belongs to."""
+    starts = ptr[rows]
+    sizes = ptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    skip = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return np.arange(len(owner)) + skip, owner
+
+
+def row_offsets(sizes) -> np.ndarray:
+    """CSR row offsets for rows of the given sizes."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+class CellLayer:
+    """The cells of one degree as int64 arrays in compressed sparse rows.
+
+    Cell i has the vertices ``vertices[vertex_ptr[i]:vertex_ptr[i + 1]]``
+    in stored order, the faces ``faces[face_ptr[i]:face_ptr[i + 1]]`` (ids
+    one degree down) with their coefficients at the same positions of
+    ``coeffs``, and the shape ``SHAPE_NAMES[shapes[i]]``.  The arrays are
+    read-only.
+    """
+
+    __slots__ = ("vertices", "vertex_ptr", "faces", "coeffs", "face_ptr",
+                 "shapes")
+
+    def __init__(self, vertices, vertex_ptr, faces, coeffs, face_ptr,
+                 shapes):
+        self.vertices = np.asarray(vertices, dtype=np.int64)
+        self.vertex_ptr = np.asarray(vertex_ptr, dtype=np.int64)
+        self.faces = np.asarray(faces, dtype=np.int64)
+        self.coeffs = np.asarray(coeffs, dtype=np.int64)
+        self.face_ptr = np.asarray(face_ptr, dtype=np.int64)
+        self.shapes = np.asarray(shapes, dtype=np.int8)
+        for name in self.__slots__:
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def uniform(cls, vertices: np.ndarray, faces: np.ndarray,
+                coeffs: np.ndarray, shape: int) -> "CellLayer":
+        """Cells of one shape code with equally many vertices and faces,
+        one row of the 2-D arrays per cell."""
+        n, corners = vertices.shape
+        return cls(vertices.ravel(), np.arange(n + 1) * corners,
+                   faces.ravel(), coeffs.ravel(),
+                   np.arange(n + 1) * faces.shape[1], np.full(n, shape))
+
+    @classmethod
+    def from_rows(cls, vertex_rows: Sequence[Sequence[int]],
+                  face_rows: Sequence[Sequence[tuple[int, int]]],
+                  shapes: Sequence[str]) -> "CellLayer":
+        """Cells from per-cell vertex ids, (face id, coefficient) pairs and
+        shape names."""
+        try:
+            codes = [SHAPE_CODES[s] for s in shapes]
+        except (KeyError, TypeError):
+            raise ComplexBuildError(
+                f"cell shapes must be among {SHAPE_NAMES}") from None
+        entries = [e for row in face_rows for e in row]
+        try:
+            pairs = all(len(e) == 2 for e in entries)
+        except TypeError:
+            pairs = False
+        if not pairs:
+            raise ComplexBuildError(
+                "faces must be (face id, coefficient) pairs")
+        return cls(
+            _int64([v for row in vertex_rows for v in row], "vertex ids"),
+            row_offsets(list(map(len, vertex_rows))),
+            _int64([f for f, _ in entries], "face ids"),
+            _int64([c for _, c in entries], "face coefficients"),
+            row_offsets(list(map(len, face_rows))), codes)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def first_vertices(self) -> np.ndarray:
+        return self.vertices[self.vertex_ptr[:-1]]
+
+    def last_vertices(self) -> np.ndarray:
+        return self.vertices[self.vertex_ptr[1:] - 1]
+
+    def vertex_rows(self) -> list[list[int]]:
+        flat, ptr = self.vertices.tolist(), self.vertex_ptr.tolist()
+        return [flat[s:e] for s, e in zip(ptr, ptr[1:])]
+
+    def face_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """Row offsets, face ids and coefficients as Python lists."""
+        return (self.face_ptr.tolist(), self.faces.tolist(),
+                self.coeffs.tolist())
+
+    def face_entries(self, rows) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """The face ids and coefficients of the cells ``rows``, in order,
+        and for each entry the index into ``rows`` of its cell."""
+        pos, owner = _row_positions(self.face_ptr,
+                                    np.asarray(rows, dtype=np.int64))
+        return owner, self.faces[pos], self.coeffs[pos]
+
+    def take(self, rows) -> "CellLayer":
+        """The cells ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        vpos, _ = _row_positions(self.vertex_ptr, rows)
+        fpos, _ = _row_positions(self.face_ptr, rows)
+        return CellLayer(
+            self.vertices[vpos], row_offsets(np.diff(self.vertex_ptr)[rows]),
+            self.faces[fpos], self.coeffs[fpos],
+            row_offsets(np.diff(self.face_ptr)[rows]), self.shapes[rows])
+
+    def cell(self, i: int) -> Cell:
+        i = range(len(self))[i]
+        vs, ve, fs, fe = (*self.vertex_ptr[i:i + 2].tolist(),
+                          *self.face_ptr[i:i + 2].tolist())
+        return Cell(tuple(self.vertices[vs:ve].tolist()),
+                    tuple(zip(self.faces[fs:fe].tolist(),
+                              self.coeffs[fs:fe].tolist())),
+                    SHAPE_NAMES[self.shapes[i]])
+
+    def cells(self) -> tuple[Cell, ...]:
+        ptr, faces, coeffs = self.face_lists()
+        pairs = list(zip(faces, coeffs))
+        names = [SHAPE_NAMES[c] for c in self.shapes.tolist()]
+        return tuple(
+            Cell(tuple(vs), tuple(pairs[s:e]), name)
+            for vs, s, e, name in zip(self.vertex_rows(), ptr, ptr[1:],
+                                      names))
+
+
+def _check_layers(layers: Sequence[CellLayer], n_vertices: int) -> None:
+    """Every cell has a vertex, and its vertex and face ids exist."""
+    below = 0
+    for k, layer in enumerate(layers):
+        if (np.diff(layer.vertex_ptr) < 1).any():
+            raise ComplexBuildError(f"a {k}-cell has no vertices")
+        for ids, n, what in ((layer.vertices, n_vertices, "vertex"),
+                             (layer.faces, below, f"{k - 1}-cell")):
+            if ids.size and not 0 <= ids.min() <= ids.max() < n:
+                raise ComplexBuildError(
+                    f"a {k}-cell names a {what} id outside 0..{n - 1}")
+        below = len(layer)
 
 
 def _sort_with_parity(items: Sequence) -> tuple[tuple, int]:
@@ -181,19 +353,44 @@ def _sort_with_parity(items: Sequence) -> tuple[tuple, int]:
 
 
 class DeltaComplex:
-    """Immutable cell complex; construct via the class methods or builders."""
+    """Immutable cell complex; construct via the class methods or builders.
+
+    ``DeltaComplex(labels, cells)`` takes one sequence of :class:`Cell` per
+    degree and :meth:`from_layers` one :class:`CellLayer`; either way the
+    cells are stored only as the arrays of ``layers``, and ``cells`` is a
+    read-only view of them built on first access.  Vertex ids, face ids and
+    coefficients must be integers within int64, every cell needs a vertex,
+    and its ids must name existing vertices and cells one degree down.
+    """
 
     def __init__(self, vertex_labels: Sequence, cells: Sequence[Sequence[Cell]],
                  *, lattice_info: dict | None = None,
                  closure_defects: Sequence = ()):
+        layers = [CellLayer.from_rows([c.vertices for c in layer],
+                                      [c.faces for c in layer],
+                                      [c.shape for c in layer])
+                  for layer in map(tuple, cells)]
+        self._setup(vertex_labels, layers, lattice_info, closure_defects)
+
+    @classmethod
+    def from_layers(cls, vertex_labels: Sequence, layers: Sequence[CellLayer],
+                    *, lattice_info: dict | None = None,
+                    closure_defects: Sequence = ()) -> "DeltaComplex":
+        self = cls.__new__(cls)
+        self._setup(vertex_labels, layers, lattice_info, closure_defects)
+        return self
+
+    def _setup(self, vertex_labels, layers, lattice_info,
+               closure_defects) -> None:
         self.vertex_labels = tuple(vertex_labels)
         self.label_to_id = {lab: i for i, lab in enumerate(self.vertex_labels)}
         if len(self.label_to_id) != len(self.vertex_labels):
             raise ComplexBuildError("duplicate vertex labels")
-        trimmed = [tuple(layer) for layer in cells]
-        while len(trimmed) > 1 and not trimmed[-1]:
-            trimmed.pop()
-        self.cells: tuple[tuple[Cell, ...], ...] = tuple(trimmed)
+        layers = list(layers)
+        while len(layers) > 1 and not len(layers[-1]):
+            layers.pop()
+        _check_layers(layers, len(self.vertex_labels))
+        self.layers: tuple[CellLayer, ...] = tuple(layers)
         self.lattice_info = lattice_info
         self.closure_defects = tuple(closure_defects)
         self._cache: dict = {}
@@ -201,8 +398,17 @@ class DeltaComplex:
     # -- structure queries -------------------------------------------------
 
     @property
+    def cells(self) -> tuple[tuple[Cell, ...], ...]:
+        """Per degree, the cells as :class:`Cell` objects (built once)."""
+        view = self._cache.get("cells")
+        if view is None:
+            view = self._cache["cells"] = tuple(
+                layer.cells() for layer in self.layers)
+        return view
+
+    @property
     def dim(self) -> int:
-        return len(self.cells) - 1
+        return len(self.layers) - 1
 
     @property
     def n_vertices(self) -> int:
@@ -211,13 +417,13 @@ class DeltaComplex:
     def n_cells(self, k: int) -> int:
         if k < 0 or k > self.dim:
             return 0
-        return len(self.cells[k])
+        return len(self.layers[k])
 
     def cell(self, k: int, cell_id: int) -> Cell:
-        return self.cells[k][cell_id]
+        return self.layers[k].cell(cell_id)
 
     def cell_counts(self) -> list[int]:
-        return [len(layer) for layer in self.cells]
+        return [len(layer) for layer in self.layers]
 
     def vertex_id(self, label) -> int:
         try:
@@ -225,19 +431,28 @@ class DeltaComplex:
         except KeyError:
             raise ComplexBuildError(f"unknown vertex label {label!r}") from None
 
+    def _vertex_rows(self, k: int) -> list[list[int]]:
+        """The vertex ids of each k-cell as lists, built on first use."""
+        key = ("vertex rows", k)
+        rows = self._cache.get(key)
+        if rows is None:
+            rows = self._cache[key] = self.layers[k].vertex_rows()
+        return rows
+
     def _cells_by_vertex_set(self, k: int) -> dict[tuple, list[int]]:
         """{sorted vertex ids: cell ids} of degree k, built on first use."""
         key = ("vertex sets", k)
         index = self._cache.get(key)
         if index is None:
             index = {}
-            for i, cell in enumerate(self.cells[k]):
-                index.setdefault(tuple(sorted(cell.vertices)), []).append(i)
+            for i, row in enumerate(self._vertex_rows(k)):
+                index.setdefault(tuple(sorted(row)), []).append(i)
             self._cache[key] = index
         return index
 
     def label_tuple(self, k: int, cell_id: int) -> tuple:
-        return tuple(self.vertex_labels[v] for v in self.cells[k][cell_id].vertices)
+        return tuple(self.vertex_labels[v]
+                     for v in self.layers[k].cell(cell_id).vertices)
 
     def find_cell(self, k: int, vertex_labels: Sequence) -> tuple[int, int]:
         """Locate a cell by vertex labels in any order.
@@ -260,14 +475,13 @@ class DeltaComplex:
                 f"vertex set {tuple(vertex_labels)!r} names {len(hits)} cells; "
                 "query by cell id instead")
         cell_id = hits[0]
-        cell = self.cells[k][cell_id]
-        if cell.shape == SHAPE_CUBE or k == 0:
+        if k == 0 or self.layers[k].shapes[cell_id] == CUBE:
             return cell_id, 1
         if len(set(ids)) < len(ids):
             raise ComplexBuildError(f"repeated vertex in cell {ids}")
         # The parity of the permutation taking the stored spelling to the
         # query, one sign flip per transposition that sorts it into place.
-        spelling, sign = list(cell.vertices), 1
+        spelling, sign = list(self._vertex_rows(k)[cell_id]), 1
         for i, v in enumerate(ids):
             j = spelling.index(v, i)
             if j != i:
@@ -321,7 +535,7 @@ class DeltaComplex:
         label_to_id = {lab: i for i, lab in enumerate(labels)}
         for lab in labels:
             by_dim.setdefault(0, set()).add((lab,))
-        layers: list[list[Cell]] = []
+        layers: list[CellLayer] = []
         id_of: list[dict[tuple, int]] = []
         defects: list[tuple] = []
         for k in range(top + 1):
@@ -330,7 +544,7 @@ class DeltaComplex:
                 for cell in by_dim.get(k, ()))
             index = {t: i for i, t in enumerate(tuples)}
             id_of.append(index)
-            layer = []
+            face_rows = []
             for t in tuples:
                 faces = []
                 if k > 0:
@@ -343,10 +557,11 @@ class DeltaComplex:
                                  tuple(labels[v] for v in face_t)))
                             continue
                         faces.append((fid, (-1) ** i))
-                layer.append(Cell(t, tuple(faces), SHAPE_SIMPLEX))
-            layers.append(layer)
-        return cls(labels, layers, lattice_info=lattice_info,
-                   closure_defects=defects)
+                face_rows.append(faces)
+            layers.append(CellLayer.from_rows(
+                tuples, face_rows, [SHAPE_SIMPLEX] * len(tuples)))
+        return cls.from_layers(labels, layers, lattice_info=lattice_info,
+                               closure_defects=defects)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +667,13 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
     in vertex order and the templates of a degree in order of their
     offsets, so each degree comes out ordered by the cells' unwrapped
     corner labels (by vertex-id tuples on a free grid), and a face is
-    found from its own anchor and template without any search.
+    found from its own anchor and template without any search.  Each
+    template is placed at all sites at once by array gathers, so the
+    hull of the indices must hold fewer than 2^62 points.
     """
     if scheme not in SCHEMES:
         raise ComplexBuildError(f"unknown cell scheme {scheme!r}")
-    verts = sorted({tuple(int(c) for c in idx) for idx in indices})
+    verts = sorted({tuple(map(int, idx)) for idx in indices})
     if not verts:
         raise ComplexBuildError("empty index set")
     m = len(verts[0])
@@ -464,53 +681,74 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
         raise ComplexBuildError("mixed multi-index lengths")
     if m > 3:
         raise DimensionError("lattice dimension must be at most 3")
+    hull = tuple((min(c), max(c)) for c in zip(*verts))
     if index_box is None:
-        index_box = tuple(
-            (min(v[a] for v in verts), max(v[a] for v in verts))
-            for a in range(m))
+        index_box = hull
     else:
         index_box = tuple((int(lo), int(hi)) for lo, hi in index_box)
-    # Corner label -> vertex id; on a periodic axis the top coordinate
-    # looks up the site at the bottom.
-    lookup = {v: i for i, v in enumerate(verts)}
     for a in periodic_axes:
         lo, hi = index_box[a]
-        if not all(lo <= v[a] < hi for v in verts):
+        if not lo <= hull[a][0] <= hull[a][1] < hi:
             raise ComplexBuildError(
                 f"periodic axis {a + 1} needs every index in [{lo}, {hi})")
-        lookup.update([(lab[:a] + (hi,) + lab[a + 1:], i)
-                       for lab, i in lookup.items() if lab[a] == lo])
+    # Each site's key: its row-major position in a grid from ``origin``
+    # with ``extent`` points per axis.  A free axis leaves room for a
+    # corner one step past the hull; on a periodic axis a corner at the
+    # top wraps to the bottom.
+    origin, extent = [], []
+    for a, (lo, hi) in enumerate(hull):
+        if a in periodic_axes:
+            origin.append(index_box[a][0])
+            extent.append(index_box[a][1] - index_box[a][0])
+        else:
+            origin.append(lo)
+            extent.append(hi - lo + 2)
+    if math.prod(extent) >= 2 ** 62:
+        raise ComplexBuildError("lattice indices span too wide a range")
+    strides = np.array([math.prod(extent[a + 1:]) for a in range(m)],
+                       dtype=np.int64)
+    try:
+        rel = np.array(verts, dtype=np.int64).reshape(len(verts), m) - origin
+    except OverflowError:
+        # Indices beyond int64: shift them exactly first.
+        rel = np.array([tuple(map(sub, v, origin)) for v in verts],
+                       dtype=np.int64).reshape(len(verts), m)
+    keys = rel @ strides
     unit = list(product((0, 1), repeat=m))
-    around = [[lookup.get(tuple(map(add, v, u))) for u in unit]
-              for v in verts]
-    shape = SHAPE_CUBE if scheme == SCHEME_CUBIC else SHAPE_SIMPLEX
+    corner = rel[:, None, :] + np.array(unit, dtype=np.int64).reshape(-1, m)
+    for a in periodic_axes:
+        corner[:, :, a] %= extent[a]
+    corner_keys = corner @ strides
+    found = np.minimum(np.searchsorted(keys, corner_keys), len(keys) - 1)
+    # Vertex id at each unit-cube corner of each site, -1 where absent.
+    around = np.where(keys[found] == corner_keys, found, -1)
+    shape = CUBE if scheme == SCHEME_CUBIC else SHAPE_CODES[SHAPE_SIMPLEX]
 
     n = len(verts)
-    layers = [[Cell((i,), (), shape) for i in range(n)]]
+    none = np.empty((n, 0), dtype=np.int64)
+    layers = [CellLayer.uniform(np.arange(n)[:, None], none, none, shape)]
     # Cell id of (anchor, template) at slot anchor * width + template,
-    # None where a corner is missing.
-    slot: list = list(range(n))
+    # -1 where a corner is missing.
+    slot = np.arange(n)
     width = 1
     for templates in _cell_templates(scheme, m):
-        plan = [(itemgetter(*map(unit.index, offsets)), faces)
-                for offsets, faces in templates]
-        layer: list[Cell] = []
-        next_slot: list = [None] * (n * len(plan))
-        s = 0
-        for corners in around:
-            for get, faces in plan:
-                ids = get(corners)
-                if None not in ids:
-                    next_slot[s] = len(layer)
-                    layer.append(Cell(ids, tuple([
-                        (slot[ids[p] * width + t], sign)
-                        for p, t, sign in faces]), shape))
-                s += 1
-        layers.append(layer)
-        slot, width = next_slot, len(plan)
+        corners = np.array([[unit.index(offset) for offset in offsets]
+                            for offsets, _ in templates])
+        at, below, sign = np.array(
+            [faces for _, faces in templates]).transpose(2, 0, 1)
+        ids = around[:, corners]
+        present = (ids >= 0).all(axis=2).ravel()
+        cells = ids.reshape(-1, corners.shape[1])[present]
+        t = np.flatnonzero(present) % len(templates)
+        faces = slot[np.take_along_axis(cells, at[t], axis=1) * width
+                     + below[t]]
+        layers.append(CellLayer.uniform(cells, faces, sign[t], shape))
+        slot = np.full(len(present), -1)
+        slot[present] = np.arange(len(cells))
+        width = len(templates)
 
     info = {"index_box": index_box, "scheme": scheme, "dimension": m}
-    return DeltaComplex(verts, layers, lattice_info=info)
+    return DeltaComplex.from_layers(verts, layers, lattice_info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +760,8 @@ def boundary_of_cell(complex_: DeltaComplex, k: int, cell_id: int,
     """Signed face chain of one cell."""
     if k < 0 or k > complex_.dim:
         raise DimensionError(f"no cells of dimension {k}")
-    cell = complex_.cells[k][cell_id]
     data: dict[int, int] = {}
-    for fid, coeff in cell.faces:
+    for fid, coeff in complex_.cell(k, cell_id).faces:
         data[fid] = data.get(fid, 0) + coeff
     return Chain(k - 1, data, ring)
 
@@ -535,11 +772,15 @@ def boundary_map(chain: Chain, complex_: DeltaComplex) -> Chain:
         return Chain(-1, {}, chain.ring)
     if chain.dim < 0 or chain.dim > complex_.dim:
         raise DimensionError(f"no cells of dimension {chain.dim}")
+    layer = complex_.layers[chain.dim]
+    cids = list(chain.coeffs)
+    if any(not 0 <= cid < len(layer) for cid in cids):
+        raise IndexError(f"chain names a cell outside 0..{len(layer) - 1}")
+    owner, faces, coeffs = layer.face_entries(cids)
+    scale = list(chain.coeffs.values())
     data: dict[int, object] = {}
-    layer = complex_.cells[chain.dim]
-    for cid, a in chain.coeffs.items():
-        for fid, coeff in layer[cid].faces:
-            data[fid] = data.get(fid, 0) + a * coeff
+    for o, fid, coeff in zip(owner.tolist(), faces.tolist(), coeffs.tolist()):
+        data[fid] = data.get(fid, 0) + scale[o] * coeff
     return Chain(chain.dim - 1, data, chain.ring)
 
 
@@ -547,11 +788,13 @@ def coboundary_map(cochain: Cochain, complex_: DeltaComplex) -> Cochain:
     """Adjoint of the boundary: (delta x)(cell) = <x, boundary(cell)>."""
     target = cochain.dim + 1
     data: dict[int, object] = {}
-    if target <= complex_.dim:
-        for j, cell in enumerate(complex_.cells[target]):
+    if 0 <= target <= complex_.dim:
+        ptr, faces, coeffs = complex_.layers[target].face_lists()
+        get = cochain.coeffs.get
+        for j, (s, e) in enumerate(zip(ptr, ptr[1:])):
             total = 0
-            for fid, coeff in cell.faces:
-                v = cochain.coeffs.get(fid)
+            for fid, coeff in zip(faces[s:e], coeffs[s:e]):
+                v = get(fid)
                 if v is not None:
                     total += coeff * v
             if total != 0:
@@ -562,7 +805,7 @@ def coboundary_map(cochain: Cochain, complex_: DeltaComplex) -> Cochain:
 def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
     """Columns of the k-th boundary operator as {face id: coefficient}.
 
-    Built straight from ``Cell.faces``: repeated faces are summed and
+    Built straight from the face arrays: repeated faces are summed and
     entries that cancel to 0 are dropped.  The list is cached on the
     complex and must not be modified.
     """
@@ -573,9 +816,10 @@ def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
     cached = complex_._cache.get(key)
     if cached is None:
         cached = []
-        for cell in complex_.cells[k]:
+        ptr, faces, coeffs = complex_.layers[k].face_lists()
+        for s, e in zip(ptr, ptr[1:]):
             col: dict[int, int] = {}
-            for fid, coeff in cell.faces:
+            for fid, coeff in zip(faces[s:e], coeffs[s:e]):
                 col[fid] = col.get(fid, 0) + coeff
             cached.append({fid: v for fid, v in col.items() if v})
         complex_._cache[key] = cached
@@ -622,6 +866,36 @@ class ValidationReport:
         return "; ".join(self.messages)
 
 
+def _magnitude(x: np.ndarray) -> int:
+    """Largest |entry| of a nonempty int64 array, as a Python integer."""
+    return max(-int(x.min()), int(x.max()))
+
+
+def _square_failures(upper: CellLayer, lower: CellLayer) -> np.ndarray:
+    """Ids of the cells of ``upper`` whose boundary has a nonzero boundary
+    in ``lower``, ascending.
+
+    Every (cell, face, face of face) product is summed per cell and
+    face of face; the sums run in int64 when no sum can overflow it and
+    on Python integers otherwise.
+    """
+    pos, entry = _row_positions(lower.face_ptr, upper.faces)
+    if not len(pos):
+        return pos
+    cell = np.repeat(np.arange(len(upper)), np.diff(upper.face_ptr))[entry]
+    inner = lower.faces[pos]
+    a, b = upper.coeffs[entry], lower.coeffs[pos]
+    bound = _magnitude(a) * _magnitude(b) * len(pos)
+    if bound >= 2 ** 63:
+        a, b = a.astype(object), b.astype(object)
+    order = np.lexsort((inner, cell))
+    cell, inner = cell[order], inner[order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1)
+                            | np.diff(inner, prepend=-1))
+    sums = np.add.reduceat((a * b)[order], starts)
+    return np.unique(cell[starts[sums != 0]])
+
+
 def validate_complex(complex_: DeltaComplex) -> ValidationReport:
     """Check closure and that the boundary of a boundary vanishes."""
     messages = []
@@ -630,15 +904,10 @@ def validate_complex(complex_: DeltaComplex) -> ValidationReport:
             f"closure violation: {k}-cell {labels} is missing face {face}")
     failures = []
     for k in range(2, complex_.dim + 1):
-        for cid in range(complex_.n_cells(k)):
-            acc: dict[int, int] = {}
-            for fid, c1 in complex_.cells[k][cid].faces:
-                for gid, c2 in complex_.cells[k - 1][fid].faces:
-                    acc[gid] = acc.get(gid, 0) + c1 * c2
-            if any(v != 0 for v in acc.values()):
-                failures.append((k, cid))
-                messages.append(
-                    f"boundary of boundary nonzero on {k}-cell {cid}")
+        for cid in _square_failures(complex_.layers[k],
+                                    complex_.layers[k - 1]).tolist():
+            failures.append((k, cid))
+            messages.append(f"boundary of boundary nonzero on {k}-cell {cid}")
     ok = not messages
     return ValidationReport(ok, complex_.closure_defects, tuple(failures),
                             tuple(messages))

@@ -1,7 +1,7 @@
 """Homology, cohomology and orientation analysis over three coefficient rings.
 
 Ranks and torsion come from one exact sparse reduction per boundary
-matrix and ring: the columns of d_k are taken straight from ``Cell.faces``
+matrix and ring: the columns of d_k are taken straight from the face arrays
 and ``sparse_invariant_factors`` eliminates the unit pivots, handing only
 the small non-unit leftover to the dense Smith reducer.  The mod-2 ranks
 use the same elimination modulo 2.  Real coefficients give the same ranks
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .complexes import (
     Chain,
     DeltaComplex,
@@ -30,6 +32,7 @@ from .complexes import (
     boundary_columns,
     boundary_map,
     incidence_matrix,
+    row_offsets,
 )
 from .errors import DimensionError, InternalInconsistencyError
 from .snf import matmul_int, smith_normal_form, sparse_invariant_factors
@@ -134,8 +137,10 @@ def vertex_components(complex_: DeltaComplex) -> list[int]:
         return x
 
     if complex_.dim >= 1:
-        for cell in complex_.cells[1]:
-            a, b = find(cell.vertices[0]), find(cell.vertices[-1])
+        edges = complex_.layers[1]
+        for a, b in zip(edges.first_vertices().tolist(),
+                        edges.last_vertices().tolist()):
+            a, b = find(a), find(b)
             if a != b:
                 parent[max(a, b)] = min(a, b)
     roots = sorted({find(v) for v in range(complex_.n_vertices)})
@@ -314,80 +319,64 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
         return OrientabilityReport(True, m, closed=True,
                                    fundamental_chain=Chain(m, {}, RING_INT))
 
-    entries: dict[int, list[tuple[int, int]]] = {}
-    if m >= 1:
-        for cid in range(n_top):
-            for fid, coeff in complex_.cells[m][cid].faces:
-                entries.setdefault(fid, []).append((cid, coeff))
-
-    def classify() -> tuple[dict[int, list], set[int], bool]:
-        internal: dict[int, list] = {}
-        boundary: set[int] = set()
-        branching = False
-        for fid, lst in entries.items():
-            weight = sum(abs(c) for _, c in lst)
-            if weight == 2:
-                internal[fid] = lst
-            elif weight == 1:
-                boundary.add(fid)
-            elif weight > 2:
-                branching = True
-        return internal, boundary, branching
-
-    internal, boundary_faces, branching = classify()
+    # The nonzero face entries of the top cells, grouped by face with each
+    # group in cell order.
+    top = complex_.layers[m]
+    owner = np.repeat(np.arange(n_top), np.diff(top.face_ptr))
+    nonzero = top.coeffs != 0
+    order = np.argsort(top.faces[nonzero], kind="stable")
+    faces = top.faces[nonzero][order]
+    coeffs = top.coeffs[nonzero][order]
+    owner = owner[nonzero][order]
+    weight = np.bincount(faces, weights=np.abs(coeffs.astype(float)),
+                         minlength=complex_.n_cells(m - 1))
+    internal = weight == 2
 
     signs = [0] * n_top
-    consistent = not branching
+    # The two entries of each internal face relate the signs of their
+    # cells.  A face with a single entry of weight 2 wraps its cell onto
+    # it twice with equal signs, and no orientation cancels it; it shows
+    # as an odd count or as a pair that straddles two faces.
+    pairs = np.flatnonzero(internal[faces])
+    consistent = not (weight > 2).any() and len(pairs) % 2 == 0
     if consistent:
-        adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_top)}
-        for fid, lst in internal.items():
-            if len(lst) == 2:
-                (c1, a1), (c2, a2) = lst
-                if c1 == c2:
-                    if a1 + a2 != 0:
-                        consistent = False
-                        break
-                else:
-                    # eps1*a1 + eps2*a2 = 0 with a1, a2 in {+-1, +-2?}; only
-                    # unit coefficients admit a sign solution.
-                    if abs(a1) != 1 or abs(a2) != 1:
-                        consistent = False
-                        break
-                    rel = -a1 * a2  # eps2 = rel * eps1
-                    adjacency[c1].append((c2, rel))
-                    adjacency[c2].append((c1, rel))
-            else:
-                # One entry of weight 2: the cell wraps onto the face twice
-                # with equal signs; no orientation can cancel it.
-                (c1, a1), = lst
-                if abs(a1) == 2:
-                    consistent = False
-                    break
+        first, second = pairs[0::2], pairs[1::2]
+        p, q = owner[first], owner[second]
+        a, b = coeffs[first], coeffs[second]
+        same = p == q
+        # eps_p * a + eps_q * b = 0 needs unit coefficients across cells.
+        consistent = (faces[first] == faces[second]).all() and not (
+            (a + b)[same].any()
+            or ((np.abs(a) != 1) | (np.abs(b) != 1))[~same].any())
     if consistent:
+        p, q = p[~same], q[~same]
+        rel = (-a * b)[~same]
+        ends = np.concatenate([p, q])
+        by_end = np.argsort(ends, kind="stable")
+        ptr = row_offsets(np.bincount(ends, minlength=n_top)).tolist()
+        other = np.concatenate([q, p])[by_end].tolist()
+        step = np.concatenate([rel, rel])[by_end].tolist()
         for seed in range(n_top):
             if signs[seed]:
                 continue
             signs[seed] = 1
             queue = [seed]
-            while queue and consistent:
+            while queue:
                 cur = queue.pop()
-                for nxt, rel in adjacency[cur]:
-                    want = rel * signs[cur]
-                    if signs[nxt] == 0:
-                        signs[nxt] = want
-                        queue.append(nxt)
-                    elif signs[nxt] != want:
-                        consistent = False
-                        break
-            if not consistent:
-                break
+                for j in range(ptr[cur], ptr[cur + 1]):
+                    if not signs[other[j]]:
+                        signs[other[j]] = step[j] * signs[cur]
+                        queue.append(other[j])
+        # The spanning forest fixed every sign; each glued pair must agree.
+        spin = np.array(signs)
+        consistent = bool((spin[q] == rel * spin[p]).all())
 
     if consistent:
         fundamental = Chain(m, {i: signs[i] for i in range(n_top)}, RING_INT)
         image = boundary_map(fundamental, complex_) if m >= 1 \
             else Chain(-1, {}, RING_INT)
         # Independent check: the image must avoid all internal faces.
-        if any(fid in internal for fid in image.coeffs):
+        if internal[list(image.coeffs)].any():
             raise InternalInconsistencyError(
                 "sign propagation left an internal face uncancelled")
         closed = not image.coeffs
@@ -397,7 +386,7 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
 
     all_ones = Chain(m, {i: 1 for i in range(n_top)}, RING_MOD2)
     mod2_image = boundary_map(all_ones, complex_)
-    if any(fid in internal for fid in mod2_image.coeffs):
+    if internal[list(mod2_image.coeffs)].any():
         reason = "top cells do not pairwise cancel even modulo 2"
     else:
         reason = "no consistent orientation of the top cells exists"

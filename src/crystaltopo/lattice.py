@@ -8,7 +8,10 @@ comes from :func:`crystaltopo.complexes.build_complex`; this module owns
 everything before and after: generator checks, defect removal, and the
 boundary treatments.  A periodic sample is closed under its translation
 orbits and built directly on the torus; the quotient pass only serves
-the constant boundary, which pins the hull to one vertex.
+the constant boundary, which pins the hull to one vertex.  That pass
+works on the cell arrays of the complex (``DeltaComplex.layers``): it
+drops the hull cells and their face entries and sorts the survivors with
+numpy, creating no per-cell object.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Cell, DeltaComplex, build_complex
+from .complexes import CellLayer, DeltaComplex, build_complex, row_offsets
 from .errors import (
     ComplexBuildError,
     DefectLocusError,
@@ -232,12 +235,14 @@ def apply_defects(points: set, box: Sequence[tuple[int, int]],
 # Boundary conditions
 
 
-def _common_bits(bits: Sequence[int], vertices: Sequence[int]) -> int:
-    """The flags of ``bits`` that every one of ``vertices`` carries."""
-    out = -1
-    for v in vertices:
-        out &= bits[v]
-    return out
+def _tuple_order(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Stable order of the CSR rows of ``values`` (nonnegative) compared as
+    tuples: each row is padded with -1, so a prefix sorts first."""
+    sizes = np.diff(ptr)
+    padded = np.full((len(sizes), sizes.max(initial=1)), -1)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    padded[rows, np.arange(len(values)) - ptr[rows]] = values
+    return np.lexsort(padded.T[::-1])
 
 
 def apply_constant_boundary(complex_: DeltaComplex,
@@ -265,31 +270,35 @@ def apply_constant_boundary(complex_: DeltaComplex,
               for lab, h in zip(complex_.vertex_labels, hull)]
     labels = sorted(set(images))
     new_vid = {lab: i for i, lab in enumerate(labels)}
-    image = [new_vid[lab] for lab in images]
-    layers: list[list[Cell]] = []
-    new_id: list = []
-    for k, layer in enumerate(complex_.cells):
-        # Cells with one key become one cell, the first standing for all;
-        # a None key collapses the cell.
+    image = np.array([new_vid[lab] for lab in images], dtype=np.int64)
+    hull = np.array(hull, dtype=np.int64)
+    layers: list[CellLayer] = []
+    new_id = np.empty(0, dtype=np.int64)
+    for k, layer in enumerate(complex_.layers):
         if k == 0:
-            keys = [images[cell.vertices[0]] for cell in layer]
+            # One vertex per new label, the first of its preimages.
+            _, keep, rank = np.unique(image[layer.first_vertices()],
+                                      return_index=True, return_inverse=True)
         else:
-            keys = [None if _common_bits(hull, cell.vertices)
-                    else (tuple(images[v] for v in cell.vertices), i)
-                    for i, cell in enumerate(layer)]
-        reps: dict = {}
-        for key, cell in zip(keys, layer):
-            if key is not None:
-                reps.setdefault(key, cell)
-        order = sorted(reps)
-        layers.append([
-            Cell(tuple(image[v] for v in cell.vertices),
-                 tuple((new_id[f], c) for f, c in cell.faces
-                       if new_id[f] is not None), cell.shape)
-            for cell in map(reps.get, order)])
-        rank = {key: j for j, key in enumerate(order)}
-        new_id = [rank.get(key) for key in keys]
-    return DeltaComplex(labels, layers, lattice_info={
+            # Collapse the cells inside a hull facet; order the others by
+            # their new corners, ties by their old order.
+            alive = np.flatnonzero(np.bitwise_and.reduceat(
+                hull[layer.vertices], layer.vertex_ptr[:-1]) == 0)
+            rows = layer.take(alive)
+            keep = alive[_tuple_order(image[rows.vertices], rows.vertex_ptr)]
+            rank = np.full(len(layer), -1)
+            rank[keep] = np.arange(len(keep))
+        rows = layer.take(keep)
+        faces = new_id[rows.faces]
+        kept = faces >= 0
+        owner = np.repeat(np.arange(len(keep)), np.diff(rows.face_ptr))
+        layers.append(CellLayer(
+            image[rows.vertices], rows.vertex_ptr, faces[kept],
+            rows.coeffs[kept],
+            row_offsets(np.bincount(owner[kept], minlength=len(keep))),
+            rows.shapes))
+        new_id = rank
+    return DeltaComplex.from_layers(labels, layers, lattice_info={
         **(complex_.lattice_info or {}),
         "boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
 

@@ -9,6 +9,7 @@ nonzero circulation for drops.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -48,9 +49,10 @@ def check_current_law(complex_: DeltaComplex, currents,
         return CurrentLawReport(True, 0.0, {})
     vals = _edge_values(complex_, currents)
     residual = [0.0] * complex_.n_vertices
-    for cid, current in vals.items():
-        for fid, coeff in complex_.cells[1][cid].faces:
-            residual[fid] += coeff * current
+    owner, faces, coeffs = complex_.layers[1].face_entries(list(vals))
+    current = list(vals.values())
+    for o, fid, coeff in zip(owner.tolist(), faces.tolist(), coeffs.tolist()):
+        residual[fid] += coeff * current[o]
     offenders = {v: r for v, r in enumerate(residual) if abs(r) > tol}
     worst = max((abs(r) for r in residual), default=0.0)
     return CurrentLawReport(not offenders, worst, offenders, tol)
@@ -79,9 +81,11 @@ def potential_check(complex_: DeltaComplex, drops,
         return PotentialReport(True, [0.0] * n_v)
     vals = _edge_values(complex_, drops)
 
-    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(n_v)}
-    for cid, cell in enumerate(complex_.cells[1]):
-        a, b = cell.vertices[0], cell.vertices[-1]
+    # Each vertex's edges, in edge-id order.
+    first = complex_.layers[1].first_vertices().tolist()
+    last = complex_.layers[1].last_vertices().tolist()
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_v)]
+    for cid, (a, b) in enumerate(zip(first, last)):
         adjacency[a].append((b, cid, 1))
         if a != b:
             adjacency[b].append((a, cid, -1))
@@ -93,10 +97,10 @@ def potential_check(complex_: DeltaComplex, drops,
         if potential[root] is not None:
             continue
         potential[root] = 0.0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            cur = queue.pop(0)
-            for other, cid, sign in sorted(adjacency[cur], key=lambda t: t[1]):
+            cur = queue.popleft()
+            for other, cid, sign in adjacency[cur]:
                 if other == cur or potential[other] is not None:
                     continue
                 drop = vals.get(cid, 0.0)
@@ -115,10 +119,9 @@ def potential_check(complex_: DeltaComplex, drops,
             v = up
         return coeffs
 
-    for cid, cell in enumerate(complex_.cells[1]):
+    for cid, (a, b) in enumerate(zip(first, last)):
         if cid in tree_edges:
             continue
-        a, b = cell.vertices[0], cell.vertices[-1]
         drop = vals.get(cid, 0.0)
         mismatch = potential[b] - potential[a] - drop
         if abs(mismatch) > tol:

@@ -103,9 +103,10 @@ def verify_cocycle(cochain: ObstructionCochain) -> bool:
     k = cochain.k
     if k + 1 > cx.dim:
         return True
-    for cell in cx.cells[k + 1]:
+    ptr, faces, coeffs = cx.layers[k + 1].face_lists()
+    for s, e in zip(ptr, ptr[1:]):
         acc = _zero(group)
-        for fid, coeff in cell.faces:
+        for fid, coeff in zip(faces[s:e], coeffs[s:e]):
             v = cochain.values.get(fid)
             if v is not None:
                 acc = _combine(group, acc, v, coeff)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .complexes import Cell, DeltaComplex, SHAPE_CUBE
+from .complexes import DeltaComplex
 from .errors import (
     AmbiguousSamplingError,
     CoverageError,
@@ -343,42 +343,36 @@ def _parities(field: OrderField, loops: Sequence[Sequence[int]]) -> list[int]:
     return np.logical_xor.reduceat(signs < 0, starts).astype(int).tolist()
 
 
-def _shells(complex_: DeltaComplex, cells: Sequence[Cell]):
+def _shells(complex_: DeltaComplex, cell_ids: np.ndarray):
     """The oriented triangles covering the boundary shells of 3-cells.
 
     A triangular face gives itself, a square (v0, v1, v2, v3) gives
     (v0, v1, v2) and (v0, v2, v3), in the order of each cell's faces.
     Returns the coefficients, vertex triples and owning cell positions
-    of all triangles, the number of cells covered, and the DimensionError
-    of the first cell with any other face, for the caller to raise once
-    the cells before it are probed.
+    of all triangles of the cells ``cell_ids``, the number of cells
+    covered, and the DimensionError of the first cell with any other
+    face, for the caller to raise once the cells before it are probed.
     """
-    layer = complex_.cells[2]
-    coeff: list[int] = []
-    corners: list[int] = []
-    owner: list[int] = []
-    covered, refusal = len(cells), None
-    for i, cell in enumerate(cells):
-        mark = len(coeff)
-        for fid, c in cell.faces:
-            v = layer[fid].vertices
-            if len(v) == 4:
-                corners += (v[0], v[1], v[2], v[0], v[2], v[3])
-                coeff += (c, c)
-            elif len(v) == 3:
-                corners += v
-                coeff.append(c)
-            else:
-                refusal = DimensionError(
-                    f"unexpected 2-cell with {len(v)} vertices")
-                break
-        if refusal is not None:
-            del coeff[mark:], corners[3 * mark:]
-            covered = i
-            break
-        owner += [i] * (len(coeff) - mark)
-    return (coeff, np.array(corners, np.int64).reshape(-1, 3),
-            np.array(owner, np.int64), covered, refusal)
+    squares = complex_.layers[2]
+    owner, faces, coeff = complex_.layers[3].face_entries(cell_ids)
+    size = np.diff(squares.vertex_ptr)[faces]
+    covered, refusal = len(cell_ids), None
+    odd = np.flatnonzero((size != 3) & (size != 4))
+    if len(odd):
+        covered = int(owner[odd[0]])
+        refusal = DimensionError(
+            f"unexpected 2-cell with {size[odd[0]]} vertices")
+        within = owner < covered
+        owner, faces, coeff, size = (
+            owner[within], faces[within], coeff[within], size[within])
+    # One triangle per triangular face and two per square; the second
+    # triangle of a square takes its corners 0, 2 and 3.
+    entry = np.repeat(np.arange(len(faces)), size - 2)
+    second = np.arange(len(entry)) > np.searchsorted(entry, entry)
+    corners = np.where(second[:, None], [0, 2, 3], [0, 1, 2])
+    tri = squares.vertices[squares.vertex_ptr[faces][entry][:, None]
+                           + corners]
+    return coeff[entry].tolist(), tri, owner[entry], covered, refusal
 
 
 def _walk_shell(triangles: list, edges: list) -> dict[int, int]:
@@ -522,9 +516,10 @@ def boundary_classes(field: OrderField, k: int,
     cx = field.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
-    layer = cx.cells[k]
-    cells = list(layer) if cell_ids is None else [layer[c] for c in cell_ids]
-    if not cells:
+    layer = cx.layers[k]
+    ids = np.arange(len(layer)) if cell_ids is None else np.array(
+        [range(len(layer))[c] for c in cell_ids], dtype=np.int64)
+    if not len(ids):
         return []
     space = field.space
     group = space.homotopy_group(k - 1)
@@ -532,9 +527,10 @@ def boundary_classes(field: OrderField, k: int,
     if k == 1:
         if space.name == SPACE_FINITE:
             values = field.values
-            return [0 if values[c.vertices[0]] == values[c.vertices[-1]]
-                    else 1 for c in cells]
-        return [0] * len(cells)
+            return [0 if values[a] == values[b] else 1
+                    for a, b in zip(layer.first_vertices()[ids].tolist(),
+                                    layer.last_vertices()[ids].tolist())]
+        return [0] * len(ids)
 
     if k == 2:
         if not group.abelian:
@@ -542,26 +538,21 @@ def boundary_classes(field: OrderField, k: int,
                 f"pi_1 of {space.name} is nonabelian; single-cell classes "
                 "do not assemble into an additive cochain")
         if space.name not in (SPACE_CIRCLE, SPACE_RP2, SPACE_TORUS):
-            return [0] * len(cells)
-        # An empty loop is refused once the loops before it are probed.
-        loops = [c.vertices for c in cells]
-        refusal = None
-        if () in loops:
-            loops = loops[:loops.index(())]
-            refusal = DimensionError("empty loop")
+            return [0] * len(ids)
+        rows = layer.vertex_rows()
+        loops = [rows[i] for i in ids.tolist()]
         if space.name == SPACE_CIRCLE:
-            out = [turns for turns, in _windings(field, loops, (0,))]
-        elif space.name == SPACE_TORUS:
-            out = _windings(field, loops, (0, 2))
-        else:
-            out = _parities(field, loops)
+            return [turns for turns, in _windings(field, loops, (0,))]
+        if space.name == SPACE_TORUS:
+            return _windings(field, loops, (0, 2))
+        return _parities(field, loops)
+
+    coeff, tri, owner, covered, refusal = _shells(cx, ids)
+    if space.name in (SPACE_SPHERE, SPACE_RP2):
+        out = _degrees(field, coeff, tri, owner, covered,
+                       lift=space.name == SPACE_RP2)
     else:
-        coeff, tri, owner, covered, refusal = _shells(cx, cells)
-        if space.name in (SPACE_SPHERE, SPACE_RP2):
-            out = _degrees(field, coeff, tri, owner, covered,
-                           lift=space.name == SPACE_RP2)
-        else:
-            out = [0] * covered
+        out = [0] * covered
     if refusal is not None:
         raise refusal
     return out

@@ -534,3 +534,109 @@ def boundary_class_oracle(field, k, cell_id):
             lifted[vid] = lifted[vid] * s
         return sphere_degree_oracle(lifted, tris)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Grid cells, one Python tuple per cell
+# ---------------------------------------------------------------------------
+
+def grid_cells_oracle(sites, templates, shape, index_box=None,
+                      periodic_axes=()):
+    """The grid complex on ``sites``, built one site and template at a time.
+
+    ``templates[k - 1]`` lists the k-cell templates as (corner offsets,
+    faces), a face being (position of its anchor among the corners, its
+    template one degree down, sign).  Each template is placed at every
+    site with a dict lookup per corner; on each 0-based periodic axis the
+    top coordinate of ``index_box`` looks up the site at the bottom.
+    Returns (sorted sites, per degree a list of (vertices, faces, shape)).
+    """
+    verts = sorted(sites)
+    m = len(verts[0])
+    lookup = {v: i for i, v in enumerate(verts)}
+    for a in periodic_axes:
+        lo, hi = index_box[a]
+        lookup.update([(lab[:a] + (hi,) + lab[a + 1:], i)
+                       for lab, i in lookup.items() if lab[a] == lo])
+    unit = list(itertools.product((0, 1), repeat=m))
+    around = [[lookup.get(tuple(c + u for c, u in zip(v, offset)))
+               for offset in unit] for v in verts]
+    n = len(verts)
+    layers = [[((i,), (), shape) for i in range(n)]]
+    slot, width = list(range(n)), 1
+    for degree in templates:
+        plan = [([unit.index(o) for o in offsets], faces)
+                for offsets, faces in degree]
+        layer, next_slot, s = [], [None] * (n * len(plan)), 0
+        for corners in around:
+            for where, faces in plan:
+                ids = tuple(corners[j] for j in where)
+                if None not in ids:
+                    next_slot[s] = len(layer)
+                    layer.append((ids, tuple(
+                        (slot[ids[p] * width + t], sign)
+                        for p, t, sign in faces), shape))
+                s += 1
+        layers.append(layer)
+        slot, width = next_slot, len(plan)
+    return verts, layers
+
+
+def constant_boundary_oracle(labels, layers, box):
+    """Collapse the hull of a grid complex onto one new vertex, cell by cell.
+
+    ``labels`` and ``layers`` are as returned by ``grid_cells_oracle``.
+    Hull vertices (an extreme coordinate on some axis) become the vertex
+    one below the box on every axis; cells whose corners share one extreme
+    coordinate are dropped with their entries in face lists; the others
+    are sorted by (new corner tuple, old position).
+    """
+    m = len(box)
+    w = tuple(lo - 1 for lo, _ in box)
+    hull = [sum((lab[a] == lo) << a | (lab[a] == hi) << (m + a)
+                for a, (lo, hi) in enumerate(box)) for lab in labels]
+    images = [w if h else lab for lab, h in zip(labels, hull)]
+    new_labels = sorted(set(images))
+    vid = {lab: i for i, lab in enumerate(new_labels)}
+    image = [vid[lab] for lab in images]
+    out, new_id = [], []
+    for k, layer in enumerate(layers):
+        keys = []
+        for i, (verts, _, _) in enumerate(layer):
+            common = -1
+            for v in verts:
+                common &= hull[v]
+            if k == 0:
+                keys.append(images[verts[0]])
+            else:
+                keys.append(None if common else
+                            (tuple(images[v] for v in verts), i))
+        reps = {}
+        for key, cell in zip(keys, layer):
+            if key is not None:
+                reps.setdefault(key, cell)
+        order = sorted(reps)
+        out.append([
+            (tuple(image[v] for v in verts),
+             tuple((new_id[f], c) for f, c in faces
+                   if new_id[f] is not None), shape)
+            for verts, faces, shape in map(reps.get, order)])
+        rank = {key: j for j, key in enumerate(order)}
+        new_id = [rank.get(key) for key in keys]
+    return new_labels, out
+
+
+def square_failures_oracle(layers):
+    """(k, cell) pairs whose boundary of boundary is nonzero, by summing
+    Python integers over every face of every face; ``layers`` holds per
+    degree a list of (vertices, faces, shape)."""
+    out = []
+    for k in range(2, len(layers)):
+        for cid, (_, faces, _) in enumerate(layers[k]):
+            acc = {}
+            for fid, c1 in faces:
+                for gid, c2 in layers[k - 1][fid][1]:
+                    acc[gid] = acc.get(gid, 0) + c1 * c2
+            if any(acc.values()):
+                out.append((k, cid))
+    return out

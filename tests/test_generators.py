@@ -1,5 +1,6 @@
 """Explicit homology generators: a byte-level pin and their meaning."""
 
+import dataclasses
 import hashlib
 import importlib
 
@@ -8,15 +9,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo import LatticeSpec, build_lattice_complex
-from crystaltopo.complexes import RING_INT
+from crystaltopo.complexes import RING_INT, DeltaComplex, incidence_matrix
 from crystaltopo.errors import ComplexBuildError, InternalInconsistencyError
 from crystaltopo.homology import (
     homology,
     homology_generators,
     is_boundary,
     is_cycle,
+    vertex_components,
 )
 from crystaltopo.lattice import DefectSpec
+from crystaltopo.snf import smith_normal_form
 
 from conftest import (
     make_cylinder,
@@ -135,3 +138,73 @@ def test_a_boundary_column_that_is_no_cycle_is_refused(monkeypatch):
     monkeypatch.setattr(homology_mod, "boundary_columns", corrupt)
     with pytest.raises(InternalInconsistencyError):
         homology_generators(cx, 1)
+
+
+# ---------------------------------------------------------------------------
+# H_0: the tracked Smith form against the components
+# ---------------------------------------------------------------------------
+
+def h0_by_smith(cx):
+    """H_0 generators as the general path finds them: the columns of U^-1
+    from the tracked Smith form U d_1 V = D beyond the unit pivots."""
+    n0 = cx.n_cells(0)
+    if cx.dim == 0 or cx.n_cells(1) == 0:
+        return [(0, {i: 1}) for i in range(n0)]
+    dec = smith_normal_form(incidence_matrix(cx, 1))
+    diagonal = dec.diagonal
+    out = []
+    for j in range(n0):
+        order = diagonal[j] if j < len(diagonal) else 0
+        if order != 1:
+            out.append((order, {i: row[j] for i, row in enumerate(dec.uinv)
+                                if row[j]}))
+    out.sort(key=lambda t: (t[0] == 0, t[0]))
+    return out
+
+
+@st.composite
+def explicit_complexes(draw):
+    """Random simplices on a few labels: often disconnected, with
+    isolated vertices."""
+    n = draw(st.integers(1, 9))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    simplices = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3,
+                 unique=True), min_size=1, max_size=8))
+    return DeltaComplex.from_simplices(simplices)
+
+
+@st.composite
+def any_lattice_specs(draw):
+    spec = draw(lattice_specs())
+    if draw(st.booleans()):
+        spec = dataclasses.replace(spec, boundary="constant",
+                                   periodic_axes=())
+    return spec
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(any_lattice_specs(), explicit_complexes()))
+def test_h0_generators_are_the_largest_vertex_of_each_component(case):
+    if isinstance(case, LatticeSpec):
+        try:
+            case, _ = build_lattice_complex(case)
+        except ComplexBuildError:
+            assume(False)
+    components = vertex_components(case)
+    largest = dict(zip(components, range(len(components))))
+    gens = homology_generators(case, 0)
+    assert [(order, chain.coeffs) for order, chain in gens] == \
+        h0_by_smith(case)
+    assert sorted((order, *chain.coeffs.items()) for order, chain in gens) \
+        == [(0, (v, 1)) for v in sorted(largest.values())]
+
+
+def test_h0_generators_follow_the_pivot_order_not_the_components():
+    # The vertex set is the largest vertex of each component, but the order
+    # is the row order the Smith form leaves behind: here the isolated
+    # vertex 1 comes before vertex 2 of the component {0, 2}.
+    cx = DeltaComplex.from_simplices([("v0", "v2"), ("v1",)])
+    assert [chain.coeffs for _, chain in homology_generators(cx, 0)] == \
+        [{1: 1}, {2: 1}]

@@ -1,6 +1,13 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystaltopo import (
+    ComplexBuildError,
+    DefectSpec,
+    LatticeSpec,
     RING_MOD2,
     RING_REAL,
     Chain,
@@ -8,6 +15,7 @@ from crystaltopo import (
     are_homologous,
     betti_numbers,
     boundary_map,
+    build_lattice_complex,
     cohomology,
     euler_characteristic,
     homology,
@@ -18,7 +26,15 @@ from crystaltopo import (
     vertex_components,
 )
 
-from conftest import make_grid, make_sphere, make_torus
+from conftest import (
+    make_cylinder,
+    make_grid,
+    make_mobius,
+    make_rp2,
+    make_sphere,
+    make_tetra_surface,
+    make_torus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +264,92 @@ def test_euler_characteristic_both_ways():
         from_cells = sum((-1) ** k * n for k, n in enumerate(counts))
         from_betti = sum((-1) ** k * b for k, b in enumerate(betti_numbers(cx)))
         assert euler_characteristic(cx) == from_cells == from_betti
+
+
+# ---------------------------------------------------------------------------
+# invariance under symmetries of the input
+# ---------------------------------------------------------------------------
+
+def _groups(cx):
+    return [(homology(cx, k), homology(cx, k, RING_MOD2))
+            for k in range(cx.dim + 1)]
+
+
+@st.composite
+def translated_vacancies(draw):
+    """A sample periodic on some axes, with vacancies in its fundamental
+    domain, and the same vacancies shifted by one period vector."""
+    m = draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(["triangular", "cubic"]))
+    box = tuple((lo, lo + draw(st.integers(2, 4 if m < 3 else 3)))
+                for lo in draw(st.lists(st.sampled_from([-1, 0, 2]),
+                                        min_size=m, max_size=m)))
+    axes = [a for a in range(m) if draw(st.booleans())] or [0]
+    domain = [tuple(range(lo, hi if a in axes else hi + 1))
+              for a, (lo, hi) in enumerate(box)]
+    sites = draw(st.lists(st.tuples(*map(st.sampled_from, domain)),
+                          min_size=1, max_size=3, unique=True))
+    a = draw(st.sampled_from(axes))
+    step = draw(st.sampled_from([1, -1]))
+    lo, hi = box[a]
+    moved = [s[:a] + (lo + (s[a] - lo + step) % (hi - lo),) + s[a + 1:]
+             for s in sites]
+
+    def spec(vacancies):
+        return LatticeSpec(
+            dimension=m, ambient=m,
+            generators=tuple(tuple(float(i == j) for j in range(m))
+                             for i in range(m)),
+            index_box=box, scheme=scheme, boundary="periodic",
+            periodic_axes=tuple(b + 1 for b in axes),
+            defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
+
+    return spec(sites), spec(moved)
+
+
+@settings(max_examples=80, deadline=None)
+@given(translated_vacancies())
+def test_translating_the_vacancies_changes_no_group(specs):
+    before, after = specs
+    try:
+        cx, _ = build_lattice_complex(before)
+    except ComplexBuildError as exc:
+        with pytest.raises(ComplexBuildError, match=re.escape(str(exc))):
+            build_lattice_complex(after)
+        return
+    cy, _ = build_lattice_complex(after)
+    assert cy.cell_counts() == cx.cell_counts()
+    assert _groups(cy) == _groups(cx)
+
+
+@st.composite
+def relabelled_complexes(draw):
+    """Top simplices of an explicit complex, and the same simplices with
+    the vertex labels permuted at random."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        simplices = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                     unique=True), min_size=1, max_size=10))
+    else:
+        cx = draw(st.sampled_from(
+            [make_cylinder, make_mobius, make_rp2, make_tetra_surface,
+             make_torus]))()
+        index = {lab: i for i, lab in enumerate(cx.vertex_labels)}
+        n = len(index)
+        simplices = [[index[cx.vertex_labels[v]] for v in c.vertices]
+                     for c in cx.cells[cx.dim]]
+    new = draw(st.permutations(range(n)))
+    return ([[f"v{v}" for v in s] for s in simplices],
+            [[f"v{new[v]}" for v in s] for s in simplices])
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_complexes())
+def test_relabelling_the_vertices_changes_no_group(case):
+    cx, cy = (DeltaComplex.from_simplices(s) for s in case)
+    assert cy.cell_counts() == cx.cell_counts()
+    assert _groups(cy) == _groups(cx)
+    a, b = orientability(cx), orientability(cy)
+    assert (b.orientable, b.closed, b.reason) == \
+        (a.orientable, a.closed, a.reason)
