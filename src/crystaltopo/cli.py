@@ -42,7 +42,7 @@ from .lattice import (
 )
 from .network import check_current_law, potential_check
 from .obstruction import extend_field, index_sum_check
-from .orderfield import OrderField, SPACE_FINITE, make_space
+from .orderfield import OrderField, make_space
 
 RING_FLAGS = {"z": RING_INT, "z2": RING_MOD2, "r": RING_REAL}
 
@@ -329,8 +329,6 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -389,7 +387,8 @@ def _text_lines(report: dict) -> list[str]:
         for p in report.get("generator_pairings", []):
             kind = ("free" if p["generator_order"] == 0
                     else f"order {p['generator_order']}")
-            lines.append(f"pairing with {kind} generator: {p['pairing']}")
+            lines.append(f"pairing with {kind} generator: "
+                         f"{json.dumps(p['pairing'])}")
         for cset in report.get("component_values", []):
             lines.append(f"component {cset['component']}: values "
                          + ", ".join(cset["labels"]))
@@ -501,7 +500,7 @@ def cmd_obstruct(args) -> tuple[int, dict]:
         entry = {"k": v.k, "ok": v.ok, "checked": v.checked,
                  "vacuous": v.vacuous}
         if v.blocking:
-            entry["blocking_shown"] = list(v.blocking[:10])
+            entry["blocking_shown"] = v.blocking[:10]
             entry["blocking_total"] = len(v.blocking)
         verdicts.append(entry)
     report = {
@@ -517,19 +516,14 @@ def cmd_obstruct(args) -> tuple[int, dict]:
         "note": result.note,
     }
     if result.generator_pairings is not None:
-        report["generator_pairings"] = [
-            {"generator_order": p["generator_order"],
-             "pairing": list(p["pairing"])
-             if isinstance(p["pairing"], tuple) else p["pairing"]}
-            for p in result.generator_pairings]
+        report["generator_pairings"] = result.generator_pairings
     if result.component_values is not None:
         report["component_values"] = result.component_values
     if result.cochain is not None:
         report["cochain"] = {
             "k": result.cochain.k,
             "group": result.cochain.group.name,
-            "values": [[cid, list(v) if isinstance(v, tuple) else v]
-                       for cid, v in sorted(result.cochain.values.items())],
+            "values": sorted(result.cochain.values.items()),
         }
     if (field_.space.name == "circle" and cx.dim == 2):
         s = index_sum_check(field_)

@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from operator import itemgetter, le, sub
+from operator import eq, itemgetter, le, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -324,34 +324,6 @@ def _check_layers(layers: Sequence[CellLayer], n_vertices: int) -> None:
         below = len(layer)
 
 
-def _sort_with_parity(items: Sequence) -> tuple[tuple, int]:
-    """Ascending copy of ``items`` plus the permutation sign.
-
-    Rejects repeated entries: parity is undefined for them, and fresh
-    builds never need it.
-    """
-    n = len(items)
-    order = sorted(range(n), key=lambda i: items[i])
-    sorted_items = tuple(items[i] for i in order)
-    for a, b in zip(sorted_items, sorted_items[1:]):
-        if a == b:
-            raise ComplexBuildError(f"repeated vertex in cell {tuple(items)}")
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sorted_items, sign
-
-
 class DeltaComplex:
     """Immutable cell complex; construct via the class methods or builders.
 
@@ -520,7 +492,9 @@ class DeltaComplex:
             t = tuple(simplex)
             if len(t) == 0:
                 raise ComplexBuildError("empty cell tuple")
-            key, _ = _sort_with_parity(t)
+            key = tuple(sorted(t))
+            if any(map(eq, key, key[1:])):
+                raise ComplexBuildError(f"repeated vertex in cell {t}")
             by_dim.setdefault(len(t) - 1, set()).add(key)
         top = max(by_dim, default=0)
         if auto_close:
@@ -760,10 +734,8 @@ def boundary_of_cell(complex_: DeltaComplex, k: int, cell_id: int,
     """Signed face chain of one cell."""
     if k < 0 or k > complex_.dim:
         raise DimensionError(f"no cells of dimension {k}")
-    data: dict[int, int] = {}
-    for fid, coeff in complex_.cell(k, cell_id).faces:
-        data[fid] = data.get(fid, 0) + coeff
-    return Chain(k - 1, data, ring)
+    cell_id = range(complex_.n_cells(k))[cell_id]
+    return boundary_map(Chain(k, {cell_id: 1}, ring), complex_)
 
 
 def boundary_map(chain: Chain, complex_: DeltaComplex) -> Chain:
@@ -774,7 +746,7 @@ def boundary_map(chain: Chain, complex_: DeltaComplex) -> Chain:
         raise DimensionError(f"no cells of dimension {chain.dim}")
     layer = complex_.layers[chain.dim]
     cids = list(chain.coeffs)
-    if any(not 0 <= cid < len(layer) for cid in cids):
+    if cids and not (0 <= min(cids) and max(cids) < len(layer)):
         raise IndexError(f"chain names a cell outside 0..{len(layer) - 1}")
     owner, faces, coeffs = layer.face_entries(cids)
     scale = list(chain.coeffs.values())
@@ -847,6 +819,56 @@ def incidence_matrix(complex_: DeltaComplex, k: int) -> np.ndarray:
     M.setflags(write=False)
     complex_._cache[key] = M
     return M
+
+
+# ---------------------------------------------------------------------------
+# Spanning forests
+
+
+def spanning_forest(n: int, heads, tails) -> tuple[
+        list[int], list[tuple[int, int, int] | None]]:
+    """Breadth-first spanning forest of the graph on nodes 0..n-1 whose
+    edge e joins ``heads[e]`` to ``tails[e]``.
+
+    Each tree grows from the least node not reached yet; a node tries its
+    edges in edge-id order, and self-loops are skipped.  Returns the nodes
+    in visit order and, per node, ``(parent, edge, sign)``: sign is +1 when
+    the node is the tail of its tree edge and -1 when it is the head.  A
+    root has None.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    tails = np.asarray(tails, dtype=np.int64)
+    # Both ends of each edge, interleaved so that a stable sort by end
+    # keeps every node's edges in edge-id order: entry 2e is edge e at its
+    # head, entry 2e + 1 at its tail, and entry i ^ 1 is the other end.
+    ends = np.stack([heads, tails], axis=1).ravel()
+    entry = np.flatnonzero(np.repeat(heads != tails, 2))
+    entry = entry[np.argsort(ends[entry], kind="stable")]
+    ptr = row_offsets(np.bincount(ends[entry], minlength=n)).tolist()
+    other = ends[entry ^ 1].tolist()
+
+    via = [-1] * n  # the position in ``entry`` that reached a node; -2: root
+    order: list[int] = []
+    for root in range(n):
+        if via[root] != -1:
+            continue
+        via[root] = -2
+        tree = [root]
+        for cur in tree:  # the list grows while it is walked: a queue
+            for j in range(ptr[cur], ptr[cur + 1]):
+                if via[other[j]] == -1:
+                    via[other[j]] = j
+                    tree.append(other[j])
+        order += tree
+
+    via = np.array(via, dtype=np.int64)
+    reached = np.flatnonzero(via >= 0)
+    e = entry[via[reached]]
+    parent: list[tuple[int, int, int] | None] = [None] * n
+    for node, link in zip(reached.tolist(), zip(
+            ends[e].tolist(), (e // 2).tolist(), (1 - 2 * (e % 2)).tolist())):
+        parent[node] = link
+    return order, parent
 
 
 # ---------------------------------------------------------------------------

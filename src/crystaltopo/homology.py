@@ -32,7 +32,7 @@ from .complexes import (
     boundary_columns,
     boundary_map,
     incidence_matrix,
-    row_offsets,
+    spanning_forest,
 )
 from .errors import DimensionError, InternalInconsistencyError
 from .snf import matmul_int, smith_normal_form, sparse_invariant_factors
@@ -128,24 +128,18 @@ def euler_characteristic(complex_: DeltaComplex) -> int:
 
 def vertex_components(complex_: DeltaComplex) -> list[int]:
     """Connected-component id per vertex, numbered by smallest member."""
-    parent = list(range(complex_.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    heads = tails = ()
     if complex_.dim >= 1:
         edges = complex_.layers[1]
-        for a, b in zip(edges.first_vertices().tolist(),
-                        edges.last_vertices().tolist()):
-            a, b = find(a), find(b)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    roots = sorted({find(v) for v in range(complex_.n_vertices)})
-    renumber = {r: i for i, r in enumerate(roots)}
-    return [renumber[find(v)] for v in range(complex_.n_vertices)]
+        heads, tails = edges.first_vertices(), edges.last_vertices()
+    order, parent = spanning_forest(complex_.n_vertices, heads, tails)
+    component = [0] * complex_.n_vertices
+    count = -1
+    for v in order:
+        if parent[v] is None:
+            count += 1
+        component[v] = count
+    return component
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +303,9 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
 
     Top cells are glued across internal faces that appear in exactly two
     face-list entries; a consistent choice of signs making all internal
-    faces cancel is a fundamental chain.  When no consistent choice
-    exists, the all-ones mod-2 chain is returned instead, with its mod-2
-    boundary.
+    faces cancel, propagated along the spanning forest of that gluing, is
+    a fundamental chain.  When no consistent choice exists, the all-ones
+    mod-2 chain is returned instead, with its mod-2 boundary.
     """
     m = complex_.dim
     n_top = complex_.n_cells(m)
@@ -351,22 +345,11 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
     if consistent:
         p, q = p[~same], q[~same]
         rel = (-a * b)[~same]
-        ends = np.concatenate([p, q])
-        by_end = np.argsort(ends, kind="stable")
-        ptr = row_offsets(np.bincount(ends, minlength=n_top)).tolist()
-        other = np.concatenate([q, p])[by_end].tolist()
-        step = np.concatenate([rel, rel])[by_end].tolist()
-        for seed in range(n_top):
-            if signs[seed]:
-                continue
-            signs[seed] = 1
-            queue = [seed]
-            while queue:
-                cur = queue.pop()
-                for j in range(ptr[cur], ptr[cur + 1]):
-                    if not signs[other[j]]:
-                        signs[other[j]] = step[j] * signs[cur]
-                        queue.append(other[j])
+        order, parent = spanning_forest(n_top, p, q)
+        step = rel.tolist()
+        for v in order:
+            link = parent[v]
+            signs[v] = 1 if link is None else step[link[1]] * signs[link[0]]
         # The spanning forest fixed every sign; each glued pair must agree.
         spin = np.array(signs)
         consistent = bool((spin[q] == rel * spin[p]).all())

@@ -4,16 +4,18 @@ Edge currents live in the kernel of the first boundary matrix; edge drops
 are consistent exactly when they are a coboundary of vertex potentials.
 Both checks work over floats with an explicit tolerance and report where
 they fail: net charge per vertex for currents, a fundamental loop with a
-nonzero circulation for drops.
+nonzero circulation for drops.  The net charges are summed by one
+``np.bincount`` in face-entry order, and the potentials are filled along
+the breadth-first ``spanning_forest`` of the 1-skeleton.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
-from .complexes import Chain, DeltaComplex, RING_REAL
+import numpy as np
+
+from .complexes import Chain, DeltaComplex, RING_REAL, spanning_forest
 from .errors import DimensionError
 
 KIRCHHOFF_TOL = 1e-9
@@ -48,11 +50,10 @@ def check_current_law(complex_: DeltaComplex, currents,
     if complex_.dim < 1:
         return CurrentLawReport(True, 0.0, {})
     vals = _edge_values(complex_, currents)
-    residual = [0.0] * complex_.n_vertices
     owner, faces, coeffs = complex_.layers[1].face_entries(list(vals))
-    current = list(vals.values())
-    for o, fid, coeff in zip(owner.tolist(), faces.tolist(), coeffs.tolist()):
-        residual[fid] += coeff * current[o]
+    current = np.array(list(vals.values()), dtype=float)
+    residual = np.bincount(faces, coeffs * current[owner],
+                           minlength=complex_.n_vertices).tolist()
     offenders = {v: r for v, r in enumerate(residual) if abs(r) > tol}
     worst = max((abs(r) for r in residual), default=0.0)
     return CurrentLawReport(not offenders, worst, offenders, tol)
@@ -71,55 +72,38 @@ def potential_check(complex_: DeltaComplex, drops,
                     tol: float = KIRCHHOFF_TOL) -> PotentialReport:
     """Find vertex potentials whose differences match the edge drops.
 
-    A drop on edge (a, b) is V(b) - V(a).  Potentials are assigned along
-    a spanning forest rooted at each component's smallest vertex id; the
-    first non-tree edge that disagrees yields its fundamental loop as a
-    1-chain whose circulation is the mismatch.
+    A drop on edge (a, b) is V(b) - V(a).  Potentials are assigned in the
+    visit order of the breadth-first spanning forest, each tree rooted at
+    its component's smallest vertex id; the first non-tree edge that
+    disagrees yields its fundamental loop as a 1-chain whose circulation
+    is the mismatch.
     """
     n_v = complex_.n_vertices
     if complex_.dim < 1 or complex_.n_cells(1) == 0:
         return PotentialReport(True, [0.0] * n_v)
     vals = _edge_values(complex_, drops)
 
-    # Each vertex's edges, in edge-id order.
-    first = complex_.layers[1].first_vertices().tolist()
-    last = complex_.layers[1].last_vertices().tolist()
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_v)]
-    for cid, (a, b) in enumerate(zip(first, last)):
-        adjacency[a].append((b, cid, 1))
-        if a != b:
-            adjacency[b].append((a, cid, -1))
-
-    potential = [None] * n_v
-    parent: dict[int, tuple[int, int, int]] = {}
-    tree_edges: set[int] = set()
-    for root in range(n_v):
-        if potential[root] is not None:
-            continue
-        potential[root] = 0.0
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for other, cid, sign in adjacency[cur]:
-                if other == cur or potential[other] is not None:
-                    continue
-                drop = vals.get(cid, 0.0)
-                potential[other] = potential[cur] + sign * drop
-                parent[other] = (cur, cid, sign)
-                tree_edges.add(cid)
-                queue.append(other)
+    first = complex_.layers[1].first_vertices()
+    last = complex_.layers[1].last_vertices()
+    order, parent = spanning_forest(n_v, first, last)
+    potential = [0.0] * n_v
+    for v in order:
+        if parent[v] is not None:
+            up, cid, sign = parent[v]
+            potential[v] = potential[up] + sign * vals.get(cid, 0.0)
+    tree_edges = {link[1] for link in parent if link is not None}
 
     def path_to_root(v: int) -> dict[int, float]:
         # Edge coefficients of the tree path from v up to its root,
         # oriented from v toward the root.
         coeffs: dict[int, float] = {}
-        while v in parent:
+        while parent[v] is not None:
             up, cid, sign = parent[v]
             coeffs[cid] = coeffs.get(cid, 0.0) - sign
             v = up
         return coeffs
 
-    for cid, (a, b) in enumerate(zip(first, last)):
+    for cid, (a, b) in enumerate(zip(first.tolist(), last.tolist())):
         if cid in tree_edges:
             continue
         drop = vals.get(cid, 0.0)
@@ -137,4 +121,4 @@ def potential_check(complex_: DeltaComplex, drops,
             circulation = sum(
                 c * vals.get(e, 0.0) for e, c in chain.coeffs.items())
             return PotentialReport(False, None, chain, circulation, tol)
-    return PotentialReport(True, [float(p) for p in potential], tol=tol)
+    return PotentialReport(True, potential, tol=tol)

@@ -7,13 +7,26 @@ vanishes cell by cell; whether it vanishes in cohomology decides if some
 modification on lower cells extends instead.  Discrete value spaces are
 handled by their own constancy analysis: their transition flags carry no
 additive structure.
+
+A group-valued cochain is read as one integer or mod-2 ``Cochain`` per
+summand of its group (Z^2 as two integer cochains), so the cocycle check,
+the pairing with chains and the class decision run on the chain operators
+of :mod:`crystaltopo.complexes` and the membership test of
+:mod:`crystaltopo.homology`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import Chain, DeltaComplex, RING_INT, RING_MOD2
+from .complexes import (
+    Chain,
+    Cochain,
+    DeltaComplex,
+    RING_INT,
+    RING_MOD2,
+    coboundary_map,
+)
 from .errors import (
     DimensionError,
     UnsupportedConfigurationError,
@@ -28,7 +41,6 @@ from .homology import (
 from .orderfield import (
     CoefficientGroup,
     OrderField,
-    SPACE_FINITE,
     boundary_classes,
     pi0_classes,
 )
@@ -49,28 +61,20 @@ class ObstructionCochain:
     values: dict[int, object] = field(default_factory=dict)
     space_name: str = ""
 
-    def value(self, cell_id: int):
-        return self.values.get(cell_id, _zero(self.group))
-
     @property
     def support(self) -> list[int]:
         return sorted(self.values)
 
 
-def _zero(group: CoefficientGroup):
-    return (0, 0) if group.rank == 2 else 0
-
-
-def _combine(group: CoefficientGroup, acc, v, scale: int):
-    if group.rank == 2:
-        return (acc[0] + scale * v[0], acc[1] + scale * v[1])
-    return acc + scale * v
-
-
-def _reduce(group: CoefficientGroup, v):
-    if group.order == 2:
-        return v % 2
-    return v
+def _summands(cochain: ObstructionCochain) -> list[Cochain]:
+    """The cochain as one integer or mod-2 cochain per summand of its
+    group: Z and Z/2 give one, Z^2 gives one per factor."""
+    k, values = cochain.k, cochain.values
+    if cochain.group.rank == 2:
+        return [Cochain(k, {cid: v[c] for cid, v in values.items()}, RING_INT)
+                for c in range(2)]
+    ring = RING_MOD2 if cochain.group.order == 2 else RING_INT
+    return [Cochain(k, values, ring)]
 
 
 def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
@@ -83,8 +87,8 @@ def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     if not group.trivial:
         classes = boundary_classes(field_, k)
         if group.order == 2:
-            classes = [_reduce(group, v) for v in classes]
-        zero = _zero(group)
+            classes = [v % 2 for v in classes]
+        zero = (0, 0) if group.rank == 2 else 0
         values = {cid: v for cid, v in enumerate(classes) if v != zero}
     return ObstructionCochain(cx, k, group, values, field_.space.name)
 
@@ -99,49 +103,25 @@ def verify_cocycle(cochain: ObstructionCochain) -> bool:
     group = cochain.group
     if group.trivial or group.name == "set":
         return True
-    cx = cochain.complex_
-    k = cochain.k
-    if k + 1 > cx.dim:
-        return True
-    ptr, faces, coeffs = cx.layers[k + 1].face_lists()
-    for s, e in zip(ptr, ptr[1:]):
-        acc = _zero(group)
-        for fid, coeff in zip(faces[s:e], coeffs[s:e]):
-            v = cochain.values.get(fid)
-            if v is not None:
-                acc = _combine(group, acc, v, coeff)
-        if group.rank == 2:
-            if acc != (0, 0):
-                return False
-        elif group.order == 2:
-            if acc % 2 != 0:
-                return False
-        elif acc != 0:
-            return False
-    return True
+    return not any(coboundary_map(part, cochain.complex_).coeffs
+                   for part in _summands(cochain))
 
 
 def evaluate(cochain: ObstructionCochain, chain: Chain):
     """Pair the cochain with a chain of the same dimension.
 
-    Returns an integer (or pair) for group-valued cochains; for discrete
-    transition flags it returns 1 when the chain touches any flagged cell
-    and 0 otherwise.
+    Returns an integer (or pair) for group-valued cochains, reduced mod 2
+    when the group or the chain's ring is Z/2; for discrete transition
+    flags it returns 1 when the chain touches any flagged cell and 0
+    otherwise.
     """
     if chain.dim != cochain.k:
         raise DimensionError(
             f"pairing a {cochain.k}-cochain with a {chain.dim}-chain")
-    group = cochain.group
-    if group.name == "set":
+    if cochain.group.name == "set":
         return 1 if any(cid in cochain.values for cid in chain.coeffs) else 0
-    acc = _zero(group)
-    for cid, a in chain.coeffs.items():
-        v = cochain.values.get(cid)
-        if v is not None:
-            acc = _combine(group, acc, v, a)
-    if group.rank == 2:
-        return acc
-    return _reduce(group, acc)
+    pairings = tuple(part.pair(chain) for part in _summands(cochain))
+    return pairings if cochain.group.rank == 2 else pairings[0]
 
 
 def obstruction_class(cochain: ObstructionCochain) -> str:
@@ -159,13 +139,8 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
     if k < 1 or cx.n_cells(k - 1) == 0:
         return "nontrivial"
     # delta: C^{k-1} -> C^k is the transpose of the k-th boundary matrix.
-    if group.rank == 2:
-        parts = [({j: v[c] for j, v in cochain.values.items()}, RING_INT)
-                 for c in range(2)]
-    else:
-        ring = RING_MOD2 if group.order == 2 else RING_INT
-        parts = [({j: int(v) for j, v in cochain.values.items()}, ring)]
-    if all(_in_image(cx, k, vec, ring, transpose=True) for vec, ring in parts):
+    if all(_in_image(cx, k, part.coeffs, part.ring, transpose=True)
+           for part in _summands(cochain)):
         return "trivial"
     return "nontrivial"
 

@@ -222,10 +222,6 @@ class OrderField:
         v = self.values[vertex_id]
         return math.atan2(v[1], v[0])
 
-    def torus_angles(self, vertex_id: int) -> tuple[float, float]:
-        v = self.values[vertex_id]
-        return (math.atan2(v[1], v[0]), math.atan2(v[3], v[2]))
-
 
 # ---------------------------------------------------------------------------
 # Probe computations

@@ -68,10 +68,6 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    @property
-    def invariant_factors(self) -> list[int]:
-        return [d for d in self.diagonal if d != 0]
-
 
 def _min_abs_position(A, start: int) -> tuple[int, int] | None:
     """Smallest nonzero |entry| in A[start:, start:], rows scanned first."""

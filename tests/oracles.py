@@ -640,3 +640,199 @@ def square_failures_oracle(layers):
             if any(acc.values()):
                 out.append((k, cid))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Group-valued cochains, one cell at a time
+# ---------------------------------------------------------------------------
+#
+# A group is named as in ``CoefficientGroup.name``: "Z", "Z/2" or "Z^2"
+# (integer pairs); values map cell ids to group elements.
+
+def _group_zero(group):
+    return (0, 0) if group == "Z^2" else 0
+
+
+def _group_add(group, acc, value, scale):
+    if group == "Z^2":
+        return (acc[0] + scale * value[0], acc[1] + scale * value[1])
+    return acc + scale * value
+
+
+def cocycle_oracle(group, values, face_rows):
+    """Whether the coboundary of a group-valued cochain vanishes.
+
+    ``face_rows`` holds per cell one degree up its (face id, coefficient)
+    pairs; each cell sums its faces' values in the group, and Z/2 sums are
+    reduced at the end.
+    """
+    for row in face_rows:
+        acc = _group_zero(group)
+        for fid, coeff in row:
+            if fid in values:
+                acc = _group_add(group, acc, values[fid], coeff)
+        if group == "Z/2":
+            acc %= 2
+        if acc != _group_zero(group):
+            return False
+    return True
+
+
+def pairing_oracle(group, values, chain_coeffs):
+    """Group-valued sum of value times coefficient over the chain's cells,
+    in the chain's order; Z/2 sums are reduced mod 2."""
+    acc = _group_zero(group)
+    for cid, a in chain_coeffs.items():
+        if cid in values:
+            acc = _group_add(group, acc, values[cid], a)
+    return acc % 2 if group == "Z/2" else acc
+
+
+def coboundary_class_oracle(group, values, delta):
+    """'trivial' when the cochain lies in the image of the coboundary whose
+    matrix is ``delta`` (one row per cell of the cochain's degree, one
+    column per cell one degree down), else 'nontrivial'.
+
+    Over Z a vector lies in the column lattice of A exactly when [A | b]
+    has the rank and the invariant-factor product of A; over Z/2 when the
+    rank does not grow.  Z^2 is decided one factor at a time.
+    """
+    zero = _group_zero(group)
+    parts = [[values.get(i, zero) for i in range(len(delta))]]
+    if group == "Z^2":
+        parts = [[v[c] for v in parts[0]] for c in range(2)]
+    for b in parts:
+        augmented = [list(row) + [v] for row, v in zip(delta, b)]
+        if group == "Z/2":
+            if gf2_rank_oracle(augmented) != gf2_rank_oracle(delta):
+                return "nontrivial"
+            continue
+        before, after = (snf_diagonal_oracle(m) if m and m[0] else []
+                         for m in (delta, augmented))
+        if (len(before), math.prod(map(abs, before))) != (
+                len(after), math.prod(map(abs, after))):
+            return "nontrivial"
+    return "trivial"
+
+
+# ---------------------------------------------------------------------------
+# Graph walks
+# ---------------------------------------------------------------------------
+
+def potentials_oracle(n_vertices, edges, drops, tol):
+    """Vertex potentials from edge drops by a deque BFS over per-vertex
+    adjacency lists, each in edge-id order; ``edges`` holds the (first,
+    last) vertex of every edge, and a drop on (a, b) is V(b) - V(a).
+
+    Returns ``(potentials, None, None)`` when every non-tree edge agrees,
+    else ``(None, loop, circulation)`` for the first one that does not:
+    the loop runs along that edge and back through the tree, as a
+    {edge: coefficient} dict without zero entries.
+    """
+    from collections import deque
+
+    adjacency = [[] for _ in range(n_vertices)]
+    for cid, (a, b) in enumerate(edges):
+        adjacency[a].append((b, cid, 1))
+        if a != b:
+            adjacency[b].append((a, cid, -1))
+    potential = [None] * n_vertices
+    parent = {}
+    for root in range(n_vertices):
+        if potential[root] is not None:
+            continue
+        potential[root] = 0.0
+        queue = deque([root])
+        while queue:
+            cur = queue.popleft()
+            for other, cid, sign in adjacency[cur]:
+                if other == cur or potential[other] is not None:
+                    continue
+                potential[other] = potential[cur] + sign * drops.get(cid, 0.0)
+                parent[other] = (cur, cid, sign)
+                queue.append(other)
+    tree = {cid for _, cid, _ in parent.values()}
+
+    def up(v):
+        coeffs = {}
+        while v in parent:
+            v, cid, sign = parent[v]
+            coeffs[cid] = coeffs.get(cid, 0.0) - sign
+        return coeffs
+
+    for cid, (a, b) in enumerate(edges):
+        if cid in tree:
+            continue
+        drop = drops.get(cid, 0.0)
+        if abs(potential[b] - potential[a] - drop) > tol:
+            loop = {cid: 1.0}
+            for e, c in up(b).items():
+                loop[e] = loop.get(e, 0.0) + c
+            for e, c in up(a).items():
+                loop[e] = loop.get(e, 0.0) - c
+            loop = {e: c for e, c in loop.items() if c != 0}
+            circulation = sum(c * drops.get(e, 0.0) for e, c in loop.items())
+            return None, loop, circulation
+    return potential, None, None
+
+
+def orientation_oracle(face_rows):
+    """Signs of the top cells that cancel every internal face, or None.
+
+    ``face_rows`` holds per top cell its (face id, coefficient) pairs.  A
+    face whose nonzero entries have absolute values summing to 2 is
+    internal: two unit entries in two cells relate their signs, two
+    entries in one cell must cancel by themselves, and one entry of 2
+    cannot cancel.  A heavier face admits no orientation.  Signs are fixed
+    by a depth-first walk from the least unsigned cell, then every
+    relation is checked.
+    """
+    entries = {}
+    for cell, row in enumerate(face_rows):
+        for fid, coeff in row:
+            if coeff:
+                entries.setdefault(fid, []).append((cell, coeff))
+    relations = []
+    for found in entries.values():
+        weight = sum(abs(c) for _, c in found)
+        if weight > 2:
+            return None
+        if weight < 2:
+            continue
+        if len(found) == 1:
+            return None
+        (p, a), (q, b) = found
+        if p == q:
+            if a + b:
+                return None
+            continue
+        relations.append((p, q, -a * b))
+    neighbours = [[] for _ in face_rows]
+    for p, q, rel in relations:
+        neighbours[p].append((q, rel))
+        neighbours[q].append((p, rel))
+    signs = [0] * len(face_rows)
+    for seed in range(len(face_rows)):
+        if signs[seed]:
+            continue
+        signs[seed] = 1
+        stack = [seed]
+        while stack:
+            cur = stack.pop()
+            for other, rel in neighbours[cur]:
+                if not signs[other]:
+                    signs[other] = rel * signs[cur]
+                    stack.append(other)
+    if any(signs[q] != rel * signs[p] for p, q, rel in relations):
+        return None
+    return signs
+
+
+def current_residuals_oracle(n_vertices, face_rows, currents):
+    """Net flow into each vertex, one face entry at a time: the entries
+    of each edge in ``currents`` order, each edge's faces in row order."""
+    residual = [0.0] * n_vertices
+    for cid, value in currents.items():
+        for fid, coeff in face_rows[cid]:
+            residual[fid] += coeff * value
+    return residual

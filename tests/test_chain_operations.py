@@ -1,0 +1,322 @@
+"""Obstruction cochains on the chain operators, the one spanning-forest
+walk and the summed current law, against the per-cell loops and graph
+walks of ``tests/oracles.py``.
+
+Every comparison is exact: the package and the references must give equal
+values, loops and signs, not values within a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from crystaltopo.complexes import (
+    Chain,
+    DeltaComplex,
+    RING_INT,
+    RING_MOD2,
+    RING_REAL,
+    boundary_map,
+    boundary_of_cell,
+    incidence_matrix,
+    spanning_forest,
+)
+from crystaltopo.errors import (
+    ComplexBuildError,
+    DefectLocusError,
+    DimensionError,
+)
+from crystaltopo.homology import orientability, vertex_components
+from crystaltopo.lattice import (
+    DefectSpec,
+    LatticeSpec,
+    box_points,
+    build_lattice_complex,
+)
+from crystaltopo.network import (
+    KIRCHHOFF_TOL,
+    check_current_law,
+    potential_check,
+)
+from crystaltopo.obstruction import (
+    ObstructionCochain,
+    evaluate,
+    obstruction_class,
+    verify_cocycle,
+)
+from crystaltopo.orderfield import (
+    GROUP_Z,
+    GROUP_Z2,
+    GROUP_ZxZ,
+    CoefficientGroup,
+)
+
+from oracles import (
+    coboundary_class_oracle,
+    cocycle_oracle,
+    components_oracle,
+    current_residuals_oracle,
+    orientation_oracle,
+    pairing_oracle,
+    potentials_oracle,
+)
+
+
+@st.composite
+def lattice_specs(draw):
+    """Small samples of both schemes with free, constant or periodic
+    boundaries; extent-1 periodic axes give self-loops, and up to two
+    vacancies punch holes."""
+    m = draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(["triangular", "cubic"]))
+    boundary = draw(st.sampled_from(["free", "constant", "periodic"]))
+    top = {1: 4, 2: 3, 3: 2}[m]
+    box = tuple((0, draw(st.integers(1, top))) for _ in range(m))
+    axes = ()
+    if boundary == "periodic":
+        axes = tuple(a + 1 for a in range(m) if draw(st.booleans())) or (1,)
+    vacancies = draw(st.lists(st.sampled_from(box_points(box)), max_size=2,
+                              unique=True))
+    return LatticeSpec(
+        dimension=m, ambient=m,
+        generators=tuple(tuple(float(i == j) for j in range(m))
+                         for i in range(m)),
+        index_box=box, scheme=scheme, boundary=boundary, periodic_axes=axes,
+        defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
+
+
+def build(spec):
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except (ComplexBuildError, DefectLocusError):
+        return None
+    return cx
+
+
+def face_rows(cx, k):
+    return [c.faces for c in cx.cells[k]] if 0 <= k <= cx.dim else []
+
+
+def edge_ends(cx):
+    return [(c.vertices[0], c.vertices[-1]) for c in cx.cells[1]]
+
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# obstruction cochains
+# ---------------------------------------------------------------------------
+
+GROUPS = {"Z": GROUP_Z, "Z/2": GROUP_Z2, "Z^2": GROUP_ZxZ}
+
+
+def draw_values(data, cx, k, name):
+    """A sparse cochain with nonzero values; each summand of its group is
+    a coboundary or a few random values."""
+    n = cx.n_cells(k)
+    small = st.integers(-3, 3)
+    columns = []
+    for _ in range(2 if name == "Z^2" else 1):
+        if data.draw(st.booleans()) and cx.n_cells(k - 1):
+            matrix = incidence_matrix(cx, k)
+            x = data.draw(st.lists(small, min_size=len(matrix),
+                                   max_size=len(matrix)))
+            columns.append((np.array(x) @ matrix).tolist())
+        else:
+            column = [0] * n
+            for cid in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                          max_size=6, unique=True)):
+                column[cid] = data.draw(small.filter(bool))
+            columns.append(column)
+    if name == "Z/2":
+        columns = [[v % 2 for v in columns[0]]]
+    values = {}
+    for cid, entry in enumerate(zip(*columns)):
+        if any(entry):
+            values[cid] = entry if name == "Z^2" else entry[0]
+    return values
+
+
+@SETTINGS
+@given(lattice_specs(), st.sampled_from(sorted(GROUPS)), st.data())
+def test_group_valued_cochains_match_the_cellwise_loops(spec, name, data):
+    cx = build(spec)
+    if cx is None or cx.dim < 1:
+        return
+    k = data.draw(st.integers(1, cx.dim))
+    if not cx.n_cells(k):
+        return  # a constant boundary can collapse every edge
+    values = draw_values(data, cx, k, name)
+    cochain = ObstructionCochain(cx, k, GROUPS[name], values)
+
+    assert verify_cocycle(cochain) == cocycle_oracle(
+        name, values, face_rows(cx, k + 1))
+    delta = incidence_matrix(cx, k).T.tolist()
+    assert obstruction_class(cochain) == coboundary_class_oracle(
+        name, values, delta)
+
+    n = cx.n_cells(k)
+    cells = data.draw(st.lists(st.integers(0, n - 1), max_size=8,
+                               unique=True))
+    integral = {c: data.draw(st.integers(-5, 5)) for c in cells}
+    real = {c: data.draw(st.floats(-1e3, 1e3)) for c in cells}
+    for coeffs, ring in ((integral, RING_INT), (real, RING_REAL)):
+        chain = Chain(k, coeffs, ring)
+        assert evaluate(cochain, chain) == pairing_oracle(
+            name, values, chain.coeffs)
+
+
+@SETTINGS
+@given(lattice_specs(), st.data())
+def test_set_valued_cochains_flag_touching_chains(spec, data):
+    cx = build(spec)
+    if cx is None:
+        return
+    n = cx.n_vertices
+    flagged = data.draw(st.lists(st.integers(0, n - 1), max_size=4,
+                                 unique=True))
+    group = CoefficientGroup("set", size=2)
+    cochain = ObstructionCochain(cx, 0, group, dict.fromkeys(flagged, 1))
+    chain = Chain(0, dict.fromkeys(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=4)), 1))
+    assert verify_cocycle(cochain)
+    assert obstruction_class(cochain) == "not_applicable"
+    assert evaluate(cochain, chain) == int(bool(set(flagged) & set(
+        chain.coeffs)))
+
+
+def test_pairing_with_a_mod2_chain_is_reduced(disc):
+    # Integer and Z^2 values paired with a Z/2 chain are only defined mod
+    # 2; they come back reduced, as Cochain.pair reduces them.
+    mod2 = Chain(2, {0: 1, 1: 1}, RING_MOD2)
+    z = ObstructionCochain(disc, 2, GROUP_Z, {0: 2, 1: 1})
+    assert evaluate(z, mod2) == 1
+    zz = ObstructionCochain(disc, 2, GROUP_ZxZ, {0: (2, 3), 1: (1, 1)})
+    assert evaluate(zz, mod2) == (1, 0)
+    assert evaluate(zz, Chain(2, {0: 1, 1: 1})) == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# the spanning forest and its three callers
+# ---------------------------------------------------------------------------
+
+def test_spanning_forest_is_breadth_first_in_edge_order():
+    # node 0 is the tail of edge 0 and the head of edge 1, so it reaches 1
+    # before 2; the self-loop 3 and the parallel edge 4 add nothing, and
+    # node 3 is a root of its own
+    heads = [1, 0, 2, 2, 0]
+    tails = [0, 2, 4, 2, 1]
+    order, parent = spanning_forest(5, heads, tails)
+    assert order == [0, 1, 2, 4, 3]
+    assert parent == [None, (0, 0, -1), (0, 1, 1), None, (2, 2, 1)]
+    assert spanning_forest(2, [], []) == ([0, 1], [None, None])
+
+
+@SETTINGS
+@given(lattice_specs())
+def test_components_match_the_reference_walk(spec):
+    cx = build(spec)
+    if cx is None:
+        return
+    edges = edge_ends(cx) if cx.dim >= 1 else []
+    ref = components_oracle(cx.n_vertices, edges)
+    assert vertex_components(cx) == [ref[v] for v in range(cx.n_vertices)]
+
+
+@SETTINGS
+@given(lattice_specs(), st.data())
+def test_potentials_match_the_reference_bfs(spec, data):
+    cx = build(spec)
+    if cx is None or cx.n_cells(1) == 0:
+        return
+    # Dyadic potentials give exact drops, others drops whose sums round
+    # differently along different paths; one edge may be broken, and some
+    # drops are left out (read as 0).
+    eighths = st.integers(-40, 40).map(lambda i: i / 8)
+    volts = [data.draw(st.one_of(eighths, st.floats(-100, 100)))
+             for _ in range(cx.n_vertices)]
+    edges = edge_ends(cx)
+    drops = {cid: volts[b] - volts[a] for cid, (a, b) in enumerate(edges)}
+    for cid in data.draw(st.lists(st.sampled_from(range(len(edges))),
+                                  max_size=2, unique=True)):
+        del drops[cid]
+    if data.draw(st.booleans()):
+        broken = data.draw(st.sampled_from(range(len(edges))))
+        drops[broken] = drops.get(broken, 0.0) + data.draw(eighths)
+    potentials, loop, circulation = potentials_oracle(
+        cx.n_vertices, edges, drops, KIRCHHOFF_TOL)
+    rep = potential_check(cx, drops)
+    assert rep.consistent == (potentials is not None)
+    assert rep.potentials == potentials
+    if loop is None:
+        assert rep.violating_loop is None
+    else:
+        assert rep.violating_loop.coeffs == loop
+        assert list(rep.violating_loop.coeffs) == list(loop)
+        assert rep.loop_circulation == circulation
+
+
+@SETTINGS
+@given(lattice_specs(), st.data())
+def test_current_residuals_match_the_entry_loop(spec, data):
+    cx = build(spec)
+    if cx is None or cx.n_cells(1) == 0:
+        return
+    edges = data.draw(st.lists(st.sampled_from(range(cx.n_cells(1))),
+                               unique=True))
+    currents = {cid: data.draw(st.floats(-100, 100)) for cid in edges}
+    residual = current_residuals_oracle(cx.n_vertices, face_rows(cx, 1),
+                                        currents)
+    rep = check_current_law(cx, currents)
+    assert rep.residuals == {v: r for v, r in enumerate(residual)
+                             if abs(r) > KIRCHHOFF_TOL}
+    assert rep.max_residual == max(map(abs, residual))
+    assert rep.ok == (not rep.residuals)
+
+
+@SETTINGS
+@given(lattice_specs())
+def test_fundamental_chains_match_the_reference_dfs(spec):
+    cx = build(spec)
+    if cx is None:
+        return
+    rep = orientability(cx)
+    signs = orientation_oracle(face_rows(cx, cx.dim))
+    assert rep.orientable == (signs is not None)
+    if signs is not None:
+        assert rep.fundamental_chain == Chain(
+            cx.dim, dict(enumerate(signs)), RING_INT)
+
+
+# ---------------------------------------------------------------------------
+# boundary of one cell
+# ---------------------------------------------------------------------------
+
+def test_boundary_of_cell_resolves_ids_like_a_sequence(disc):
+    for k in range(disc.dim + 1):
+        n = disc.n_cells(k)
+        for ring in (RING_INT, RING_MOD2, RING_REAL):
+            for cid in range(-n, n):
+                want = Chain(k - 1, {}, ring)
+                for fid, coeff in disc.cells[k][cid].faces:
+                    want = want + Chain(k - 1, {fid: coeff}, ring)
+                assert boundary_of_cell(disc, k, cid, ring) == want
+                assert want == boundary_map(
+                    Chain(k, {cid % n: 1}, ring), disc)
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                boundary_of_cell(disc, k, bad)
+    for k in (-1, disc.dim + 1):
+        with pytest.raises(DimensionError, match="no cells of dimension"):
+            boundary_of_cell(disc, k, 0)
+
+
+def test_from_simplices_refusals_are_kept():
+    with pytest.raises(ComplexBuildError,
+                       match=r"repeated vertex in cell \('B', 'A', 'B'\)"):
+        DeltaComplex.from_simplices([("B", "A", "B")])
+    with pytest.raises(TypeError):
+        DeltaComplex.from_simplices([("A", 1)])

@@ -148,6 +148,25 @@ def test_obstruct_spin_interface_sample(capsys):
     assert "constant" in out
 
 
+def test_obstruct_prints_torus_pairings_as_lists(capsys, tmp_path):
+    # Z^2 values are integer pairs; both report modes write them as lists
+    doc = dict(TORUS_DOC, field={
+        "space": "torus",
+        "samples": [[[x, y], [1.3 * x * y, 2.1 * x - 0.7 * y]]
+                    for x in range(3) for y in range(3)]})
+    path = write_doc(tmp_path, doc)
+    rc, out, _ = run(capsys, "obstruct", path, "--report", "json")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["cochain"]["group"] == "Z^2"
+    assert all(isinstance(v, list) for _, v in report["cochain"]["values"])
+    assert report["generator_pairings"] == [
+        {"generator_order": 0, "pairing": [0, 0]}]
+    rc, out, _ = run(capsys, "obstruct", path)
+    assert rc == 0
+    assert "pairing with free generator: [0, 0]\n" in out
+
+
 def test_obstruct_requires_field(capsys, tmp_path):
     rc, out, err = run(capsys, "obstruct", write_doc(tmp_path, TORUS_DOC))
     assert rc == 2
