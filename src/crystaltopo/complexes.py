@@ -424,7 +424,7 @@ class DeltaComplex:
 
     def label_tuple(self, k: int, cell_id: int) -> tuple:
         return tuple(self.vertex_labels[v]
-                     for v in self.layers[k].cell(cell_id).vertices)
+                     for v in self._vertex_rows(k)[cell_id])
 
     def find_cell(self, k: int, vertex_labels: Sequence) -> tuple[int, int]:
         """Locate a cell by vertex labels in any order.
@@ -947,40 +947,35 @@ def barycentric_subdivide(complex_: DeltaComplex) -> DeltaComplex:
     cells.  Cubic cells and quotient complexes (repeated vertices or
     duplicated vertex tuples) are refused.
     """
-    for k, layer in enumerate(complex_.cells):
-        for i, cell in enumerate(layer):
-            if cell.shape != SHAPE_SIMPLEX:
+    for k, layer in enumerate(complex_.layers):
+        for i, (code, row) in enumerate(zip(layer.shapes.tolist(),
+                                            complex_._vertex_rows(k))):
+            if code == CUBE:
                 raise UnsupportedConfigurationError(
                     "barycentric subdivision supports triangular cells only")
-            if len(set(cell.vertices)) != len(cell.vertices):
+            if len(set(row)) != len(row):
                 raise UnsupportedConfigurationError(
                     f"cell ({k},{i}) repeats vertices; subdivision of "
                     "quotient complexes is not supported")
-    for k in range(complex_.dim + 1):
-        for hits in complex_._cells_by_vertex_set(k).values():
+    by_set = [complex_._cells_by_vertex_set(k)
+              for k in range(complex_.dim + 1)]
+    for index in by_set:
+        for hits in index.values():
             if len(hits) > 1:
                 raise UnsupportedConfigurationError(
                     "two cells share one vertex set; subdivision of "
                     "quotient complexes is not supported")
 
-    cell_key: dict[tuple[int, int], frozenset] = {}
-    lookup: dict[tuple[int, frozenset], tuple[int, int]] = {}
-    for k, layer in enumerate(complex_.cells):
-        for i, cell in enumerate(layer):
-            s = frozenset(cell.vertices)
-            cell_key[(k, i)] = s
-            lookup[(k, s)] = (k, i)
-
+    # The proper faces of each cell: every cell whose vertex set is a
+    # proper subset of its own, lower degrees first.
     below: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (k, i), s in cell_key.items():
-        subs = []
-        verts = sorted(s)
-        for size in range(1, len(verts)):
-            for combo in combinations(verts, size):
-                hit = lookup.get((size - 1, frozenset(combo)))
-                if hit is not None:
-                    subs.append(hit)
-        below[(k, i)] = subs
+    for k in range(complex_.dim + 1):
+        for i, row in enumerate(complex_._vertex_rows(k)):
+            verts = sorted(row)
+            below[(k, i)] = [
+                (j, hit) for j, index in enumerate(by_set[:len(verts) - 1])
+                for combo in combinations(verts, j + 1)
+                for hit in index.get(combo, ())]
 
     chains_at: dict[tuple[int, int], list[tuple]] = {}
 
@@ -995,6 +990,6 @@ def barycentric_subdivide(complex_: DeltaComplex) -> DeltaComplex:
         return memo
 
     all_chains: list[tuple] = []
-    for node in cell_key:
+    for node in below:
         all_chains.extend(chains_ending(node))
     return DeltaComplex.from_simplices(all_chains, auto_close=False)

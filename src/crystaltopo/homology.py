@@ -1,15 +1,15 @@
 """Homology, cohomology and orientation analysis over three coefficient rings.
 
-Ranks and torsion come from one exact sparse reduction per boundary
-matrix and ring: the columns of d_k are taken straight from the face arrays
-and ``sparse_invariant_factors`` eliminates the unit pivots, handing only
-the small non-unit leftover to the dense Smith reducer.  The mod-2 ranks
-use the same elimination modulo 2.  Real coefficients give the same ranks
-as the integers with no torsion, so they share the integer result rather
-than trusting floating point.  Boundary and coboundary membership
-append the vector to the same sparse columns and compare invariant
-factors with the cached reduction.  Generators of a nonzero group come
-from one tracked Smith reduction of d_k, whose V^-1 gives the cycle
+Ranks and torsion come from one exact integer reduction per boundary
+matrix, shared by all three rings: the columns of d_k are taken straight
+from the face arrays and ``sparse_invariant_factors`` eliminates the unit
+pivots, handing only the small non-unit leftover to the dense Smith
+reducer.  By universal coefficients the invariant factors decide every
+ring: over R the rank counts the nonzero factors, over Z/2 the odd ones,
+and fields carry no torsion.  Boundary and coboundary membership append
+the vector to the same integer columns and compare the factors, read
+over its ring, with the cached reduction.  Generators of a nonzero group
+come from one tracked Smith reduction of d_k, whose V^-1 gives the cycle
 coordinates Y of the columns of d_{k+1}, plus the Smith form of Y.
 """
 
@@ -62,24 +62,32 @@ class HomologyGroup:
         return sym if self.betti == 1 else f"{sym}^{self.betti}"
 
 
+def _over(ring: str, rank: int, torsion: tuple) -> tuple[int, tuple]:
+    """(rank, torsion) over ``ring`` of an integer matrix of this rank and
+    these invariant factors > 1; an even factor vanishes modulo 2."""
+    if ring == RING_INT:
+        return rank, torsion
+    if ring == RING_MOD2:
+        rank -= sum(1 for d in torsion if d % 2 == 0)
+    return rank, ()
+
+
 def _reduction(complex_: DeltaComplex, k: int,
                ring: str) -> tuple[int, tuple[int, ...]]:
-    """(rank, invariant factors > 1) of the k-th boundary matrix.
+    """(rank, invariant factors > 1) of d_k over ``ring``.
 
-    Reals share the integer result; each matrix is reduced at most once
-    per ring and cached.  Out-of-range degrees give (0, ()).
+    The matrix is reduced once, over Z, and cached; every ring reads that
+    result.  Out-of-range degrees give (0, ()).
     """
     if k < 1 or k > complex_.dim or complex_.n_cells(k) == 0:
         return 0, ()
-    mod2 = ring == RING_MOD2
-    key = ("reduction", k, mod2)
+    key = ("reduction", k)
     cached = complex_._cache.get(key)
     if cached is None:
-        factors = sparse_invariant_factors(boundary_columns(complex_, k),
-                                           mod2=mod2)
+        factors = sparse_invariant_factors(boundary_columns(complex_, k))
         cached = (len(factors), tuple(d for d in factors if d > 1))
         complex_._cache[key] = cached
-    return cached
+    return _over(ring, *cached)
 
 
 def homology(complex_: DeltaComplex, k: int,
@@ -92,18 +100,14 @@ def homology(complex_: DeltaComplex, k: int,
     rank_k, _ = _reduction(complex_, k, ring)
     rank_up, torsion = _reduction(complex_, k + 1, ring)
     betti = complex_.n_cells(k) - rank_k - rank_up
-    if ring != RING_INT:
-        return HomologyGroup(k, ring, betti)
     return HomologyGroup(k, ring, betti, torsion)
 
 
 def cohomology(complex_: DeltaComplex, k: int,
                ring: str = RING_INT) -> HomologyGroup:
-    """The k-th cohomology group; over Z its torsion is that of the
-    (k-1)-st boundary matrix."""
+    """The k-th cohomology group; over Z its torsion is that of the k-th
+    boundary matrix d_k: C_k -> C_{k-1}."""
     base = homology(complex_, k, ring)
-    if ring != RING_INT:
-        return HomologyGroup(k, ring, base.betti)
     return HomologyGroup(k, ring, base.betti, _reduction(complex_, k, ring)[1])
 
 
@@ -175,14 +179,15 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
     """Whether ``vector`` lies in the image of d_k over ``ring``.
 
     With ``transpose`` the map is the coboundary delta^{k-1}, whose columns
-    are the rows of d_k.  ``vector`` is appended to the sparse columns and
-    the invariant factors are compared with the cached reduction of d_k,
-    which a matrix shares with its transpose.  Over Z the vector lies in
-    the image exactly when rank and torsion are unchanged: both lattices
-    span the same saturation, so equal rank and an equal product of
-    invariant factors mean equal lattices.  Over Z/2 and R the rank
-    decides.  Real coefficients are taken at their exact binary value and
-    scaled to integers, which leaves the rank over Q unchanged.
+    are the rows of d_k.  ``vector`` is appended to the integer columns;
+    the invariant factors, read over ``ring``, are compared with the
+    cached reduction of d_k, which a matrix shares with its transpose.
+    Over Z the vector lies in the image exactly when rank and torsion are
+    unchanged: both lattices span the same saturation, so equal rank and
+    an equal product of invariant factors mean equal lattices.  Over Z/2
+    (a vector enters as its 0/1 lift) and R the rank decides.  Real
+    coefficients are taken at their exact binary value and scaled to
+    integers, which leaves the rank over Q unchanged.
     """
     n = complex_.n_cells(k if transpose else k - 1)
     if any(not 0 <= i < n for i in vector):
@@ -196,12 +201,9 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
         columns = rows
     if ring == RING_REAL:
         vector = _integral(vector)
-    rank, torsion = _reduction(complex_, k, ring)
-    factors = sparse_invariant_factors([*columns, vector],
-                                       mod2=ring == RING_MOD2)
-    if len(factors) != rank:
-        return False
-    return ring != RING_INT or tuple(d for d in factors if d > 1) == torsion
+    factors = sparse_invariant_factors([*columns, vector])
+    torsion = tuple(d for d in factors if d > 1)
+    return _over(ring, len(factors), torsion) == _reduction(complex_, k, ring)
 
 
 def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
@@ -355,17 +357,20 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
         consistent = bool((spin[q] == rel * spin[p]).all())
 
     if consistent:
-        fundamental = Chain(m, {i: signs[i] for i in range(n_top)}, RING_INT)
-        image = boundary_map(fundamental, complex_) if m >= 1 \
-            else Chain(-1, {}, RING_INT)
-        # Independent check: the image must avoid all internal faces.
-        if internal[list(image.coeffs)].any():
+        # Independent check: the image must avoid all internal faces.  No
+        # face has weight above 2, so the float sums are exact.
+        image = np.bincount(faces, weights=coeffs * np.array(signs)[owner],
+                            minlength=len(internal)).astype(np.int64)
+        bounding = np.flatnonzero(image)
+        if internal[bounding].any():
             raise InternalInconsistencyError(
                 "sign propagation left an internal face uncancelled")
-        closed = not image.coeffs
+        boundary = Chain(m - 1, dict(zip(bounding.tolist(),
+                                         image[bounding].tolist())), RING_INT)
         return OrientabilityReport(
-            True, m, closed=closed, fundamental_chain=fundamental,
-            boundary_chain=image if m >= 1 else None)
+            True, m, closed=not len(bounding),
+            fundamental_chain=Chain(m, dict(enumerate(signs)), RING_INT),
+            boundary_chain=boundary if m >= 1 else None)
 
     all_ones = Chain(m, {i: 1 for i in range(n_top)}, RING_MOD2)
     mod2_image = boundary_map(all_ones, complex_)

@@ -1,7 +1,9 @@
-"""Exact integer and GF(2) matrix kernels.
+"""Exact integer matrix kernels.
 
 Everything here works on plain Python ints so intermediate values can grow
 without overflow; numpy arrays are accepted at the boundary and converted.
+No kernel knows about coefficient rings: every reduction is over Z, and
+the ranks over a field follow from the invariant factors.
 
 Ranks and invariant factors of boundary matrices come from
 ``sparse_invariant_factors``, which eliminates the +-1 pivots of a sparse
@@ -233,29 +235,24 @@ def smith_diagonal(matrix) -> list[int]:
     return [red.A[i][i] for i in range(n)]
 
 
-def sparse_invariant_factors(columns: Sequence[Mapping[int, int]],
-                             mod2: bool = False) -> list[int]:
+def sparse_invariant_factors(
+        columns: Sequence[Mapping[int, int]]) -> list[int]:
     """Nonzero invariant factors of a sparse integer matrix.
 
     ``columns[j]`` maps row ids to the nonzero entries of column j; it is
-    read, never modified.  With ``mod2`` the matrix is reduced modulo 2
-    and the result is a list of ones whose length is the GF(2) rank.
+    read, never modified.
 
     Only +-1 pivots are eliminated sparsely.  Their row and column
     operations are unimodular, so SNF(A) = I_r + SNF(S) with S the Schur
     complement left when no column holds a unit entry any more.  S goes
     to ``smith_diagonal`` as a dense block and its nonzero diagonal
-    follows the r ones, keeping the divisibility order.  Modulo 2 every
-    nonzero entry is a unit and nothing is left over.
+    follows the r ones, keeping the divisibility order.
 
     Pivot order is shortest column first (a lazy heap: a column is pushed
     again whenever an elimination changes it) and, within the column, the
     unit entry whose row has the fewest entries.
     """
-    if mod2:
-        cols = [{r: 1 for r, v in col.items() if v % 2} for col in columns]
-    else:
-        cols = [{r: v for r, v in col.items() if v} for col in columns]
+    cols = [{r: v for r, v in col.items() if v} for col in columns]
     rows: dict[int, set[int]] = {}
     for j, col in enumerate(cols):
         for r in col:
@@ -280,8 +277,6 @@ def sparse_invariant_factors(columns: Sequence[Mapping[int, int]],
             f = col_c[i] * p
             for r, v in col_j.items():
                 nv = col_c.get(r, 0) - f * v
-                if mod2:
-                    nv &= 1
                 if nv:
                     if r not in col_c:
                         rows[r].add(c)

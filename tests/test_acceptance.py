@@ -5,6 +5,8 @@ Each test prints one PASS/FAIL line so the whole gate can be read off a
 purpose; do not regenerate them from the code under test.
 """
 
+import hashlib
+import json
 import math
 import random
 
@@ -364,6 +366,59 @@ def test_subdivision_invariance():
             ok = ok and (before.betti, before.torsion) == (after.betti,
                                                            after.torsion)
     _verdict("subdivision preserves betti numbers and torsion", ok)
+
+
+def _free_triangular_box(m, n):
+    cx, _ = build_lattice_complex(LatticeSpec(
+        dimension=m, ambient=m,
+        generators=tuple(tuple(float(i == j) for j in range(m))
+                         for i in range(m)),
+        index_box=((0, n),) * m, scheme="triangular"))
+    return cx
+
+
+# SHA-256 of the canonical JSON of the vertex labels and every layer's
+# arrays of the barycentric subdivision.
+SUBDIVISION_SHA256 = {
+    "circle":
+        "eea14100b839344f80104e896a139b39be1f9c218eff65d9bdc02b6562bb68e3",
+    "disc":
+        "3b1db784c0dc3d5ff16c5c7ff5c5b258a954f5e10d3697029908913bd73003fc",
+    "tetra_surface":
+        "e1ac15afd882c7abe1b6a29ee5a925c4924e7fc1b92779e878fade8291e15238",
+    "mobius":
+        "574eb4cab71f529ed23dbb074e32ec861742a682f5fbc2c6e69fea8dc0501fa6",
+    "rp2":
+        "1c7d29f8b0949838d4ee8e87660fb711b13337a91357f2f615acf38262e6e4f1",
+    "torus3":
+        "df44a8657de5f5754f7142490a62b2ba40ec66a95baffec4227a777201219351",
+    "free2":
+        "adb2c0b80e98a7cf3c835da40531a8b9adf5fa527bdb3924b9d8c092950b1f2b",
+    "free3":
+        "e20b8ec22e1fed88ec9aff14567ce654cff25cf8a656ec47051cbe8b9c33333d",
+}
+SUBDIVISION_INPUTS = {
+    "circle": make_circle, "disc": make_disc,
+    "tetra_surface": make_tetra_surface, "mobius": make_mobius,
+    "rp2": make_rp2, "torus3": lambda: make_torus(3),
+    "free2": lambda: _free_triangular_box(2, 2),
+    "free3": lambda: _free_triangular_box(3, 1),
+}
+
+
+def _subdivision_digest(cx):
+    sd = barycentric_subdivide(cx)
+    payload = [sd.vertex_labels,
+               [[getattr(layer, name).tolist() for name in layer.__slots__]
+                for layer in sd.layers]]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_subdivision_output_is_pinned():
+    got = {name: _subdivision_digest(make())
+           for name, make in SUBDIVISION_INPUTS.items()}
+    _verdict("subdivided complexes are byte-identical",
+             got == SUBDIVISION_SHA256)
 
 
 # 10 --------------------------------------------------------------------

@@ -289,6 +289,9 @@ def test_fundamental_chains_match_the_reference_dfs(spec):
     if signs is not None:
         assert rep.fundamental_chain == Chain(
             cx.dim, dict(enumerate(signs)), RING_INT)
+        image = boundary_map(rep.fundamental_chain, cx)
+        assert rep.closed == (not image)
+        assert rep.boundary_chain == (image if cx.dim else None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,30 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from crystaltopo import (
+    RING_INT,
     RING_MOD2,
     Cell,
     Chain,
     ComplexBuildError,
     DeltaComplex,
+    LatticeSpec,
     UnsupportedConfigurationError,
     barycentric_subdivide,
     betti_numbers,
     boundary_map,
     boundary_of_cell,
     build_complex,
+    build_lattice_complex,
     coboundary_map,
+    homology,
     incidence_matrix,
     validate_complex,
 )
+from crystaltopo.lattice import DefectSpec, box_points
 
 from conftest import make_circle, make_disc, make_mobius, make_rp2, make_tetra_surface
 
@@ -217,3 +224,39 @@ def test_subdivision_refuses_degenerate_cells():
     from conftest import make_torus
     with pytest.raises(UnsupportedConfigurationError):
         barycentric_subdivide(make_torus(1))
+
+
+@st.composite
+def triangular_specs(draw):
+    """Free or periodic triangular samples with up to two vacancies; each
+    periodic axis has period 3, the least that leaves no two cells on one
+    vertex set."""
+    m = draw(st.integers(1, 3))
+    axes = tuple(a + 1 for a in range(m) if draw(st.booleans()))
+    top = {1: 4, 2: 3, 3: 2}[m]
+    box = tuple((0, 3 if a + 1 in axes else draw(st.integers(1, top)))
+                for a in range(m))
+    vacancies = draw(st.lists(st.sampled_from(box_points(box)), max_size=2,
+                              unique=True))
+    return LatticeSpec(
+        dimension=m, ambient=m,
+        generators=tuple(tuple(float(i == j) for j in range(m))
+                         for i in range(m)),
+        index_box=box, scheme="triangular",
+        boundary="periodic" if axes else "free", periodic_axes=axes,
+        defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(triangular_specs())
+def test_subdivision_preserves_homology_of_random_samples(spec):
+    try:
+        cx, _ = build_lattice_complex(spec)
+        sd = barycentric_subdivide(cx)
+    except (ComplexBuildError, UnsupportedConfigurationError):
+        assume(False)  # every site removed, or a refused quotient
+    for ring in (RING_INT, RING_MOD2):
+        assert ([homology(sd, k, ring) for k in range(cx.dim + 1)]
+                == [homology(cx, k, ring) for k in range(cx.dim + 1)])

@@ -2,7 +2,6 @@
 
 import importlib
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -57,15 +56,14 @@ def columns_of(matrix, width=None):
 
 
 def assert_agrees(matrix, oracle=True):
-    cols = columns_of(matrix)
-    got = sparse_invariant_factors(cols)
+    got = sparse_invariant_factors(columns_of(matrix))
     assert got == [abs(d) for d in smith_diagonal(matrix) if d]
-    got2 = sparse_invariant_factors(cols, mod2=True)
-    assert set(got2) <= {1}
-    assert len(got2) == gf2_rank(matrix)
+    # Universal coefficients: the odd factors count the rank over GF(2).
+    odd = sum(d % 2 for d in got)
+    assert odd == gf2_rank(matrix)
     if oracle:
         assert got == snf_diagonal_oracle(matrix)
-        assert len(got2) == gf2_rank_oracle(matrix)
+        assert odd == gf2_rank_oracle(matrix)
 
 
 @st.composite
@@ -132,15 +130,12 @@ def _build(spec):
     return cx
 
 
-def _even(torsion):
-    return sum(1 for t in torsion if t % 2 == 0)
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(lattice_specs())
 def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
     cx = _build(spec)
+    gf2 = {}  # rank over GF(2) of d_k, by an independent elimination
     for k in range(1, cx.dim + 1):
         if cx.n_cells(k) == 0:
             continue
@@ -148,11 +143,10 @@ def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
         assert boundary_columns(cx, k) == columns_of(M.tolist(), M.shape[1])
         if M.size:
             assert_agrees(M.tolist(), oracle=M.size <= ORACLE_MAX_ENTRIES)
-    z = [homology(cx, k, RING_INT) for k in range(cx.dim + 1)]
-    z2 = [homology(cx, k, RING_MOD2) for k in range(cx.dim + 1)]
+            gf2[k] = gf2_rank(M.tolist())
     for k in range(cx.dim + 1):
-        below = _even(z[k - 1].torsion) if k else 0
-        assert z2[k].betti == z[k].betti + _even(z[k].torsion) + below
+        assert homology(cx, k, RING_MOD2).betti == (
+            cx.n_cells(k) - gf2.get(k, 0) - gf2.get(k + 1, 0))
     euler_characteristic(cx)
 
 
@@ -166,8 +160,6 @@ def test_leftover_block_gives_lcm_factor(monkeypatch):
     monkeypatch.setattr(snf_mod, "smith_diagonal", spy)
     assert sparse_invariant_factors(columns_of([[2, 0], [0, 3]])) == [1, 6]
     assert blocks == [[[2, 0], [0, 3]]]
-    assert sparse_invariant_factors(columns_of([[2, 0], [0, 3]]),
-                                    mod2=True) == [1]
 
 
 def test_rp2_boundary_torsion_comes_from_leftover():
@@ -175,8 +167,9 @@ def test_rp2_boundary_torsion_comes_from_leftover():
     factors = sparse_invariant_factors(boundary_columns(rp2, 2))
     assert factors == [1] * (len(factors) - 1) + [2]
     assert homology(rp2, 1).torsion == (2,)
-    assert len(sparse_invariant_factors(boundary_columns(rp2, 2),
-                                        mod2=True)) == len(factors) - 1
+    for k in (1, 2):
+        group = homology(rp2, k, RING_MOD2)
+        assert (group.betti, group.torsion, str(group)) == (1, (), "(Z/2)")
 
 
 def test_cancelling_faces_are_dropped():
@@ -192,9 +185,9 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
     cx = make_torus(3)
     calls = []
 
-    def counting(columns, mod2=False):
-        calls.append((id(columns), mod2))
-        return sparse_invariant_factors(columns, mod2=mod2)
+    def counting(columns):
+        calls.append(id(columns))
+        return sparse_invariant_factors(columns)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense matrix built for a rank or membership")
@@ -208,7 +201,8 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
             cohomology(cx, k, ring)
         betti_numbers(cx, ring)
     assert euler_characteristic(cx) == 0
-    assert len(calls) == len(set(calls)) == 2 * cx.dim
+    # One integer reduction per matrix serves all three rings.
+    assert len(calls) == len(set(calls)) == cx.dim
 
     # Membership tests reduce only [d_k | b], never the cached d_k again.
     base = {id(boundary_columns(cx, k)) for k in range(1, cx.dim + 1)}
@@ -226,7 +220,7 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
              "trivial")):
         cochain = ObstructionCochain(cx, 2, group, values)
         assert obstruction_class(cochain) == status
-    assert sum(1 for key in calls if key[0] in base) == 2 * cx.dim
+    assert sum(1 for key in calls if key in base) == cx.dim
     assert not any(key[0] == "incidence" for key in cx._cache)
 
 
@@ -237,6 +231,17 @@ def matrix_complex(matrix):
                               if row[j]))
              for j in range(len(matrix[0]))]
     return DeltaComplex(range(len(matrix)), [vertices, edges])
+
+
+def test_even_factors_other_than_two_vanish_over_the_fields():
+    cx = matrix_complex([[4, 0, 0], [0, 6, 0], [0, 0, 3]])
+    assert sparse_invariant_factors(boundary_columns(cx, 1)) == [1, 6, 12]
+    expected = {RING_INT: [(0, (6, 12)), (0, ())],
+                RING_MOD2: [(2, ()), (2, ())],
+                RING_REAL: [(0, ()), (0, ())]}
+    for ring, groups in expected.items():
+        assert [(g.betti, g.torsion) for g in
+                (homology(cx, k, ring) for k in (0, 1))] == groups
 
 
 @st.composite
@@ -312,10 +317,7 @@ def test_trivial_groups_skip_the_dense_smith_form(monkeypatch):
         assert 1 <= len(calls) <= 2
 
 
-@pytest.mark.parametrize("ring", [RING_INT, RING_MOD2])
-def test_empty_and_zero_columns(ring):
-    mod2 = ring == RING_MOD2
-    assert sparse_invariant_factors([], mod2=mod2) == []
-    assert sparse_invariant_factors([{}, {0: 0}], mod2=mod2) == []
-    assert sparse_invariant_factors([{0: 2}], mod2=mod2) == ([] if mod2
-                                                             else [2])
+def test_empty_and_zero_columns():
+    assert sparse_invariant_factors([]) == []
+    assert sparse_invariant_factors([{}, {0: 0}]) == []
+    assert sparse_invariant_factors([{0: 2}]) == [2]
