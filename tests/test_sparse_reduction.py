@@ -2,6 +2,7 @@
 
 import importlib
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -317,7 +318,17 @@ def test_trivial_groups_skip_the_dense_smith_form(monkeypatch):
         assert 1 <= len(calls) <= 2
 
 
-def test_empty_and_zero_columns():
+@pytest.mark.parametrize("ring", [RING_INT, RING_MOD2])
+def test_empty_and_zero_columns(ring):
+    def over(columns):
+        factors = sparse_invariant_factors(columns)
+        return homology_mod._over(ring, len(factors),
+                                  tuple(d for d in factors if d > 1))
+
     assert sparse_invariant_factors([]) == []
     assert sparse_invariant_factors([{}, {0: 0}]) == []
     assert sparse_invariant_factors([{0: 2}]) == [2]
+    assert over([]) == (0, ())
+    assert over([{}, {0: 0}]) == (0, ())
+    # A lone factor 2 is rank 1 over Z and vanishes modulo 2.
+    assert over([{0: 2}]) == ((1, (2,)) if ring == RING_INT else (0, ()))
