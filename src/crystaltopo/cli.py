@@ -3,9 +3,11 @@
 Four commands over a JSON document describing a lattice sample or an
 explicit cell list: ``build`` (construct and validate), ``homology``
 (groups, Euler number, orientability), ``obstruct`` (field extension
-analysis), ``network`` (edge-current and potential checks).  Reports are
-deterministic; ``--report json`` emits one sorted JSON object, and every
-report embeds the SHA-256 digest of the input document.
+analysis), ``network`` (edge-current and potential checks).  ``main``
+loads the document and builds its complex once for every command; a
+refusal exits 2, first from loading, then building, then the command.
+Reports are deterministic; ``--report json`` emits one sorted JSON
+object, and every report embeds the SHA-256 digest of the document.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .homology import (
 from .lattice import (
     BOUNDARY_FREE,
     BOUNDARY_KINDS,
+    DEFECT_FIELDS,
     DefectSpec,
     LatticeSpec,
     build_lattice_complex,
@@ -52,13 +55,6 @@ LATTICE_KEYS_OPTIONAL = {"removed_indices", "defects", "boundary_condition",
                          "field", "currents", "drops"}
 EXPLICIT_KEYS_REQUIRED = {"complex"}
 EXPLICIT_KEYS_OPTIONAL = {"field", "currents", "drops"}
-
-DEFECT_KEYS = {
-    "vacancy": {"kind", "index"},
-    "substitution_marker": {"kind", "index"},
-    "line_defect": {"kind", "axis", "transverse"},
-    "surface_defect": {"kind", "axis", "coordinate"},
-}
 
 
 def _fail(msg: str) -> DocumentError:
@@ -143,26 +139,21 @@ def _parse_defect(entry: Any, pos: int) -> DefectSpec:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise _fail(f"{where}: each defect is an object with a 'kind'")
     kind = entry["kind"]
-    if not isinstance(kind, str) or kind not in DEFECT_KEYS:
+    if not isinstance(kind, str) or kind not in DEFECT_FIELDS:
         raise _fail(f"{where}: unknown defect kind {kind!r}")
-    unknown = set(entry) - DEFECT_KEYS[kind]
+    fields = DEFECT_FIELDS[kind]
+    unknown = set(entry) - {"kind", *fields}
     if unknown:
         raise _fail(f"{where}: unknown keys for {kind}: "
                     f"{', '.join(sorted(unknown))}")
-    missing = DEFECT_KEYS[kind] - set(entry)
+    missing = set(fields) - set(entry)
     if missing:
         raise _fail(f"{where}: missing keys for {kind}: "
                     f"{', '.join(sorted(missing))}")
-    return DefectSpec(
-        kind=kind,
-        index=(_numbers(entry["index"], int, f"{where}.index")
-               if "index" in entry else None),
-        axis=(_number(entry["axis"], int, f"{where}.axis")
-              if "axis" in entry else None),
-        transverse=(_numbers(entry["transverse"], int, f"{where}.transverse")
-                    if "transverse" in entry else None),
-        coordinate=entry.get("coordinate"),
-    )
+    return DefectSpec(kind, **{
+        name: (_numbers if shape is tuple else _number)(
+            entry[name], int, f"{where}.{name}")
+        for name, shape in fields.items()})
 
 
 def _parse_boundary(value: Any) -> tuple[str, tuple[int, ...]]:
@@ -173,10 +164,7 @@ def _parse_boundary(value: Any) -> tuple[str, tuple[int, ...]]:
             raise _fail(f"boundary_condition: unknown kind {value!r}")
         return value, ()
     if isinstance(value, dict):
-        unknown = set(value) - {"kind", "axes"}
-        if unknown:
-            raise _fail("boundary_condition: unknown keys: "
-                        f"{', '.join(sorted(unknown))}")
+        _check_keys(value, set(), {"kind", "axes"}, "boundary_condition")
         kind = value.get("kind")
         if kind not in BOUNDARY_KINDS:
             raise _fail(f"boundary_condition: unknown kind {kind!r}")
@@ -317,19 +305,8 @@ def _fmt(x) -> str:
 
 def _emit(report: dict, mode: str) -> str:
     if mode == "json":
-        return json.dumps(report, sort_keys=True, indent=2,
-                          default=_json_default) + "\n"
-    lines = _text_lines(report)
-    return "\n".join(lines) + "\n"
-
-
-def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return "\n".join(_text_lines(report)) + "\n"
 
 
 def _text_lines(report: dict) -> list[str]:
@@ -424,16 +401,12 @@ def _text_lines(report: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns the keys of its own report
 
 
-def cmd_build(args) -> tuple[int, dict]:
-    doc, digest = load_document(args.document)
-    cx, build_report = build_from_document(doc)
+def cmd_build(args, doc, cx, build_report) -> dict:
     validation = validate_complex(cx)
     report = {
-        "command": "build",
-        "document_sha256": digest,
         "form": build_report.get("form"),
         "cells": cx.cell_counts(),
         "dimension": cx.dim,
@@ -454,12 +427,10 @@ def cmd_build(args) -> tuple[int, dict]:
                     for i, v in col.items()),
             }
         report["matrices"] = mats
-    return 0, report
+    return report
 
 
-def cmd_homology(args) -> tuple[int, dict]:
-    doc, digest = load_document(args.document)
-    cx, _ = build_from_document(doc)
+def cmd_homology(args, doc, cx, build_report) -> dict:
     ring = RING_FLAGS[args.ring]
     groups = []
     for k in range(cx.dim + 1):
@@ -468,8 +439,6 @@ def cmd_homology(args) -> tuple[int, dict]:
                        "torsion": list(g.torsion), "text": str(g)})
     orient = orientability(cx)
     report = {
-        "command": "homology",
-        "document_sha256": digest,
         "ring": ring,
         "groups": groups,
         "euler_characteristic": euler_characteristic(cx),
@@ -487,12 +456,10 @@ def cmd_homology(args) -> tuple[int, dict]:
                         f"{cid}:{v}" for cid, v in
                         sorted(chain.coeffs.items()))})
         report["generators"] = gens
-    return 0, report
+    return report
 
 
-def cmd_obstruct(args) -> tuple[int, dict]:
-    doc, digest = load_document(args.document)
-    cx, _ = build_from_document(doc)
+def cmd_obstruct(args, doc, cx, build_report) -> dict:
     field_ = field_from_document(doc, cx)
     result = extend_field(field_)
     verdicts = []
@@ -504,8 +471,6 @@ def cmd_obstruct(args) -> tuple[int, dict]:
             entry["blocking_total"] = len(v.blocking)
         verdicts.append(entry)
     report = {
-        "command": "obstruct",
-        "document_sha256": digest,
         "space": result.space,
         "extends": result.extends,
         "reached": result.reached,
@@ -531,17 +496,15 @@ def cmd_obstruct(args) -> tuple[int, dict]:
             "applicable": s.applicable, "index_sum": s.index_sum,
             "euler": s.euler, "consistent": s.consistent,
             "reason": s.reason}
-    return 0, report
+    return report
 
 
-def cmd_network(args) -> tuple[int, dict]:
-    doc, digest = load_document(args.document)
-    cx, _ = build_from_document(doc)
+def cmd_network(args, doc, cx, build_report) -> dict:
     currents = _edge_data(doc, "currents", cx)
     drops = _edge_data(doc, "drops", cx)
     if "currents" not in doc and "drops" not in doc:
         raise _fail("network needs 'currents' or 'drops' in the document")
-    report: dict = {"command": "network", "document_sha256": digest}
+    report: dict = {}
     if "currents" in doc:
         cl = check_current_law(cx, currents)
         report["current_law"] = {
@@ -558,7 +521,7 @@ def cmd_network(args) -> tuple[int, dict]:
                              for e, c in sorted(pc.violating_loop.coeffs.items())}
             entry["loop_circulation"] = pc.loop_circulation
         report["potential"] = entry
-    return 0, report
+    return report
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -604,12 +567,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        code, report = COMMANDS[args.command](args)
+        doc, digest = load_document(args.document)
+        cx, build_report = build_from_document(doc)
+        report = COMMANDS[args.command](args, doc, cx, build_report)
     except CrystalTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.update(command=args.command, document_sha256=digest)
     sys.stdout.write(_emit(report, args.report))
-    return code
+    return 0
 
 
 if __name__ == "__main__":

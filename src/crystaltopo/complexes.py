@@ -430,9 +430,10 @@ class DeltaComplex:
         """Locate a cell by vertex labels in any order.
 
         Returns (cell_id, sign) where sign is the permutation parity
-        relating the query spelling to the stored one (+1 for cubic cells,
-        which have no parity convention).  Ambiguous keys, which occur only
-        in quotient complexes, are rejected.
+        relating the query spelling to the stored one; an edge of either
+        shape is a 1-simplex.  Squares and cubes give +1, since a corner
+        permutation need not be a symmetry of the cell.  Ambiguous keys,
+        which occur only in quotient complexes, are rejected.
         """
         ids = tuple(self.vertex_id(lab) for lab in vertex_labels)
         if k < 0 or k > self.dim:
@@ -447,7 +448,7 @@ class DeltaComplex:
                 f"vertex set {tuple(vertex_labels)!r} names {len(hits)} cells; "
                 "query by cell id instead")
         cell_id = hits[0]
-        if k == 0 or self.layers[k].shapes[cell_id] == CUBE:
+        if k == 0 or k > 1 and self.layers[k].shapes[cell_id] == CUBE:
             return cell_id, 1
         if len(set(ids)) < len(ids):
             raise ComplexBuildError(f"repeated vertex in cell {ids}")

@@ -5,13 +5,17 @@ removed sites.  The generator matrix is validated (shape and linear
 independence) and recorded in the complex's ``lattice_info``; the
 topology depends only on the multi-indices.  The complex on top of them
 comes from :func:`crystaltopo.complexes.build_complex`; this module owns
-everything before and after: generator checks, defect removal, and the
-boundary treatments.  A periodic sample is closed under its translation
-orbits and built directly on the torus; the quotient pass only serves
-the constant boundary, which pins the hull to one vertex.  That pass
-works on the cell arrays of the complex (``DeltaComplex.layers``): it
-drops the hull cells and their face entries and sorts the survivors with
-numpy, creating no per-cell object.
+everything before and after: generator checks, the defect schema
+(``DEFECT_FIELDS``) and defect removal, and the boundary treatments.  A
+periodic sample is closed under its translation orbits, each generated
+from a removed site (on a periodic axis a coordinate at either end of
+the box stands for both ends), and the survivors below the top of each
+periodic axis go to ``build_complex``, which alone wraps cells onto the
+torus.  The quotient pass only serves the constant boundary, which pins
+the hull to one vertex.  That pass works on the cell arrays of the
+complex (``DeltaComplex.layers``): it drops the hull cells and their
+face entries and sorts the survivors with numpy, creating no per-cell
+object.
 """
 
 from __future__ import annotations
@@ -48,7 +52,14 @@ DEFECT_VACANCY = "vacancy"
 DEFECT_LINE = "line_defect"
 DEFECT_SURFACE = "surface_defect"
 DEFECT_MARKER = "substitution_marker"
-DEFECT_KINDS = (DEFECT_VACANCY, DEFECT_LINE, DEFECT_SURFACE, DEFECT_MARKER)
+# The fields of each defect kind, in the order they are read: a
+# multi-index (``tuple``) or one integer (``int``).
+DEFECT_FIELDS = {
+    DEFECT_VACANCY: {"index": tuple},
+    DEFECT_MARKER: {"index": tuple},
+    DEFECT_LINE: {"axis": int, "transverse": tuple},
+    DEFECT_SURFACE: {"axis": int, "coordinate": int},
+}
 
 
 @dataclass(frozen=True)
@@ -62,25 +73,21 @@ class DefectSpec:
     coordinate: int | None = None
 
     def validated(self, m: int) -> "DefectSpec":
-        if self.kind not in DEFECT_KINDS:
+        if self.kind not in DEFECT_FIELDS:
             raise DefectLocusError(f"unknown defect kind {self.kind!r}")
-        if self.kind in (DEFECT_VACANCY, DEFECT_MARKER):
+        if "index" in DEFECT_FIELDS[self.kind]:
             if self.index is None or len(self.index) != m:
                 raise DefectLocusError(
                     f"{self.kind} needs an index of length {m}")
-        elif self.kind == DEFECT_LINE:
-            if self.axis is None or not 1 <= self.axis <= m:
-                raise DefectLocusError(
-                    f"line_defect axis must be in 1..{m}")
+            return self
+        if self.axis is None or not 1 <= self.axis <= m:
+            raise DefectLocusError(f"{self.kind} axis must be in 1..{m}")
+        if self.kind == DEFECT_LINE:
             if self.transverse is None or len(self.transverse) != m - 1:
                 raise DefectLocusError(
                     f"line_defect needs {m - 1} transverse coordinates")
-        elif self.kind == DEFECT_SURFACE:
-            if self.axis is None or not 1 <= self.axis <= m:
-                raise DefectLocusError(
-                    f"surface_defect axis must be in 1..{m}")
-            if self.coordinate is None:
-                raise DefectLocusError("surface_defect needs a coordinate")
+        elif self.coordinate is None:
+            raise DefectLocusError("surface_defect needs a coordinate")
         return self
 
 
@@ -165,8 +172,7 @@ def box_points(index_box: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
         raise ComplexBuildError(
             f"index box holds {sites} sites, above the limit of "
             f"{MAX_BOX_SITES}")
-    return [tuple(p) for p in
-            product(*(range(lo, hi + 1) for lo, hi in index_box))]
+    return list(product(*(range(lo, hi + 1) for lo, hi in index_box)))
 
 
 def _in_box(idx: tuple[int, ...], box: Sequence[tuple[int, int]]) -> bool:
@@ -303,17 +309,6 @@ def apply_constant_boundary(complex_: DeltaComplex,
         "boundary": BOUNDARY_CONSTANT, "collapsed_vertex": w})
 
 
-def periodic_image(label: tuple[int, ...], box: Sequence[tuple[int, int]],
-                   axes: Sequence[int]) -> tuple[int, ...]:
-    """Wrap a multi-index into the fundamental domain on the given axes."""
-    out = list(label)
-    for a in axes:
-        lo, hi = box[a]
-        period = hi - lo
-        out[a] = lo + (out[a] - lo) % period
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Full pipeline
 
@@ -355,14 +350,14 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
         if not _in_box(idx, spec.index_box):
             raise DefectLocusError(f"removed index {idx} is outside the box")
         removed.add(idx)
-    # Each site's image in the fundamental domain of the periodic axes.
-    # Removing a site removes every site with the same image, its whole
-    # translation orbit, and the complex is built on the images.
-    image = {p: periodic_image(p, spec.index_box, periodic_axes) for p in box}
+    # Removing a site removes its whole translation orbit: on a periodic
+    # axis a coordinate at either end of the box stands for both ends.
+    ends = [(lo, hi) if a in periodic_axes else ()
+            for a, (lo, hi) in enumerate(spec.index_box)]
 
     def orbits(sites):
-        hit = {image[p] for p in sites}
-        return {p for p in box if image[p] in hit}
+        return {q for p in sites for q in product(
+            *(ends[a] if c in ends[a] else (c,) for a, c in enumerate(p)))}
 
     removed = orbits(removed)
     points, defect_report = apply_defects(box - removed, spec.index_box,
@@ -371,7 +366,11 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     if not points:
         raise ComplexBuildError("every lattice site was removed")
 
-    complex_ = build_complex({image[p] for p in points}, spec.scheme,
+    # The survivors below the top of each periodic axis: build_complex
+    # wraps the cells that reach the top onto the bottom.
+    domain = box_points([(lo, hi - bool(ends[a]))
+                         for a, (lo, hi) in enumerate(spec.index_box)])
+    complex_ = build_complex(points.intersection(domain), spec.scheme,
                              index_box=spec.index_box,
                              periodic_axes=periodic_axes)
     complex_.lattice_info.update({

@@ -34,6 +34,13 @@ from .errors import (
 
 ANGLE_TOL = 1e-6
 UNIT_TOL = 1e-9
+# A winding sum in turns is whole up to the rounding of its summed steps.
+TURNS_TOL = 1e-9
+# A triangle's solid angle is undetermined where both atan2 arguments vanish.
+DEGENERATE_DET_TOL = 1e-12
+DEGENERATE_DENOM_TOL = 1e-9
+# A summed solid angle in spheres is an integral degree up to sampling error.
+DEGREE_TOL = 0.01
 
 SPACE_FINITE = "finite_set"
 SPACE_CIRCLE = "circle"
@@ -249,10 +256,10 @@ def _angle_steps(angles: Sequence[float]) -> float:
 
 def _whole_turns(angles: Sequence[float]) -> int:
     """Net whole turns along a closed angle sequence; a sum that is not
-    within 1e-9 of an integer is refused."""
+    within ``TURNS_TOL`` of an integer is refused."""
     total = _angle_steps(angles) / math.tau
     nearest = round(total)
-    if abs(total - nearest) > 1e-9:
+    if abs(total - nearest) > TURNS_TOL:
         raise AmbiguousSamplingError(
             f"winding sum {total!r} is not an integer")
     return int(nearest)
@@ -447,7 +454,8 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
         dots = dots * (sign * sign[:, [1, 2, 0]])
     s = 1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
     degenerate = np.zeros(count, dtype=bool)
-    degenerate[owner[(np.abs(det) < 1e-12) & (np.abs(s) < 1e-9)]] = True
+    degenerate[owner[(np.abs(det) < DEGENERATE_DET_TOL)
+                     & (np.abs(s) < DEGENERATE_DENOM_TOL)]] = True
     total = [0.0] * count
     for o, k, d, t in zip(owner.tolist(), coeff, det.tolist(), s.tolist()):
         total[o] += k * (2.0 * math.atan2(d, t))
@@ -459,7 +467,7 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
                 "half great circle); the solid angle is not determined")
         degree = total[i] / (4.0 * math.pi)
         nearest = round(degree)
-        if abs(degree - nearest) > 0.01:
+        if abs(degree - nearest) > DEGREE_TOL:
             raise AmbiguousSamplingError(
                 f"summed solid angle {degree!r} turns is not close to an "
                 "integer")

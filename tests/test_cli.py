@@ -194,6 +194,25 @@ def test_network_json(capsys):
     assert abs(doc["potential"]["loop_circulation"]) == pytest.approx(3.0)
 
 
+def test_network_reversed_cubic_edge_is_negated(capsys, tmp_path):
+    # naming a cubic edge by its reversed pair books the value negated
+    line = {"dimension": 1, "ambient": 1, "generators": [[1.0]],
+            "index_box": [[0, 2]], "scheme": "cubic"}
+    reports = []
+    for ends in ([[0], [1]], [[1], [0]]):
+        doc = dict(line, currents=[[ends, 1.0]], drops=[[ends, 1.0]])
+        rc, out, _ = run(capsys, "network", write_doc(tmp_path, doc),
+                         "--report", "json")
+        assert rc == 0
+        reports.append(json.loads(out))
+    stored, reversed_ = reports
+    assert stored["current_law"]["residuals"] == {"0": -1.0, "1": 1.0}
+    assert reversed_["current_law"]["residuals"] == {
+        v: -r for v, r in stored["current_law"]["residuals"].items()}
+    assert stored["potential"]["potentials"] == [0.0, 1.0, 1.0]
+    assert reversed_["potential"]["potentials"] == [
+        -p for p in stored["potential"]["potentials"]]
+
 # ---------------------------------------------------------------------------
 # validation and exit codes
 # ---------------------------------------------------------------------------
@@ -259,6 +278,12 @@ HOSTILE_DOCS = {
     "line-axis-string": (dict(CUBE_DOC, defects=[
         {"kind": "line_defect", "axis": "3", "transverse": [1, 1]}]),
         "defects[0].axis"),
+    "surface-coordinate-boolean": (dict(CUBE_DOC, defects=[
+        {"kind": "surface_defect", "axis": 1, "coordinate": True}]),
+        "defects[0].coordinate"),
+    "surface-coordinate-string": (dict(CUBE_DOC, defects=[
+        {"kind": "surface_defect", "axis": 1, "coordinate": "1"}]),
+        "defects[0].coordinate"),
     "labels-nested-and-flat": ({"complex": {"cells": [[[1], 2]]}},
                                "complex.cells"),
     "labels-numbers-and-strings": (
@@ -456,6 +481,125 @@ def test_sample_reports_are_byte_identical(capsys, sample, command):
     assert digest == SAMPLE_REPORT_SHA256[(sample, command)]
 
 
+# SHA-256 of the ``--report text`` output for the same sample x command
+# grid; the text renderer is part of the report contract too.
+SAMPLE_TEXT_SHA256 = {
+    ("circle_network", "build"):
+        "850448198dbf9020b727073b08c4546e2ed848c1bc4e94901cd6c88526fb5fd3",
+    ("circle_network", "dump"):
+        "a26310083be5938b86de83354707bfb68a48a7d7f1aa1ce5777b84d28756e9d5",
+    ("circle_network", "generators"):
+        "0fa769c48dbb8916db309bcc80644feaebd28d318f9fae7701783aba77f158d9",
+    ("circle_network", "network"):
+        "34b5e5ea37c7847d3276d2493b6c0a92632984c2b5fa44fd538a1b0a4d9500c7",
+    ("circle_network", "r"):
+        "d2050bfdb746c6727b6fdfbfa10f3c193918e7e8b8aaf40caf80161f43df49b4",
+    ("circle_network", "z"):
+        "af528d1151bc6198bb0cef88f6a7782b55ed416d34fda290b2a29ed02555847f",
+    ("circle_network", "z2"):
+        "8f512ce7c5cbeced15b4b3b0100f8adec6ab7284600b04caa528306a4e6004fc",
+    ("disc", "build"):
+        "4857a1b7e8943eb0f25a7c2186967bc2aeaa388510792d6b2eebe7c1eb465c8b",
+    ("disc", "dump"):
+        "b5bf249156ffe6774f2dee66fa2290612bb0002aa0d94b4e1e3bf4159fa97181",
+    ("disc", "generators"):
+        "2d881584d758dec1bc5246296f6eb1d1347007fa8ab76501b51019a01806bdc8",
+    ("disc", "r"):
+        "dbcd6767ee9631f76d3b3e1e0b8209c19d883907c2653cbdf93c765ccd8e2d57",
+    ("disc", "z"):
+        "c910789a96ece64a6a1396721ce6a6a46309f7ab87429b03eee0471d31066be6",
+    ("disc", "z2"):
+        "69389131ae07cc858e1392a6b87c5267d76e491878f20da963cf25ba147e1410",
+    ("mobius", "build"):
+        "0bc36f36d016a0bb893aa07278af9369e1b777f89004ab0e3bf746f54d8f9de8",
+    ("mobius", "dump"):
+        "2ba0352035dec3bf898503d50f4e27f49641fc98bf512c63ef7129eaa355d7ca",
+    ("mobius", "generators"):
+        "bcf129d2b94673df4059b0b0f7ef0cf3120af93b87434028ad49410badf5b7d9",
+    ("mobius", "r"):
+        "71230d4d6632358b6a6ef2626fe8cc27dcc39b4bc00229e2d265cb9f3b197b79",
+    ("mobius", "z"):
+        "5838fbd31bf2f4a57aa7fe50710c062177a154224ab89682a7a199699cf2cb14",
+    ("mobius", "z2"):
+        "8f3f5844495aed213deeced7a1536cc653e6496de593225d3a979d049408af7f",
+    ("punctured_grid", "build"):
+        "fe19bf10c155a70eb4bdf65fdc4f58e9a691259ad364166a6bd98e750aec6873",
+    ("punctured_grid", "dump"):
+        "e246207249d2aee2ac399b6f621b22b09a163ab6f0511d3c1367e9a4a6fcc0c2",
+    ("punctured_grid", "generators"):
+        "ca8996db1994e59480e083e3abd6f60be26590dfdb5df5bbebe08432568bdd10",
+    ("punctured_grid", "r"):
+        "6cf0d741a3af3dd8d608dd1bcb323ad3a3d899b8390d080882aa09d6119a78a3",
+    ("punctured_grid", "z"):
+        "71a83483c8ebd6e9ba49c58056a0eef8a0dce40e8105b7464320c8433905442c",
+    ("punctured_grid", "z2"):
+        "c34efe449a1d0aa4ebc95b7826eeab7fc0908f8f35b12c57476c80a96cccb914",
+    ("sphere_vortex_pair", "build"):
+        "14ce63a00a0d21ce26b903ff4f4c3a79b393931f93b0509eba0d51634820dd3c",
+    ("sphere_vortex_pair", "dump"):
+        "1e3af810ca9bdf32d8a9a0aea2d0f8f4a117e0a44af378434beec8b4ab032b9b",
+    ("sphere_vortex_pair", "generators"):
+        "26afab2099bedc6f600f04465de6f24cab76609eb35516f238311c129ee8b9da",
+    ("sphere_vortex_pair", "obstruct"):
+        "c63eb85e9633c757f858bf225df0c2958e92c35ac7c66f6f0e8e03dfaaf9be53",
+    ("sphere_vortex_pair", "r"):
+        "939a0211fcc189329f999775c1d54f04e134ad35a60e95aa25b6b78477624d9a",
+    ("sphere_vortex_pair", "z"):
+        "19f9924ae74f1662dab049ccbbbca6e1a670410bbc4813b1189f653e021543e1",
+    ("sphere_vortex_pair", "z2"):
+        "8edf0814df695bacc86a329ab22c89d974fb907cf050b474caeeb7578646e503",
+    ("spin_interface", "build"):
+        "eea355b9b771d74a7fa1b3f6a53eb430c37ece6eae3477bb00c4e7ccdcdd8782",
+    ("spin_interface", "dump"):
+        "fb82210d699558e03e99812747db6904a81910f1d479932392f4766d083a2fbb",
+    ("spin_interface", "generators"):
+        "92b5459d0284f62a73f75a3f5a2fa861f8d730b9b69bab08312e27dac89579eb",
+    ("spin_interface", "obstruct"):
+        "1e33ff3693d32742b8204ce3c610e52f0fd710365a2c6e1fc89871477ddc5557",
+    ("spin_interface", "r"):
+        "2c0ee6a686f59cf3bfae9030b414fc8634ec3c23009b2f6a0569448be7486b16",
+    ("spin_interface", "z"):
+        "688f2a3876cae1e062e8da81636032720de4f892066b42c814f2dd9bb2bec6de",
+    ("spin_interface", "z2"):
+        "d5cb2dde73edf62225852379d80009d9b8f8dc7084ed3a8659f6b4539e8e28df",
+    ("tetrahedron", "build"):
+        "091837498393f44c7e580018cac20960b0786d6bbb45682da04774daa65d4539",
+    ("tetrahedron", "dump"):
+        "3ba9a610ea25be57695778218aae7bb06f0c44e20d148ee49aa3f416319580e2",
+    ("tetrahedron", "generators"):
+        "57db9ed64f3e8d0bd82bfa3d1325a0ffc98bcc869e9db4247c56cf899f6b39c0",
+    ("tetrahedron", "r"):
+        "c8cef88d778fa072100992dbba3024311dee3835e98ef3066f10347a2755bf98",
+    ("tetrahedron", "z"):
+        "97c1c4b553ade9ac510840a8d1cfd6f4f8136a946b75bf5101317d899002878f",
+    ("tetrahedron", "z2"):
+        "7413e69dfaa789728711890ea7caf3b0befde33b82df3b121cff81af0a2ce7a2",
+    ("torus", "build"):
+        "80dd809165bae862c684a62c041f8fd18ab1db3ccba406ad5b86ce64270b3f10",
+    ("torus", "dump"):
+        "afc8e413cba0f5d2b5de67879b218cfbb14aa776ac050c71240ee233557281a6",
+    ("torus", "generators"):
+        "baf0c75e9945e6f872ebbd28b77502d4d1955da5bc185ac55dbe37efad99b2d6",
+    ("torus", "r"):
+        "c5696fb43d302fd8cd82c00c7153391c18f5d06fb5dbe1aab84c2fb8e85501a3",
+    ("torus", "z"):
+        "a3cd727dcd18dc82a571298bde82190ca11b43451e4aa76ac81a57db27368da5",
+    ("torus", "z2"):
+        "c0ab8a05762cc0f5f46749cad4d442a9f70b709c87b7d9aac4c4e228435c684e",
+}
+
+
+@pytest.mark.parametrize("sample,command", sorted(SAMPLE_TEXT_SHA256))
+def test_sample_text_reports_are_byte_identical(capsys, sample, command):
+    cmd, *flags = REPORT_ARGS[command]
+    rc, out, _ = run(capsys, cmd, str(SAMPLES / f"{sample}.json"), *flags,
+                     "--report", "text")
+    assert rc == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SAMPLE_TEXT_SHA256[(sample, command)]
+
+
 def test_every_sample_has_pinned_reports():
     pinned = {sample for sample, _ in SAMPLE_REPORT_SHA256}
     assert pinned == {p.stem for p in SAMPLES.glob("*.json")}
+    assert set(SAMPLE_TEXT_SHA256) == set(SAMPLE_REPORT_SHA256)

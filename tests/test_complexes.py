@@ -109,6 +109,24 @@ def test_find_cell_sign_is_the_permutation_parity():
         pinched.find_cell(2, ("A", "A", "B"))
 
 
+
+def test_find_cell_sign_on_cubic_edges():
+    # a 1-cube is a 1-simplex: a reversed pair names the edge negated
+    grid = build_complex(box_points([(0, 1), (0, 1)]), "cubic")
+    for eid, (a, b) in enumerate(grid.layers[1].vertex_rows()):
+        ends = (grid.vertex_labels[a], grid.vertex_labels[b])
+        assert grid.find_cell(1, ends) == (eid, 1)
+        assert grid.find_cell(1, ends[::-1]) == (eid, -1)
+    # squares keep their stored orientation under any corner order
+    corners = grid.label_tuple(2, 0)
+    for query in itertools.permutations(corners):
+        assert grid.find_cell(2, query) == (0, 1)
+    # a period-1 axis makes a self-loop, which a pair cannot orient
+    loop = build_complex([(0,)], "cubic", index_box=((0, 1),),
+                         periodic_axes=(0,))
+    with pytest.raises(ComplexBuildError, match="repeated vertex"):
+        loop.find_cell(1, ((0,), (0,)))
+
 def test_boundary_of_edge(circle):
     eid, _ = circle.find_cell(1, ("A", "B"))
     d = boundary_of_cell(circle, 1, eid)
