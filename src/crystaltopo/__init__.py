@@ -23,7 +23,6 @@ from .complexes import (
     boundary_of_cell,
     build_complex,
     coboundary_map,
-    incidence_matrix,
     validate_complex,
 )
 from .errors import (

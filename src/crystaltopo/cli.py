@@ -277,7 +277,7 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
             raise _fail(f"{key}[{i}]: expected [edge, value]")
         edge, value = entry
         value = _number(value, float, key, i)
-        if isinstance(edge, int):
+        if isinstance(edge, int) and not isinstance(edge, bool):
             if not 0 <= edge < cx.n_cells(1):
                 raise _fail(f"{key}[{i}]: edge id {edge} out of range")
             cid, sign = edge, 1

@@ -1,4 +1,4 @@
-"""Delta-complexes with ordered-vertex cells and explicit incidence.
+"""Delta-complexes with ordered-vertex cells and explicit face lists.
 
 A cell of dimension k is an ordered tuple of vertex ids together with a
 signed list of its (k-1)-faces.  Triangular cells follow the alternating
@@ -13,6 +13,8 @@ Each degree is stored only as int64 arrays in compressed sparse rows
 face ids and coefficients with row offsets, and a shape code per cell.
 Every reader in the package works on these arrays.  ``DeltaComplex.cells``
 is a read-only view of :class:`Cell` objects, built only when asked for.
+A boundary operator is read only as the sparse columns of
+``boundary_columns``, summed from the face arrays; no dense copy is kept.
 
 The grid builder places unit-cell templates at every site of a free box
 or, with periodic axes, directly on the torus, so a periodic sample
@@ -119,10 +121,6 @@ class Chain:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{c}: {v}" for c, v in sorted(self.coeffs.items()))
@@ -335,14 +333,13 @@ class DeltaComplex:
     and its ids must name existing vertices and cells one degree down.
     """
 
-    def __init__(self, vertex_labels: Sequence, cells: Sequence[Sequence[Cell]],
-                 *, lattice_info: dict | None = None,
-                 closure_defects: Sequence = ()):
+    def __init__(self, vertex_labels: Sequence,
+                 cells: Sequence[Sequence[Cell]]):
         layers = [CellLayer.from_rows([c.vertices for c in layer],
                                       [c.faces for c in layer],
                                       [c.shape for c in layer])
                   for layer in map(tuple, cells)]
-        self._setup(vertex_labels, layers, lattice_info, closure_defects)
+        self._setup(vertex_labels, layers, None, ())
 
     @classmethod
     def from_layers(cls, vertex_labels: Sequence, layers: Sequence[CellLayer],
@@ -479,8 +476,7 @@ class DeltaComplex:
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Sequence], *,
-                       auto_close: bool = True,
-                       lattice_info: dict | None = None) -> "DeltaComplex":
+                       auto_close: bool = True) -> "DeltaComplex":
         """Assemble a strict simplicial delta-complex from vertex tuples.
 
         Input tuples may arrive in any vertex order and any mix of
@@ -535,8 +531,7 @@ class DeltaComplex:
                 face_rows.append(faces)
             layers.append(CellLayer.from_rows(
                 tuples, face_rows, [SHAPE_SIMPLEX] * len(tuples)))
-        return cls.from_layers(labels, layers, lattice_info=lattice_info,
-                               closure_defects=defects)
+        return cls.from_layers(labels, layers, closure_defects=defects)
 
 
 # ---------------------------------------------------------------------------
@@ -797,29 +792,6 @@ def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
             cached.append({fid: v for fid, v in col.items() if v})
         complex_._cache[key] = cached
     return cached
-
-
-def incidence_matrix(complex_: DeltaComplex, k: int) -> np.ndarray:
-    """Matrix of the k-th boundary operator.
-
-    Rows are (k-1)-cells, columns are k-cells, both in stored order, so
-    the matrix product [d_k][d_{k+1}] vanishes.
-    """
-    if k < 1 or k > complex_.dim:
-        raise DimensionError(
-            f"incidence matrix defined for 1 <= k <= {complex_.dim}, got {k}")
-    key = ("incidence", k)
-    cached = complex_._cache.get(key)
-    if cached is not None:
-        return cached
-    M = np.zeros((complex_.n_cells(k - 1), complex_.n_cells(k)),
-                 dtype=np.int64)
-    for j, col in enumerate(boundary_columns(complex_, k)):
-        for fid, v in col.items():
-            M[fid, j] = v
-    M.setflags(write=False)
-    complex_._cache[key] = M
-    return M
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ ring: over R the rank counts the nonzero factors, over Z/2 the odd ones,
 and fields carry no torsion.  Boundary and coboundary membership append
 the vector to the same integer columns and compare the factors, read
 over its ring, with the cached reduction.  Generators of a nonzero group
-come from one tracked Smith reduction of d_k, whose V^-1 gives the cycle
-coordinates Y of the columns of d_{k+1}, plus the Smith form of Y.
+read the same columns: one tracked Smith reduction of the dense rows of
+d_k gives the cycle basis and, through V^-1, the cycle coordinates Y of
+the columns of d_{k+1}; each generator is the cycle basis times one
+column of U_Y^-1 from the Smith form of Y.
 """
 
 from __future__ import annotations
@@ -31,11 +33,15 @@ from .complexes import (
     RINGS,
     boundary_columns,
     boundary_map,
-    incidence_matrix,
     spanning_forest,
 )
 from .errors import DimensionError, InternalInconsistencyError
-from .snf import matmul_int, smith_normal_form, sparse_invariant_factors
+from .snf import (
+    dense_rows,
+    identity,
+    smith_normal_form,
+    sparse_invariant_factors,
+)
 
 
 @dataclass(frozen=True)
@@ -233,51 +239,49 @@ def homology_generators(complex_: DeltaComplex,
     """Integer homology generators as (order, chain) pairs.
 
     Order 0 marks a free generator; d >= 2 a torsion generator of order d.
-    One tracked Smith form U d_k V = D gives the cycle basis V[:, r:] and,
-    since V is unimodular, the unique coordinates V^-1 c of every cycle c
-    in it; for k = 0 every chain is a cycle and the basis is the standard
-    one.  The coordinates Y of the columns of d_{k+1} are reduced once
-    more, and the basis is adapted to the image so each basis vector
-    carries one invariant factor.
+    One tracked Smith form U d_k V = D of the dense rows of d_k gives the
+    cycle basis V[:, r:] and, since V is unimodular, the unique
+    coordinates V^-1 c of every cycle c in it; when d_k is the zero map
+    (k = 0, or no (k-1)-cells) the basis is the standard one.  The
+    coordinates Y of the columns of d_{k+1} get the Smith form
+    U_Y Y V_Y = D_Y, and each generator is the cycle basis times one
+    column of U_Y^-1, so it carries one invariant factor.
     """
     group = homology(complex_, k)
     if not group.betti and not group.torsion:
         return []  # one entry per free or torsion summand: none
-    n_k = complex_.n_cells(k)
 
-    if k == 0:
+    if complex_.n_cells(k - 1) == 0:
         r = 0
-        kernel = [[1 if i == j else 0 for j in range(n_k)] for i in range(n_k)]
-        vinv = kernel
+        kernel = vinv = identity(complex_.n_cells(k))
     else:
-        dec = smith_normal_form(incidence_matrix(complex_, k))
+        dec = smith_normal_form(dense_rows(boundary_columns(complex_, k),
+                                           range(complex_.n_cells(k - 1))))
         r = dec.rank
         kernel = [row[r:] for row in dec.V]
         vinv = dec.vinv
-    z = n_k - r
-
-    if k == complex_.dim or complex_.n_cells(k + 1) == 0:
-        return [(0, Chain(k, {i: kernel[i][j] for i in range(n_k)}, RING_INT))
-                for j in range(z)]
+    z = complex_.n_cells(k) - r
 
     # Cycle coordinates of the columns of d_{k+1}: one sparse dot per row
     # of V^-1.  Each column is a cycle, so its head coordinates vanish.
-    columns = [list(col.items()) for col in boundary_columns(complex_, k + 1)]
+    columns = [list(col.items()) for col in (
+        boundary_columns(complex_, k + 1) if k < complex_.dim else ())]
     coords = [[sum(row[i] * v for i, v in col) for col in columns]
               for row in vinv]
     if any(any(row) for row in coords[:r]):
         raise InternalInconsistencyError(
             "boundary column is not an integral cycle combination")
-
     dec_y = smith_normal_form(coords[r:])
-    adapted = matmul_int(kernel, dec_y.uinv)
-    orders = dec_y.diagonal
+    orders, uinv = dec_y.diagonal, dec_y.uinv
+
     out: list[tuple[int, Chain]] = []
     for j in range(z):
         order = orders[j] if j < len(orders) else 0
         if order == 1:
             continue
-        chain = Chain(k, {i: adapted[i][j] for i in range(n_k)}, RING_INT)
+        column = [row[j] for row in uinv]
+        chain = Chain(k, {i: sum(a * b for a, b in zip(row, column))
+                          for i, row in enumerate(kernel)}, RING_INT)
         out.append((order, chain))
     # Free generators last, torsion first, matching invariant-factor order.
     out.sort(key=lambda t: (t[0] == 0, t[0]))

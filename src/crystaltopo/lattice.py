@@ -21,9 +21,10 @@ object.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +63,10 @@ DEFECT_FIELDS = {
 }
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DefectSpec:
     """One defect instruction.  Axes are 1-based in all public interfaces."""
@@ -75,6 +80,14 @@ class DefectSpec:
     def validated(self, m: int) -> "DefectSpec":
         if self.kind not in DEFECT_FIELDS:
             raise DefectLocusError(f"unknown defect kind {self.kind!r}")
+        for name, shape in DEFECT_FIELDS[self.kind].items():
+            value = getattr(self, name)
+            items = [value] if shape is int else value
+            if value is not None and not (isinstance(items, Iterable)
+                                          and all(map(_is_integer, items))):
+                what = "an integer" if shape is int else "integers"
+                raise DefectLocusError(
+                    f"{self.kind} {name} must be {what}, got {value!r}")
         if "index" in DEFECT_FIELDS[self.kind]:
             if self.index is None or len(self.index) != m:
                 raise DefectLocusError(

@@ -11,6 +11,7 @@ the breadth-first ``spanning_forest`` of the 1-skeleton.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
     out = {}
     n = complex_.n_cells(1)
     for cid, v in dict(values).items():
+        # The type test spares plain ints the slow abstract-class check.
+        if type(cid) is not int and (
+                isinstance(cid, bool) or not isinstance(cid, numbers.Integral)):
+            raise DimensionError(f"edge id {cid!r} is not an integer")
         cid = int(cid)
         if not 0 <= cid < n:
             raise DimensionError(f"edge id {cid} out of range")

@@ -222,13 +222,6 @@ class OrderField:
             complex_, space,
             {lab: fn(lab) for lab in complex_.vertex_labels})
 
-    def value(self, vertex_id: int):
-        return self.values[vertex_id]
-
-    def angle(self, vertex_id: int) -> float:
-        v = self.values[vertex_id]
-        return math.atan2(v[1], v[0])
-
 
 # ---------------------------------------------------------------------------
 # Probe computations

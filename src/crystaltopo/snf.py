@@ -5,15 +5,13 @@ without overflow; numpy arrays are accepted at the boundary and converted.
 No kernel knows about coefficient rings: every reduction is over Z, and
 the ranks over a field follow from the invariant factors.
 
-Ranks and invariant factors of boundary matrices come from
-``sparse_invariant_factors``, which eliminates the +-1 pivots of a sparse
-column representation and hands only the leftover non-unit block to the
-dense Euclidean reducer; appending a vector as one more column and
-comparing the factors decides whether it lies in the image.  The dense
-Smith normal form routine keeps both transforms and their inverses; it
-serves the explicit generators, which come from one tracked reduction of
-d_k (its V spans the cycles, its V^-1 gives cycle coordinates Y of the
-columns of d_{k+1}) plus the Smith form of Y.
+Boundary matrices arrive as sparse columns, ``{row id: entry}``.
+``sparse_invariant_factors`` eliminates their +-1 pivots and hands only
+the leftover non-unit block to the dense Euclidean reducer; appending a
+vector as one more column and comparing the factors decides whether it
+lies in the image.  The dense Smith normal form keeps both transforms and
+their inverses for the explicit generators.  Both dense reductions get
+their rows from ``dense_rows``, the one step from columns to dense rows.
 """
 
 from __future__ import annotations
@@ -41,7 +39,19 @@ def _as_int_rows(matrix) -> list[list[int]]:
     return rows
 
 
-def _identity(n: int) -> list[list[int]]:
+def dense_rows(columns: Sequence[Mapping[int, int]],
+               row_ids: Sequence[int]) -> list[list[int]]:
+    """Rows ``row_ids`` of the matrix with these sparse columns, as int
+    lists; every row id of a column must be listed."""
+    pos = {r: t for t, r in enumerate(row_ids)}
+    rows = [[0] * len(columns) for _ in row_ids]
+    for t, col in enumerate(columns):
+        for r, v in col.items():
+            rows[pos[r]][t] = v
+    return rows
+
+
+def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -101,10 +111,10 @@ class _Reducer:
         self.n = len(self.A[0]) if self.A else 0
         self.track = track
         if track:
-            self.U = _identity(self.m)
-            self.uinv = _identity(self.m)
-            self.V = _identity(self.n)
-            self.vinv = _identity(self.n)
+            self.U = identity(self.m)
+            self.uinv = identity(self.m)
+            self.V = identity(self.n)
+            self.vinv = identity(self.n)
 
     # Row operations mirror onto U (left transform) and column operations
     # onto V; each inverse gets the inverse operation on the other side,
@@ -294,33 +304,6 @@ def sparse_invariant_factors(
     leftover = [col for col in cols if col]
     if leftover:
         row_ids = sorted({r for col in leftover for r in col})
-        pos = {r: t for t, r in enumerate(row_ids)}
-        block = [[0] * len(leftover) for _ in row_ids]
-        for t, col in enumerate(leftover):
-            for r, v in col.items():
-                block[pos[r]][t] = v
+        block = dense_rows(leftover, row_ids)
         factors.extend(abs(d) for d in smith_diagonal(block) if d)
     return factors
-
-
-def matmul_int(A, B) -> list[list[int]]:
-    """Exact product of two int-list matrices."""
-    if not A:
-        return []
-    inner = len(B)
-    width = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        if len(row) != inner:
-            raise ValueError("shape mismatch")
-        new = [0] * width
-        for k, a in enumerate(row):
-            if a == 0:
-                continue
-            brow = B[k]
-            for j in range(width):
-                b = brow[j]
-                if b:
-                    new[j] += a * b
-        out.append(new)
-    return out

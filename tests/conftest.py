@@ -6,6 +6,13 @@ from crystaltopo import (
     build_lattice_complex,
 )
 
+from oracles import boundary_matrix_oracle
+
+
+def dense_boundary(cx, k):
+    """d_k of ``cx`` as a dense int64 array, summed from its face arrays."""
+    return boundary_matrix_oracle(cx.layers[k], cx.n_cells(k - 1))
+
 
 def make_circle():
     # triangle perimeter: 3 vertices, 3 edges, no faces

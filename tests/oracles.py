@@ -87,6 +87,23 @@ def _snf_recurse(a):
     return diag
 
 
+def matmul_oracle(a, b):
+    """Exact product of two integer matrices given as nested lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def boundary_matrix_oracle(layer, n_rows):
+    """Dense d_k summed straight from the face arrays of the k-cell layer:
+    entry (f, c) is the sum of the coefficients with which cell c lists
+    face f.  ``layer`` needs ``face_ptr``, ``faces`` and ``coeffs``."""
+    n_cols = len(layer.face_ptr) - 1
+    owner = np.repeat(np.arange(n_cols), np.diff(layer.face_ptr))
+    matrix = np.zeros((n_rows, n_cols), dtype=np.int64)
+    np.add.at(matrix, (layer.faces, owner), layer.coeffs)
+    return matrix
+
+
 def det_oracle(matrix):
     """Exact determinant by cofactor expansion.  Only sane for n <= 7."""
     a = [[int(x) for x in row] for row in np.atleast_2d(matrix)]

@@ -26,7 +26,6 @@ from crystaltopo import (
     evaluate,
     extend_field,
     homology,
-    incidence_matrix,
     index_sum_check,
     make_space,
     obstruction_class,
@@ -39,9 +38,9 @@ from crystaltopo import (
 )
 from crystaltopo.complexes import DeltaComplex, barycentric_subdivide, boundary_of_cell
 from crystaltopo.orderfield import GROUP_Z
-from crystaltopo.snf import matmul_int
 
 from conftest import (
+    dense_boundary,
     make_circle,
     make_cylinder,
     make_disc,
@@ -52,7 +51,7 @@ from conftest import (
     make_tetra_surface,
     make_torus,
 )
-from oracles import snf_diagonal_oracle
+from oracles import matmul_oracle, snf_diagonal_oracle
 
 
 def _verdict(name, ok):
@@ -85,13 +84,13 @@ DISC_VERTEX_TABLE = [[-1, -1, -1, 0, 0, 0],
 
 def test_reference_incidence_tables():
     circle = make_circle()
-    ok = np.array_equal(incidence_matrix(circle, 1).T, CIRCLE_EDGE_TABLE)
+    ok = np.array_equal(dense_boundary(circle, 1).T, CIRCLE_EDGE_TABLE)
 
     disc = make_disc()
-    ok = ok and np.array_equal(incidence_matrix(disc, 1), DISC_VERTEX_TABLE)
+    ok = ok and np.array_equal(dense_boundary(disc, 1), DISC_VERTEX_TABLE)
 
     # column order ABD, BCD, ADC maps onto the stored ascending cells
-    m2 = incidence_matrix(disc, 2)
+    m2 = dense_boundary(disc, 2)
     abd, s_abd = disc.find_cell(2, ("A", "B", "D"))
     bcd, s_bcd = disc.find_cell(2, ("B", "C", "D"))
     adc, s_adc = disc.find_cell(2, ("A", "D", "C"))
@@ -349,7 +348,7 @@ def test_reduction_matches_oracle():
         want = snf_diagonal_oracle(m)
         want = want + [0] * (min(r, c) - len(want))
         ok = ok and got == want
-        ok = ok and matmul_int(matmul_int(dec.U, m), dec.V) == dec.D
+        ok = ok and matmul_oracle(matmul_oracle(dec.U, m), dec.V) == dec.D
     _verdict("normal form equals brute-force oracle on 500 matrices", ok)
 
 

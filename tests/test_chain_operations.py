@@ -19,7 +19,6 @@ from crystaltopo.complexes import (
     RING_REAL,
     boundary_map,
     boundary_of_cell,
-    incidence_matrix,
     spanning_forest,
 )
 from crystaltopo.errors import (
@@ -52,6 +51,7 @@ from crystaltopo.orderfield import (
     CoefficientGroup,
 )
 
+from conftest import dense_boundary
 from oracles import (
     coboundary_class_oracle,
     cocycle_oracle,
@@ -121,7 +121,7 @@ def draw_values(data, cx, k, name):
     columns = []
     for _ in range(2 if name == "Z^2" else 1):
         if data.draw(st.booleans()) and cx.n_cells(k - 1):
-            matrix = incidence_matrix(cx, k)
+            matrix = dense_boundary(cx, k)
             x = data.draw(st.lists(small, min_size=len(matrix),
                                    max_size=len(matrix)))
             columns.append((np.array(x) @ matrix).tolist())
@@ -154,7 +154,7 @@ def test_group_valued_cochains_match_the_cellwise_loops(spec, name, data):
 
     assert verify_cocycle(cochain) == cocycle_oracle(
         name, values, face_rows(cx, k + 1))
-    delta = incidence_matrix(cx, k).T.tolist()
+    delta = dense_boundary(cx, k).T.tolist()
     assert obstruction_class(cochain) == coboundary_class_oracle(
         name, values, delta)
 

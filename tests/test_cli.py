@@ -105,6 +105,17 @@ def test_homology_generators_flag(capsys, tmp_path):
     assert "H_2 generator (free)" in out
 
 
+def test_homology_generators_when_a_boundary_matrix_has_no_rows(
+        capsys, tmp_path):
+    # a triangle without its edges: d_2 has no rows, so it is the zero map
+    doc = {"complex": {"cells": [["A", "B", "C"]], "auto_close": False}}
+    rc, out, _ = run(capsys, "homology", write_doc(tmp_path, doc),
+                     "--generators")
+    assert rc == 0
+    assert "H_2: Z" in out
+    assert "H_2 generator (free): 0:1" in out
+
+
 def test_homology_torsion_generator_listing(capsys, tmp_path):
     doc = {"complex": {"cells": [
         [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 6], [1, 4, 5],
@@ -321,6 +332,14 @@ HOSTILE_DOCS = {
     "drop-boolean": (
         {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
          "drops": [[0, False]]}, "drops[0]", "network"),
+    "current-edge-boolean": (
+        {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
+         "currents": [[0, 1.0], [True, 1.0]]},
+        "currents[1]: edge must be an id or a vertex pair", "network"),
+    "drop-edge-boolean": (
+        {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
+         "drops": [[False, 1.0]]},
+        "drops[0]: edge must be an id or a vertex pair", "network"),
 }
 
 

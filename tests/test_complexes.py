@@ -23,12 +23,18 @@ from crystaltopo import (
     build_lattice_complex,
     coboundary_map,
     homology,
-    incidence_matrix,
     validate_complex,
 )
 from crystaltopo.lattice import DefectSpec, box_points
 
-from conftest import make_circle, make_disc, make_mobius, make_rp2, make_tetra_surface
+from conftest import (
+    dense_boundary,
+    make_circle,
+    make_disc,
+    make_mobius,
+    make_rp2,
+    make_tetra_surface,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def test_triangular_3d_fills_the_cube():
 
 
 def test_incidence_entries_are_signs(tetra_surface):
-    m = incidence_matrix(tetra_surface, 2)
+    m = dense_boundary(tetra_surface, 2)
     assert set(np.unique(m)) <= {-1, 0, 1}
     assert m.shape == (6, 4)
 

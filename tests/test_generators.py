@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo import LatticeSpec, build_lattice_complex
-from crystaltopo.complexes import RING_INT, DeltaComplex, incidence_matrix
+from crystaltopo.complexes import RING_INT, Cell, Chain, DeltaComplex
 from crystaltopo.errors import ComplexBuildError, InternalInconsistencyError
 from crystaltopo.homology import (
     homology,
@@ -22,6 +22,7 @@ from crystaltopo.lattice import DefectSpec
 from crystaltopo.snf import smith_normal_form
 
 from conftest import (
+    dense_boundary,
     make_cylinder,
     make_grid,
     make_mobius,
@@ -126,6 +127,13 @@ def test_torsion_and_non_orientable_generators():
         assert_generators_mean_homology(cx)
 
 
+def test_a_cell_without_faces_below_is_a_free_cycle():
+    # no 1- or 2-cells: d_3 has no rows, so it is the zero map
+    points = [Cell((v,), ()) for v in range(4)]
+    cx = DeltaComplex("ABCD", [points, [], [], [Cell((2, 0, 3, 1), ())]])
+    assert homology_generators(cx, 3) == [(0, Chain(3, {0: 1}, RING_INT))]
+
+
 def test_a_boundary_column_that_is_no_cycle_is_refused(monkeypatch):
     cx = make_torus(3)
     homology(cx, 1)  # cache the ranks before the columns are corrupted
@@ -150,7 +158,7 @@ def h0_by_smith(cx):
     n0 = cx.n_cells(0)
     if cx.dim == 0 or cx.n_cells(1) == 0:
         return [(0, {i: 1}) for i in range(n0)]
-    dec = smith_normal_form(incidence_matrix(cx, 1))
+    dec = smith_normal_form(dense_boundary(cx, 1).tolist())
     diagonal = dec.diagonal
     out = []
     for j in range(n0):

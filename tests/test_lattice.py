@@ -146,6 +146,23 @@ def test_substitution_marker_removes_nothing():
     assert rep["markers"] == [(0, 0)]
 
 
+@pytest.mark.parametrize("defect, field", [
+    (DefectSpec("surface_defect", axis=1, coordinate=True), "coordinate"),
+    (DefectSpec("surface_defect", axis=1.0, coordinate=1), "axis"),
+    (DefectSpec("line_defect", axis=True, transverse=(0,)), "axis"),
+    (DefectSpec("line_defect", axis=1, transverse=(0.5,)), "transverse"),
+    (DefectSpec("vacancy", index=(1.0, True)), "index"),
+    (DefectSpec("vacancy", index=("1", 1)), "index"),
+    (DefectSpec("substitution_marker", index=3), "index"),
+])
+def test_defect_spec_fields_must_be_integers(defect, field):
+    with pytest.raises(DefectLocusError, match=f"{defect.kind} {field} must"):
+        defect.validated(2)
+    pts = {(i, j) for i in range(3) for j in range(3)}
+    with pytest.raises(DefectLocusError, match=f"{defect.kind} {field} must"):
+        apply_defects(pts, ((0, 2), (0, 2)), [defect])
+
+
 def test_defect_spec_arity_validation():
     with pytest.raises(DefectLocusError):
         DefectSpec("vacancy", index=(1,)).validated(2)

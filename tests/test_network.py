@@ -4,6 +4,7 @@ import pytest
 
 from crystaltopo import (
     Chain,
+    CrystalTopoError,
     DeltaComplex,
     check_current_law,
     potential_check,
@@ -65,6 +66,13 @@ def test_tolerance_is_respected(circle):
 def test_chain_input_works(circle):
     ch = Chain(1, {0: 1, 2: 1, 1: -1}, ring="reals")
     assert check_current_law(circle, ch).ok
+
+
+@pytest.mark.parametrize("check", [check_current_law, potential_check])
+@pytest.mark.parametrize("edge", [1.5, True, "2"])
+def test_edge_ids_must_be_integers(circle, check, edge):
+    with pytest.raises(CrystalTopoError, match=f"edge id {edge!r} "):
+        check(circle, {edge: 1.0})
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,13 @@ def test_angle_and_vector_forms_agree(circle):
     g = OrderField.from_samples(circle, sp,
                                 {"A": (1.0, 0.0), "B": (0.0, 1.0), "C": (-1.0, 0.0)})
     for vid in range(3):
-        assert np.allclose(f.value(vid), g.value(vid))
+        assert np.allclose(f.values[vid], g.values[vid])
 
 
 def test_from_function(circle):
     sp = make_space("circle")
     f = OrderField.from_function(circle, sp, lambda label: 0.25)
-    assert f.angle(0) == pytest.approx(0.25)
+    assert math.atan2(*f.values[0][::-1]) == pytest.approx(0.25)
 
 
 def test_non_unit_vectors_rejected(circle):

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from crystaltopo import smith_diagonal, smith_normal_form
-from crystaltopo.snf import matmul_int
 
-from oracles import det_oracle, determinantal_divisors, snf_diagonal_oracle
+from oracles import (
+    det_oracle,
+    determinantal_divisors,
+    matmul_oracle,
+    snf_diagonal_oracle,
+)
 
 
 def test_identity_is_fixed():
@@ -72,15 +76,15 @@ def test_transforms_reconstruct_and_are_unimodular():
         c = rng.randint(1, 5)
         m = [[rng.randint(-7, 7) for _ in range(c)] for _ in range(r)]
         dec = smith_normal_form(m)
-        assert matmul_int(matmul_int(dec.U, m), dec.V) == dec.D
+        assert matmul_oracle(matmul_oracle(dec.U, m), dec.V) == dec.D
         assert abs(det_oracle(dec.U)) == 1
         assert abs(det_oracle(dec.V)) == 1
         # uinv and vinv really are the inverses of U and V
         ident = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        assert matmul_int(dec.U, dec.uinv) == ident
+        assert matmul_oracle(dec.U, dec.uinv) == ident
         ident = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-        assert matmul_int(dec.V, dec.vinv) == ident
-        assert matmul_int(dec.vinv, dec.V) == ident
+        assert matmul_oracle(dec.V, dec.vinv) == ident
+        assert matmul_oracle(dec.vinv, dec.V) == ident
 
 
 def test_rejects_non_integer_input():

@@ -15,7 +15,6 @@ from crystaltopo.complexes import (
     RING_MOD2,
     RING_REAL,
     boundary_columns,
-    incidence_matrix,
 )
 from crystaltopo.errors import ComplexBuildError
 from crystaltopo.homology import (
@@ -31,7 +30,7 @@ from crystaltopo.obstruction import ObstructionCochain, obstruction_class
 from crystaltopo.orderfield import GROUP_Z, GROUP_Z2, GROUP_ZxZ
 from crystaltopo.snf import smith_diagonal, sparse_invariant_factors
 
-from conftest import make_circle, make_disc, make_rp2, make_torus
+from conftest import dense_boundary, make_circle, make_disc, make_rp2, make_torus
 from oracles import (
     gf2_rank,
     gf2_rank_oracle,
@@ -140,7 +139,7 @@ def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
     for k in range(1, cx.dim + 1):
         if cx.n_cells(k) == 0:
             continue
-        M = incidence_matrix(cx, k)
+        M = dense_boundary(cx, k)
         assert boundary_columns(cx, k) == columns_of(M.tolist(), M.shape[1])
         if M.size:
             assert_agrees(M.tolist(), oracle=M.size <= ORACLE_MAX_ENTRIES)
@@ -194,7 +193,7 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
         raise AssertionError("dense matrix built for a rank or membership")
 
     monkeypatch.setattr(homology_mod, "sparse_invariant_factors", counting)
-    monkeypatch.setattr(homology_mod, "incidence_matrix", no_dense)
+    monkeypatch.setattr(homology_mod, "dense_rows", no_dense)
     monkeypatch.setattr(homology_mod, "smith_normal_form", no_dense)
     for ring in (RING_INT, RING_MOD2, RING_REAL):
         for k in range(-1, cx.dim + 2):
