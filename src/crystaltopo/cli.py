@@ -19,6 +19,8 @@ import math
 import sys
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import __version__
 from .complexes import (
     DeltaComplex,
@@ -266,30 +268,53 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
 
 
 def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
+    """{edge id: its entries' signed values summed in order}, resolved as
+    one batch; entries the batch cannot resolve are read one at a time in
+    document order, so a refusal names the first bad entry."""
     body = doc.get(key)
-    if body is None:
+    if body is None or body == []:
         return {}
     if not isinstance(body, list):
         raise _fail(f"{key} must be a list of [edge, value] pairs")
-    out: dict[int, float] = {}
-    for i, entry in enumerate(body):
+    edges, values = zip(*[e if type(e) is list and len(e) == 2
+                          else (None, None) for e in body])
+    top, n_edges = sys.float_info.max, cx.n_cells(1)
+    number = np.array([v if type(v) is float or type(v) is int
+                       and -top <= v <= top else math.nan for v in values],
+                      dtype=float)
+    # An edge id, or -2 for a vertex pair, or -1 for anything else.
+    ids = np.array([e if type(e) is int and 0 <= e < n_edges else -2
+                    if type(e) is list and len(e) == 2 else -1 for e in edges])
+    signs, pairs = np.ones(len(body)), np.flatnonzero(ids == -2)
+    get = cx.label_to_id.get
+    try:
+        ends = [get(tuple(x) if type(x) is list else x, -1)
+                for i in pairs for x in edges[i]]
+    except TypeError:  # objects and nested lists: entry by entry
+        ends = [-1] * (2 * len(pairs))
+    ids[pairs], signs[pairs] = cx.find_edges(np.reshape(ends, (-1, 2)))
+    cids, signed = ids.tolist(), (signs * number).tolist()
+    for i in np.flatnonzero((ids < 0) | ~np.isfinite(number)).tolist():
+        entry, where = body[i], f"{key}[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
-            raise _fail(f"{key}[{i}]: expected [edge, value]")
-        edge, value = entry
-        value = _number(value, float, key, i)
+            raise _fail(f"{where}: expected [edge, value]")
+        edge, value = entry[0], _number(entry[1], float, key, i)
         if isinstance(edge, int) and not isinstance(edge, bool):
-            if not 0 <= edge < cx.n_cells(1):
-                raise _fail(f"{key}[{i}]: edge id {edge} out of range")
+            if not 0 <= edge < n_edges:
+                raise _fail(f"{where}: edge id {edge} out of range")
             cid, sign = edge, 1
         elif isinstance(edge, list) and len(edge) == 2:
-            ends = _as_label(edge, key, i)
+            label = _as_label(edge, key, i)
             try:
-                cid, sign = cx.find_cell(1, ends)
+                cid, sign = cx.find_cell(1, label)
             except CrystalTopoError as exc:
-                raise _fail(f"{key}[{i}]: {exc}") from None
+                raise _fail(f"{where}: {exc}") from None
         else:
-            raise _fail(f"{key}[{i}]: edge must be an id or a vertex pair")
-        out[cid] = out.get(cid, 0.0) + sign * value
+            raise _fail(f"{where}: edge must be an id or a vertex pair")
+        cids[i], signed[i] = cid, sign * value
+    out: dict[int, float] = {}
+    for cid, value in zip(cids, signed):
+        out[cid] = out.get(cid, 0.0) + value
     return out
 
 

@@ -459,6 +459,29 @@ class DeltaComplex:
                 sign = -sign
         return cell_id, sign
 
+    def find_edges(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Edge ids and signs, as :meth:`find_cell` gives them, of the vertex
+        pairs in the rows of an (n, 2) id array; id -1 where it refuses."""
+        cid, n = np.full(len(ends), -1), self.n_vertices
+        if not self.n_cells(1):
+            return cid, np.ones(len(ends))
+        layer = self.layers[1]
+        if "edge keys" not in self._cache:
+            # Sorted keys lo * n + hi; -1 for a 1-cell without two vertices.
+            lo, hi = np.sort([layer.first_vertices(), layer.last_vertices()],
+                             axis=0)
+            keys = np.where(np.diff(layer.vertex_ptr) == 2, lo * n + hi, -1)
+            order = np.argsort(keys, kind="stable")
+            self._cache["edge keys"] = keys[order], order
+        keys, order = self._cache["edge keys"]
+        a, b = ends.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        start, stop = (np.searchsorted(keys, lo * n + hi, side)
+                       for side in ("left", "right"))
+        found = np.flatnonzero((stop - start == 1) & (lo >= 0) & (lo != hi))
+        cid[found] = order[start[found]]
+        return cid, np.where(layer.first_vertices()[cid] == a, 1.0, -1.0)
+
     def chain(self, k: int, terms: Mapping[Sequence, object],
               ring: str = RING_INT) -> Chain:
         """Build a chain from {vertex-label-tuple: coefficient} terms."""

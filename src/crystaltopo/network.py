@@ -27,10 +27,13 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
         if values.dim != 1:
             raise DimensionError("edge data must be 1-dimensional")
         return {cid: float(v) for cid, v in values.coeffs.items()}
-    out = {}
+    vals = dict(values)
     n = complex_.n_cells(1)
-    for cid, v in dict(values).items():
-        # The type test spares plain ints the slow abstract-class check.
+    if all(type(cid) is int for cid in vals) and (
+            not vals or 0 <= min(vals) and max(vals) < n):
+        return dict(zip(vals, map(float, vals.values())))
+    out = {}
+    for cid, v in vals.items():
         if type(cid) is not int and (
                 isinstance(cid, bool) or not isinstance(cid, numbers.Integral)):
             raise DimensionError(f"edge id {cid!r} is not an integer")
@@ -96,34 +99,23 @@ def potential_check(complex_: DeltaComplex, drops,
         if parent[v] is not None:
             up, cid, sign = parent[v]
             potential[v] = potential[up] + sign * vals.get(cid, 0.0)
-    tree_edges = {link[1] for link in parent if link is not None}
 
-    def path_to_root(v: int) -> dict[int, float]:
-        # Edge coefficients of the tree path from v up to its root,
-        # oriented from v toward the root.
-        coeffs: dict[int, float] = {}
+    # All non-tree edges at once; the lowest offending id gives the loop.
+    pot = np.array(potential)
+    drop = np.array([vals.get(cid, 0.0) for cid in range(len(first))])
+    bad = np.abs(pot[last] - pot[first] - drop) > tol
+    bad[[link[1] for link in parent if link is not None]] = False
+    if not bad.any():
+        return PotentialReport(True, potential, tol=tol)
+
+    # Loop: the edge first -> last, then the tree path up from last and
+    # back down to first; edges above the two paths' meeting point cancel.
+    cid = int(bad.argmax())
+    loop: dict[int, float] = {cid: 1.0}
+    for v, way in ((int(last[cid]), 1.0), (int(first[cid]), -1.0)):
         while parent[v] is not None:
-            up, cid, sign = parent[v]
-            coeffs[cid] = coeffs.get(cid, 0.0) - sign
-            v = up
-        return coeffs
-
-    for cid, (a, b) in enumerate(zip(first.tolist(), last.tolist())):
-        if cid in tree_edges:
-            continue
-        drop = vals.get(cid, 0.0)
-        mismatch = potential[b] - potential[a] - drop
-        if abs(mismatch) > tol:
-            # Loop: the edge from a to b, then the tree path b -> a.
-            loop: dict[int, float] = {cid: 1.0}
-            down_b = path_to_root(b)
-            down_a = path_to_root(a)
-            for k, v in down_b.items():
-                loop[k] = loop.get(k, 0.0) + v
-            for k, v in down_a.items():
-                loop[k] = loop.get(k, 0.0) - v
-            chain = Chain(1, loop, RING_REAL)
-            circulation = sum(
-                c * vals.get(e, 0.0) for e, c in chain.coeffs.items())
-            return PotentialReport(False, None, chain, circulation, tol)
-    return PotentialReport(True, potential, tol=tol)
+            v, e, sign = parent[v]
+            loop[e] = loop.get(e, 0.0) - way * sign
+    chain = Chain(1, loop, RING_REAL)
+    circulation = sum(c * vals.get(e, 0.0) for e, c in chain.coeffs.items())
+    return PotentialReport(False, None, chain, circulation, tol)

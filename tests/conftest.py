@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import strategies as st
 
 from crystaltopo import (
+    DefectSpec,
     DeltaComplex,
     LatticeSpec,
     build_lattice_complex,
 )
+from crystaltopo.lattice import box_points
 
 from oracles import boundary_matrix_oracle
 
@@ -82,6 +85,30 @@ def make_grid(n=5, scheme="triangular", removed=(), defects=()):
         defects=tuple(defects))
     cx, _ = build_lattice_complex(spec)
     return cx
+
+
+@st.composite
+def lattice_specs(draw):
+    """Small samples of both schemes with free, constant or periodic
+    boundaries; extent-1 periodic axes give self-loops, extent-2 ones
+    edges that share their vertex pair, and up to two vacancies punch
+    holes."""
+    m = draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(["triangular", "cubic"]))
+    boundary = draw(st.sampled_from(["free", "constant", "periodic"]))
+    top = {1: 4, 2: 3, 3: 2}[m]
+    box = tuple((0, draw(st.integers(1, top))) for _ in range(m))
+    axes = ()
+    if boundary == "periodic":
+        axes = tuple(a + 1 for a in range(m) if draw(st.booleans())) or (1,)
+    vacancies = draw(st.lists(st.sampled_from(box_points(box)), max_size=2,
+                              unique=True))
+    return LatticeSpec(
+        dimension=m, ambient=m,
+        generators=tuple(tuple(float(i == j) for j in range(m))
+                         for i in range(m)),
+        index_box=box, scheme=scheme, boundary=boundary, periodic_axes=axes,
+        defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
 
 
 @pytest.fixture

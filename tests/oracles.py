@@ -8,6 +8,7 @@ here.  Do not import crystaltopo from this module.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -853,3 +854,70 @@ def current_residuals_oracle(n_vertices, face_rows, currents):
         for fid, coeff in face_rows[cid]:
             residual[fid] += coeff * value
     return residual
+
+
+# ---------------------------------------------------------------------------
+# Document intake
+# ---------------------------------------------------------------------------
+
+def edge_data_oracle(doc, key, vertex_labels, edge_rows):
+    """The ``currents`` or ``drops`` list of ``doc`` read one entry at a
+    time: {edge id: sum of the signed values of its entries}.
+
+    ``edge_rows`` holds the stored vertex ids of every edge, or is None
+    when the complex has no degree 1.  A refused entry raises ValueError
+    with the message the CLI prints for it.
+    """
+    body = doc.get(key)
+    if body is None:
+        return {}
+    if not isinstance(body, list):
+        raise ValueError(f"{key} must be a list of [edge, value] pairs")
+    vertex_id = {label: v for v, label in enumerate(vertex_labels)}
+    cells_on = {}
+    for cid, row in enumerate(edge_rows or []):
+        cells_on.setdefault(tuple(sorted(row)), []).append(cid)
+
+    def label(x, where):
+        if isinstance(x, dict):
+            raise ValueError(f"{where}: a vertex label cannot be an object")
+        return tuple(label(v, where) for v in x) if isinstance(x, list) else x
+
+    out = {}
+    for i, entry in enumerate(body):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"{where}: expected [edge, value]")
+        edge, value = entry
+        number = (isinstance(value, float) and math.isfinite(value)
+                  or isinstance(value, int) and not isinstance(value, bool)
+                  and abs(value) <= sys.float_info.max)
+        if not number:
+            raise ValueError(f"{where}: expected a number, got {value!r}")
+        if isinstance(edge, int) and not isinstance(edge, bool):
+            if not 0 <= edge < len(edge_rows or []):
+                raise ValueError(f"{where}: edge id {edge} out of range")
+            cid, sign = edge, 1
+        elif isinstance(edge, list) and len(edge) == 2:
+            ends = label(edge, where)
+            for end in ends:
+                if end not in vertex_id:
+                    raise ValueError(f"{where}: unknown vertex label {end!r}")
+            ids = tuple(vertex_id[end] for end in ends)
+            if edge_rows is None:
+                raise ValueError(f"{where}: no cells of dimension 1")
+            hits = cells_on.get(tuple(sorted(ids)), [])
+            if not hits:
+                raise ValueError(f"{where}: no 1-cell with vertices {ends!r}")
+            if len(hits) > 1:
+                raise ValueError(f"{where}: vertex set {ends!r} names "
+                                 f"{len(hits)} cells; query by cell id "
+                                 "instead")
+            if ids[0] == ids[1]:
+                raise ValueError(f"{where}: repeated vertex in cell {ids}")
+            cid = hits[0]
+            sign = 1 if edge_rows[cid][0] == ids[0] else -1
+        else:
+            raise ValueError(f"{where}: edge must be an id or a vertex pair")
+        out[cid] = out.get(cid, 0.0) + sign * float(value)
+    return out

@@ -27,12 +27,7 @@ from crystaltopo.errors import (
     DimensionError,
 )
 from crystaltopo.homology import orientability, vertex_components
-from crystaltopo.lattice import (
-    DefectSpec,
-    LatticeSpec,
-    box_points,
-    build_lattice_complex,
-)
+from crystaltopo.lattice import build_lattice_complex
 from crystaltopo.network import (
     KIRCHHOFF_TOL,
     check_current_law,
@@ -51,7 +46,7 @@ from crystaltopo.orderfield import (
     CoefficientGroup,
 )
 
-from conftest import dense_boundary
+from conftest import dense_boundary, lattice_specs
 from oracles import (
     coboundary_class_oracle,
     cocycle_oracle,
@@ -61,29 +56,6 @@ from oracles import (
     pairing_oracle,
     potentials_oracle,
 )
-
-
-@st.composite
-def lattice_specs(draw):
-    """Small samples of both schemes with free, constant or periodic
-    boundaries; extent-1 periodic axes give self-loops, and up to two
-    vacancies punch holes."""
-    m = draw(st.integers(1, 3))
-    scheme = draw(st.sampled_from(["triangular", "cubic"]))
-    boundary = draw(st.sampled_from(["free", "constant", "periodic"]))
-    top = {1: 4, 2: 3, 3: 2}[m]
-    box = tuple((0, draw(st.integers(1, top))) for _ in range(m))
-    axes = ()
-    if boundary == "periodic":
-        axes = tuple(a + 1 for a in range(m) if draw(st.booleans())) or (1,)
-    vacancies = draw(st.lists(st.sampled_from(box_points(box)), max_size=2,
-                              unique=True))
-    return LatticeSpec(
-        dimension=m, ambient=m,
-        generators=tuple(tuple(float(i == j) for j in range(m))
-                         for i in range(m)),
-        index_box=box, scheme=scheme, boundary=boundary, periodic_axes=axes,
-        defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
 
 
 def build(spec):

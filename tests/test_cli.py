@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 from pathlib import Path
@@ -223,6 +224,83 @@ def test_network_reversed_cubic_edge_is_negated(capsys, tmp_path):
     assert stored["potential"]["potentials"] == [0.0, 1.0, 1.0]
     assert reversed_["potential"]["potentials"] == [
         -p for p in stored["potential"]["potentials"]]
+
+def lattice_network_doc(scheme, period, faulty):
+    """A periodic lattice with currents named by vertex pairs, in both
+    orders and some split over two entries, and drops named by id.
+
+    Edges are numbered as the builder stores them, by tail site and then
+    by offset; the currents are constant along each closed line of edges
+    and the drops are differences of vertex potentials.  The faulty
+    variant leaks a current and breaks a drop."""
+    dim = 2 if scheme == "triangular" else 3
+    units = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
+    offsets = sorted(units + ([(1,) * dim] if scheme == "triangular"
+                              else []))
+    sites = sorted(itertools.product(range(period), repeat=dim))
+    edges = [(t, tuple((x + o) % period for x, o in zip(t, off)), off)
+             for t in sites for off in offsets]
+
+    def volts(site):
+        return sum((a + 1) * x for a, x in enumerate(site)) / 8
+
+    def flow(t, off):
+        if sum(off) > 1:
+            return (1 + (t[0] - t[1]) % period) / 16
+        a = off.index(1)
+        return (1 + sum(x for b, x in enumerate(t) if b != a)) / 4
+
+    currents, drops = [], []
+    for e, (t, h, off) in enumerate(edges):
+        c, t, h = flow(t, off), list(t), list(h)
+        drops.append([e, volts(h) - volts(t)])
+        if e % 3 == 2:
+            currents += [[[t, h], c / 2], [[h, t], -c / 2]]
+        elif e % 2:
+            currents.append([[h, t], -c])
+        else:
+            currents.append([[t, h], c])
+    if faulty:
+        currents.append([[list(edges[5][1]), list(edges[5][0])], 0.25])
+        drops[7][1] += 0.75
+    return {"dimension": dim, "ambient": dim,
+            "generators": [list(u) for u in units],
+            "index_box": [[0, period]] * dim, "scheme": scheme,
+            "boundary_condition": "periodic",
+            "currents": currents, "drops": drops}
+
+
+# SHA-256 of the ``network`` report, json then text, for each lattice
+# document: (scheme, period, faulty) -> (json digest, text digest).
+LATTICE_NETWORK_SHA256 = {
+    ("triangular", 4, False): (
+        "a88bf3ce387b025483b84493af559f11450a85bcd615a787b000464aba15e1b9",
+        "039226d3eeaa68b66fc2e2f0918c5929af2143bbe3955db6c5bfdce7ab460707"),
+    ("triangular", 4, True): (
+        "bd44a5b865f924840678fa25e7276bb4cb35237687e7f10eae3cdb994b4a3458",
+        "b6fc65a0100c1d96d3e882aa63eebf8e7af9165ab1d9e57d073c52642ff42996"),
+    ("cubic", 3, False): (
+        "d310131cb34a03d4c60b3999f764962e1d7aef82068c54322d1336bf227738b4",
+        "43f1e3c5f7d920270ab6376e8e6dfc16563ac4e8f90d4c88d74b080c2567867e"),
+    ("cubic", 3, True): (
+        "2e25ccbc80b9a645aad5dcccc4c130d9aeeea7a4826b9e335927e9c6c02a8120",
+        "ca558b3ab977e962c600676848aaa17139d602929f1755279b9b792197ea8991"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LATTICE_NETWORK_SHA256))
+def test_lattice_network_reports_are_byte_identical(capsys, tmp_path, key):
+    path = write_doc(tmp_path, lattice_network_doc(*key))
+    digests = []
+    for mode in ("json", "text"):
+        rc, out, _ = run(capsys, "network", path, "--report", mode)
+        assert rc == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == LATTICE_NETWORK_SHA256[key]
+    ok = not key[2]
+    report = json.loads(run(capsys, "network", path, "--report", "json")[1])
+    assert report["current_law"]["ok"] is ok
+    assert report["potential"]["consistent"] is ok
 
 # ---------------------------------------------------------------------------
 # validation and exit codes

@@ -1,17 +1,29 @@
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crystaltopo import (
     Chain,
     CrystalTopoError,
     DeltaComplex,
+    build_lattice_complex,
     check_current_law,
     potential_check,
     vertex_components,
 )
+from crystaltopo.cli import _edge_data, build_from_document
+from crystaltopo.errors import (
+    ComplexBuildError,
+    DefectLocusError,
+    DocumentError,
+)
 
-from conftest import make_circle, make_grid
+from conftest import lattice_specs, make_circle, make_grid
+from oracles import edge_data_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +85,16 @@ def test_chain_input_works(circle):
 def test_edge_ids_must_be_integers(circle, check, edge):
     with pytest.raises(CrystalTopoError, match=f"edge id {edge!r} "):
         check(circle, {edge: 1.0})
+
+
+@pytest.mark.parametrize("check", [check_current_law, potential_check])
+@pytest.mark.parametrize("values,bad", [
+    ({0: 1.0, 3: 1.0}, 3), ({2: 1.0, -1: 1.0}, -1),
+    ({0: 1.0, 3: 1.0, -1: 1.0}, 3), ({2: 1.0, -1: 1.0, 3: 1.0}, -1)])
+def test_edge_ids_must_be_in_range(circle, check, values, bad):
+    # the first id out of 0..2, in the order given, is named
+    with pytest.raises(CrystalTopoError, match=f"edge id {bad} out of range"):
+        check(circle, values)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +164,15 @@ def test_single_tampered_drop_is_localized():
     assert abs(rep.loop_circulation) == pytest.approx(0.125)
 
 
+def test_tree_edges_are_never_offenders():
+    # the second drop is lost to rounding next to the first, yet a path
+    # has no loop for a mismatch to go round
+    cx = DeltaComplex.from_simplices([("A", "B"), ("B", "C")])
+    rep = potential_check(cx, {0: 1e17, 1: 1.0})
+    assert rep.consistent
+    assert rep.potentials == [0.0, 1e17, 1e17]
+
+
 def test_self_loops_from_quotients_demand_zero_drop():
     from conftest import make_torus
     cx = make_torus(1)  # one vertex, three self-glued edges
@@ -149,3 +180,84 @@ def test_self_loops_from_quotients_demand_zero_drop():
     assert not rep.consistent
     ok = potential_check(cx, {0: 0.0, 1: 0.0, 2: 0.0})
     assert ok.consistent
+
+
+# ---------------------------------------------------------------------------
+# reading currents and drops from a document
+# ---------------------------------------------------------------------------
+
+def entry_lists(cx, draw):
+    """Mostly well-formed entries: ids, stored and reversed vertex pairs,
+    repeats; and up to three hostile entries at random places."""
+    labels = [list(lab) if isinstance(lab, tuple) else lab
+              for lab in cx.vertex_labels]
+    rows = cx.layers[1].vertex_rows() if cx.dim >= 1 else []
+    here = labels[0]
+    edges = [st.just([here, [99, 99]])]
+    if rows:
+        edges += [st.integers(0, len(rows) - 1),
+                  st.sampled_from([[labels[a], labels[b]] for a, b in rows]),
+                  st.sampled_from([[labels[b], labels[a]] for a, b in rows])]
+    edge = st.one_of(edges)
+    value = st.one_of(st.floats(-100, 100), st.integers(-9, 9),
+                      st.integers(-2**70, 2**70), st.just(-0.0),
+                      st.sampled_from([sys.float_info.max,
+                                       -int(sys.float_info.max)]))
+    bad_edge = st.sampled_from([
+        len(rows), -1, 10**400, True, False, "0", None, 1.5, [here],
+        [here, here, here], [{"a": 1}, here], [[here], here],
+        [here, [0, [1]]], "edge", {"e": 0}])
+    bad_value = st.sampled_from([True, False, "1", None, math.nan, math.inf,
+                                 -math.inf, 10**400, -2**1024, [1.0],
+                                 {"v": 1}])
+    bad = st.one_of(
+        st.sampled_from(["x", 5, None, {"a": 1}, [], [0], [0, 1.0, 2]]),
+        st.tuples(bad_edge, value | bad_value).map(list),
+        st.tuples(edge, bad_value).map(list))
+    body = draw(st.lists(st.tuples(edge, value).map(list), max_size=12))
+    body += body[:draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(bad))
+    return body
+
+
+def assert_reads_like_the_oracle(cx, doc):
+    rows = cx.layers[1].vertex_rows() if cx.dim >= 1 else None
+    for key in ("currents", "drops"):
+        try:
+            want = edge_data_oracle(doc, key, cx.vertex_labels, rows)
+        except ValueError as exc:
+            with pytest.raises(DocumentError) as got:
+                _edge_data(doc, key, cx)
+            assert str(got.value) == str(exc)
+            continue
+        got = _edge_data(doc, key, cx)
+        assert [(type(c), c, v.hex()) for c, v in got.items()] == [
+            (int, c, v.hex()) for c, v in want.items()]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lattice_specs(), st.data())
+def test_edge_data_matches_the_entry_loop(spec, data):
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except (ComplexBuildError, DefectLocusError):
+        return
+    assert_reads_like_the_oracle(cx, {"currents": entry_lists(cx, data.draw),
+                                      "drops": entry_lists(cx, data.draw)})
+
+
+@pytest.mark.parametrize("cells,body", [
+    # labels that are nested lists resolve entry by entry
+    ([[[0, [1]], [0, [2]]]], [[[[0, [2]], [0, [1]]], 1.5], [0, 0.25]]),
+    # a complex without edges refuses ids and pairs alike
+    ([["A"], ["B"]], [[["A", "B"], 1.0]]),
+    ([["A"], ["B"]], [[0, 1.0]]),
+    ([["A", "B"], ["B", "C"], ["A", "C"]], "not a list"),
+    ([["A", "B"], ["B", "C"], ["A", "C"]],
+     [[["C", "A"], 1.0], [["B", "A"], -0.0], [["A", "B"], 2.0]]),
+])
+def test_edge_data_on_explicit_complexes(cells, body):
+    cx, _ = build_from_document({"complex": {"cells": cells}})
+    assert_reads_like_the_oracle(cx, {"currents": body})
