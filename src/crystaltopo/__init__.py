@@ -97,7 +97,6 @@ from .orderfield import (
 )
 from .snf import (
     SmithDecomposition,
-    smith_diagonal,
     smith_normal_form,
 )
 

@@ -13,6 +13,7 @@ object, and every report embeds the SHA-256 digest of the document.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -588,9 +589,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call."""
+    return make_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc, digest = load_document(args.document)
         cx, build_report = build_from_document(doc)

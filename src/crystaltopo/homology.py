@@ -239,12 +239,12 @@ def homology_generators(complex_: DeltaComplex,
     """Integer homology generators as (order, chain) pairs.
 
     Order 0 marks a free generator; d >= 2 a torsion generator of order d.
-    One tracked Smith form U d_k V = D of the dense rows of d_k gives the
+    One tracked Smith form d_k V = U^-1 D of the dense rows of d_k gives the
     cycle basis V[:, r:] and, since V is unimodular, the unique
     coordinates V^-1 c of every cycle c in it; when d_k is the zero map
     (k = 0, or no (k-1)-cells) the basis is the standard one.  The
     coordinates Y of the columns of d_{k+1} get the Smith form
-    U_Y Y V_Y = D_Y, and each generator is the cycle basis times one
+    Y V_Y = U_Y^-1 D_Y, and each generator is the cycle basis times one
     column of U_Y^-1, so it carries one invariant factor.
     """
     group = homology(complex_, k)

@@ -26,7 +26,7 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
     if isinstance(values, Chain):
         if values.dim != 1:
             raise DimensionError("edge data must be 1-dimensional")
-        return {cid: float(v) for cid, v in values.coeffs.items()}
+        values = values.coeffs
     vals = dict(values)
     n = complex_.n_cells(1)
     if all(type(cid) is int for cid in vals) and (

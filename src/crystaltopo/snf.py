@@ -9,9 +9,11 @@ Boundary matrices arrive as sparse columns, ``{row id: entry}``.
 ``sparse_invariant_factors`` eliminates their +-1 pivots and hands only
 the leftover non-unit block to the dense Euclidean reducer; appending a
 vector as one more column and comparing the factors decides whether it
-lies in the image.  The dense Smith normal form keeps both transforms and
-their inverses for the explicit generators.  Both dense reductions get
-their rows from ``dense_rows``, the one step from columns to dense rows.
+lies in the image.  One dense Smith reducer serves the leftover block,
+which reads only its diagonal, and the explicit generators, which read
+the column transform V, its inverse and the inverse of the row
+transform.  Its rows come from ``dense_rows``, the one step from columns
+to dense rows.
 """
 
 from __future__ import annotations
@@ -57,15 +59,15 @@ def identity(n: int) -> list[list[int]]:
 
 @dataclass
 class SmithDecomposition:
-    """Result of ``smith_normal_form``: U @ A @ V == D.
+    """Result of ``smith_normal_form``: A @ V == uinv @ D.
 
-    U and V are square unimodular (|det| = 1); D is diagonal with
-    nonnegative entries, each dividing the next.  ``uinv`` and ``vinv``
-    are the exact inverses of U and V, updated alongside them, so no
-    inversion pass is needed.
+    V and ``uinv`` are square unimodular (|det| = 1), ``uinv`` being the
+    inverse of the row transform U of U @ A @ V == D; D is diagonal with
+    nonnegative entries, each dividing the next.  ``vinv`` is the exact
+    inverse of V.  Both inverses are updated alongside the reduction, so
+    no inversion pass is needed.
     """
 
-    U: list[list[int]]
     D: list[list[int]]
     V: list[list[int]]
     uinv: list[list[int]]
@@ -99,34 +101,28 @@ def _min_abs_position(A, start: int) -> tuple[int, int] | None:
 
 
 class _Reducer:
-    """Shared row/column reduction driver.
+    """Row/column reduction driver tracking V, V^-1 and U^-1.
 
-    Tracking of the transform matrices is optional so homology rank
-    computations can skip the (substantial) bookkeeping cost.
+    U itself is never built: no caller reads it.
     """
 
-    def __init__(self, matrix, track: bool):
+    def __init__(self, matrix):
         self.A = _as_int_rows(matrix)
         self.m = len(self.A)
         self.n = len(self.A[0]) if self.A else 0
-        self.track = track
-        if track:
-            self.U = identity(self.m)
-            self.uinv = identity(self.m)
-            self.V = identity(self.n)
-            self.vinv = identity(self.n)
+        self.uinv = identity(self.m)
+        self.V = identity(self.n)
+        self.vinv = identity(self.n)
 
-    # Row operations mirror onto U (left transform) and column operations
-    # onto V; each inverse gets the inverse operation on the other side,
-    # so U @ uinv and V @ vinv stay the identity throughout.
+    # A row operation E (A -> E A) takes uinv to uinv E^-1, a column
+    # operation F (A -> A F) takes V to V F and vinv to F^-1 vinv, so
+    # input @ V == uinv @ A holds throughout.
     def swap_rows(self, i, j):
         if i == j:
             return
         self.A[i], self.A[j] = self.A[j], self.A[i]
-        if self.track:
-            self.U[i], self.U[j] = self.U[j], self.U[i]
-            for row in self.uinv:
-                row[i], row[j] = row[j], row[i]
+        for row in self.uinv:
+            row[i], row[j] = row[j], row[i]
 
     def add_row(self, dst, src, k):
         if k == 0:
@@ -134,41 +130,33 @@ class _Reducer:
         a_dst, a_src = self.A[dst], self.A[src]
         for idx in range(self.n):
             a_dst[idx] += k * a_src[idx]
-        if self.track:
-            u_dst, u_src = self.U[dst], self.U[src]
-            for idx in range(self.m):
-                u_dst[idx] += k * u_src[idx]
-            for row in self.uinv:
-                row[src] -= k * row[dst]
+        for row in self.uinv:
+            row[src] -= k * row[dst]
 
     def negate_row(self, i):
         self.A[i] = [-x for x in self.A[i]]
-        if self.track:
-            self.U[i] = [-x for x in self.U[i]]
-            for row in self.uinv:
-                row[i] = -row[i]
+        for row in self.uinv:
+            row[i] = -row[i]
 
     def swap_cols(self, i, j):
         if i == j:
             return
         for row in self.A:
             row[i], row[j] = row[j], row[i]
-        if self.track:
-            for row in self.V:
-                row[i], row[j] = row[j], row[i]
-            self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+        for row in self.V:
+            row[i], row[j] = row[j], row[i]
+        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def add_col(self, dst, src, k):
         if k == 0:
             return
         for row in self.A:
             row[dst] += k * row[src]
-        if self.track:
-            for row in self.V:
-                row[dst] += k * row[src]
-            v_src, v_dst = self.vinv[src], self.vinv[dst]
-            for idx in range(self.n):
-                v_src[idx] -= k * v_dst[idx]
+        for row in self.V:
+            row[dst] += k * row[src]
+        v_src, v_dst = self.vinv[src], self.vinv[dst]
+        for idx in range(self.n):
+            v_src[idx] -= k * v_dst[idx]
 
     def reduce(self) -> None:
         """Diagonalize A in place with the divisibility chain."""
@@ -225,24 +213,16 @@ class _Reducer:
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:
-    """Smith normal form with transforms: U @ A @ V == D.
+    """Smith normal form with transforms: A @ V == uinv @ D.
 
     Pivot selection takes the smallest nonzero absolute value in the
     working block, scanning rows before columns, which keeps entry growth
     modest on sparse incidence matrices.
     """
-    red = _Reducer(matrix, track=True)
+    red = _Reducer(matrix)
     red.reduce()
-    return SmithDecomposition(U=red.U, D=red.A, V=red.V, uinv=red.uinv,
+    return SmithDecomposition(D=red.A, V=red.V, uinv=red.uinv,
                               vinv=red.vinv)
-
-
-def smith_diagonal(matrix) -> list[int]:
-    """Diagonal of the Smith form only (no transform tracking)."""
-    red = _Reducer(matrix, track=False)
-    red.reduce()
-    n = min(red.m, red.n)
-    return [red.A[i][i] for i in range(n)]
 
 
 def sparse_invariant_factors(
@@ -255,7 +235,7 @@ def sparse_invariant_factors(
     Only +-1 pivots are eliminated sparsely.  Their row and column
     operations are unimodular, so SNF(A) = I_r + SNF(S) with S the Schur
     complement left when no column holds a unit entry any more.  S goes
-    to ``smith_diagonal`` as a dense block and its nonzero diagonal
+    to ``smith_normal_form`` as a dense block and its nonzero diagonal
     follows the r ones, keeping the divisibility order.
 
     Pivot order is shortest column first (a lazy heap: a column is pushed
@@ -305,5 +285,5 @@ def sparse_invariant_factors(
     if leftover:
         row_ids = sorted({r for col in leftover for r in col})
         block = dense_rows(leftover, row_ids)
-        factors.extend(abs(d) for d in smith_diagonal(block) if d)
+        factors.extend(d for d in smith_normal_form(block).diagonal if d)
     return factors

@@ -51,7 +51,7 @@ from conftest import (
     make_tetra_surface,
     make_torus,
 )
-from oracles import matmul_oracle, snf_diagonal_oracle
+from oracles import det_oracle, matmul_oracle, snf_diagonal_oracle
 
 
 def _verdict(name, ok):
@@ -348,7 +348,11 @@ def test_reduction_matches_oracle():
         want = snf_diagonal_oracle(m)
         want = want + [0] * (min(r, c) - len(want))
         ok = ok and got == want
-        ok = ok and matmul_oracle(matmul_oracle(dec.U, m), dec.V) == dec.D
+        ok = ok and matmul_oracle(m, dec.V) == matmul_oracle(dec.uinv, dec.D)
+        ok = ok and abs(det_oracle(dec.V)) == abs(det_oracle(dec.uinv)) == 1
+        ident = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+        ok = ok and matmul_oracle(dec.V, dec.vinv) == ident
+        ok = ok and matmul_oracle(dec.vinv, dec.V) == ident
     _verdict("normal form equals brute-force oracle on 500 matrices", ok)
 
 

@@ -19,6 +19,7 @@ from crystaltopo.cli import _edge_data, build_from_document
 from crystaltopo.errors import (
     ComplexBuildError,
     DefectLocusError,
+    DimensionError,
     DocumentError,
 )
 
@@ -90,10 +91,12 @@ def test_edge_ids_must_be_integers(circle, check, edge):
 @pytest.mark.parametrize("check", [check_current_law, potential_check])
 @pytest.mark.parametrize("values,bad", [
     ({0: 1.0, 3: 1.0}, 3), ({2: 1.0, -1: 1.0}, -1),
-    ({0: 1.0, 3: 1.0, -1: 1.0}, 3), ({2: 1.0, -1: 1.0, 3: 1.0}, -1)])
+    ({0: 1.0, 3: 1.0, -1: 1.0}, 3), ({2: 1.0, -1: 1.0, 3: 1.0}, -1),
+    (Chain(1, {0: 1, 5: 1}, "reals"), 5), (Chain(1, {0: 1, -1: 1}, "reals"), -1)])
 def test_edge_ids_must_be_in_range(circle, check, values, bad):
-    # the first id out of 0..2, in the order given, is named
-    with pytest.raises(CrystalTopoError, match=f"edge id {bad} out of range"):
+    # the first id out of 0..2, in the order given, is named; a Chain's
+    # cell ids go through the same check as a mapping's
+    with pytest.raises(DimensionError, match=f"edge id {bad} out of range"):
         check(circle, values)
 
 

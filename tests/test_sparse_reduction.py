@@ -28,7 +28,7 @@ from crystaltopo.homology import (
 from crystaltopo.lattice import DefectSpec
 from crystaltopo.obstruction import ObstructionCochain, obstruction_class
 from crystaltopo.orderfield import GROUP_Z, GROUP_Z2, GROUP_ZxZ
-from crystaltopo.snf import smith_diagonal, sparse_invariant_factors
+from crystaltopo.snf import smith_normal_form, sparse_invariant_factors
 
 from conftest import dense_boundary, make_circle, make_disc, make_rp2, make_torus
 from oracles import (
@@ -57,7 +57,7 @@ def columns_of(matrix, width=None):
 
 def assert_agrees(matrix, oracle=True):
     got = sparse_invariant_factors(columns_of(matrix))
-    assert got == [abs(d) for d in smith_diagonal(matrix) if d]
+    assert got == [abs(d) for d in smith_normal_form(matrix).diagonal if d]
     # Universal coefficients: the odd factors count the rank over GF(2).
     odd = sum(d % 2 for d in got)
     assert odd == gf2_rank(matrix)
@@ -155,9 +155,9 @@ def test_leftover_block_gives_lcm_factor(monkeypatch):
 
     def spy(matrix):
         blocks.append([list(row) for row in matrix])
-        return smith_diagonal(matrix)
+        return smith_normal_form(matrix)
 
-    monkeypatch.setattr(snf_mod, "smith_diagonal", spy)
+    monkeypatch.setattr(snf_mod, "smith_normal_form", spy)
     assert sparse_invariant_factors(columns_of([[2, 0], [0, 3]])) == [1, 6]
     assert blocks == [[[2, 0], [0, 3]]]
 
