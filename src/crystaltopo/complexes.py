@@ -57,6 +57,12 @@ SCHEMES = (SCHEME_TRIANGULAR, SCHEME_CUBIC)
 SHAPE_SIMPLEX = "simplex"
 SHAPE_CUBE = "cube"
 
+# Most cells that closing an explicit complex under faces may produce.  One
+# n-vertex simplex closes to 2^n - 1 cells, so a document of a few bytes
+# would otherwise hang the build and exhaust memory; a 17-vertex simplex
+# (131 071 cells) still builds.
+MAX_CELLS = 200_000
+
 
 def _normalize_coeff(ring: str, value):
     if ring == RING_MOD2:
@@ -504,8 +510,9 @@ class DeltaComplex:
 
         Input tuples may arrive in any vertex order and any mix of
         dimensions; cells are stored ascending.  With ``auto_close`` every
-        face is registered automatically; without it, missing faces are
-        recorded as closure defects for ``validate_complex`` to report.
+        face is registered automatically, and the build is refused once it
+        passes ``MAX_CELLS`` cells; without it, missing faces are recorded
+        as closure defects for ``validate_complex`` to report.
         """
         by_dim: dict[int, set[tuple]] = {}
         for simplex in simplices:
@@ -518,11 +525,18 @@ class DeltaComplex:
             by_dim.setdefault(len(t) - 1, set()).add(key)
         top = max(by_dim, default=0)
         if auto_close:
+            total = sum(map(len, by_dim.values()))
             for k in range(top, 0, -1):
                 lower = by_dim.setdefault(k - 1, set())
+                others = total - len(lower)
                 for cell in by_dim.get(k, ()):
                     for i in range(len(cell)):
                         lower.add(cell[:i] + cell[i + 1:])
+                    if others + len(lower) > MAX_CELLS:
+                        raise ComplexBuildError(
+                            "closing the cells under faces passes the "
+                            f"limit of {MAX_CELLS} cells")
+                total = others + len(lower)
         labels = sorted(
             {lab for cells in by_dim.values() for c in cells for lab in c}
             | {c[0] for c in by_dim.get(0, ())})
@@ -830,7 +844,9 @@ def spanning_forest(n: int, heads, tails) -> tuple[
     edges in edge-id order, and self-loops are skipped.  Returns the nodes
     in visit order and, per node, ``(parent, edge, sign)``: sign is +1 when
     the node is the tail of its tree edge and -1 when it is the head.  A
-    root has None.
+    root has None.  It is the one graph walk of the package: components,
+    potentials, orientations and the sign lift of director shells all
+    follow it.
     """
     heads = np.asarray(heads, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)

@@ -180,6 +180,14 @@ def is_cycle(chain: Chain, complex_: DeltaComplex) -> bool:
     return not boundary_map(chain, complex_).coeffs
 
 
+def _check_ids(complex_: DeltaComplex, k: int, ids) -> None:
+    """Refuse ids outside the k-cells; every caller of ``_in_image`` runs
+    this once, before any early answer."""
+    n = complex_.n_cells(k)
+    if any(not 0 <= i < n for i in ids):
+        raise DimensionError(f"vector index out of range for {n} cells")
+
+
 def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
               ring: str, transpose: bool = False) -> bool:
     """Whether ``vector`` lies in the image of d_k over ``ring``.
@@ -195,9 +203,6 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
     coefficients are taken at their exact binary value and scaled to
     integers, which leaves the rank over Q unchanged.
     """
-    n = complex_.n_cells(k if transpose else k - 1)
-    if any(not 0 <= i < n for i in vector):
-        raise DimensionError(f"vector index out of range for {n} cells")
     columns = boundary_columns(complex_, k)
     if transpose:
         rows: list[dict] = [{} for _ in range(complex_.n_cells(k - 1))]
@@ -219,6 +224,7 @@ def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
     tolerance.
     """
     k = chain.dim
+    _check_ids(complex_, k, chain.coeffs)
     if not chain.coeffs:
         return True
     if k >= complex_.dim or complex_.n_cells(k + 1) == 0:

@@ -55,9 +55,9 @@ class CurrentLawReport:
 def check_current_law(complex_: DeltaComplex, currents,
                       tol: float = KIRCHHOFF_TOL) -> CurrentLawReport:
     """Net flow at each vertex; passes when every vertex balances."""
+    vals = _edge_values(complex_, currents)
     if complex_.dim < 1:
         return CurrentLawReport(True, 0.0, {})
-    vals = _edge_values(complex_, currents)
     owner, faces, coeffs = complex_.layers[1].face_entries(list(vals))
     current = np.array(list(vals.values()), dtype=float)
     residual = np.bincount(faces, coeffs * current[owner],
@@ -87,9 +87,9 @@ def potential_check(complex_: DeltaComplex, drops,
     is the mismatch.
     """
     n_v = complex_.n_vertices
+    vals = _edge_values(complex_, drops)
     if complex_.dim < 1 or complex_.n_cells(1) == 0:
         return PotentialReport(True, [0.0] * n_v)
-    vals = _edge_values(complex_, drops)
 
     first = complex_.layers[1].first_vertices()
     last = complex_.layers[1].last_vertices()

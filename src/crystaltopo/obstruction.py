@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .homology import (
+    _check_ids,
     _in_image,
     euler_characteristic,
     homology_generators,
@@ -129,13 +130,14 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
 
     Discrete-space flags have no cohomology class: 'not_applicable'.
     """
+    cx = cochain.complex_
+    k = cochain.k
+    _check_ids(cx, k, cochain.values)
     group = cochain.group
     if group.name == "set":
         return "not_applicable"
     if not cochain.values:
         return "trivial"
-    cx = cochain.complex_
-    k = cochain.k
     if k < 1 or cx.n_cells(k - 1) == 0:
         return "nontrivial"
     # delta: C^{k-1} -> C^k is the transpose of the k-th boundary matrix.

@@ -10,9 +10,9 @@ samples are too far apart for the reconstruction to be trustworthy.
 
 :func:`boundary_classes` probes all requested cells of one degree in one
 batched pass: stacked determinants and dot products for every shell
-triangle, and a sign-lift walk of each director shell whose joined
-samples point apart.  Each value and each refusal is the one the cell
-gives when probed alone.
+triangle, and one sign lift of all director shells whose joined samples
+point apart, along a single breadth-first spanning forest.  Each value
+and each refusal is the one the cell gives when probed alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .complexes import DeltaComplex
+from .complexes import DeltaComplex, spanning_forest
 from .errors import (
     AmbiguousSamplingError,
     CoverageError,
@@ -233,6 +233,7 @@ class OrderField:
 # and the running sums) stay scalar, in the order of the cell.  So every
 # value is bit-identical to probing one cell alone, and a refusal is raised
 # for the first failing cell, within it in the order that cell meets it.
+# A director shell meets a nearly perpendicular pair before an odd cycle.
 
 
 def _angle_steps(angles: Sequence[float]) -> float:
@@ -315,7 +316,8 @@ def _perpendicular() -> AmbiguousSamplingError:
 
 def _parities(field: OrderField, loops: Sequence[Sequence[int]]) -> list[int]:
     """Orientation parity of a line field around each nonempty loop: 1 when
-    an odd number of steps join directors that point apart."""
+    an odd number of steps join directors that point apart.  A nearly
+    perpendicular step is refused, as on a director shell."""
     if not loops:
         return []
     size = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
@@ -371,53 +373,20 @@ def _shells(complex_: DeltaComplex, cell_ids: np.ndarray):
     return coeff[entry].tolist(), tri, owner[entry], covered, refusal
 
 
-def _walk_shell(triangles: list, edges: list) -> dict[int, int]:
-    """Signs for the directors of one shell, so that every pair joined by a
-    triangle edge points the same way.
-
-    ``edges[t]`` holds the lift signs of the edges (a, b), (b, c), (c, a)
-    of the vertex triple ``triangles[t]``.  The walk starts at the least
-    vertex of each connected part, which keeps its sign, follows the shell
-    edges in the order of the per-cell probe and raises the first refusal
-    it meets.
-    """
-    sign_of: dict[tuple[int, int], int] = {}
-    adjacency: dict[int, set[int]] = {}
-    for tri, signs in zip(triangles, edges):
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            if a != b:
-                sign_of[a, b] = sign_of[b, a] = signs[i]
-                adjacency.setdefault(a, set()).add(b)
-                adjacency.setdefault(b, set()).add(a)
-    lifted: dict[int, int] = {}
-    for start in sorted(adjacency):
-        if start in lifted:
-            continue
-        lifted[start] = 1
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for nxt in adjacency[cur]:
-                if not sign_of[cur, nxt]:
-                    raise _perpendicular()
-                s = lifted[cur] * sign_of[cur, nxt]
-                if nxt not in lifted:
-                    lifted[nxt] = s
-                    queue.append(nxt)
-                elif lifted[nxt] != s:
-                    raise AmbiguousSamplingError(
-                        "line-field samples on the cell shell admit no "
-                        "consistent sign lift; refine the sampling")
-    return lifted
-
-
 def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
              owner: np.ndarray, count: int, lift: bool = False) -> list[int]:
     """Degree of a sphere-valued field over each of ``count`` closed
     oriented triangle sets; triangle t has vertices ``tri[t]`` and
     coefficient ``coeff[t]`` in set ``owner[t]``, each set contiguous.
-    With ``lift`` the values are directors, signed per set first."""
+
+    With ``lift`` the values are directors, signed per set first so that
+    every pair joined by a triangle edge points the same way.  The sets
+    with a joined pair that does not already are lifted all at once, along
+    one spanning forest of their (set, vertex) pairs; each part of a set
+    keeps the stored sign at its least vertex.  The first set that
+    cannot be lifted stops the pass: a nearly perpendicular joined pair
+    is refused first, then an odd cycle of pairs pointing apart.
+    """
     if not len(tri):
         return [0] * count
     x = _vectors(field, tri)
@@ -427,20 +396,33 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
     stop, refusal = count, None
     if lift:
         edges = _lift_signs(dots)
+        rows = np.isin(owner, owner[(edges != 1).any(axis=1)])
+        # Nodes numbered by set, then vertex: each tree of the forest grows
+        # from the least vertex of its part of the set.
+        keys = owner[rows, None] * field.complex_.n_vertices + tri[rows]
+        nodes, node = np.unique(keys, return_inverse=True)
+        node = node.reshape(keys.shape)
+        heads, tails = node.ravel(), node[:, [1, 2, 0]].ravel()
+        steps = edges[rows].ravel()
+        order, parent = spanning_forest(len(nodes), heads, tails)
+        lifted = [1] * len(nodes)
+        step = steps.tolist()
+        for v in order:
+            if parent[v] is not None:
+                up, e, _ = parent[v]
+                lifted[v] = lifted[up] * step[e]
+        lifted = np.array(lifted)
         sign = np.ones(tri.shape)
-        sizes = np.bincount(owner, minlength=count)
-        first = np.cumsum(sizes) - sizes
-        # A shell whose joined directors all point the same way already is
-        # its own lift; the others are walked, up to the first refused.
-        for i in np.unique(owner[(edges != 1).any(axis=1)]).tolist():
-            rows = slice(first[i], first[i] + sizes[i])
-            corners = tri[rows].tolist()
-            try:
-                lifted = _walk_shell(corners, edges[rows].tolist())
-            except AmbiguousSamplingError as err:
-                stop, refusal = i, err
-                break
-            sign[rows] = [[lifted.get(v, 1) for v in t] for t in corners]
+        sign[rows] = lifted[node]
+        # The forest fixed every sign; each joined pair must now agree.
+        set_of = np.repeat(owner[rows], 3)
+        refused = set_of[lifted[heads] * lifted[tails] * steps != 1]
+        if len(refused):
+            stop = int(refused.min())
+            refusal = (_perpendicular() if (steps[set_of == stop] == 0).any()
+                       else AmbiguousSamplingError(
+                           "line-field samples on the cell shell admit no "
+                           "consistent sign lift; refine the sampling"))
         # Negating a director negates the determinant and its dot products
         # exactly: these are the signed directors' values.
         det = det * sign.prod(axis=1)

@@ -484,6 +484,11 @@ def _probe_lift_shell(values, triangles):
             if a != b:
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
+    # A nearly perpendicular pair anywhere on the shell is refused first.
+    for a in adjacency:
+        for b in adjacency[a]:
+            _probe_lift_sign(np.asarray(values[a], dtype=float),
+                             np.asarray(values[b], dtype=float))
     signs = {}
     for start in sorted(adjacency):
         if start in signs:

@@ -343,6 +343,14 @@ def test_hostile_index_box_exits_2_quickly(capsys, tmp_path):
     assert "sites" in err and "limit" in err
 
 
+def test_closing_a_large_explicit_simplex_exits_2(capsys, tmp_path):
+    # one 30-vertex simplex closes to 2^30 - 1 cells
+    doc = {"complex": {"cells": [list(range(30))]}}
+    rc, _, err = run(capsys, "build", write_doc(tmp_path, doc))
+    assert rc == 2
+    assert "limit of 200000 cells" in err
+
+
 CUBE_DOC = dict(TORUS_DOC, dimension=3, ambient=3, scheme="cubic",
                 generators=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                 index_box=[[0, 2], [0, 2], [0, 2]], boundary_condition="free")

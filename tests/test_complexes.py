@@ -25,6 +25,7 @@ from crystaltopo import (
     homology,
     validate_complex,
 )
+from crystaltopo import complexes
 from crystaltopo.lattice import DefectSpec, box_points
 
 from conftest import (
@@ -77,6 +78,15 @@ def test_simplices_get_their_faces_filled_in():
     cx = DeltaComplex.from_simplices([("A", "B", "C")])
     assert cx.cell_counts() == [3, 3, 1]
     assert validate_complex(cx).ok
+
+
+def test_closing_faces_past_the_cell_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_CELLS", 100)
+    # 63 cells fit under the cap, a 10-vertex simplex's 1023 do not
+    assert DeltaComplex.from_simplices([range(6)]).cell_counts() == [
+        6, 15, 20, 15, 6, 1]
+    with pytest.raises(ComplexBuildError, match="limit of 100 cells"):
+        DeltaComplex.from_simplices([range(10)])
 
 
 def test_closure_violations_are_reported(circle):

@@ -12,6 +12,7 @@ from crystaltopo import (
     RING_REAL,
     Chain,
     DeltaComplex,
+    DimensionError,
     are_homologous,
     betti_numbers,
     boundary_map,
@@ -124,6 +125,15 @@ def test_perimeter_classification(circle, disc):
     loop_d = disc.chain(1, {("A", "B"): 1, ("B", "C"): 1, ("A", "C"): -1})
     assert is_cycle(loop_d, disc)
     assert is_boundary(loop_d, disc)
+
+
+@pytest.mark.parametrize("chain", [
+    Chain(2, {999: 1}), Chain(2, {-1: 1}), Chain(3, {0: 1}), Chain(1, {999: 1})])
+def test_boundary_test_range_checks_every_degree(torus, chain):
+    # the top degree and above are checked too, before their early answer
+    with pytest.raises(DimensionError, match="out of range"):
+        is_boundary(chain, torus)
+    assert is_boundary(Chain(chain.dim, {}), torus)
 
 
 def test_real_cycle_test_is_exact(circle):

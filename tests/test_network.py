@@ -100,6 +100,17 @@ def test_edge_ids_must_be_in_range(circle, check, values, bad):
         check(circle, values)
 
 
+@pytest.mark.parametrize("check", [check_current_law, potential_check])
+def test_edge_data_is_checked_on_a_complex_without_edges(check):
+    one_site = DeltaComplex.from_simplices([("A",)])
+    with pytest.raises(DimensionError, match="edge id 5 out of range"):
+        check(one_site, {5: 1.0, "x": 2.0})
+    with pytest.raises(DimensionError, match="edge id 'x' is not"):
+        check(one_site, {"x": 2.0})
+    report = check(one_site, {})
+    assert report.ok if check is check_current_law else report.consistent
+
+
 # ---------------------------------------------------------------------------
 # voltage drops
 # ---------------------------------------------------------------------------

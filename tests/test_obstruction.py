@@ -7,6 +7,7 @@ import pytest
 from crystaltopo import (
     Chain,
     CoefficientGroup,
+    DimensionError,
     ObstructionCochain,
     OrderField,
     UnsupportedConfigurationError,
@@ -192,6 +193,13 @@ def test_single_unit_value_is_a_nontrivial_class(sphere):
     assert len(pairings) == 1
     assert pairings[0]["generator_order"] == 0
     assert abs(pairings[0]["pairing"]) == 1
+
+
+def test_class_ids_are_range_checked_before_an_early_answer(disc):
+    # a 0-cochain has no (k-1)-cells to solve from; its ids still count
+    c = ObstructionCochain(disc, 0, GROUP_Z, {999: 1}, "circle")
+    with pytest.raises(DimensionError, match="out of range"):
+        obstruction_class(c)
 
 
 def test_vortex_pair_cancels(sphere):

@@ -36,6 +36,7 @@ from conftest import make_circle, make_grid, make_tetra_surface
 
 from oracles import (
     ProbeRefused,
+    _probe_shell,
     boundary_class_oracle,
     rp_parity_oracle,
     sphere_degree_oracle,
@@ -583,9 +584,9 @@ def _random_field(rng, cx, space, weights, radial):
 
 @pytest.mark.parametrize("space", ["projective_plane", "sphere_2"])
 def test_shell_refusals_match_the_per_cell_reference(space):
-    # Which refusal a director shell meets first depends on the order of
-    # its walk, and few lattice shells are large enough to tell; the
-    # icosahedron shell is, in about one field in seventy.
+    # A director shell with both a nearly perpendicular pair and an odd
+    # cycle of pairs pointing apart refuses the pair, whatever order its
+    # lift takes; nine of these fields hold both, seven on the icosahedron.
     shells = [_icosahedron(), _field_complex("free", "cubic", 1, [])]
     for seed in range(400):
         rng = np.random.default_rng(seed)
@@ -595,6 +596,55 @@ def test_shell_refusals_match_the_per_cell_reference(space):
         assert _probe_outcome(lambda: boundary_classes(f, 3)) == \
             _probe_outcome(lambda: [boundary_class_oracle(f, 3, c)
                                     for c in range(cx.n_cells(3))])
+
+
+@pytest.mark.parametrize("seed", [155, 363])
+def test_a_perpendicular_pair_is_refused_before_an_odd_cycle(seed):
+    # two of the unit-cube fields of the shell-refusal test above
+    cx = _field_complex("free", "cubic", 1, [])
+    f = _random_field(np.random.default_rng(seed), cx, "projective_plane",
+                      [(3, 1, 1, 1), (2, 0, 1, 0), (1, 0, 2, 0)][seed % 3],
+                      seed % 4 < 2)
+    signs = []
+    for _, tri in _probe_shell(cx, cx.cells[3][0]):
+        dots = np.array([np.dot(f.values[a], f.values[b])
+                         for a, b in zip(tri, tri[1:] + tri[:1])])
+        signs.append(np.where(np.abs(dots) > ANGLE_TOL, np.sign(dots), 0))
+    # the cube's shell holds a triangle with an odd number of pairs
+    # pointing apart, and a nearly perpendicular pair elsewhere
+    assert any((s != 0).all() and s.prod() < 0 for s in signs)
+    assert any((s == 0).any() for s in signs)
+    with pytest.raises(AmbiguousSamplingError, match="nearly perpendicular"):
+        boundary_classes(f, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["free", "icosahedron", "hedgehog"]),
+       scheme=st.sampled_from(["cubic", "triangular"]),
+       side=st.integers(1, 2), radial=st.booleans(),
+       weights=st.sampled_from([(6, 1, 0, 1), (3, 1, 1, 1), (1, 0, 0, 0)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_re_signed_directors_flip_only_the_least_vertex_sign(
+        kind, scheme, side, radial, weights, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hedgehog":
+        # directors near the icosahedron's radial field: degree +-1
+        cx = _icosahedron()
+        f = OrderField.from_samples(cx, make_space("projective_plane"), {
+            lab: _unit(rng.choice([1, -1]) * (lab + rng.normal(0, 0.2, 3)))
+            for lab in cx.vertex_labels})
+    else:
+        cx = _field_complex(kind, scheme, side, [])
+        f = _random_field(rng, cx, "projective_plane", weights, radial)
+    flip = rng.choice([1, -1], cx.n_vertices)
+    g = OrderField(cx, f.space, [v * s for v, s in zip(f.values, flip)])
+    before = _probe_outcome(lambda: boundary_classes(f, 3))
+    after = _probe_outcome(lambda: boundary_classes(g, 3))
+    if before[0] != "value":
+        assert after == before
+        return
+    least = [min(c.vertices) for c in cx.cells[3]]
+    assert after == ("value", [v * flip[i] for v, i in zip(before[1], least)])
 
 
 @settings(max_examples=300, deadline=None)
