@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import eq, itemgetter, le, sub
@@ -835,18 +836,21 @@ def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
 # Spanning forests
 
 
-def spanning_forest(n: int, heads, tails) -> tuple[
-        list[int], list[tuple[int, int, int] | None]]:
+Forest = namedtuple("Forest", "order parent edge sign sums")
+
+
+def spanning_forest(n: int, heads, tails, weights=None) -> Forest:
     """Breadth-first spanning forest of the graph on nodes 0..n-1 whose
     edge e joins ``heads[e]`` to ``tails[e]``.
 
     Each tree grows from the least node not reached yet; a node tries its
     edges in edge-id order, and self-loops are skipped.  Returns the nodes
-    in visit order and, per node, ``(parent, edge, sign)``: sign is +1 when
-    the node is the tail of its tree edge and -1 when it is the head.  A
-    root has None.  It is the one graph walk of the package: components,
-    potentials, orientations and the sign lift of director shells all
-    follow it.
+    in visit order and, per node, its parent and edge (-1 at a root) and
+    sign: +1 as the tail of its tree edge, -1 as the head, 0 at a root.
+    ``sums`` adds ``sign * weights[edge]`` along each node's tree path, one
+    Python addition per node; without weights every sum is 0.  It is the
+    one graph walk of the package: components, potentials, orientations
+    and the sign lift of director shells all read it.
     """
     heads = np.asarray(heads, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)
@@ -858,29 +862,32 @@ def spanning_forest(n: int, heads, tails) -> tuple[
     entry = entry[np.argsort(ends[entry], kind="stable")]
     ptr = row_offsets(np.bincount(ends[entry], minlength=n)).tolist()
     other = ends[entry ^ 1].tolist()
+    # What crossing an entry adds to the path sum of the node it reaches.
+    step = (np.zeros_like(entry) if weights is None
+            else np.asarray(weights)[entry // 2]) * (1 - 2 * (entry % 2))
+    dtype, step = step.dtype, step.tolist()
+    total = np.zeros(n, dtype).tolist()
 
-    via = [-1] * n  # the position in ``entry`` that reached a node; -2: root
+    via = [None] * n  # the position in ``entry`` that reached a node; -1: root
     order: list[int] = []
     for root in range(n):
-        if via[root] != -1:
+        if via[root] is not None:
             continue
-        via[root] = -2
+        via[root] = -1
         tree = [root]
         for cur in tree:  # the list grows while it is walked: a queue
             for j in range(ptr[cur], ptr[cur + 1]):
-                if via[other[j]] == -1:
+                if via[other[j]] is None:
                     via[other[j]] = j
+                    total[other[j]] = total[cur] + step[j]
                     tree.append(other[j])
         order += tree
 
-    via = np.array(via, dtype=np.int64)
-    reached = np.flatnonzero(via >= 0)
-    e = entry[via[reached]]
-    parent: list[tuple[int, int, int] | None] = [None] * n
-    for node, link in zip(reached.tolist(), zip(
-            ends[e].tolist(), (e // 2).tolist(), (1 - 2 * (e % 2)).tolist())):
-        parent[node] = link
-    return order, parent
+    # Each node's tree edge entry at its parent; a root's -1 picks a -1.
+    e = np.append(entry, -1)[via]
+    return Forest(np.array(order, dtype=np.int64), np.append(ends, -1)[e],
+                  e // 2, np.where(e < 0, 0, 1 - 2 * (e % 2)),
+                  np.array(total, dtype))
 
 
 # ---------------------------------------------------------------------------

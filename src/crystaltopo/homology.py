@@ -142,14 +142,10 @@ def vertex_components(complex_: DeltaComplex) -> list[int]:
     if complex_.dim >= 1:
         edges = complex_.layers[1]
         heads, tails = edges.first_vertices(), edges.last_vertices()
-    order, parent = spanning_forest(complex_.n_vertices, heads, tails)
-    component = [0] * complex_.n_vertices
-    count = -1
-    for v in order:
-        if parent[v] is None:
-            count += 1
-        component[v] = count
-    return component
+    order, parent, *_ = spanning_forest(complex_.n_vertices, heads, tails)
+    component = np.empty_like(order)
+    component[order] = np.cumsum(parent[order] < 0) - 1
+    return component.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +334,6 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
                          minlength=complex_.n_cells(m - 1))
     internal = weight == 2
 
-    signs = [0] * n_top
     # The two entries of each internal face relate the signs of their
     # cells.  A face with a single entry of weight 2 wraps its cell onto
     # it twice with equal signs, and no orientation cancels it; it shows
@@ -357,19 +352,15 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
     if consistent:
         p, q = p[~same], q[~same]
         rel = (-a * b)[~same]
-        order, parent = spanning_forest(n_top, p, q)
-        step = rel.tolist()
-        for v in order:
-            link = parent[v]
-            signs[v] = 1 if link is None else step[link[1]] * signs[link[0]]
-        # The spanning forest fixed every sign; each glued pair must agree.
-        spin = np.array(signs)
-        consistent = bool((spin[q] == rel * spin[p]).all())
+        # One flip per -1 step on each cell's forest path fixes every sign;
+        # each glued pair must agree.
+        signs = 1 - 2 * (spanning_forest(n_top, p, q, rel < 0).sums % 2)
+        consistent = bool((signs[q] == rel * signs[p]).all())
 
     if consistent:
         # Independent check: the image must avoid all internal faces.  No
         # face has weight above 2, so the float sums are exact.
-        image = np.bincount(faces, weights=coeffs * np.array(signs)[owner],
+        image = np.bincount(faces, weights=coeffs * signs[owner],
                             minlength=len(internal)).astype(np.int64)
         bounding = np.flatnonzero(image)
         if internal[bounding].any():

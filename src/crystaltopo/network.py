@@ -93,29 +93,24 @@ def potential_check(complex_: DeltaComplex, drops,
 
     first = complex_.layers[1].first_vertices()
     last = complex_.layers[1].last_vertices()
-    order, parent = spanning_forest(n_v, first, last)
-    potential = [0.0] * n_v
-    for v in order:
-        if parent[v] is not None:
-            up, cid, sign = parent[v]
-            potential[v] = potential[up] + sign * vals.get(cid, 0.0)
+    drop = np.array([vals.get(cid, 0.0) for cid in range(len(first))])
+    _, parent, edge, sign, pot = spanning_forest(n_v, first, last, drop)
 
     # All non-tree edges at once; the lowest offending id gives the loop.
-    pot = np.array(potential)
-    drop = np.array([vals.get(cid, 0.0) for cid in range(len(first))])
     bad = np.abs(pot[last] - pot[first] - drop) > tol
-    bad[[link[1] for link in parent if link is not None]] = False
+    bad[edge[edge >= 0]] = False
     if not bad.any():
-        return PotentialReport(True, potential, tol=tol)
+        return PotentialReport(True, pot.tolist(), tol=tol)
 
     # Loop: the edge first -> last, then the tree path up from last and
     # back down to first; edges above the two paths' meeting point cancel.
     cid = int(bad.argmax())
     loop: dict[int, float] = {cid: 1.0}
+    parent, edge, sign = parent.tolist(), edge.tolist(), sign.tolist()
     for v, way in ((int(last[cid]), 1.0), (int(first[cid]), -1.0)):
-        while parent[v] is not None:
-            v, e, sign = parent[v]
-            loop[e] = loop.get(e, 0.0) - way * sign
+        while parent[v] >= 0:
+            loop[edge[v]] = loop.get(edge[v], 0.0) - way * sign[v]
+            v = parent[v]
     chain = Chain(1, loop, RING_REAL)
     circulation = sum(c * vals.get(e, 0.0) for e, c in chain.coeffs.items())
     return PotentialReport(False, None, chain, circulation, tol)

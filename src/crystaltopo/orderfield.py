@@ -404,14 +404,9 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
         node = node.reshape(keys.shape)
         heads, tails = node.ravel(), node[:, [1, 2, 0]].ravel()
         steps = edges[rows].ravel()
-        order, parent = spanning_forest(len(nodes), heads, tails)
-        lifted = [1] * len(nodes)
-        step = steps.tolist()
-        for v in order:
-            if parent[v] is not None:
-                up, e, _ = parent[v]
-                lifted[v] = lifted[up] * step[e]
-        lifted = np.array(lifted)
+        # One flip per step pointing apart; a perpendicular one is refused.
+        lifted = 1 - 2 * (spanning_forest(
+            len(nodes), heads, tails, steps < 0).sums % 2)
         sign = np.ones(tri.shape)
         sign[rows] = lifted[node]
         # The forest fixed every sign; each joined pair must now agree.

@@ -181,10 +181,16 @@ def test_spanning_forest_is_breadth_first_in_edge_order():
     # node 3 is a root of its own
     heads = [1, 0, 2, 2, 0]
     tails = [0, 2, 4, 2, 1]
-    order, parent = spanning_forest(5, heads, tails)
-    assert order == [0, 1, 2, 4, 3]
-    assert parent == [None, (0, 0, -1), (0, 1, 1), None, (2, 2, 1)]
-    assert spanning_forest(2, [], []) == ([0, 1], [None, None])
+    forest = spanning_forest(5, heads, tails)
+    assert forest.order.tolist() == [0, 1, 2, 4, 3]
+    # roots 0 and 3 have parent and edge -1 and sign 0
+    assert forest.parent.tolist() == [-1, 0, 0, -1, 2]
+    assert forest.edge.tolist() == [-1, 0, 1, -1, 2]
+    assert forest.sign.tolist() == [0, -1, 1, 0, 1]
+    assert forest.sums.tolist() == [0] * 5
+    bare = spanning_forest(2, [], [])
+    assert [a.tolist() for a in bare] == [[0, 1], [-1, -1], [-1, -1],
+                                          [0, 0], [0, 0]]
 
 
 @SETTINGS
