@@ -530,15 +530,18 @@ def cmd_network(args, doc, cx, build_report) -> dict:
     drops = _edge_data(doc, "drops", cx)
     if "currents" not in doc and "drops" not in doc:
         raise _fail("network needs 'currents' or 'drops' in the document")
+    try:  # one edge's entries may sum past the float range
+        cl = check_current_law(cx, currents) if "currents" in doc else None
+        pc = potential_check(cx, drops) if "drops" in doc else None
+    except ValueError as exc:
+        raise _fail(f"edge data: {exc}") from None
     report: dict = {}
-    if "currents" in doc:
-        cl = check_current_law(cx, currents)
+    if cl is not None:
         report["current_law"] = {
             "ok": cl.ok, "max_residual": cl.max_residual,
             "residuals": {str(k): v for k, v in sorted(cl.residuals.items())},
             "tol": cl.tol}
-    if "drops" in doc:
-        pc = potential_check(cx, drops)
+    if pc is not None:
         entry: dict = {"consistent": pc.consistent, "tol": pc.tol}
         if pc.consistent:
             entry["potentials"] = pc.potentials

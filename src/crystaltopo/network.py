@@ -11,6 +11,7 @@ the breadth-first ``spanning_forest`` of the 1-skeleton.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -30,8 +31,11 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
     vals = dict(values)
     n = complex_.n_cells(1)
     if all(type(cid) is int for cid in vals) and (
-            not vals or 0 <= min(vals) and max(vals) < n):
-        return dict(zip(vals, map(float, vals.values())))
+            not vals or 0 <= min(vals) and max(vals) < n) and (
+            {float, int}.issuperset(map(type, vals.values()))):
+        out = dict(zip(vals, map(float, vals.values())))
+        if all(map(math.isfinite, out.values())):
+            return out
     out = {}
     for cid, v in vals.items():
         if type(cid) is not int and (
@@ -41,6 +45,8 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
         if not 0 <= cid < n:
             raise DimensionError(f"edge id {cid} out of range")
         out[cid] = float(v)
+        if isinstance(v, (bool, np.bool_)) or not math.isfinite(out[cid]):
+            raise ValueError(f"edge {cid}: value {v} is not a finite number")
     return out
 
 

@@ -140,14 +140,17 @@ def _holds_bool(value) -> bool:
 
 
 def _as_floats(value, where: str) -> np.ndarray:
-    """``value`` as a float array; anything but numbers is refused,
-    booleans too."""
+    """``value`` as a float array; anything but finite numbers is refused,
+    booleans, NaN and infinities too."""
     if _holds_bool(value):
         raise ValueError(f"{where}: expected numbers")
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: expected numbers") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where}: expected finite numbers")
+    return arr
 
 
 def _as_unit(vec, length: int, where: str) -> np.ndarray:
@@ -480,19 +483,20 @@ def boundary_classes(field: OrderField, k: int,
     """Homotopy classes of the field on the boundaries of k-cells.
 
     One batched pass over the cells ``cell_ids`` (every k-cell by
-    default), with one value per cell in that order; an unknown id raises
-    IndexError before any probe runs.  Each value lives in pi_{k-1} of the
-    order-parameter space: a 0/1 transition flag for pi_0, integers or
-    parities for pi_1, an integer degree for pi_2.  Spaces with nonabelian
-    pi_1 are refused at k = 2.  A refusal is the one the first failing
-    cell would raise on its own.
+    default), with one value per cell in that order; an unknown id, a
+    negative one too, raises IndexError before any probe runs.  Each value
+    lives in pi_{k-1} of the order-parameter space: a 0/1 transition flag
+    for pi_0, integers or parities for pi_1, an integer degree for pi_2.
+    Spaces with nonabelian pi_1 are refused at k = 2.  A refusal is the
+    one the first failing cell would raise on its own.
     """
     cx = field.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
     layer = cx.layers[k]
     ids = np.arange(len(layer)) if cell_ids is None else np.array(
-        [range(len(layer))[c] for c in cell_ids], dtype=np.int64)
+        [range(len(layer))[c if c >= 0 else len(layer)] for c in cell_ids],
+        dtype=np.int64)
     if not len(ids):
         return []
     space = field.space

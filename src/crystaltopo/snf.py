@@ -26,18 +26,15 @@ from typing import Mapping, Sequence
 def _as_int_rows(matrix) -> list[list[int]]:
     """Copy ``matrix`` (numpy array or nested sequence) into int lists."""
     rows = []
-    for row in matrix:
-        out = []
-        for x in row:
-            v = int(x)
-            if v != x:
-                raise ValueError(f"non-integer entry {x!r}")
-            out.append(v)
+    for row in matrix.tolist() if hasattr(matrix, "tolist") else matrix:
+        row = row if type(row) is list else list(row)
+        out = list(map(int, row))
+        if out != row:
+            raise ValueError("non-integer entry "
+                             f"{next(x for v, x in zip(out, row) if v != x)!r}")
         rows.append(out)
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
     return rows
 
 

@@ -6,6 +6,8 @@ Every comparison is exact: the package and the references must give equal
 values, loops and signs, not values within a tolerance.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -191,6 +193,43 @@ def test_spanning_forest_is_breadth_first_in_edge_order():
     bare = spanning_forest(2, [], [])
     assert [a.tolist() for a in bare] == [[0, 1], [-1, -1], [-1, -1],
                                           [0, 0], [0, 0]]
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Up to 10 nodes, some of them isolated, and up to 24 edges with
+    self-loops, parallel edges and a finite float weight each."""
+    n = draw(st.integers(0, 10))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=20)) if n else []
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    weight = st.floats(allow_nan=False, allow_infinity=False)
+    weights = draw(st.lists(weight, min_size=len(edges),
+                            max_size=len(edges)))
+    return n, edges, weights
+
+
+@SETTINGS
+@given(weighted_graphs())
+def test_path_sums_and_parities_follow_the_reference_walk(graph):
+    n, edges, weights = graph
+    heads, tails = [a for a, _ in edges], [b for _, b in edges]
+    forest = spanning_forest(n, heads, tails, weights)
+    # the path sums are the reference potentials, bit for bit
+    want, _, _ = potentials_oracle(n, edges, dict(enumerate(weights)),
+                                   math.inf)
+    assert [x.hex() for x in forest.sums.tolist()] == [x.hex() for x in want]
+    # weights change no tree, and +-1 steps lift by the parity of the sums
+    steps = np.where(np.signbit(weights), -1, 1)
+    parity = spanning_forest(n, heads, tails, steps < 0)
+    for got, bare in zip(parity[:4], forest[:4]):
+        assert got.tolist() == bare.tolist()
+    lifted = 1 - 2 * (parity.sums % 2)
+    child = np.flatnonzero(forest.parent >= 0)
+    assert (lifted[child] == lifted[forest.parent[child]]
+            * steps[forest.edge[child]]).all()
+    assert (lifted[forest.parent < 0] == 1).all()
 
 
 @SETTINGS

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import time
 from pathlib import Path
 
@@ -355,6 +356,9 @@ CUBE_DOC = dict(TORUS_DOC, dimension=3, ambient=3, scheme="cubic",
                 generators=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                 index_box=[[0, 2], [0, 2], [0, 2]], boundary_condition="free")
 
+FINE_SAMPLE = {"sphere_2": [0.0, 0.0, 1.0], "circle": 0.0, "torus": [0.0, 0.1],
+               "projective_plane": [0.0, 0.0, 1.0]}
+
 # name -> (document or raw JSON text, text the error line must name[,
 # subcommand if not build])
 HOSTILE_DOCS = {
@@ -426,6 +430,25 @@ HOSTILE_DOCS = {
         {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
          "drops": [[False, 1.0]]},
         "drops[0]: edge must be an id or a vertex pair", "network"),
+    # two finite entries of one edge whose sum overflows to infinity
+    **{f"{key}-summed-past-float-range": (
+        {"complex": {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]},
+         key: [[1, 1.5e308], [["A", "C"], 1.5e308]]},
+        "edge data: edge 1: value inf is not a finite number", "network")
+       for key in ("currents", "drops")},
+    # JSON's NaN and Infinity are numbers to the parser, not to a field
+    **{f"sample-{space}-{name}": (
+        dict(TORUS_DOC, field={"space": space, "samples": [
+            [[i, j], value if (i, j) == (1, 1) else FINE_SAMPLE[space]]
+            for i in range(3) for j in range(3)]}),
+        "field: vertex (1, 1)", "obstruct")
+       for space, name, value in [
+           ("sphere_2", "nan", [math.nan, 0.0, 0.0]),
+           ("circle", "nan-angle", math.nan),
+           ("circle", "nan-vector", [math.nan, 0.0]),
+           ("circle", "infinite-angle", math.inf),
+           ("torus", "nan", [math.nan, 0.1]),
+           ("projective_plane", "nan", [math.nan, 0.0, 0.0])]},
 }
 
 

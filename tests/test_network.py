@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,19 @@ def test_edge_data_is_checked_on_a_complex_without_edges(check):
         check(one_site, {"x": 2.0})
     report = check(one_site, {})
     assert report.ok if check is check_current_law else report.consistent
+
+
+@pytest.mark.parametrize("check", [check_current_law, potential_check])
+@pytest.mark.parametrize("values,shown", [
+    ({0: 1.0, 1: math.nan}, "nan"), ({0: 1.0, 1: math.inf}, "inf"),
+    ({0: 1, 1: -math.inf}, "-inf"), ({0: 1.0, 1: np.float64("nan")}, "nan"),
+    ({0: 1.0, 1: True}, "True"), ({0: 1.0, 1: np.bool_(False)}, "False"),
+    (Chain(1, {0: 1.0, 1: math.nan}, "reals"), "nan")])
+def test_edge_values_must_be_finite_numbers(circle, check, values, shown):
+    # NaN passes every tolerance test, and a boolean is no edge value
+    with pytest.raises(ValueError,
+                       match=f"edge 1: value {shown} is not a finite number"):
+        check(circle, values)
 
 
 # ---------------------------------------------------------------------------

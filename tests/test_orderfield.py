@@ -120,6 +120,20 @@ def test_boolean_samples_are_refused(circle, space, value):
         OrderField.from_samples(circle, make_space(space), samples)
 
 
+@pytest.mark.parametrize("space, value", [
+    ("circle", math.nan), ("circle", -math.inf), ("circle", (math.nan, 0.0)),
+    ("sphere_2", (math.nan, 0.0, 0.0)), ("sphere_2", (math.inf, 0.0, 0.0)),
+    ("projective_plane", np.array([0.0, math.nan, 1.0])),
+    ("torus", (math.nan, 0.1)), ("torus", (1.0, 0.0, math.inf, 0.0)),
+    ("biaxial_nematic", np.full((3, 3), math.nan))])
+def test_non_finite_samples_are_refused(circle, space, value):
+    # NaN slips past every tolerance test, so it is refused on sight
+    samples = {"A": value, "B": value, "C": value}
+    with pytest.raises(ValueError,
+                       match="vertex 'A': expected finite numbers"):
+        OrderField.from_samples(circle, make_space(space), samples)
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
 # ---------------------------------------------------------------------------
@@ -467,6 +481,20 @@ def test_director_lift_keeps_the_sign_of_the_least_vertex():
     sphere = OrderField.from_samples(cx, make_space("sphere_2"), {
         lab: _unit(lab) for lab in cx.vertex_labels})
     assert boundary_classes(sphere, 3) == [1]
+
+
+def test_negative_cell_ids_do_not_wrap_around():
+    cx = make_grid(3)
+    f = OrderField.from_function(cx, make_space("circle"),
+                                 lambda lab: 0.1 * lab[0] + 0.2 * lab[1])
+    last = cx.n_cells(2) - 1
+    assert boundary_classes(f, 2, [0, last]) == [
+        boundary_class(f, 2, 0), boundary_class(f, 2, last)]
+    for ids in ([-1], [0, -1], [-last - 1], [last + 1]):
+        with pytest.raises(IndexError):
+            boundary_classes(f, 2, ids)
+    with pytest.raises(IndexError):
+        boundary_class(f, 2, -1)
 
 
 def _unit(v):

@@ -93,3 +93,24 @@ def test_rejects_non_integer_input():
         smith_normal_form([[1.5, 0], [0, 1]])
     # integral floats are fine
     assert smith_normal_form([[2.0]]).diagonal == [2]
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ([[1, 2], [3, 2.5]], "non-integer entry 2.5"),
+    ([[1, "3"]], "non-integer entry '3'"),
+    (((1, 2), (3, 4.25)), "non-integer entry 4.25"),
+    (np.array([[0.5, 1.0]]), "non-integer entry 0.5"),
+    ([[1, 2], [3]], "ragged matrix"),
+    ([[1], [float("nan")]], None),
+    ([["a"]], None)])
+def test_entries_are_refused_with_a_reason(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        smith_normal_form(matrix)
+
+
+def test_integral_rows_of_any_sequence_type_are_read():
+    want = smith_normal_form([[2, 4], [6, 8]]).diagonal
+    for matrix in (np.array([[2, 4], [6, 8]]), np.array([[2.0, 4.0], [6, 8]]),
+                   ((2, 4), (6, 8)), [np.array([2, 4]), np.array([6, 8])],
+                   [[2.0, 4], [6, 8.0]]):
+        assert smith_normal_form(matrix).diagonal == want
