@@ -278,6 +278,26 @@ class CellLayer:
         return (self.face_ptr.tolist(), self.faces.tolist(),
                 self.coeffs.tolist())
 
+    def summed_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row offsets, face ids and coefficients of the cells with each
+        cell's repeated faces summed and zero sums dropped, faces ascending
+        within a row.  The sums run in int64 when none can overflow it and
+        on Python integers (an object array) otherwise."""
+        owner = np.repeat(np.arange(len(self)), np.diff(self.face_ptr))
+        coeffs = self.coeffs
+        if coeffs.size and _magnitude(coeffs) * coeffs.size >= 2 ** 63:
+            coeffs = coeffs.astype(object)
+        order = np.lexsort((self.faces, owner))
+        owner, faces = owner[order], self.faces[order]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1)
+                                | np.diff(faces, prepend=-1))
+        sums = (np.add.reduceat(coeffs[order], starts) if len(starts)
+                else coeffs[:0])
+        nonzero = np.asarray(sums != 0, dtype=bool)
+        keep = starts[nonzero]
+        return (row_offsets(np.bincount(owner[keep], minlength=len(self))),
+                faces[keep], sums[nonzero])
+
     def face_entries(self, rows) -> tuple[np.ndarray, np.ndarray,
                                           np.ndarray]:
         """The face ids and coefficients of the cells ``rows``, in order,
@@ -768,7 +788,9 @@ def boundary_of_cell(complex_: DeltaComplex, k: int, cell_id: int,
     """Signed face chain of one cell."""
     if k < 0 or k > complex_.dim:
         raise DimensionError(f"no cells of dimension {k}")
-    cell_id = range(complex_.n_cells(k))[cell_id]
+    n = complex_.n_cells(k)
+    if not 0 <= operator.index(cell_id) < n:
+        raise IndexError(f"no {k}-cell {cell_id} among 0..{n - 1}")
     return boundary_map(Chain(k, {cell_id: 1}, ring), complex_)
 
 
@@ -821,13 +843,10 @@ def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
     key = ("columns", k)
     cached = complex_._cache.get(key)
     if cached is None:
-        cached = []
-        ptr, faces, coeffs = complex_.layers[k].face_lists()
-        for s, e in zip(ptr, ptr[1:]):
-            col: dict[int, int] = {}
-            for fid, coeff in zip(faces[s:e], coeffs[s:e]):
-                col[fid] = col.get(fid, 0) + coeff
-            cached.append({fid: v for fid, v in col.items() if v})
+        ptr, faces, coeffs = (a.tolist()
+                              for a in complex_.layers[k].summed_faces())
+        cached = [dict(zip(faces[s:e], coeffs[s:e]))
+                  for s, e in zip(ptr, ptr[1:])]
         complex_._cache[key] = cached
     return cached
 

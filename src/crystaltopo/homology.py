@@ -1,25 +1,40 @@
 """Homology, cohomology and orientation analysis over three coefficient rings.
 
-Ranks and torsion come from one exact integer reduction per boundary
-matrix, shared by all three rings: the columns of d_k are taken straight
-from the face arrays and ``sparse_invariant_factors`` eliminates the unit
-pivots, handing only the small non-unit leftover to the dense Smith
-reducer.  By universal coefficients the invariant factors decide every
-ring: over R the rank counts the nonzero factors, over Z/2 the odd ones,
-and fields carry no torsion.  Boundary and coboundary membership append
-the vector to the same integer columns and compare the factors, read
-over its ring, with the cached reduction.  Generators of a nonzero group
-read the same columns: one tracked Smith reduction of the dense rows of
-d_k gives the cycle basis and, through V^-1, the cycle coordinates Y of
-the columns of d_{k+1}; each generator is the cycle basis times one
-column of U_Y^-1 from the Smith form of Y.
+Ranks, torsion and membership come from one coreduction walk per complex
+(Mrozek and Batko, "Coreduction homology algorithm", 2009), made on first
+use and cached.  The walk reads the summed face arrays of every degree:
+a cell whose one face left has a unit coefficient is paired with that
+face and both are removed; when no cell can be paired, the least cell
+without faces left is critical (a cell of the lowest degree left always
+qualifies).  The pairs are unit pivots, so the critical cells span a
+Morse complex chain equivalent to the complex over Z.  Its differential
+d^M_k takes the boundary of each critical k-cell along the flow, which
+replaces the lower member of the latest pair left by the boundary of its
+partner, and keeps the critical part.  rank d_k counts the (k-1, k)
+pairs plus the rank of d^M_k; the torsion is that of d^M_k, from one
+dense Smith form of the small block.  By universal coefficients the
+invariant factors decide every ring: over R the rank counts the nonzero
+factors, over Z/2 the odd ones, and fields carry no torsion.  A chain
+bounds when it is a cycle and its flow lies in the image of d^M_k; a
+cochain is a coboundary when it is a cocycle and its dual flow, which
+eliminates the upper members of pairs through the coboundaries of their
+partners, lies in the image of the transposed block.  A query flows only
+its vector.
+
+Generators of a nonzero group read the sparse columns of the complex:
+one tracked Smith reduction of the dense rows of d_k gives the cycle
+basis and, through V^-1, the cycle coordinates Y of the columns of
+d_{k+1}; each generator is the cycle basis times one column of U_Y^-1
+from the Smith form of Y.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Mapping
 
 import numpy as np
@@ -33,14 +48,15 @@ from .complexes import (
     RINGS,
     boundary_columns,
     boundary_map,
+    row_offsets,
     spanning_forest,
 )
 from .errors import DimensionError, InternalInconsistencyError
 from .snf import (
     dense_rows,
     identity,
+    invariant_factors,
     smith_normal_form,
-    sparse_invariant_factors,
 )
 
 
@@ -78,22 +94,192 @@ def _over(ring: str, rank: int, torsion: tuple) -> tuple[int, tuple]:
     return rank, ()
 
 
+class _Coreduction:
+    """The coreduction walk of one complex and its Morse complex.
+
+    Cells carry global ids: degree k starts at ``offsets[k]``.  ``fptr``,
+    ``fid`` and ``fco`` hold every cell's summed faces in compressed rows,
+    ``cptr``, ``cid`` and ``cco`` its cofaces, each with the coefficient
+    of the cell in the coface's boundary.  Pair i joins ``lower[i]`` to
+    ``upper[i]`` one degree up, with <d upper, lower> = ``coef[i]``, a
+    unit; ``low_pair`` and ``up_pair`` give each cell's pair index as
+    that member, -1 otherwise.  ``critical[k]`` lists the critical
+    k-cells ascending, ``crit_pos`` a critical cell's place in that list.
+    ``blocks[k]`` holds the columns of the Morse differential d^M_k, one
+    dict {place of a critical (k-1)-cell: entry} per critical k-cell,
+    ``factors[k]`` their nonzero invariant factors and ``pairs[k]`` the
+    number of (k-1, k) pairs, so rank d_k = pairs[k] + len(factors[k]).
+    """
+
+    def __init__(self, complex_: DeltaComplex):
+        layers = complex_.layers
+        offsets = row_offsets([len(layer) for layer in layers])
+        n = int(offsets[-1])
+        ptrs, faces, coeffs = [], [], []
+        for k, layer in enumerate(layers):
+            ptr, fid, co = layer.summed_faces()
+            ptrs.append(np.diff(ptr))
+            faces.append(fid + offsets[k - 1] if k else fid)
+            coeffs.append(co)
+        sizes, fid = np.concatenate(ptrs), np.concatenate(faces)
+        fco = np.concatenate(coeffs)
+        order = np.argsort(fid, kind="stable")
+        self.offsets = offsets.tolist()
+        self.fptr, self.fid, self.fco = (
+            row_offsets(sizes).tolist(), fid.tolist(), fco.tolist())
+        self.cptr = row_offsets(np.bincount(fid, minlength=n)).tolist()
+        self.cid = np.repeat(np.arange(n), sizes)[order].tolist()
+        self.cco = fco[order].tolist()
+        self._walk(n, sizes)
+        self._morse_complex(complex_)
+
+    def _walk(self, n: int, sizes: np.ndarray) -> None:
+        """Pair each cell whose one face left has a unit coefficient with
+        that face and remove both; when no cell can be paired, the least
+        cell without faces left is critical and removed."""
+        fptr, fid, fco, cptr, cid = (self.fptr, self.fid, self.fco,
+                                     self.cptr, self.cid)
+        left = sizes.tolist()
+        alive = [True] * n
+        ready = deque(np.flatnonzero(sizes == 1).tolist())
+        bare = np.flatnonzero(sizes == 0).tolist()  # ascending: a heap
+        lower, upper, coef, critical = [], [], [], []
+        while True:
+            if ready:
+                b = ready.popleft()
+                if not alive[b] or left[b] != 1:
+                    continue
+                j = fptr[b]
+                while not alive[fid[j]]:
+                    j += 1
+                if fco[j] != 1 and fco[j] != -1:
+                    continue
+                lower.append(fid[j])
+                upper.append(b)
+                coef.append(fco[j])
+                removed = (b, fid[j])
+            else:
+                # A cell of the lowest degree left has no faces left, so
+                # ``bare`` runs dry only once every cell is removed.
+                while bare and not alive[bare[0]]:
+                    heappop(bare)
+                if not bare:
+                    break
+                x = heappop(bare)
+                critical.append(x)
+                removed = (x,)
+            for x in removed:
+                alive[x] = False
+                for y in cid[cptr[x]:cptr[x + 1]]:
+                    if alive[y]:
+                        left[y] -= 1
+                        if left[y] == 1:
+                            ready.append(y)
+                        elif not left[y]:
+                            heappush(bare, y)
+
+        self.lower, self.upper, self.coef = lower, upper, coef
+        self.low_pair, self.up_pair = [-1] * n, [-1] * n
+        for i, (a, b) in enumerate(zip(lower, upper)):
+            self.low_pair[a] = self.up_pair[b] = i
+        critical = np.sort(critical)
+        bounds = np.searchsorted(critical, self.offsets).tolist()
+        self.critical = [critical[s:e].tolist()
+                         for s, e in zip(bounds, bounds[1:])]
+        self.crit_pos = [-1] * n
+        for cells in self.critical:
+            for p, c in enumerate(cells):
+                self.crit_pos[c] = p
+        self.pairs = np.diff(
+            np.searchsorted(np.sort(upper), self.offsets)).tolist()
+
+    def flow(self, x: dict[int, int], dual: bool = False) -> dict[int, int]:
+        """The critical part of the chain x (global ids of one degree; the
+        dict is taken over) after the flow, keyed by place among the
+        critical cells.  The flow replaces the lower member of the latest
+        pair left in x through the boundary of its partner until none is
+        left.  The ``dual`` flow of a cochain replaces the upper member of
+        the earliest pair left through the coboundary of its partner.  A
+        replacement brings in only cells removed before its pair, so no
+        member comes back once replaced."""
+        if dual:
+            ptr, ids, co, index = self.cptr, self.cid, self.cco, self.up_pair
+            members, partners, sign = self.upper, self.lower, 1
+        else:
+            ptr, ids, co, index = self.fptr, self.fid, self.fco, self.low_pair
+            members, partners, sign = self.lower, self.upper, -1
+        heap = [sign * index[g] for g in x if index[g] >= 0]
+        heapify(heap)
+        while heap:
+            i = sign * heappop(heap)
+            a = members[i]
+            v = x[a] * self.coef[i]
+            if not v:
+                continue
+            x[a] = 0
+            b = partners[i]
+            for g, c in zip(ids[ptr[b]:ptr[b + 1]], co[ptr[b]:ptr[b + 1]]):
+                if g != a:
+                    old = x.get(g)
+                    if old is None:
+                        x[g] = -v * c
+                        if index[g] >= 0:
+                            heappush(heap, sign * index[g])
+                    else:
+                        x[g] = old - v * c
+        pos = self.crit_pos
+        return {pos[g]: v for g, v in x.items() if v and pos[g] >= 0}
+
+    def _morse_complex(self, complex_: DeltaComplex) -> None:
+        """Flow the boundary of every critical cell, reduce each block and
+        check the Euler number and d^M d^M = 0."""
+        fptr, fid, fco = self.fptr, self.fid, self.fco
+        self.blocks = [[]] + [
+            [self.flow({fid[j]: fco[j] for j in range(fptr[c], fptr[c + 1])})
+             for c in cells] for cells in self.critical[1:]]
+        by_cells = sum((-1) ** k * n
+                       for k, n in enumerate(complex_.cell_counts()))
+        by_critical = sum((-1) ** k * len(cells)
+                          for k, cells in enumerate(self.critical))
+        if by_cells != by_critical:
+            raise InternalInconsistencyError(
+                f"Morse complex: cells give Euler number {by_cells}, "
+                f"critical cells {by_critical}")
+        for k in range(1, len(self.blocks) - 1):
+            for col in self.blocks[k + 1]:
+                image: dict[int, int] = {}
+                for p, v in col.items():
+                    for r, w in self.blocks[k][p].items():
+                        image[r] = image.get(r, 0) + v * w
+                if any(image.values()):
+                    raise InternalInconsistencyError(
+                        f"Morse complex: d^M_{k} d^M_{k + 1} is not zero "
+                        "(validate_complex finds where d d = 0 fails)")
+        self.factors = [invariant_factors(block) for block in self.blocks]
+
+
+def _coreduction(complex_: DeltaComplex) -> _Coreduction:
+    """The complex's one coreduction walk, made on first use and cached."""
+    walk = complex_._cache.get("coreduction")
+    if walk is None:
+        walk = complex_._cache["coreduction"] = _Coreduction(complex_)
+    return walk
+
+
 def _reduction(complex_: DeltaComplex, k: int,
                ring: str) -> tuple[int, tuple[int, ...]]:
     """(rank, invariant factors > 1) of d_k over ``ring``.
 
-    The matrix is reduced once, over Z, and cached; every ring reads that
-    result.  Out-of-range degrees give (0, ()).
+    The unit pairs of the cached coreduction walk each add 1 to the rank
+    over every ring; the invariant factors of the Morse block d^M_k give
+    the rest, read over ``ring``.  Out-of-range degrees give (0, ()).
     """
     if k < 1 or k > complex_.dim or complex_.n_cells(k) == 0:
         return 0, ()
-    key = ("reduction", k)
-    cached = complex_._cache.get(key)
-    if cached is None:
-        factors = sparse_invariant_factors(boundary_columns(complex_, k))
-        cached = (len(factors), tuple(d for d in factors if d > 1))
-        complex_._cache[key] = cached
-    return _over(ring, *cached)
+    walk = _coreduction(complex_)
+    factors = walk.factors[k]
+    return _over(ring, walk.pairs[k] + len(factors),
+                 tuple(d for d in factors if d > 1))
 
 
 def homology(complex_: DeltaComplex, k: int,
@@ -189,28 +375,48 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
     """Whether ``vector`` lies in the image of d_k over ``ring``.
 
     With ``transpose`` the map is the coboundary delta^{k-1}, whose columns
-    are the rows of d_k.  ``vector`` is appended to the integer columns;
-    the invariant factors, read over ``ring``, are compared with the
-    cached reduction of d_k, which a matrix shares with its transpose.
-    Over Z the vector lies in the image exactly when rank and torsion are
-    unchanged: both lattices span the same saturation, so equal rank and
-    an equal product of invariant factors mean equal lattices.  Over Z/2
-    (a vector enters as its 0/1 lift) and R the rank decides.  Real
-    coefficients are taken at their exact binary value and scaled to
-    integers, which leaves the rank over Q unchanged.
+    are the rows of d_k.  The cached walk is a chain equivalence over Z,
+    so a chain lies in the image exactly when it is a cycle and its flow
+    lies in the image of the Morse block d^M_k; a cochain, when it is a
+    cocycle and its dual flow lies in the image of the transposed block.
+    The flowed vector is appended to the block and the invariant factors,
+    read over ``ring``, are compared with the block's own.  Over Z the
+    vector lies in the image exactly when rank and torsion are unchanged:
+    both lattices span the same saturation, so equal rank and an equal
+    product of invariant factors mean equal lattices.  Over Z/2 (a vector
+    enters as its 0/1 lift) and R the rank decides.  Real coefficients are
+    taken at their exact binary value and scaled to integers, which leaves
+    the rank over Q unchanged.
     """
-    columns = boundary_columns(complex_, k)
-    if transpose:
-        rows: list[dict] = [{} for _ in range(complex_.n_cells(k - 1))]
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                rows[i][j] = v
-        columns = rows
+    walk = _coreduction(complex_)
     if ring == RING_REAL:
         vector = _integral(vector)
-    factors = sparse_invariant_factors([*columns, vector])
-    torsion = tuple(d for d in factors if d > 1)
-    return _over(ring, len(factors), torsion) == _reduction(complex_, k, ring)
+    degree = k if transpose else k - 1
+    offset = walk.offsets[degree]
+    x = {offset + int(i): int(v) for i, v in vector.items() if v}
+    # The (co)boundary of the vector, over Z; Z/2 reads it modulo 2.
+    ptr, ids, co = ((walk.cptr, walk.cid, walk.cco) if transpose
+                    else (walk.fptr, walk.fid, walk.fco))
+    image: dict[int, int] = {}
+    for g, v in x.items():
+        for j in range(ptr[g], ptr[g + 1]):
+            image[ids[j]] = image.get(ids[j], 0) + v * co[j]
+    modulus = 2 if ring == RING_MOD2 else 0
+    if any(v % modulus if modulus else v for v in image.values()):
+        return False
+    block = walk.blocks[k]
+    if transpose:
+        rows: list[dict] = [{} for _ in walk.critical[k - 1]]
+        for j, col in enumerate(block):
+            for p, v in col.items():
+                rows[p][j] = v
+        block = rows
+
+    def over(factors):
+        return _over(ring, len(factors), tuple(d for d in factors if d > 1))
+
+    return over(invariant_factors([*block, walk.flow(x, transpose)])) == \
+        over(walk.factors[k])
 
 
 def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:

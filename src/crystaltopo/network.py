@@ -44,9 +44,10 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
         cid = int(cid)
         if not 0 <= cid < n:
             raise DimensionError(f"edge id {cid} out of range")
-        out[cid] = float(v)
-        if isinstance(v, (bool, np.bool_)) or not math.isfinite(out[cid]):
+        if isinstance(v, (bool, np.bool_)) or not isinstance(
+                v, numbers.Real) or not math.isfinite(v):
             raise ValueError(f"edge {cid}: value {v} is not a finite number")
+        out[cid] = float(v)
     return out
 
 

@@ -5,20 +5,16 @@ without overflow; numpy arrays are accepted at the boundary and converted.
 No kernel knows about coefficient rings: every reduction is over Z, and
 the ranks over a field follow from the invariant factors.
 
-Boundary matrices arrive as sparse columns, ``{row id: entry}``.
-``sparse_invariant_factors`` eliminates their +-1 pivots and hands only
-the leftover non-unit block to the dense Euclidean reducer; appending a
-vector as one more column and comparing the factors decides whether it
-lies in the image.  One dense Smith reducer serves the leftover block,
-which reads only its diagonal, and the explicit generators, which read
-the column transform V, its inverse and the inverse of the row
-transform.  Its rows come from ``dense_rows``, the one step from columns
-to dense rows.
+One dense Smith reducer serves the small Morse blocks that the
+coreduction walk of :mod:`crystaltopo.homology` leaves, through
+``invariant_factors``, which reads only the diagonal, and the explicit
+generators, which read the column transform V, its inverse and the
+inverse of the row transform.  Its rows come from ``dense_rows``, the
+one step from sparse columns to dense rows.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -222,65 +218,16 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                               vinv=red.vinv)
 
 
-def sparse_invariant_factors(
-        columns: Sequence[Mapping[int, int]]) -> list[int]:
-    """Nonzero invariant factors of a sparse integer matrix.
+def invariant_factors(columns: Sequence[Mapping[int, int]]) -> list[int]:
+    """Nonzero invariant factors of the matrix with these sparse columns,
+    ``{row id: entry}``, in divisibility order.
 
-    ``columns[j]`` maps row ids to the nonzero entries of column j; it is
-    read, never modified.
-
-    Only +-1 pivots are eliminated sparsely.  Their row and column
-    operations are unimodular, so SNF(A) = I_r + SNF(S) with S the Schur
-    complement left when no column holds a unit entry any more.  S goes
-    to ``smith_normal_form`` as a dense block and its nonzero diagonal
-    follows the r ones, keeping the divisibility order.
-
-    Pivot order is shortest column first (a lazy heap: a column is pushed
-    again whenever an elimination changes it) and, within the column, the
-    unit entry whose row has the fewest entries.
+    Zero rows and columns change no factor and are left out; the rest
+    goes to ``smith_normal_form`` as one dense block.
     """
-    cols = [{r: v for r, v in col.items() if v} for col in columns]
-    rows: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for r in col:
-            rows.setdefault(r, set()).add(j)
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        length, j = heapq.heappop(heap)
-        col_j = cols[j]
-        if col_j is None or len(col_j) != length:
-            continue  # stale entry; the column was pushed again or removed
-        units = [r for r, v in col_j.items() if v == 1 or v == -1]
-        if not units:
-            continue  # re-pushed if a later elimination changes it
-        i = min(units, key=lambda r: (len(rows[r]), r))
-        p = col_j[i]
-        # Column operations clear row i outside column j; row operations
-        # then clear column j, touching nothing else, so both drop out.
-        for c in rows[i] - {j}:
-            col_c = cols[c]
-            f = col_c[i] * p
-            for r, v in col_j.items():
-                nv = col_c.get(r, 0) - f * v
-                if nv:
-                    if r not in col_c:
-                        rows[r].add(c)
-                    col_c[r] = nv
-                elif r in col_c:
-                    del col_c[r]
-                    rows[r].discard(c)
-            if col_c:
-                heapq.heappush(heap, (len(col_c), c))
-        for r in col_j:
-            rows[r].discard(j)
-        cols[j] = None
-        rank += 1
-    factors = [1] * rank
-    leftover = [col for col in cols if col]
-    if leftover:
-        row_ids = sorted({r for col in leftover for r in col})
-        block = dense_rows(leftover, row_ids)
-        factors.extend(d for d in smith_normal_form(block).diagonal if d)
-    return factors
+    columns = [col for col in columns if any(col.values())]
+    if not columns:
+        return []
+    row_ids = sorted({r for col in columns for r in col})
+    return [d for d in smith_normal_form(dense_rows(columns, row_ids)).diagonal
+            if d]

@@ -10,6 +10,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -28,6 +29,70 @@ def snf_diagonal_oracle(matrix):
     """
     a = [[int(x) for x in row] for row in np.atleast_2d(matrix)]
     return _snf_recurse(a)
+
+
+def sparse_invariant_factors(columns):
+    """Nonzero invariant factors of a sparse integer matrix, the slow
+    reference for the coreduction walk of ``crystaltopo.homology``.
+
+    ``columns[j]`` maps row ids to the nonzero entries of column j; it is
+    read, never modified.
+
+    Only +-1 pivots are eliminated sparsely.  Their row and column
+    operations are unimodular, so SNF(A) = I_r + SNF(S) with S the Schur
+    complement left when no column holds a unit entry any more.  S goes
+    to ``snf_diagonal_oracle`` as a dense block and its nonzero
+    diagonal follows the r ones, keeping the divisibility order.
+
+    Pivot order is shortest column first (a lazy heap: a column is pushed
+    again whenever an elimination changes it) and, within the column, the
+    unit entry whose row has the fewest entries.
+    """
+    cols = [{r: v for r, v in col.items() if v} for col in columns]
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapify(heap)
+    rank = 0
+    while heap:
+        length, j = heappop(heap)
+        col_j = cols[j]
+        if col_j is None or len(col_j) != length:
+            continue  # stale entry; the column was pushed again or removed
+        units = [r for r, v in col_j.items() if v == 1 or v == -1]
+        if not units:
+            continue  # re-pushed if a later elimination changes it
+        i = min(units, key=lambda r: (len(rows[r]), r))
+        p = col_j[i]
+        # Column operations clear row i outside column j; row operations
+        # then clear column j, touching nothing else, so both drop out.
+        for c in rows[i] - {j}:
+            col_c = cols[c]
+            f = col_c[i] * p
+            for r, v in col_j.items():
+                nv = col_c.get(r, 0) - f * v
+                if nv:
+                    if r not in col_c:
+                        rows[r].add(c)
+                    col_c[r] = nv
+                elif r in col_c:
+                    del col_c[r]
+                    rows[r].discard(c)
+            if col_c:
+                heappush(heap, (len(col_c), c))
+        for r in col_j:
+            rows[r].discard(j)
+        cols[j] = None
+        rank += 1
+    factors = [1] * rank
+    leftover = [col for col in cols if col]
+    if leftover:
+        row_ids = sorted({r for col in leftover for r in col})
+        block = [[col.get(r, 0) for col in leftover] for r in row_ids]
+        factors.extend(snf_diagonal_oracle(block))
+    return factors
 
 
 def _snf_recurse(a):
@@ -294,6 +359,35 @@ def rational_rank(matrix):
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def integer_kernel_oracle(matrix, n_cols):
+    """Integer vectors spanning the kernel over Q of ``matrix`` (a list of
+    rows, each ``n_cols`` long), by Fraction Gauss-Jordan elimination: one
+    vector per free column, scaled to clear denominators."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for j in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][j] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][j] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+    basis = []
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        v = [Fraction(0)] * n_cols
+        v[free] = Fraction(1)
+        for r, j in enumerate(pivots):
+            v[j] = -a[r][free]
+        scale = math.lcm(*(x.denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -315,20 +315,22 @@ def test_fundamental_chains_match_the_reference_dfs(spec):
 # boundary of one cell
 # ---------------------------------------------------------------------------
 
-def test_boundary_of_cell_resolves_ids_like_a_sequence(disc):
+def test_boundary_of_cell_refuses_ids_outside_the_degree(disc):
     for k in range(disc.dim + 1):
         n = disc.n_cells(k)
         for ring in (RING_INT, RING_MOD2, RING_REAL):
-            for cid in range(-n, n):
+            for cid in range(n):
                 want = Chain(k - 1, {}, ring)
                 for fid, coeff in disc.cells[k][cid].faces:
                     want = want + Chain(k - 1, {fid: coeff}, ring)
                 assert boundary_of_cell(disc, k, cid, ring) == want
-                assert want == boundary_map(
-                    Chain(k, {cid % n: 1}, ring), disc)
-        for bad in (n, -n - 1):
+                assert want == boundary_map(Chain(k, {cid: 1}, ring), disc)
+        # A negative id names no cell, as in boundary_map: no wrap-around.
+        for bad in (n, -1, -n, -n - 1):
             with pytest.raises(IndexError):
                 boundary_of_cell(disc, k, bad)
+        with pytest.raises(TypeError):
+            boundary_of_cell(disc, k, 0.0)
     for k in (-1, disc.dim + 1):
         with pytest.raises(DimensionError, match="no cells of dimension"):
             boundary_of_cell(disc, k, 0)

@@ -1,4 +1,4 @@
-"""Sparse unit-pivot reduction against the dense reducer and the oracles."""
+"""The coreduction walk against the dense reducer and the oracles."""
 
 import importlib
 
@@ -28,15 +28,24 @@ from crystaltopo.homology import (
 from crystaltopo.lattice import DefectSpec
 from crystaltopo.obstruction import ObstructionCochain, obstruction_class
 from crystaltopo.orderfield import GROUP_Z, GROUP_Z2, GROUP_ZxZ
-from crystaltopo.snf import smith_normal_form, sparse_invariant_factors
+from crystaltopo.snf import smith_normal_form
 
-from conftest import dense_boundary, make_circle, make_disc, make_rp2, make_torus
+from conftest import (
+    dense_boundary,
+    make_circle,
+    make_disc,
+    make_mobius,
+    make_rp2,
+    make_torus,
+)
 from oracles import (
     gf2_rank,
     gf2_rank_oracle,
+    integer_kernel_oracle,
     integer_solvable_oracle,
     rational_rank,
     snf_diagonal_oracle,
+    sparse_invariant_factors,
 )
 
 # The package namespace exports a function named ``homology``.
@@ -55,15 +64,42 @@ def columns_of(matrix, width=None):
             for j in range(width)]
 
 
-def assert_agrees(matrix, oracle=True):
-    got = sparse_invariant_factors(columns_of(matrix))
+def columns_complex(columns, n_rows):
+    """A 1-dimensional complex whose d_1 has these sparse columns: rows
+    are vertices."""
+    vertices = [Cell((i,), ()) for i in range(n_rows)]
+    edges = [Cell((0,), tuple(col.items())) for col in columns]
+    return DeltaComplex(range(n_rows), [vertices, edges])
+
+
+def matrix_complex(matrix):
+    """A 1-dimensional complex whose d_1 is ``matrix``: rows are vertices."""
+    return columns_complex(columns_of(matrix), len(matrix))
+
+
+def kernel_factors(cx, k):
+    """The invariant factors of d_k read from the coreduction walk: one 1
+    per unit pair, then the Morse block's."""
+    walk = homology_mod._coreduction(cx)
+    return [1] * walk.pairs[k] + walk.factors[k]
+
+
+def assert_agrees(cx, k, oracle=True):
+    matrix = dense_boundary(cx, k).tolist()
+    got = kernel_factors(cx, k)
     assert got == [abs(d) for d in smith_normal_form(matrix).diagonal if d]
+    assert got == sparse_invariant_factors(boundary_columns(cx, k))
+    rank, torsion = homology_mod._reduction(cx, k, RING_INT)
+    assert (rank, torsion) == (len(got), tuple(d for d in got if d > 1))
     # Universal coefficients: the odd factors count the rank over GF(2).
     odd = sum(d % 2 for d in got)
-    assert odd == gf2_rank(matrix)
+    assert odd == gf2_rank(matrix) == homology_mod._reduction(
+        cx, k, RING_MOD2)[0]
+    assert homology_mod._reduction(cx, k, RING_REAL) == (len(got), ())
     if oracle:
         assert got == snf_diagonal_oracle(matrix)
         assert odd == gf2_rank_oracle(matrix)
+        assert len(got) == rational_rank(matrix)
 
 
 @st.composite
@@ -86,10 +122,12 @@ def int_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(int_matrices())
 def test_random_matrices_match_dense_and_oracles(matrix):
+    cx = matrix_complex(matrix)
     if not matrix or not matrix[0]:
         assert sparse_invariant_factors(columns_of(matrix)) == []
+        assert homology_mod._reduction(cx, 1, RING_INT) == (0, ())
         return
-    assert_agrees(matrix)
+    assert_agrees(cx, 1)
 
 
 @st.composite
@@ -142,7 +180,7 @@ def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
         M = dense_boundary(cx, k)
         assert boundary_columns(cx, k) == columns_of(M.tolist(), M.shape[1])
         if M.size:
-            assert_agrees(M.tolist(), oracle=M.size <= ORACLE_MAX_ENTRIES)
+            assert_agrees(cx, k, oracle=M.size <= ORACLE_MAX_ENTRIES)
             gf2[k] = gf2_rank(M.tolist())
     for k in range(cx.dim + 1):
         assert homology(cx, k, RING_MOD2).betti == (
@@ -158,14 +196,22 @@ def test_leftover_block_gives_lcm_factor(monkeypatch):
         return smith_normal_form(matrix)
 
     monkeypatch.setattr(snf_mod, "smith_normal_form", spy)
-    assert sparse_invariant_factors(columns_of([[2, 0], [0, 3]])) == [1, 6]
+    cx = matrix_complex([[2, 0], [0, 3]])
+    # No unit entry: both vertices and both edges are critical.
+    assert kernel_factors(cx, 1) == [1, 6]
     assert blocks == [[[2, 0], [0, 3]]]
+    assert homology(cx, 0).torsion == (6,)
 
 
 def test_rp2_boundary_torsion_comes_from_leftover():
     rp2 = make_rp2()
-    factors = sparse_invariant_factors(boundary_columns(rp2, 2))
+    walk = homology_mod._coreduction(rp2)
+    # One critical cell per degree; the Morse block d^M_2 is [+-2].
+    assert [len(cells) for cells in walk.critical] == [1, 1, 1]
+    assert walk.blocks[2] in ([{0: 2}], [{0: -2}])
+    factors = kernel_factors(rp2, 2)
     assert factors == [1] * (len(factors) - 1) + [2]
+    assert factors == sparse_invariant_factors(boundary_columns(rp2, 2))
     assert homology(rp2, 1).torsion == (2,)
     for k in (1, 2):
         group = homology(rp2, k, RING_MOD2)
@@ -181,31 +227,39 @@ def test_cancelling_faces_are_dropped():
     assert betti_numbers(cx) == [1, 2, 1]
 
 
-def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
-    cx = make_torus(3)
+def count_walks(monkeypatch):
+    """Patch the coreduction walk to record the id of each complex it
+    walks, and forbid every dense copy of a boundary matrix."""
     calls = []
+    walk = homology_mod._Coreduction
 
-    def counting(columns):
-        calls.append(id(columns))
-        return sparse_invariant_factors(columns)
+    def counting(cx):
+        calls.append(id(cx))
+        return walk(cx)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense matrix built for a rank or membership")
 
-    monkeypatch.setattr(homology_mod, "sparse_invariant_factors", counting)
+    monkeypatch.setattr(homology_mod, "_Coreduction", counting)
     monkeypatch.setattr(homology_mod, "dense_rows", no_dense)
     monkeypatch.setattr(homology_mod, "smith_normal_form", no_dense)
+    return calls
+
+
+def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
+    cx = make_torus(3)
+    calls = count_walks(monkeypatch)
     for ring in (RING_INT, RING_MOD2, RING_REAL):
         for k in range(-1, cx.dim + 2):
             homology(cx, k, ring)
             cohomology(cx, k, ring)
         betti_numbers(cx, ring)
     assert euler_characteristic(cx) == 0
-    # One integer reduction per matrix serves all three rings.
-    assert len(calls) == len(set(calls)) == cx.dim
+    # One integer walk per complex serves every matrix and all three rings.
+    assert calls == [id(cx)]
 
-    # Membership tests reduce only [d_k | b], never the cached d_k again.
-    base = {id(boundary_columns(cx, k)) for k in range(1, cx.dim + 1)}
+    # Membership tests flow only the vector; the complex is not walked
+    # again.
     face_boundary = boundary_columns(cx, 2)[0]
     for ring in (RING_INT, RING_MOD2, RING_REAL):
         assert not is_boundary(Chain(1, {0: 1}, ring), cx)
@@ -220,22 +274,35 @@ def test_each_boundary_matrix_is_reduced_once_per_ring(monkeypatch):
              "trivial")):
         cochain = ObstructionCochain(cx, 2, group, values)
         assert obstruction_class(cochain) == status
-    assert sum(1 for key in calls if key in base) == cx.dim
+    assert calls == [id(cx)]
     assert not any(key[0] == "incidence" for key in cx._cache)
 
 
-def matrix_complex(matrix):
-    """A 1-dimensional complex whose d_1 is ``matrix``: rows are vertices."""
-    vertices = [Cell((i,), ()) for i in range(len(matrix))]
-    edges = [Cell((0,), tuple((i, row[j]) for i, row in enumerate(matrix)
-                              if row[j]))
-             for j in range(len(matrix[0]))]
-    return DeltaComplex(range(len(matrix)), [vertices, edges])
+@pytest.mark.parametrize("first", ["homology", "chain", "cochain"])
+def test_one_walk_per_complex_whichever_query_comes_first(monkeypatch,
+                                                          first):
+    cx = make_torus(3)
+    calls = count_walks(monkeypatch)
+    delta_edge = {j: col[0] for j, col in enumerate(boundary_columns(cx, 2))
+                  if 0 in col}
+    queries = {
+        "homology": lambda ring: [homology(cx, k, ring)
+                                  for k in range(cx.dim + 1)],
+        "chain": lambda ring: [is_boundary(Chain(k, {0: 1}, ring), cx)
+                               for k in range(cx.dim + 1)],
+        "cochain": lambda ring: [obstruction_class(ObstructionCochain(
+            cx, k, GROUP_Z2 if ring == RING_MOD2 else GROUP_Z, values))
+            for k, values in ((1, {0: 1}), (2, {0: 1}), (2, delta_edge))],
+    }
+    for ring in (RING_INT, RING_MOD2, RING_REAL):
+        for name in sorted(queries, key=lambda name: name != first):
+            queries[name](ring)
+    assert calls == [id(cx)]
 
 
 def test_even_factors_other_than_two_vanish_over_the_fields():
     cx = matrix_complex([[4, 0, 0], [0, 6, 0], [0, 0, 3]])
-    assert sparse_invariant_factors(boundary_columns(cx, 1)) == [1, 6, 12]
+    assert kernel_factors(cx, 1) == [1, 6, 12]
     expected = {RING_INT: [(0, (6, 12)), (0, ())],
                 RING_MOD2: [(2, ()), (2, ())],
                 RING_REAL: [(0, ()), (0, ())]}
@@ -281,6 +348,78 @@ def test_image_membership_matches_dense_references(case):
     assert member(real, RING_REAL) == (not gains_rank(real, rational_rank))
 
 
+@st.composite
+def complex_membership_cases(draw):
+    """A complex, a degree k, chain (image of d_k) or cochain (image of
+    delta^{k-1}) side, and a vector: a boundary, a boundary plus a random
+    (co)cycle, or anything."""
+    source = draw(st.sampled_from(["rp2", "mobius", "lattice"]))
+    if source == "lattice":
+        cx = _build(draw(lattice_specs()))
+    else:
+        cx = make_rp2() if source == "rp2" else make_mobius()
+    assume(cx.dim >= 1)
+    k = draw(st.integers(1, cx.dim))
+    assume(cx.n_cells(k) and cx.n_cells(k - 1))
+    transpose = draw(st.booleans())
+    d = dense_boundary(cx, k)
+    assume(d.size <= ORACLE_MAX_ENTRIES)
+    A = (d.T if transpose else d).tolist()
+    # The map whose kernel holds the (co)cycles: d_{k-1}, or delta^k.
+    j = k + 1 if transpose else k - 1
+    if 1 <= j <= cx.dim:
+        d_next = dense_boundary(cx, j)
+        check = d_next if transpose else d_next.T
+        assume(check.size <= ORACLE_MAX_ENTRIES)
+        kernel = integer_kernel_oracle(check.T.tolist(), len(A))
+    else:
+        kernel = [[int(i == t) for i in range(len(A))] for t in range(len(A))]
+    kind = draw(st.sampled_from(["boundary", "plus cycle", "any"]))
+    coef = st.integers(-2, 2)
+    if kind == "any":
+        b = [draw(coef) for _ in A]
+    else:
+        x = [draw(coef) for _ in A[0]]
+        b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+        if kind == "plus cycle" and kernel:
+            for z in draw(st.lists(st.sampled_from(kernel), max_size=2)):
+                m = draw(st.integers(1, 2))
+                b = [u + m * v for u, v in zip(b, z)]
+    scale = draw(st.sampled_from([1, 0.5, 0.1, 1 / 3]))
+    return cx, k, transpose, A, b, scale
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(complex_membership_cases())
+def test_complex_membership_matches_slow_references(case):
+    cx, k, transpose, A, b, scale = case
+    assert_agrees(cx, k)  # rank and torsion of d_k, against every oracle
+    columns = columns_of(A, len(A[0]))
+
+    def member(vector, ring):
+        vec = {i: v for i, v in enumerate(vector) if v}
+        got = homology_mod._in_image(cx, k, vec, ring, transpose=transpose)
+        if not transpose and vec:
+            assert is_boundary(Chain(k - 1, vec, ring), cx) == got
+        return got
+
+    # Over Z the reference is the sparse unit-pivot reduction, with the
+    # vector appended; over Z/2 and R, the dense ranks.
+    with_b = sparse_invariant_factors([*columns, dict(enumerate(b))])
+    assert member(b, RING_INT) == (
+        with_b == sparse_invariant_factors(columns))
+    mod2 = [v % 2 for v in b]
+    assert member(mod2, RING_MOD2) == (
+        gf2_rank_oracle([row + [v] for row, v in zip(A, mod2)])
+        == gf2_rank_oracle(A))
+    real = [v * scale for v in b]
+    assert member(real, RING_REAL) == (
+        rational_rank([row + [v] for row, v in zip(A, real)])
+        == rational_rank(A))
+
+
 def test_rp2_torsion_loop_bounds_over_the_reals_only():
     rp2 = make_rp2()
     (order, gen), = homology_generators(rp2, 1)
@@ -321,8 +460,11 @@ def test_trivial_groups_skip_the_dense_smith_form(monkeypatch):
 def test_empty_and_zero_columns(ring):
     def over(columns):
         factors = sparse_invariant_factors(columns)
-        return homology_mod._over(ring, len(factors),
+        want = homology_mod._over(ring, len(factors),
                                   tuple(d for d in factors if d > 1))
+        got = homology_mod._reduction(columns_complex(columns, 1), 1, ring)
+        assert got == want
+        return got
 
     assert sparse_invariant_factors([]) == []
     assert sparse_invariant_factors([{}, {0: 0}]) == []
