@@ -65,14 +65,10 @@ SHAPE_CUBE = "cube"
 MAX_CELLS = 200_000
 
 
-def _normalize_coeff(ring: str, value):
-    if ring == RING_MOD2:
-        return int(value) % 2
-    if ring == RING_INT:
-        return int(value)
-    if ring == RING_REAL:
-        return float(value)
-    raise ValueError(f"unknown ring {ring!r}")
+# How a coefficient is read in each ring.  Text is refused first, since
+# int() and float() would read numeric strings and bytes.
+_READ = {RING_INT: int, RING_MOD2: lambda v: int(v) % 2, RING_REAL: float}
+_TEXT = (str, bytes, bytearray)
 
 
 class Chain:
@@ -88,8 +84,13 @@ class Chain:
         self.ring = ring
         data = {}
         if coeffs:
+            if any(issubclass(t, _TEXT)
+                   for t in set(map(type, coeffs.values()))):
+                bad = next(v for v in coeffs.values() if isinstance(v, _TEXT))
+                raise ValueError(f"coefficient {bad!r} is text, not a number")
+            read = _READ[ring]
             for cid, v in coeffs.items():
-                v = _normalize_coeff(ring, v)
+                v = read(v)
                 if v != 0:
                     data[int(cid)] = v
         self.coeffs = data
@@ -273,11 +274,6 @@ class CellLayer:
         flat, ptr = self.vertices.tolist(), self.vertex_ptr.tolist()
         return [flat[s:e] for s, e in zip(ptr, ptr[1:])]
 
-    def face_lists(self) -> tuple[list[int], list[int], list[int]]:
-        """Row offsets, face ids and coefficients as Python lists."""
-        return (self.face_ptr.tolist(), self.faces.tolist(),
-                self.coeffs.tolist())
-
     def summed_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row offsets, face ids and coefficients of the cells with each
         cell's repeated faces summed and zero sums dropped, faces ascending
@@ -326,8 +322,8 @@ class CellLayer:
                     SHAPE_NAMES[self.shapes[i]])
 
     def cells(self) -> tuple[Cell, ...]:
-        ptr, faces, coeffs = self.face_lists()
-        pairs = list(zip(faces, coeffs))
+        ptr = self.face_ptr.tolist()
+        pairs = list(zip(self.faces.tolist(), self.coeffs.tolist()))
         names = [SHAPE_NAMES[c] for c in self.shapes.tolist()]
         return tuple(
             Cell(tuple(vs), tuple(pairs[s:e]), name)
@@ -786,25 +782,27 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
 def boundary_of_cell(complex_: DeltaComplex, k: int, cell_id: int,
                      ring: str = RING_INT) -> Chain:
     """Signed face chain of one cell."""
-    if k < 0 or k > complex_.dim:
-        raise DimensionError(f"no cells of dimension {k}")
-    n = complex_.n_cells(k)
-    if not 0 <= operator.index(cell_id) < n:
-        raise IndexError(f"no {k}-cell {cell_id} among 0..{n - 1}")
-    return boundary_map(Chain(k, {cell_id: 1}, ring), complex_)
+    return boundary_map(Chain(k, {operator.index(cell_id): 1}, ring),
+                        complex_)
+
+
+def _support(chain: Chain, complex_: DeltaComplex) -> list[int]:
+    """The cell ids of a chain or cochain, refused outside its degree."""
+    cids, n = list(chain.coeffs), complex_.n_cells(chain.dim)
+    if cids and not (0 <= min(cids) and max(cids) < n):
+        raise IndexError(f"{type(chain).__name__.lower()} names a cell "
+                         f"outside 0..{n - 1}")
+    return cids
 
 
 def boundary_map(chain: Chain, complex_: DeltaComplex) -> Chain:
     """Boundary of a chain; 0-chains map to the empty (-1)-chain."""
+    if chain.dim and not 0 < chain.dim <= complex_.dim:
+        raise DimensionError(f"no cells of dimension {chain.dim}")
+    cids = _support(chain, complex_)
     if chain.dim == 0:
         return Chain(-1, {}, chain.ring)
-    if chain.dim < 0 or chain.dim > complex_.dim:
-        raise DimensionError(f"no cells of dimension {chain.dim}")
-    layer = complex_.layers[chain.dim]
-    cids = list(chain.coeffs)
-    if cids and not (0 <= min(cids) and max(cids) < len(layer)):
-        raise IndexError(f"chain names a cell outside 0..{len(layer) - 1}")
-    owner, faces, coeffs = layer.face_entries(cids)
+    owner, faces, coeffs = complex_.layers[chain.dim].face_entries(cids)
     scale = list(chain.coeffs.values())
     data: dict[int, object] = {}
     for o, fid, coeff in zip(owner.tolist(), faces.tolist(), coeffs.tolist()):
@@ -813,20 +811,21 @@ def boundary_map(chain: Chain, complex_: DeltaComplex) -> Chain:
 
 
 def coboundary_map(cochain: Cochain, complex_: DeltaComplex) -> Cochain:
-    """Adjoint of the boundary: (delta x)(cell) = <x, boundary(cell)>."""
-    target = cochain.dim + 1
+    """Adjoint of the boundary: (delta x)(cell) = <x, boundary(cell)>.
+
+    One ``np.isin`` over the face ids of the cells one degree up picks
+    the entries that name a cell of x; only those are summed, per cell in
+    row order starting from 0, and the cells come out ascending.
+    """
+    cids, target = _support(cochain, complex_), cochain.dim + 1
     data: dict[int, object] = {}
-    if 0 <= target <= complex_.dim:
-        ptr, faces, coeffs = complex_.layers[target].face_lists()
-        get = cochain.coeffs.get
-        for j, (s, e) in enumerate(zip(ptr, ptr[1:])):
-            total = 0
-            for fid, coeff in zip(faces[s:e], coeffs[s:e]):
-                v = get(fid)
-                if v is not None:
-                    total += coeff * v
-            if total != 0:
-                data[j] = total
+    if cids and target <= complex_.dim:
+        layer = complex_.layers[target]
+        hits = np.flatnonzero(np.isin(layer.faces, cids))
+        owner = np.searchsorted(layer.face_ptr, hits, side="right") - 1
+        for j, fid, coeff in zip(owner.tolist(), layer.faces[hits].tolist(),
+                                 layer.coeffs[hits].tolist()):
+            data[j] = data.get(j, 0) + coeff * cochain.coeffs[fid]
     return Cochain(target, data, cochain.ring)
 
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from .complexes import (
     Chain,
+    Cochain,
     DeltaComplex,
     RING_INT,
     RING_MOD2,
@@ -48,6 +49,7 @@ from .complexes import (
     RINGS,
     boundary_columns,
     boundary_map,
+    coboundary_map,
     row_offsets,
     spanning_forest,
 )
@@ -100,7 +102,9 @@ class _Coreduction:
     Cells carry global ids: degree k starts at ``offsets[k]``.  ``fptr``,
     ``fid`` and ``fco`` hold every cell's summed faces in compressed rows,
     ``cptr``, ``cid`` and ``cco`` its cofaces, each with the coefficient
-    of the cell in the coface's boundary.  Pair i joins ``lower[i]`` to
+    of the cell in the coface's boundary; these rows serve the pairing and
+    the flow only, and a membership query's (co)cycle test runs on
+    ``boundary_map`` and ``coboundary_map``.  Pair i joins ``lower[i]`` to
     ``upper[i]`` one degree up, with <d upper, lower> = ``coef[i]``, a
     unit; ``low_pair`` and ``up_pair`` give each cell's pair index as
     that member, -1 otherwise.  ``critical[k]`` lists the critical
@@ -355,8 +359,6 @@ def is_cycle(chain: Chain, complex_: DeltaComplex) -> bool:
     Real coefficients are taken at their exact binary value; there is no
     tolerance.
     """
-    if chain.dim == 0:
-        return True
     if chain.ring == RING_REAL:
         chain = Chain(chain.dim, _integral(chain.coeffs))
     return not boundary_map(chain, complex_).coeffs
@@ -379,31 +381,26 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
     so a chain lies in the image exactly when it is a cycle and its flow
     lies in the image of the Morse block d^M_k; a cochain, when it is a
     cocycle and its dual flow lies in the image of the transposed block.
-    The flowed vector is appended to the block and the invariant factors,
-    read over ``ring``, are compared with the block's own.  Over Z the
-    vector lies in the image exactly when rank and torsion are unchanged:
-    both lattices span the same saturation, so equal rank and an equal
-    product of invariant factors mean equal lattices.  Over Z/2 (a vector
-    enters as its 0/1 lift) and R the rank decides.  Real coefficients are
-    taken at their exact binary value and scaled to integers, which leaves
-    the rank over Q unchanged.
+    The (co)cycle test is one ``boundary_map`` or ``coboundary_map`` over
+    Z, or over Z/2 for a mod-2 vector.  The flowed vector is appended to
+    the block and the invariant factors, read over ``ring``, are compared
+    with the block's own.  Over Z the vector lies in the image exactly when
+    rank and torsion are unchanged: both lattices span the same
+    saturation, so equal rank and an equal product of invariant factors
+    mean equal lattices.  Over Z/2 (a vector enters as its 0/1 lift) and R
+    the rank decides.  Real coefficients are taken at their exact binary
+    value and scaled to integers, which leaves the rank over Q unchanged.
     """
     walk = _coreduction(complex_)
     if ring == RING_REAL:
         vector = _integral(vector)
-    degree = k if transpose else k - 1
-    offset = walk.offsets[degree]
-    x = {offset + int(i): int(v) for i, v in vector.items() if v}
-    # The (co)boundary of the vector, over Z; Z/2 reads it modulo 2.
-    ptr, ids, co = ((walk.cptr, walk.cid, walk.cco) if transpose
-                    else (walk.fptr, walk.fid, walk.fco))
-    image: dict[int, int] = {}
-    for g, v in x.items():
-        for j in range(ptr[g], ptr[g + 1]):
-            image[ids[j]] = image.get(ids[j], 0) + v * co[j]
-    modulus = 2 if ring == RING_MOD2 else 0
-    if any(v % modulus if modulus else v for v in image.values()):
+    cycle_ring = RING_MOD2 if ring == RING_MOD2 else RING_INT
+    chain = (Cochain(k, vector, cycle_ring) if transpose
+             else Chain(k - 1, vector, cycle_ring))
+    if (coboundary_map if transpose else boundary_map)(chain, complex_):
         return False
+    offset = walk.offsets[chain.dim]
+    x = {offset + i: v for i, v in chain.coeffs.items()}
     block = walk.blocks[k]
     if transpose:
         rows: list[dict] = [{} for _ in walk.critical[k - 1]]

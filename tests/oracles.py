@@ -795,6 +795,32 @@ def cocycle_oracle(group, values, face_rows):
     return True
 
 
+def coboundary_oracle(ring, values, layer):
+    """delta of a cochain {cell id: value} over ``ring`` ("integers",
+    "integers_mod_2" or "reals"), scanning every cell of ``layer`` (the
+    cells one degree up; it needs ``face_ptr``, ``faces`` and ``coeffs``).
+
+    Each cell sums coefficient times value over its face entries in row
+    order, starting from the integer 0; each sum is read in the ring
+    (ints, ints mod 2 or floats), and the nonzero readings are kept in
+    cell order.
+    """
+    ptr, faces, coeffs = (layer.face_ptr.tolist(), layer.faces.tolist(),
+                          layer.coeffs.tolist())
+    read = {"integers": int, "integers_mod_2": lambda v: int(v) % 2,
+            "reals": float}[ring]
+    out = {}
+    for j, (s, e) in enumerate(zip(ptr, ptr[1:])):
+        total = 0
+        for fid, coeff in zip(faces[s:e], coeffs[s:e]):
+            v = values.get(fid)
+            if v is not None:
+                total += coeff * v
+        if read(total) != 0:
+            out[j] = read(total)
+    return out
+
+
 def pairing_oracle(group, values, chain_coeffs):
     """Group-valued sum of value times coefficient over the chain's cells,
     in the chain's order; Z/2 sums are reduced mod 2."""

@@ -7,6 +7,7 @@ values, loops and signs, not values within a tolerance.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from crystaltopo.complexes import (
     Chain,
+    Cochain,
     DeltaComplex,
     RING_INT,
     RING_MOD2,
     RING_REAL,
     boundary_map,
     boundary_of_cell,
+    coboundary_map,
     spanning_forest,
 )
 from crystaltopo.errors import (
@@ -28,8 +31,8 @@ from crystaltopo.errors import (
     DefectLocusError,
     DimensionError,
 )
-from crystaltopo.homology import orientability, vertex_components
-from crystaltopo.lattice import build_lattice_complex
+from crystaltopo.homology import is_cycle, orientability, vertex_components
+from crystaltopo.lattice import LatticeSpec, build_lattice_complex
 from crystaltopo.network import (
     KIRCHHOFF_TOL,
     check_current_law,
@@ -51,6 +54,7 @@ from crystaltopo.orderfield import (
 from conftest import dense_boundary, lattice_specs
 from oracles import (
     coboundary_class_oracle,
+    coboundary_oracle,
     cocycle_oracle,
     components_oracle,
     current_residuals_oracle,
@@ -312,6 +316,72 @@ def test_fundamental_chains_match_the_reference_dfs(spec):
 
 
 # ---------------------------------------------------------------------------
+# coboundary
+# ---------------------------------------------------------------------------
+
+def assert_coboundary_matches(cx, k, ring, values):
+    """delta of the k-cochain agrees with the cell-by-cell scan in cells,
+    values, value types and order; real values bit for bit."""
+    x = Cochain(k, values, ring)
+    got = coboundary_map(x, cx)
+    want = (coboundary_oracle(ring, x.coeffs, cx.layers[k + 1])
+            if k < cx.dim else {})
+
+    def entries(coeffs):
+        return [(j, type(v), v.hex() if isinstance(v, float) else v)
+                for j, v in coeffs.items()]
+
+    assert (got.dim, got.ring) == (k + 1, ring)
+    assert entries(got.coeffs) == entries(want)
+
+
+RING_VALUES = {RING_INT: st.integers(-3, 3), RING_MOD2: st.integers(-3, 3),
+               RING_REAL: st.floats(-1e3, 1e3)}
+
+
+@SETTINGS
+@given(lattice_specs(), st.sampled_from(sorted(RING_VALUES)), st.data())
+def test_coboundary_matches_the_cellwise_scan(spec, ring, data):
+    cx = build(spec)
+    if cx is None:
+        return
+    k = data.draw(st.integers(0, cx.dim))
+    n = cx.n_cells(k)
+    cells = range(n) if data.draw(st.booleans()) or not n else data.draw(
+        st.lists(st.integers(0, n - 1), max_size=8, unique=True))
+    values = {c: data.draw(RING_VALUES[ring]) for c in cells}
+    assert_coboundary_matches(cx, k, ring, values)
+
+
+@pytest.mark.parametrize("scheme,box,boundary,axes,repeats", [
+    # a period-1 axis glues a cell's lower and upper face into one
+    ("triangular", ((0, 1), (0, 2)), "periodic", (1,), True),
+    ("cubic", ((0, 1), (0, 2), (0, 2)), "periodic", (1,), True),
+    # collapsing the rim makes some edges list one vertex twice
+    ("triangular", ((0, 3), (0, 2)), "constant", (), True),
+    # period 2: distinct edges share their vertex pair
+    ("cubic", ((0, 2), (0, 2), (0, 2)), "periodic", (1, 2, 3), False),
+])
+def test_coboundary_sums_repeated_faces_like_the_scan(scheme, box, boundary,
+                                                      axes, repeats):
+    m = len(box)
+    eye = tuple(tuple(float(i == j) for j in range(m)) for i in range(m))
+    cx, _ = build_lattice_complex(LatticeSpec(
+        m, m, eye, box, scheme, boundary=boundary, periodic_axes=axes))
+    assert repeats == any(len({f for f, _ in c.faces}) < len(c.faces)
+                          for layer in cx.cells for c in layer)
+    rng = random.Random(19)
+    for k in range(cx.dim + 1):
+        cells = range(cx.n_cells(k))
+        for ring in RING_VALUES:
+            assert_coboundary_matches(cx, k, ring, {
+                c: rng.uniform(-10, 10) if ring == RING_REAL
+                else rng.randint(-3, 3) for c in cells})
+            one = {rng.randrange(len(cells)): 0.1 if ring == RING_REAL else 1}
+            assert_coboundary_matches(cx, k, ring, one)
+
+
+# ---------------------------------------------------------------------------
 # boundary of one cell
 # ---------------------------------------------------------------------------
 
@@ -334,6 +404,23 @@ def test_boundary_of_cell_refuses_ids_outside_the_degree(disc):
     for k in (-1, disc.dim + 1):
         with pytest.raises(DimensionError, match="no cells of dimension"):
             boundary_of_cell(disc, k, 0)
+
+
+def test_chain_operators_refuse_ids_outside_the_degree(circle):
+    # Every degree is range-checked before any early answer: a 0-chain's
+    # boundary is empty and the top degree's coboundary is zero, but an id
+    # outside the degree still names no cell.
+    for bad in (99, 3, -1):
+        with pytest.raises(IndexError):
+            boundary_map(Chain(0, {bad: 1}), circle)
+        with pytest.raises(IndexError):
+            is_cycle(Chain(0, {bad: 1}), circle)
+        for k in (0, 1):
+            with pytest.raises(IndexError):
+                coboundary_map(Cochain(k, {bad: 1}), circle)
+    assert not boundary_map(Chain(0, {2: 1}), circle)
+    assert is_cycle(Chain(0, {2: 1}), circle)
+    assert not coboundary_map(Cochain(1, {2: 1}), circle)
 
 
 def test_from_simplices_refusals_are_kept():

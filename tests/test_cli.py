@@ -596,6 +596,20 @@ SAMPLE_REPORT_SHA256 = {
         "9f96cea12af995d87b89b50fb689aef99c9b3c20b3a02b46ae0d3faab12fd583",
     ("torus", "generators"):
         "592887b8eccf58af4de1e45739d38ecac80c1cec1591c66788609331b3a07e48",
+    ("vortex_line", "build"):
+        "01c4a4f9400fa2b7450c5569d5fc84d4299e6268cd7ee8d2265c5cbeea89d13b",
+    ("vortex_line", "dump"):
+        "aaec2e771384d9f286afff30264ea965b96ad8e34f0c6de971184b8041ee1ce8",
+    ("vortex_line", "z"):
+        "5547eb75ef8abce51cb3475fecc4ba887bfa5e0a66541a03b6195629c07ae773",
+    ("vortex_line", "z2"):
+        "6a75d7dd961c0fcde25bfe49a7c354dfa0fac99b3029dc9425d70469ab272f90",
+    ("vortex_line", "r"):
+        "7dba29e06ceb3591693980dd28121bae887b5984b4c06cf31452e1d46ee18ba7",
+    ("vortex_line", "generators"):
+        "0c1744b4416f037278b40c1d343203dc3e535280c22af13e8e9277fca264cf2f",
+    ("vortex_line", "obstruct"):
+        "e7d3a8045005fe2cd55e956484864f333a7abf8cd3a95e8bbba1d970e55a681d",
 }
 
 
@@ -714,6 +728,20 @@ SAMPLE_TEXT_SHA256 = {
         "a3cd727dcd18dc82a571298bde82190ca11b43451e4aa76ac81a57db27368da5",
     ("torus", "z2"):
         "c0ab8a05762cc0f5f46749cad4d442a9f70b709c87b7d9aac4c4e228435c684e",
+    ("vortex_line", "build"):
+        "b9d378ddae235863d296efe330c364290892bd7f9dd01b6ae51895433c867108",
+    ("vortex_line", "dump"):
+        "c9e9b6b63296a8e385a864f7689c9827c470a5034a29d018de3242a5ed400e24",
+    ("vortex_line", "generators"):
+        "8cbf2519e7c42886edbc8f1cb8bbd1da446348e31c05fdd5b5d6cc86231f394b",
+    ("vortex_line", "obstruct"):
+        "9ec89b7c4fd3d444fd72f71608d663aad17cd685f4c74750c7320d6f857c8556",
+    ("vortex_line", "r"):
+        "569861602765d255eb9445dfeaa185d1844246aba1cb72ad427e798be1f11eb2",
+    ("vortex_line", "z"):
+        "208c142b322249fecb3fff46a1b36dbd647804d5d6f33024228ba741dea9928a",
+    ("vortex_line", "z2"):
+        "e6b4f70add03807e157483cecbaf5aca4fe55a5fae37f94085cd492dfa8a5dd7",
 }
 
 

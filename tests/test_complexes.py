@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from crystaltopo import (
     RING_INT,
     RING_MOD2,
+    RING_REAL,
     Cell,
     Chain,
+    Cochain,
     ComplexBuildError,
     DeltaComplex,
     LatticeSpec,
@@ -54,6 +56,15 @@ def test_chain_addition_drops_zeros():
 def test_chain_mod2_normalization():
     c = Chain(1, {0: 3, 1: 2}, ring=RING_MOD2)
     assert dict(c.coeffs) == {0: 1}
+
+
+@pytest.mark.parametrize("value", ["1.5", "2", b"2", bytearray(b"2")])
+@pytest.mark.parametrize("ring", [RING_INT, RING_MOD2, RING_REAL])
+def test_chain_refuses_text_coefficients(ring, value):
+    # int() and float() would read numeric text as a number
+    for kind in (Chain, Cochain):
+        with pytest.raises(ValueError, match="is text, not a number"):
+            kind(1, {0: 1, 1: value}, ring)
 
 
 def test_chain_scaling_and_equality():

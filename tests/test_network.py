@@ -119,13 +119,16 @@ def test_edge_data_is_checked_on_a_complex_without_edges(check):
     ({0: 1.0, 1: True}, "True"), ({0: 1.0, 1: np.bool_(False)}, "False"),
     (Chain(1, {0: 1.0, 1: math.nan}, "reals"), "nan"),
     ({0: 1.5, 1: "1.5", 2: -1.5}, "1.5"), ({0: 2.0, 1: "2"}, "2"),
-    ({0: 1.0, 1: b"2"}, "b'2'"), ({0: 1.0, 1: None}, "None")])
+    ({0: 1.0, 1: b"2"}, "b'2'"), ({0: 1.0, 1: None}, "None"),
+    # built inside the check: a Chain refuses text before any check runs
+    (lambda: Chain(1, {0: "1.5", 1: "1.5", 2: "-1.5"}, "reals"), None)])
 def test_edge_values_must_be_finite_numbers(circle, check, values, shown):
     # NaN passes every tolerance test; a boolean, a numeric string or
     # bytes is no edge value
-    with pytest.raises(ValueError,
-                       match=f"edge 1: value {shown} is not a finite number"):
-        check(circle, values)
+    reason = (f"edge 1: value {shown} is not a finite number" if shown
+              else "coefficient '1.5' is text, not a number")
+    with pytest.raises(ValueError, match=reason):
+        check(circle, values() if callable(values) else values)
 
 
 # ---------------------------------------------------------------------------
