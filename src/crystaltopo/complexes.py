@@ -815,8 +815,11 @@ def coboundary_map(cochain: Cochain, complex_: DeltaComplex) -> Cochain:
 
     One ``np.isin`` over the face ids of the cells one degree up picks
     the entries that name a cell of x; only those are summed, per cell in
-    row order starting from 0, and the cells come out ascending.
+    row order starting from 0, and the cells come out ascending.  A
+    top-degree cochain maps to the empty (dim + 1)-cochain.
     """
+    if not 0 <= cochain.dim <= complex_.dim:
+        raise DimensionError(f"no cells of dimension {cochain.dim}")
     cids, target = _support(cochain, complex_), cochain.dim + 1
     data: dict[int, object] = {}
     if cids and target <= complex_.dim:

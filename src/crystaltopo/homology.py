@@ -12,7 +12,7 @@ d^M_k takes the boundary of each critical k-cell along the flow, which
 replaces the lower member of the latest pair left by the boundary of its
 partner, and keeps the critical part.  rank d_k counts the (k-1, k)
 pairs plus the rank of d^M_k; the torsion is that of d^M_k, from one
-dense Smith form of the small block.  By universal coefficients the
+Smith form of the small block.  By universal coefficients the
 invariant factors decide every ring: over R the rank counts the nonzero
 factors, over Z/2 the odd ones, and fields carry no torsion.  A chain
 bounds when it is a cycle and its flow lies in the image of d^M_k; a
@@ -22,10 +22,10 @@ partners, lies in the image of the transposed block.  A query flows only
 its vector.
 
 Generators of a nonzero group read the sparse columns of the complex:
-one tracked Smith reduction of the dense rows of d_k gives the cycle
-basis and, through V^-1, the cycle coordinates Y of the columns of
-d_{k+1}; each generator is the cycle basis times one column of U_Y^-1
-from the Smith form of Y.
+one tracked sparse Smith reduction of d_k gives the cycle basis and,
+through V^-1, the cycle coordinates Y of the columns of d_{k+1}; each
+generator is a sparse combination of cycle basis vectors, with the
+entries of one column of U_Y^-1 from the Smith form of Y.
 """
 
 from __future__ import annotations
@@ -47,19 +47,15 @@ from .complexes import (
     RING_MOD2,
     RING_REAL,
     RINGS,
+    _support,
     boundary_columns,
     boundary_map,
     coboundary_map,
     row_offsets,
     spanning_forest,
 )
-from .errors import DimensionError, InternalInconsistencyError
-from .snf import (
-    dense_rows,
-    identity,
-    invariant_factors,
-    smith_normal_form,
-)
+from .errors import InternalInconsistencyError
+from .snf import SmithDecomposition, add_multiple, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -364,14 +360,6 @@ def is_cycle(chain: Chain, complex_: DeltaComplex) -> bool:
     return not boundary_map(chain, complex_).coeffs
 
 
-def _check_ids(complex_: DeltaComplex, k: int, ids) -> None:
-    """Refuse ids outside the k-cells; every caller of ``_in_image`` runs
-    this once, before any early answer."""
-    n = complex_.n_cells(k)
-    if any(not 0 <= i < n for i in ids):
-        raise DimensionError(f"vector index out of range for {n} cells")
-
-
 def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
               ring: str, transpose: bool = False) -> bool:
     """Whether ``vector`` lies in the image of d_k over ``ring``.
@@ -423,7 +411,7 @@ def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
     tolerance.
     """
     k = chain.dim
-    _check_ids(complex_, k, chain.coeffs)
+    _support(chain, complex_)
     if not chain.coeffs:
         return True
     if k >= complex_.dim or complex_.n_cells(k + 1) == 0:
@@ -444,50 +432,54 @@ def homology_generators(complex_: DeltaComplex,
     """Integer homology generators as (order, chain) pairs.
 
     Order 0 marks a free generator; d >= 2 a torsion generator of order d.
-    One tracked Smith form d_k V = U^-1 D of the dense rows of d_k gives the
-    cycle basis V[:, r:] and, since V is unimodular, the unique
-    coordinates V^-1 c of every cycle c in it; when d_k is the zero map
-    (k = 0, or no (k-1)-cells) the basis is the standard one.  The
-    coordinates Y of the columns of d_{k+1} get the Smith form
-    Y V_Y = U_Y^-1 D_Y, and each generator is the cycle basis times one
-    column of U_Y^-1, so it carries one invariant factor.
+    One tracked Smith form d_k V = U^-1 D of the sparse columns of d_k
+    gives the cycle basis, the columns of V past the rank r, and, since V
+    is unimodular, the unique coordinates V^-1 c of every cycle c in it;
+    when d_k is the zero map (k = 0, or no (k-1)-cells) the basis is the
+    standard one and stays implicit.  The coordinates Y of the columns of
+    d_{k+1} get the Smith form Y V_Y = U_Y^-1 D_Y, and each generator is
+    the cycle basis times one column of U_Y^-1, so it carries one
+    invariant factor.
     """
     group = homology(complex_, k)
     if not group.betti and not group.torsion:
         return []  # one entry per free or torsion summand: none
 
-    if complex_.n_cells(k - 1) == 0:
-        r = 0
-        kernel = vinv = identity(complex_.n_cells(k))
-    else:
-        dec = smith_normal_form(dense_rows(boundary_columns(complex_, k),
-                                           range(complex_.n_cells(k - 1))))
-        r = dec.rank
-        kernel = [row[r:] for row in dec.V]
-        vinv = dec.vinv
-    z = complex_.n_cells(k) - r
-
-    # Cycle coordinates of the columns of d_{k+1}: one sparse dot per row
-    # of V^-1.  Each column is a cycle, so its head coordinates vanish.
-    columns = [list(col.items()) for col in (
-        boundary_columns(complex_, k + 1) if k < complex_.dim else ())]
-    coords = [[sum(row[i] * v for i, v in col) for col in columns]
-              for row in vinv]
-    if any(any(row) for row in coords[:r]):
+    n = complex_.n_cells(k)
+    columns = boundary_columns(complex_, k + 1) if k < complex_.dim else []
+    r, basis, coords = 0, lambda q: {q: 1}, columns
+    if complex_.n_cells(k - 1):
+        dec = SmithDecomposition(boundary_columns(complex_, k),
+                                 complex_.n_cells(k - 1), track_u=False)
+        r, basis = dec.rank, dec.v_column
+        # The columns of V^-1, so that each column of d_{k+1} maps to its
+        # cycle coordinates as one sparse combination of them.
+        vinv: list[dict[int, int]] = [{} for _ in range(n)]
+        for q in range(n):
+            for i, v in dec.vinv_row(q).items():
+                vinv[i][q] = v
+        coords = []
+        for col in columns:
+            coords.append({})
+            for i, v in col.items():
+                add_multiple(coords[-1], vinv[i], v)
+    # Each column is a cycle, so its head coordinates vanish.
+    if any(q < r for y in coords for q in y):
         raise InternalInconsistencyError(
             "boundary column is not an integral cycle combination")
-    dec_y = smith_normal_form(coords[r:])
-    orders, uinv = dec_y.diagonal, dec_y.uinv
+    dec_y = SmithDecomposition([{q - r: v for q, v in y.items()}
+                                for y in coords], n - r, track_v=False)
+    orders = dec_y.diagonal
 
     out: list[tuple[int, Chain]] = []
-    for j in range(z):
+    for j in range(n - r):
         order = orders[j] if j < len(orders) else 0
         if order == 1:
             continue
-        column = [row[j] for row in uinv]
-        chain = Chain(k, {i: sum(a * b for a, b in zip(row, column))
-                          for i, row in enumerate(kernel)}, RING_INT)
-        out.append((order, chain))
+        chain: dict[int, int] = {}
+        for i, u in dec_y.uinv_column(j).items():
+            add_multiple(chain, basis(r + i), u)
+        out.append((order, Chain(k, dict(sorted(chain.items())), RING_INT)))
     # Free generators last, torsion first, matching invariant-factor order.
     out.sort(key=lambda t: (t[0] == 0, t[0]))
     return out

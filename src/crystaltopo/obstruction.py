@@ -25,6 +25,7 @@ from .complexes import (
     DeltaComplex,
     RING_INT,
     RING_MOD2,
+    _support,
     coboundary_map,
 )
 from .errors import (
@@ -32,7 +33,6 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .homology import (
-    _check_ids,
     _in_image,
     euler_characteristic,
     homology_generators,
@@ -132,7 +132,7 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
     """
     cx = cochain.complex_
     k = cochain.k
-    _check_ids(cx, k, cochain.values)
+    _support(Cochain(k, dict.fromkeys(cochain.values, 1)), cx)
     group = cochain.group
     if group.name == "set":
         return "not_applicable"

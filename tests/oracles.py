@@ -153,6 +153,87 @@ def _snf_recurse(a):
     return diag
 
 
+def tracked_smith_oracle(matrix):
+    """(D, V, uinv, vinv) with matrix @ V == uinv @ D, by the dense
+    reduction the package's sparse reducer replays step for step.
+
+    The pivot is the first smallest nonzero |entry| of the working block
+    in row-major order, stopping at the first unit; Euclidean sweeps clear
+    the pivot's column and row; a pivot that does not divide the tail
+    block gets the first offending row added to its own.  Rows and
+    columns are swapped physically, and V, its inverse and the inverse of
+    the row transform are full lists of lists updated with every step.
+    """
+    A = [[int(x) for x in row] for row in matrix]
+    m, n = len(A), len(A[0]) if A else 0
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+    uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    # A row operation E (A -> E A) takes uinv to uinv E^-1, a column
+    # operation F (A -> A F) takes V to V F and vinv to F^-1 vinv.
+    def swap(s, i, j):
+        A[s], A[i] = A[i], A[s]
+        for row in uinv:
+            row[s], row[i] = row[i], row[s]
+        for row in A + V:
+            row[s], row[j] = row[j], row[s]
+        vinv[s], vinv[j] = vinv[j], vinv[s]
+
+    def add_row(dst, src, k):
+        A[dst] = [a + k * b for a, b in zip(A[dst], A[src])]
+        for row in uinv:
+            row[src] -= k * row[dst]
+
+    def add_col(dst, src, k):
+        for row in A + V:
+            row[dst] += k * row[src]
+        vinv[src] = [a - k * b for a, b in zip(vinv[src], vinv[dst])]
+
+    def pivot_position(s):
+        best = None
+        for i in range(s, m):
+            for j in range(s, n):
+                if A[i][j] and (best is None
+                                or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+                    if abs(A[i][j]) == 1:
+                        return best
+        return best
+
+    s = 0
+    while s < min(m, n):
+        best = pivot_position(s)
+        if best is None:
+            break
+        swap(s, *best)
+        while True:
+            dirty = False
+            for i in range(s + 1, m):
+                if A[i][s]:
+                    add_row(i, s, -(A[i][s] // A[s][s]))
+                    dirty = dirty or A[i][s] != 0
+            for j in range(s + 1, n):
+                if A[s][j]:
+                    add_col(j, s, -(A[s][j] // A[s][s]))
+                    dirty = dirty or A[s][j] != 0
+            if not dirty:
+                break
+            swap(s, *pivot_position(s))
+        pivot = A[s][s]
+        offender = next((i for i in range(s + 1, m)
+                         if any(v % pivot for v in A[i][s + 1:])), None)
+        if offender is not None:
+            add_row(s, offender, 1)
+            continue
+        if pivot < 0:
+            A[s] = [-a for a in A[s]]
+            for row in uinv:
+                row[s] = -row[s]
+        s += 1
+    return A, V, uinv, vinv
+
+
 def matmul_oracle(a, b):
     """Exact product of two integer matrices given as nested lists."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]

@@ -31,7 +31,12 @@ from crystaltopo.errors import (
     DefectLocusError,
     DimensionError,
 )
-from crystaltopo.homology import is_cycle, orientability, vertex_components
+from crystaltopo.homology import (
+    is_boundary,
+    is_cycle,
+    orientability,
+    vertex_components,
+)
 from crystaltopo.lattice import LatticeSpec, build_lattice_complex
 from crystaltopo.network import (
     KIRCHHOFF_TOL,
@@ -421,6 +426,31 @@ def test_chain_operators_refuse_ids_outside_the_degree(circle):
     assert not boundary_map(Chain(0, {2: 1}), circle)
     assert is_cycle(Chain(0, {2: 1}), circle)
     assert not coboundary_map(Cochain(1, {2: 1}), circle)
+
+
+def test_coboundary_refuses_degrees_outside_the_complex(circle):
+    # As boundary_map does; the top degree still maps to the empty
+    # (dim + 1)-cochain, which the cocycle check reads.
+    for k in (-1, 2, 7):
+        with pytest.raises(DimensionError, match="no cells of dimension"):
+            coboundary_map(Cochain(k, {}), circle)
+    assert coboundary_map(Cochain(1, {}), circle) == Cochain(2, {})
+    assert verify_cocycle(ObstructionCochain(circle, 1, GROUP_Z, {0: 1}))
+
+
+def test_membership_refuses_bad_ids_like_the_operators(circle):
+    # The boundary and class tests share the operators' range check, so
+    # the same bad id raises the same exception everywhere.
+    for bad in (99, 3, -1):
+        for k in (0, 1):
+            for test in (is_cycle, is_boundary):
+                with pytest.raises(IndexError, match="outside 0..2"):
+                    test(Chain(k, {bad: 1}), circle)
+            with pytest.raises(IndexError, match="outside 0..2"):
+                coboundary_map(Cochain(k, {bad: 1}), circle)
+            with pytest.raises(IndexError, match="outside 0..2"):
+                obstruction_class(
+                    ObstructionCochain(circle, k, GROUP_Z, {bad: 1}))
 
 
 def test_from_simplices_refusals_are_kept():

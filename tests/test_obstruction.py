@@ -7,7 +7,6 @@ import pytest
 from crystaltopo import (
     Chain,
     CoefficientGroup,
-    DimensionError,
     ObstructionCochain,
     OrderField,
     UnsupportedConfigurationError,
@@ -198,7 +197,7 @@ def test_single_unit_value_is_a_nontrivial_class(sphere):
 def test_class_ids_are_range_checked_before_an_early_answer(disc):
     # a 0-cochain has no (k-1)-cells to solve from; its ids still count
     c = ObstructionCochain(disc, 0, GROUP_Z, {999: 1}, "circle")
-    with pytest.raises(DimensionError, match="out of range"):
+    with pytest.raises(IndexError, match="names a cell outside"):
         obstruction_class(c)
 
 

@@ -2,14 +2,27 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from crystaltopo import smith_normal_form
+from crystaltopo import build_lattice_complex, smith_normal_form
+from crystaltopo.errors import ComplexBuildError
+from crystaltopo.snf import invariant_factors
 
+from conftest import (
+    dense_boundary,
+    lattice_specs,
+    make_mobius,
+    make_rp2,
+    make_sphere,
+    make_torus,
+)
 from oracles import (
     det_oracle,
     determinantal_divisors,
     matmul_oracle,
     snf_diagonal_oracle,
+    tracked_smith_oracle,
 )
 
 
@@ -114,3 +127,75 @@ def test_integral_rows_of_any_sequence_type_are_read():
                    ((2, 4), (6, 8)), [np.array([2, 4]), np.array([6, 8])],
                    [[2.0, 4], [6, 8.0]]):
         assert smith_normal_form(matrix).diagonal == want
+
+
+# ---------------------------------------------------------------------------
+# The sparse replay against the dense reducer it replays
+# ---------------------------------------------------------------------------
+
+def assert_replays(matrix):
+    """D, V, U^-1 and V^-1 equal the dense reducer's entry for entry; the
+    sparse columns of V and the untracked factors agree with them."""
+    dec = smith_normal_form(matrix)
+    D, V, uinv, vinv = tracked_smith_oracle(matrix)
+    assert (dec.D, dec.V, dec.uinv, dec.vinv) == (D, V, uinv, vinv)
+    n = len(V)
+    assert [dec.v_column(q) for q in range(n)] == [
+        {i: row[q] for i, row in enumerate(V) if row[q]} for q in range(n)]
+    columns = [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+               for j in range(n)]
+    assert invariant_factors(columns) == [d for d in dec.diagonal if d]
+
+
+@st.composite
+def replay_matrices(draw):
+    """Shapes 0-9 by 0-9, 1 x n and m x 1 among them, with some zero rows
+    and columns."""
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(0, 9))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, -6])
+    matrix = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=2)
+                    if rows else st.just([])):
+        matrix[row] = [0] * cols
+    for col in draw(st.lists(st.integers(0, cols - 1), max_size=2)
+                    if cols else st.just([])):
+        for row in matrix:
+            row[col] = 0
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(replay_matrices())
+def test_sparse_replay_matches_the_dense_reducer(matrix):
+    assert_replays(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    [], [[]], [[], []], [[0]], [[-2]], [[0, 0, 0]], [[3], [0], [-6]],
+    [[2, 4, -6]], [[4], [-6]], [[2, 0], [0, 3]]])
+def test_sparse_replay_matches_the_dense_reducer_on_edge_shapes(matrix):
+    assert_replays(matrix)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(lattice_specs())
+def test_sparse_replay_matches_the_dense_reducer_on_lattice_boundaries(spec):
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except ComplexBuildError:
+        assume(False)  # every site removed, or a vacancy hit its own orbit
+    for k in range(1, cx.dim + 1):
+        assert_replays(dense_boundary(cx, k).tolist())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_torus(5), lambda: make_torus(4, "cubic"), make_rp2,
+    make_mobius, make_sphere], ids=[
+    "triangular-torus-5", "cubic-torus-4", "rp2", "mobius", "pinched-sphere"])
+def test_sparse_replay_matches_the_dense_reducer_on_larger_boundaries(make):
+    cx = make()
+    for k in range(1, cx.dim + 1):
+        assert_replays(dense_boundary(cx, k).tolist())

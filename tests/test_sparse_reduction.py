@@ -190,16 +190,17 @@ def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
 
 def test_leftover_block_gives_lcm_factor(monkeypatch):
     blocks = []
+    reducer = snf_mod.SmithDecomposition
 
-    def spy(matrix):
-        blocks.append([list(row) for row in matrix])
-        return smith_normal_form(matrix)
+    def spy(columns, n_rows, **tracks):
+        blocks.append(([dict(col) for col in columns], n_rows))
+        return reducer(columns, n_rows, **tracks)
 
-    monkeypatch.setattr(snf_mod, "smith_normal_form", spy)
+    monkeypatch.setattr(snf_mod, "SmithDecomposition", spy)
     cx = matrix_complex([[2, 0], [0, 3]])
     # No unit entry: both vertices and both edges are critical.
     assert kernel_factors(cx, 1) == [1, 6]
-    assert blocks == [[[2, 0], [0, 3]]]
+    assert blocks == [([{0: 2}, {1: 3}], 2)]
     assert homology(cx, 0).torsion == (6,)
 
 
@@ -229,7 +230,8 @@ def test_cancelling_faces_are_dropped():
 
 def count_walks(monkeypatch):
     """Patch the coreduction walk to record the id of each complex it
-    walks, and forbid every dense copy of a boundary matrix."""
+    walks, and forbid the tracked Smith form of a boundary matrix and
+    every dense matrix input."""
     calls = []
     walk = homology_mod._Coreduction
 
@@ -237,12 +239,13 @@ def count_walks(monkeypatch):
         calls.append(id(cx))
         return walk(cx)
 
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense matrix built for a rank or membership")
+    def no_tracked(*args, **kwargs):
+        raise AssertionError("boundary matrix reduced for a rank or "
+                             "membership")
 
     monkeypatch.setattr(homology_mod, "_Coreduction", counting)
-    monkeypatch.setattr(homology_mod, "dense_rows", no_dense)
-    monkeypatch.setattr(homology_mod, "smith_normal_form", no_dense)
+    monkeypatch.setattr(homology_mod, "SmithDecomposition", no_tracked)
+    monkeypatch.setattr(snf_mod, "smith_normal_form", no_tracked)
     return calls
 
 
@@ -435,16 +438,16 @@ def test_rp2_torsion_loop_bounds_over_the_reals_only():
 def test_trivial_groups_skip_the_dense_smith_form(monkeypatch):
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return snf_mod.smith_normal_form(matrix)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return snf_mod.SmithDecomposition(*args, **kwargs)
 
-    monkeypatch.setattr(homology_mod, "smith_normal_form", counting)
+    monkeypatch.setattr(homology_mod, "SmithDecomposition", counting)
     ball = DeltaComplex.from_simplices([("A", "B", "C", "D")])
     assert homology_generators(ball, 3) == []
     assert homology_generators(make_disc(), 2) == []
     assert calls == []
-    # The spy does see the dense path when the group is nonzero: one
+    # The spy does see the tracked path when the group is nonzero: one
     # tracked reduction of d_k and one Smith form of the cycle
     # coordinates, at most two per nonzero group.
     assert len(homology_generators(make_circle(), 1)) == 1
