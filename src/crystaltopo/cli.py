@@ -46,7 +46,7 @@ from .lattice import (
     LatticeSpec,
     build_lattice_complex,
 )
-from .network import check_current_law, potential_check
+from .network import _current_law, _potentials
 from .obstruction import extend_field, index_sum_check
 from .orderfield import OrderField, make_space
 
@@ -268,13 +268,13 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
         raise _fail(f"field: {exc}") from None
 
 
-def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
-    """{edge id: its entries' signed values summed in order}, resolved as
-    one batch; entries the batch cannot resolve are read one at a time in
-    document order, so a refusal names the first bad entry."""
+def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> tuple:
+    """Edge ids, once each in first-entry order, and their entries' signed
+    values summed in entry order, resolved as one batch; entries it cannot
+    resolve are read one by one in order, so a refusal names the first."""
     body = doc.get(key)
     if body is None or body == []:
-        return {}
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     if not isinstance(body, list):
         raise _fail(f"{key} must be a list of [edge, value] pairs")
     edges, values = zip(*[e if type(e) is list and len(e) == 2
@@ -294,29 +294,25 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> dict[int, float]:
     except TypeError:  # objects and nested lists: entry by entry
         ends = [-1] * (2 * len(pairs))
     ids[pairs], signs[pairs] = cx.find_edges(np.reshape(ends, (-1, 2)))
-    cids, signed = ids.tolist(), (signs * number).tolist()
+    signed = signs * number
     for i in np.flatnonzero((ids < 0) | ~np.isfinite(number)).tolist():
         entry, where = body[i], f"{key}[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise _fail(f"{where}: expected [edge, value]")
         edge, value = entry[0], _number(entry[1], float, key, i)
         if isinstance(edge, int) and not isinstance(edge, bool):
-            if not 0 <= edge < n_edges:
-                raise _fail(f"{where}: edge id {edge} out of range")
-            cid, sign = edge, 1
-        elif isinstance(edge, list) and len(edge) == 2:
-            label = _as_label(edge, key, i)
-            try:
-                cid, sign = cx.find_cell(1, label)
-            except CrystalTopoError as exc:
-                raise _fail(f"{where}: {exc}") from None
-        else:
+            raise _fail(f"{where}: edge id {edge} out of range")
+        if not (isinstance(edge, list) and len(edge) == 2):
             raise _fail(f"{where}: edge must be an id or a vertex pair")
-        cids[i], signed[i] = cid, sign * value
-    out: dict[int, float] = {}
-    for cid, value in zip(cids, signed):
-        out[cid] = out.get(cid, 0.0) + value
-    return out
+        label = _as_label(edge, key, i)
+        try:
+            ids[i], sign = cx.find_cell(1, label)
+        except CrystalTopoError as exc:
+            raise _fail(f"{where}: {exc}") from None
+        signed[i] = sign * value
+    edge_ids, first = np.unique(ids, return_index=True)
+    edge_ids = edge_ids[np.argsort(first)]
+    return edge_ids, np.bincount(ids, signed)[edge_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +526,14 @@ def cmd_network(args, doc, cx, build_report) -> dict:
     drops = _edge_data(doc, "drops", cx)
     if "currents" not in doc and "drops" not in doc:
         raise _fail("network needs 'currents' or 'drops' in the document")
-    try:  # one edge's entries may sum past the float range
-        cl = check_current_law(cx, currents) if "currents" in doc else None
-        pc = potential_check(cx, drops) if "drops" in doc else None
-    except ValueError as exc:
-        raise _fail(f"edge data: {exc}") from None
+    for ids, sums in (currents, drops):
+        bad = ~np.isfinite(sums)  # entries may sum past the float range
+        if bad.any():
+            i = int(bad.argmax())
+            raise _fail(f"edge data: edge {ids[i]}: value {sums[i]} is not "
+                        "a finite number")
+    cl = _current_law(cx, *currents) if "currents" in doc else None
+    pc = _potentials(cx, *drops) if "drops" in doc else None
     report: dict = {}
     if cl is not None:
         report["current_law"] = {

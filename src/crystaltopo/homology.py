@@ -54,7 +54,7 @@ from .complexes import (
     row_offsets,
     spanning_forest,
 )
-from .errors import InternalInconsistencyError
+from .errors import DimensionError, InternalInconsistencyError
 from .snf import SmithDecomposition, add_multiple, invariant_factors
 
 
@@ -411,6 +411,8 @@ def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
     tolerance.
     """
     k = chain.dim
+    if not 0 <= k <= complex_.dim:
+        raise DimensionError(f"no cells of dimension {k}")
     _support(chain, complex_)
     if not chain.coeffs:
         return True

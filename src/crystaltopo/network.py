@@ -23,21 +23,15 @@ from .errors import DimensionError
 KIRCHHOFF_TOL = 1e-9
 
 
-def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
+def _edge_values(complex_: DeltaComplex, values) -> tuple:
+    """Edge ids and float values, in order; the first bad entry is named."""
     if isinstance(values, Chain):
         if values.dim != 1:
             raise DimensionError("edge data must be 1-dimensional")
         values = values.coeffs
-    vals = dict(values)
     n = complex_.n_cells(1)
-    if all(type(cid) is int for cid in vals) and (
-            not vals or 0 <= min(vals) and max(vals) < n) and (
-            {float, int}.issuperset(map(type, vals.values()))):
-        out = dict(zip(vals, map(float, vals.values())))
-        if all(map(math.isfinite, out.values())):
-            return out
-    out = {}
-    for cid, v in vals.items():
+    ids, out = [], []
+    for cid, v in dict(values).items():
         if type(cid) is not int and (
                 isinstance(cid, bool) or not isinstance(cid, numbers.Integral)):
             raise DimensionError(f"edge id {cid!r} is not an integer")
@@ -47,8 +41,9 @@ def _edge_values(complex_: DeltaComplex, values) -> dict[int, float]:
         if isinstance(v, (bool, np.bool_)) or not isinstance(
                 v, numbers.Real) or not math.isfinite(v):
             raise ValueError(f"edge {cid}: value {v} is not a finite number")
-        out[cid] = float(v)
-    return out
+        ids.append(cid)
+        out.append(float(v))
+    return np.array(ids, dtype=np.int64), np.array(out, dtype=float)
 
 
 @dataclass
@@ -62,11 +57,15 @@ class CurrentLawReport:
 def check_current_law(complex_: DeltaComplex, currents,
                       tol: float = KIRCHHOFF_TOL) -> CurrentLawReport:
     """Net flow at each vertex; passes when every vertex balances."""
-    vals = _edge_values(complex_, currents)
+    return _current_law(complex_, *_edge_values(complex_, currents), tol)
+
+
+def _current_law(complex_: DeltaComplex, ids: np.ndarray, current: np.ndarray,
+                 tol: float = KIRCHHOFF_TOL) -> CurrentLawReport:
+    """Net flows summed in the order of the checked edge ids ``ids``."""
     if complex_.dim < 1:
-        return CurrentLawReport(True, 0.0, {})
-    owner, faces, coeffs = complex_.layers[1].face_entries(list(vals))
-    current = np.array(list(vals.values()), dtype=float)
+        return CurrentLawReport(True, 0.0, {}, tol)
+    owner, faces, coeffs = complex_.layers[1].face_entries(ids)
     residual = np.bincount(faces, coeffs * current[owner],
                            minlength=complex_.n_vertices).tolist()
     offenders = {v: r for v, r in enumerate(residual) if abs(r) > tol}
@@ -93,14 +92,20 @@ def potential_check(complex_: DeltaComplex, drops,
     disagrees yields its fundamental loop as a 1-chain whose circulation
     is the mismatch.
     """
+    return _potentials(complex_, *_edge_values(complex_, drops), tol)
+
+
+def _potentials(complex_: DeltaComplex, ids: np.ndarray, values: np.ndarray,
+                tol: float = KIRCHHOFF_TOL) -> PotentialReport:
+    """Potentials for checked edge ids; an edge left out has drop 0."""
     n_v = complex_.n_vertices
-    vals = _edge_values(complex_, drops)
     if complex_.dim < 1 or complex_.n_cells(1) == 0:
-        return PotentialReport(True, [0.0] * n_v)
+        return PotentialReport(True, [0.0] * n_v, tol=tol)
 
     first = complex_.layers[1].first_vertices()
     last = complex_.layers[1].last_vertices()
-    drop = np.array([vals.get(cid, 0.0) for cid in range(len(first))])
+    drop = np.zeros(len(first))
+    drop[ids] = values
     _, parent, edge, sign, pot = spanning_forest(n_v, first, last, drop)
 
     # All non-tree edges at once; the lowest offending id gives the loop.
@@ -119,5 +124,5 @@ def potential_check(complex_: DeltaComplex, drops,
             loop[edge[v]] = loop.get(edge[v], 0.0) - way * sign[v]
             v = parent[v]
     chain = Chain(1, loop, RING_REAL)
-    circulation = sum(c * vals.get(e, 0.0) for e, c in chain.coeffs.items())
+    circulation = sum(c * drop.item(e) for e, c in chain.coeffs.items())
     return PotentialReport(False, None, chain, circulation, tol)

@@ -197,11 +197,12 @@ def _validate_value(space: OrderSpace, value, where: str):
 
 @dataclass
 class OrderField:
-    """Vertex-sampled field with values in one order-parameter space."""
+    """Vertex-sampled field with values in one order-parameter space; vector
+    and frame values are one float array, finite-set labels a list."""
 
     complex_: DeltaComplex
     space: OrderSpace
-    values: list = field(repr=False, default_factory=list)
+    values: list | np.ndarray = field(repr=False, default_factory=list)
 
     @classmethod
     def from_samples(cls, complex_: DeltaComplex, space: OrderSpace,
@@ -213,10 +214,10 @@ class OrderField:
             more = f" (and {len(missing) - 5} more)" if len(missing) > 5 else ""
             raise CoverageError(
                 f"field leaves {len(missing)} vertices unsampled: {shown}{more}")
-        values = [
-            _validate_value(space, samples[lab], f"vertex {lab!r}")
-            for lab in complex_.vertex_labels]
-        return cls(complex_, space, values)
+        values = [_validate_value(space, samples[lab], f"vertex {lab!r}")
+                  for lab in complex_.vertex_labels]
+        return cls(complex_, space, values if space.name == SPACE_FINITE
+                   else np.array(values, dtype=float))
 
     @classmethod
     def from_function(cls, complex_: DeltaComplex, space: OrderSpace,
@@ -287,14 +288,6 @@ def _windings(field: OrderField, loops: Sequence[Sequence[int]],
             for loop in map(_closed, loops)]
 
 
-def _vectors(field: OrderField, ids: np.ndarray) -> np.ndarray:
-    """The values at the vertex ids ``ids`` (any shape) as floats, with
-    one more axis; each distinct vertex is converted once."""
-    used, where = np.unique(ids, return_inverse=True)
-    table = np.array([field.values[v] for v in used.tolist()], dtype=float)
-    return table[where.reshape(np.shape(ids))]
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (n, 3) arrays.
 
@@ -336,8 +329,8 @@ def _parities(field: OrderField, loops: Sequence[Sequence[int]]) -> list[int]:
     closed = (heads[last] == heads[first]) & (size > 1)
     step = np.ones(len(heads), dtype=bool)
     step[last[closed]] = False
-    x = _vectors(field, np.stack([heads[step], tails[step]]))
-    signs = _lift_signs(_dots(x[0], x[1]))
+    x = np.asarray(field.values, dtype=float)
+    signs = _lift_signs(_dots(x[heads[step]], x[tails[step]]))
     starts = first - np.cumsum(closed) + closed
     if (signs == 0).any():
         raise _perpendicular()
@@ -392,7 +385,7 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
     """
     if not len(tri):
         return [0] * count
-    x = _vectors(field, tri)
+    x = np.asarray(field.values, dtype=float)[tri]
     a, b, c = x[:, 0], x[:, 1], x[:, 2]
     det = np.linalg.det(x)
     dots = np.stack([_dots(a, b), _dots(b, c), _dots(c, a)], axis=1)

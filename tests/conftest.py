@@ -91,8 +91,8 @@ def make_grid(n=5, scheme="triangular", removed=(), defects=()):
 def lattice_specs(draw):
     """Small samples of both schemes with free, constant or periodic
     boundaries; extent-1 periodic axes give self-loops, extent-2 ones
-    edges that share their vertex pair, and up to two vacancies punch
-    holes."""
+    edges that share their vertex pair, a surface defect may remove one
+    plane of sites, and up to two vacancies among the rest punch holes."""
     m = draw(st.integers(1, 3))
     scheme = draw(st.sampled_from(["triangular", "cubic"]))
     boundary = draw(st.sampled_from(["free", "constant", "periodic"]))
@@ -101,14 +101,22 @@ def lattice_specs(draw):
     axes = ()
     if boundary == "periodic":
         axes = tuple(a + 1 for a in range(m) if draw(st.booleans())) or (1,)
-    vacancies = draw(st.lists(st.sampled_from(box_points(box)), max_size=2,
+    defects, sites = [], box_points(box)
+    if draw(st.booleans()):
+        axis = draw(st.integers(1, m))
+        coordinate = draw(st.integers(*box[axis - 1]))
+        defects.append(DefectSpec("surface_defect", axis=axis,
+                                  coordinate=coordinate))
+        sites = [p for p in sites if p[axis - 1] != coordinate]
+    vacancies = draw(st.lists(st.sampled_from(sites), max_size=2,
                               unique=True))
     return LatticeSpec(
         dimension=m, ambient=m,
         generators=tuple(tuple(float(i == j) for j in range(m))
                          for i in range(m)),
         index_box=box, scheme=scheme, boundary=boundary, periodic_axes=axes,
-        defects=tuple(DefectSpec("vacancy", index=v) for v in vacancies))
+        defects=tuple(defects) + tuple(DefectSpec("vacancy", index=v)
+                                       for v in vacancies))
 
 
 @pytest.fixture

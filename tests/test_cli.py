@@ -359,9 +359,67 @@ CUBE_DOC = dict(TORUS_DOC, dimension=3, ambient=3, scheme="cubic",
 FINE_SAMPLE = {"sphere_2": [0.0, 0.0, 1.0], "circle": 0.0, "torus": [0.0, 0.1],
                "projective_plane": [0.0, 0.0, 1.0]}
 
-# name -> (document or raw JSON text, text the error line must name[,
-# subcommand if not build])
+RING = {"cells": [["A", "B"], ["B", "C"], ["A", "C"]]}
+
+# name -> (document, raw JSON text or raw bytes, text the error line must
+# name[, subcommand if not build])
 HOSTILE_DOCS = {
+    "not-utf8": (b'{"scheme": "\xff"}', "is not UTF-8"),
+    "top-level-list": ("[1, 2]", "top level must be a JSON object"),
+    "missing-keys": ({"dimension": 2, "ambient": 2},
+                     "document: missing keys: generators, index_box, scheme"),
+    "defect-not-object": (dict(TORUS_DOC, defects=[[1, 1]]),
+                          "defects[0]: each defect is an object with a 'kind'"),
+    "defect-unknown-kind": (dict(TORUS_DOC, defects=[{"kind": "dislocation"}]),
+                            "defects[0]: unknown defect kind 'dislocation'"),
+    "defect-unknown-key": (dict(TORUS_DOC, defects=[
+        {"kind": "vacancy", "index": [1, 1], "axis": 1}]),
+        "defects[0]: unknown keys for vacancy: axis"),
+    "defect-missing-key": (dict(CUBE_DOC, defects=[
+        {"kind": "line_defect", "axis": 1}]),
+        "defects[0]: missing keys for line_defect: transverse"),
+    "boundary-unknown-name": (dict(TORUS_DOC, boundary_condition="twisted"),
+                              "boundary_condition: unknown kind 'twisted'"),
+    "boundary-object-without-kind": (
+        dict(TORUS_DOC, boundary_condition={"axes": [1]}),
+        "boundary_condition: unknown kind None"),
+    "boundary-number": (dict(TORUS_DOC, boundary_condition=1),
+                        "boundary_condition: expected a string or an object"),
+    "complex-list": ({"complex": RING["cells"]},
+                     "'complex' must be an object"),
+    "complex-empty-cell": ({"complex": {"cells": [["A", "B"], []]}},
+                           "complex.cells must be a nonempty list of "
+                           "nonempty vertex lists"),
+    "auto-close-string": ({"complex": dict(RING, auto_close="yes")},
+                          "complex.auto_close must be a boolean"),
+    "generators-object": (dict(TORUS_DOC, generators={"a": [1.0, 0.0]}),
+                          "generators must be a list of coordinate lists"),
+    "index-box-triple": (dict(TORUS_DOC, index_box=[[0, 1, 3], [0, 3]]),
+                         "index_box must be a list of [lo, hi] pairs"),
+    "removed-object": (dict(TORUS_DOC, removed_indices={"0": [1, 1]}),
+                       "removed_indices must be a list of multi-indices"),
+    "defects-object": (dict(TORUS_DOC, defects={"kind": "vacancy"}),
+                       "defects must be a list"),
+    "field-list": ({"complex": RING, "field": [["A", 0.0]]},
+                   "'field' must be an object", "obstruct"),
+    "field-labels-string": (
+        {"complex": RING, "field": {"space": "finite_set", "labels": "ab",
+                                    "samples": []}},
+        "field.labels must be a list", "obstruct"),
+    "field-samples-object": (
+        {"complex": RING, "field": {"space": "circle", "samples": {"A": 0.0}}},
+        "field.samples must be a list of [vertex, value] pairs", "obstruct"),
+    "sample-triple": (
+        {"complex": RING, "field": {"space": "circle",
+                                    "samples": [["A", 0.0, 1.0]]}},
+        "field.samples[0]: expected [vertex, value]", "obstruct"),
+    "sample-twice": (
+        {"complex": RING, "field": {"space": "circle", "samples": [
+            ["A", 0.0], ["B", 0.0], ["A", 1.0]]}},
+        "field.samples[2]: vertex 'A' sampled twice", "obstruct"),
+    "network-without-data": ({"complex": RING},
+                             "network needs 'currents' or 'drops' in the "
+                             "document", "network"),
     "axes-string": (dict(TORUS_DOC, boundary_condition={
         "kind": "periodic", "axes": ["x"]}), "boundary_condition.axes[0]"),
     "axes-scalar": (dict(TORUS_DOC, boundary_condition={
@@ -456,7 +514,10 @@ HOSTILE_DOCS = {
 def test_hostile_document_exits_2_with_reason(capsys, tmp_path, name):
     doc, field_name, *command = HOSTILE_DOCS[name]
     path = tmp_path / "doc.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc, out, err = run(capsys, *(command or ["build"]), str(path))
     assert rc == 2
     assert out == ""

@@ -12,6 +12,7 @@ from crystaltopo import (
     RING_REAL,
     Chain,
     DeltaComplex,
+    DimensionError,
     are_homologous,
     betti_numbers,
     boundary_map,
@@ -129,11 +130,30 @@ def test_perimeter_classification(circle, disc):
 @pytest.mark.parametrize("chain", [
     Chain(2, {999: 1}), Chain(2, {-1: 1}), Chain(3, {0: 1}), Chain(1, {999: 1})])
 def test_boundary_test_range_checks_every_degree(torus, chain):
-    # the top degree and above are checked too, before their early answer,
-    # by the chain operators' own check
+    # the top degree is checked too, before its early answer, by the chain
+    # operators' own check; a degree above the complex is refused before
+    # its ids, empty or not, as is_cycle refuses it
+    if chain.dim > torus.dim:
+        for refused in (chain, Chain(chain.dim, {})):
+            with pytest.raises(DimensionError,
+                               match="no cells of dimension 3"):
+                is_boundary(refused, torus)
+        return
     with pytest.raises(IndexError, match="names a cell outside"):
         is_boundary(chain, torus)
     assert is_boundary(Chain(chain.dim, {}), torus)
+
+
+@pytest.mark.parametrize("dim", [-1, 3, 7])
+@pytest.mark.parametrize("coeffs", [{}, {0: 1}])
+def test_boundary_tests_refuse_degrees_outside_the_complex(torus, dim, coeffs):
+    # one exception for one mistake: is_boundary, are_homologous and
+    # is_cycle all refuse a degree with no cells the same way
+    for check in (is_boundary, is_cycle,
+                  lambda c, cx: are_homologous(c, c, cx)):
+        with pytest.raises(DimensionError,
+                           match=f"no cells of dimension {dim}"):
+            check(Chain(dim, coeffs), torus)
 
 
 def test_real_cycle_test_is_exact(circle):

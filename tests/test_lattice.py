@@ -125,6 +125,32 @@ def test_line_defect_removes_a_full_line():
     assert all((1, 1, z) not in out for z in range(3))
 
 
+def test_surface_defect_removes_a_full_plane():
+    box = ((0, 2), (0, 3), (0, 1))
+    pts = set(box_points(box))
+    out, rep = apply_defects(
+        pts, box, [DefectSpec("surface_defect", axis=2, coordinate=3)])
+    assert out == {p for p in pts if p[1] != 3}
+    assert rep["surface_defects"] == [
+        {"axis": 2, "coordinate": 3, "removed": 6}]
+    assert rep["removed_total"] == 6
+
+
+@pytest.mark.parametrize("coordinate,defects", [
+    (5, []),  # outside the box
+    # the plane is gone already: removed as a plane, or as a line in 2D
+    (1, [DefectSpec("surface_defect", axis=1, coordinate=1)]),
+    (0, [DefectSpec("line_defect", axis=2, transverse=(0,))])])
+def test_surface_defect_that_misses_every_site_is_an_error(coordinate,
+                                                           defects):
+    box = ((0, 2), (0, 2))
+    surface = DefectSpec("surface_defect", axis=1, coordinate=coordinate)
+    with pytest.raises(DefectLocusError,
+                       match=f"surface defect at axis 1 = {coordinate} "
+                             "misses every site"):
+        apply_defects(set(box_points(box)), box, [*defects, surface])
+
+
 def test_oversized_box_is_refused_before_materialising():
     side = math.isqrt(MAX_BOX_SITES)
     assert len(box_points(((1, side), (1, side)))) == side * side
@@ -144,6 +170,21 @@ def test_substitution_marker_removes_nothing():
         pts, box, [DefectSpec("substitution_marker", index=(0, 0))])
     assert out == pts
     assert rep["markers"] == [(0, 0)]
+
+
+@pytest.mark.parametrize("defects", [
+    [DefectSpec("vacancy", index=(1, 0))],
+    [DefectSpec("surface_defect", axis=2, coordinate=0)]])
+def test_substitution_marker_on_an_absent_site_is_an_error(defects):
+    box = ((0, 1), (0, 1))
+    marker = DefectSpec("substitution_marker", index=(1, 0))
+    with pytest.raises(DefectLocusError, match=re.escape(
+            "substitution marker (1, 0) addresses an absent site")):
+        apply_defects(set(box_points(box)), box, [*defects, marker])
+    # nor may it point outside the box
+    with pytest.raises(DefectLocusError, match="absent site"):
+        apply_defects(set(box_points(box)), box, [
+            DefectSpec("substitution_marker", index=(2, 0))])
 
 
 @pytest.mark.parametrize("defect, field", [

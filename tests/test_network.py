@@ -82,6 +82,33 @@ def test_chain_input_works(circle):
     assert check_current_law(circle, ch).ok
 
 
+def _report_fields(report):
+    fields = dict(vars(report))
+    if fields.get("violating_loop") is not None:
+        fields["violating_loop"] = fields["violating_loop"].coeffs
+    return [(k, type(v), v) for k, v in fields.items()]
+
+
+@pytest.mark.parametrize("check", [check_current_law, potential_check])
+@pytest.mark.parametrize("seed", range(4))
+def test_numpy_ids_and_values_read_as_plain_ones(check, seed):
+    # the same edge data, keyed and valued by numpy scalars, by Python
+    # ints and floats, or in a Chain, give one report, types included
+    grid = make_grid(4)
+    rng = np.random.default_rng(seed)
+    edges = rng.permutation(grid.n_cells(1))[:rng.integers(1, 20)]
+    values = rng.normal(size=len(edges))
+    values[::3] = np.round(values[::3])
+    plain = dict(zip(edges.tolist(), values.tolist()))
+    want = _report_fields(check(grid, plain))
+    for data in (dict(zip(edges, values)),
+                 dict(zip(edges.astype(np.int32), values)),
+                 {np.int16(e): (np.int64(v) if v.is_integer() else v)
+                  for e, v in plain.items()},
+                 Chain(1, plain, "reals")):
+        assert _report_fields(check(grid, data)) == want
+
+
 @pytest.mark.parametrize("check", [check_current_law, potential_check])
 @pytest.mark.parametrize("edge", [1.5, True, "2"])
 def test_edge_ids_must_be_integers(circle, check, edge):
@@ -108,8 +135,9 @@ def test_edge_data_is_checked_on_a_complex_without_edges(check):
         check(one_site, {5: 1.0, "x": 2.0})
     with pytest.raises(DimensionError, match="edge id 'x' is not"):
         check(one_site, {"x": 2.0})
-    report = check(one_site, {})
+    report = check(one_site, {}, tol=0.5)
     assert report.ok if check is check_current_law else report.consistent
+    assert report.tol == 0.5
 
 
 @pytest.mark.parametrize("check", [check_current_law, potential_check])
@@ -265,8 +293,9 @@ def assert_reads_like_the_oracle(cx, doc):
                 _edge_data(doc, key, cx)
             assert str(got.value) == str(exc)
             continue
-        got = _edge_data(doc, key, cx)
-        assert [(type(c), c, v.hex()) for c, v in got.items()] == [
+        ids, sums = _edge_data(doc, key, cx)
+        assert [(type(c), c, v.hex()) for c, v in zip(
+            ids.tolist(), sums.tolist())] == [
             (int, c, v.hex()) for c, v in want.items()]
 
 

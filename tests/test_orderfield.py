@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,54 @@ def test_non_finite_samples_are_refused(circle, space, value):
     with pytest.raises(ValueError,
                        match="vertex 'A': expected finite numbers"):
         OrderField.from_samples(circle, make_space(space), samples)
+
+
+@pytest.mark.parametrize("space, value, reason", [
+    (make_space("finite_set", ("up", "down")), "sideways",
+     "label 'sideways' not in the space"),
+    (make_space("finite_set", ("up", "down")), ["up"],
+     "label ['up'] not in the space"),
+    (make_space("sphere_2"), (1.0, 0.0), "expected a 3-vector, got (2,)"),
+    (make_space("torus"), (0.0, 0.1, 0.2),
+     "torus values are two angles or a 4-vector"),
+    (make_space("torus"), np.eye(2),
+     "torus values are two angles or a 4-vector"),
+    (make_space("torus"), (1.0, 0.0, 0.0, 2.0), "vector norm 2.0 is not 1"),
+    (make_space("biaxial_nematic"), np.eye(2), "expected a 3x3 frame"),
+    (make_space("cholesteric"), np.ones(9), "expected a 3x3 frame"),
+    (make_space("biaxial_nematic"), 2 * np.eye(3), "frame is not orthonormal"),
+    (make_space("cholesteric"), [[1, 0, 0], [1, 0, 0], [0, 0, 1]],
+     "frame is not orthonormal")])
+def test_invalid_samples_are_refused_by_vertex(circle, space, value, reason):
+    good = {"finite_set": "up", "sphere_2": (0.0, 0.0, 1.0),
+            "torus": (0.0, 0.0)}.get(space.name, np.eye(3))
+    with pytest.raises(ValueError, match=re.escape(f"vertex 'B': {reason}")):
+        OrderField.from_samples(circle, space,
+                                {"A": good, "B": value, "C": good})
+
+
+@pytest.mark.parametrize("space, value, shape", [
+    ("circle", 0.5, (2,)), ("circle", (0.0, 1.0), (2,)),
+    ("sphere_2", (0.0, 0.0, 1.0), (3,)),
+    ("projective_plane", [0.6, 0.8, 0.0], (3,)),
+    ("torus", (0.5, 1.5), (4,)), ("torus", (1.0, 0.0, 0.0, 1.0), (4,)),
+    ("biaxial_nematic", np.eye(3, dtype=int), (3, 3)),
+    ("cholesteric", np.eye(3)[[1, 2, 0]].tolist(), (3, 3))])
+def test_vector_and_frame_values_are_one_float_array(circle, space, value,
+                                                     shape):
+    f = OrderField.from_samples(circle, make_space(space),
+                                {v: value for v in "ABC"})
+    assert isinstance(f.values, np.ndarray)
+    assert f.values.dtype == np.float64 and f.values.shape == (3, *shape)
+    assert (f.values == f.values[0]).all()
+
+
+def test_finite_set_values_stay_the_sample_objects(circle):
+    labels = ("up", 1, (0, 1))
+    f = OrderField.from_samples(circle, make_space("finite_set", labels),
+                                dict(zip("ABC", labels)))
+    assert f.values == list(labels)
+    assert [type(v) for v in f.values] == [str, int, tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +673,22 @@ def test_shell_refusals_match_the_per_cell_reference(space):
         assert _probe_outcome(lambda: boundary_classes(f, 3)) == \
             _probe_outcome(lambda: [boundary_class_oracle(f, 3, c)
                                     for c in range(cx.n_cells(3))])
+
+
+@pytest.mark.parametrize("space, k, kind", [
+    ("circle", 2, "torus"), ("torus", 2, "torus"),
+    ("projective_plane", 2, "free"), ("projective_plane", 3, "free"),
+    ("sphere_2", 3, "free")])
+def test_list_and_array_values_probe_alike(space, k, kind):
+    # a field built directly from per-vertex arrays probes as the one
+    # float array that from_samples stores
+    cx = _field_complex(kind, "cubic", 3 if kind == "torus" else 2, [])
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        f = _random_field(rng, cx, space, (3, 1, 1, 1), seed % 2 == 0)
+        g = OrderField(cx, f.space, list(f.values))
+        assert _probe_outcome(lambda: boundary_classes(g, k)) == \
+            _probe_outcome(lambda: boundary_classes(f, k))
 
 
 @pytest.mark.parametrize("seed", [155, 363])
