@@ -136,13 +136,13 @@ class _Coreduction:
     def _walk(self, n: int, sizes: np.ndarray) -> None:
         """Pair each cell whose one face left has a unit coefficient with
         that face and remove both; when no cell can be paired, the least
-        cell without faces left is critical and removed."""
+        cell left, which has no faces left, is critical and removed."""
         fptr, fid, fco, cptr, cid = (self.fptr, self.fid, self.fco,
                                      self.cptr, self.cid)
         left = sizes.tolist()
         alive = [True] * n
         ready = deque(np.flatnonzero(sizes == 1).tolist())
-        bare = np.flatnonzero(sizes == 0).tolist()  # ascending: a heap
+        least = 0  # every cell below it is removed
         lower, upper, coef, critical = [], [], [], []
         while True:
             if ready:
@@ -159,15 +159,12 @@ class _Coreduction:
                 coef.append(fco[j])
                 removed = (b, fid[j])
             else:
-                # A cell of the lowest degree left has no faces left, so
-                # ``bare`` runs dry only once every cell is removed.
-                while bare and not alive[bare[0]]:
-                    heappop(bare)
-                if not bare:
+                while least < n and not alive[least]:
+                    least += 1
+                if least == n:
                     break
-                x = heappop(bare)
-                critical.append(x)
-                removed = (x,)
+                critical.append(least)
+                removed = (least,)
             for x in removed:
                 alive[x] = False
                 for y in cid[cptr[x]:cptr[x + 1]]:
@@ -175,17 +172,13 @@ class _Coreduction:
                         left[y] -= 1
                         if left[y] == 1:
                             ready.append(y)
-                        elif not left[y]:
-                            heappush(bare, y)
 
         self.lower, self.upper, self.coef = lower, upper, coef
         self.low_pair, self.up_pair = [-1] * n, [-1] * n
         for i, (a, b) in enumerate(zip(lower, upper)):
             self.low_pair[a] = self.up_pair[b] = i
-        critical = np.sort(critical)
         bounds = np.searchsorted(critical, self.offsets).tolist()
-        self.critical = [critical[s:e].tolist()
-                         for s, e in zip(bounds, bounds[1:])]
+        self.critical = [critical[s:e] for s, e in zip(bounds, bounds[1:])]
         self.crit_pos = [-1] * n
         for cells in self.critical:
             for p, c in enumerate(cells):

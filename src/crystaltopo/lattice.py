@@ -6,16 +6,15 @@ independence) and recorded in the complex's ``lattice_info``; the
 topology depends only on the multi-indices.  The complex on top of them
 comes from :func:`crystaltopo.complexes.build_complex`; this module owns
 everything before and after: generator checks, the defect schema
-(``DEFECT_FIELDS``) and defect removal, and the boundary treatments.  A
-periodic sample is closed under its translation orbits, each generated
-from a removed site (on a periodic axis a coordinate at either end of
-the box stands for both ends), and the survivors below the top of each
-periodic axis go to ``build_complex``, which alone wraps cells onto the
-torus.  The quotient pass only serves the constant boundary, which pins
-the hull to one vertex.  That pass works on the cell arrays of the
-complex (``DeltaComplex.layers``): it drops the hull cells and their
-face entries and sorts the survivors with numpy, creating no per-cell
-object.
+(``DEFECT_FIELDS``) and defect removal, and the boundary treatments.
+The sites are one boolean grid over the fundamental domain: a periodic
+axis has one position fewer than the box, so either end names one site.
+Removals and defect loci clear positions, and the survivors go to
+``build_complex``, which alone wraps cells onto the torus; the report
+counts box points, read from the grid unfolded along periodic axes.
+The quotient pass only serves the constant boundary, which pins the
+hull to one vertex.  It works on the cell arrays of the complex
+(``DeltaComplex.layers``), creating no per-cell object.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,81 +171,86 @@ def reciprocal_basis(generators: Sequence[Sequence[float]]) -> np.ndarray:
     return np.linalg.solve(gram, A)
 
 
-def box_points(index_box: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Every multi-index of the box; the site count is checked against
-    ``MAX_BOX_SITES`` before any index is generated."""
-    sites = 1
-    for lo, hi in index_box:
-        if hi < lo:
-            raise ComplexBuildError(f"empty index box range ({lo}, {hi})")
-        sites *= hi - lo + 1
-    if sites > MAX_BOX_SITES:
-        raise ComplexBuildError(
-            f"index box holds {sites} sites, above the limit of "
-            f"{MAX_BOX_SITES}")
-    return list(product(*(range(lo, hi + 1) for lo, hi in index_box)))
+def _locus(coords, sites: np.ndarray, box) -> tuple | None:
+    """Grid key of one coordinate per leading axis (None: the whole axis),
+    None unless each is an integer in the box.  On a periodic axis the top
+    wraps to 0."""
+    key = []
+    for a, c in enumerate(coords):
+        lo, hi = box[a]
+        if c is not None and not (_is_integer(c) and lo <= c <= hi):
+            return None
+        key.append(slice(None) if c is None else (c - lo) % sites.shape[a])
+    return tuple(key)
 
 
-def _in_box(idx: tuple[int, ...], box: Sequence[tuple[int, int]]) -> bool:
-    return all(lo <= c <= hi for c, (lo, hi) in zip(idx, box))
+def _unfold(grid: np.ndarray, box) -> np.ndarray:
+    """The grid over every box point: a periodic axis repeats its first
+    position at the top."""
+    for a, (lo, hi) in enumerate(box):
+        if grid.shape[a] == hi - lo:
+            grid = np.take(grid, np.arange(hi - lo + 1) % (hi - lo), axis=a)
+    return grid
 
 
-def apply_defects(points: set, box: Sequence[tuple[int, int]],
-                  defects: Sequence[DefectSpec]) -> tuple[set, dict]:
-    """Remove defect loci from the point set; markers are recorded only.
+def _label_dtype(box):
+    """int64 if every label of the box and the one below it fit."""
+    return np.int64 if all(-2 ** 63 < lo and hi < 2 ** 63
+                           for lo, hi in box) else object
 
-    Each defect must actually meet the current point set, otherwise the
+
+def apply_defects(sites: np.ndarray, box: Sequence[tuple[int, int]],
+                  defects: Sequence[DefectSpec]) -> dict:
+    """Clear defect loci from the site grid of :func:`build_lattice_complex`
+    in place and report them; markers are recorded only.
+
+    Each defect must actually meet a present site, otherwise the
     instruction is considered misaddressed and rejected.
     """
     m = len(box)
-    surviving = set(points)
     report = {"vacancies": [], "line_defects": [], "surface_defects": [],
               "markers": [], "removed_total": 0}
     for spec in defects:
         spec = spec.validated(m)
         if spec.kind == DEFECT_VACANCY:
             idx = tuple(spec.index)
-            if not _in_box(idx, box):
+            pos = _locus(idx, sites, box)
+            if pos is None:
                 raise DefectLocusError(f"vacancy {idx} is outside the index box")
-            if idx not in surviving:
+            if not sites[pos]:
                 raise DefectLocusError(
                     f"vacancy {idx} addresses a site that is already absent")
-            surviving.discard(idx)
+            sites[pos] = False
             report["vacancies"].append(idx)
             report["removed_total"] += 1
         elif spec.kind == DEFECT_MARKER:
             idx = tuple(spec.index)
-            if idx not in surviving:
+            pos = _locus(idx, sites, box)
+            if pos is None or not sites[pos]:
                 raise DefectLocusError(
                     f"substitution marker {idx} addresses an absent site")
             report["markers"].append(idx)
-        elif spec.kind == DEFECT_LINE:
-            axis = spec.axis - 1
-            others = [a for a in range(m) if a != axis]
-            hit = {p for p in surviving
-                   if tuple(p[a] for a in others) == tuple(spec.transverse)}
+        else:
+            axis, line = spec.axis - 1, spec.kind == DEFECT_LINE
+            if line:
+                t = tuple(spec.transverse)
+                coords = [*t[:axis], None, *t[axis:]]
+                entry = {"axis": spec.axis, "transverse": t}
+                where = f"line defect along axis {spec.axis} at {t}"
+            else:
+                coords = [None] * axis + [spec.coordinate]
+                entry = {"axis": spec.axis, "coordinate": spec.coordinate}
+                where = (f"surface defect at axis {spec.axis} = "
+                         f"{spec.coordinate}")
+            locus = _locus(coords, sites, box)
+            hit = 0 if locus is None else int(np.count_nonzero(sites[locus]))
             if not hit:
-                raise DefectLocusError(
-                    f"line defect along axis {spec.axis} at "
-                    f"{tuple(spec.transverse)} misses every site")
-            surviving -= hit
-            report["line_defects"].append(
-                {"axis": spec.axis, "transverse": tuple(spec.transverse),
-                 "removed": len(hit)})
-            report["removed_total"] += len(hit)
-        elif spec.kind == DEFECT_SURFACE:
-            axis = spec.axis - 1
-            hit = {p for p in surviving if p[axis] == spec.coordinate}
-            if not hit:
-                raise DefectLocusError(
-                    f"surface defect at axis {spec.axis} = {spec.coordinate} "
-                    "misses every site")
-            surviving -= hit
-            report["surface_defects"].append(
-                {"axis": spec.axis, "coordinate": spec.coordinate,
-                 "removed": len(hit)})
-            report["removed_total"] += len(hit)
-    return surviving, report
+                raise DefectLocusError(f"{where} misses every site")
+            sites[locus] = False
+            report["line_defects" if line else "surface_defects"].append(
+                {**entry, "removed": hit})
+            report["removed_total"] += hit
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +284,19 @@ def apply_constant_boundary(complex_: DeltaComplex,
     if w in complex_.label_to_id:
         raise ComplexBuildError(
             f"label {w} is taken; cannot introduce the collapsed vertex")
+    vertex = np.array(complex_.vertex_labels,
+                      dtype=_label_dtype(box)).reshape(-1, m)
+    lo, hi = np.array(box, dtype=vertex.dtype).T
     # Bit a: at the low end of axis a; bit m + a: at its high end.
-    hull = [sum((lab[a] == lo) << a | (lab[a] == hi) << (m + a)
-                for a, (lo, hi) in enumerate(box))
-            for lab in complex_.vertex_labels]
-    images = [w if h else lab
-              for lab, h in zip(complex_.vertex_labels, hull)]
-    labels = sorted(set(images))
-    new_vid = {lab: i for i, lab in enumerate(labels)}
-    image = np.array([new_vid[lab] for lab in images], dtype=np.int64)
-    hull = np.array(hull, dtype=np.int64)
+    hull = np.hstack([vertex == lo, vertex == hi]) @ (1 << np.arange(2 * m))
+    images = np.where(hull[:, None] > 0, np.array(w, dtype=vertex.dtype),
+                      vertex)
+    # The distinct images in ascending order, and each vertex's place.
+    order = np.lexsort(images.T[::-1])
+    ordered = images[order]
+    first = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    image = (np.cumsum(first) - 1)[np.argsort(order)]
+    labels = list(map(tuple, ordered[first].tolist()))
     layers: list[CellLayer] = []
     new_id = np.empty(0, dtype=np.int64)
     for k, layer in enumerate(complex_.layers):
@@ -354,36 +360,31 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
                 raise ComplexBuildError(
                     f"periodic axis {a + 1} needs box extent of at least 1")
 
-    box = frozenset(box_points(spec.index_box))
-    removed = set()
+    for lo, hi in spec.index_box:
+        if hi < lo:
+            raise ComplexBuildError(f"empty index box range ({lo}, {hi})")
+    total = math.prod(hi - lo + 1 for lo, hi in spec.index_box)
+    if total > MAX_BOX_SITES:
+        raise ComplexBuildError(
+            f"index box holds {total} sites, above the limit of "
+            f"{MAX_BOX_SITES}")
+    sites = np.ones([hi - lo + (a not in periodic_axes)
+                     for a, (lo, hi) in enumerate(spec.index_box)], dtype=bool)
     for idx in spec.removed_indices:
         idx = tuple(idx)
         if len(idx) != m:
             raise ComplexBuildError(f"removed index {idx} has wrong length")
-        if not _in_box(idx, spec.index_box):
+        pos = _locus(idx, sites, spec.index_box)
+        if pos is None:
             raise DefectLocusError(f"removed index {idx} is outside the box")
-        removed.add(idx)
-    # Removing a site removes its whole translation orbit: on a periodic
-    # axis a coordinate at either end of the box stands for both ends.
-    ends = [(lo, hi) if a in periodic_axes else ()
-            for a, (lo, hi) in enumerate(spec.index_box)]
-
-    def orbits(sites):
-        return {q for p in sites for q in product(
-            *(ends[a] if c in ends[a] else (c,) for a, c in enumerate(p)))}
-
-    removed = orbits(removed)
-    points, defect_report = apply_defects(box - removed, spec.index_box,
-                                          spec.defects)
-    points = box - orbits(box - points)
-    if not points:
+        sites[pos] = False
+    removed = ~sites
+    defect_report = apply_defects(sites, spec.index_box, spec.defects)
+    if not sites.any():
         raise ComplexBuildError("every lattice site was removed")
 
-    # The survivors below the top of each periodic axis: build_complex
-    # wraps the cells that reach the top onto the bottom.
-    domain = box_points([(lo, hi - bool(ends[a]))
-                         for a, (lo, hi) in enumerate(spec.index_box)])
-    complex_ = build_complex(points.intersection(domain), spec.scheme,
+    lows = np.array(spec.index_box, dtype=_label_dtype(spec.index_box))[:, 0]
+    complex_ = build_complex((np.argwhere(sites) + lows).tolist(), spec.scheme,
                              index_box=spec.index_box,
                              periodic_axes=periodic_axes)
     complex_.lattice_info.update({
@@ -399,8 +400,9 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
 
     report = {
         "defects": defect_report,
-        "removed_indices": sorted(removed),
-        "sites": len(points),
+        "removed_indices": list(map(tuple, (np.argwhere(
+            _unfold(removed, spec.index_box)) + lows).tolist())),
+        "sites": int(np.count_nonzero(_unfold(sites, spec.index_box))),
         "cells": complex_.cell_counts(),
     }
     return complex_, report

@@ -38,8 +38,12 @@ def _edge_values(complex_: DeltaComplex, values) -> tuple:
         cid = int(cid)
         if not 0 <= cid < n:
             raise DimensionError(f"edge id {cid} out of range")
-        if isinstance(v, (bool, np.bool_)) or not isinstance(
-                v, numbers.Real) or not math.isfinite(v):
+        try:
+            finite = not isinstance(v, (bool, np.bool_)) and isinstance(
+                v, numbers.Real) and math.isfinite(v)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise ValueError(f"edge {cid}: value {v} is not a finite number")
         ids.append(cid)
         out.append(float(v))

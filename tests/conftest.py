@@ -7,9 +7,7 @@ from crystaltopo import (
     LatticeSpec,
     build_lattice_complex,
 )
-from crystaltopo.lattice import box_points
-
-from oracles import boundary_matrix_oracle
+from oracles import boundary_matrix_oracle, box_points, torus_site
 
 
 def dense_boundary(cx, k):
@@ -92,7 +90,9 @@ def lattice_specs(draw):
     """Small samples of both schemes with free, constant or periodic
     boundaries; extent-1 periodic axes give self-loops, extent-2 ones
     edges that share their vertex pair, a surface defect may remove one
-    plane of sites, and up to two vacancies among the rest punch holes."""
+    plane of sites, and up to two vacancies at distinct sites among the
+    rest punch holes (on a periodic axis either end of the box names one
+    site)."""
     m = draw(st.integers(1, 3))
     scheme = draw(st.sampled_from(["triangular", "cubic"]))
     boundary = draw(st.sampled_from(["free", "constant", "periodic"]))
@@ -101,15 +101,20 @@ def lattice_specs(draw):
     axes = ()
     if boundary == "periodic":
         axes = tuple(a + 1 for a in range(m) if draw(st.booleans())) or (1,)
+
+    def site(p):
+        return torus_site(p, box, [a - 1 for a in axes])
+
     defects, sites = [], box_points(box)
     if draw(st.booleans()):
         axis = draw(st.integers(1, m))
         coordinate = draw(st.integers(*box[axis - 1]))
         defects.append(DefectSpec("surface_defect", axis=axis,
                                   coordinate=coordinate))
-        sites = [p for p in sites if p[axis - 1] != coordinate]
+        plane = {site(p) for p in sites if p[axis - 1] == coordinate}
+        sites = [p for p in sites if site(p) not in plane]
     vacancies = draw(st.lists(st.sampled_from(sites), max_size=2,
-                              unique=True))
+                              unique_by=site)) if sites else []
     return LatticeSpec(
         dimension=m, ambient=m,
         generators=tuple(tuple(float(i == j) for j in range(m))

@@ -475,22 +475,95 @@ def integer_kernel_oracle(matrix, n_cols):
 # Periodic grids, the slow way
 # ---------------------------------------------------------------------------
 
-def periodic_orbits_oracle(sites, box, axes):
-    """Every site of ``box`` that a translation by whole periods along the
-    0-based ``axes`` carries onto one of ``sites``, found by listing each
-    coordinate's preimages."""
-    out = set()
-    for site in sites:
-        choices = []
-        for a, (c, (lo, hi)) in enumerate(zip(site, box)):
-            if a in axes:
-                period = hi - lo
-                first = lo + (c - lo) % period
-                choices.append(range(first, hi + 1, period))
-            else:
-                choices.append([c])
-        out.update(itertools.product(*choices))
-    return out
+def box_points(box):
+    """Every multi-index of ``box``, in lexicographic order."""
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+
+
+def torus_site(point, box, axes):
+    """The site a box point names: on each 0-based axis in ``axes`` the
+    top coordinate of ``box`` is the bottom one."""
+    return tuple(lo + (c - lo) % (hi - lo) if a in axes else c
+                 for a, (c, (lo, hi)) in enumerate(zip(point, box)))
+
+
+class SampleRefused(Exception):
+    """A lattice sample the site oracle refuses; ``locus`` is set when a
+    removed index or a defect is misaddressed, clear when no site is
+    left."""
+
+    def __init__(self, message, locus=True):
+        super().__init__(message)
+        self.locus = locus
+
+
+def lattice_sites_oracle(box, axes, removed_indices, defects):
+    """The sites of a lattice sample, with sets of box points.
+
+    Each box point stands for its torus site (see ``torus_site``); a
+    removed index or a defect removes the sites its box points name, and
+    each defect must meet a site still present.  ``defects`` are read by
+    attribute (kind, index, axis, transverse, coordinate) and taken as
+    well formed.  Returns the box points whose site survives, the box
+    points whose site was removed by ``removed_indices`` (sorted), and
+    the defect report.
+    """
+    whole = box_points(box)
+
+    def site(point):
+        return torus_site(point, box, axes)
+
+    def inside(point):
+        return all(lo <= c <= hi for c, (lo, hi) in zip(point, box))
+
+    alive = {site(p) for p in whole}
+    for idx in map(tuple, removed_indices):
+        if not inside(idx):
+            raise SampleRefused(f"removed index {idx} is outside the box")
+        alive.discard(site(idx))
+    gone = {site(p) for p in whole} - alive
+    report = {"vacancies": [], "line_defects": [], "surface_defects": [],
+              "markers": [], "removed_total": 0}
+    for spec in defects:
+        if spec.kind in ("vacancy", "substitution_marker"):
+            idx = tuple(spec.index)
+            present = inside(idx) and site(idx) in alive
+            if spec.kind == "substitution_marker":
+                if not present:
+                    raise SampleRefused(
+                        f"substitution marker {idx} addresses an absent site")
+                report["markers"].append(idx)
+                continue
+            if not inside(idx):
+                raise SampleRefused(f"vacancy {idx} is outside the index box")
+            if not present:
+                raise SampleRefused(
+                    f"vacancy {idx} addresses a site that is already absent")
+            alive.remove(site(idx))
+            report["vacancies"].append(idx)
+            report["removed_total"] += 1
+            continue
+        a = spec.axis - 1
+        if spec.kind == "line_defect":
+            line = tuple(spec.transverse)
+            hit = {site(p) for p in whole if p[:a] + p[a + 1:] == line}
+            entry = {"axis": spec.axis, "transverse": line}
+            miss = f"line defect along axis {spec.axis} at {line}"
+        else:
+            hit = {site(p) for p in whole if p[a] == spec.coordinate}
+            entry = {"axis": spec.axis, "coordinate": spec.coordinate}
+            miss = f"surface defect at axis {spec.axis} = {spec.coordinate}"
+        hit &= alive
+        if not hit:
+            raise SampleRefused(f"{miss} misses every site")
+        alive -= hit
+        report[spec.kind.replace("_defect", "_defects")].append(
+            {**entry, "removed": len(hit)})
+        report["removed_total"] += len(hit)
+    if not alive:
+        raise SampleRefused("every lattice site was removed", locus=False)
+    points = [p for p in whole if site(p) in alive]
+    return points, [p for p in whole if site(p) in gone], report
 
 
 def periodic_quotient_oracle(free, box, axes):
@@ -509,8 +582,7 @@ def periodic_quotient_oracle(free, box, axes):
     labels = free.vertex_labels
 
     def wrap(label):
-        return tuple(lo + (c - lo) % (hi - lo) if a in axes else c
-                     for a, (c, (lo, hi)) in enumerate(zip(label, box)))
+        return torus_site(label, box, axes)
 
     def orbit_key(corners):
         shift = [a in axes and all(q[a] == box[a][1] for q in corners)

@@ -28,7 +28,7 @@ from crystaltopo import (
     validate_complex,
 )
 from crystaltopo import complexes
-from crystaltopo.lattice import DefectSpec, box_points
+from crystaltopo.lattice import DefectSpec
 
 from conftest import (
     dense_boundary,
@@ -38,6 +38,7 @@ from conftest import (
     make_rp2,
     make_tetra_surface,
 )
+from oracles import box_points, torus_site
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +274,17 @@ def test_subdivision_refuses_degenerate_cells():
 
 @st.composite
 def triangular_specs(draw):
-    """Free or periodic triangular samples with up to two vacancies; each
-    periodic axis has period 3, the least that leaves no two cells on one
-    vertex set."""
+    """Free or periodic triangular samples with up to two vacancies at
+    distinct sites; each periodic axis has period 3, the least that
+    leaves no two cells on one vertex set."""
     m = draw(st.integers(1, 3))
     axes = tuple(a + 1 for a in range(m) if draw(st.booleans()))
     top = {1: 4, 2: 3, 3: 2}[m]
     box = tuple((0, 3 if a + 1 in axes else draw(st.integers(1, top)))
                 for a in range(m))
-    vacancies = draw(st.lists(st.sampled_from(box_points(box)), max_size=2,
-                              unique=True))
+    vacancies = draw(st.lists(
+        st.sampled_from(box_points(box)), max_size=2,
+        unique_by=lambda p: torus_site(p, box, [a - 1 for a in axes])))
     return LatticeSpec(
         dimension=m, ambient=m,
         generators=tuple(tuple(float(i == j) for j in range(m))

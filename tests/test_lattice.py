@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -23,9 +24,14 @@ from crystaltopo import (
     reciprocal_basis,
     unit_cell_volume,
 )
-from crystaltopo.lattice import MAX_BOX_SITES, box_points
+from crystaltopo.lattice import MAX_BOX_SITES
 
-from oracles import periodic_orbits_oracle, periodic_quotient_oracle
+from oracles import (
+    SampleRefused,
+    box_points,
+    lattice_sites_oracle,
+    periodic_quotient_oracle,
+)
 
 
 def _spec(**kw):
@@ -93,44 +99,48 @@ def test_reciprocal_basis_rectangular_case():
 # defects
 # ---------------------------------------------------------------------------
 
+def _grid(box):
+    """The site grid of a free box: every site present."""
+    return np.ones([hi - lo + 1 for lo, hi in box], dtype=bool)
+
+
 def test_vacancy_removes_one_point():
-    from crystaltopo import apply_defects
-    pts = set(box_points(((0, 2), (0, 2))))
-    out, rep = apply_defects(
-        pts, ((0, 2), (0, 2)), [DefectSpec("vacancy", index=(1, 1))])
-    assert (1, 1) not in out
-    assert len(out) == len(pts) - 1
+    sites = _grid(((0, 2), (0, 2)))
+    rep = apply_defects(
+        sites, ((0, 2), (0, 2)), [DefectSpec("vacancy", index=(1, 1))])
+    assert not sites[1, 1]
+    assert np.count_nonzero(sites) == sites.size - 1
     assert rep["removed_total"] == 1
 
 
 def test_misaddressed_vacancy_is_an_error():
-    pts = set(box_points(((0, 2), (0, 2))))
     box = ((0, 2), (0, 2))
-    from crystaltopo import apply_defects
+    sites = _grid(box)
     with pytest.raises(DefectLocusError):
-        apply_defects(pts, box, [DefectSpec("vacancy", index=(9, 9))])
+        apply_defects(sites, box, [DefectSpec("vacancy", index=(9, 9))])
     # removing the same site twice is also misaddressed
-    once, _ = apply_defects(pts, box, [DefectSpec("vacancy", index=(1, 1))])
+    apply_defects(sites, box, [DefectSpec("vacancy", index=(1, 1))])
     with pytest.raises(DefectLocusError):
-        apply_defects(once, box, [DefectSpec("vacancy", index=(1, 1))])
+        apply_defects(sites, box, [DefectSpec("vacancy", index=(1, 1))])
 
 
 def test_line_defect_removes_a_full_line():
-    from crystaltopo import apply_defects
     box = ((0, 2), (0, 2), (0, 2))
-    pts = set(box_points(box))
-    out, rep = apply_defects(
-        pts, box, [DefectSpec("line_defect", axis=3, transverse=(1, 1))])
-    assert len(pts) - len(out) == 3
-    assert all((1, 1, z) not in out for z in range(3))
+    sites = _grid(box)
+    apply_defects(
+        sites, box, [DefectSpec("line_defect", axis=3, transverse=(1, 1))])
+    assert sites.size - np.count_nonzero(sites) == 3
+    assert not sites[1, 1, :].any()
 
 
 def test_surface_defect_removes_a_full_plane():
     box = ((0, 2), (0, 3), (0, 1))
-    pts = set(box_points(box))
-    out, rep = apply_defects(
-        pts, box, [DefectSpec("surface_defect", axis=2, coordinate=3)])
-    assert out == {p for p in pts if p[1] != 3}
+    sites = _grid(box)
+    rep = apply_defects(
+        sites, box, [DefectSpec("surface_defect", axis=2, coordinate=3)])
+    expected = _grid(box)
+    expected[:, 3, :] = False
+    assert np.array_equal(sites, expected)
     assert rep["surface_defects"] == [
         {"axis": 2, "coordinate": 3, "removed": 6}]
     assert rep["removed_total"] == 6
@@ -148,27 +158,52 @@ def test_surface_defect_that_misses_every_site_is_an_error(coordinate,
     with pytest.raises(DefectLocusError,
                        match=f"surface defect at axis 1 = {coordinate} "
                              "misses every site"):
-        apply_defects(set(box_points(box)), box, [*defects, surface])
+        apply_defects(_grid(box), box, [*defects, surface])
+
+
+@pytest.mark.parametrize("defects, outcome", [
+    # either end of a periodic axis names one site, so the second vacancy
+    # finds it gone
+    ((DefectSpec("vacancy", index=(0, 0)), DefectSpec("vacancy", index=(4, 0))),
+     "vacancy (4, 0) addresses a site that is already absent"),
+    # a line along a periodic axis meets each of its 4 sites once
+    ((DefectSpec("line_defect", axis=1, transverse=(2,)),),
+     [(x, 2) for x in range(4)]),
+    # a plane at the top of a periodic axis is the bottom plane
+    ((DefectSpec("surface_defect", axis=2, coordinate=4),),
+     [(x, 0) for x in range(4)])])
+def test_periodic_defects_count_torus_sites(defects, outcome):
+    spec = _spec(index_box=((0, 4), (0, 4)), boundary="periodic",
+                 defects=defects)
+    if isinstance(outcome, str):
+        with pytest.raises(DefectLocusError, match=re.escape(outcome)):
+            build_lattice_complex(spec)
+        return
+    cx, rep = build_lattice_complex(spec)
+    torus = set(itertools.product(range(4), repeat=2))
+    assert sorted(torus - set(cx.vertex_labels)) == outcome
+    assert rep["defects"]["removed_total"] == len(outcome)
+    # the report counts box points: each periodic image of a survivor
+    assert rep["sites"] == sum((x % 4, y % 4) not in outcome
+                               for x, y in box_points(((0, 4), (0, 4))))
 
 
 def test_oversized_box_is_refused_before_materialising():
     side = math.isqrt(MAX_BOX_SITES)
-    assert len(box_points(((1, side), (1, side)))) == side * side
-    with pytest.raises(ComplexBuildError, match="limit"):
-        box_points(((0, side), (0, side)))
+    with pytest.raises(ComplexBuildError, match=str((side + 1) ** 2)):
+        build_lattice_complex(_spec(index_box=((0, side), (0, side))))
     with pytest.raises(ComplexBuildError, match=str((10 ** 6 + 1) ** 2)):
         build_lattice_complex(_spec(index_box=((0, 10 ** 6), (0, 10 ** 6))))
     with pytest.raises(ComplexBuildError, match="empty"):
-        box_points(((0, 2), (3, 1)))
+        build_lattice_complex(_spec(index_box=((0, 2), (3, 1))))
 
 
 def test_substitution_marker_removes_nothing():
-    from crystaltopo import apply_defects
     box = ((0, 1), (0, 1))
-    pts = set(box_points(box))
-    out, rep = apply_defects(
-        pts, box, [DefectSpec("substitution_marker", index=(0, 0))])
-    assert out == pts
+    sites = _grid(box)
+    rep = apply_defects(
+        sites, box, [DefectSpec("substitution_marker", index=(0, 0))])
+    assert sites.all()
     assert rep["markers"] == [(0, 0)]
 
 
@@ -180,10 +215,10 @@ def test_substitution_marker_on_an_absent_site_is_an_error(defects):
     marker = DefectSpec("substitution_marker", index=(1, 0))
     with pytest.raises(DefectLocusError, match=re.escape(
             "substitution marker (1, 0) addresses an absent site")):
-        apply_defects(set(box_points(box)), box, [*defects, marker])
+        apply_defects(_grid(box), box, [*defects, marker])
     # nor may it point outside the box
     with pytest.raises(DefectLocusError, match="absent site"):
-        apply_defects(set(box_points(box)), box, [
+        apply_defects(_grid(box), box, [
             DefectSpec("substitution_marker", index=(2, 0))])
 
 
@@ -199,9 +234,8 @@ def test_substitution_marker_on_an_absent_site_is_an_error(defects):
 def test_defect_spec_fields_must_be_integers(defect, field):
     with pytest.raises(DefectLocusError, match=f"{defect.kind} {field} must"):
         defect.validated(2)
-    pts = {(i, j) for i in range(3) for j in range(3)}
     with pytest.raises(DefectLocusError, match=f"{defect.kind} {field} must"):
-        apply_defects(pts, ((0, 2), (0, 2)), [defect])
+        apply_defects(_grid(((0, 2), (0, 2))), ((0, 2), (0, 2)), [defect])
 
 
 def test_defect_spec_arity_validation():
@@ -440,22 +474,18 @@ def torus_specs(draw):
 
 
 def _torus_by_quotient(spec):
-    """The torus the slow way: the orbit-closed sites of the whole box, a
-    free build on them, and the reference quotient."""
+    """The torus the slow way: the surviving box points from the set
+    oracle, a free build on them, and the reference quotient."""
     box = spec.index_box
     axes = tuple(a - 1 for a in spec.periodic_axes) or tuple(range(len(box)))
-    whole = set(box_points(box))
-    removed = periodic_orbits_oracle(spec.removed_indices, box, axes)
-    points, defects = apply_defects(whole - removed, box, spec.defects)
-    points = whole - periodic_orbits_oracle(whole - points, box, axes)
-    if not points:
-        raise ComplexBuildError("every lattice site was removed")
+    points, removed, defects = lattice_sites_oracle(
+        box, axes, spec.removed_indices, spec.defects)
     free = build_complex(points, spec.scheme, index_box=box)
     labels, layers, keys = periodic_quotient_oracle(free, box, axes)
     info = {**free.lattice_info, "generators": spec.generators,
             "ambient": spec.ambient, "boundary": "periodic",
             "periodic_axes": tuple(a + 1 for a in axes)}
-    report = {"defects": defects, "removed_indices": sorted(removed),
+    report = {"defects": defects, "removed_indices": removed,
               "sites": len(points), "cells": [len(cells) for cells in layers]}
     return labels, layers, info, report
 
@@ -482,8 +512,9 @@ def _lifted_corners(cx, box, axes):
 def test_torus_build_matches_free_build_then_quotient(spec):
     try:
         labels, layers, info, report = _torus_by_quotient(spec)
-    except (ComplexBuildError, DefectLocusError) as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
+    except SampleRefused as exc:
+        error = DefectLocusError if exc.locus else ComplexBuildError
+        with pytest.raises(error, match=re.escape(str(exc))):
             build_lattice_complex(spec)
         return
     cx, rep = build_lattice_complex(spec)
@@ -531,8 +562,12 @@ def test_periodic_needs_positive_extent():
 
 
 def test_removed_index_must_be_in_box():
-    with pytest.raises(DefectLocusError):
-        build_lattice_complex(_spec(removed_indices=((9, 9),)))
+    # the box holds integer multi-indices only: a float or a boolean
+    # coordinate names no site of it
+    for index in ((9, 9), (1.5, 0), (1.0, 0), (True, 0)):
+        with pytest.raises(DefectLocusError, match=re.escape(
+                f"removed index {index} is outside the box")):
+            build_lattice_complex(_spec(removed_indices=(index,)))
 
 
 def test_unknown_boundary_kind():

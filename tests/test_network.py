@@ -148,6 +148,8 @@ def test_edge_data_is_checked_on_a_complex_without_edges(check):
     (Chain(1, {0: 1.0, 1: math.nan}, "reals"), "nan"),
     ({0: 1.5, 1: "1.5", 2: -1.5}, "1.5"), ({0: 2.0, 1: "2"}, "2"),
     ({0: 1.0, 1: b"2"}, "b'2'"), ({0: 1.0, 1: None}, "None"),
+    # too large for math.isfinite to convert, which raises OverflowError
+    ({0: 1.0, 1: 10 ** 400}, "10{400}"),
     # built inside the check: a Chain refuses text before any check runs
     (lambda: Chain(1, {0: "1.5", 1: "1.5", 2: "-1.5"}, "reals"), None)])
 def test_edge_values_must_be_finite_numbers(circle, check, values, shown):
