@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +62,8 @@ DEFECT_FIELDS = {
 
 
 def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or (  # the common case first: ABC checks are slow
+        isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,11 @@ def _locus(coords, sites: np.ndarray, box) -> tuple | None:
     """Grid key of one coordinate per leading axis (None: the whole axis),
     None unless each is an integer in the box.  On a periodic axis the top
     wraps to 0."""
-    key = []
-    for a, c in enumerate(coords):
-        lo, hi = box[a]
-        if c is not None and not (_is_integer(c) and lo <= c <= hi):
-            return None
-        key.append(slice(None) if c is None else (c - lo) % sites.shape[a])
-    return tuple(key)
+    if not all(c is None or _is_integer(c) and lo <= c <= hi
+               for c, (lo, hi) in zip(coords, box)):
+        return None
+    return tuple(slice(None) if c is None else (c - lo) % n
+                 for c, (lo, _), n in zip(coords, box, sites.shape))
 
 
 def _unfold(grid: np.ndarray, box) -> np.ndarray:
@@ -189,7 +188,7 @@ def _unfold(grid: np.ndarray, box) -> np.ndarray:
     position at the top."""
     for a, (lo, hi) in enumerate(box):
         if grid.shape[a] == hi - lo:
-            grid = np.take(grid, np.arange(hi - lo + 1) % (hi - lo), axis=a)
+            grid = np.concatenate([grid, grid.take([0], axis=a)], axis=a)
     return grid
 
 
@@ -201,13 +200,16 @@ def _label_dtype(box):
 
 def apply_defects(sites: np.ndarray, box: Sequence[tuple[int, int]],
                   defects: Sequence[DefectSpec]) -> dict:
-    """Clear defect loci from the site grid of :func:`build_lattice_complex`
-    in place and report them; markers are recorded only.
-
-    Each defect must actually meet a present site, otherwise the
-    instruction is considered misaddressed and rejected.
-    """
+    """Clear defect loci from the site grid in place and report them;
+    markers are recorded only.  ``sites`` holds hi - lo + 1 positions per
+    free axis of ``box`` and hi - lo per periodic one, whose two ends are
+    one site.  A defect that meets no present site is misaddressed and
+    refused."""
     m = len(box)
+    if sites.ndim != m or not all(0 < n and hi - lo <= n <= hi - lo + 1
+                                  for n, (lo, hi) in zip(sites.shape, box)):
+        raise ComplexBuildError(
+            f"site grid of shape {sites.shape} does not fit the box {box}")
     report = {"vacancies": [], "line_defects": [], "surface_defects": [],
               "markers": [], "removed_total": 0}
     for spec in defects:
@@ -334,16 +336,15 @@ def apply_constant_boundary(complex_: DeltaComplex,
 
 def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     """Generators to finished complex: validate, remove, build, quotient."""
-    m, n = spec.dimension, spec.ambient
+    m, n, box = spec.dimension, spec.ambient, spec.index_box
     if not 1 <= m <= 3:
         raise DimensionError("lattice dimension must be 1, 2 or 3")
     if n < m:
         raise DimensionError(
             f"ambient dimension {n} cannot hold {m} independent generators")
     A = check_generators(spec.generators, m, n)
-    if len(spec.index_box) != m:
-        raise ComplexBuildError(
-            f"index box needs {m} ranges, got {len(spec.index_box)}")
+    if len(box) != m:
+        raise ComplexBuildError(f"index box needs {m} ranges, got {len(box)}")
     if spec.boundary not in BOUNDARY_KINDS:
         raise ComplexBuildError(f"unknown boundary condition {spec.boundary!r}")
 
@@ -355,38 +356,40 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
             if not 0 <= a < m:
                 raise ComplexBuildError(
                     f"periodic axis {a + 1} out of range 1..{m}")
-            lo, hi = spec.index_box[a]
+            lo, hi = box[a]
             if hi - lo < 1:
                 raise ComplexBuildError(
                     f"periodic axis {a + 1} needs box extent of at least 1")
 
-    for lo, hi in spec.index_box:
+    for lo, hi in box:
         if hi < lo:
             raise ComplexBuildError(f"empty index box range ({lo}, {hi})")
-    total = math.prod(hi - lo + 1 for lo, hi in spec.index_box)
+    total = math.prod(hi - lo + 1 for lo, hi in box)
     if total > MAX_BOX_SITES:
         raise ComplexBuildError(
             f"index box holds {total} sites, above the limit of "
             f"{MAX_BOX_SITES}")
     sites = np.ones([hi - lo + (a not in periodic_axes)
-                     for a, (lo, hi) in enumerate(spec.index_box)], dtype=bool)
+                     for a, (lo, hi) in enumerate(box)], dtype=bool)
     for idx in spec.removed_indices:
         idx = tuple(idx)
         if len(idx) != m:
             raise ComplexBuildError(f"removed index {idx} has wrong length")
-        pos = _locus(idx, sites, spec.index_box)
+        pos = _locus(idx, sites, box)
         if pos is None:
             raise DefectLocusError(f"removed index {idx} is outside the box")
         sites[pos] = False
-    removed = ~sites
-    defect_report = apply_defects(sites, spec.index_box, spec.defects)
+    lows = np.array(box, dtype=_label_dtype(box))[:, 0]
+    removed = []
+    if spec.removed_indices:
+        removed = list(map(tuple, (np.argwhere(
+            _unfold(~sites, box)) + lows).tolist()))
+    defect_report = apply_defects(sites, box, spec.defects)
     if not sites.any():
         raise ComplexBuildError("every lattice site was removed")
 
-    lows = np.array(spec.index_box, dtype=_label_dtype(spec.index_box))[:, 0]
     complex_ = build_complex((np.argwhere(sites) + lows).tolist(), spec.scheme,
-                             index_box=spec.index_box,
-                             periodic_axes=periodic_axes)
+                             index_box=box, periodic_axes=periodic_axes)
     complex_.lattice_info.update({
         "generators": tuple(tuple(float(x) for x in row) for row in A),
         "ambient": n,
@@ -396,13 +399,12 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
         complex_.lattice_info["periodic_axes"] = tuple(
             a + 1 for a in periodic_axes)
     elif spec.boundary == BOUNDARY_CONSTANT:
-        complex_ = apply_constant_boundary(complex_, spec.index_box)
+        complex_ = apply_constant_boundary(complex_, box)
 
     report = {
         "defects": defect_report,
-        "removed_indices": list(map(tuple, (np.argwhere(
-            _unfold(removed, spec.index_box)) + lows).tolist())),
-        "sites": int(np.count_nonzero(_unfold(sites, spec.index_box))),
+        "removed_indices": removed,
+        "sites": int(np.count_nonzero(_unfold(sites, box))),
         "cells": complex_.cell_counts(),
     }
     return complex_, report

@@ -11,8 +11,8 @@ the breadth-first ``spanning_forest`` of the 1-skeleton.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +38,9 @@ def _edge_values(complex_: DeltaComplex, values) -> tuple:
         cid = int(cid)
         if not 0 <= cid < n:
             raise DimensionError(f"edge id {cid} out of range")
-        try:
-            finite = not isinstance(v, (bool, np.bool_)) and isinstance(
-                v, numbers.Real) and math.isfinite(v)
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
+        # NaN fails the comparison; an integer may be too large for a float
+        if isinstance(v, (bool, np.bool_)) or not isinstance(
+                v, numbers.Real) or not abs(v) <= sys.float_info.max:
             raise ValueError(f"edge {cid}: value {v} is not a finite number")
         ids.append(cid)
         out.append(float(v))

@@ -130,6 +130,23 @@ def test_free_box_with_a_far_offset_builds():
     assert cx.cell_counts() == [9, 12, 4]
 
 
+@pytest.mark.parametrize("base", [10 ** 30, -10 ** 30, 2 ** 63 - 2])
+def test_constant_box_with_a_far_offset_matches_the_box_at_0(base):
+    # beyond int64 the hull and the vertex order are worked out on exact
+    # integers; shifting the box shifts every label and nothing else
+    def build(shift):
+        return build_lattice_complex(LatticeSpec(
+            dimension=2, ambient=2, generators=((1.0, 0.0), (0.0, 1.0)),
+            index_box=((shift, shift + 3), (0, 4)), scheme="triangular",
+            boundary="constant",
+            defects=(DefectSpec("vacancy", index=(shift + 1, 2)),)))[0]
+    far, near = build(base), build(0)
+    assert list(far.vertex_labels) == [(x + base, y)
+                                       for x, y in near.vertex_labels]
+    assert far.vertex_labels[0] == (base - 1, -1)
+    assert _as_tuples(far) == _as_tuples(near)
+
+
 # ---------------------------------------------------------------------------
 # explicit cells: the view, the readers and the refusals
 # ---------------------------------------------------------------------------

@@ -189,6 +189,13 @@ def test_periodic_defects_count_torus_sites(defects, outcome):
 
 
 def test_oversized_box_is_refused_before_materialising():
+    # the limit is inclusive: a 1D box of exactly MAX_BOX_SITES sites builds
+    line = dict(dimension=1, ambient=1, generators=((1.0,),))
+    _, rep = build_lattice_complex(_spec(**line,
+                                         index_box=((1, MAX_BOX_SITES),)))
+    assert rep["sites"] == MAX_BOX_SITES
+    with pytest.raises(ComplexBuildError, match=str(MAX_BOX_SITES + 1)):
+        build_lattice_complex(_spec(**line, index_box=((0, MAX_BOX_SITES),)))
     side = math.isqrt(MAX_BOX_SITES)
     with pytest.raises(ComplexBuildError, match=str((side + 1) ** 2)):
         build_lattice_complex(_spec(index_box=((0, side), (0, side))))
@@ -196,6 +203,17 @@ def test_oversized_box_is_refused_before_materialising():
         build_lattice_complex(_spec(index_box=((0, 10 ** 6), (0, 10 ** 6))))
     with pytest.raises(ComplexBuildError, match="empty"):
         build_lattice_complex(_spec(index_box=((0, 2), (3, 1))))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5, 2), (3,), (4, 4, 1), (0, 4)])
+def test_site_grid_must_fit_the_box(shape):
+    # each axis holds hi - lo + 1 positions, or hi - lo when periodic
+    box = ((0, 4), (0, 3))
+    with pytest.raises(ComplexBuildError, match="does not fit the box"):
+        apply_defects(np.ones(shape, dtype=bool), box,
+                      [DefectSpec("vacancy", index=(4, 0))])
+    for fits in [(4, 4), (5, 3), (4, 3)]:
+        apply_defects(np.ones(fits, dtype=bool), box, [])
 
 
 def test_substitution_marker_removes_nothing():
