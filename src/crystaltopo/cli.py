@@ -254,6 +254,25 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
     samples = body["samples"]
     if not isinstance(samples, list):
         raise _fail("field.samples must be a list of [vertex, value] pairs")
+    try:
+        return OrderField.from_samples(cx, space, _sample_mapping(samples))
+    except ValueError as exc:
+        raise _fail(f"field: {exc}") from None
+
+
+def _sample_mapping(samples: list) -> dict:
+    """{vertex label: value} from the [vertex, value] entries, a list
+    label as a tuple, resolved as one batch; a malformed entry, a nested
+    or object label or a repeated label sends the entries through one by
+    one in order, so a refusal names the first."""
+    if set(map(type, samples)) <= {list} and set(map(len, samples)) <= {2}:
+        try:
+            mapping = {tuple(x) if type(x) is list else x: v
+                       for x, v in samples}
+        except TypeError:  # an object, or a list holding a list or object
+            mapping = {}
+        if len(mapping) == len(samples):
+            return mapping
     mapping = {}
     for i, entry in enumerate(samples):
         if not isinstance(entry, list) or len(entry) != 2:
@@ -262,10 +281,7 @@ def field_from_document(doc: dict, cx: DeltaComplex) -> OrderField:
         if label in mapping:
             raise _fail(f"field.samples[{i}]: vertex {label!r} sampled twice")
         mapping[label] = entry[1]
-    try:
-        return OrderField.from_samples(cx, space, mapping)
-    except ValueError as exc:
-        raise _fail(f"field: {exc}") from None
+    return mapping
 
 
 def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> tuple:

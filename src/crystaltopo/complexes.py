@@ -30,6 +30,7 @@ ring for cubes).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -621,8 +622,10 @@ def _unit_chains(m: int) -> list[list[tuple[tuple[int, ...], ...]]]:
     return chains
 
 
-def _cell_templates(scheme: str, m: int) -> list[list[tuple]]:
-    """Unit-cell shapes of ``scheme`` in ``m`` dimensions, by degree k >= 1.
+@functools.cache
+def _cell_templates(scheme: str, m: int) -> tuple[tuple[tuple, ...], ...]:
+    """Unit-cell shapes of ``scheme`` in ``m`` dimensions, by degree k >= 1,
+    built once per scheme and dimension.
 
     Each template is (corner offsets from the anchor site, faces), and the
     templates of one degree are sorted by their offsets.  Every shape
@@ -657,15 +660,15 @@ def _cell_templates(scheme: str, m: int) -> list[list[tuple]]:
     below = {(origin,): 0}
     for templates in shapes:
         templates.sort(key=itemgetter(0))
-        per_degree.append([
+        per_degree.append(tuple(
             (corners, tuple(
                 (corners.index(face[0]),
                  below[tuple(tuple(map(sub, q, face[0])) for q in face)],
                  sign)
                 for face, sign in faces))
-            for corners, faces in templates])
+            for corners, faces in templates))
         below = {corners: t for t, (corners, _) in enumerate(per_degree[-1])}
-    return per_degree
+    return tuple(per_degree)
 
 
 def build_complex(indices: Iterable[tuple], scheme: str, *,

@@ -29,6 +29,7 @@ from .errors import (
     AmbiguousSamplingError,
     CoverageError,
     DimensionError,
+    InternalInconsistencyError,
     UnsupportedConfigurationError,
 )
 
@@ -129,10 +130,7 @@ def _holds_bool(value) -> bool:
     if type(value) in _PLAIN_NUMBERS:
         return False
     if isinstance(value, (list, tuple)):
-        # a list of plain floats and ints, the usual sample, is settled
-        # without a call per entry
-        return (not _PLAIN_NUMBERS.issuperset(map(type, value))
-                and any(map(_holds_bool, value)))
+        return any(map(_holds_bool, value))
     if isinstance(value, np.ndarray):
         return value.dtype.kind == "b" or (
             value.dtype == object and _holds_bool(value.tolist()))
@@ -153,46 +151,133 @@ def _as_floats(value, where: str) -> np.ndarray:
     return arr
 
 
-def _as_unit(vec, length: int, where: str) -> np.ndarray:
+def _as_unit(vec, length: int, where: str) -> None:
     arr = _as_floats(vec, where)
     if arr.shape != (length,):
         raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > UNIT_TOL:
         raise ValueError(f"{where}: vector norm {norm!r} is not 1")
-    return arr
 
 
-def _validate_value(space: OrderSpace, value, where: str):
+def _check_value(space: OrderSpace, value, where: str) -> None:
+    """Raise the ValueError that refuses one sample on its own, naming
+    ``where``; a valid sample passes silently."""
     if space.name == SPACE_FINITE:
         if value not in space.labels:
             raise ValueError(f"{where}: label {value!r} not in the space")
-        return value
-    if space.name == SPACE_CIRCLE:
+    elif space.name == SPACE_CIRCLE:
         if isinstance(value, (int, float)):
-            angle = float(_as_floats(value, where))
-            return np.array([math.cos(angle), math.sin(angle)])
-        return _as_unit(value, 2, where)
-    if space.name in (SPACE_RP2, SPACE_SPHERE):
-        return _as_unit(value, 3, where)
-    if space.name == SPACE_TORUS:
+            _as_floats(value, where)
+        else:
+            _as_unit(value, 2, where)
+    elif space.name in (SPACE_RP2, SPACE_SPHERE):
+        _as_unit(value, 3, where)
+    elif space.name == SPACE_TORUS:
         arr = _as_floats(value, where)
-        if arr.shape == (2,):
-            return np.array([math.cos(arr[0]), math.sin(arr[0]),
-                             math.cos(arr[1]), math.sin(arr[1])])
-        if arr.shape != (4,):
+        if arr.shape == (4,):
+            _as_unit(arr[:2], 2, where)
+            _as_unit(arr[2:], 2, where)
+        elif arr.shape != (2,):
             raise ValueError(
                 f"{where}: torus values are two angles or a 4-vector")
-        _as_unit(arr[:2], 2, where)
-        _as_unit(arr[2:], 2, where)
-        return arr
-    # Frame-valued spaces: a proper rotation matrix.
-    arr = _as_floats(value, where)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{where}: expected a 3x3 frame")
-    if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
-        raise ValueError(f"{where}: frame is not orthonormal")
-    return arr
+    else:
+        # Frame-valued spaces: a proper rotation matrix.
+        arr = _as_floats(value, where)
+        if arr.shape != (3, 3):
+            raise ValueError(f"{where}: expected a 3x3 frame")
+        if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
+            raise ValueError(f"{where}: frame is not orthonormal")
+
+
+# Per vector or frame space: the stored shape of a value, the length of
+# its unit vectors (0 for a frame) and the shape of its angle form.
+_FORMS = {SPACE_CIRCLE: ((2,), 2, ()), SPACE_TORUS: ((4,), 2, (2,)),
+          SPACE_RP2: ((3,), 3, None), SPACE_SPHERE: ((3,), 3, None),
+          SPACE_BIAXIAL: ((3, 3), 0, None),
+          SPACE_CHOLESTERIC: ((3, 3), 0, None)}
+
+
+def _plain_array(values: list) -> np.ndarray | None:
+    """The samples as one float array when they are plain ints and floats,
+    or nested lists or tuples of one shape holding only those (the usual
+    JSON samples), found by type scans over all of them; else None."""
+    shape = [len(values)]
+    leaves = values
+    while not _PLAIN_NUMBERS.issuperset(kinds := set(map(type, leaves))):
+        lengths = set(map(len, leaves)) if kinds <= {list, tuple} else ()
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        leaves = list(itertools.chain.from_iterable(leaves))
+    try:
+        return np.array(leaves, dtype=float).reshape(shape)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def _by_form(space: OrderSpace, values: list) -> list:
+    """(positions, stacked float arrays) of the samples of each form of the
+    space, each sample converted on its own; one that fits no form is
+    left out.  A circle sample is an angle when it is an int or float."""
+    shape, _, angle = _FORMS[space.name]
+    found = {shape: ([], []), angle: ([], [])}
+    for i, value in enumerate(values):
+        try:
+            row = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        form = row.shape
+        if space.name == SPACE_CIRCLE:
+            form = () if isinstance(value, (int, float)) else shape
+        if row.shape == form and form in found:
+            found[form][0].append(i)
+            found[form][1].append(row)
+    return [(at, np.array(rows)) for at, rows in found.values() if at]
+
+
+def _cos_sin(angles: np.ndarray) -> np.ndarray:
+    """Each row of angles as the cosine and sine of each, by ``math``;
+    NaN for an angle that is not finite."""
+    flat = np.where(np.isfinite(angles), angles, math.nan).ravel().tolist()
+    return np.array([list(map(math.cos, flat)), list(map(math.sin, flat))]
+                    ).T.reshape(len(angles), -1)
+
+
+def _sample_array(space: OrderSpace, values: list):
+    """The samples of a vector or frame space as one float array of stored
+    values, and the mask of the samples the space refuses.
+
+    Angle forms (a circle sample that is an int or float, a torus sample
+    that is a pair) are stored as the cosines and sines.  A sample is
+    refused when it holds a boolean, converts to no form of the space or
+    not to finite numbers, or is not a unit vector or an orthonormal
+    frame, within the tolerances of :func:`_check_value`.
+    """
+    shape, unit, angle = _FORMS[space.name]
+    n = len(values)
+    x = _plain_array(values)
+    if x is not None and x.shape[1:] in (shape, angle):
+        bad = np.zeros(n, dtype=bool)
+        out = x if x.shape[1:] == shape else _cos_sin(x)
+    else:
+        bad = np.fromiter(map(_holds_bool, values), dtype=bool, count=n)
+        out = np.full((n, *shape), math.nan)
+        for at, rows in _by_form(space, values):
+            out[at] = rows if rows.shape[1:] == shape else _cos_sin(rows)
+    bad |= ~np.isfinite(out).reshape(n, -1).all(axis=1)
+    # Products of infinite or huge entries, on rows refused anyway, stay
+    # silent here; only the check of the vertex named in a refusal warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if unit:
+            per = math.prod(shape) // unit
+            sub = out.reshape(n * per, unit)
+            norms = np.sqrt(_dots(sub, sub)).reshape(n, per)
+            bad |= (np.abs(norms - 1.0) > UNIT_TOL).any(axis=1)
+        else:
+            bad |= ~np.isclose(out @ out.transpose(0, 2, 1), np.eye(3),
+                               atol=1e-8).all(axis=(1, 2))
+    return out, bad
 
 
 @dataclass
@@ -207,17 +292,36 @@ class OrderField:
     @classmethod
     def from_samples(cls, complex_: DeltaComplex, space: OrderSpace,
                      samples: Mapping) -> "OrderField":
-        """Build from {vertex label: value}; every vertex must be covered."""
-        missing = [lab for lab in complex_.vertex_labels if lab not in samples]
-        if missing:
+        """Build from {vertex label: value}; every vertex must be covered.
+
+        The values are checked as one batch; samples on other labels are
+        ignored.  A refusal names the first vertex, in vertex order, whose
+        value the space refuses, for the reason it has on its own.
+        """
+        labels = complex_.vertex_labels
+        if not all(map(samples.__contains__, labels)):
+            missing = [lab for lab in labels if lab not in samples]
             shown = ", ".join(repr(lab) for lab in missing[:5])
             more = f" (and {len(missing) - 5} more)" if len(missing) > 5 else ""
             raise CoverageError(
                 f"field leaves {len(missing)} vertices unsampled: {shown}{more}")
-        values = [_validate_value(space, samples[lab], f"vertex {lab!r}")
-                  for lab in complex_.vertex_labels]
-        return cls(complex_, space, values if space.name == SPACE_FINITE
-                   else np.array(values, dtype=float))
+        values = list(map(samples.__getitem__, labels))
+        if space.name == SPACE_FINITE:
+            stored = values
+            first = next((i for i, v in enumerate(values)
+                          if v not in space.labels), None)
+        elif values:
+            stored, bad = _sample_array(space, values)
+            first = int(bad.argmax()) if bad.any() else None
+        else:
+            stored, first = np.zeros(0), None
+        if first is not None:
+            where = f"vertex {labels[first]!r}"
+            _check_value(space, values[first], where)
+            raise InternalInconsistencyError(
+                f"{where}: the batched sample check refuses a value that "
+                "passes on its own")
+        return cls(complex_, space, stored)
 
     @classmethod
     def from_function(cls, complex_: DeltaComplex, space: OrderSpace,
@@ -282,8 +386,9 @@ def _windings(field: OrderField, loops: Sequence[Sequence[int]],
     """Whole turns of each circle factor around each loop; the factor at
     ``offset`` is the value pair (offset, offset + 1)."""
     ids = {v for loop in loops for v in loop}
-    angles = [{v: math.atan2(field.values[v][o + 1], field.values[v][o])
-               for v in ids} for o in offsets]
+    cols = np.asarray(field.values, dtype=float).T.tolist()
+    angles = [{v: math.atan2(cols[o + 1][v], cols[o][v]) for v in ids}
+              for o in offsets]
     return [tuple(_whole_turns([a[v] for v in loop]) for a in angles)
             for loop in map(_closed, loops)]
 
@@ -536,9 +641,16 @@ def boundary_class(field: OrderField, k: int, cell_id: int):
 
 
 def pi0_classes(field: OrderField, components: Sequence[int]) -> list[dict]:
-    """Distinct values per connected component, for discrete spaces."""
-    buckets: dict[int, set] = {}
+    """Distinct values per connected component, for discrete spaces.
+
+    Values are told apart by the label of the space they equal, so JSON
+    list and object labels, which do not hash, work too; each label is
+    printed as the first sample of the component that holds it.
+    """
+    labels = field.space.labels
+    buckets: dict[int, dict[int, object]] = {}
     for vid, comp in enumerate(components):
-        buckets.setdefault(comp, set()).add(field.values[vid])
-    return [{"component": comp, "labels": sorted(map(str, labs))}
+        value = field.values[vid]
+        buckets.setdefault(comp, {}).setdefault(labels.index(value), value)
+    return [{"component": comp, "labels": sorted(map(str, labs.values()))}
             for comp, labs in sorted(buckets.items())]

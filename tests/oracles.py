@@ -1199,3 +1199,122 @@ def edge_data_oracle(doc, key, vertex_labels, edge_rows):
             raise ValueError(f"{where}: edge must be an id or a vertex pair")
         out[cid] = out.get(cid, 0.0) + sign * float(value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Order-field samples, one vertex at a time
+# ---------------------------------------------------------------------------
+
+UNIT_TOL = 1e-9
+
+
+class SamplesUncovered(Exception):
+    """A field leaves vertices unsampled; the package raises CoverageError
+    with the same text."""
+
+
+def _sample_holds_bool(value):
+    if type(value) in (float, int):
+        return False
+    if isinstance(value, (list, tuple)):
+        return any(map(_sample_holds_bool, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "b" or (
+            value.dtype == object and _sample_holds_bool(value.tolist()))
+    return isinstance(value, (bool, np.bool_))
+
+
+def _sample_floats(value, where):
+    if _sample_holds_bool(value):
+        raise ValueError(f"{where}: expected numbers")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected numbers") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where}: expected finite numbers")
+    return arr
+
+
+def _sample_unit(vec, length, where):
+    arr = _sample_floats(vec, where)
+    if arr.shape != (length,):
+        raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise ValueError(f"{where}: vector norm {norm!r} is not 1")
+    return arr
+
+
+def sample_value_oracle(space, labels, value, where):
+    """One sample checked and converted on its own: the value itself for
+    a finite set, else a float array (a circle angle or a torus angle
+    pair as cosines and sines).  A refusal is a ValueError naming
+    ``where``."""
+    if space == "finite_set":
+        if value not in labels:
+            raise ValueError(f"{where}: label {value!r} not in the space")
+        return value
+    if space == "circle":
+        if isinstance(value, (int, float)):
+            angle = float(_sample_floats(value, where))
+            return np.array([math.cos(angle), math.sin(angle)])
+        return _sample_unit(value, 2, where)
+    if space in ("projective_plane", "sphere_2"):
+        return _sample_unit(value, 3, where)
+    if space == "torus":
+        arr = _sample_floats(value, where)
+        if arr.shape == (2,):
+            return np.array([math.cos(arr[0]), math.sin(arr[0]),
+                             math.cos(arr[1]), math.sin(arr[1])])
+        if arr.shape != (4,):
+            raise ValueError(
+                f"{where}: torus values are two angles or a 4-vector")
+        _sample_unit(arr[:2], 2, where)
+        _sample_unit(arr[2:], 2, where)
+        return arr
+    arr = _sample_floats(value, where)
+    if arr.shape != (3, 3):
+        raise ValueError(f"{where}: expected a 3x3 frame")
+    if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
+        raise ValueError(f"{where}: frame is not orthonormal")
+    return arr
+
+
+def field_samples_oracle(space, labels, vertex_labels, samples):
+    """The stored values of a field given {vertex label: value}: every
+    vertex checked in vertex order, a list for a finite set, else one
+    float array.  Unsampled vertices raise SamplesUncovered, a refused
+    value ValueError for the first vertex that holds one."""
+    missing = [lab for lab in vertex_labels if lab not in samples]
+    if missing:
+        shown = ", ".join(repr(lab) for lab in missing[:5])
+        more = f" (and {len(missing) - 5} more)" if len(missing) > 5 else ""
+        raise SamplesUncovered(
+            f"field leaves {len(missing)} vertices unsampled: {shown}{more}")
+    values = [sample_value_oracle(space, labels, samples[lab],
+                                  f"vertex {lab!r}")
+              for lab in vertex_labels]
+    return values if space == "finite_set" else np.array(values, dtype=float)
+
+
+def field_entries_oracle(entries):
+    """{vertex label: value} from a document's ``field.samples`` list, read
+    one entry at a time; a list label becomes a tuple.  A refused entry
+    raises ValueError with the message the CLI prints for it."""
+
+    def label(x, where):
+        if isinstance(x, dict):
+            raise ValueError(f"{where}: a vertex label cannot be an object")
+        return tuple(label(v, where) for v in x) if isinstance(x, list) else x
+
+    mapping = {}
+    for i, entry in enumerate(entries):
+        where = f"field.samples[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"{where}: expected [vertex, value]")
+        key = label(entry[0], where)
+        if key in mapping:
+            raise ValueError(f"{where}: vertex {key!r} sampled twice")
+        mapping[key] = entry[1]
+    return mapping

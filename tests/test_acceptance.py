@@ -224,6 +224,15 @@ def test_obstruction_scenario_discrete_interface():
     split = OrderField.from_samples(
         two, sp, {"A": "+h/2", "B": "+h/2", "C": "-h/2", "D": "-h/2"})
     ok = ok and extend_field(split).extends
+
+    # labels read from JSON lists do not hash; the interface still blocks
+    # and both sides are named
+    listed = OrderField.from_function(
+        grid, make_space("finite_set", labels=([1], [2])),
+        lambda label: [1] if label[0] < 2 else [2])
+    rep = extend_field(listed)
+    ok = ok and rep.blocked_at == 1 and rep.component_values == [
+        {"component": 0, "labels": ["[1]", "[2]"]}]
     _verdict("obstruction (a): interface blocks, per-component constants pass", ok)
 
 

@@ -233,6 +233,20 @@ def test_views_are_read_only():
             layer.faces[:1] = 7
 
 
+@pytest.mark.parametrize("scheme", ["cubic", "triangular"])
+def test_cell_templates_are_built_once_and_read_only(scheme):
+    # one cached result per scheme and dimension, shared by every build,
+    # so no part of it may be mutable
+    def frozen(x):
+        return not isinstance(x, (list, dict, set)) and (
+            not isinstance(x, tuple) or all(map(frozen, x)))
+
+    for m in (1, 2, 3):
+        templates = _cell_templates(scheme, m)
+        assert templates is _cell_templates(scheme, m)
+        assert isinstance(templates, tuple) and frozen(templates)
+
+
 @pytest.mark.parametrize("cells, match", [
     ([[Cell((0,), ())], [Cell((0,), ((0, 2 ** 63),))]],
      "face coefficients must be integers within int64"),

@@ -180,6 +180,26 @@ def test_obstruct_prints_torus_pairings_as_lists(capsys, tmp_path):
     assert "pairing with free generator: [0, 0]\n" in out
 
 
+@pytest.mark.parametrize("labels", [[[1], [2]], [{"a": 1}, 2]])
+def test_obstruct_finite_set_with_list_and_object_labels(capsys, tmp_path,
+                                                         labels):
+    # JSON lists and objects compare equal but do not hash; the interface
+    # is reported with the samples as written, not a traceback
+    doc = {"complex": {"cells": [["A", "B"], ["B", "C"], ["C", "D"]]},
+           "field": {"space": "finite_set", "labels": labels,
+                     "samples": [[v, labels[v > "B"]] for v in "ABCD"]}}
+    path = write_doc(tmp_path, doc)
+    rc, out, err = run(capsys, "obstruct", path, "--report", "json")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["blocked_at"] == 1 and report["extends"] is False
+    assert report["component_values"] == [
+        {"component": 0, "labels": sorted(map(str, labels))}]
+    rc, out, _ = run(capsys, "obstruct", path)
+    assert rc == 0
+    assert f"component 0: values {', '.join(sorted(map(str, labels)))}\n" in out
+
+
 def test_obstruct_requires_field(capsys, tmp_path):
     rc, out, err = run(capsys, "obstruct", write_doc(tmp_path, TORUS_DOC))
     assert rc == 2

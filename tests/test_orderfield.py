@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -31,14 +32,19 @@ from crystaltopo import (
     winding_number,
 )
 
+from crystaltopo.cli import build_from_document, field_from_document
+from crystaltopo.errors import DocumentError
 from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _whole_turns
 
 from conftest import make_circle, make_grid, make_tetra_surface
 
 from oracles import (
     ProbeRefused,
+    SamplesUncovered,
     _probe_shell,
     boundary_class_oracle,
+    field_entries_oracle,
+    field_samples_oracle,
     rp_parity_oracle,
     sphere_degree_oracle,
     winding_number_oracle,
@@ -181,6 +187,185 @@ def test_finite_set_values_stay_the_sample_objects(circle):
                                 dict(zip("ABC", labels)))
     assert f.values == list(labels)
     assert [type(v) for v in f.values] == [str, int, tuple]
+
+
+# The batched sample check against the vertex-by-vertex loop it replaced
+# (tests/oracles.py): the same accept or refuse, the same exception type
+# and text, and bit-identical stored values.
+
+SAMPLE_SPACES = ["finite_set", "circle", "projective_plane", "sphere_2",
+                 "torus", "biaxial_nematic", "cholesteric"]
+FINITE_LABELS = [["up", "down"], [1, 2.5], [[1], [2]], [{"a": 1}, 2]]
+
+
+def _valid_sample(rng, space, labels):
+    if space == "finite_set":
+        return json.loads(json.dumps(labels[rng.integers(len(labels))]))
+    if space in ("circle", "torus"):
+        angles = rng.uniform(-7.0, 7.0, 1 if space == "circle" else 2)
+        if rng.random() < 0.5:
+            return angles[0].item() if space == "circle" else angles.tolist()
+        return [f(a) for a in angles.tolist() for f in (math.cos, math.sin)]
+    if space in ("projective_plane", "sphere_2"):
+        v = rng.normal(size=3)
+        return (v / np.linalg.norm(v)).tolist()
+    return np.linalg.qr(rng.normal(size=(3, 3)))[0].tolist()
+
+
+def _with_leaf(rng, value, leaf):
+    """``value`` with one number, at a random place, replaced by ``leaf``;
+    a bare number is replaced whole."""
+    if not isinstance(value, list) or not value:
+        return leaf
+    i = rng.integers(len(value))
+    return value[:i] + [_with_leaf(rng, value[i], leaf)] + value[i + 1:]
+
+
+def _scaled(value, factor):
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    return value * factor if type(value) is float else value
+
+
+def _as_array(value, objects):
+    try:
+        return np.array(value, dtype=object if objects else None)
+    except ValueError:  # ragged
+        return np.array(value, dtype=object)
+
+
+def _sheared(value, eps):
+    """A frame with eps times its second row added to its first, so its
+    rows are no longer quite orthogonal; a vector or an angle with eps
+    added to its first number.  Entries that are not floats stay."""
+    if not isinstance(value, list) or not value:
+        return value + eps if type(value) is float else value
+    first, rest = value[0], value[1:]
+    if isinstance(first, list) and rest and isinstance(rest[0], list):
+        first = [a + eps * b if type(a) is type(b) is float else a
+                 for a, b in zip(first, rest[0])] + first[len(rest[0]):]
+    elif type(first) is float:
+        first += eps
+    return [first] + rest
+
+
+# name -> (value, rng) -> corrupted value; the names after JSON_SAFE hold
+# values a JSON document cannot, or change only the Python container
+SAMPLE_EDITS = {
+    "bool": lambda v, rng: bool(rng.integers(2)),
+    "bool-entry": lambda v, rng: _with_leaf(rng, v, True),
+    "nan": lambda v, rng: math.nan,
+    "inf-entry": lambda v, rng: _with_leaf(rng, v, -math.inf),
+    "nan-entry": lambda v, rng: _with_leaf(rng, v, math.nan),
+    "short": lambda v, rng: v[:-1] if isinstance(v, list) else [v],
+    "long": lambda v, rng: v + [0.0] if isinstance(v, list) else [v, v],
+    "ragged": lambda v, rng: [[1.0, 0.0], [0.0]],
+    "ragged-entry": lambda v, rng: _with_leaf(rng, v, [1.0]),
+    "object": lambda v, rng: {"x": 1},
+    "text": lambda v, rng: "abc",
+    "null": lambda v, rng: None,
+    "doubled": lambda v, rng: _scaled(v, 2.0),
+    "off-unit": lambda v, rng: _scaled(v, 1.0 + 1e-8),
+    "near-unit": lambda v, rng: _scaled(v, 1.0 + 1e-12),
+    "shear-in": lambda v, rng: _sheared(v, 3e-9),
+    "shear-out": lambda v, rng: _sheared(v, 3e-8),
+    "big-int": lambda v, rng: _with_leaf(rng, v, 10 ** 400),
+    "big-int-angle": lambda v, rng: -10 ** 400,
+    "eye": lambda v, rng: np.eye(3, dtype=int).tolist(),
+    "label": lambda v, rng: "sideways",
+}
+JSON_SAFE = set(SAMPLE_EDITS)
+SAMPLE_EDITS.update({
+    "np-bool": lambda v, rng: np.bool_(rng.integers(2)),
+    "np-eye": lambda v, rng: np.eye(3, dtype=int),
+    "array": lambda v, rng: _as_array(v, rng.random() < 0.3),
+    "tuple": lambda v, rng: tuple(v) if isinstance(v, list) else (v,),
+    "np-float": lambda v, rng: np.float64(v) if type(v) is float else v,
+})
+
+
+@st.composite
+def sample_entries(draw, json_only):
+    """(space, its labels, vertex count, [[vertex, value], ...]): valid
+    samples of every vertex (i, "v"), some edited, with extra samples on
+    the labels ("x", j), which may repeat, and maybe a vertex left out."""
+    space = draw(st.sampled_from(SAMPLE_SPACES))
+    labels = draw(st.sampled_from(FINITE_LABELS)) if space == "finite_set" \
+        else []
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    names = sorted(JSON_SAFE) if json_only else sorted(SAMPLE_EDITS)
+    values = [_valid_sample(rng, space, labels) for _ in range(n + 2)]
+    for i in draw(st.lists(st.integers(0, n + 1), max_size=3)):
+        values[i] = SAMPLE_EDITS[draw(st.sampled_from(names))](values[i], rng)
+    entries = [[[i, "v"], values[i]] for i in range(n)]
+    entries += [[["x", j], values[n + j]]
+                for j in range(draw(st.integers(0, 2)))]
+    entries += [[["x", 0], values[n]]] * draw(st.integers(0, 1))
+    if rng.random() < 0.1:
+        del entries[rng.integers(n)]
+    order = draw(st.permutations(range(len(entries))))
+    return space, labels, n, [entries[i] for i in order]
+
+
+def _stored(values):
+    if isinstance(values, list):
+        return [id(v) for v in values]
+    return values.dtype, values.shape, values.tobytes()
+
+
+def _points(n):
+    return DeltaComplex.from_simplices([((i, "v"),) for i in range(n)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(sample_entries(json_only=False))
+def test_batched_sample_check_matches_the_vertex_loop(drawn):
+    space, labels, n, entries = drawn
+    cx = _points(n)
+    samples = {tuple(lab): value for lab, value in entries}
+    try:
+        want = _stored(field_samples_oracle(space, labels, cx.vertex_labels,
+                                            samples))
+    except SamplesUncovered as exc:
+        with pytest.raises(CoverageError, match=f"^{re.escape(str(exc))}$"):
+            OrderField.from_samples(cx, make_space(space, labels), samples)
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            OrderField.from_samples(cx, make_space(space, labels), samples)
+        assert (type(got.value), str(got.value)) == (ValueError, str(exc))
+        return
+    f = OrderField.from_samples(cx, make_space(space, labels), samples)
+    assert _stored(f.values) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_entries(json_only=True))
+def test_document_samples_match_the_entry_and_vertex_loops(drawn):
+    space, labels, n, entries = drawn
+    doc = json.loads(json.dumps({
+        "complex": {"cells": [[[i, "v"]] for i in range(n)]},
+        "field": {"space": space, "labels": labels, "samples": entries}}))
+    cx, _ = build_from_document(doc)
+    try:
+        samples = field_entries_oracle(doc["field"]["samples"])
+        want = field_samples_oracle(space, doc["field"]["labels"],
+                                    cx.vertex_labels, samples)
+    except SamplesUncovered as exc:
+        with pytest.raises(CoverageError, match=f"^{re.escape(str(exc))}$"):
+            field_from_document(doc, cx)
+        return
+    except ValueError as exc:
+        text = str(exc) if str(exc).startswith("field.") else f"field: {exc}"
+        with pytest.raises(DocumentError, match=f"^{re.escape(text)}$"):
+            field_from_document(doc, cx)
+        return
+    got = field_from_document(doc, cx).values
+    if space == "finite_set":
+        assert got == want
+    else:
+        assert _stored(got) == _stored(want)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +643,22 @@ def test_pi0_classes_by_component():
     f = OrderField.from_samples(cx, sp, {"A": "a", "B": "a", "C": "a", "D": "b"})
     out = pi0_classes(f, vertex_components(cx))
     assert [sorted(entry["labels"]) for entry in out] == [["a"], ["a", "b"]]
+
+
+def test_pi0_classes_name_unhashable_labels_by_their_first_sample():
+    # list and object labels do not hash; values equal to one label are
+    # one class, printed as the first sample of the component
+    sp = make_space("finite_set", labels=([1], {"a": 1}, 2))
+    cx = DeltaComplex.from_simplices([("A", "B"), ("C", "D")])
+    f = OrderField.from_samples(cx, sp,
+                                {"A": [1], "B": {"a": 1}, "C": 2, "D": 2.0})
+    assert pi0_classes(f, vertex_components(cx)) == [
+        {"component": 0, "labels": ["[1]", "{'a': 1}"]},
+        {"component": 1, "labels": ["2"]}]
+    g = OrderField.from_samples(cx, sp,
+                                {"A": [1], "B": [1], "C": 2.0, "D": 2})
+    assert [c["labels"] for c in pi0_classes(g, vertex_components(cx))] == [
+        ["[1]"], ["2.0"]]
 
 
 def test_winding_on_two_cell_boundary(torus):
