@@ -151,43 +151,46 @@ def _as_floats(value, where: str) -> np.ndarray:
     return arr
 
 
-def _as_unit(vec, length: int, where: str) -> None:
+def _as_unit(vec, length: int, where: str) -> np.ndarray:
     arr = _as_floats(vec, where)
     if arr.shape != (length,):
         raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > UNIT_TOL:
         raise ValueError(f"{where}: vector norm {norm!r} is not 1")
+    return arr
 
 
-def _check_value(space: OrderSpace, value, where: str) -> None:
-    """Raise the ValueError that refuses one sample on its own, naming
-    ``where``; a valid sample passes silently."""
+def _validate_value(space: OrderSpace, value, where: str):
     if space.name == SPACE_FINITE:
         if value not in space.labels:
             raise ValueError(f"{where}: label {value!r} not in the space")
-    elif space.name == SPACE_CIRCLE:
+        return value
+    if space.name == SPACE_CIRCLE:
         if isinstance(value, (int, float)):
-            _as_floats(value, where)
-        else:
-            _as_unit(value, 2, where)
-    elif space.name in (SPACE_RP2, SPACE_SPHERE):
-        _as_unit(value, 3, where)
-    elif space.name == SPACE_TORUS:
+            angle = float(_as_floats(value, where))
+            return np.array([math.cos(angle), math.sin(angle)])
+        return _as_unit(value, 2, where)
+    if space.name in (SPACE_RP2, SPACE_SPHERE):
+        return _as_unit(value, 3, where)
+    if space.name == SPACE_TORUS:
         arr = _as_floats(value, where)
-        if arr.shape == (4,):
-            _as_unit(arr[:2], 2, where)
-            _as_unit(arr[2:], 2, where)
-        elif arr.shape != (2,):
+        if arr.shape == (2,):
+            return np.array([math.cos(arr[0]), math.sin(arr[0]),
+                             math.cos(arr[1]), math.sin(arr[1])])
+        if arr.shape != (4,):
             raise ValueError(
                 f"{where}: torus values are two angles or a 4-vector")
-    else:
-        # Frame-valued spaces: a proper rotation matrix.
-        arr = _as_floats(value, where)
-        if arr.shape != (3, 3):
-            raise ValueError(f"{where}: expected a 3x3 frame")
-        if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
-            raise ValueError(f"{where}: frame is not orthonormal")
+        _as_unit(arr[:2], 2, where)
+        _as_unit(arr[2:], 2, where)
+        return arr
+    # Frame-valued spaces: a proper rotation matrix.
+    arr = _as_floats(value, where)
+    if arr.shape != (3, 3):
+        raise ValueError(f"{where}: expected a 3x3 frame")
+    if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
+        raise ValueError(f"{where}: frame is not orthonormal")
+    return arr
 
 
 # Per vector or frame space: the stored shape of a value, the length of
@@ -216,56 +219,25 @@ def _plain_array(values: list) -> np.ndarray | None:
         return None
 
 
-def _by_form(space: OrderSpace, values: list) -> list:
-    """(positions, stacked float arrays) of the samples of each form of the
-    space, each sample converted on its own; one that fits no form is
-    left out.  A circle sample is an angle when it is an int or float."""
-    shape, _, angle = _FORMS[space.name]
-    found = {shape: ([], []), angle: ([], [])}
-    for i, value in enumerate(values):
-        try:
-            row = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            continue
-        form = row.shape
-        if space.name == SPACE_CIRCLE:
-            form = () if isinstance(value, (int, float)) else shape
-        if row.shape == form and form in found:
-            found[form][0].append(i)
-            found[form][1].append(row)
-    return [(at, np.array(rows)) for at, rows in found.values() if at]
-
-
-def _cos_sin(angles: np.ndarray) -> np.ndarray:
-    """Each row of angles as the cosine and sine of each, by ``math``;
-    NaN for an angle that is not finite."""
-    flat = np.where(np.isfinite(angles), angles, math.nan).ravel().tolist()
-    return np.array([list(map(math.cos, flat)), list(map(math.sin, flat))]
-                    ).T.reshape(len(angles), -1)
-
-
 def _sample_array(space: OrderSpace, values: list):
-    """The samples of a vector or frame space as one float array of stored
-    values, and the mask of the samples the space refuses.
-
-    Angle forms (a circle sample that is an int or float, a torus sample
-    that is a pair) are stored as the cosines and sines.  A sample is
-    refused when it holds a boolean, converts to no form of the space or
-    not to finite numbers, or is not a unit vector or an orthonormal
-    frame, within the tolerances of :func:`_check_value`.
-    """
+    """The stored values of the samples and the mask of those the space
+    refuses, by the rules of :func:`_validate_value`; None when a vector
+    or frame space's samples are not one regular array of plain numbers
+    in its stored form or its angle form."""
+    if space.name == SPACE_FINITE:
+        return values, [v not in space.labels for v in values]
     shape, unit, angle = _FORMS[space.name]
+    out = _plain_array(values)
+    if out is None or out.shape[1:] not in (shape, angle):
+        return None
     n = len(values)
-    x = _plain_array(values)
-    if x is not None and x.shape[1:] in (shape, angle):
-        bad = np.zeros(n, dtype=bool)
-        out = x if x.shape[1:] == shape else _cos_sin(x)
-    else:
-        bad = np.fromiter(map(_holds_bool, values), dtype=bool, count=n)
-        out = np.full((n, *shape), math.nan)
-        for at, rows in _by_form(space, values):
-            out[at] = rows if rows.shape[1:] == shape else _cos_sin(rows)
-    bad |= ~np.isfinite(out).reshape(n, -1).all(axis=1)
+    if out.shape[1:] == angle:
+        # cosines and sines by ``math``, as for one sample; NaN for an
+        # angle that is not finite
+        flat = np.where(np.isfinite(out), out, math.nan).ravel().tolist()
+        out = np.array([list(map(math.cos, flat)), list(map(math.sin, flat))]
+                       ).T.reshape(n, -1)
+    bad = ~np.isfinite(out).reshape(n, -1).all(axis=1)
     # Products of infinite or huge entries, on rows refused anyway, stay
     # silent here; only the check of the vertex named in a refusal warns.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,18 +278,17 @@ class OrderField:
             raise CoverageError(
                 f"field leaves {len(missing)} vertices unsampled: {shown}{more}")
         values = list(map(samples.__getitem__, labels))
-        if space.name == SPACE_FINITE:
-            stored = values
-            first = next((i for i, v in enumerate(values)
-                          if v not in space.labels), None)
-        elif values:
-            stored, bad = _sample_array(space, values)
-            first = int(bad.argmax()) if bad.any() else None
-        else:
-            stored, first = np.zeros(0), None
-        if first is not None:
+        batch = _sample_array(space, values) if values else None
+        if batch is None:
+            checked = [_validate_value(space, v, f"vertex {lab!r}")
+                       for lab, v in zip(labels, values)]
+            return cls(complex_, space, checked if space.name == SPACE_FINITE
+                       else np.array(checked, dtype=float))
+        stored, bad = batch
+        if np.any(bad):
+            first = int(np.argmax(bad))
             where = f"vertex {labels[first]!r}"
-            _check_value(space, values[first], where)
+            _validate_value(space, values[first], where)
             raise InternalInconsistencyError(
                 f"{where}: the batched sample check refuses a value that "
                 "passes on its own")
@@ -385,9 +356,9 @@ def _windings(field: OrderField, loops: Sequence[Sequence[int]],
               offsets: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Whole turns of each circle factor around each loop; the factor at
     ``offset`` is the value pair (offset, offset + 1)."""
-    ids = {v for loop in loops for v in loop}
-    cols = np.asarray(field.values, dtype=float).T.tolist()
-    angles = [{v: math.atan2(cols[o + 1][v], cols[o][v]) for v in ids}
+    ids = list({v for loop in loops for v in loop})
+    cols = np.asarray(field.values, dtype=float)[ids].T.tolist()
+    angles = [dict(zip(ids, map(math.atan2, cols[o + 1], cols[o])))
               for o in offsets]
     return [tuple(_whole_turns([a[v] for v in loop]) for a in angles)
             for loop in map(_closed, loops)]
@@ -641,12 +612,8 @@ def boundary_class(field: OrderField, k: int, cell_id: int):
 
 
 def pi0_classes(field: OrderField, components: Sequence[int]) -> list[dict]:
-    """Distinct values per connected component, for discrete spaces.
-
-    Values are told apart by the label of the space they equal, so JSON
-    list and object labels, which do not hash, work too; each label is
-    printed as the first sample of the component that holds it.
-    """
+    """Distinct values per connected component, for discrete spaces, told
+    apart by their index in the space's labels, which need not hash."""
     labels = field.space.labels
     buckets: dict[int, dict[int, object]] = {}
     for vid, comp in enumerate(components):

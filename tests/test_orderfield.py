@@ -198,12 +198,14 @@ SAMPLE_SPACES = ["finite_set", "circle", "projective_plane", "sphere_2",
 FINITE_LABELS = [["up", "down"], [1, 2.5], [[1], [2]], [{"a": 1}, 2]]
 
 
-def _valid_sample(rng, space, labels):
+def _valid_sample(rng, space, labels, angle_rate):
+    """A sample the space accepts; a circle or torus sample is in angle
+    form with probability ``angle_rate``."""
     if space == "finite_set":
         return json.loads(json.dumps(labels[rng.integers(len(labels))]))
     if space in ("circle", "torus"):
         angles = rng.uniform(-7.0, 7.0, 1 if space == "circle" else 2)
-        if rng.random() < 0.5:
+        if rng.random() < angle_rate:
             return angles[0].item() if space == "circle" else angles.tolist()
         return [f(a) for a in angles.tolist() for f in (math.cos, math.sin)]
     if space in ("projective_plane", "sphere_2"):
@@ -219,6 +221,17 @@ def _with_leaf(rng, value, leaf):
         return leaf
     i = rng.integers(len(value))
     return value[:i] + [_with_leaf(rng, value[i], leaf)] + value[i + 1:]
+
+
+def _bool_unit(value):
+    """Booleans shaped like ``value`` that the space would accept if they
+    were read as numbers: an angle, unit vectors or the identity frame."""
+    if not isinstance(value, list) or not value:
+        return True
+    if isinstance(value[0], list):
+        return np.eye(3, dtype=bool).tolist()
+    return ([True, False] * 2 if len(value) == 4
+            else [True] + [False] * (len(value) - 1))
 
 
 def _scaled(value, factor):
@@ -254,6 +267,7 @@ def _sheared(value, eps):
 SAMPLE_EDITS = {
     "bool": lambda v, rng: bool(rng.integers(2)),
     "bool-entry": lambda v, rng: _with_leaf(rng, v, True),
+    "bool-unit": lambda v, rng: _bool_unit(v),
     "nan": lambda v, rng: math.nan,
     "inf-entry": lambda v, rng: _with_leaf(rng, v, -math.inf),
     "nan-entry": lambda v, rng: _with_leaf(rng, v, math.nan),
@@ -295,7 +309,10 @@ def sample_entries(draw, json_only):
     n = draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     names = sorted(JSON_SAFE) if json_only else sorted(SAMPLE_EDITS)
-    values = [_valid_sample(rng, space, labels) for _ in range(n + 2)]
+    # all angles, all vectors or mixed, so each form meets the batch alone
+    angle_rate = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    values = [_valid_sample(rng, space, labels, angle_rate)
+              for _ in range(n + 2)]
     for i in draw(st.lists(st.integers(0, n + 1), max_size=3)):
         values[i] = SAMPLE_EDITS[draw(st.sampled_from(names))](values[i], rng)
     entries = [[[i, "v"], values[i]] for i in range(n)]
