@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -614,17 +615,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    # A command keeps nearly all it allocates (the decoded document above
+    # all) until it returns, so cyclic-collector passes would only re-scan
+    # live objects: the collector is paused, and the caller's setting kept.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc, digest = load_document(args.document)
-        cx, build_report = build_from_document(doc)
-        report = COMMANDS[args.command](args, doc, cx, build_report)
-    except CrystalTopoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report.update(command=args.command, document_sha256=digest)
-    sys.stdout.write(_emit(report, args.report))
-    return 0
+        args = _parser().parse_args(argv)
+        try:
+            doc, digest = load_document(args.document)
+            cx, build_report = build_from_document(doc)
+            report = COMMANDS[args.command](args, doc, cx, build_report)
+        except CrystalTopoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        report.update(command=args.command, document_sha256=digest)
+        sys.stdout.write(_emit(report, args.report))
+        return 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -690,16 +690,9 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
     torus: a cell at the top of such an axis wraps onto the bottom, and
     each translation orbit of cells is built once.
 
-    A cell is named by its anchor vertex and its template.  Anchors run
-    in vertex order and the templates of a degree in order of their
-    offsets, so each degree comes out ordered by the cells' unwrapped
-    corner labels (by vertex-id tuples on a free grid), and a face is
-    found from its own anchor and template without any search.  Each
-    template is placed at all sites at once by array gathers, so the
-    hull of the indices must hold fewer than 2^62 points.
+    Every template is placed at all sites at once by array gathers, so
+    the hull of the indices must hold fewer than 2^62 points.
     """
-    if scheme not in SCHEMES:
-        raise ComplexBuildError(f"unknown cell scheme {scheme!r}")
     verts = sorted({tuple(map(int, idx)) for idx in indices})
     if not verts:
         raise ComplexBuildError("empty index set")
@@ -718,10 +711,8 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
         if not lo <= hull[a][0] <= hull[a][1] < hi:
             raise ComplexBuildError(
                 f"periodic axis {a + 1} needs every index in [{lo}, {hi})")
-    # Each site's key: its row-major position in a grid from ``origin``
-    # with ``extent`` points per axis.  A free axis leaves room for a
-    # corner one step past the hull; on a periodic axis a corner at the
-    # top wraps to the bottom.
+    # The grid starts at the hull on a free axis and at the box on a
+    # periodic one, where its extent is the period.
     origin, extent = [], []
     for a, (lo, hi) in enumerate(hull):
         if a in periodic_axes:
@@ -732,14 +723,35 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
             extent.append(hi - lo + 2)
     if math.prod(extent) >= 2 ** 62:
         raise ComplexBuildError("lattice indices span too wide a range")
-    strides = np.array([math.prod(extent[a + 1:]) for a in range(m)],
-                       dtype=np.int64)
     try:
         rel = np.array(verts, dtype=np.int64).reshape(len(verts), m) - origin
     except OverflowError:
         # Indices beyond int64: shift them exactly first.
         rel = np.array([tuple(map(sub, v, origin)) for v in verts],
                        dtype=np.int64).reshape(len(verts), m)
+    return _grid_complex(rel, verts, scheme, index_box, periodic_axes, extent)
+
+
+def _grid_complex(rel: np.ndarray, labels: Sequence, scheme: str,
+                  index_box, periodic_axes: Sequence[int],
+                  extent: Sequence[int]) -> DeltaComplex:
+    """The grid complex on distinct sites ``rel`` (an n x m int64 array in
+    ascending row order, offsets from the grid origin) named ``labels``.
+
+    Each site's key is its row-major position in a grid with ``extent``
+    points per axis: a free axis leaves room for a corner one step past
+    the last site, and on a periodic axis a corner at the top wraps to
+    the bottom.  A cell is named by its anchor vertex and its template.
+    Anchors run in vertex order and the templates of a degree in order of
+    their offsets, so each degree comes out ordered by the cells'
+    unwrapped corner labels (by vertex-id tuples on a free grid), and a
+    face is found from its own anchor and template without any search.
+    """
+    if scheme not in SCHEMES:
+        raise ComplexBuildError(f"unknown cell scheme {scheme!r}")
+    n, m = rel.shape
+    strides = np.array([math.prod(extent[a + 1:]) for a in range(m)],
+                       dtype=np.int64)
     keys = rel @ strides
     unit = list(product((0, 1), repeat=m))
     corner = rel[:, None, :] + np.array(unit, dtype=np.int64).reshape(-1, m)
@@ -751,7 +763,6 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
     around = np.where(keys[found] == corner_keys, found, -1)
     shape = CUBE if scheme == SCHEME_CUBIC else SHAPE_CODES[SHAPE_SIMPLEX]
 
-    n = len(verts)
     none = np.empty((n, 0), dtype=np.int64)
     layers = [CellLayer.uniform(np.arange(n)[:, None], none, none, shape)]
     # Cell id of (anchor, template) at slot anchor * width + template,
@@ -774,8 +785,9 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
         slot[present] = np.arange(len(cells))
         width = len(templates)
 
-    info = {"index_box": index_box, "scheme": scheme, "dimension": m}
-    return DeltaComplex.from_layers(verts, layers, lattice_info=info)
+    info = {"index_box": tuple((int(lo), int(hi)) for lo, hi in index_box),
+            "scheme": scheme, "dimension": m}
+    return DeltaComplex.from_layers(labels, layers, lattice_info=info)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ A lattice sample is the set of integer multi-indices in a box, minus
 removed sites.  The generator matrix is validated (shape and linear
 independence) and recorded in the complex's ``lattice_info``; the
 topology depends only on the multi-indices.  The complex on top of them
-comes from :func:`crystaltopo.complexes.build_complex`; this module owns
-everything before and after: generator checks, the defect schema
+comes from the grid builder of :mod:`crystaltopo.complexes`; this module
+owns everything before and after: generator checks, the defect schema
 (``DEFECT_FIELDS``) and defect removal, and the boundary treatments.
 The sites are one boolean grid over the fundamental domain: a periodic
 axis has one position fewer than the box, so either end names one site.
-Removals and defect loci clear positions, and the survivors go to
-``build_complex``, which alone wraps cells onto the torus; the report
+Removals and defect loci clear positions, and the survivors go to the
+grid builder, which alone wraps cells onto the torus; the report
 counts box points, read from the grid unfolded along periodic axes.
 The quotient pass only serves the constant boundary, which pins the
 hull to one vertex.  It works on the cell arrays of the complex
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import CellLayer, DeltaComplex, build_complex, row_offsets
+from .complexes import CellLayer, DeltaComplex, _grid_complex, row_offsets
 from .errors import (
     ComplexBuildError,
     DefectLocusError,
@@ -388,8 +388,13 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     if not sites.any():
         raise ComplexBuildError("every lattice site was removed")
 
-    complex_ = build_complex((np.argwhere(sites) + lows).tolist(), spec.scheme,
-                             index_box=box, periodic_axes=periodic_axes)
+    # Row-major positions are sorted and distinct; beyond int64 ``lows``
+    # holds Python ints, so the labels stay exact.
+    rel = np.argwhere(sites)
+    complex_ = _grid_complex(
+        rel, list(map(tuple, (rel + lows).tolist())), spec.scheme, box,
+        periodic_axes, [n + (a not in periodic_axes)
+                        for a, n in enumerate(sites.shape)])
     complex_.lattice_info.update({
         "generators": tuple(tuple(float(x) for x in row) for row in A),
         "ambient": n,

@@ -122,25 +122,27 @@ def make_space(name: str, labels: Sequence = ()) -> OrderSpace:
 
 
 _PLAIN_NUMBERS = {float, int}
+# Entries numpy would read as numbers although they are none.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, bytearray)
 
 
-def _holds_bool(value) -> bool:
+def _holds_non_number(value) -> bool:
     """Whether a sample (a number, nested lists of numbers or an array)
-    holds a Python or numpy boolean anywhere."""
+    holds a Python or numpy boolean or text anywhere."""
     if type(value) in _PLAIN_NUMBERS:
         return False
     if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
+        return any(map(_holds_non_number, value))
     if isinstance(value, np.ndarray):
-        return value.dtype.kind == "b" or (
-            value.dtype == object and _holds_bool(value.tolist()))
-    return isinstance(value, (bool, np.bool_))
+        return value.dtype.kind in "bSU" or (
+            value.dtype == object and _holds_non_number(value.tolist()))
+    return isinstance(value, _NOT_NUMBERS)
 
 
 def _as_floats(value, where: str) -> np.ndarray:
     """``value`` as a float array; anything but finite numbers is refused,
-    booleans, NaN and infinities too."""
-    if _holds_bool(value):
+    booleans, text, NaN and infinities too."""
+    if _holds_non_number(value):
         raise ValueError(f"{where}: expected numbers")
     try:
         arr = np.asarray(value, dtype=float)
@@ -155,7 +157,8 @@ def _as_unit(vec, length: int, where: str) -> np.ndarray:
     arr = _as_floats(vec, where)
     if arr.shape != (length,):
         raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # huge entries: an infinite norm
+        norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > UNIT_TOL:
         raise ValueError(f"{where}: vector norm {norm!r} is not 1")
     return arr
@@ -188,7 +191,9 @@ def _validate_value(space: OrderSpace, value, where: str):
     arr = _as_floats(value, where)
     if arr.shape != (3, 3):
         raise ValueError(f"{where}: expected a 3x3 frame")
-    if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
+    with np.errstate(over="ignore", invalid="ignore"):
+        orthonormal = np.allclose(arr @ arr.T, np.eye(3), atol=1e-8)
+    if not orthonormal:
         raise ValueError(f"{where}: frame is not orthonormal")
     return arr
 
@@ -225,7 +230,10 @@ def _sample_array(space: OrderSpace, values: list):
     or frame space's samples are not one regular array of plain numbers
     in its stored form or its angle form."""
     if space.name == SPACE_FINITE:
-        return values, [v not in space.labels for v in values]
+        # Up to the first refused value: a later one may not even compare.
+        good = sum(1 for _ in itertools.takewhile(space.labels.__contains__,
+                                                  values))
+        return values, np.arange(len(values)) == good
     shape, unit, angle = _FORMS[space.name]
     out = _plain_array(values)
     if out is None or out.shape[1:] not in (shape, angle):
@@ -239,7 +247,7 @@ def _sample_array(space: OrderSpace, values: list):
                        ).T.reshape(n, -1)
     bad = ~np.isfinite(out).reshape(n, -1).all(axis=1)
     # Products of infinite or huge entries, on rows refused anyway, stay
-    # silent here; only the check of the vertex named in a refusal warns.
+    # silent.
     with np.errstate(over="ignore", invalid="ignore"):
         if unit:
             per = math.prod(shape) // unit

@@ -1213,19 +1213,21 @@ class SamplesUncovered(Exception):
     with the same text."""
 
 
-def _sample_holds_bool(value):
+def _sample_holds_non_number(value):
+    """Booleans and text, which numpy would read as numbers, anywhere in
+    the sample."""
     if type(value) in (float, int):
         return False
     if isinstance(value, (list, tuple)):
-        return any(map(_sample_holds_bool, value))
+        return any(map(_sample_holds_non_number, value))
     if isinstance(value, np.ndarray):
-        return value.dtype.kind == "b" or (
-            value.dtype == object and _sample_holds_bool(value.tolist()))
-    return isinstance(value, (bool, np.bool_))
+        return value.dtype.kind in "bSU" or (
+            value.dtype == object and _sample_holds_non_number(value.tolist()))
+    return isinstance(value, (bool, np.bool_, str, bytes, bytearray))
 
 
 def _sample_floats(value, where):
-    if _sample_holds_bool(value):
+    if _sample_holds_non_number(value):
         raise ValueError(f"{where}: expected numbers")
     try:
         arr = np.asarray(value, dtype=float)
@@ -1240,7 +1242,8 @@ def _sample_unit(vec, length, where):
     arr = _sample_floats(vec, where)
     if arr.shape != (length,):
         raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > UNIT_TOL:
         raise ValueError(f"{where}: vector norm {norm!r} is not 1")
     return arr
@@ -1276,7 +1279,9 @@ def sample_value_oracle(space, labels, value, where):
     arr = _sample_floats(value, where)
     if arr.shape != (3, 3):
         raise ValueError(f"{where}: expected a 3x3 frame")
-    if not np.allclose(arr @ arr.T, np.eye(3), atol=1e-8):
+    with np.errstate(over="ignore", invalid="ignore"):
+        orthonormal = np.allclose(arr @ arr.T, np.eye(3), atol=1e-8)
+    if not orthonormal:
         raise ValueError(f"{where}: frame is not orthonormal")
     return arr
 

@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
+from crystaltopo import cli
 from crystaltopo.cli import main
 
 SAMPLES = Path(__file__).resolve().parents[1] / "docs" / "samples"
@@ -526,7 +529,10 @@ HOSTILE_DOCS = {
            ("circle", "nan-vector", [math.nan, 0.0]),
            ("circle", "infinite-angle", math.inf),
            ("torus", "nan", [math.nan, 0.1]),
-           ("projective_plane", "nan", [math.nan, 0.0, 0.0])]},
+           ("projective_plane", "nan", [math.nan, 0.0, 0.0]),
+           # numpy reads text as a number, and overflows on huge entries
+           ("sphere_2", "text", ["1", "0", "0"]),
+           ("sphere_2", "huge", [1e200, 0.0, 0.0])]},
 }
 
 
@@ -543,6 +549,72 @@ def test_hostile_document_exits_2_with_reason(capsys, tmp_path, name):
     assert out == ""
     assert err.startswith("error: ") and field_name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("sample-sphere_2-text", "expected numbers"),
+    ("sample-sphere_2-huge", "vector norm inf is not 1")])
+def test_refused_sample_prints_one_error_line(capsys, tmp_path, name,
+                                              reason):
+    doc, _, command = HOSTILE_DOCS[name]
+    path = write_doc(tmp_path, doc)
+    expected = f"error: field: vertex (1, 1): {reason}\n"
+    # once with warnings as errors, once with every warning printed
+    assert run(capsys, command, path) == (2, "", expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(capsys, command, path) == (2, "", expected)
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_command_runs_with_the_collector_paused(capsys, monkeypatch,
+                                                collector):
+    seen = []
+
+    def record(args, doc, cx, build_report):
+        seen.append(gc.isenabled())
+        return {}
+
+    monkeypatch.setitem(cli.COMMANDS, "build", record)
+    gc.enable()
+    rc, out, _ = run(capsys, "build", "--report", "json",
+                     str(SAMPLES / "mobius.json"))
+    assert rc == 0 and json.loads(out)["command"] == "build"
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "raises",
+                                     "parser-exit"])
+def test_collector_setting_is_restored_on_every_exit(capsys, monkeypatch,
+                                                     tmp_path, collector,
+                                                     enabled, outcome):
+    def crash(args, doc, cx, build_report):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli.COMMANDS, "build", crash)
+    doc, _, command = HOSTILE_DOCS["sample-sphere_2-text"]
+    path = write_doc(tmp_path, doc)
+    (gc.enable if enabled else gc.disable)()
+    if outcome == "exit-0":
+        assert run(capsys, "homology", str(SAMPLES / "mobius.json"))[0] == 0
+    elif outcome == "exit-2":
+        assert run(capsys, command, path)[0] == 2
+    elif outcome == "raises":
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["build", path])
+    else:
+        with pytest.raises(SystemExit):
+            main(["--version"])
+    assert gc.isenabled() is enabled
 
 
 def test_negative_math_results_still_exit_zero(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,6 +17,7 @@ from crystaltopo import (
     DefectSpec,
     DegenerateGeneratorsError,
     LatticeSpec,
+    apply_constant_boundary,
     apply_defects,
     betti_numbers,
     build_complex,
@@ -24,13 +26,16 @@ from crystaltopo import (
     reciprocal_basis,
     unit_cell_volume,
 )
+from crystaltopo.complexes import CellLayer
 from crystaltopo.lattice import MAX_BOX_SITES
 
+from conftest import lattice_specs
 from oracles import (
     SampleRefused,
     box_points,
     lattice_sites_oracle,
     periodic_quotient_oracle,
+    torus_site,
 )
 
 
@@ -549,6 +554,53 @@ def test_torus_build_matches_free_build_then_quotient(spec):
     if all(spec.index_box[a][1] - spec.index_box[a][0] > 1 for a in axes):
         for lifted in _lifted_corners(cx, spec.index_box, axes):
             assert all(p < q for p, q in zip(lifted, lifted[1:]))
+
+
+def _shifted(spec, offset):
+    """``spec`` with its box, removed indices and defects moved by
+    ``offset`` along every axis."""
+    def move(index):
+        return index and tuple(c + offset for c in index)
+
+    defects = tuple(dataclasses.replace(
+        d, index=move(d.index), transverse=move(d.transverse),
+        coordinate=None if d.coordinate is None else d.coordinate + offset)
+        for d in spec.defects)
+    return dataclasses.replace(
+        spec, index_box=tuple(map(move, spec.index_box)),
+        removed_indices=tuple(map(move, spec.removed_indices)),
+        defects=defects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lattice_specs(), torus_specs()),
+       st.sampled_from([0, -7, 2 ** 63 - 5, -(2 ** 63), 10 ** 30]))
+def test_lattice_build_is_the_public_build_on_the_surviving_sites(spec,
+                                                                  offset):
+    # The lattice hands its site grid to the cell builder directly; the
+    # public build on the same sites must give the same complex.
+    spec = _shifted(spec, offset)
+    box, m = spec.index_box, spec.dimension
+    axes = ()
+    if spec.boundary == "periodic":
+        axes = tuple(a - 1 for a in spec.periodic_axes or range(1, m + 1))
+    try:
+        points, _, _ = lattice_sites_oracle(box, axes, spec.removed_indices,
+                                            spec.defects)
+    except SampleRefused:
+        return
+    cx, _ = build_lattice_complex(spec)
+    ref = build_complex({torus_site(p, box, axes) for p in points},
+                        spec.scheme, index_box=box, periodic_axes=axes)
+    if spec.boundary == "constant":
+        ref = apply_constant_boundary(ref, box)
+    assert cx.vertex_labels == ref.vertex_labels
+    assert all(type(c) is int for label in cx.vertex_labels for c in label)
+    assert len(cx.layers) == len(ref.layers)
+    for got, want in zip(cx.layers, ref.layers):
+        for name in CellLayer.__slots__:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert ref.lattice_info.items() <= cx.lattice_info.items()
 
 
 def test_free_grid_degrees_are_sorted_by_vertex_ids():

@@ -128,6 +128,35 @@ def test_boolean_samples_are_refused(circle, space, value):
 
 
 @pytest.mark.parametrize("space, value", [
+    ("circle", "0.5"), ("circle", ("1", "0")),
+    ("sphere_2", ["1", "0", "0"]), ("sphere_2", (1.0, b"0", 0.0)),
+    ("sphere_2", np.array(["1", "0", "0"])),
+    ("sphere_2", np.array([b"1", b"0", b"0"])),
+    ("sphere_2", bytearray(b"\x01\x00\x00")), ("torus", ("0", 0.0)),
+    ("biaxial_nematic", np.eye(3).astype(str).tolist())])
+def test_text_samples_are_refused(circle, space, value):
+    # numpy reads these as numbers; JSON text is no number to a field
+    samples = {"A": value, "B": value, "C": value}
+    with pytest.raises(ValueError, match="vertex 'A': expected numbers"):
+        OrderField.from_samples(circle, make_space(space), samples)
+
+
+@pytest.mark.parametrize("space, value, reason", [
+    ("sphere_2", (1e200, 0.0, 0.0), "vector norm inf is not 1"),
+    ("projective_plane", (0.0, -1e300, 1e300), "vector norm inf is not 1"),
+    ("circle", (1e300, 1e300), "vector norm inf is not 1"),
+    ("torus", (1.0, 0.0, 1e200, 0.0), "vector norm inf is not 1"),
+    ("biaxial_nematic", 1e200 * np.eye(3), "frame is not orthonormal")])
+def test_huge_samples_are_refused_without_a_warning(circle, space, value,
+                                                     reason):
+    # pytest turns warnings into errors here, so an overflow warning from
+    # the refused vertex's own check would fail this test
+    samples = {"A": value, "B": value, "C": value}
+    with pytest.raises(ValueError, match=re.escape(f"vertex 'A': {reason}")):
+        OrderField.from_samples(circle, make_space(space), samples)
+
+
+@pytest.mark.parametrize("space, value", [
     ("circle", math.nan), ("circle", -math.inf), ("circle", (math.nan, 0.0)),
     ("sphere_2", (math.nan, 0.0, 0.0)), ("sphere_2", (math.inf, 0.0, 0.0)),
     ("projective_plane", np.array([0.0, math.nan, 1.0])),
@@ -179,6 +208,16 @@ def test_vector_and_frame_values_are_one_float_array(circle, space, value,
     assert isinstance(f.values, np.ndarray)
     assert f.values.dtype == np.float64 and f.values.shape == (3, *shape)
     assert (f.values == f.values[0]).all()
+
+
+def test_finite_set_refusal_names_the_first_vertex_before_an_array(circle):
+    # an array compares elementwise, so ``in`` on it raises; the batch
+    # must not reach it once an earlier vertex is refused
+    samples = {"A": "up", "B": "sideways", "C": np.eye(3)}
+    with pytest.raises(ValueError,
+                       match="vertex 'B': label 'sideways' not in the space"):
+        OrderField.from_samples(circle, make_space("finite_set",
+                                                   ("up", "down")), samples)
 
 
 def test_finite_set_values_stay_the_sample_objects(circle):
