@@ -89,11 +89,17 @@ class Chain:
                    for t in set(map(type, coeffs.values()))):
                 bad = next(v for v in coeffs.values() if isinstance(v, _TEXT))
                 raise ValueError(f"coefficient {bad!r} is text, not a number")
+            if set(map(type, coeffs)) != {int}:
+                # numpy integers are ids; floats, text and booleans are not
+                for cid in coeffs:
+                    if isinstance(cid, (bool, np.bool_)):
+                        raise TypeError(f"cell id {cid!r} is not an integer")
+                coeffs = {operator.index(c): v for c, v in coeffs.items()}
             read = _READ[ring]
             for cid, v in coeffs.items():
                 v = read(v)
                 if v != 0:
-                    data[int(cid)] = v
+                    data[cid] = v
         self.coeffs = data
 
     def _check_compatible(self, other: "Chain") -> None:
@@ -797,8 +803,7 @@ def _grid_complex(rel: np.ndarray, labels: Sequence, scheme: str,
 def boundary_of_cell(complex_: DeltaComplex, k: int, cell_id: int,
                      ring: str = RING_INT) -> Chain:
     """Signed face chain of one cell."""
-    return boundary_map(Chain(k, {operator.index(cell_id): 1}, ring),
-                        complex_)
+    return boundary_map(Chain(k, {cell_id: 1}, ring), complex_)
 
 
 def _support(chain: Chain, complex_: DeltaComplex) -> list[int]:

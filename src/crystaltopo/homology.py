@@ -335,8 +335,12 @@ def _integral(coeffs: Mapping[int, float]) -> dict[int, int]:
     """Real coefficients at their exact binary value, scaled to integers.
 
     The scale is the lcm of the denominators, so neither the rank of a
-    vector set nor the vanishing of a linear image changes.
+    vector set nor the vanishing of a linear image changes.  A coefficient
+    that is not finite is refused.
     """
+    for i, v in coeffs.items():
+        if not math.isfinite(v):
+            raise ValueError(f"cell {i}: coefficient {v!r} is not finite")
     exact = {i: Fraction(v) for i, v in coeffs.items()}
     scale = math.lcm(*(q.denominator for q in exact.values()))
     return {i: int(q * scale) for i, q in exact.items()}
@@ -407,6 +411,8 @@ def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
     if not 0 <= k <= complex_.dim:
         raise DimensionError(f"no cells of dimension {k}")
     _support(chain, complex_)
+    if chain.ring == RING_REAL:
+        _integral(chain.coeffs)  # refuses a coefficient that is not finite
     if not chain.coeffs:
         return True
     if k >= complex_.dim or complex_.n_cells(k + 1) == 0:

@@ -41,7 +41,9 @@ def _edge_values(complex_: DeltaComplex, values) -> tuple:
         # NaN fails the comparison; an integer may be too large for a float
         if isinstance(v, (bool, np.bool_)) or not isinstance(
                 v, numbers.Real) or not abs(v) <= sys.float_info.max:
-            raise ValueError(f"edge {cid}: value {v} is not a finite number")
+            shown = repr(v) if isinstance(v, (str, bytes, bytearray)) else v
+            raise ValueError(
+                f"edge {cid}: value {shown} is not a finite number")
         ids.append(cid)
         out.append(float(v))
     return np.array(ids, dtype=np.int64), np.array(out, dtype=float)

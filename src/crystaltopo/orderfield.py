@@ -1,6 +1,7 @@
 """Order-parameter spaces and vertex-sampled fields.
 
-A field assigns one order-parameter value to every vertex.  All homotopy
+A field assigns one order-parameter value to every vertex; one whole-array
+check accepts the samples or words the refusal of the first.  All homotopy
 information the engine uses is extracted through small closed probes: a
 pair of endpoints for an edge, the vertex loop of a 2-cell, the face shell
 of a 3-cell.  Each probe yields an element of the relevant homotopy group
@@ -29,7 +30,6 @@ from .errors import (
     AmbiguousSamplingError,
     CoverageError,
     DimensionError,
-    InternalInconsistencyError,
     UnsupportedConfigurationError,
 )
 
@@ -139,71 +139,15 @@ def _holds_non_number(value) -> bool:
     return isinstance(value, _NOT_NUMBERS)
 
 
-def _as_floats(value, where: str) -> np.ndarray:
-    """``value`` as a float array; anything but finite numbers is refused,
-    booleans, text, NaN and infinities too."""
-    if _holds_non_number(value):
-        raise ValueError(f"{where}: expected numbers")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected numbers") from None
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where}: expected finite numbers")
-    return arr
-
-
-def _as_unit(vec, length: int, where: str) -> np.ndarray:
-    arr = _as_floats(vec, where)
-    if arr.shape != (length,):
-        raise ValueError(f"{where}: expected a {length}-vector, got {arr.shape}")
-    with np.errstate(over="ignore"):  # huge entries: an infinite norm
-        norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise ValueError(f"{where}: vector norm {norm!r} is not 1")
-    return arr
-
-
-def _validate_value(space: OrderSpace, value, where: str):
-    if space.name == SPACE_FINITE:
-        if value not in space.labels:
-            raise ValueError(f"{where}: label {value!r} not in the space")
-        return value
-    if space.name == SPACE_CIRCLE:
-        if isinstance(value, (int, float)):
-            angle = float(_as_floats(value, where))
-            return np.array([math.cos(angle), math.sin(angle)])
-        return _as_unit(value, 2, where)
-    if space.name in (SPACE_RP2, SPACE_SPHERE):
-        return _as_unit(value, 3, where)
-    if space.name == SPACE_TORUS:
-        arr = _as_floats(value, where)
-        if arr.shape == (2,):
-            return np.array([math.cos(arr[0]), math.sin(arr[0]),
-                             math.cos(arr[1]), math.sin(arr[1])])
-        if arr.shape != (4,):
-            raise ValueError(
-                f"{where}: torus values are two angles or a 4-vector")
-        _as_unit(arr[:2], 2, where)
-        _as_unit(arr[2:], 2, where)
-        return arr
-    # Frame-valued spaces: a proper rotation matrix.
-    arr = _as_floats(value, where)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{where}: expected a 3x3 frame")
-    with np.errstate(over="ignore", invalid="ignore"):
-        orthonormal = np.allclose(arr @ arr.T, np.eye(3), atol=1e-8)
-    if not orthonormal:
-        raise ValueError(f"{where}: frame is not orthonormal")
-    return arr
-
-
-# Per vector or frame space: the stored shape of a value, the length of
-# its unit vectors (0 for a frame) and the shape of its angle form.
-_FORMS = {SPACE_CIRCLE: ((2,), 2, ()), SPACE_TORUS: ((4,), 2, (2,)),
-          SPACE_RP2: ((3,), 3, None), SPACE_SPHERE: ((3,), 3, None),
-          SPACE_BIAXIAL: ((3, 3), 0, None),
-          SPACE_CHOLESTERIC: ((3, 3), 0, None)}
+# Per vector or frame space: stored shape, unit-vector length (0 for a
+# frame), angle-form shape and the refusal of any other shape.
+_FORMS = {SPACE_CIRCLE: ((2,), 2, (), "expected a 2-vector, got {}"),
+          SPACE_TORUS: ((4,), 2, (2,),
+                        "torus values are two angles or a 4-vector"),
+          SPACE_RP2: ((3,), 3, None, "expected a 3-vector, got {}"),
+          SPACE_SPHERE: ((3,), 3, None, "expected a 3-vector, got {}"),
+          SPACE_BIAXIAL: ((3, 3), 0, None, "expected a 3x3 frame"),
+          SPACE_CHOLESTERIC: ((3, 3), 0, None, "expected a 3x3 frame")}
 
 
 def _plain_array(values: list) -> np.ndarray | None:
@@ -224,40 +168,81 @@ def _plain_array(values: list) -> np.ndarray | None:
         return None
 
 
+def _on_circles(angles: np.ndarray) -> np.ndarray:
+    """Rows of angles as the cosine and sine of each, by ``math`` as for
+    one angle; NaN for an angle that is not finite."""
+    flat = np.where(np.isfinite(angles), angles, math.nan).ravel().tolist()
+    return np.array([list(map(math.cos, flat)), list(map(math.sin, flat))]
+                    ).T.reshape(len(angles), -1)
+
+
+def _read_sample(space: OrderSpace, value) -> tuple[np.ndarray | None, str]:
+    """One sample as numpy reads it, in stored form, or why it is refused:
+    not numbers, not finite, or not of the stored or angle shape.  A
+    circle angle is a Python number, a torus angle form a pair."""
+    shape, _, angle, wrong = _FORMS[space.name]
+    try:
+        arr = None if _holds_non_number(value) else np.asarray(value, float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None:
+        return None, "expected numbers"
+    if not np.isfinite(arr).all():
+        return None, "expected finite numbers"
+    if (isinstance(value, (int, float)) if space.name == SPACE_CIRCLE
+            else arr.shape == angle):
+        return _on_circles(arr.reshape(1, -1))[0], ""
+    return (arr, "") if arr.shape == shape else (None, wrong.format(arr.shape))
+
+
 def _sample_array(space: OrderSpace, values: list):
-    """The stored values of the samples and the mask of those the space
-    refuses, by the rules of :func:`_validate_value`; None when a vector
-    or frame space's samples are not one regular array of plain numbers
-    in its stored form or its angle form."""
+    """The stored values of the samples, the position of the first one the
+    space refuses (None if none) and why.  Plain JSON samples of one shape
+    are read as one array, others one by one up to the first refused; one
+    set of row checks then runs on the stored rows."""
     if space.name == SPACE_FINITE:
         # Up to the first refused value: a later one may not even compare.
         good = sum(1 for _ in itertools.takewhile(space.labels.__contains__,
                                                   values))
-        return values, np.arange(len(values)) == good
-    shape, unit, angle = _FORMS[space.name]
-    out = _plain_array(values)
-    if out is None or out.shape[1:] not in (shape, angle):
-        return None
-    n = len(values)
-    if out.shape[1:] == angle:
-        # cosines and sines by ``math``, as for one sample; NaN for an
-        # angle that is not finite
-        flat = np.where(np.isfinite(out), out, math.nan).ravel().tolist()
-        out = np.array([list(map(math.cos, flat)), list(map(math.sin, flat))]
-                       ).T.reshape(n, -1)
-    bad = ~np.isfinite(out).reshape(n, -1).all(axis=1)
-    # Products of infinite or huge entries, on rows refused anyway, stay
-    # silent.
+        if good == len(values):
+            return values, None, ""
+        return values, good, f"label {values[good]!r} not in the space"
+    if not values:
+        return np.empty(0), None, ""
+    shape, unit, angle, _ = _FORMS[space.name]
+    out, early = _plain_array(values), ""
+    if out is not None and out.shape[1:] == angle:
+        out = _on_circles(out)
+    elif out is None or out.shape[1:] != shape:
+        rows = []
+        for value in values:
+            row, early = _read_sample(space, value)
+            # a NaN row, flagged below, stands for a refused sample
+            rows.append(np.full(shape, math.nan) if early else row)
+            if early:
+                break
+        out = np.array(rows)
+    finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
+    # Infinite or huge entries, on rows refused anyway, stay silent.
     with np.errstate(over="ignore", invalid="ignore"):
         if unit:
-            per = math.prod(shape) // unit
-            sub = out.reshape(n * per, unit)
-            norms = np.sqrt(_dots(sub, sub)).reshape(n, per)
-            bad |= (np.abs(norms - 1.0) > UNIT_TOL).any(axis=1)
+            sub = out.reshape(-1, unit)
+            norms = np.sqrt(_dots(sub, sub)).reshape(len(out), -1)
+            off = np.abs(norms - 1.0) > UNIT_TOL
+            bad = ~finite | off.any(axis=1)
         else:
-            bad |= ~np.isclose(out @ out.transpose(0, 2, 1), np.eye(3),
-                               atol=1e-8).all(axis=(1, 2))
-    return out, bad
+            bad = ~finite | ~np.isclose(out @ out.transpose(0, 2, 1),
+                                        np.eye(3), atol=1e-8).all(axis=(1, 2))
+    if not bad.any():
+        return out, None, ""
+    first = int(np.argmax(bad))
+    if not finite[first]:
+        # Rows read one by one are finite but for the refused last one.
+        return out, first, early or "expected finite numbers"
+    if unit:
+        norm = float(norms[first, np.argmax(off[first])])
+        return out, first, f"vector norm {norm!r} is not 1"
+    return out, first, "frame is not orthonormal"
 
 
 @dataclass
@@ -274,9 +259,9 @@ class OrderField:
                      samples: Mapping) -> "OrderField":
         """Build from {vertex label: value}; every vertex must be covered.
 
-        The values are checked as one batch; samples on other labels are
-        ignored.  A refusal names the first vertex, in vertex order, whose
-        value the space refuses, for the reason it has on its own.
+        The values are checked by :func:`_sample_array`; samples on other
+        labels are ignored.  A refusal names the first vertex, in vertex
+        order, whose value the space refuses, and the reason.
         """
         labels = complex_.vertex_labels
         if not all(map(samples.__contains__, labels)):
@@ -286,20 +271,9 @@ class OrderField:
             raise CoverageError(
                 f"field leaves {len(missing)} vertices unsampled: {shown}{more}")
         values = list(map(samples.__getitem__, labels))
-        batch = _sample_array(space, values) if values else None
-        if batch is None:
-            checked = [_validate_value(space, v, f"vertex {lab!r}")
-                       for lab, v in zip(labels, values)]
-            return cls(complex_, space, checked if space.name == SPACE_FINITE
-                       else np.array(checked, dtype=float))
-        stored, bad = batch
-        if np.any(bad):
-            first = int(np.argmax(bad))
-            where = f"vertex {labels[first]!r}"
-            _validate_value(space, values[first], where)
-            raise InternalInconsistencyError(
-                f"{where}: the batched sample check refuses a value that "
-                "passes on its own")
+        stored, first, reason = _sample_array(space, values)
+        if first is not None:
+            raise ValueError(f"vertex {labels[first]!r}: {reason}")
         return cls(complex_, space, stored)
 
     @classmethod

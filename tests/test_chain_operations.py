@@ -404,8 +404,9 @@ def test_boundary_of_cell_refuses_ids_outside_the_degree(disc):
         for bad in (n, -1, -n, -n - 1):
             with pytest.raises(IndexError):
                 boundary_of_cell(disc, k, bad)
-        with pytest.raises(TypeError):
-            boundary_of_cell(disc, k, 0.0)
+        for bad in (0.0, True):
+            with pytest.raises(TypeError):
+                boundary_of_cell(disc, k, bad)
     for k in (-1, disc.dim + 1):
         with pytest.raises(DimensionError, match="no cells of dimension"):
             boundary_of_cell(disc, k, 0)
@@ -426,6 +427,23 @@ def test_chain_operators_refuse_ids_outside_the_degree(circle):
     assert not boundary_map(Chain(0, {2: 1}), circle)
     assert is_cycle(Chain(0, {2: 1}), circle)
     assert not coboundary_map(Cochain(1, {2: 1}), circle)
+
+
+@pytest.mark.parametrize("make", [Chain, Cochain])
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, "1", None])
+def test_chains_refuse_cell_ids_that_are_not_integers(make, bad):
+    # No id is truncated or read as a number: 1.7 and True would both
+    # merge into cell 1.  A zero coefficient does not hide the id.
+    for coeff in (1, 0):
+        with pytest.raises(TypeError):
+            make(1, {bad: coeff, 2: 2})
+
+
+@pytest.mark.parametrize("make", [Chain, Cochain])
+def test_chains_read_numpy_integer_ids(make):
+    chain = make(1, {np.int64(1): 1, np.uint8(2): 3, 4: 5})
+    assert chain.coeffs == {1: 1, 2: 3, 4: 5}
+    assert {type(cid) for cid in chain.coeffs} == {int}
 
 
 def test_coboundary_refuses_degrees_outside_the_complex(circle):

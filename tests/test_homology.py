@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -125,6 +126,26 @@ def test_perimeter_classification(circle, disc):
     loop_d = disc.chain(1, {("A", "B"): 1, ("B", "C"): 1, ("A", "C"): -1})
     assert is_cycle(loop_d, disc)
     assert is_boundary(loop_d, disc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_membership_refuses_real_coefficients_that_are_not_finite(circle,
+                                                                  value):
+    # A real chain may hold NaN, but no exact membership answer exists for
+    # it: each test refuses it by cell, before any early answer (the top
+    # degree bounds nothing, a vertex chain needs no cycle check).
+    reason = f"^cell 0: coefficient {value!r} is not finite$"
+    edges = Chain(1, {0: value}, "reals")
+    vertices = Chain(0, {0: value, 1: -value}, "reals")
+    zero = Chain(0, {}, "reals")
+    for test in (lambda: is_cycle(edges, circle),
+                 lambda: is_boundary(edges, circle),
+                 lambda: is_boundary(vertices, circle),
+                 lambda: are_homologous(vertices, zero, circle),
+                 lambda: are_homologous(edges, Chain(1, {}, "reals"), circle)):
+        with pytest.raises(ValueError, match=reason):
+            test()
+    assert is_boundary(Chain(0, {0: 1.5, 1: -1.5}, "reals"), circle)
 
 
 @pytest.mark.parametrize("chain", [

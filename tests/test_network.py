@@ -146,7 +146,7 @@ def test_edge_data_is_checked_on_a_complex_without_edges(check):
     ({0: 1, 1: -math.inf}, "-inf"), ({0: 1.0, 1: np.float64("nan")}, "nan"),
     ({0: 1.0, 1: True}, "True"), ({0: 1.0, 1: np.bool_(False)}, "False"),
     (Chain(1, {0: 1.0, 1: math.nan}, "reals"), "nan"),
-    ({0: 1.5, 1: "1.5", 2: -1.5}, "1.5"), ({0: 2.0, 1: "2"}, "2"),
+    ({0: 1.5, 1: "1.5", 2: -1.5}, "'1.5'"), ({0: 2.0, 1: "2"}, "'2'"),
     ({0: 1.0, 1: b"2"}, "b'2'"), ({0: 1.0, 1: None}, "None"),
     # too large for math.isfinite to convert, which raises OverflowError
     ({0: 1.0, 1: 10 ** 400}, "10{400}"),

@@ -185,9 +185,12 @@ def test_non_finite_samples_are_refused(circle, space, value):
     (make_space("cholesteric"), np.ones(9), "expected a 3x3 frame"),
     (make_space("biaxial_nematic"), 2 * np.eye(3), "frame is not orthonormal"),
     (make_space("cholesteric"), [[1, 0, 0], [1, 0, 0], [0, 0, 1]],
-     "frame is not orthonormal")])
+     "frame is not orthonormal"),
+    # a circle angle is a Python number, not any value of shape ()
+    (make_space("circle"), np.int64(1), "expected a 2-vector, got ()"),
+    (make_space("circle"), np.array(0.5), "expected a 2-vector, got ()")])
 def test_invalid_samples_are_refused_by_vertex(circle, space, value, reason):
-    good = {"finite_set": "up", "sphere_2": (0.0, 0.0, 1.0),
+    good = {"finite_set": "up", "sphere_2": (0.0, 0.0, 1.0), "circle": 0.0,
             "torus": (0.0, 0.0)}.get(space.name, np.eye(3))
     with pytest.raises(ValueError, match=re.escape(f"vertex 'B': {reason}")):
         OrderField.from_samples(circle, space,
@@ -200,7 +203,8 @@ def test_invalid_samples_are_refused_by_vertex(circle, space, value, reason):
     ("projective_plane", [0.6, 0.8, 0.0], (3,)),
     ("torus", (0.5, 1.5), (4,)), ("torus", (1.0, 0.0, 0.0, 1.0), (4,)),
     ("biaxial_nematic", np.eye(3, dtype=int), (3, 3)),
-    ("cholesteric", np.eye(3)[[1, 2, 0]].tolist(), (3, 3))])
+    ("cholesteric", np.eye(3)[[1, 2, 0]].tolist(), (3, 3)),
+    ("circle", np.float64(0.5), (2,))])
 def test_vector_and_frame_values_are_one_float_array(circle, space, value,
                                                      shape):
     f = OrderField.from_samples(circle, make_space(space),
@@ -254,10 +258,11 @@ def _valid_sample(rng, space, labels, angle_rate):
 
 
 def _with_leaf(rng, value, leaf):
-    """``value`` with one number, at a random place, replaced by ``leaf``;
-    a bare number is replaced whole."""
+    """``value`` with one number, at a random place, replaced by ``leaf``,
+    or by ``leaf(number)`` when it is callable; a bare number is replaced
+    whole."""
     if not isinstance(value, list) or not value:
-        return leaf
+        return leaf(value) if callable(leaf) else leaf
     i = rng.integers(len(value))
     return value[:i] + [_with_leaf(rng, value[i], leaf)] + value[i + 1:]
 
@@ -271,6 +276,11 @@ def _bool_unit(value):
         return np.eye(3, dtype=bool).tolist()
     return ([True, False] * 2 if len(value) == 4
             else [True] + [False] * (len(value) - 1))
+
+
+def _retyped(kind):
+    """A finite float as ``kind``; anything else as it is."""
+    return lambda x: kind(x) if type(x) is float and math.isfinite(x) else x
 
 
 def _scaled(value, factor):
@@ -334,6 +344,11 @@ SAMPLE_EDITS.update({
     "array": lambda v, rng: _as_array(v, rng.random() < 0.3),
     "tuple": lambda v, rng: tuple(v) if isinstance(v, list) else (v,),
     "np-float": lambda v, rng: np.float64(v) if type(v) is float else v,
+    # a circle angle is a Python number: a numpy integer or a 0-d array
+    # is a value of the wrong shape, a numpy float (a float) an angle
+    "np-int": lambda v, rng: _with_leaf(rng, v, _retyped(np.int64)),
+    "0d-array": lambda v, rng: np.array(v) if type(v) is float else v,
+    "np-float-entry": lambda v, rng: _with_leaf(rng, v, _retyped(np.float64)),
 })
 
 
