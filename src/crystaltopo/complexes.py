@@ -16,10 +16,14 @@ is a read-only view of :class:`Cell` objects, built only when asked for.
 A boundary operator is read only as the sparse columns of
 ``boundary_columns``, summed from the face arrays; no dense copy is kept.
 
-The grid builder places unit-cell templates at every site of a free box
-or, with periodic axes, directly on the torus, so a periodic sample
-needs no quotient pass.  Each template is placed at all sites at once by
-numpy gathers; no Python loop runs over sites or cells.
+Cells are looked up by vertex set through ``row_keys``, one byte-compared
+key per row of ids: ``np.unique`` closes explicit complexes under faces,
+and ``np.searchsorted`` finds their faces, ``find_cell`` queries and the
+faces of a subdivision.  The grid builder places unit-cell templates at
+every site of a free box or, with periodic axes, directly on the torus,
+all sites at once by numpy gathers, and finds a face in O(1) from its
+anchor site and template: on small tori one vertex set can name several
+cells.
 
 Orientation bookkeeping: freshly built triangular cells are stored with
 their vertex tuple ascending; a query for a permuted spelling resolves to
@@ -208,6 +212,24 @@ def row_offsets(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per row of nonnegative ids, its big-endian int64
+    bytes: the keys sort, ``np.unique`` and ``np.searchsorted`` in exactly
+    the rows' lexicographic order."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+
+
+def padded_rows(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """CSR rows of nonnegative ids plus one, padded with zeros to one width:
+    as ``row_keys`` a prefix sorts first."""
+    sizes = np.diff(ptr)
+    out = np.zeros((len(sizes), sizes.max(initial=1)), np.int64)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    out[rows, np.arange(len(values)) - ptr[rows]] = values + 1
+    return out
+
+
 class CellLayer:
     """The cells of one degree as int64 arrays in compressed sparse rows.
 
@@ -241,32 +263,6 @@ class CellLayer:
         return cls(vertices.ravel(), np.arange(n + 1) * corners,
                    faces.ravel(), coeffs.ravel(),
                    np.arange(n + 1) * faces.shape[1], np.full(n, shape))
-
-    @classmethod
-    def from_rows(cls, vertex_rows: Sequence[Sequence[int]],
-                  face_rows: Sequence[Sequence[tuple[int, int]]],
-                  shapes: Sequence[str]) -> "CellLayer":
-        """Cells from per-cell vertex ids, (face id, coefficient) pairs and
-        shape names."""
-        try:
-            codes = [SHAPE_CODES[s] for s in shapes]
-        except (KeyError, TypeError):
-            raise ComplexBuildError(
-                f"cell shapes must be among {SHAPE_NAMES}") from None
-        entries = [e for row in face_rows for e in row]
-        try:
-            pairs = all(len(e) == 2 for e in entries)
-        except TypeError:
-            pairs = False
-        if not pairs:
-            raise ComplexBuildError(
-                "faces must be (face id, coefficient) pairs")
-        return cls(
-            _int64([v for row in vertex_rows for v in row], "vertex ids"),
-            row_offsets(list(map(len, vertex_rows))),
-            _int64([f for f, _ in entries], "face ids"),
-            _int64([c for _, c in entries], "face coefficients"),
-            row_offsets(list(map(len, face_rows))), codes)
 
     def __len__(self) -> int:
         return len(self.shapes)
@@ -365,10 +361,27 @@ class DeltaComplex:
 
     def __init__(self, vertex_labels: Sequence,
                  cells: Sequence[Sequence[Cell]]):
-        layers = [CellLayer.from_rows([c.vertices for c in layer],
-                                      [c.faces for c in layer],
-                                      [c.shape for c in layer])
-                  for layer in map(tuple, cells)]
+        layers = []
+        for layer in map(tuple, cells):
+            try:
+                codes = [SHAPE_CODES[c.shape] for c in layer]
+            except (KeyError, TypeError):
+                raise ComplexBuildError(
+                    f"cell shapes must be among {SHAPE_NAMES}") from None
+            entries = [e for c in layer for e in c.faces]
+            try:
+                pairs = all(len(e) == 2 for e in entries)
+            except TypeError:
+                pairs = False
+            if not pairs:
+                raise ComplexBuildError(
+                    "faces must be (face id, coefficient) pairs")
+            layers.append(CellLayer(
+                _int64([v for c in layer for v in c.vertices], "vertex ids"),
+                row_offsets([len(c.vertices) for c in layer]),
+                _int64([f for f, _ in entries], "face ids"),
+                _int64([c for _, c in entries], "face coefficients"),
+                row_offsets([len(c.faces) for c in layer]), codes))
         self._setup(vertex_labels, layers, None, ())
 
     @classmethod
@@ -430,28 +443,24 @@ class DeltaComplex:
         except KeyError:
             raise ComplexBuildError(f"unknown vertex label {label!r}") from None
 
-    def _vertex_rows(self, k: int) -> list[list[int]]:
-        """The vertex ids of each k-cell as lists, built on first use."""
-        key = ("vertex rows", k)
-        rows = self._cache.get(key)
-        if rows is None:
-            rows = self._cache[key] = self.layers[k].vertex_rows()
-        return rows
-
-    def _cells_by_vertex_set(self, k: int) -> dict[tuple, list[int]]:
-        """{sorted vertex ids: cell ids} of degree k, built on first use."""
-        key = ("vertex sets", k)
-        index = self._cache.get(key)
-        if index is None:
-            index = {}
-            for i, row in enumerate(self._vertex_rows(k)):
-                index.setdefault(tuple(sorted(row)), []).append(i)
-            self._cache[key] = index
-        return index
+    def _vertex_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """One key per cell, ascending: the ``row_keys`` of its degree and
+        its sorted ``padded_rows``; and the cell of each key, numbered
+        through the degrees, ascending among equal keys.  Cached."""
+        if "vertex sets" not in self._cache:
+            ptr = row_offsets(np.concatenate(
+                [np.diff(layer.vertex_ptr) for layer in self.layers]))
+            keys = row_keys(np.hstack([
+                np.repeat(np.arange(self.dim + 1), self.cell_counts())[:, None],
+                np.sort(padded_rows(np.concatenate(
+                    [layer.vertices for layer in self.layers]), ptr))]))
+            order = np.argsort(keys, kind="stable")
+            self._cache["vertex sets"] = keys[order], order
+        return self._cache["vertex sets"]
 
     def label_tuple(self, k: int, cell_id: int) -> tuple:
         return tuple(self.vertex_labels[v]
-                     for v in self._vertex_rows(k)[cell_id])
+                     for v in self.layers[k].cell(cell_id).vertices)
 
     def find_cell(self, k: int, vertex_labels: Sequence) -> tuple[int, int]:
         """Locate a cell by vertex labels in any order.
@@ -465,29 +474,28 @@ class DeltaComplex:
         ids = tuple(self.vertex_id(lab) for lab in vertex_labels)
         if k < 0 or k > self.dim:
             raise DimensionError(f"no cells of dimension {k}")
-        key_sorted = tuple(sorted(ids))
-        hits = self._cells_by_vertex_set(k).get(key_sorted, [])
-        if not hits:
+        keys, cells = self._vertex_sets()
+        pad, hits = keys.itemsize // 8 - 1 - len(ids), cells[:0]
+        if pad >= 0:
+            query = row_keys([np.r_[k, np.zeros(pad), np.sort(ids) + 1]])[0]
+            hits = cells[np.searchsorted(keys, query):np.searchsorted(
+                keys, query, "right")] - sum(self.cell_counts()[:k])
+        if not len(hits):
             raise ComplexBuildError(
                 f"no {k}-cell with vertices {tuple(vertex_labels)!r}")
         if len(hits) > 1:
             raise ComplexBuildError(
                 f"vertex set {tuple(vertex_labels)!r} names {len(hits)} cells; "
                 "query by cell id instead")
-        cell_id = hits[0]
+        cell_id = int(hits[0])
         if k == 0 or k > 1 and self.layers[k].shapes[cell_id] == CUBE:
             return cell_id, 1
         if len(set(ids)) < len(ids):
             raise ComplexBuildError(f"repeated vertex in cell {ids}")
-        # The parity of the permutation taking the stored spelling to the
-        # query, one sign flip per transposition that sorts it into place.
-        spelling, sign = list(self._vertex_rows(k)[cell_id]), 1
-        for i, v in enumerate(ids):
-            j = spelling.index(v, i)
-            if j != i:
-                spelling[i], spelling[j] = spelling[j], spelling[i]
-                sign = -sign
-        return cell_id, sign
+        # The parity of the permutation from the stored spelling to the
+        # query: one flip per pair of query vertices stored the other way.
+        at = list(map(self.layers[k].cell(cell_id).vertices.index, ids))
+        return cell_id, (-1) ** sum(a > b for a, b in combinations(at, 2))
 
     def find_edges(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Edge ids and signs, as :meth:`find_cell` gives them, of the vertex
@@ -534,11 +542,12 @@ class DeltaComplex:
 
         Input tuples may arrive in any vertex order and any mix of
         dimensions; cells are stored ascending.  With ``auto_close`` every
-        face is registered automatically, and the build is refused once it
-        passes ``MAX_CELLS`` cells; without it, missing faces are recorded
-        as closure defects for ``validate_complex`` to report.
+        face is added, degree by degree as ``row_keys``, and the build is
+        refused once it passes ``MAX_CELLS`` cells, at once for a cell
+        whose own closure does.  Without it, missing faces are recorded as
+        closure defects for ``validate_complex`` to report.
         """
-        by_dim: dict[int, set[tuple]] = {}
+        spelled = []
         for simplex in simplices:
             t = tuple(simplex)
             if len(t) == 0:
@@ -546,53 +555,57 @@ class DeltaComplex:
             key = tuple(sorted(t))
             if any(map(eq, key, key[1:])):
                 raise ComplexBuildError(f"repeated vertex in cell {t}")
-            by_dim.setdefault(len(t) - 1, set()).add(key)
-        top = max(by_dim, default=0)
-        if auto_close:
-            total = sum(map(len, by_dim.values()))
-            for k in range(top, 0, -1):
-                lower = by_dim.setdefault(k - 1, set())
-                others = total - len(lower)
-                for cell in by_dim.get(k, ()):
-                    for i in range(len(cell)):
-                        lower.add(cell[:i] + cell[i + 1:])
-                    if others + len(lower) > MAX_CELLS:
-                        raise ComplexBuildError(
-                            "closing the cells under faces passes the "
-                            f"limit of {MAX_CELLS} cells")
-                total = others + len(lower)
-        labels = sorted(
-            {lab for cells in by_dim.values() for c in cells for lab in c}
-            | {c[0] for c in by_dim.get(0, ())})
+            spelled.append(key)
+        labels = sorted({lab for key in spelled for lab in key})
         label_to_id = {lab: i for i, lab in enumerate(labels)}
-        for lab in labels:
-            by_dim.setdefault(0, set()).add((lab,))
-        layers: list[CellLayer] = []
-        id_of: list[dict[tuple, int]] = []
-        defects: list[tuple] = []
-        for k in range(top + 1):
-            tuples = sorted(
-                tuple(label_to_id[lab] for lab in cell)
-                for cell in by_dim.get(k, ()))
-            index = {t: i for i, t in enumerate(tuples)}
-            id_of.append(index)
-            face_rows = []
-            for t in tuples:
-                faces = []
-                if k > 0:
-                    for i in range(len(t)):
-                        face_t = t[:i] + t[i + 1:]
-                        fid = id_of[k - 1].get(face_t)
-                        if fid is None:
-                            defects.append(
-                                (k, tuple(labels[v] for v in t),
-                                 tuple(labels[v] for v in face_t)))
-                            continue
-                        faces.append((fid, (-1) ** i))
-                face_rows.append(faces)
-            layers.append(CellLayer.from_rows(
-                tuples, face_rows, [SHAPE_SIMPLEX] * len(tuples)))
+        rows = [[label_to_id[lab] for lab in key] for key in spelled]
+        top, over = max(map(len, rows), default=1) - 1, (
+            f"closing the cells under faces passes the limit of {MAX_CELLS} "
+            "cells")
+        if auto_close and top and 2 ** (top + 1) - 1 > MAX_CELLS:
+            raise ComplexBuildError(over)
+        # Per degree, the sorted unique row_keys of its ascending id rows.
+        by_dim = [row_keys(np.arange(len(labels))[:, None])] + [np.unique(
+            row_keys(np.reshape([r for r in rows if len(r) == k], (-1, k))))
+            for k in range(2, top + 2)]
+        for k in range(top if auto_close else 0, 0, -1):
+            cells = by_dim[k].view(">i8").reshape(-1, k + 1)
+            step = max(1, MAX_CELLS // (k + 1))
+            for start in range(0, len(cells), step):
+                # np.union1d, but the face keys are freed before the sort
+                by_dim[k - 1] = np.unique(np.concatenate(
+                    [by_dim[k - 1], _face_keys(cells[start:start + step])]))
+                if sum(map(len, by_dim)) > MAX_CELLS:
+                    raise ComplexBuildError(over)
+        layers, defects = [], []
+        for k, cell_keys in enumerate(by_dim):
+            cells = cell_keys.view(">i8").reshape(-1, k + 1)
+            fids = _find(by_dim[k - 1], _face_keys(cells)).reshape(
+                len(cells), k + 1) if k else np.empty((len(cells), 0), int)
+            for c, i in np.argwhere(fids < 0).tolist():
+                names = [labels[v] for v in cells[c].tolist()]
+                defects.append((k, tuple(names),
+                                tuple(names[:i] + names[i + 1:])))
+            found = fids >= 0
+            layers.append(CellLayer(
+                cells.ravel(), np.arange(len(cells) + 1) * (k + 1),
+                fids[found], 1 - np.nonzero(found)[1] % 2 * 2,
+                row_offsets(found.sum(axis=1)), np.zeros(len(cells))))
         return cls.from_layers(labels, layers, closure_defects=defects)
+
+
+def _find(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Positions of ``query`` in the sorted ``keys``, -1 where absent."""
+    at = np.searchsorted(keys, query)
+    return np.where(np.searchsorted(keys, query, "right") > at, at, -1)
+
+
+def _face_keys(cells: np.ndarray) -> np.ndarray:
+    """``row_keys`` of the faces of the simplices ``cells``, cell by cell,
+    face i of a cell deleting its vertex i."""
+    cols = np.arange(cells.shape[1] - 1)
+    drop = cols + (cols >= np.arange(cells.shape[1])[:, None])
+    return row_keys(np.take(cells, drop, axis=1).reshape(-1, len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,49 +1020,43 @@ def barycentric_subdivide(complex_: DeltaComplex) -> DeltaComplex:
     cells.  Cubic cells and quotient complexes (repeated vertices or
     duplicated vertex tuples) are refused.
     """
-    for k, layer in enumerate(complex_.layers):
-        for i, (code, row) in enumerate(zip(layer.shapes.tolist(),
-                                            complex_._vertex_rows(k))):
-            if code == CUBE:
-                raise UnsupportedConfigurationError(
-                    "barycentric subdivision supports triangular cells only")
-            if len(set(row)) != len(row):
-                raise UnsupportedConfigurationError(
-                    f"cell ({k},{i}) repeats vertices; subdivision of "
-                    "quotient complexes is not supported")
-    by_set = [complex_._cells_by_vertex_set(k)
-              for k in range(complex_.dim + 1)]
-    for index in by_set:
-        for hits in index.values():
-            if len(hits) > 1:
-                raise UnsupportedConfigurationError(
-                    "two cells share one vertex set; subdivision of "
-                    "quotient complexes is not supported")
-
-    # The proper faces of each cell: every cell whose vertex set is a
-    # proper subset of its own, lower degrees first.
-    below: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k in range(complex_.dim + 1):
-        for i, row in enumerate(complex_._vertex_rows(k)):
-            verts = sorted(row)
-            below[(k, i)] = [
-                (j, hit) for j, index in enumerate(by_set[:len(verts) - 1])
-                for combo in combinations(verts, j + 1)
-                for hit in index.get(combo, ())]
-
-    chains_at: dict[tuple[int, int], list[tuple]] = {}
-
-    def chains_ending(node: tuple[int, int]) -> list[tuple]:
-        memo = chains_at.get(node)
-        if memo is None:
-            memo = [(node,)]
-            for b in below[node]:
-                for ch in chains_ending(b):
-                    memo.append(ch + (node,))
-            chains_at[node] = memo
-        return memo
-
-    all_chains: list[tuple] = []
-    for node in below:
-        all_chains.extend(chains_ending(node))
-    return DeltaComplex.from_simplices(all_chains, auto_close=False)
+    nodes = [(k, i) for k, n in enumerate(complex_.cell_counts())
+             for i in range(n)]
+    keys, cells = complex_._vertex_sets()
+    sets = keys.view(">i8").reshape(len(keys), keys.itemsize // 8)[:, 1:]
+    cube = np.concatenate([layer.shapes for layer in complex_.layers]) == CUBE
+    bad = cube | np.isin(np.arange(len(cube)), cells[(
+        (sets[:, 1:] == sets[:, :-1]) & (sets[:, 1:] > 0)).any(axis=1)])
+    if bad.any():
+        raise UnsupportedConfigurationError(
+            "barycentric subdivision supports triangular cells only"
+            if cube[bad.argmax()] else "cell ({},{}) repeats vertices; "
+            "subdivision of quotient complexes is not supported".format(
+                *nodes[bad.argmax()]))
+    if (keys[1:] == keys[:-1]).any():
+        raise UnsupportedConfigurationError(
+            "two cells share one vertex set; subdivision of "
+            "quotient complexes is not supported")
+    # (face, cell) pairs: j + 1 of a cell's vertices looked up in degree j.
+    sizes, pairs = np.count_nonzero(sets, axis=1), [[[], []]]
+    for size in np.unique(sizes).tolist():
+        mine = np.flatnonzero(sizes == size)
+        for j in range(size - 1):
+            subsets = np.take(sets[mine, -size:], list(combinations(
+                range(size), j + 1)), axis=1)
+            query = np.zeros(subsets.shape[:2] + (1 + sets.shape[1],),
+                             np.int64)
+            query[..., 0], query[..., -1 - j:] = j, subsets
+            at = _find(keys, row_keys(query.reshape(-1, 1 + sets.shape[1])))
+            pairs.append([cells[at[at >= 0]], cells[np.repeat(
+                mine, subsets.shape[1])[at >= 0]]])
+    lower, upper = np.hstack(pairs).astype(np.int64)
+    ptr = row_offsets(np.bincount(lower, minlength=len(nodes)))
+    upper = upper[np.argsort(lower, kind="stable")]
+    chains = [np.arange(len(nodes))[:, None]]
+    while len(chains[-1]):
+        pos, owner = _row_positions(ptr, chains[-1][:, -1])
+        chains.append(np.hstack([chains[-1][owner], upper[pos, None]]))
+    sd = DeltaComplex.from_simplices(
+        [row for c in chains for row in c.tolist()], auto_close=False)
+    return DeltaComplex.from_layers(nodes, sd.layers)

@@ -411,8 +411,9 @@ def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:
     if not 0 <= k <= complex_.dim:
         raise DimensionError(f"no cells of dimension {k}")
     _support(chain, complex_)
-    if chain.ring == RING_REAL:
-        _integral(chain.coeffs)  # refuses a coefficient that is not finite
+    if chain.ring == RING_REAL and not all(map(math.isfinite,
+                                               chain.coeffs.values())):
+        _integral(chain.coeffs)  # refuses; _in_image does the scaling
     if not chain.coeffs:
         return True
     if k >= complex_.dim or complex_.n_cells(k + 1) == 0:

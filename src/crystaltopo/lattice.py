@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import CellLayer, DeltaComplex, _grid_complex, row_offsets
+from .complexes import (CellLayer, DeltaComplex, _grid_complex, padded_rows,
+                        row_keys, row_offsets)
 from .errors import (
     ComplexBuildError,
     DefectLocusError,
@@ -259,16 +260,6 @@ def apply_defects(sites: np.ndarray, box: Sequence[tuple[int, int]],
 # Boundary conditions
 
 
-def _tuple_order(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Stable order of the CSR rows of ``values`` (nonnegative) compared as
-    tuples: each row is padded with -1, so a prefix sorts first."""
-    sizes = np.diff(ptr)
-    padded = np.full((len(sizes), sizes.max(initial=1)), -1)
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    padded[rows, np.arange(len(values)) - ptr[rows]] = values
-    return np.lexsort(padded.T[::-1])
-
-
 def apply_constant_boundary(complex_: DeltaComplex,
                             box: Sequence[tuple[int, int]]) -> DeltaComplex:
     """Quotient that pins the sample's outer hull to a single state.
@@ -312,7 +303,8 @@ def apply_constant_boundary(complex_: DeltaComplex,
             alive = np.flatnonzero(np.bitwise_and.reduceat(
                 hull[layer.vertices], layer.vertex_ptr[:-1]) == 0)
             rows = layer.take(alive)
-            keep = alive[_tuple_order(image[rows.vertices], rows.vertex_ptr)]
+            keys = row_keys(padded_rows(image[rows.vertices], rows.vertex_ptr))
+            keep = alive[np.argsort(keys, kind="stable")]
             rank = np.full(len(layer), -1)
             rank[keep] = np.arange(len(keep))
         rows = layer.take(keep)

@@ -1323,3 +1323,139 @@ def field_entries_oracle(entries):
             raise ValueError(f"{where}: vertex {key!r} sampled twice")
         mapping[key] = entry[1]
     return mapping
+
+
+# ---------------------------------------------------------------------------
+# Explicit complexes, one tuple, set entry and dict lookup per cell and face
+# ---------------------------------------------------------------------------
+
+class ComplexRefused(Exception):
+    """An explicit complex the reference builders refuse, with the text
+    the package gives."""
+
+
+def simplices_oracle(simplices, auto_close, max_cells):
+    """The simplicial complex on vertex tuples, closed under faces as sets
+    of sorted label tuples and numbered through dicts.
+
+    Returns (sorted vertex labels, per degree the cells in sorted order as
+    (vertex ids, ((face id, sign), ...)), closure defects as (k, cell
+    labels, missing face labels) in cell and face order).  With
+    ``auto_close`` the faces are added from the top degree down, and the
+    build is refused as soon as it holds more than ``max_cells`` cells.
+    """
+    by_dim = {}
+    for simplex in simplices:
+        t = tuple(simplex)
+        if len(t) == 0:
+            raise ComplexRefused("empty cell tuple")
+        key = tuple(sorted(t))
+        if any(a == b for a, b in zip(key, key[1:])):
+            raise ComplexRefused(f"repeated vertex in cell {t}")
+        by_dim.setdefault(len(t) - 1, set()).add(key)
+    top = max(by_dim, default=0)
+    if auto_close:
+        total = sum(map(len, by_dim.values()))
+        for k in range(top, 0, -1):
+            lower = by_dim.setdefault(k - 1, set())
+            others = total - len(lower)
+            for cell in by_dim.get(k, ()):
+                for i in range(len(cell)):
+                    lower.add(cell[:i] + cell[i + 1:])
+                if others + len(lower) > max_cells:
+                    raise ComplexRefused(
+                        "closing the cells under faces passes the limit of "
+                        f"{max_cells} cells")
+            total = others + len(lower)
+    labels = sorted({lab for cells in by_dim.values() for c in cells
+                     for lab in c})
+    label_to_id = {lab: i for i, lab in enumerate(labels)}
+    by_dim.setdefault(0, set()).update((lab,) for lab in labels)
+    layers, defects, id_of = [], [], {}
+    for k in range(top + 1):
+        tuples = sorted(tuple(label_to_id[lab] for lab in cell)
+                        for cell in by_dim.get(k, ()))
+        layer = []
+        for t in tuples:
+            faces = []
+            for i in range(len(t) if k else 0):
+                face = t[:i] + t[i + 1:]
+                if face in id_of:
+                    faces.append((id_of[face], (-1) ** i))
+                else:
+                    defects.append((k, tuple(labels[v] for v in t),
+                                    tuple(labels[v] for v in face)))
+            layer.append((t, tuple(faces)))
+        id_of = {t: i for i, t in enumerate(tuples)}
+        layers.append(layer)
+    return labels, layers, defects
+
+
+def _vertex_set_index(rows):
+    index = {}
+    for i, row in enumerate(rows):
+        index.setdefault(tuple(sorted(row)), []).append(i)
+    return index
+
+
+def subdivision_oracle(vertex_rows, cubes):
+    """The vertex chains of the first barycentric subdivision, each a tuple
+    of (degree, cell id) nodes, of a complex given per degree as vertex id
+    rows and cube flags; every chain is found by recursion over the proper
+    faces, which a dict of sorted vertex tuples per degree looks up.
+    Cubes, cells with a repeated vertex and cells sharing a vertex set
+    are refused, the first such cell in degree and id order deciding."""
+    for k, (rows, cube) in enumerate(zip(vertex_rows, cubes)):
+        for i, (row, is_cube) in enumerate(zip(rows, cube)):
+            if is_cube:
+                raise ComplexRefused(
+                    "barycentric subdivision supports triangular cells only")
+            if len(set(row)) != len(row):
+                raise ComplexRefused(
+                    f"cell ({k},{i}) repeats vertices; subdivision of "
+                    "quotient complexes is not supported")
+    by_set = [_vertex_set_index(rows) for rows in vertex_rows]
+    if any(len(hits) > 1 for index in by_set for hits in index.values()):
+        raise ComplexRefused("two cells share one vertex set; subdivision "
+                             "of quotient complexes is not supported")
+    below = {}
+    for k, rows in enumerate(vertex_rows):
+        for i, row in enumerate(rows):
+            verts = sorted(row)
+            below[(k, i)] = [
+                (j, hit) for j, index in enumerate(by_set[:len(verts) - 1])
+                for combo in itertools.combinations(verts, j + 1)
+                for hit in index.get(combo, ())]
+    memo = {}
+
+    def ending(node):
+        if node not in memo:
+            memo[node] = [(node,)] + [chain + (node,) for b in below[node]
+                                      for chain in ending(b)]
+        return memo[node]
+
+    return [chain for node in below for chain in ending(node)]
+
+
+def find_cell_oracle(rows, cubes, k, ids):
+    """The k-cell with the vertex set of ``ids`` among the vertex id
+    ``rows``, looked up in a dict of sorted tuples: (cell id, sign), with
+    the sign of the permutation from the stored spelling to ``ids`` counted
+    by transpositions, or the refusal as ("names", number of cells) when
+    not exactly one cell has that set, ("repeated", None) when an oriented
+    cell is named with a repeated vertex."""
+    hits = _vertex_set_index(rows).get(tuple(sorted(ids)), [])
+    if len(hits) != 1:
+        return "names", len(hits)
+    cell = hits[0]
+    if k == 0 or k > 1 and cubes[cell]:
+        return cell, 1
+    if len(set(ids)) < len(ids):
+        return "repeated", None
+    spelling, sign = list(rows[cell]), 1
+    for i, v in enumerate(ids):
+        j = spelling.index(v, i)
+        if j != i:
+            spelling[i], spelling[j] = spelling[j], spelling[i]
+            sign = -sign
+    return cell, sign

@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,17 +31,26 @@ from crystaltopo import (
     validate_complex,
 )
 from crystaltopo import complexes
+from crystaltopo.errors import DefectLocusError
 from crystaltopo.lattice import DefectSpec
 
 from conftest import (
     dense_boundary,
+    lattice_specs,
     make_circle,
     make_disc,
     make_mobius,
     make_rp2,
     make_tetra_surface,
 )
-from oracles import box_points, torus_site
+from oracles import (
+    ComplexRefused,
+    box_points,
+    find_cell_oracle,
+    simplices_oracle,
+    subdivision_oracle,
+    torus_site,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +113,76 @@ def test_closing_faces_past_the_cell_cap_is_refused(monkeypatch):
         DeltaComplex.from_simplices([range(10)])
 
 
+@st.composite
+def simplex_lists(draw):
+    """Cells of up to six vertices over one kind of label (ints, strings or
+    pairs), mostly without a repeated vertex; now and then an empty one."""
+    name = draw(st.sampled_from(
+        [int, "v{}".format, lambda i: (i % 3, i // 3)]))
+    ids = st.integers(0, draw(st.integers(0, 9)))
+    cells = draw(st.lists(st.one_of(
+        st.lists(ids, min_size=1, max_size=6, unique=True),
+        st.lists(ids, max_size=2)), max_size=8))
+    return [[name(i) for i in cell] for cell in cells]
+
+
+def _oracle_arrays(cells):
+    """The ``CellLayer`` arrays of a degree of ``simplices_oracle``."""
+    return {
+        "vertices": [v for vs, _ in cells for v in vs],
+        "vertex_ptr": np.cumsum([0] + [len(vs) for vs, _ in cells]),
+        "faces": [f for _, fs in cells for f, _ in fs],
+        "coeffs": [c for _, fs in cells for _, c in fs],
+        "face_ptr": np.cumsum([0] + [len(fs) for _, fs in cells]),
+        "shapes": [0] * len(cells)}
+
+
+def _assert_matches_oracle(cx, oracle):
+    labels, layers, defects = oracle
+    assert cx.vertex_labels == tuple(labels)
+    assert cx.closure_defects == tuple(defects)
+    assert len(cx.layers) == len(layers)
+    for layer, cells in zip(cx.layers, layers):
+        for name, want in _oracle_arrays(cells).items():
+            got = getattr(layer, name)
+            assert got.tolist() == list(want), name
+            assert got.dtype == (np.int8 if name == "shapes" else np.int64)
+
+
+# The array closure against the tuple-set closure it replaced, with the
+# cell cap now and then set just above or below the size of the closure,
+# so that the closure runs in several chunks and may be refused in a later
+# one; and the subdivision of the result against the dict-driven one.
+@settings(max_examples=300, deadline=None)
+@given(simplex_lists(), st.booleans(),
+       st.one_of(st.none(), st.integers(-30, 1)))
+def test_from_simplices_matches_the_tuple_set_closure(simplices, auto_close,
+                                                      slack):
+    cap = complexes.MAX_CELLS
+    if slack is not None:
+        try:
+            closed = simplices_oracle(simplices, True, math.inf)[1]
+            cap = max(1, sum(map(len, closed)) + slack)
+        except ComplexRefused:
+            pass
+    with mock.patch.object(complexes, "MAX_CELLS", cap):
+        try:
+            want = simplices_oracle(simplices, auto_close, cap)
+        except ComplexRefused as exc:
+            with pytest.raises(ComplexBuildError,
+                               match=f"^{re.escape(str(exc))}$"):
+                DeltaComplex.from_simplices(simplices, auto_close=auto_close)
+            return
+        cx = DeltaComplex.from_simplices(simplices, auto_close=auto_close)
+    _assert_matches_oracle(cx, want)
+    if sum(cx.cell_counts()) <= 40:
+        chains = subdivision_oracle(
+            [layer.vertex_rows() for layer in cx.layers],
+            [[False] * len(layer) for layer in cx.layers])
+        _assert_matches_oracle(barycentric_subdivide(cx),
+                               simplices_oracle(chains, False, None))
+
+
 def test_closure_violations_are_reported(circle):
     cx = DeltaComplex.from_simplices([("A", "B", "C")], auto_close=False)
     rep = validate_complex(cx)
@@ -154,6 +236,52 @@ def test_find_cell_sign_on_cubic_edges():
                          periodic_axes=(0,))
     with pytest.raises(ComplexBuildError, match="repeated vertex"):
         loop.find_cell(1, ((0,), (0,)))
+
+# find_cell and the subdivision's refusals against dicts of sorted vertex
+# tuples, on lattices whose period-1 and period-2 axes put repeated
+# vertices in cells and several cells on one vertex set.
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lattice_specs(), st.randoms(use_true_random=True))
+def test_find_cell_matches_a_dict_of_sorted_tuples(spec, rng):
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except (ComplexBuildError, DefectLocusError):
+        return
+    rows = [layer.vertex_rows() for layer in cx.layers]
+    cubes = [(layer.shapes == complexes.CUBE).tolist() for layer in cx.layers]
+    for k in range(cx.dim + 1):
+        width = max(map(len, rows[k]), default=1)
+        queries = [rng.sample(row, len(row)) for row in rows[k]]
+        queries += [rng.choices(range(cx.n_vertices),
+                                k=rng.randint(1, width + 1))
+                    for _ in range(10)]
+        for ids in queries:
+            labels = tuple(cx.vertex_labels[v] for v in ids)
+            want = find_cell_oracle(rows[k], cubes[k], k, ids)
+            if want[0] == "names":
+                text = (f"no {k}-cell with vertices {labels!r}" if not want[1]
+                        else f"vertex set {labels!r} names {want[1]} cells; "
+                        "query by cell id instead")
+            elif want[0] == "repeated":
+                text = f"repeated vertex in cell {tuple(ids)}"
+            else:
+                assert cx.find_cell(k, labels) == want
+                continue
+            with pytest.raises(ComplexBuildError,
+                               match=f"^{re.escape(text)}$"):
+                cx.find_cell(k, labels)
+    try:
+        chains = subdivision_oracle(rows, cubes)
+    except ComplexRefused as exc:
+        with pytest.raises(UnsupportedConfigurationError,
+                           match=f"^{re.escape(str(exc))}$"):
+            barycentric_subdivide(cx)
+        return
+    if sum(cx.cell_counts()) <= 60:
+        _assert_matches_oracle(barycentric_subdivide(cx),
+                               simplices_oracle(chains, False, None))
+
 
 def test_boundary_of_edge(circle):
     eid, _ = circle.find_cell(1, ("A", "B"))
@@ -257,6 +385,17 @@ def test_subdivision_refuses_cubes():
     cube = build_complex([(0, 0)], "cubic")
     with pytest.raises(UnsupportedConfigurationError):
         barycentric_subdivide(cube)
+
+
+def test_subdivision_refusal_names_the_first_refused_cell():
+    # the first cell in degree and id order that is a cube or repeats a
+    # vertex decides the refusal
+    points = [Cell((0,), ()), Cell((1,), ())]
+    for edges, text in (
+            ([Cell((0, 0), ()), Cell((0, 1), (), "cube")], r"cell \(1,0\)"),
+            ([Cell((0, 1), (), "cube"), Cell((0, 0), ())], "triangular")):
+        with pytest.raises(UnsupportedConfigurationError, match=text):
+            barycentric_subdivide(DeltaComplex("AB", [points, edges]))
 
 
 def test_subdivision_handles_vertex_distinct_quotients(torus):

@@ -344,12 +344,19 @@ SAMPLE_EDITS.update({
     "array": lambda v, rng: _as_array(v, rng.random() < 0.3),
     "tuple": lambda v, rng: tuple(v) if isinstance(v, list) else (v,),
     "np-float": lambda v, rng: np.float64(v) if type(v) is float else v,
-    # a circle angle is a Python number: a numpy integer or a 0-d array
-    # is a value of the wrong shape, a numpy float (a float) an angle
+    # a circle angle is a Python number: a numpy integer, a float32 or a
+    # 0-d array is a value of the wrong shape, a numpy float (a float) an
+    # angle
     "np-int": lambda v, rng: _with_leaf(rng, v, _retyped(np.int64)),
+    "np-float32": lambda v, rng: _with_leaf(rng, v, _retyped(np.float32)),
     "0d-array": lambda v, rng: np.array(v) if type(v) is float else v,
     "np-float-entry": lambda v, rng: _with_leaf(rng, v, _retyped(np.float64)),
 })
+# The edits a bare number, a circle angle, is given: only those that reach
+# its own branch, so that they are not diluted by edits every form refuses
+# alike.  Every other sample may be given any edit.
+ANGLE_EDITS = ("bool", "nan", "big-int-angle", "np-float", "np-int",
+               "np-float32", "0d-array")
 
 
 @st.composite
@@ -357,22 +364,29 @@ def sample_entries(draw, json_only):
     """(space, its labels, vertex count, [[vertex, value], ...]): valid
     samples of every vertex (i, "v"), some edited, with extra samples on
     the labels ("x", j), which may repeat, and maybe a vertex left out."""
-    space = draw(st.sampled_from(SAMPLE_SPACES))
+    # The space, the vertex count, the angle rate and the edits are drawn
+    # by rng, uniformly: hypothesis favours the ends of a range.  It also
+    # reuses a drawn seed often, so its other draws are part of the seed.
+    edits, extra, twice = (draw(st.integers(0, top)) for top in (3, 2, 1))
+    rng = np.random.default_rng(
+        [draw(st.integers(0, 2 ** 32 - 1)), edits, extra, twice])
+    space = SAMPLE_SPACES[rng.integers(len(SAMPLE_SPACES))]
     labels = draw(st.sampled_from(FINITE_LABELS)) if space == "finite_set" \
         else []
-    n = draw(st.integers(1, 7))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    names = sorted(JSON_SAFE) if json_only else sorted(SAMPLE_EDITS)
+    n = int(rng.integers(1, 8))
     # all angles, all vectors or mixed, so each form meets the batch alone
-    angle_rate = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    angle_rate = rng.choice((0.0, 0.5, 1.0))
     values = [_valid_sample(rng, space, labels, angle_rate)
               for _ in range(n + 2)]
-    for i in draw(st.lists(st.integers(0, n + 1), max_size=3)):
-        values[i] = SAMPLE_EDITS[draw(st.sampled_from(names))](values[i], rng)
+    for i in rng.integers(n + 2, size=edits).tolist():
+        angle = space == "circle" and not isinstance(values[i], list)
+        names = [name for name in (ANGLE_EDITS if angle else SAMPLE_EDITS)
+                 if name in JSON_SAFE or not json_only]
+        values[i] = SAMPLE_EDITS[names[rng.integers(len(names))]](values[i],
+                                                                   rng)
     entries = [[[i, "v"], values[i]] for i in range(n)]
-    entries += [[["x", j], values[n + j]]
-                for j in range(draw(st.integers(0, 2)))]
-    entries += [[["x", 0], values[n]]] * draw(st.integers(0, 1))
+    entries += [[["x", j], values[n + j]] for j in range(extra)]
+    entries += [[["x", 0], values[n]]] * twice
     if rng.random() < 0.1:
         del entries[rng.integers(n)]
     order = draw(st.permutations(range(len(entries))))
