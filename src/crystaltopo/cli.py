@@ -449,8 +449,7 @@ def cmd_build(args, doc, cx, build_report) -> dict:
         "form": build_report.get("form"),
         "cells": cx.cell_counts(),
         "dimension": cx.dim,
-        "euler_characteristic_cells": sum(
-            (-1) ** k * n for k, n in enumerate(cx.cell_counts())),
+        "euler_characteristic_cells": euler_characteristic(cx),
         "validation": {"ok": validation.ok,
                        "messages": list(validation.messages)},
     }
@@ -530,7 +529,7 @@ def cmd_obstruct(args, doc, cx, build_report) -> dict:
             "values": sorted(result.cochain.values.items()),
         }
     if (field_.space.name == "circle" and cx.dim == 2):
-        s = index_sum_check(field_)
+        s = index_sum_check(field_, result.probed.get(2))
         report["index_sum"] = {
             "applicable": s.applicable, "index_sum": s.index_sum,
             "euler": s.euler, "consistent": s.consistent,

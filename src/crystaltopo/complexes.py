@@ -230,6 +230,30 @@ def padded_rows(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return out
 
 
+def summed_rows(owner: np.ndarray, faces: np.ndarray, coeffs: np.ndarray,
+                n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row offsets, face ids and coefficients of rows 0..n_rows-1, entry i
+    adding ``coeffs[i]`` to face ``faces[i]`` of row ``owner[i]``: faces
+    summed and ascending within a row, zero sums dropped, grouped by one
+    stable sort of the int64 key owner * span + face.  The sums run in
+    int64 when none can overflow it, on Python integers otherwise."""
+    span = int(faces.max(initial=0)) + 1
+    assert n_rows * span < 2 ** 63
+    if coeffs.size and _magnitude(coeffs) * coeffs.size >= 2 ** 63:
+        coeffs = coeffs.astype(object)
+    key = owner * span
+    key += faces
+    order = np.argsort(key, kind="stable")
+    key, coeffs = key[order], coeffs[order]
+    del order
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
+    nonzero = np.asarray(sums != 0, dtype=bool)
+    key = key[starts[nonzero]]
+    return (row_offsets(np.bincount(key // span, minlength=n_rows)),
+            key % span, sums[nonzero])
+
+
 class CellLayer:
     """The cells of one degree as int64 arrays in compressed sparse rows.
 
@@ -278,24 +302,9 @@ class CellLayer:
         return [flat[s:e] for s, e in zip(ptr, ptr[1:])]
 
     def summed_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row offsets, face ids and coefficients of the cells with each
-        cell's repeated faces summed and zero sums dropped, faces ascending
-        within a row.  The sums run in int64 when none can overflow it and
-        on Python integers (an object array) otherwise."""
-        owner = np.repeat(np.arange(len(self)), np.diff(self.face_ptr))
-        coeffs = self.coeffs
-        if coeffs.size and _magnitude(coeffs) * coeffs.size >= 2 ** 63:
-            coeffs = coeffs.astype(object)
-        order = np.lexsort((self.faces, owner))
-        owner, faces = owner[order], self.faces[order]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1)
-                                | np.diff(faces, prepend=-1))
-        sums = (np.add.reduceat(coeffs[order], starts) if len(starts)
-                else coeffs[:0])
-        nonzero = np.asarray(sums != 0, dtype=bool)
-        keep = starts[nonzero]
-        return (row_offsets(np.bincount(owner[keep], minlength=len(self))),
-                faces[keep], sums[nonzero])
+        """``summed_rows`` of the cells: CSR rows of their summed faces."""
+        return summed_rows(np.repeat(np.arange(len(self)), np.diff(
+            self.face_ptr)), self.faces, self.coeffs, len(self))
 
     def face_entries(self, rows) -> tuple[np.ndarray, np.ndarray,
                                           np.ndarray]:
@@ -968,27 +977,17 @@ def _magnitude(x: np.ndarray) -> int:
 
 def _square_failures(upper: CellLayer, lower: CellLayer) -> np.ndarray:
     """Ids of the cells of ``upper`` whose boundary has a nonzero boundary
-    in ``lower``, ascending.
-
-    Every (cell, face, face of face) product is summed per cell and
-    face of face; the sums run in int64 when no sum can overflow it and
-    on Python integers otherwise.
-    """
+    in ``lower``, ascending: every (cell, face, face of face) product is
+    summed by ``summed_rows``, as Python integers when a sum could
+    overflow int64."""
     pos, entry = _row_positions(lower.face_ptr, upper.faces)
-    if not len(pos):
-        return pos
-    cell = np.repeat(np.arange(len(upper)), np.diff(upper.face_ptr))[entry]
-    inner = lower.faces[pos]
     a, b = upper.coeffs[entry], lower.coeffs[pos]
-    bound = _magnitude(a) * _magnitude(b) * len(pos)
-    if bound >= 2 ** 63:
+    if len(pos) and _magnitude(a) * _magnitude(b) * len(pos) >= 2 ** 63:
         a, b = a.astype(object), b.astype(object)
-    order = np.lexsort((inner, cell))
-    cell, inner = cell[order], inner[order]
-    starts = np.flatnonzero(np.diff(cell, prepend=-1)
-                            | np.diff(inner, prepend=-1))
-    sums = np.add.reduceat((a * b)[order], starts)
-    return np.unique(cell[starts[sums != 0]])
+    entries = (np.repeat(np.arange(len(upper)), np.diff(upper.face_ptr))[
+        entry], lower.faces[pos], a * b)
+    del pos, entry, a, b  # freed first: the sum adds arrays of this size
+    return np.flatnonzero(np.diff(summed_rows(*entries, len(upper))[0]))
 
 
 def validate_complex(complex_: DeltaComplex) -> ValidationReport:

@@ -2,24 +2,25 @@
 
 Ranks, torsion and membership come from one coreduction walk per complex
 (Mrozek and Batko, "Coreduction homology algorithm", 2009), made on first
-use and cached.  The walk reads the summed face arrays of every degree:
-a cell whose one face left has a unit coefficient is paired with that
-face and both are removed; when no cell can be paired, the least cell
-without faces left is critical (a cell of the lowest degree left always
-qualifies).  The pairs are unit pivots, so the critical cells span a
-Morse complex chain equivalent to the complex over Z.  Its differential
-d^M_k takes the boundary of each critical k-cell along the flow, which
-replaces the lower member of the latest pair left by the boundary of its
-partner, and keeps the critical part.  rank d_k counts the (k-1, k)
-pairs plus the rank of d^M_k; the torsion is that of d^M_k, from one
-Smith form of the small block.  By universal coefficients the
-invariant factors decide every ring: over R the rank counts the nonzero
-factors, over Z/2 the odd ones, and fields carry no torsion.  A chain
-bounds when it is a cycle and its flow lies in the image of d^M_k; a
-cochain is a coboundary when it is a cocycle and its dual flow, which
-eliminates the upper members of pairs through the coboundaries of their
-partners, lies in the image of the transposed block.  A query flows only
-its vector.
+use and cached; the Euler number is the cell count and builds none.  Its
+set-up sums the faces of every degree in one array pass over global cell
+ids and sorts them once more into coface rows.  A cell whose one face
+left has a unit coefficient is paired with that face and both are
+removed; when no cell can be paired, the least cell without faces left
+is critical (a cell of the lowest degree left always qualifies).  The
+pairs are unit pivots, so the critical cells span a Morse complex chain
+equivalent to the complex over Z.  Its differential d^M_k takes the
+boundary of each critical k-cell along the flow, which replaces the
+lower member of the latest pair left by the boundary of its partner, and
+keeps the critical part.  rank d_k counts the (k-1, k) pairs plus the
+rank of d^M_k; the torsion is that of d^M_k, from one Smith form of the
+small block.  By universal coefficients the invariant factors decide
+every ring: over R the rank counts the nonzero factors, over Z/2 the odd
+ones, and fields carry no torsion.  A chain bounds when it is a cycle
+and its flow lies in the image of d^M_k; a cochain is a coboundary when
+it is a cocycle and its dual flow, which eliminates the upper members of
+pairs through the coboundaries of their partners, lies in the image of
+the transposed block.  A query flows only its vector.
 
 Generators of a nonzero group read the sparse columns of the complex:
 one tracked sparse Smith reduction of d_k gives the cycle basis and,
@@ -53,6 +54,7 @@ from .complexes import (
     coboundary_map,
     row_offsets,
     spanning_forest,
+    summed_rows,
 )
 from .errors import DimensionError, InternalInconsistencyError
 from .snf import SmithDecomposition, add_multiple, invariant_factors
@@ -115,21 +117,20 @@ class _Coreduction:
         layers = complex_.layers
         offsets = row_offsets([len(layer) for layer in layers])
         n = int(offsets[-1])
-        ptrs, faces, coeffs = [], [], []
-        for k, layer in enumerate(layers):
-            ptr, fid, co = layer.summed_faces()
-            ptrs.append(np.diff(ptr))
-            faces.append(fid + offsets[k - 1] if k else fid)
-            coeffs.append(co)
-        sizes, fid = np.concatenate(ptrs), np.concatenate(faces)
-        fco = np.concatenate(coeffs)
-        order = np.argsort(fid, kind="stable")
-        self.offsets = offsets.tolist()
-        self.fptr, self.fid, self.fco = (
-            row_offsets(sizes).tolist(), fid.tolist(), fco.tolist())
+        # One pass over every degree's faces in global ids; vertices have none.
+        fptr, fid, fco = summed_rows(
+            np.repeat(np.arange(n), np.concatenate(
+                [np.diff(layer.face_ptr) for layer in layers])),
+            np.concatenate([layer.faces + offsets[k - 1]
+                            for k, layer in enumerate(layers)]),
+            np.concatenate([layer.coeffs for layer in layers]), n)
+        sizes, order = np.diff(fptr), np.argsort(fid, kind="stable")
         self.cptr = row_offsets(np.bincount(fid, minlength=n)).tolist()
         self.cid = np.repeat(np.arange(n), sizes)[order].tolist()
         self.cco = fco[order].tolist()
+        self.offsets = offsets.tolist()
+        self.fptr, self.fid, self.fco = (a.tolist() for a in (fptr, fid, fco))
+        del fptr, fid, fco, order  # the arrays go before the walk
         self._walk(n, sizes)
         self._morse_complex(complex_)
 
@@ -174,15 +175,15 @@ class _Coreduction:
                             ready.append(y)
 
         self.lower, self.upper, self.coef = lower, upper, coef
-        self.low_pair, self.up_pair = [-1] * n, [-1] * n
-        for i, (a, b) in enumerate(zip(lower, upper)):
-            self.low_pair[a] = self.up_pair[b] = i
-        bounds = np.searchsorted(critical, self.offsets).tolist()
+        bounds = np.searchsorted(critical, self.offsets)
         self.critical = [critical[s:e] for s, e in zip(bounds, bounds[1:])]
-        self.crit_pos = [-1] * n
-        for cells in self.critical:
-            for p, c in enumerate(cells):
-                self.crit_pos[c] = p
+        places = []
+        for cells, first in ((lower, 0), (upper, 0), (critical, np.repeat(
+                bounds[:-1], np.diff(bounds)))):
+            place = np.full(n, -1, dtype=np.int64)
+            place[cells] = np.arange(len(cells)) - first
+            places.append(place.tolist())
+        self.low_pair, self.up_pair, self.crit_pos = places
         self.pairs = np.diff(
             np.searchsorted(np.sort(upper), self.offsets)).tolist()
 
@@ -230,8 +231,7 @@ class _Coreduction:
         self.blocks = [[]] + [
             [self.flow({fid[j]: fco[j] for j in range(fptr[c], fptr[c + 1])})
              for c in cells] for cells in self.critical[1:]]
-        by_cells = sum((-1) ** k * n
-                       for k, n in enumerate(complex_.cell_counts()))
+        by_cells = euler_characteristic(complex_)
         by_critical = sum((-1) ** k * len(cells)
                           for k, cells in enumerate(self.critical))
         if by_cells != by_critical:
@@ -303,16 +303,10 @@ def betti_numbers(complex_: DeltaComplex,
 
 
 def euler_characteristic(complex_: DeltaComplex) -> int:
-    """Alternating cell-count sum, cross-checked against the Betti sum."""
-    by_cells = sum((-1) ** k * complex_.n_cells(k)
-                   for k in range(complex_.dim + 1))
-    by_betti = sum((-1) ** k * homology(complex_, k).betti
-                   for k in range(complex_.dim + 1))
-    if by_cells != by_betti:
-        raise InternalInconsistencyError(
-            f"Euler characteristic mismatch: cells give {by_cells}, "
-            f"Betti numbers give {by_betti}")
-    return by_cells
+    """The alternating cell count.  It builds no walk and needs no Betti
+    cross-check: beta_k = n_k - rank d_k - rank d_{k+1} telescopes to it
+    whatever the ranks; each walk checks its critical cells against it."""
+    return sum((-1) ** k * n for k, n in enumerate(complex_.cell_counts()))
 
 
 def vertex_components(complex_: DeltaComplex) -> list[int]:

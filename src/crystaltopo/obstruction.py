@@ -183,6 +183,7 @@ class ExtensionReport:
     generator_pairings: list[dict] | None = None
     component_values: list[dict] | None = None
     note: str = ""
+    probed: dict[int, ObstructionCochain] = field(default_factory=dict)
 
 
 def extend_field(field_: OrderField) -> ExtensionReport:
@@ -193,11 +194,13 @@ def extend_field(field_: OrderField) -> ExtensionReport:
     class vanishes, and its pairing with the homology generators of that
     dimension.  A vanishing class means a field agreeing with this one on
     the previous skeleton extends after modification; a nonvanishing one
-    rules every such modification out.
+    rules every such modification out.  ``probed`` keeps the cochain of
+    every degree probed, so that no later check probes it again.
     """
     cx = field_.complex_
     space = field_.space
     verdicts: list[SkeletonVerdict] = []
+    probed: dict[int, ObstructionCochain] = {}
     reached = 0
     for k in range(1, cx.dim + 1):
         group = space.homotopy_group(k - 1)
@@ -212,7 +215,7 @@ def extend_field(field_: OrderField) -> ExtensionReport:
                 note="coefficient group is trivial"))
             reached = k
             continue
-        cochain = obstruction_cochain(field_, k)
+        cochain = probed[k] = obstruction_cochain(field_, k)
         if not cochain.values:
             verdicts.append(SkeletonVerdict(k, True, n_k))
             reached = k
@@ -223,7 +226,7 @@ def extend_field(field_: OrderField) -> ExtensionReport:
             space=space.name, extends=False, reached=reached,
             verdicts=verdicts, blocked_at=k, cochain=cochain,
             cocycle_ok=verify_cocycle(cochain),
-            class_status=obstruction_class(cochain))
+            class_status=obstruction_class(cochain), probed=probed)
         if cochain.group.name != "set":
             report.generator_pairings = pair_with_generators(cochain)
             if report.class_status == "trivial":
@@ -240,7 +243,8 @@ def extend_field(field_: OrderField) -> ExtensionReport:
         return report
     return ExtensionReport(space=space.name, extends=True, reached=reached,
                            verdicts=verdicts,
-                           note="the field extends over the whole complex")
+                           note="the field extends over the whole complex",
+                           probed=probed)
 
 
 @dataclass
@@ -252,14 +256,17 @@ class IndexSumReport:
     reason: str = ""
 
 
-def index_sum_check(field_: OrderField) -> IndexSumReport:
+def index_sum_check(field_: OrderField, cochain=None) -> IndexSumReport:
     """Compare the total circle-field index against the Euler number.
 
     Needs a closed orientable 2-complex and a circle-valued field; the
     per-cell windings are summed with the fundamental chain orientations.
     Equality is the classical zero-count statement for a trivialized
     tangent direction field; a mismatch on a curved surface signals that
-    the sampled directions cannot come from a global frame.
+    the sampled directions cannot come from a global frame.  The 2-cells
+    are probed unless ``cochain``, their obstruction cochain as in
+    ``ExtensionReport.probed[2]``, is given.  The Euler number is the
+    cell count, so no homology is computed.
     """
     cx = field_.complex_
     if cx.dim != 2:
@@ -271,7 +278,8 @@ def index_sum_check(field_: OrderField) -> IndexSumReport:
     if not orient.orientable or not orient.closed:
         return IndexSumReport(
             False, reason="complex is not a closed orientable surface")
-    cochain = obstruction_cochain(field_, 2)
+    if cochain is None:
+        cochain = obstruction_cochain(field_, 2)
     total = evaluate(cochain, orient.fundamental_chain)
     chi = euler_characteristic(cx)
     return IndexSumReport(True, index_sum=int(total), euler=chi,

@@ -61,6 +61,18 @@ def make_torus(n=3, scheme="triangular"):
     return cx
 
 
+def circle_torus_doc(angle, n=6):
+    """A document of the circle field sampled at ``angle(x, y)`` on the
+    periodic triangular n x n torus."""
+    return {"dimension": 2, "ambient": 2,
+            "generators": [[1.0, 0.0], [0.0, 1.0]],
+            "index_box": [[0, n], [0, n]], "scheme": "triangular",
+            "boundary_condition": {"kind": "periodic", "axes": [1, 2]},
+            "field": {"space": "circle",
+                      "samples": [[[x, y], angle(x, y)] for x in range(n)
+                                  for y in range(n)]}}
+
+
 def make_sphere(n=6):
     # square patch with its rim pinched to a point
     spec = LatticeSpec(

@@ -1,9 +1,13 @@
+import json
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crystaltopo.obstruction as obstruction_mod
 from crystaltopo import (
     Chain,
     CoefficientGroup,
@@ -11,6 +15,7 @@ from crystaltopo import (
     OrderField,
     UnsupportedConfigurationError,
     build_complex,
+    cli,
     evaluate,
     extend_field,
     index_sum_check,
@@ -23,7 +28,9 @@ from crystaltopo import (
 )
 from crystaltopo.orderfield import GROUP_Z
 
-from conftest import make_grid, make_sphere, make_torus
+from conftest import circle_torus_doc, make_grid, make_sphere, make_torus
+
+SAMPLES = Path(__file__).resolve().parents[1] / "docs" / "samples"
 
 
 def _vortex_angles(labels, center, strength=1):
@@ -262,6 +269,8 @@ def test_index_sum_on_torus(torus):
     assert rep.index_sum == 0
     assert rep.euler == 0
     assert rep.consistent
+    # the degree-2 cochain the extension probed gives the same report
+    assert index_sum_check(f, extend_field(f).probed[2]) == rep
 
 
 def test_index_sum_needs_closed_orientable(mobius):
@@ -270,3 +279,37 @@ def test_index_sum_needs_closed_orientable(mobius):
     rep = index_sum_check(f)
     assert not rep.applicable
     assert "orientable" in rep.reason
+
+
+def _vortex_pair(x, y):
+    return math.atan2(y - 1.6, x - 1.3) - math.atan2(y - 3.7, x - 4.2)
+
+
+def test_each_obstruct_command_probes_a_degree_once(monkeypatch, tmp_path,
+                                                    capsys):
+    # The index sum of a circle field reads the degree-2 classes that the
+    # extension probed; no degree is probed twice.
+    probes = []
+    probe = obstruction_mod.boundary_classes
+
+    def counting(field_, k, *args):
+        probes.append(k)
+        return probe(field_, k, *args)
+
+    monkeypatch.setattr(obstruction_mod, "boundary_classes", counting)
+    paths = [str(SAMPLES / f"{name}.json") for name in
+             ("sphere_vortex_pair", "spin_interface", "vortex_line")]
+    for name, angle in (("smooth", lambda x, y: 0.3 + math.tau * x / 6),
+                        ("vortex_pair", _vortex_pair)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(circle_torus_doc(angle)))
+    blocked = []
+    for path in paths:
+        probes.clear()
+        assert cli.main(["obstruct", path, "--report", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        blocked.append(report["blocked_at"])
+        assert probes and max(Counter(probes).values()) == 1
+    # both circle fields print an index sum, one after a blocked extension
+    assert blocked[-2:] == [None, 2]
+    assert report["index_sum"]["consistent"]

@@ -1,12 +1,15 @@
 """The coreduction walk against the dense reducer and the oracles."""
 
 import importlib
+import itertools
+import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from crystaltopo import LatticeSpec, build_lattice_complex
+from crystaltopo import LatticeSpec, build_lattice_complex, cli
 from crystaltopo.complexes import (
     Cell,
     Chain,
@@ -31,6 +34,7 @@ from crystaltopo.orderfield import GROUP_Z, GROUP_Z2, GROUP_ZxZ
 from crystaltopo.snf import smith_normal_form
 
 from conftest import (
+    circle_torus_doc,
     dense_boundary,
     make_circle,
     make_disc,
@@ -296,6 +300,79 @@ def test_one_walk_per_complex_whichever_query_comes_first(monkeypatch,
         for name in sorted(queries, key=lambda name: name != first):
             queries[name](ring)
     assert calls == [id(cx)]
+
+
+def test_a_smooth_circle_obstruct_builds_no_walk(monkeypatch, tmp_path,
+                                                capsys):
+    # The field extends and its index sum reads the Euler number from the
+    # cell counts, so no answer of the report needs a group.
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(circle_torus_doc(
+        lambda x, y: 0.3 + math.tau * x / 6)))
+    calls = count_walks(monkeypatch)
+    assert cli.main(["obstruct", str(path), "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["extends"] and "cochain" not in report
+    assert report["index_sum"] == {"applicable": True, "index_sum": 0,
+                                   "euler": 0, "consistent": True,
+                                   "reason": ""}
+    assert calls == []
+
+
+def assert_walk_rows_are_the_layer_rows(cx):
+    """The walk's summed face rows and coface rows are the rows of each
+    layer's ``summed_faces`` moved to global ids, coefficients as Python
+    integers."""
+    walk = homology_mod._Coreduction(cx)
+    offsets = [0, *itertools.accumulate(cx.cell_counts())]
+    # per global cell id: [(global face id, coefficient)]
+    faces = [[] for _ in range(cx.n_vertices)]
+    for k, layer in enumerate(cx.layers[1:], 1):
+        ptr, fid, co = (a.tolist() for a in layer.summed_faces())
+        faces += [[(f + offsets[k - 1], c) for f, c in zip(fid[s:e], co[s:e])]
+                  for s, e in zip(ptr, ptr[1:])]
+    cofaces = [[] for _ in faces]
+    for g, row in enumerate(faces):
+        for f, c in row:
+            cofaces[f].append((g, c))
+    for ptr, ids, co, rows in ((walk.fptr, walk.fid, walk.fco, faces),
+                               (walk.cptr, walk.cid, walk.cco, cofaces)):
+        assert [list(zip(ids[s:e], co[s:e]))
+                for s, e in zip(ptr, ptr[1:])] == rows
+        assert all(type(c) is int for c in co)
+    return walk
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(lattice_specs())
+def test_walk_rows_are_the_layer_rows_on_lattices(spec):
+    assert_walk_rows_are_the_layer_rows(_build(spec))
+
+
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("scheme", ["triangular", "cubic"])
+def test_walk_rows_are_the_layer_rows_on_small_tori(period, scheme):
+    # period 1 glues a cell's faces onto one another, period 2 gives
+    # cells that share their vertices
+    assert_walk_rows_are_the_layer_rows(make_torus(period, scheme))
+
+
+def test_walk_rows_sum_past_int64_on_python_integers():
+    # Two entries of 2^62 on one face sum to 2^63, past int64: the edge
+    # e0 has boundary 2^63 (v1 - v0), the 2-cell 2^63 times the loop e1,
+    # whose two ends cancel.
+    big = 2 ** 62
+    cx = DeltaComplex(range(2), [
+        [Cell((0,), ()), Cell((1,), ())],
+        [Cell((0, 1), ((1, big), (0, -big), (1, big), (0, -big))),
+         Cell((0, 0), ((0, 1), (0, -1)))],
+        [Cell((0, 0, 1), ((1, big), (1, big)))]])
+    assert cx.layers[1].summed_faces()[2].dtype == object
+    walk = assert_walk_rows_are_the_layer_rows(cx)
+    assert walk.fco == [-2 ** 63, 2 ** 63, 2 ** 63]
+    assert walk.critical == [[0, 1], [2, 3], [4]]
+    assert homology(cx, 1).torsion == (2 ** 63,)
 
 
 def test_even_factors_other_than_two_vanish_over_the_fields():
