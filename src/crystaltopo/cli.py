@@ -310,7 +310,7 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> tuple:
                 for i in pairs for x in edges[i]]
     except TypeError:  # objects and nested lists: entry by entry
         ends = [-1] * (2 * len(pairs))
-    ids[pairs], signs[pairs] = cx.find_edges(np.reshape(ends, (-1, 2)))
+    ids[pairs], _, signs[pairs] = cx.find_cells(1, np.reshape(ends, (-1, 2)))
     signed = signs * number
     for i in np.flatnonzero((ids < 0) | ~np.isfinite(number)).tolist():
         entry, where = body[i], f"{key}[{i}]"

@@ -16,10 +16,11 @@ is a read-only view of :class:`Cell` objects, built only when asked for.
 A boundary operator is read only as the sparse columns of
 ``boundary_columns``, summed from the face arrays; no dense copy is kept.
 
-Cells are looked up by vertex set through ``row_keys``, one byte-compared
-key per row of ids: ``np.unique`` closes explicit complexes under faces,
-and ``np.searchsorted`` finds their faces, ``find_cell`` queries and the
-faces of a subdivision.  The grid builder places unit-cell templates at
+Cells are looked up by vertex set in one cached index per degree, whose
+keys are the cells' sorted vertex ids as one int64 or as ``row_keys``:
+``find_cells`` searches it for ``find_cell``, the command line's edge data
+and a subdivision.  ``np.unique`` over ``row_keys`` closes explicit
+complexes under faces.  The grid builder places unit-cell templates at
 every site of a free box or, with periodic axes, directly on the torus,
 all sites at once by numpy gathers, and finds a face in O(1) from its
 anchor site and template: on small tori one vertex set can name several
@@ -224,7 +225,10 @@ def padded_rows(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """CSR rows of nonnegative ids plus one, padded with zeros to one width:
     as ``row_keys`` a prefix sorts first."""
     sizes = np.diff(ptr)
-    out = np.zeros((len(sizes), sizes.max(initial=1)), np.int64)
+    width = sizes.max(initial=1)
+    if (sizes == width).all():
+        return values.reshape(len(sizes), width) + 1
+    out = np.zeros((len(sizes), width), np.int64)
     rows = np.repeat(np.arange(len(sizes)), sizes)
     out[rows, np.arange(len(values)) - ptr[rows]] = values + 1
     return out
@@ -325,13 +329,7 @@ class CellLayer:
             row_offsets(np.diff(self.face_ptr)[rows]), self.shapes[rows])
 
     def cell(self, i: int) -> Cell:
-        i = range(len(self))[i]
-        vs, ve, fs, fe = (*self.vertex_ptr[i:i + 2].tolist(),
-                          *self.face_ptr[i:i + 2].tolist())
-        return Cell(tuple(self.vertices[vs:ve].tolist()),
-                    tuple(zip(self.faces[fs:fe].tolist(),
-                              self.coeffs[fs:fe].tolist())),
-                    SHAPE_NAMES[self.shapes[i]])
+        return self.take([range(len(self))[i]]).cells()[0]
 
     def cells(self) -> tuple[Cell, ...]:
         ptr = self.face_ptr.tolist()
@@ -436,9 +434,7 @@ class DeltaComplex:
         return len(self.vertex_labels)
 
     def n_cells(self, k: int) -> int:
-        if k < 0 or k > self.dim:
-            return 0
-        return len(self.layers[k])
+        return len(self.layers[k]) if 0 <= k <= self.dim else 0
 
     def cell(self, k: int, cell_id: int) -> Cell:
         return self.layers[k].cell(cell_id)
@@ -452,24 +448,72 @@ class DeltaComplex:
         except KeyError:
             raise ComplexBuildError(f"unknown vertex label {label!r}") from None
 
-    def _vertex_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """One key per cell, ascending: the ``row_keys`` of its degree and
-        its sorted ``padded_rows``; and the cell of each key, numbered
-        through the degrees, ascending among equal keys.  Cached."""
-        if "vertex sets" not in self._cache:
-            ptr = row_offsets(np.concatenate(
-                [np.diff(layer.vertex_ptr) for layer in self.layers]))
-            keys = row_keys(np.hstack([
-                np.repeat(np.arange(self.dim + 1), self.cell_counts())[:, None],
-                np.sort(padded_rows(np.concatenate(
-                    [layer.vertices for layer in self.layers]), ptr))]))
-            order = np.argsort(keys, kind="stable")
-            self._cache["vertex sets"] = keys[order], order
-        return self._cache["vertex sets"]
-
     def label_tuple(self, k: int, cell_id: int) -> tuple:
         return tuple(self.vertex_labels[v]
                      for v in self.layers[k].cell(cell_id).vertices)
+
+    def _vertex_index(self, k: int) -> tuple:
+        """The k-cells by vertex set, cached per degree: the ascending
+        ``_set_keys`` of their ``padded_rows``, the cell of each key
+        (ascending among equal keys) then -1, the rows' width, and per cell
+        then for -1 the sign of the permutation that sorts its stored
+        spelling, or 0 where :meth:`find_cell` gives +1."""
+        if ("vertex index", k) not in self._cache:
+            layer = self.layers[k]
+            rows = padded_rows(layer.vertices, layer.vertex_ptr)
+            keys, rows, odd = self._set_keys(rows, rows.shape[1])
+            order = np.argsort(keys, kind="stable")
+            spins = np.where((k == 1) | (k > 1) & (layer.shapes != CUBE),
+                             1 - 2 * odd, 0)
+            self._cache["vertex index", k] = (keys[order], np.append(
+                order, -1), rows.shape[1], np.append(spins, 0))
+        return self._cache["vertex index", k]
+
+    def _set_keys(self, rows: np.ndarray, width: int) -> tuple:
+        """Keys of the vertex sets of an (m, 1..width) array of vertex ids
+        plus one, each row sorted in descending order and zero-padded on
+        the right to ``width``: an int64 in base n_vertices + 1 when that
+        many digits fit one, ``row_keys`` otherwise.  Also the sorted rows,
+        and whether each had an odd number of pairs in ascending order, by
+        a bubble sort over whole columns: on short rows far faster than
+        ``np.sort``, which sorts them one by one."""
+        cols, odd = list(rows.T), np.zeros(len(rows), bool)
+        for stop in range(len(cols) - 1, 0, -1):
+            for a in range(stop):
+                lo, hi = cols[a], cols[a + 1]
+                odd ^= lo < hi
+                cols[a], cols[a + 1] = np.maximum(lo, hi), np.minimum(lo, hi)
+        rows, base = np.stack(cols, axis=1), self.n_vertices + 1
+        if base ** width >= 2 ** 63:
+            padded = np.pad(rows, ((0, 0), (0, width - len(cols))))
+            return row_keys(padded), rows, odd
+        keys = cols[0]
+        for column in cols[1:]:
+            keys = keys * base + column
+        return keys * base ** (width - len(cols)), rows, odd
+
+    def find_cells(self, k: int, ids) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+        """Look up k-cells by the vertex sets of the rows of an (m, w) array
+        of vertex ids, a negative id naming no vertex: per row the cell or
+        -1, how many k-cells have that set, and :meth:`find_cell`'s sign.
+        A repeated vertex names no oriented cell; k outside 0..dim none."""
+        ids = np.asarray(ids, dtype=np.int64)
+        m, w = ids.shape
+        if not (m and 0 <= k <= self.dim
+                and 0 < w <= self._vertex_index(k)[2]):
+            return np.full(m, -1), np.zeros(m, np.int64), np.ones(m, np.int64)
+        keys, cells, width, spins = self._vertex_index(k)
+        query, rows, odd = self._set_keys(ids + 1, width)
+        start, stop = _find(keys, query)
+        count = np.where((rows[:, -1] > 0) & (rows[:, 0] <= self.n_vertices),
+                         stop - start, 0)
+        cid = np.where(count == 1, cells[start], -1)
+        # An oriented cell's sign is the parity of the pairs in ascending
+        # order in the query and in the stored spelling.
+        spin = spins[cid]
+        cid[(spin != 0) & (rows[:, 1:] == rows[:, :-1]).any(axis=1)] = -1
+        return cid, count, np.where(spin, spin * (1 - 2 * odd), 1)
 
     def find_cell(self, k: int, vertex_labels: Sequence) -> tuple[int, int]:
         """Locate a cell by vertex labels in any order.
@@ -483,51 +527,17 @@ class DeltaComplex:
         ids = tuple(self.vertex_id(lab) for lab in vertex_labels)
         if k < 0 or k > self.dim:
             raise DimensionError(f"no cells of dimension {k}")
-        keys, cells = self._vertex_sets()
-        pad, hits = keys.itemsize // 8 - 1 - len(ids), cells[:0]
-        if pad >= 0:
-            query = row_keys([np.r_[k, np.zeros(pad), np.sort(ids) + 1]])[0]
-            hits = cells[np.searchsorted(keys, query):np.searchsorted(
-                keys, query, "right")] - sum(self.cell_counts()[:k])
-        if not len(hits):
+        cid, count, sign = map(int, np.ravel(self.find_cells(k, [ids])))
+        if not count:
             raise ComplexBuildError(
                 f"no {k}-cell with vertices {tuple(vertex_labels)!r}")
-        if len(hits) > 1:
+        if count > 1:
             raise ComplexBuildError(
-                f"vertex set {tuple(vertex_labels)!r} names {len(hits)} cells; "
+                f"vertex set {tuple(vertex_labels)!r} names {count} cells; "
                 "query by cell id instead")
-        cell_id = int(hits[0])
-        if k == 0 or k > 1 and self.layers[k].shapes[cell_id] == CUBE:
-            return cell_id, 1
-        if len(set(ids)) < len(ids):
+        if cid < 0:
             raise ComplexBuildError(f"repeated vertex in cell {ids}")
-        # The parity of the permutation from the stored spelling to the
-        # query: one flip per pair of query vertices stored the other way.
-        at = list(map(self.layers[k].cell(cell_id).vertices.index, ids))
-        return cell_id, (-1) ** sum(a > b for a, b in combinations(at, 2))
-
-    def find_edges(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Edge ids and signs, as :meth:`find_cell` gives them, of the vertex
-        pairs in the rows of an (n, 2) id array; id -1 where it refuses."""
-        cid, n = np.full(len(ends), -1), self.n_vertices
-        if not self.n_cells(1):
-            return cid, np.ones(len(ends))
-        layer = self.layers[1]
-        if "edge keys" not in self._cache:
-            # Sorted keys lo * n + hi; -1 for a 1-cell without two vertices.
-            lo, hi = np.sort([layer.first_vertices(), layer.last_vertices()],
-                             axis=0)
-            keys = np.where(np.diff(layer.vertex_ptr) == 2, lo * n + hi, -1)
-            order = np.argsort(keys, kind="stable")
-            self._cache["edge keys"] = keys[order], order
-        keys, order = self._cache["edge keys"]
-        a, b = ends.T
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        start, stop = (np.searchsorted(keys, lo * n + hi, side)
-                       for side in ("left", "right"))
-        found = np.flatnonzero((stop - start == 1) & (lo >= 0) & (lo != hi))
-        cid[found] = order[start[found]]
-        return cid, np.where(layer.first_vertices()[cid] == a, 1.0, -1.0)
+        return cid, sign
 
     def chain(self, k: int, terms: Mapping[Sequence, object],
               ring: str = RING_INT) -> Chain:
@@ -589,8 +599,10 @@ class DeltaComplex:
         layers, defects = [], []
         for k, cell_keys in enumerate(by_dim):
             cells = cell_keys.view(">i8").reshape(-1, k + 1)
-            fids = _find(by_dim[k - 1], _face_keys(cells)).reshape(
-                len(cells), k + 1) if k else np.empty((len(cells), 0), int)
+            fids = np.empty((len(cells), 0), int)
+            if k:
+                at, stop = _find(by_dim[k - 1], _face_keys(cells))
+                fids = np.where(stop > at, at, -1).reshape(len(cells), k + 1)
             for c, i in np.argwhere(fids < 0).tolist():
                 names = [labels[v] for v in cells[c].tolist()]
                 defects.append((k, tuple(names),
@@ -603,10 +615,9 @@ class DeltaComplex:
         return cls.from_layers(labels, layers, closure_defects=defects)
 
 
-def _find(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Positions of ``query`` in the sorted ``keys``, -1 where absent."""
-    at = np.searchsorted(keys, query)
-    return np.where(np.searchsorted(keys, query, "right") > at, at, -1)
+def _find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Where each of ``query`` starts and stops in the sorted ``keys``."""
+    return np.searchsorted(keys, query), np.searchsorted(keys, query, "right")
 
 
 def _face_keys(cells: np.ndarray) -> np.ndarray:
@@ -730,46 +741,30 @@ def build_complex(indices: Iterable[tuple], scheme: str, *,
     if m > 3:
         raise DimensionError("lattice dimension must be at most 3")
     hull = tuple((min(c), max(c)) for c in zip(*verts))
-    if index_box is None:
-        index_box = hull
-    else:
-        index_box = tuple((int(lo), int(hi)) for lo, hi in index_box)
+    index_box = hull if index_box is None else tuple(
+        (int(lo), int(hi)) for lo, hi in index_box)
     for a in periodic_axes:
         lo, hi = index_box[a]
         if not lo <= hull[a][0] <= hull[a][1] < hi:
             raise ComplexBuildError(
                 f"periodic axis {a + 1} needs every index in [{lo}, {hi})")
     # The grid starts at the hull on a free axis and at the box on a
-    # periodic one, where its extent is the period.
-    origin, extent = [], []
-    for a, (lo, hi) in enumerate(hull):
-        if a in periodic_axes:
-            origin.append(index_box[a][0])
-            extent.append(index_box[a][1] - index_box[a][0])
-        else:
-            origin.append(lo)
-            extent.append(hi - lo + 2)
-    if math.prod(extent) >= 2 ** 62:
-        raise ComplexBuildError("lattice indices span too wide a range")
-    try:
-        rel = np.array(verts, dtype=np.int64).reshape(len(verts), m) - origin
-    except OverflowError:
-        # Indices beyond int64: shift them exactly first.
-        rel = np.array([tuple(map(sub, v, origin)) for v in verts],
-                       dtype=np.int64).reshape(len(verts), m)
-    return _grid_complex(rel, verts, scheme, index_box, periodic_axes, extent)
+    # periodic one; offsets stay exact until the grid's size is checked.
+    origin = [index_box[a][0] if a in periodic_axes else lo
+              for a, (lo, _) in enumerate(hull)]
+    rel = np.array(verts, dtype=object).reshape(len(verts), m) - origin
+    return _grid_complex(rel, verts, scheme, index_box, periodic_axes)
 
 
 def _grid_complex(rel: np.ndarray, labels: Sequence, scheme: str,
-                  index_box, periodic_axes: Sequence[int],
-                  extent: Sequence[int]) -> DeltaComplex:
-    """The grid complex on distinct sites ``rel`` (an n x m int64 array in
-    ascending row order, offsets from the grid origin) named ``labels``.
+                  index_box, periodic_axes: Sequence[int]) -> DeltaComplex:
+    """The grid complex on distinct sites ``rel`` (an n x m integer array
+    in ascending row order, offsets from the grid origin) named ``labels``.
 
-    Each site's key is its row-major position in a grid with ``extent``
-    points per axis: a free axis leaves room for a corner one step past
-    the last site, and on a periodic axis a corner at the top wraps to
-    the bottom.  A cell is named by its anchor vertex and its template.
+    Each site's key is its row-major position in a grid of fewer than
+    2^62 points, as wide as the period on a periodic axis, where a corner
+    at the top wraps to the bottom, and as the largest offset + 2 on a
+    free axis.  A cell is named by its anchor vertex and its template.
     Anchors run in vertex order and the templates of a degree in order of
     their offsets, so each degree comes out ordered by the cells'
     unwrapped corner labels (by vertex-id tuples on a free grid), and a
@@ -778,6 +773,12 @@ def _grid_complex(rel: np.ndarray, labels: Sequence, scheme: str,
     if scheme not in SCHEMES:
         raise ComplexBuildError(f"unknown cell scheme {scheme!r}")
     n, m = rel.shape
+    extent = [int(hi) - int(lo) if a in periodic_axes else int(top) + 2
+              for a, ((lo, hi), top) in enumerate(zip(index_box,
+                                                      rel.max(axis=0)))]
+    if math.prod(extent) >= 2 ** 62:
+        raise ComplexBuildError("lattice indices span too wide a range")
+    rel = np.asarray(rel, dtype=np.int64)
     strides = np.array([math.prod(extent[a + 1:]) for a in range(m)],
                        dtype=np.int64)
     keys = rel @ strides
@@ -1019,36 +1020,34 @@ def barycentric_subdivide(complex_: DeltaComplex) -> DeltaComplex:
     cells.  Cubic cells and quotient complexes (repeated vertices or
     duplicated vertex tuples) are refused.
     """
-    nodes = [(k, i) for k, n in enumerate(complex_.cell_counts())
-             for i in range(n)]
-    keys, cells = complex_._vertex_sets()
-    sets = keys.view(">i8").reshape(len(keys), keys.itemsize // 8)[:, 1:]
-    cube = np.concatenate([layer.shapes for layer in complex_.layers]) == CUBE
-    bad = cube | np.isin(np.arange(len(cube)), cells[(
-        (sets[:, 1:] == sets[:, :-1]) & (sets[:, 1:] > 0)).any(axis=1)])
-    if bad.any():
-        raise UnsupportedConfigurationError(
-            "barycentric subdivision supports triangular cells only"
-            if cube[bad.argmax()] else "cell ({},{}) repeats vertices; "
-            "subdivision of quotient complexes is not supported".format(
-                *nodes[bad.argmax()]))
-    if (keys[1:] == keys[:-1]).any():
+    counts = complex_.cell_counts()
+    nodes = [(k, i) for k, n in enumerate(counts) for i in range(n)]
+    first, pairs = row_offsets(counts), [[[], []]]
+    for k, layer in enumerate(complex_.layers):
+        rows = np.sort(padded_rows(layer.vertices, layer.vertex_ptr))
+        bad = (layer.shapes == CUBE) | (
+            (rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] > 0)).any(axis=1)
+        if bad.any():
+            raise UnsupportedConfigurationError(
+                "barycentric subdivision supports triangular cells only"
+                if layer.shapes[bad.argmax()] == CUBE else
+                f"cell ({k},{bad.argmax()}) repeats vertices; "
+                "subdivision of quotient complexes is not supported")
+        # (face, cell) pairs: j + 1 of a cell's vertices found in degree j.
+        sizes = np.count_nonzero(rows, axis=1)
+        for size in np.unique(sizes).tolist():
+            mine = np.flatnonzero(sizes == size)
+            for j in range(min(size - 1, len(counts))):
+                subsets = list(combinations(range(size), j + 1))
+                cid = complex_.find_cells(j, rows[mine, -size:][
+                    :, subsets].reshape(-1, j + 1) - 1)[0]
+                pairs.append([first[j] + cid[cid >= 0], first[k] + np.repeat(
+                    mine, len(subsets))[cid >= 0]])
+    if any((keys[1:] == keys[:-1]).any() for keys, *_ in map(
+            complex_._vertex_index, range(len(counts)))):
         raise UnsupportedConfigurationError(
             "two cells share one vertex set; subdivision of "
             "quotient complexes is not supported")
-    # (face, cell) pairs: j + 1 of a cell's vertices looked up in degree j.
-    sizes, pairs = np.count_nonzero(sets, axis=1), [[[], []]]
-    for size in np.unique(sizes).tolist():
-        mine = np.flatnonzero(sizes == size)
-        for j in range(size - 1):
-            subsets = np.take(sets[mine, -size:], list(combinations(
-                range(size), j + 1)), axis=1)
-            query = np.zeros(subsets.shape[:2] + (1 + sets.shape[1],),
-                             np.int64)
-            query[..., 0], query[..., -1 - j:] = j, subsets
-            at = _find(keys, row_keys(query.reshape(-1, 1 + sets.shape[1])))
-            pairs.append([cells[at[at >= 0]], cells[np.repeat(
-                mine, subsets.shape[1])[at >= 0]]])
     lower, upper = np.hstack(pairs).astype(np.int64)
     ptr = row_offsets(np.bincount(lower, minlength=len(nodes)))
     upper = upper[np.argsort(lower, kind="stable")]

@@ -385,8 +385,7 @@ def build_lattice_complex(spec: LatticeSpec) -> tuple[DeltaComplex, dict]:
     rel = np.argwhere(sites)
     complex_ = _grid_complex(
         rel, list(map(tuple, (rel + lows).tolist())), spec.scheme, box,
-        periodic_axes, [n + (a not in periodic_axes)
-                        for a, n in enumerate(sites.shape)])
+        periodic_axes)
     complex_.lattice_info.update({
         "generators": tuple(tuple(float(x) for x in row) for row in A),
         "ambient": n,

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -320,30 +321,38 @@ def _whole_turns(angles: Sequence[float]) -> int:
     return int(nearest)
 
 
-def _closed(loop: Sequence[int]) -> list[int]:
-    """``loop`` as a vertex-id list ending where it starts.
-
-    The closing edge back to the start is implicit when absent; an empty
-    loop has no start and is refused.
-    """
-    ids = list(loop)
-    if not ids:
-        raise DimensionError("empty loop")
-    if ids[0] != ids[-1]:
-        ids.append(ids[0])
+def _checked_ids(ids: Iterable, n: int, what: str) -> list[int]:
+    """``ids`` as a list of ids in 0..n-1: a boolean is refused with
+    TypeError, as ``Chain`` does, and an id outside with IndexError."""
+    ids = list(ids)
+    for i in ids:
+        if isinstance(i, (bool, np.bool_)):
+            raise TypeError(f"{what} id {i!r} is not an integer")
+    ids = list(map(operator.index, ids))
+    if ids and not 0 <= min(ids) <= max(ids) < n:
+        raise IndexError(f"a {what} id is outside 0..{n - 1}")
     return ids
 
 
-def _windings(field: OrderField, loops: Sequence[Sequence[int]],
+def _loop(field: OrderField, loop: Iterable) -> list[int]:
+    """A loop's vertex ids by ``_checked_ids``; an empty loop is refused."""
+    ids = _checked_ids(loop, field.complex_.n_vertices, "vertex")
+    if not ids:
+        raise DimensionError("empty loop")
+    return ids
+
+
+def _windings(field: OrderField, loops: Sequence[list[int]],
               offsets: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Whole turns of each circle factor around each loop; the factor at
-    ``offset`` is the value pair (offset, offset + 1)."""
+    """Whole turns of each circle factor (value pair offset, offset + 1)
+    around each nonempty vertex-id list, closed by a step back to its
+    start: a zero step where it already ends there."""
     ids = list({v for loop in loops for v in loop})
     cols = np.asarray(field.values, dtype=float)[ids].T.tolist()
     angles = [dict(zip(ids, map(math.atan2, cols[o + 1], cols[o])))
               for o in offsets]
-    return [tuple(_whole_turns([a[v] for v in loop]) for a in angles)
-            for loop in map(_closed, loops)]
+    return [tuple(_whole_turns([a[v] for v in loop + loop[:1]])
+                  for a in angles) for loop in loops]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,30 +378,23 @@ def _perpendicular() -> AmbiguousSamplingError:
 
 
 def _parities(field: OrderField, loops: Sequence[Sequence[int]]) -> list[int]:
-    """Orientation parity of a line field around each nonempty loop: 1 when
-    an odd number of steps join directors that point apart.  A nearly
-    perpendicular step is refused, as on a director shell."""
-    if not loops:
-        return []
+    """Orientation parity of a line field around each of one or more
+    nonempty loops: 1 when an odd number of steps join directors that
+    point apart.  A nearly perpendicular step is refused, as on a shell."""
     size = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
     heads = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64,
                         count=int(size.sum()))
     first = np.cumsum(size) - size
-    last = first + size - 1
-    # Each vertex steps to the next and the last one back to the first,
-    # except on a loop that already ends where it starts; a one-vertex
-    # loop steps from its vertex to itself.
+    # Each vertex steps to the next and the last one back to the first: a
+    # zero step, which joins a director to itself, where the loop already
+    # ends at its start.
     tails = np.roll(heads, -1)
-    tails[last] = heads[first]
-    closed = (heads[last] == heads[first]) & (size > 1)
-    step = np.ones(len(heads), dtype=bool)
-    step[last[closed]] = False
+    tails[first + size - 1] = heads[first]
     x = np.asarray(field.values, dtype=float)
-    signs = _lift_signs(_dots(x[heads[step]], x[tails[step]]))
-    starts = first - np.cumsum(closed) + closed
+    signs = _lift_signs(_dots(x[heads], x[tails]))
     if (signs == 0).any():
         raise _perpendicular()
-    return np.logical_xor.reduceat(signs < 0, starts).astype(int).tolist()
+    return np.logical_xor.reduceat(signs < 0, first).astype(int).tolist()
 
 
 def _shells(complex_: DeltaComplex, cell_ids: np.ndarray):
@@ -503,12 +505,12 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
 
 def winding_number(field: OrderField, loop: Sequence[int]) -> int:
     """Net turns of a circle-valued field around a closed vertex loop."""
-    return _windings(field, [_closed(loop)], (0,))[0][0]
+    return _windings(field, [_loop(field, loop)], (0,))[0][0]
 
 
 def torus_winding(field: OrderField, loop: Sequence[int]) -> tuple[int, int]:
     """Net turns of each circle factor of a torus-valued field on a loop."""
-    return _windings(field, [_closed(loop)], (0, 2))[0]
+    return _windings(field, [_loop(field, loop)], (0, 2))[0]
 
 
 def rp_parity(field: OrderField, loop: Sequence[int]) -> int:
@@ -517,13 +519,15 @@ def rp_parity(field: OrderField, loop: Sequence[int]) -> int:
     0 when the line field lifts to a closed vector field along the loop,
     1 when the lift comes back flipped.
     """
-    return _parities(field, [_closed(loop)])[0]
+    return _parities(field, [_loop(field, loop)])[0]
 
 
 def sphere_degree(field: OrderField,
                   triangles: Sequence[tuple[int, tuple[int, int, int]]]) -> int:
     """Degree of a sphere-valued field over a closed oriented triangle set."""
     tris = list(triangles)
+    _checked_ids([v for _, t in tris for v in t],
+                 field.complex_.n_vertices, "vertex")
     coeff = [c for c, _ in tris]
     tri = np.array([t for _, t in tris], dtype=np.int64).reshape(-1, 3)
     return _degrees(field, coeff, tri, np.zeros(len(tris), np.int64), 1)[0]
@@ -534,10 +538,10 @@ def boundary_classes(field: OrderField, k: int,
     """Homotopy classes of the field on the boundaries of k-cells.
 
     One batched pass over the cells ``cell_ids`` (every k-cell by
-    default), with one value per cell in that order; an unknown id, a
-    negative one too, raises IndexError before any probe runs.  Each value
-    lives in pi_{k-1} of the order-parameter space: a 0/1 transition flag
-    for pi_0, integers or parities for pi_1, an integer degree for pi_2.
+    default), with one value per cell in that order; ids are checked by
+    ``_checked_ids``.  Each value lives in pi_{k-1} of the order-parameter
+    space: a 0/1 transition flag for pi_0, integers or parities for pi_1,
+    an integer degree for pi_2.
     Spaces with nonabelian pi_1 are refused at k = 2.  A refusal is the
     one the first failing cell would raise on its own.
     """
@@ -546,8 +550,7 @@ def boundary_classes(field: OrderField, k: int,
         raise DimensionError(f"no {k}-cells to probe")
     layer = cx.layers[k]
     ids = np.arange(len(layer)) if cell_ids is None else np.array(
-        [range(len(layer))[c if c >= 0 else len(layer)] for c in cell_ids],
-        dtype=np.int64)
+        _checked_ids(cell_ids, len(layer), "cell"), dtype=np.int64)
     if not len(ids):
         return []
     space = field.space
@@ -568,8 +571,7 @@ def boundary_classes(field: OrderField, k: int,
                 "do not assemble into an additive cochain")
         if space.name not in (SPACE_CIRCLE, SPACE_RP2, SPACE_TORUS):
             return [0] * len(ids)
-        rows = layer.vertex_rows()
-        loops = [rows[i] for i in ids.tolist()]
+        loops = layer.take(ids).vertex_rows()
         if space.name == SPACE_CIRCLE:
             return [turns for turns, in _windings(field, loops, (0,))]
         if space.name == SPACE_TORUS:

@@ -217,6 +217,19 @@ def test_find_cell_sign_is_the_permutation_parity():
     pinched = DeltaComplex("AB", [points[:2], [], [Cell((0, 0, 1), ())]])
     with pytest.raises(ComplexBuildError, match=r"repeated vertex in cell \(0, 0, 1\)"):
         pinched.find_cell(2, ("A", "A", "B"))
+    # 1-cells of 2, 1 and n vertices: shorter rows are zero-padded on the
+    # right, under int64 keys (n = 4) and byte keys (n = 40, 41^40 > 2^63),
+    # and a -1 names no vertex, not the padding
+    for n in (4, 40):
+        ragged = DeltaComplex(range(n), [
+            [Cell((v,), ()) for v in range(n)],
+            [Cell((3, 1), ()), Cell((3,), ()), Cell(tuple(range(n))[::-1], ())]])
+        assert ragged._vertex_index(1)[0].dtype.kind == "iV"[n == 40]
+        assert ragged.find_cell(1, (1, 3)) == (0, -1)
+        assert ragged.find_cell(1, (3,)) == (1, 1)
+        assert ragged.find_cell(1, range(n)) == (2, (-1) ** (n * (n - 1) // 2))
+        got = ragged.find_cells(1, [[3, -1], [3, 1]])
+        assert [a.tolist() for a in got] == [[-1, 0], [0, 1], [1, 1]]
 
 
 
@@ -236,26 +249,55 @@ def test_find_cell_sign_on_cubic_edges():
                          periodic_axes=(0,))
     with pytest.raises(ComplexBuildError, match="repeated vertex"):
         loop.find_cell(1, ((0,), (0,)))
+    # the 8 corners of a cube of 343 sites do not fit one int64 key in
+    # base 344; their byte keys find every cube and edge all the same
+    box = build_complex(box_points([(0, 6)] * 3), "cubic",
+                        index_box=[(0, 7)] * 3, periodic_axes=(0, 1, 2))
+    assert box._vertex_index(3)[0].dtype.kind == "V"
+    for k, sign in ((3, 1), (1, -1)):
+        layer = box.layers[k]
+        rows = layer.vertices.reshape(len(layer), -1)[:, ::-1]
+        assert [a.tolist() for a in box.find_cells(k, rows)] == [
+            list(range(len(layer))), [1] * len(layer), [sign] * len(layer)]
+    assert box.find_cell(3, box.label_tuple(3, 5)[::-1]) == (5, 1)
 
-# find_cell and the subdivision's refusals against dicts of sorted vertex
-# tuples, on lattices whose period-1 and period-2 axes put repeated
-# vertices in cells and several cells on one vertex set.
+# find_cell, find_cells and the subdivision's refusals against dicts of
+# sorted vertex tuples, on lattices whose period-1 and period-2 axes put
+# repeated vertices in cells and several cells on one vertex set, and on
+# explicit complexes of mixed degrees, closed or not.
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(lattice_specs(), st.randoms(use_true_random=True))
+@given(st.one_of(lattice_specs(), st.tuples(simplex_lists(), st.booleans())),
+       st.randoms(use_true_random=True))
 def test_find_cell_matches_a_dict_of_sorted_tuples(spec, rng):
     try:
-        cx, _ = build_lattice_complex(spec)
+        cx = (build_lattice_complex(spec)[0] if isinstance(spec, LatticeSpec)
+              else DeltaComplex.from_simplices(spec[0], auto_close=spec[1]))
     except (ComplexBuildError, DefectLocusError):
         return
     rows = [layer.vertex_rows() for layer in cx.layers]
     cubes = [(layer.shapes == complexes.CUBE).tolist() for layer in cx.layers]
     for k in range(cx.dim + 1):
         width = max(map(len, rows[k]), default=1)
-        queries = [rng.sample(row, len(row)) for row in rows[k]]
+        queries = [rng.sample(row, len(row)) for row in rows[k]] + [[]]
         queries += [rng.choices(range(cx.n_vertices),
                                 k=rng.randint(1, width + 1))
-                    for _ in range(10)]
+                    for _ in range(10 if cx.n_vertices else 0)]
+        # the batch, one call per query length; a negative id names no
+        # vertex
+        by_length = {}
+        for ids in queries + [q[:-1] + [-1] for q in queries[:5] if q]:
+            by_length.setdefault(len(ids), []).append(ids)
+        for w, group in by_length.items():
+            got = cx.find_cells(k, np.reshape(group, (len(group), w)))
+            for ids, cid, count, sign in zip(group, *map(list, got)):
+                want = find_cell_oracle(rows[k], cubes[k], k, ids)
+                if want[0] == "names":
+                    assert (cid, count) == (-1, want[1])
+                elif want[0] == "repeated":
+                    assert (cid, count) == (-1, 1)
+                else:
+                    assert (cid, count, sign) == (want[0], 1, want[1])
         for ids in queries:
             labels = tuple(cx.vertex_labels[v] for v in ids)
             want = find_cell_oracle(rows[k], cubes[k], k, ids)

@@ -36,7 +36,7 @@ from crystaltopo.cli import build_from_document, field_from_document
 from crystaltopo.errors import DocumentError
 from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _whole_turns
 
-from conftest import make_circle, make_grid, make_tetra_surface
+from conftest import make_circle, make_grid, make_tetra_surface, make_torus
 
 from oracles import (
     ProbeRefused,
@@ -830,6 +830,58 @@ def test_negative_cell_ids_do_not_wrap_around():
             boundary_classes(f, 2, ids)
     with pytest.raises(IndexError):
         boundary_class(f, 2, -1)
+
+
+def test_boolean_cell_ids_are_refused():
+    # range(n)[True] is 1: a boolean must not probe cell 1
+    cx = make_grid(3)
+    f = OrderField.from_function(cx, make_space("circle"),
+                                 lambda lab: 0.1 * lab[0] + 0.2 * lab[1])
+    for k in (1, 2):
+        for ids in ([True], [0, False], [np.True_], [np.bool_(False)]):
+            with pytest.raises(TypeError, match="is not an integer"):
+                boundary_classes(f, k, ids)
+        with pytest.raises(TypeError):
+            boundary_class(f, k, True)
+    assert boundary_classes(f, 2, [np.int64(1)]) == [boundary_class(f, 2, 1)]
+
+
+def test_loop_probes_refuse_negative_and_boolean_vertex_ids():
+    # On a 16-vertex torus -1 is no name for vertex 15, nor True for
+    # vertex 1; both are refused before any probe runs, even after a step
+    # the probe would refuse.
+    cx = make_torus(4)
+    n = cx.n_vertices
+    assert n == 16
+    turn = {lab: 2 * math.pi * lab[0] / 4 for lab in cx.vertex_labels}
+    fields = {
+        "circle": OrderField.from_samples(cx, make_space("circle"), turn),
+        "torus": OrderField.from_samples(cx, make_space("torus"), {
+            lab: (a, -a) for lab, a in turn.items()}),
+        "projective_plane": OrderField.from_samples(
+            cx, make_space("projective_plane"), {
+                lab: _director(a / 2) for lab, a in turn.items()}),
+        "sphere_2": OrderField.from_samples(cx, make_space("sphere_2"), {
+            lab: (0.0, 0.0, 1.0) for lab in cx.vertex_labels}),
+    }
+    probes = [(winding_number, "circle"), (torus_winding, "torus"),
+              (rp_parity, "projective_plane")]
+    for probe, space in probes:
+        f = fields[space]
+        probe(f, [0, 1, n - 1])
+        for loop in ([0, 1, -1], [-n, 1, 2], [0, 1, n], [0, 8, 0, -1]):
+            with pytest.raises(IndexError, match=f"outside 0..{n - 1}"):
+                probe(f, loop)
+        for loop in ([0, True, 2], [False, 1, 2], [0, np.True_, 2]):
+            with pytest.raises(TypeError, match="is not an integer"):
+                probe(f, loop)
+    f = fields["sphere_2"]
+    assert sphere_degree(f, [(1, (0, 1, n - 1))]) == 0
+    for tri in ((0, 1, -1), (0, n, 1)):
+        with pytest.raises(IndexError, match=f"outside 0..{n - 1}"):
+            sphere_degree(f, [(1, (0, 1, 2)), (1, tri)])
+    with pytest.raises(TypeError, match="is not an integer"):
+        sphere_degree(f, [(1, (0, True, 2))])
 
 
 def _unit(v):
