@@ -6,7 +6,10 @@ vertex-deletion rule; cubic cells pair a lower and an upper face per spanned
 axis with alternating signs.  Face lists are stored explicitly because
 periodic grids and quotients produce distinct cells sharing one vertex
 tuple, and collapsed boundaries drop faces entirely; the vertex tuple
-alone cannot define incidence there.
+alone cannot define incidence there.  So incidence and direction are read
+from the faces only: an edge runs from its face with coefficient -1 (its
+tail) to its face with +1 (its head), ``CellLayer.ends``, and
+``DeltaComplex.edge_ends`` names those 0-cells by their vertex ids.
 
 Each degree is stored only as int64 arrays in compressed sparse rows
 (:class:`CellLayer`): the vertex ids of its cells with row offsets, their
@@ -265,7 +268,8 @@ class CellLayer:
     in stored order, the faces ``faces[face_ptr[i]:face_ptr[i + 1]]`` (ids
     one degree down) with their coefficients at the same positions of
     ``coeffs``, and the shape ``SHAPE_NAMES[shapes[i]]``.  The arrays are
-    read-only.
+    read-only.  Incidence and direction come from the faces alone (an
+    edge's by ``ends``); the vertex row names a cell in lookups.
     """
 
     __slots__ = ("vertices", "vertex_ptr", "faces", "coeffs", "face_ptr",
@@ -295,11 +299,22 @@ class CellLayer:
     def __len__(self) -> int:
         return len(self.shapes)
 
-    def first_vertices(self) -> np.ndarray:
-        return self.vertices[self.vertex_ptr[:-1]]
-
-    def last_vertices(self) -> np.ndarray:
-        return self.vertices[self.vertex_ptr[1:] - 1]
+    def ends(self, ids=None) -> tuple[np.ndarray, np.ndarray]:
+        """The tail and head of edges ``ids`` (all by default): their faces
+        with coefficient -1 and +1, one 0-cell twice on a period-1 loop.
+        Any other edge is refused, by its id: it is not a graph edge."""
+        rows = self if ids is None else self.take(ids)
+        short = np.append(np.diff(rows.face_ptr) != 2, True).argmax()
+        c = rows.coeffs[:2 * short].reshape(-1, 2)
+        bad = np.append((np.abs(c[:, 0]) != 1) | (c[:, 1] != -c[:, 0]), True)
+        if (first := bad.argmax()) < len(rows):
+            raise UnsupportedConfigurationError(
+                f"edge {first if ids is None else np.asarray(ids)[first]} is "
+                "not a graph edge: its faces are not one tail (-1) and one "
+                "head (+1)")
+        f, swap = rows.faces.reshape(-1, 2), c[:, 0] > 0
+        return (np.where(swap, f[:, 1], f[:, 0]),
+                np.where(swap, f[:, 0], f[:, 1]))
 
     def vertex_rows(self) -> list[list[int]]:
         flat, ptr = self.vertices.tolist(), self.vertex_ptr.tolist()
@@ -441,6 +456,18 @@ class DeltaComplex:
 
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.layers]
+
+    def edge_ends(self, ids=None) -> tuple[np.ndarray, np.ndarray]:
+        """The tail and head vertex ids of edges ``ids`` (all by default):
+        ``CellLayer.ends`` read through the 0-cells, which must be the
+        vertices, one each."""
+        points = self.layers[0].vertices
+        if len(points) != self.n_cells(0) or (np.bincount(
+                points, minlength=self.n_vertices) != 1).any():
+            raise UnsupportedConfigurationError(
+                "the 0-cells are not the vertices, one each")
+        tail, head = self.layers[1].ends(ids)
+        return points[tail], points[head]
 
     def vertex_id(self, label) -> int:
         try:

@@ -310,12 +310,11 @@ def euler_characteristic(complex_: DeltaComplex) -> int:
 
 
 def vertex_components(complex_: DeltaComplex) -> list[int]:
-    """Connected-component id per vertex, numbered by smallest member."""
-    heads = tails = ()
-    if complex_.dim >= 1:
-        edges = complex_.layers[1]
-        heads, tails = edges.first_vertices(), edges.last_vertices()
-    order, parent, *_ = spanning_forest(complex_.n_vertices, heads, tails)
+    """Connected-component id per vertex, numbered by smallest member; an
+    edge joins the tail and head vertices its faces name
+    (``DeltaComplex.edge_ends``)."""
+    ends = complex_.edge_ends() if complex_.dim >= 1 else ((), ())
+    order, parent, *_ = spanning_forest(complex_.n_vertices, *ends)
     component = np.empty_like(order)
     component[order] = np.cumsum(parent[order] < 0) - 1
     return component.tolist()

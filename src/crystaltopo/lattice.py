@@ -295,7 +295,7 @@ def apply_constant_boundary(complex_: DeltaComplex,
     for k, layer in enumerate(complex_.layers):
         if k == 0:
             # One vertex per new label, the first of its preimages.
-            _, keep, rank = np.unique(image[layer.first_vertices()],
+            _, keep, rank = np.unique(image[layer.vertices],
                                       return_index=True, return_inverse=True)
         else:
             # Collapse the cells inside a hull facet; order the others by

@@ -1,7 +1,9 @@
 """Kirchhoff-style checks on the 1-skeleton.
 
 Edge currents live in the kernel of the first boundary matrix; edge drops
-are consistent exactly when they are a coboundary of vertex potentials.
+are consistent exactly when they are a coboundary of vertex potentials,
+a drop being V(head) - V(tail) with an edge's tail and head read from its
+faces (``DeltaComplex.edge_ends``).
 Both checks work over floats with an explicit tolerance and report where
 they fail: net charge per vertex for currents, a fundamental loop with a
 nonzero circulation for drops.  The net charges are summed by one
@@ -89,7 +91,8 @@ def potential_check(complex_: DeltaComplex, drops,
                     tol: float = KIRCHHOFF_TOL) -> PotentialReport:
     """Find vertex potentials whose differences match the edge drops.
 
-    A drop on edge (a, b) is V(b) - V(a).  Potentials are assigned in the
+    A drop on an edge is V(head) - V(tail), its tail and head being its
+    faces with coefficient -1 and +1.  Potentials are assigned in the
     visit order of the breadth-first spanning forest, each tree rooted at
     its component's smallest vertex id; the first non-tree edge that
     disagrees yields its fundamental loop as a 1-chain whose circulation
@@ -105,24 +108,23 @@ def _potentials(complex_: DeltaComplex, ids: np.ndarray, values: np.ndarray,
     if complex_.dim < 1 or complex_.n_cells(1) == 0:
         return PotentialReport(True, [0.0] * n_v, tol=tol)
 
-    first = complex_.layers[1].first_vertices()
-    last = complex_.layers[1].last_vertices()
-    drop = np.zeros(len(first))
+    tail, head = complex_.edge_ends()
+    drop = np.zeros(len(tail))
     drop[ids] = values
-    _, parent, edge, sign, pot = spanning_forest(n_v, first, last, drop)
+    _, parent, edge, sign, pot = spanning_forest(n_v, tail, head, drop)
 
     # All non-tree edges at once; the lowest offending id gives the loop.
-    bad = np.abs(pot[last] - pot[first] - drop) > tol
+    bad = np.abs(pot[head] - pot[tail] - drop) > tol
     bad[edge[edge >= 0]] = False
     if not bad.any():
         return PotentialReport(True, pot.tolist(), tol=tol)
 
-    # Loop: the edge first -> last, then the tree path up from last and
-    # back down to first; edges above the two paths' meeting point cancel.
+    # Loop: the edge tail -> head, then the tree path up from head and
+    # back down to tail; edges above the two paths' meeting point cancel.
     cid = int(bad.argmax())
     loop: dict[int, float] = {cid: 1.0}
     parent, edge, sign = parent.tolist(), edge.tolist(), sign.tolist()
-    for v, way in ((int(last[cid]), 1.0), (int(first[cid]), -1.0)):
+    for v, way in ((int(head[cid]), 1.0), (int(tail[cid]), -1.0)):
         while parent[v] >= 0:
             loop[edge[v]] = loop.get(edge[v], 0.0) - way * sign[v]
             v = parent[v]

@@ -526,6 +526,8 @@ def sphere_degree(field: OrderField,
                   triangles: Sequence[tuple[int, tuple[int, int, int]]]) -> int:
     """Degree of a sphere-valued field over a closed oriented triangle set."""
     tris = list(triangles)
+    if any(len(t) != 3 for _, t in tris):
+        raise DimensionError("a triangle must name exactly three vertex ids")
     _checked_ids([v for _, t in tris for v in t],
                  field.complex_.n_vertices, "vertex")
     coeff = [c for c, _ in tris]
@@ -559,9 +561,9 @@ def boundary_classes(field: OrderField, k: int,
     if k == 1:
         if space.name == SPACE_FINITE:
             values = field.values
+            ends = cx.edge_ends(None if cell_ids is None else ids)
             return [0 if values[a] == values[b] else 1
-                    for a, b in zip(layer.first_vertices()[ids].tolist(),
-                                    layer.last_vertices()[ids].tolist())]
+                    for a, b in zip(*(e.tolist() for e in ends))]
         return [0] * len(ids)
 
     if k == 2:

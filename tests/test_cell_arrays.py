@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo.cli import main
@@ -22,7 +22,11 @@ from crystaltopo.complexes import (
     boundary_map,
     validate_complex,
 )
-from crystaltopo.errors import ComplexBuildError, DefectLocusError
+from crystaltopo.errors import (
+    ComplexBuildError,
+    DefectLocusError,
+    UnsupportedConfigurationError,
+)
 from crystaltopo.homology import orientability, vertex_components
 from crystaltopo.lattice import (
     DefectSpec,
@@ -155,13 +159,18 @@ def test_constant_box_with_a_far_offset_matches_the_box_at_0(base):
 def ragged_complexes(draw):
     """Hand-built cells: any vertex count (repeats allowed), any faces
     one degree down (repeats and zero coefficients allowed), coefficients
-    up to the int64 limits, both shapes."""
+    up to the int64 limits, both shapes; the 0-cells are the vertices in
+    any order, or any vertex tuples at all."""
     n = draw(st.integers(1, 5))
     coeff = st.one_of(st.integers(-3, 3),
                       st.integers(-(2 ** 63), 2 ** 63 - 1))
-    layers = [[Cell((v,), (), draw(st.sampled_from([SHAPE_SIMPLEX,
-                                                    SHAPE_CUBE])))
-               for v in range(n)]]
+    points = draw(st.one_of(
+        st.permutations(range(n)).map(lambda p: [(v,) for v in p]),
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                          max_size=2).map(tuple), min_size=1, max_size=5)))
+    layers = [[Cell(p, (), draw(st.sampled_from([SHAPE_SIMPLEX,
+                                                 SHAPE_CUBE])))
+               for p in points]]
     for _ in range(draw(st.integers(0, 3))):
         below = len(layers[-1])
         face = st.tuples(st.integers(0, below - 1), coeff) if below \
@@ -177,6 +186,12 @@ def ragged_complexes(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(ragged_complexes())
+# an edge joining A and C by its faces and its vertex tuple, with the
+# 0-cells of B and C swapped; two 0-cells on one vertex joined by an edge
+@example((["A", "B", "C"], [[Cell((0,), ()), Cell((2,), ()), Cell((1,), ())],
+                            [Cell((0, 2), ((0, -1), (1, 1)))]]))
+@example((["A"], [[Cell((0,), ()), Cell((0,), ())],
+                  [Cell((0, 0), ((0, -1), (1, 1)))]]))
 def test_ragged_cells_round_trip_and_read_alike(case):
     labels, cells = case
     cx = DeltaComplex(labels, cells)
@@ -208,8 +223,25 @@ def test_ragged_cells_round_trip_and_read_alike(case):
         assert ones.coeffs == {f: v for f, v in
                                _summed(trimmed[k]).items() if v}
     if cx.dim >= 1:
-        edges = [(c.vertices[0], c.vertices[-1]) for c in trimmed[1]]
-        seen = components_oracle(len(labels), edges)
+        # an edge joins the vertices of its face with coefficient -1 and
+        # its face with +1; 0-cells that are not the vertices one each, or
+        # else the first edge with any other faces, are refused
+        vertex = [c.vertices[0] for c in trimmed[0]]
+        if sorted(len(c.vertices) for c in trimmed[0]) != [1] * len(labels) \
+                or sorted(vertex) != list(range(len(labels))):
+            with pytest.raises(UnsupportedConfigurationError, match=(
+                    "^the 0-cells are not the vertices, one each$")):
+                vertex_components(cx)
+            return
+        ends = [sorted(c.faces, key=lambda f: f[1]) for c in trimmed[1]]
+        odd = [i for i, f in enumerate(ends) if [v for _, v in f] != [-1, 1]]
+        if odd:
+            with pytest.raises(UnsupportedConfigurationError,
+                               match=f"^edge {odd[0]} is not a graph edge"):
+                vertex_components(cx)
+            return
+        seen = components_oracle(len(labels), [(vertex[t[0]], vertex[h[0]])
+                                               for t, h in ends])
         comp = vertex_components(cx)
         assert all((comp[a] == comp[b]) == (seen[a] == seen[b])
                    for a in range(len(labels)) for b in range(len(labels)))

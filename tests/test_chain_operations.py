@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo.complexes import (
+    Cell,
     Chain,
     Cochain,
     DeltaComplex,
@@ -25,13 +26,16 @@ from crystaltopo.complexes import (
     boundary_of_cell,
     coboundary_map,
     spanning_forest,
+    validate_complex,
 )
 from crystaltopo.errors import (
     ComplexBuildError,
     DefectLocusError,
     DimensionError,
+    UnsupportedConfigurationError,
 )
 from crystaltopo.homology import (
+    homology,
     is_boundary,
     is_cycle,
     orientability,
@@ -54,6 +58,9 @@ from crystaltopo.orderfield import (
     GROUP_Z2,
     GROUP_ZxZ,
     CoefficientGroup,
+    OrderField,
+    boundary_classes,
+    make_space,
 )
 
 from conftest import dense_boundary, lattice_specs
@@ -301,6 +308,109 @@ def test_current_residuals_match_the_entry_loop(spec, data):
                              if abs(r) > KIRCHHOFF_TOL}
     assert rep.max_residual == max(map(abs, residual))
     assert rep.ok == (not rep.residuals)
+
+
+def _reverse_edges(cx, edges, flip):
+    """``cx`` with each edge of ``edges`` reversed: its face coefficients
+    and its entries in the 2-cells negated and, with ``flip``, its stored
+    vertex tuple reversed."""
+    cells = [list(layer) for layer in cx.cells]
+    cells[1] = [Cell(c.vertices[::-1] if flip and e in edges else c.vertices,
+                     tuple((f, -v if e in edges else v) for f, v in c.faces),
+                     c.shape) for e, c in enumerate(cells[1])]
+    if len(cells) > 2:
+        cells[2] = [Cell(c.vertices, tuple((f, -v if f in edges else v)
+                                           for f, v in c.faces), c.shape)
+                    for c in cells[2]]
+    return DeltaComplex(cx.vertex_labels, cells)
+
+
+@SETTINGS
+@given(st.one_of(lattice_specs(), st.lists(
+           st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+           min_size=1, max_size=6)),
+       st.data())
+def test_reversing_edges_changes_only_their_signs(spec, data):
+    # Incidence and direction come from the faces: reversing some edges,
+    # with or without their stored vertex tuples, changes no group, no
+    # component, no verdict and no potential, and a reported loop only by
+    # the reversed edges' signs (and one overall sign when its first edge
+    # is reversed).
+    cx = (build(spec) if isinstance(spec, LatticeSpec)
+          else DeltaComplex.from_simplices(spec))
+    n_e = cx.n_cells(1) if cx is not None else 0
+    if not n_e:
+        return
+    edges = set(data.draw(st.lists(st.sampled_from(range(n_e)))))
+    rv = _reverse_edges(cx, edges, data.draw(st.booleans()))
+    assert validate_complex(rv).ok
+    for k in range(cx.dim + 1):
+        for ring in (RING_INT, RING_MOD2, RING_REAL):
+            assert homology(rv, k, ring) == homology(cx, k, ring)
+    comp = vertex_components(rv)
+    assert comp == vertex_components(cx)
+    assert len(set(comp)) == homology(cx, 0, RING_REAL).betti
+
+    def signed(values):
+        return {e: -v if e in edges else v for e, v in values.items()}
+
+    currents = {e: data.draw(st.integers(-9, 9)) / 4
+                for e in data.draw(st.lists(st.sampled_from(range(n_e))))}
+    assert check_current_law(rv, signed(currents)) == \
+        check_current_law(cx, currents)
+    volts = Cochain(0, {v: data.draw(st.integers(-9, 9)) / 8
+                        for v in range(cx.n_vertices)}, RING_REAL)
+    drops = {e: 0.0 for e in range(n_e)}
+    drops.update(coboundary_map(volts, cx).coeffs)
+    if data.draw(st.booleans()):
+        drops[data.draw(st.sampled_from(range(n_e)))] += 0.5
+    want, got = potential_check(cx, drops), potential_check(rv, signed(drops))
+    assert (got.consistent, got.potentials) == (want.consistent,
+                                                want.potentials)
+    if not want.consistent:
+        first = next(iter(want.violating_loop.coeffs))
+        turn = -1 if first in edges else 1
+        assert got.violating_loop.coeffs == {
+            e: turn * v for e, v in signed(want.violating_loop.coeffs).items()}
+        assert got.loop_circulation == turn * want.loop_circulation
+        assert not boundary_map(want.violating_loop, cx)
+        assert not boundary_map(got.violating_loop, rv)
+    labels = [data.draw(st.sampled_from("ab")) for _ in range(cx.n_vertices)]
+    flags = [OrderField.from_samples(c, make_space("finite_set", ("a", "b")),
+                                     dict(zip(c.vertex_labels, labels)))
+             for c in (cx, rv)]
+    assert boundary_classes(flags[1], 1) == boundary_classes(flags[0], 1)
+
+
+def test_edge_ends_are_vertices_of_their_0_cells():
+    # The 0-cells of B and C are swapped; the edge joins A and C by its
+    # faces and by its vertex tuple, so its ends are read through the
+    # 0-cells, not used as vertex ids.
+    cx = DeltaComplex(["A", "B", "C"], [
+        [Cell((0,), ()), Cell((2,), ()), Cell((1,), ())],
+        [Cell((0, 2), ((0, -1), (1, 1))), Cell((0, 1), ((0, 1), (2, 1)))]])
+    space = make_space("finite_set", ("a", "b"))
+    f = OrderField.from_samples(cx, space, {"A": "a", "B": "a", "C": "b"})
+    assert boundary_classes(f, 1, [0]) == [1]
+    # only the probed edges are read: edge 1 is no graph edge
+    for ids, edge in (([1], 1), ([0, 1], 1), (None, 1)):
+        with pytest.raises(UnsupportedConfigurationError, match=(
+                f"^edge {edge} is not a graph edge: its faces are not one "
+                r"tail \(-1\) and one head \(\+1\)$")):
+            boundary_classes(f, 1, ids)
+    path = DeltaComplex(cx.vertex_labels, [cx.cells[0], cx.cells[1][:1]])
+    assert vertex_components(path) == [0, 1, 0]
+    rep = potential_check(path, {0: 2.0})
+    assert rep.consistent and rep.potentials == [0.0, 0.0, 2.0]
+    # two 0-cells on one vertex name no vertex potential or component
+    two = DeltaComplex(["A"], [[Cell((0,), ()), Cell((0,), ())],
+                               [Cell((0, 0), ((0, -1), (1, 1)))]])
+    f = OrderField.from_samples(two, space, {"A": "a"})
+    for probe in (vertex_components, lambda c: potential_check(c, {0: 1.0}),
+                  lambda c: boundary_classes(f, 1)):
+        with pytest.raises(UnsupportedConfigurationError, match=(
+                "^the 0-cells are not the vertices, one each$")):
+            probe(two)
 
 
 @SETTINGS

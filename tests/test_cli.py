@@ -449,6 +449,23 @@ HOSTILE_DOCS = {
         "kind": "periodic", "axes": 3}), "boundary_condition.axes"),
     "generator-string": (dict(TORUS_DOC, generators=[[1.0, "a"], [0.0, 1.0]]),
                          "generators[0][1]"),
+    "generator-zero": (dict(TORUS_DOC, generators=[[1.0, 0.0], [0.0, 0.0]]),
+                       "error: generator 2 is the zero vector\n"),
+    "dimension-four": (dict(TORUS_DOC, dimension=4, ambient=4),
+                       "error: lattice dimension must be 1, 2 or 3\n"),
+    "ambient-below-dimension": (
+        dict(CUBE_DOC, ambient=2),
+        "error: ambient dimension 2 cannot hold 3 independent generators\n"),
+    "index-box-short": (dict(TORUS_DOC, index_box=[[0, 3]]),
+                        "error: index box needs 2 ranges, got 1\n"),
+    "removed-index-short": (
+        dict(TORUS_DOC, removed_indices=[[1, 1], [2]]),
+        "error: removed index (2,) has wrong length\n"),
+    "scheme-unknown": (dict(TORUS_DOC, scheme="hexagonal"),
+                       "error: unknown cell scheme 'hexagonal'\n"),
+    "line-defect-transverse-count": (dict(CUBE_DOC, defects=[
+        {"kind": "line_defect", "axis": 1, "transverse": [1]}]),
+        "error: line_defect needs 2 transverse coordinates\n"),
     "index-box-null": (dict(TORUS_DOC, index_box=[[0, None], [0, 3]]),
                        "index_box[0][1]"),
     "index-box-fraction": (dict(TORUS_DOC, index_box=[[0, 2.5], [0, 3]]),

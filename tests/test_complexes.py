@@ -92,6 +92,11 @@ def test_chain_rings_do_not_mix():
     b = Chain(1, {0: 1}, ring=RING_MOD2)
     with pytest.raises(Exception):
         a + b
+    # nor is a ring outside the three accepted
+    with pytest.raises(ValueError, match="^unknown ring 'rationals'$"):
+        Chain(1, {0: 1}, ring="rationals")
+    with pytest.raises(ValueError, match="^unknown ring 'rationals'$"):
+        homology(make_circle(), 1, "rationals")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,9 @@ def test_closure_violations_are_reported(circle):
     assert len(rep.closure_defects) == 3
     missing = {d[2] for d in rep.closure_defects}
     assert missing == {("A", "B"), ("A", "C"), ("B", "C")}
+    assert str(rep) == "; ".join(
+        f"closure violation: 2-cell ('A', 'B', 'C') is missing face {face}"
+        for face in [("B", "C"), ("A", "C"), ("A", "B")])
     # the closed fixtures all validate cleanly
     assert validate_complex(circle).ok
 

@@ -16,6 +16,7 @@ from crystaltopo import (
     DefectLocusError,
     DefectSpec,
     DegenerateGeneratorsError,
+    DimensionError,
     LatticeSpec,
     apply_constant_boundary,
     apply_defects,
@@ -614,6 +615,29 @@ def test_torus_indices_must_lie_in_the_fundamental_domain():
     with pytest.raises(ComplexBuildError, match="periodic axis 2"):
         build_complex([(0, 0), (0, 3)], "cubic", index_box=((0, 3), (0, 3)),
                       periodic_axes=(1,))
+
+
+@pytest.mark.parametrize("indices, scheme, error, text", [
+    ([], "cubic", ComplexBuildError, "empty index set"),
+    ([(0, 0), (1,)], "cubic", ComplexBuildError, "mixed multi-index lengths"),
+    ([(0, 0, 0, 0)], "triangular", DimensionError,
+     "lattice dimension must be at most 3"),
+    ([(0, 0)], "hexagonal", ComplexBuildError,
+     "unknown cell scheme 'hexagonal'"),
+])
+def test_build_complex_refuses_index_sets_it_cannot_grid(indices, scheme,
+                                                         error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        build_complex(indices, scheme)
+
+
+def test_constant_boundary_refuses_a_taken_collapsed_label():
+    # the collapsed vertex is named one step below the box on every axis
+    cx = build_complex(box_points(((-1, 2), (-1, 2))), "cubic")
+    with pytest.raises(ComplexBuildError, match=re.escape(
+            "label (-1, -1) is taken; cannot introduce the collapsed "
+            "vertex")):
+        apply_constant_boundary(cx, ((0, 2), (0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -674,6 +674,22 @@ def _small_triangle_field(tetra_surface, degree):
          "D": (0.0, 0.0, -1.0)})
 
 
+def test_sphere_degree_refuses_tuples_that_are_not_triples(tetra_surface):
+    # the four vertices of the tetrahedron as 4-tuples, pairs or one
+    # 6-tuple hold whole multiples of three ids, yet name no triangle;
+    # each is refused before any probe runs
+    pos = {"A": (1, 1, 1), "B": (1, -1, -1), "C": (-1, 1, -1), "D": (-1, -1, 1)}
+    f = _radial_field(tetra_surface, pos)
+    for tris in ([(1, (0, 1, 2, 3))] * 3, [(1, (0, 1)), (1, (2, 3)),
+                                           (1, (0, 2))],
+                 [(1, (0, 1, 2, 0, 2, 3))], [(1, (0, 1, 2)), (1, (3,))]):
+        with pytest.raises(DimensionError,
+                           match="^a triangle must name exactly three "
+                                 "vertex ids$"):
+            sphere_degree(f, tris)
+    assert sphere_degree(f, _oriented_triangles(tetra_surface)) == 1
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_degree_threshold_is_exact(tetra_surface, sign):
     # a summed solid angle is accepted within 0.01 turns of an integer
@@ -1017,6 +1033,30 @@ def test_shell_refusals_match_the_per_cell_reference(space):
         assert _probe_outcome(lambda: boundary_classes(f, 3)) == \
             _probe_outcome(lambda: [boundary_class_oracle(f, 3, c)
                                     for c in range(cx.n_cells(3))])
+
+
+def test_a_shell_face_of_other_size_is_refused_after_the_cells_before():
+    # Cell 1 is the icosahedron's shell plus a pentagon face, which no
+    # space can probe; cell 0, the plain shell, is probed first, so a
+    # refusal of its own comes before the pentagon's.
+    ico = _icosahedron()
+    shell = ico.cells[3][0]
+    cx = DeltaComplex(ico.vertex_labels, [
+        *ico.cells[:2], [*ico.cells[2], Cell(tuple(range(5)), ())],
+        [shell, Cell(shell.vertices, shell.faces + ((ico.n_cells(2), 1),))]])
+    pentagon = ("DimensionError", "unexpected 2-cell with 5 vertices")
+    seen = set()
+    for seed in range(30):
+        space = ["sphere_2", "projective_plane", "circle"][seed % 3]
+        f = _random_field(np.random.default_rng(seed), cx, space,
+                          [(3, 1, 1, 1), (1, 0, 2, 1)][seed % 2], True)
+        got = _probe_outcome(lambda: boundary_classes(f, 3))
+        assert got == _probe_outcome(
+            lambda: [boundary_class_oracle(f, 3, c) for c in (0, 1)])
+        assert _probe_outcome(lambda: boundary_classes(f, 3, [1, 0])) \
+            == pentagon
+        seen.add(got == pentagon)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("space, k, kind", [
