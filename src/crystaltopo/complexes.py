@@ -457,15 +457,19 @@ class DeltaComplex:
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
-    def edge_ends(self, ids=None) -> tuple[np.ndarray, np.ndarray]:
-        """The tail and head vertex ids of edges ``ids`` (all by default):
-        ``CellLayer.ends`` read through the 0-cells, which must be the
-        vertices, one each."""
+    def point_vertices(self) -> np.ndarray:
+        """Each 0-cell's vertex; the 0-cells must be the vertices, one each."""
         points = self.layers[0].vertices
         if len(points) != self.n_cells(0) or (np.bincount(
                 points, minlength=self.n_vertices) != 1).any():
             raise UnsupportedConfigurationError(
                 "the 0-cells are not the vertices, one each")
+        return points
+
+    def edge_ends(self, ids=None) -> tuple[np.ndarray, np.ndarray]:
+        """The tail and head vertex ids of edges ``ids`` (all by default):
+        ``CellLayer.ends`` read through ``point_vertices``."""
+        points = self.point_vertices()
         tail, head = self.layers[1].ends(ids)
         return points[tail], points[head]
 
@@ -689,7 +693,7 @@ def _unit_chains(m: int) -> list[list[tuple[tuple[int, ...], ...]]]:
 
 
 @functools.cache
-def _cell_templates(scheme: str, m: int) -> tuple[tuple[tuple, ...], ...]:
+def _cell_templates(scheme: str, m: int) -> tuple:
     """Unit-cell shapes of ``scheme`` in ``m`` dimensions, by degree k >= 1,
     built once per scheme and dimension.
 
@@ -701,7 +705,8 @@ def _cell_templates(scheme: str, m: int) -> tuple[tuple[tuple, ...], ...]:
     degree down, sign).  Cubic shapes span one axis subset each and pair a
     lower and an upper face per axis with alternating signs; simplices are
     the chains of ``_unit_chains``, face i deleting corner i with sign
-    (-1)^i.
+    (-1)^i.  With them come read-only arrays: the unit offsets and, per
+    degree, corner offset indices and face anchors, templates and signs.
     """
     origin = (0,) * m
     chains = _unit_chains(m)
@@ -734,7 +739,15 @@ def _cell_templates(scheme: str, m: int) -> tuple[tuple[tuple, ...], ...]:
                 for face, sign in faces))
             for corners, faces in templates))
         below = {corners: t for t, (corners, _) in enumerate(per_degree[-1])}
-    return tuple(per_degree)
+    unit = list(product((0, 1), repeat=m))
+    offsets = np.array(unit, dtype=np.int64).reshape(-1, m)
+    arrays = tuple(
+        (np.array([[unit.index(c) for c in corners] for corners, _ in degree]),
+         *np.array([faces for _, faces in degree]).transpose(2, 0, 1))
+        for degree in per_degree)
+    for a in (offsets, *sum(arrays, ())):
+        a.setflags(write=False)
+    return tuple(per_degree), offsets, arrays
 
 
 def build_complex(indices: Iterable[tuple], scheme: str, *,
@@ -809,8 +822,8 @@ def _grid_complex(rel: np.ndarray, labels: Sequence, scheme: str,
     strides = np.array([math.prod(extent[a + 1:]) for a in range(m)],
                        dtype=np.int64)
     keys = rel @ strides
-    unit = list(product((0, 1), repeat=m))
-    corner = rel[:, None, :] + np.array(unit, dtype=np.int64).reshape(-1, m)
+    _, unit, arrays = _cell_templates(scheme, m)
+    corner = rel[:, None, :] + unit
     for a in periodic_axes:
         corner[:, :, a] %= extent[a]
     corner_keys = corner @ strides
@@ -825,21 +838,17 @@ def _grid_complex(rel: np.ndarray, labels: Sequence, scheme: str,
     # -1 where a corner is missing.
     slot = np.arange(n)
     width = 1
-    for templates in _cell_templates(scheme, m):
-        corners = np.array([[unit.index(offset) for offset in offsets]
-                            for offsets, _ in templates])
-        at, below, sign = np.array(
-            [faces for _, faces in templates]).transpose(2, 0, 1)
+    for corners, at, below, sign in arrays:
         ids = around[:, corners]
         present = (ids >= 0).all(axis=2).ravel()
         cells = ids.reshape(-1, corners.shape[1])[present]
-        t = np.flatnonzero(present) % len(templates)
+        t = np.flatnonzero(present) % len(corners)
         faces = slot[np.take_along_axis(cells, at[t], axis=1) * width
                      + below[t]]
         layers.append(CellLayer.uniform(cells, faces, sign[t], shape))
         slot = np.full(len(present), -1)
         slot[present] = np.arange(len(cells))
-        width = len(templates)
+        width = len(corners)
 
     info = {"index_box": tuple((int(lo), int(hi)) for lo, hi in index_box),
             "scheme": scheme, "dimension": m}

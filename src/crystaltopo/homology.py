@@ -2,25 +2,25 @@
 
 Ranks, torsion and membership come from one coreduction walk per complex
 (Mrozek and Batko, "Coreduction homology algorithm", 2009), made on first
-use and cached; the Euler number is the cell count and builds none.  Its
-set-up sums the faces of every degree in one array pass over global cell
-ids and sorts them once more into coface rows.  A cell whose one face
-left has a unit coefficient is paired with that face and both are
-removed; when no cell can be paired, the least cell without faces left
-is critical (a cell of the lowest degree left always qualifies).  The
-pairs are unit pivots, so the critical cells span a Morse complex chain
-equivalent to the complex over Z.  Its differential d^M_k takes the
-boundary of each critical k-cell along the flow, which replaces the
-lower member of the latest pair left by the boundary of its partner, and
-keeps the critical part.  rank d_k counts the (k-1, k) pairs plus the
-rank of d^M_k; the torsion is that of d^M_k, from one Smith form of the
-small block.  By universal coefficients the invariant factors decide
-every ring: over R the rank counts the nonzero factors, over Z/2 the odd
-ones, and fields carry no torsion.  A chain bounds when it is a cycle
-and its flow lies in the image of d^M_k; a cochain is a coboundary when
-it is a cocycle and its dual flow, which eliminates the upper members of
-pairs through the coboundaries of their partners, lies in the image of
-the transposed block.  A query flows only its vector.
+use and cached; the Euler number is the cell count and builds none.  It
+reads every degree's stored face rows in global cell ids, and their
+transpose as coface rows.  A cell whose one face entry left has a unit
+coefficient is paired with that face and both are removed (a face met
+twice never pairs); when no cell can be paired, the least cell left is
+critical.  The pairs are unit pivots, so the critical cells span a Morse
+complex chain equivalent to the complex over Z.  Its differential d^M_k
+takes the summed boundary of each critical k-cell along the flow, which
+replaces the lower member of the latest pair left by the boundary of its
+partner, summing repeated entries, and keeps the critical part.  rank d_k
+counts the (k-1, k) pairs plus the rank of d^M_k; the torsion is that of
+d^M_k, from one Smith form of the small block.  By universal coefficients
+the invariant factors decide every ring: over R the rank counts the
+nonzero factors, over Z/2 the odd ones, and fields carry no torsion.  A
+chain bounds when it is a cycle and its flow lies in the image of d^M_k;
+a cochain is a coboundary when it is a cocycle and its dual flow, which
+eliminates the upper members of pairs through the coboundaries of their
+partners, lies in the image of the transposed block.  A query flows only
+its vector.
 
 Generators of a nonzero group read the sparse columns of the complex:
 one tracked sparse Smith reduction of d_k gives the cycle basis and,
@@ -32,6 +32,7 @@ entries of one column of U_Y^-1 from the Smith form of Y.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,6 @@ from .complexes import (
     coboundary_map,
     row_offsets,
     spanning_forest,
-    summed_rows,
 )
 from .errors import DimensionError, InternalInconsistencyError
 from .snf import SmithDecomposition, add_multiple, invariant_factors
@@ -98,46 +98,47 @@ class _Coreduction:
     """The coreduction walk of one complex and its Morse complex.
 
     Cells carry global ids: degree k starts at ``offsets[k]``.  ``fptr``,
-    ``fid`` and ``fco`` hold every cell's summed faces in compressed rows,
-    ``cptr``, ``cid`` and ``cco`` its cofaces, each with the coefficient
-    of the cell in the coface's boundary; these rows serve the pairing and
-    the flow only, and a membership query's (co)cycle test runs on
-    ``boundary_map`` and ``coboundary_map``.  Pair i joins ``lower[i]`` to
-    ``upper[i]`` one degree up, with <d upper, lower> = ``coef[i]``, a
-    unit; ``low_pair`` and ``up_pair`` give each cell's pair index as
-    that member, -1 otherwise.  ``critical[k]`` lists the critical
-    k-cells ascending, ``crit_pos`` a critical cell's place in that list.
-    ``blocks[k]`` holds the columns of the Morse differential d^M_k, one
-    dict {place of a critical (k-1)-cell: entry} per critical k-cell,
-    ``factors[k]`` their nonzero invariant factors and ``pairs[k]`` the
-    number of (k-1, k) pairs, so rank d_k = pairs[k] + len(factors[k]).
+    ``fid`` and ``fco`` hold every cell's stored face entries in compressed
+    rows, ``cptr``, ``cid`` and ``cco`` its coface entries in cell order,
+    each with the coefficient of the cell in the coface's boundary; these
+    rows serve the pairing and the flow only, and a membership query's
+    (co)cycle test runs on ``boundary_map`` and ``coboundary_map``.  Pair
+    i joins ``lower[i]`` to ``upper[i]`` one degree up, with <d upper,
+    lower> = ``coef[i]``, a unit; ``low_pair`` and ``up_pair``, booked as
+    each pair forms, give each cell's pair index as that member, -1
+    otherwise.  ``critical[k]`` lists the critical k-cells ascending,
+    ``crit_pos`` a critical cell's place in that list.  ``blocks[k]``
+    holds the columns of the Morse differential d^M_k, one dict {place of
+    a critical (k-1)-cell: entry} per critical k-cell, ``factors[k]``
+    their nonzero invariant factors and ``pairs[k]`` the number of
+    (k-1, k) pairs, each k-cell not critical nor in a (k, k+1) pair, so
+    rank d_k = pairs[k] + len(factors[k]).
     """
 
     def __init__(self, complex_: DeltaComplex):
         layers = complex_.layers
         offsets = row_offsets([len(layer) for layer in layers])
         n = int(offsets[-1])
-        # One pass over every degree's faces in global ids; vertices have none.
-        fptr, fid, fco = summed_rows(
-            np.repeat(np.arange(n), np.concatenate(
-                [np.diff(layer.face_ptr) for layer in layers])),
-            np.concatenate([layer.faces + offsets[k - 1]
-                            for k, layer in enumerate(layers)]),
-            np.concatenate([layer.coeffs for layer in layers]), n)
-        sizes, order = np.diff(fptr), np.argsort(fid, kind="stable")
+        # Every degree's stored face rows in global ids; vertices have none.
+        sizes = np.concatenate([np.diff(layer.face_ptr) for layer in layers])
+        fid = np.concatenate([layer.faces + offsets[k - 1]
+                              for k, layer in enumerate(layers)])
+        fco = np.concatenate([layer.coeffs for layer in layers])
+        order = np.argsort(fid, kind="stable")
         self.cptr = row_offsets(np.bincount(fid, minlength=n)).tolist()
         self.cid = np.repeat(np.arange(n), sizes)[order].tolist()
         self.cco = fco[order].tolist()
         self.offsets = offsets.tolist()
-        self.fptr, self.fid, self.fco = (a.tolist() for a in (fptr, fid, fco))
-        del fptr, fid, fco, order  # the arrays go before the walk
+        self.fptr, self.fid, self.fco = (
+            a.tolist() for a in (row_offsets(sizes), fid, fco))
+        del fid, fco, order  # the arrays go before the walk
         self._walk(n, sizes)
         self._morse_complex(complex_)
 
     def _walk(self, n: int, sizes: np.ndarray) -> None:
-        """Pair each cell whose one face left has a unit coefficient with
-        that face and remove both; when no cell can be paired, the least
-        cell left, which has no faces left, is critical and removed."""
+        """Pair each cell whose one face entry left has a unit coefficient
+        with that face and remove both, noting the pair in the books; when
+        no cell can be paired, the least cell left is critical."""
         fptr, fid, fco, cptr, cid = (self.fptr, self.fid, self.fco,
                                      self.cptr, self.cid)
         left = sizes.tolist()
@@ -145,6 +146,7 @@ class _Coreduction:
         ready = deque(np.flatnonzero(sizes == 1).tolist())
         least = 0  # every cell below it is removed
         lower, upper, coef, critical = [], [], [], []
+        self.low_pair, self.up_pair = [-1] * n, [-1] * n
         while True:
             if ready:
                 b = ready.popleft()
@@ -155,6 +157,7 @@ class _Coreduction:
                     j += 1
                 if fco[j] != 1 and fco[j] != -1:
                     continue
+                self.low_pair[fid[j]] = self.up_pair[b] = len(lower)
                 lower.append(fid[j])
                 upper.append(b)
                 coef.append(fco[j])
@@ -175,17 +178,15 @@ class _Coreduction:
                             ready.append(y)
 
         self.lower, self.upper, self.coef = lower, upper, coef
-        bounds = np.searchsorted(critical, self.offsets)
+        bounds = [bisect_left(critical, o) for o in self.offsets]
         self.critical = [critical[s:e] for s, e in zip(bounds, bounds[1:])]
-        places = []
-        for cells, first in ((lower, 0), (upper, 0), (critical, np.repeat(
-                bounds[:-1], np.diff(bounds)))):
-            place = np.full(n, -1, dtype=np.int64)
-            place[cells] = np.arange(len(cells)) - first
-            places.append(place.tolist())
-        self.low_pair, self.up_pair, self.crit_pos = places
-        self.pairs = np.diff(
-            np.searchsorted(np.sort(upper), self.offsets)).tolist()
+        self.crit_pos, self.pairs = [-1] * n, [0]
+        for k, cells in enumerate(self.critical):
+            for i, c in enumerate(cells):
+                self.crit_pos[c] = i
+            self.pairs.append(self.offsets[k + 1] - self.offsets[k]
+                              - len(cells) - self.pairs[-1])
+        del self.pairs[-1]  # no pairs run above the top degree
 
     def flow(self, x: dict[int, int], dual: bool = False) -> dict[int, int]:
         """The critical part of the chain x (global ids of one degree; the
@@ -228,9 +229,13 @@ class _Coreduction:
         """Flow the boundary of every critical cell, reduce each block and
         check the Euler number and d^M d^M = 0."""
         fptr, fid, fco = self.fptr, self.fid, self.fco
-        self.blocks = [[]] + [
-            [self.flow({fid[j]: fco[j] for j in range(fptr[c], fptr[c + 1])})
-             for c in cells] for cells in self.critical[1:]]
+        self.blocks = [[] for _ in self.critical]
+        for k, cells in enumerate(self.critical[1:], 1):
+            for c in cells:  # its boundary, repeated face entries summed
+                x: dict[int, int] = {}
+                for j in range(fptr[c], fptr[c + 1]):
+                    x[fid[j]] = x.get(fid[j], 0) + fco[j]
+                self.blocks[k].append(self.flow(x))
         by_cells = euler_characteristic(complex_)
         by_critical = sum((-1) ** k * len(cells)
                           for k, cells in enumerate(self.critical))
@@ -560,7 +565,7 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
                                          image[bounding].tolist())), RING_INT)
         return OrientabilityReport(
             True, m, closed=not len(bounding),
-            fundamental_chain=Chain(m, dict(enumerate(signs)), RING_INT),
+            fundamental_chain=Chain(m, dict(enumerate(signs.tolist()))),
             boundary_chain=boundary if m >= 1 else None)
 
     all_ones = Chain(m, {i: 1 for i in range(n_top)}, RING_MOD2)

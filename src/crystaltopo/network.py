@@ -3,12 +3,12 @@
 Edge currents live in the kernel of the first boundary matrix; edge drops
 are consistent exactly when they are a coboundary of vertex potentials,
 a drop being V(head) - V(tail) with an edge's tail and head read from its
-faces (``DeltaComplex.edge_ends``).
-Both checks work over floats with an explicit tolerance and report where
-they fail: net charge per vertex for currents, a fundamental loop with a
-nonzero circulation for drops.  The net charges are summed by one
-``np.bincount`` in face-entry order, and the potentials are filled along
-the breadth-first ``spanning_forest`` of the 1-skeleton.
+faces (``DeltaComplex.edge_ends``).  Both checks work over floats with an
+explicit tolerance and report where they fail: net charge per vertex for
+currents, a fundamental loop with a nonzero circulation for drops.  The
+net charges are summed by one ``np.bincount`` in face-entry order, at the
+vertex of each face's 0-cell (``DeltaComplex.point_vertices``), and the
+potentials are filled along the breadth-first ``spanning_forest``.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ def check_current_law(complex_: DeltaComplex, currents,
 
 def _current_law(complex_: DeltaComplex, ids: np.ndarray, current: np.ndarray,
                  tol: float = KIRCHHOFF_TOL) -> CurrentLawReport:
-    """Net flows summed in the order of the checked edge ids ``ids``."""
+    """Net flows per vertex, summed in the order of the checked edge ids."""
     if complex_.dim < 1:
         return CurrentLawReport(True, 0.0, {}, tol)
     owner, faces, coeffs = complex_.layers[1].face_entries(ids)
-    residual = np.bincount(faces, coeffs * current[owner],
+    residual = np.bincount(complex_.point_vertices()[faces],
+                           coeffs * current[owner],
                            minlength=complex_.n_vertices).tolist()
     offenders = {v: r for v, r in enumerate(residual) if abs(r) > tol}
     worst = max((abs(r) for r in residual), default=0.0)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from crystaltopo import (
+    Cell,
     DefectSpec,
     DeltaComplex,
     LatticeSpec,
@@ -50,15 +51,38 @@ def make_rp2():
     return DeltaComplex.from_simplices(faces)
 
 
-def make_torus(n=3, scheme="triangular"):
-    spec = LatticeSpec(
-        dimension=2, ambient=2,
-        generators=((1.0, 0.0), (0.0, 1.0)),
-        index_box=((0, n), (0, n)),
+def torus_spec(n=3, scheme="triangular", m=2):
+    """The periodic n^m box of ``scheme``: the m-torus."""
+    return LatticeSpec(
+        dimension=m, ambient=m,
+        generators=tuple(tuple(float(i == j) for j in range(m))
+                         for i in range(m)),
+        index_box=((0, n),) * m,
         scheme=scheme,
-        boundary="periodic", periodic_axes=(1, 2))
-    cx, _ = build_lattice_complex(spec)
+        boundary="periodic", periodic_axes=tuple(range(1, m + 1)))
+
+
+# Period 1 glues a cell's faces onto one another, period 2 gives cells that
+# share their vertices; every one is a torus all the same.
+DEGENERATE_TORI = [torus_spec(n, scheme, m) for n in (1, 2)
+                   for scheme in ("triangular", "cubic") for m in (2, 3)]
+
+
+def make_torus(n=3, scheme="triangular"):
+    cx, _ = build_lattice_complex(torus_spec(n, scheme))
     return cx
+
+
+def make_big_entries():
+    """Two entries of 2^62 on one face sum to 2^63, past int64: the edge e0
+    has boundary 2^63 (v1 - v0), the 2-cell 2^63 times the loop e1, whose
+    two ends cancel, so H_1 = Z/2^63."""
+    big = 2 ** 62
+    return DeltaComplex(range(2), [
+        [Cell((0,), ()), Cell((1,), ())],
+        [Cell((0, 1), ((1, big), (0, -big), (1, big), (0, -big))),
+         Cell((0, 0), ((0, 1), (0, -1)))],
+        [Cell((0, 0, 1), ((1, big), (1, big)))]])
 
 
 def circle_torus_doc(angle, n=6):

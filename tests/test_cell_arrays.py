@@ -3,6 +3,7 @@
 
 import json
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ def _reference(spec):
     sites = {torus_site(p, box, axes) for p in points}
     shape = SHAPE_CUBE if spec.scheme == "cubic" else SHAPE_SIMPLEX
     labels, layers = grid_cells_oracle(
-        sites, _cell_templates(spec.scheme, len(box)), shape, box, axes)
+        sites, _cell_templates(spec.scheme, len(box))[0], shape, box,
+        axes)
     if spec.boundary == "constant":
         labels, layers = constant_boundary_oracle(labels, layers, box)
     while len(layers) > 1 and not layers[-1]:
@@ -277,6 +279,20 @@ def test_cell_templates_are_built_once_and_read_only(scheme):
         templates = _cell_templates(scheme, m)
         assert templates is _cell_templates(scheme, m)
         assert isinstance(templates, tuple) and frozen(templates)
+        # the arrays the grid build reads: the unit offsets, then per degree
+        # the corners and each face's anchor position, template and sign
+        shapes, unit, arrays = templates
+        assert unit.tolist() == [list(u) for u in product((0, 1), repeat=m)]
+        assert len(arrays) == len(shapes) == m
+        for degree, (corners, at, below, sign) in zip(shapes, arrays):
+            assert corners.tolist() == [
+                [unit.tolist().index(list(c)) for c in offsets]
+                for offsets, _ in degree]
+            assert [list(zip(*f)) for f in zip(at.tolist(), below.tolist(),
+                                               sign.tolist())] == [
+                list(faces) for _, faces in degree]
+        for a in (unit, *(a for row in arrays for a in row)):
+            assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("cells, match", [

@@ -402,11 +402,14 @@ def test_edge_ends_are_vertices_of_their_0_cells():
     assert vertex_components(path) == [0, 1, 0]
     rep = potential_check(path, {0: 2.0})
     assert rep.consistent and rep.potentials == [0.0, 0.0, 2.0]
+    # the current A -> C leaves A and reaches C, whose 0-cell is 1
+    assert check_current_law(path, {0: 1.0}).residuals == {0: -1.0, 2: 1.0}
     # two 0-cells on one vertex name no vertex potential or component
     two = DeltaComplex(["A"], [[Cell((0,), ()), Cell((0,), ())],
                                [Cell((0, 0), ((0, -1), (1, 1)))]])
     f = OrderField.from_samples(two, space, {"A": "a"})
     for probe in (vertex_components, lambda c: potential_check(c, {0: 1.0}),
+                  lambda c: check_current_law(c, {0: 1.0}),
                   lambda c: boundary_classes(f, 1)):
         with pytest.raises(UnsupportedConfigurationError, match=(
                 "^the 0-cells are not the vertices, one each$")):

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo import LatticeSpec, build_lattice_complex, cli
@@ -34,9 +34,11 @@ from crystaltopo.orderfield import GROUP_Z, GROUP_Z2, GROUP_ZxZ
 from crystaltopo.snf import smith_normal_form
 
 from conftest import (
+    DEGENERATE_TORI,
     circle_torus_doc,
     dense_boundary,
     make_circle,
+    make_big_entries,
     make_disc,
     make_mobius,
     make_rp2,
@@ -167,8 +169,17 @@ def _build(spec):
     return cx
 
 
+def with_degenerate_tori(test):
+    """The period-1 and period-2 tori of ``DEGENERATE_TORI`` as explicit
+    examples."""
+    for spec in DEGENERATE_TORI:
+        test = example(spec)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
+@with_degenerate_tori
 @given(lattice_specs())
 def test_lattice_matrices_match_dense_and_universal_coefficients(spec):
     cx = _build(spec)
@@ -320,15 +331,16 @@ def test_a_smooth_circle_obstruct_builds_no_walk(monkeypatch, tmp_path,
 
 
 def assert_walk_rows_are_the_layer_rows(cx):
-    """The walk's summed face rows and coface rows are the rows of each
-    layer's ``summed_faces`` moved to global ids, coefficients as Python
-    integers."""
+    """The walk's face rows are each layer's stored rows moved to global
+    ids and its coface rows their transpose in cell order, coefficients as
+    Python integers; its books agree with its pairs and critical cells."""
     walk = homology_mod._Coreduction(cx)
     offsets = [0, *itertools.accumulate(cx.cell_counts())]
     # per global cell id: [(global face id, coefficient)]
-    faces = [[] for _ in range(cx.n_vertices)]
+    faces = [[] for _ in range(cx.n_cells(0))]
     for k, layer in enumerate(cx.layers[1:], 1):
-        ptr, fid, co = (a.tolist() for a in layer.summed_faces())
+        ptr, fid, co = (a.tolist() for a in (
+            layer.face_ptr, layer.faces, layer.coeffs))
         faces += [[(f + offsets[k - 1], c) for f, c in zip(fid[s:e], co[s:e])]
                   for s, e in zip(ptr, ptr[1:])]
     cofaces = [[] for _ in faces]
@@ -340,7 +352,33 @@ def assert_walk_rows_are_the_layer_rows(cx):
         assert [list(zip(ids[s:e], co[s:e]))
                 for s, e in zip(ptr, ptr[1:])] == rows
         assert all(type(c) is int for c in co)
+    assert_walk_books(walk, offsets)
     return walk
+
+
+def assert_walk_books(walk, offsets):
+    """Every cell is exactly one of critical, lower or upper member; the
+    position lists index those lists, and pairs[k] counts the uppers of
+    degree k."""
+    n = offsets[-1]
+
+    def degree(g):
+        return next(k for k in range(len(offsets)) if g < offsets[k + 1])
+
+    critical = [g for cells in walk.critical for g in cells]
+    assert sorted(critical + walk.lower + walk.upper) == list(range(n))
+    for k, cells in enumerate(walk.critical):
+        assert cells == sorted(cells) and all(degree(g) == k for g in cells)
+    assert all(degree(b) == degree(a) + 1 and c in (1, -1)
+               for a, b, c in zip(walk.lower, walk.upper, walk.coef))
+    want = {"low_pair": [-1] * n, "up_pair": [-1] * n, "crit_pos": [-1] * n}
+    for name, cells in (("low_pair", walk.lower), ("up_pair", walk.upper),
+                        *(("crit_pos", cells) for cells in walk.critical)):
+        for i, g in enumerate(cells):
+            want[name][g] = i
+    assert want == {name: getattr(walk, name) for name in want}
+    assert walk.pairs == [sum(degree(b) == k for b in walk.upper)
+                          for k in range(len(offsets) - 1)]
 
 
 @settings(max_examples=60, deadline=None,
@@ -359,18 +397,11 @@ def test_walk_rows_are_the_layer_rows_on_small_tori(period, scheme):
 
 
 def test_walk_rows_sum_past_int64_on_python_integers():
-    # Two entries of 2^62 on one face sum to 2^63, past int64: the edge
-    # e0 has boundary 2^63 (v1 - v0), the 2-cell 2^63 times the loop e1,
-    # whose two ends cancel.
     big = 2 ** 62
-    cx = DeltaComplex(range(2), [
-        [Cell((0,), ()), Cell((1,), ())],
-        [Cell((0, 1), ((1, big), (0, -big), (1, big), (0, -big))),
-         Cell((0, 0), ((0, 1), (0, -1)))],
-        [Cell((0, 0, 1), ((1, big), (1, big)))]])
+    cx = make_big_entries()
     assert cx.layers[1].summed_faces()[2].dtype == object
     walk = assert_walk_rows_are_the_layer_rows(cx)
-    assert walk.fco == [-2 ** 63, 2 ** 63, 2 ** 63]
+    assert walk.fco == [big, -big, big, -big, 1, -1, big, big]
     assert walk.critical == [[0, 1], [2, 3], [4]]
     assert homology(cx, 1).torsion == (2 ** 63,)
 
