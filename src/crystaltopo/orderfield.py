@@ -1,19 +1,13 @@
 """Order-parameter spaces and vertex-sampled fields.
 
 A field assigns one order-parameter value to every vertex; one whole-array
-check accepts the samples or words the refusal of the first.  All homotopy
-information the engine uses is extracted through small closed probes: a
-pair of endpoints for an edge, the vertex loop of a 2-cell, the face shell
-of a 3-cell.  Each probe yields an element of the relevant homotopy group
-of the value space, computed by explicit geometry (angle winding, sign
-lifts, summed solid angles), with ambiguity errors whenever two adjacent
-samples are too far apart for the reconstruction to be trustworthy.
-
-:func:`boundary_classes` probes all requested cells of one degree in one
-batched pass: stacked determinants and dot products for every shell
-triangle, and one sign lift of all director shells whose joined samples
-point apart, along a single breadth-first spanning forest.  Each value
-and each refusal is the one the cell gives when probed alone.
+check accepts the samples or words the refusal of the first.  A probe gives
+the class of the field on a cell's boundary, in a homotopy group of the
+value space, as δ of one cochain read through the faces (an edge's angle
+steps or director flip, a 2-cell's solid angle), with ambiguity errors
+whenever adjacent samples are too far apart to reconstruct it.
+:func:`boundary_classes` probes all requested cells of one degree at once;
+each value and refusal is the one the cell gives when probed alone.
 """
 
 from __future__ import annotations
@@ -26,7 +20,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .complexes import DeltaComplex, spanning_forest
+from .complexes import (DeltaComplex, _row_positions, padded_rows,
+                        row_offsets, spanning_forest)
 from .errors import (
     AmbiguousSamplingError,
     CoverageError,
@@ -288,37 +283,72 @@ class OrderField:
 # ---------------------------------------------------------------------------
 # Probe computations
 #
-# Each probe runs as one pass over all the loops or shells it is given.  The
-# vertex angles or vectors are gathered once, the determinants and dot
-# products of every shell triangle come from stacked numpy calls, and only
-# the steps whose rounding numpy would change (math.remainder, math.atan2
-# and the running sums) stay scalar, in the order of the cell.  So every
-# value is bit-identical to probing one cell alone, and a refusal is raised
-# for the first failing cell, within it in the order that cell meets it.
-# A director shell meets a nearly perpendicular pair before an odd cycle.
+# A probe is δ of one cochain read through the faces: the angle steps or
+# director flip of an edge from the tail to the head its faces name
+# (``edge_ends``), or the solid angle of a 2-cell's row triangles times ε.
+# A 2-cell's edge entry reads +1 when its edge runs tail to head between
+# consecutive corners of the row (the last, then the first), -1 head to
+# tail, times the sign of its coefficient; a loop, a zero coefficient or
+# corners joined both ways or not at all read nothing.  ε is -1 if an
+# entry reads -1, else +1; a row read both ways is no walk of its faces.
+# Each cell sums in entry order, so a reversed cell negates only its own
+# value and every value is bit-identical to probing the cell alone.  Only
+# director shells are lifted per cell.  The first failing cell is refused.
 
 
-def _angle_steps(angles: Sequence[float]) -> float:
-    total = 0.0
-    for a, b in zip(angles, angles[1:]):
-        step = math.remainder(b - a, math.tau)
-        if abs(step) >= math.pi - ANGLE_TOL:
-            raise AmbiguousSamplingError(
-                "adjacent circle samples are antipodal within tolerance; "
-                "the winding is not determined")
-        total += step
-    return total
+def _angle_steps(tail: np.ndarray, head: np.ndarray):
+    """``math.remainder(head - tail, 2π)`` of angle pairs, exact by
+    ``np.fmod`` and at most one whole turn, and whether each is within
+    ``ANGLE_TOL`` of a half turn, where its direction is not determined."""
+    d = np.fmod(head - tail, math.tau)
+    d = np.where(d > math.pi, d - math.tau,
+                 np.where(d < -math.pi, d + math.tau, d))
+    return d, np.abs(d) >= math.pi - ANGLE_TOL
 
 
-def _whole_turns(angles: Sequence[float]) -> int:
-    """Net whole turns along a closed angle sequence; a sum that is not
-    within ``TURNS_TOL`` of an integer is refused."""
-    total = _angle_steps(angles) / math.tau
-    nearest = round(total)
-    if abs(total - nearest) > TURNS_TOL:
+def _whole(sums: np.ndarray, tol: float, message: str, stop: int,
+           refusal: Exception) -> np.ndarray:
+    """``sums`` (a row per factor, a column per cell) as integers: of the
+    cells before ``stop`` the first not within ``tol`` of them is refused
+    with ``message``, then cell ``stop``, if any, with ``refusal``."""
+    nearest = np.rint(sums)
+    off = np.abs(sums - nearest)[:, :stop] > tol
+    if off.any():
+        i = int(off.any(axis=0).argmax())
         raise AmbiguousSamplingError(
-            f"winding sum {total!r} is not an integer")
-    return int(nearest)
+            message.format(float(sums[off[:, i].argmax(), i])))
+    if stop < sums.shape[1]:
+        raise refusal
+    return nearest.astype(int)
+
+
+def _edge_classes(field: OrderField, tail: np.ndarray, head: np.ndarray,
+                  offsets: tuple[int, ...] | None, owner: np.ndarray,
+                  at: np.ndarray, coeff: np.ndarray, count: int) -> list:
+    """δ on ``count`` cells of the cochain on edges from vertex ``tail[e]``
+    to ``head[e]``, entry j adding ``coeff[j]`` times edge ``at[j]`` to
+    cell ``owner[j]``: whole turns of each circle factor (value pair
+    offset, offset + 1), or with ``offsets`` None director flips mod 2."""
+    x = np.asarray(field.values, dtype=float)
+    if offsets is None:
+        signs = _lift_signs(_dots(x[tail], x[head]))
+        values, refused = (signs < 0)[:, None], (signs == 0)[:, None]
+    else:
+        ids, end = np.unique(np.concatenate([tail, head]), return_inverse=True)
+        cols = x[ids].T.tolist()
+        theta = np.array([list(map(math.atan2, cols[o + 1], cols[o]))
+                          for o in offsets]).T
+        values, refused = _angle_steps(*theta[end.reshape(2, -1)])
+    sums = np.array([np.bincount(owner, coeff * v[at], minlength=count)
+                     for v in values.T], dtype=float)
+    stop = owner[refused[at].any(axis=1)].min(initial=count)
+    out = _whole(sums % 2, 0, "", stop, _perpendicular()) if offsets is None \
+        else _whole(sums / math.tau, TURNS_TOL,
+                    "winding sum {!r} is not an integer", stop,
+                    AmbiguousSamplingError(
+                        "adjacent circle samples are antipodal within "
+                        "tolerance; the winding is not determined"))
+    return out[0].tolist() if len(out) == 1 else list(zip(*out.tolist()))
 
 
 def _checked_ids(ids: Iterable, n: int, what: str) -> list[int]:
@@ -334,34 +364,20 @@ def _checked_ids(ids: Iterable, n: int, what: str) -> list[int]:
     return ids
 
 
-def _loop(field: OrderField, loop: Iterable) -> list[int]:
-    """A loop's vertex ids by ``_checked_ids``; an empty loop is refused."""
-    ids = _checked_ids(loop, field.complex_.n_vertices, "vertex")
-    if not ids:
+def _loop_class(field: OrderField, loop: Iterable, offsets):
+    """``_edge_classes`` around a nonempty vertex loop, each vertex
+    stepping to the next and the last back to the first."""
+    tail = np.array(_checked_ids(loop, field.complex_.n_vertices, "vertex"))
+    if not (n := len(tail)):
         raise DimensionError("empty loop")
-    return ids
-
-
-def _windings(field: OrderField, loops: Sequence[list[int]],
-              offsets: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Whole turns of each circle factor (value pair offset, offset + 1)
-    around each nonempty vertex-id list, closed by a step back to its
-    start: a zero step where it already ends there."""
-    ids = list({v for loop in loops for v in loop})
-    cols = np.asarray(field.values, dtype=float)[ids].T.tolist()
-    angles = [dict(zip(ids, map(math.atan2, cols[o + 1], cols[o])))
-              for o in offsets]
-    return [tuple(_whole_turns([a[v] for v in loop + loop[:1]])
-                  for a in angles) for loop in loops]
+    return _edge_classes(field, tail, np.roll(tail, -1), offsets,
+                         np.zeros(n, int), np.arange(n), np.ones(n, int), 1)[0]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, 3) arrays.
-
-    A stack of (1, 3) @ (3, 1) products runs the dot kernel of a 1-D
-    ``a[i] @ b[i]``, so each entry is bit-identical to it; einsum and
-    ``(a * b).sum(axis=1)`` round differently.
-    """
+    """Row-wise dot products of two (n, 3) arrays, each bit-identical to
+    the 1-D ``a[i] @ b[i]``, whose kernel a stack of (1, 3) @ (3, 1)
+    products runs; einsum and ``(a * b).sum(axis=1)`` round differently."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
@@ -377,98 +393,82 @@ def _perpendicular() -> AmbiguousSamplingError:
         "the sign lift is not determined")
 
 
-def _parities(field: OrderField, loops: Sequence[Sequence[int]]) -> list[int]:
-    """Orientation parity of a line field around each of one or more
-    nonempty loops: 1 when an odd number of steps join directors that
-    point apart.  A nearly perpendicular step is refused, as on a shell."""
-    size = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
-    heads = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64,
-                        count=int(size.sum()))
-    first = np.cumsum(size) - size
-    # Each vertex steps to the next and the last one back to the first: a
-    # zero step, which joins a director to itself, where the loop already
-    # ends at its start.
-    tails = np.roll(heads, -1)
-    tails[first + size - 1] = heads[first]
-    x = np.asarray(field.values, dtype=float)
-    signs = _lift_signs(_dots(x[heads], x[tails]))
-    if (signs == 0).any():
-        raise _perpendicular()
-    return np.logical_xor.reduceat(signs < 0, first).astype(int).tolist()
+def _row_triangles(cx: DeltaComplex) -> tuple:
+    """The triangles of every 2-cell's row, once per complex, in one table
+    with row offsets: a triangle gives itself, a square (v0, v1, v2, v3)
+    gives (v0, v1, v2) and (v0, v2, v3).  Per 2-cell also ε, its vertex
+    count, and whether it is no triangle or square or no walk of its faces."""
+    if (table := cx._cache.get("row triangles")) is None:
+        squares = cx.layers[2]
+        v, ptr = squares.vertices, squares.vertex_ptr
+        size = np.diff(ptr)
+        face = np.repeat(np.arange(len(squares)), np.diff(squares.face_ptr))
+        tail, head = (end[squares.faces] for end in cx.edge_ends())
+        # each corner and the one after it, the first after the last
+        after = np.arange(1, len(v) + 1)
+        after[ptr[1:] - 1] = ptr[:-1]
+        ahead = back = np.zeros(len(face), dtype=bool)
+        for a, b in zip(*(padded_rows(c, ptr)[face].T - 1
+                          for c in (v, v[after]))):
+            ahead = ahead | (a == tail) & (b == head)
+            back = back | (a == head) & (b == tail)
+        read = (ahead * 1 - back) * np.sign(squares.coeffs) * (tail != head)
+        minus, plus = (np.bincount(face[r], minlength=len(squares)) > 0
+                       for r in (read < 0, read > 0))
+        # The second triangle of a square takes its corners 0, 2 and 3.
+        odd = (size != 3) & (size != 4)
+        tri_ptr = row_offsets(np.where(odd, 0, size - 2))
+        face = np.repeat(np.arange(len(squares)), np.diff(tri_ptr))
+        tri = v[ptr[face][:, None] + [0, 1, 2]
+                + (np.arange(len(face)) - tri_ptr[face])[:, None] * [0, 1, 1]]
+        table = cx._cache["row triangles"] = (
+            tri, tri_ptr, np.where(minus, -1, 1), size, odd | minus & plus)
+    return table
 
 
-def _shells(complex_: DeltaComplex, cell_ids: np.ndarray):
-    """The oriented triangles covering the boundary shells of 3-cells.
-
-    A triangular face gives itself, a square (v0, v1, v2, v3) gives
-    (v0, v1, v2) and (v0, v2, v3), in the order of each cell's faces.
-    Returns the coefficients, vertex triples and owning cell positions
-    of all triangles of the cells ``cell_ids``, the number of cells
-    covered, and the DimensionError of the first cell with any other
-    face, for the caller to raise once the cells before it are probed.
-    """
-    squares = complex_.layers[2]
-    owner, faces, coeff = complex_.layers[3].face_entries(cell_ids)
-    size = np.diff(squares.vertex_ptr)[faces]
-    covered, refusal = len(cell_ids), None
-    odd = np.flatnonzero((size != 3) & (size != 4))
-    if len(odd):
-        covered = int(owner[odd[0]])
-        refusal = DimensionError(
-            f"unexpected 2-cell with {size[odd[0]]} vertices")
-        within = owner < covered
-        owner, faces, coeff, size = (
-            owner[within], faces[within], coeff[within], size[within])
-    # One triangle per triangular face and two per square; the second
-    # triangle of a square takes its corners 0, 2 and 3.
-    entry = np.repeat(np.arange(len(faces)), size - 2)
-    second = np.arange(len(entry)) > np.searchsorted(entry, entry)
-    corners = np.where(second[:, None], [0, 2, 3], [0, 1, 2])
-    tri = squares.vertices[squares.vertex_ptr[faces][entry][:, None]
-                           + corners]
-    return coeff[entry].tolist(), tri, owner[entry], covered, refusal
-
-
-def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
-             owner: np.ndarray, count: int, lift: bool = False) -> list[int]:
+def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
+             coeff: np.ndarray, owner: np.ndarray, count: int, stop: int,
+             refusal: Exception | None, lift: bool = False) -> list[int]:
     """Degree of a sphere-valued field over each of ``count`` closed
-    oriented triangle sets; triangle t has vertices ``tri[t]`` and
-    coefficient ``coeff[t]`` in set ``owner[t]``, each set contiguous.
+    oriented triangle sets: entry j adds the triangle ``tri[rows[j]]``
+    with coefficient ``coeff[j]`` to set ``owner[j]``, in entry order.
+    The sets before ``stop`` are probed, then ``refusal`` is raised.
 
-    With ``lift`` the values are directors, signed per set first so that
-    every pair joined by a triangle edge points the same way.  The sets
-    with a joined pair that does not already are lifted all at once, along
-    one spanning forest of their (set, vertex) pairs; each part of a set
-    keeps the stored sign at its least vertex.  The first set that
-    cannot be lifted stops the pass: a nearly perpendicular joined pair
-    is refused first, then an odd cycle of pairs pointing apart.
+    With ``lift`` the values are directors, signed per set so that every
+    pair joined by a triangle edge points the same way, all at once along
+    one spanning forest of (set, vertex) pairs; each part of a set keeps
+    the stored sign at its least vertex.  The first set that cannot be
+    lifted stops the pass: a nearly perpendicular joined pair is refused
+    first, then an odd cycle of pairs pointing apart.
     """
-    if not len(tri):
-        return [0] * count
+    if len(rows) < len(tri):  # few entries: only the triangles they name
+        need, rows = np.unique(rows, return_inverse=True)
+        tri = tri[need]
     x = np.asarray(field.values, dtype=float)[tri]
-    a, b, c = x[:, 0], x[:, 1], x[:, 2]
     det = np.linalg.det(x)
-    dots = np.stack([_dots(a, b), _dots(b, c), _dots(c, a)], axis=1)
-    stop, refusal = count, None
+    dots = np.stack([_dots(x[:, i], x[:, (i + 1) % 3]) for i in range(3)],
+                    axis=1)
     if lift:
+        tri, det, dots = tri[rows], det[rows], dots[rows]
+        rows = np.arange(len(rows))
         edges = _lift_signs(dots)
-        rows = np.isin(owner, owner[(edges != 1).any(axis=1)])
+        lifting = np.isin(owner, owner[(edges != 1).any(axis=1)])
         # Nodes numbered by set, then vertex: each tree of the forest grows
         # from the least vertex of its part of the set.
-        keys = owner[rows, None] * field.complex_.n_vertices + tri[rows]
+        keys = owner[lifting, None] * field.complex_.n_vertices + tri[lifting]
         nodes, node = np.unique(keys, return_inverse=True)
         node = node.reshape(keys.shape)
         heads, tails = node.ravel(), node[:, [1, 2, 0]].ravel()
-        steps = edges[rows].ravel()
+        steps = edges[lifting].ravel()
         # One flip per step pointing apart; a perpendicular one is refused.
         lifted = 1 - 2 * (spanning_forest(
             len(nodes), heads, tails, steps < 0).sums % 2)
         sign = np.ones(tri.shape)
-        sign[rows] = lifted[node]
+        sign[lifting] = lifted[node]
         # The forest fixed every sign; each joined pair must now agree.
-        set_of = np.repeat(owner[rows], 3)
+        set_of = np.repeat(owner[lifting], 3)
         refused = set_of[lifted[heads] * lifted[tails] * steps != 1]
-        if len(refused):
+        if refused.min(initial=stop) < stop:
             stop = int(refused.min())
             refusal = (_perpendicular() if (steps[set_of == stop] == 0).any()
                        else AmbiguousSamplingError(
@@ -479,47 +479,35 @@ def _degrees(field: OrderField, coeff: Sequence[int], tri: np.ndarray,
         det = det * sign.prod(axis=1)
         dots = dots * (sign * sign[:, [1, 2, 0]])
     s = 1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
-    degenerate = np.zeros(count, dtype=bool)
-    degenerate[owner[(np.abs(det) < DEGENERATE_DET_TOL)
-                     & (np.abs(s) < DEGENERATE_DENOM_TOL)]] = True
-    total = [0.0] * count
-    for o, k, d, t in zip(owner.tolist(), coeff, det.tolist(), s.tolist()):
-        total[o] += k * (2.0 * math.atan2(d, t))
-    out = []
-    for i in range(stop):
-        if degenerate[i]:
-            raise AmbiguousSamplingError(
-                "a spherical triangle of samples is degenerate (near a "
-                "half great circle); the solid angle is not determined")
-        degree = total[i] / (4.0 * math.pi)
-        nearest = round(degree)
-        if abs(degree - nearest) > DEGREE_TOL:
-            raise AmbiguousSamplingError(
-                f"summed solid angle {degree!r} turns is not close to an "
-                "integer")
-        out.append(nearest)
-    if refusal is not None:
-        raise refusal
-    return out
+    flat = owner[((np.abs(det) < DEGENERATE_DET_TOL)
+                  & (np.abs(s) < DEGENERATE_DENOM_TOL))[rows]]
+    if flat.min(initial=stop) < stop:
+        stop, refusal = flat.min(), AmbiguousSamplingError(
+            "a spherical triangle of samples is degenerate (near a half "
+            "great circle); the solid angle is not determined")
+    angle = np.array([2.0 * math.atan2(d, t)
+                      for d, t in zip(det.tolist(), s.tolist())])
+    total = np.bincount(owner, coeff * angle[rows], minlength=count)
+    return _whole(total[None] / (4.0 * math.pi), DEGREE_TOL,
+                  "summed solid angle {!r} turns is not close to an integer",
+                  stop, refusal)[0].tolist()
 
 
 def winding_number(field: OrderField, loop: Sequence[int]) -> int:
     """Net turns of a circle-valued field around a closed vertex loop."""
-    return _windings(field, [_loop(field, loop)], (0,))[0][0]
+    return _loop_class(field, loop, (0,))
 
 
 def torus_winding(field: OrderField, loop: Sequence[int]) -> tuple[int, int]:
     """Net turns of each circle factor of a torus-valued field on a loop."""
-    return _windings(field, [_loop(field, loop)], (0, 2))[0]
+    return _loop_class(field, loop, (0, 2))
 
 
 def rp_parity(field: OrderField, loop: Sequence[int]) -> int:
-    """Orientation parity of a projective-plane-valued field on a loop.
-
+    """Orientation parity of a projective-plane-valued field on a loop:
     0 when the line field lifts to a closed vector field along the loop,
-    1 when the lift comes back flipped.
-    """
-    return _parities(field, [_loop(field, loop)])[0]
+    1 when the lift comes back flipped."""
+    return _loop_class(field, loop, None)
 
 
 def sphere_degree(field: OrderField,
@@ -528,11 +516,12 @@ def sphere_degree(field: OrderField,
     tris = list(triangles)
     if any(len(t) != 3 for _, t in tris):
         raise DimensionError("a triangle must name exactly three vertex ids")
-    _checked_ids([v for _, t in tris for v in t],
-                 field.complex_.n_vertices, "vertex")
-    coeff = [c for c, _ in tris]
-    tri = np.array([t for _, t in tris], dtype=np.int64).reshape(-1, 3)
-    return _degrees(field, coeff, tri, np.zeros(len(tris), np.int64), 1)[0]
+    ids = _checked_ids([v for _, t in tris for v in t],
+                       field.complex_.n_vertices, "vertex")
+    tri = np.array(ids, dtype=np.int64).reshape(-1, 3)
+    return _degrees(field, tri, np.arange(len(tri)), np.array(
+        [c for c, _ in tris], dtype=float), np.zeros(len(tri), np.int64), 1,
+        1, None)[0]
 
 
 def boundary_classes(field: OrderField, k: int,
@@ -543,9 +532,12 @@ def boundary_classes(field: OrderField, k: int,
     default), with one value per cell in that order; ids are checked by
     ``_checked_ids``.  Each value lives in pi_{k-1} of the order-parameter
     space: a 0/1 transition flag for pi_0, integers or parities for pi_1,
-    an integer degree for pi_2.
-    Spaces with nonabelian pi_1 are refused at k = 2.  A refusal is the
-    one the first failing cell would raise on its own.
+    an integer degree for pi_2: δ, by the face coefficients, of an edge
+    cochain at k = 2 (angle steps or director flips from each ``edge_ends``
+    tail to head) or a 2-cell cochain at k = 3 (solid angles, with the
+    orientation a 2-cell's faces give its row), where only director shells
+    are lifted, per 3-cell.  Spaces with nonabelian pi_1 are refused at
+    k = 2.  A refusal is the one the first failing cell raises on its own.
     """
     cx = field.complex_
     if not 1 <= k <= cx.dim:
@@ -571,24 +563,31 @@ def boundary_classes(field: OrderField, k: int,
             raise UnsupportedConfigurationError(
                 f"pi_1 of {space.name} is nonabelian; single-cell classes "
                 "do not assemble into an additive cochain")
-        if space.name not in (SPACE_CIRCLE, SPACE_RP2, SPACE_TORUS):
+        offsets = {SPACE_CIRCLE: (0,), SPACE_TORUS: (0, 2), SPACE_RP2: None}
+        if space.name not in offsets:
             return [0] * len(ids)
-        loops = layer.take(ids).vertex_rows()
-        if space.name == SPACE_CIRCLE:
-            return [turns for turns, in _windings(field, loops, (0,))]
-        if space.name == SPACE_TORUS:
-            return _windings(field, loops, (0, 2))
-        return _parities(field, loops)
+        owner, edges, coeff = layer.face_entries(ids)
+        return _edge_classes(field, *cx.edge_ends(), offsets[space.name],
+                             owner, edges, coeff, len(ids))
 
-    coeff, tri, owner, covered, refusal = _shells(cx, ids)
-    if space.name in (SPACE_SPHERE, SPACE_RP2):
-        out = _degrees(field, coeff, tri, owner, covered,
-                       lift=space.name == SPACE_RP2)
-    else:
-        out = [0] * covered
-    if refusal is not None:
-        raise refusal
-    return out
+    # one gather of the 2-cells' triangles, with coefficients times ε
+    owner, faces, coeff = layer.face_entries(ids)
+    tri, tri_ptr, eps, size, unread = _row_triangles(cx)
+    stop, refusal = len(ids), None
+    if len(bad := np.flatnonzero(unread[faces])):
+        stop, f = int(owner[bad[0]]), faces[bad[0]]
+        refusal = UnsupportedConfigurationError(
+            f"2-cell {f}: its vertex row is not a walk of its faces"
+        ) if size[f] in (3, 4) else DimensionError(
+            f"unexpected 2-cell with {size[f]} vertices")
+    if space.name not in (SPACE_SPHERE, SPACE_RP2):
+        if refusal is not None:
+            raise refusal
+        return [0] * len(ids)
+    rows, entry = _row_positions(tri_ptr, faces)
+    return _degrees(field, tri, rows, (coeff * eps[faces])[entry],
+                    owner[entry], len(ids), stop, refusal,
+                    lift=space.name == SPACE_RP2)
 
 
 def boundary_class(field: OrderField, k: int, cell_id: int):

@@ -22,21 +22,33 @@ from crystaltopo import (
     boundary_class,
     boundary_classes,
     build_lattice_complex,
+    homology,
+    index_sum_check,
     make_space,
+    obstruction_class,
+    obstruction_cochain,
     orientability,
     pi0_classes,
     rp_parity,
     sphere_degree,
     torus_winding,
+    validate_complex,
     vertex_components,
     winding_number,
 )
 
 from crystaltopo.cli import build_from_document, field_from_document
+from crystaltopo.complexes import SHAPE_CUBE, CellLayer
 from crystaltopo.errors import DocumentError
-from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _whole_turns
+from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _edge_classes
 
-from conftest import make_circle, make_grid, make_tetra_surface, make_torus
+from conftest import (
+    lattice_specs,
+    make_circle,
+    make_grid,
+    make_tetra_surface,
+    make_torus,
+)
 
 from oracles import (
     ProbeRefused,
@@ -526,10 +538,11 @@ def test_antipodal_step_is_ambiguous():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_antipodal_threshold_is_exact(sign):
-    with pytest.raises(AmbiguousSamplingError):
-        _angle_steps([0.0, sign * (math.pi - ANGLE_TOL)])
     step = sign * (math.pi - 2 * ANGLE_TOL)
-    assert _angle_steps([0.0, step]) == step
+    steps, refused = _angle_steps(
+        np.zeros(2), np.array([sign * (math.pi - ANGLE_TOL), step]))
+    assert refused.tolist() == [True, False]
+    assert steps[1] == step
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -537,13 +550,22 @@ def test_antipodal_threshold_is_exact(sign):
 def test_whole_turn_threshold_is_exact(sign, turns):
     # a winding sum is accepted within 1e-9 turns of an integer, refused
     # beyond; the last step closes ``turns`` turns plus the offset
-    def angles(offset):
-        return [sign * a for a in [0.0, 2.0, 4.0, 6.0][:1 + 3 * turns]] + [
+    def whole_turns(offset):
+        angles = [sign * a for a in [0.0, 2.0, 4.0, 6.0][:1 + 3 * turns]] + [
             sign * (turns + offset) * math.tau]
+        # one cell whose entries are the open walk through the samples
+        cx, names, ids = polygon(5)
+        f = OrderField.from_samples(cx, make_space("circle"),
+                                    dict(zip(names, angles + [0.0] * 3)))
+        walk = np.array(ids[:len(angles)])
+        n = len(walk) - 1
+        return _edge_classes(f, walk[:-1], walk[1:], (0,),
+                             np.zeros(n, np.int64), np.arange(n),
+                             np.ones(n, np.int64), 1)[0]
 
-    assert _whole_turns(angles(0.99e-9)) == sign * turns
+    assert whole_turns(0.99e-9) == sign * turns
     with pytest.raises(AmbiguousSamplingError, match="not an integer"):
-        _whole_turns(angles(1.01e-9))
+        whole_turns(1.01e-9)
 
 
 def test_empty_loop_is_refused_by_every_probe():
@@ -1174,3 +1196,183 @@ def test_batched_probes_match_the_per_cell_reference(case):
         if space in public:
             batched, reference = public[space]
             assert _probe_outcome(batched) == _probe_outcome(reference)
+
+
+# ---------------------------------------------------------------------------
+# reversed cells and stored rows
+# ---------------------------------------------------------------------------
+
+def _reversed(cx, twos, threes):
+    """``cx`` with the 2-cells ``twos`` and the 3-cells ``threes`` reversed:
+    their face coefficients negated, and a reversed 2-cell's entries in
+    each coface too."""
+    layers = list(cx.layers)
+    for k in range(2, cx.dim + 1):
+        layer = layers[k]
+        owner = np.repeat(np.arange(len(layer)), np.diff(layer.face_ptr))
+        flip = np.isin(owner, twos if k == 2 else threes)
+        if k == 3:
+            flip ^= np.isin(layer.faces, twos)
+        layers[k] = CellLayer(
+            layer.vertices, layer.vertex_ptr, layer.faces,
+            np.where(flip, -layer.coeffs, layer.coeffs), layer.face_ptr,
+            layer.shapes)
+    return DeltaComplex.from_layers(
+        cx.vertex_labels, layers, lattice_info=cx.lattice_info,
+        closure_defects=cx.closure_defects)
+
+
+def _unsigned(outcome):
+    """A refusal with the signs of the numbers in its text dropped."""
+    return outcome[0], re.sub(r"-(?=\d)", "", outcome[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.one_of(lattice_specs(), st.none()),
+       space=st.sampled_from(["circle", "torus", "projective_plane",
+                              "sphere_2"]),
+       weights=st.sampled_from([(6, 1, 0, 1), (3, 1, 1, 1), (1, 0, 0, 0)]),
+       radial=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_reversed_cell_negates_its_own_value_and_no_other(
+        spec, space, weights, radial, seed):
+    # None stands for the icosahedron's shell.
+    if spec is None:
+        cx = _icosahedron()
+    else:
+        try:
+            cx, _ = build_lattice_complex(spec)
+        except CrystalTopoError:
+            return
+    if cx.dim < 2:
+        return
+    rng = np.random.default_rng([seed, cx.n_cells(2), int(radial), *weights])
+    twos = np.flatnonzero(rng.random(cx.n_cells(2)) < 0.5)
+    threes = np.flatnonzero(rng.random(cx.n_cells(3)) < 0.5)
+    rev = _reversed(cx, twos, threes)
+    assert validate_complex(rev).ok
+    for ring in ("integers", "integers_mod_2"):
+        assert [homology(rev, k, ring) for k in range(cx.dim + 1)] == \
+            [homology(cx, k, ring) for k in range(cx.dim + 1)]
+    f = _random_field(rng, cx, space, weights, radial)
+    g = OrderField(rev, f.space, f.values)
+    for k, flipped in ((2, twos), (3, threes))[:cx.dim - 1]:
+        before = _probe_outcome(lambda: boundary_classes(f, k))
+        after = _probe_outcome(lambda: boundary_classes(g, k))
+        if before[0] != "value":
+            assert _unsigned(after) == _unsigned(before)
+            continue
+        signed = set(flipped.tolist()) if f.space.homotopy_group(
+            k - 1).rank else set()
+        want = [v if i not in signed else tuple(-x for x in v)
+                if isinstance(v, tuple) else -v
+                for i, v in enumerate(before[1])]
+        assert after == ("value", want)
+
+
+def test_reversing_a_blocked_triangle_flips_only_its_value():
+    # A circle vortex at (0.4, 0.3) on the periodic triangular 6x6 torus
+    # blocks four triangles; reversing one of them negates its winding,
+    # and the index sum and the obstruction class read as before.
+    cx = make_torus(6)
+    f = OrderField.from_samples(cx, make_space("circle"), {
+        lab: math.atan2(lab[1] - 0.3, lab[0] - 0.4)
+        for lab in cx.vertex_labels})
+    g = OrderField(_reversed(cx, [1], []), f.space, f.values)
+    blocked = {1: 1, 10: 1, 61: -1, 70: -1}
+    assert boundary_classes(f, 2) == [
+        blocked.get(c, 0) for c in range(cx.n_cells(2))]
+    blocked[1] = -1
+    assert boundary_classes(g, 2) == [
+        blocked.get(c, 0) for c in range(cx.n_cells(2))]
+    check = index_sum_check(g)
+    assert (check.index_sum, check.euler, check.consistent) == (0, 0, True)
+    assert obstruction_class(obstruction_cochain(g, 2)) == "trivial"
+
+
+def test_a_row_that_is_not_a_walk_of_its_faces_is_refused_at_k3():
+    # A square of cube 1 of the free cubic (0, 2) x (0, 1)^2 box, not one of
+    # cube 0, stored as a bowtie, corners 0, 2, 1, 3 of its walk: its faces
+    # still bound it, but they give the row no one orientation.  The 2-cell
+    # probes read edges only; cube 1's shell is refused after cube 0's.
+    cx, _ = build_lattice_complex(LatticeSpec(
+        dimension=3, ambient=3, generators=tuple(map(tuple, np.eye(3))),
+        index_box=((0, 2), (0, 1), (0, 1)), scheme="cubic"))
+    layers = [list(layer) for layer in cx.cells]
+    shells = [{f for f, _ in c.faces} for c in layers[3]]
+    square = min(shells[1] - shells[0])
+    v = layers[2][square].vertices
+    layers[2][square] = Cell((v[0], v[2], v[1], v[3]),
+                             layers[2][square].faces, SHAPE_CUBE)
+    bowtie = DeltaComplex(cx.vertex_labels, layers)
+    assert validate_complex(bowtie).ok
+    for seed, space in enumerate(["circle", "projective_plane", "torus"]):
+        f = _random_field(np.random.default_rng(seed), cx, space,
+                          (3, 1, 1, 1), True)
+        g = OrderField(bowtie, f.space, f.values)
+        assert _probe_outcome(lambda: boundary_classes(g, 2)) == \
+            _probe_outcome(lambda: boundary_classes(f, 2))
+    # cube 0, which the square does not bound, is still answered: a
+    # hedgehog about its centre, and directors near one axis
+    for space, degree, value in (
+            ("sphere_2", 1, lambda lab: np.subtract(lab, 0.5)),
+            ("projective_plane", 0, lambda lab: np.add(lab, (0, 0, 9)))):
+        g = OrderField.from_samples(bowtie, make_space(space), {
+            lab: _unit(value(lab)) for lab in cx.vertex_labels})
+        assert _probe_outcome(lambda: boundary_classes(g, 3)) == (
+            "UnsupportedConfigurationError",
+            f"2-cell {square}: its vertex row is not a walk of its faces")
+        assert boundary_classes(g, 3, [0]) == [degree]
+
+
+def test_rows_stored_backwards_take_their_orientation_from_their_faces():
+    # Every square of the free cubic (0, 2)^3 box stored with its corners
+    # in the opposite order: each face now reads its row with ε = -1, so a
+    # hedgehog's degrees stay as they were.
+    cx = _field_complex("free", "cubic", 2, [])
+    layers = [list(layer) for layer in cx.cells]
+    layers[2] = [Cell(c.vertices[:1] + c.vertices[:0:-1], c.faces, SHAPE_CUBE)
+                 for c in layers[2]]
+    backwards = DeltaComplex(cx.vertex_labels, layers)
+    for centre in ((0.6, 0.7, 0.4), (1.5, 0.4, 1.3), (1.2, 1.6, 0.3)):
+        samples = {lab: _unit(np.subtract(lab, centre))
+                   for lab in cx.vertex_labels}
+        f = OrderField.from_samples(cx, make_space("sphere_2"), samples)
+        g = OrderField.from_samples(backwards, f.space, samples)
+        assert boundary_classes(f, 3).count(1) == 1
+        assert boundary_classes(g, 3) == boundary_classes(f, 3)
+
+
+def _off_antipode(base, delta):
+    """A unit vector turned ``delta`` rad off the antipode of ``base``."""
+    base = np.asarray(base, dtype=float)
+    side = np.asarray(_unit(np.cross(base, (1.0, 0.0, 0.0))))
+    return _unit(-(math.cos(delta) * base + math.sin(delta) * side))
+
+
+@pytest.mark.parametrize("delta", [0.0, 2e-8, 1e-4])
+def test_antipodal_samples_on_the_collapsed_box_are_degenerate(delta):
+    # The constant cubic (0, 2)^3 box keeps two vertices, the hull and
+    # (1, 1, 1), so each shell triangle joins a sample to its own antipode.
+    cx = _field_complex("constant", "cubic", 2, [])
+    assert cx.vertex_labels == ((-1, -1, -1), (1, 1, 1))
+    f = OrderField.from_samples(cx, make_space("sphere_2"), {
+        (-1, -1, -1): (0.0, 0.0, 1.0),
+        (1, 1, 1): _off_antipode((0.0, 0.0, 1.0), delta)})
+    got = _probe_outcome(lambda: boundary_classes(f, 3))
+    if delta < 1e-6:
+        assert got[0] == "AmbiguousSamplingError"
+        assert "a spherical triangle of samples is degenerate" in got[1]
+    else:
+        assert got == ("value", [0] * cx.n_cells(3))
+
+
+def test_a_sample_near_the_antipode_of_a_first_corner_is_answered():
+    # The free unit cube with a hedgehog about its centre, vertex 1 turned
+    # 2e-8 rad off the antipode of vertex 0, the first corner of three of
+    # its squares; the row triangles never join them.
+    cx = _field_complex("free", "cubic", 1, [])
+    samples = {lab: _unit(np.subtract(lab, 0.5)) for lab in cx.vertex_labels}
+    samples[cx.vertex_labels[1]] = _off_antipode(
+        samples[cx.vertex_labels[0]], 2e-8)
+    f = OrderField.from_samples(cx, make_space("sphere_2"), samples)
+    assert boundary_classes(f, 3) == [0]
