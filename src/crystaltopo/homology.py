@@ -485,6 +485,14 @@ def homology_generators(complex_: DeltaComplex,
     return out
 
 
+def generator_orders(complex_: DeltaComplex, k: int) -> list[int]:
+    """The orders :func:`homology_generators` lists, read from the group
+    with no tracked reduction: each torsion factor in divisibility order,
+    then 0 per free summand."""
+    group = homology(complex_, k)
+    return [*group.torsion, *[0] * group.betti]
+
+
 # ---------------------------------------------------------------------------
 # Orientability
 

@@ -13,11 +13,24 @@ summand of its group (Z^2 as two integer cochains), so the cocycle check,
 the pairing with chains and the class decision run on the chain operators
 of :mod:`crystaltopo.complexes` and the membership test of
 :mod:`crystaltopo.homology`.
+
+A field's cochain is δ of the cochain its probe reads through the faces,
+and the probe also gives an integer primitive a of it: the whole turns by
+which the edge steps differ from the change of the angles, the director
+flips mod 2, or a Dirac string of a sphere-valued field (Berg and
+Lüscher, 1981; Steenrod, "The Topology of Fibre Bundles", 1951, part
+III).  One coboundary per summand checks δa = c, which certifies a
+``trivial`` class, and a trivial class pairs to 0 with every cycle z, as
+<δa, z> = <a, ∂z>.  The membership test runs only for cochains with no
+primitive: hand-built ones, director fields at k = 3, and sphere-valued
+fields with no point clear of the string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .complexes import (
     Chain,
@@ -30,19 +43,23 @@ from .complexes import (
 )
 from .errors import (
     DimensionError,
+    InternalInconsistencyError,
     UnsupportedConfigurationError,
 )
 from .homology import (
     _in_image,
     euler_characteristic,
+    generator_orders,
     homology_generators,
     orientability,
     vertex_components,
 )
 from .orderfield import (
+    SPACE_SPHERE,
     CoefficientGroup,
     OrderField,
-    boundary_classes,
+    _probe,
+    dirac_string,
     pi0_classes,
 )
 
@@ -53,7 +70,8 @@ class ObstructionCochain:
 
     ``values`` maps k-cell ids to nonzero elements of ``group``: ints for
     Z and Z/2, integer pairs for Z^2, 0/1 transition flags for a discrete
-    space.
+    space.  ``primitive``, when the probe gave one, holds a (k-1)-cochain
+    per summand of ``group`` whose coboundary the cochain should be.
     """
 
     complex_: DeltaComplex
@@ -61,10 +79,15 @@ class ObstructionCochain:
     group: CoefficientGroup
     values: dict[int, object] = field(default_factory=dict)
     space_name: str = ""
+    primitive: list[Cochain] | None = field(default=None, repr=False)
 
     @property
     def support(self) -> list[int]:
         return sorted(self.values)
+
+
+def _ring(group: CoefficientGroup) -> str:
+    return RING_MOD2 if group.order == 2 else RING_INT
 
 
 def _summands(cochain: ObstructionCochain) -> list[Cochain]:
@@ -74,24 +97,35 @@ def _summands(cochain: ObstructionCochain) -> list[Cochain]:
     if cochain.group.rank == 2:
         return [Cochain(k, {cid: v[c] for cid, v in values.items()}, RING_INT)
                 for c in range(2)]
-    ring = RING_MOD2 if cochain.group.order == 2 else RING_INT
-    return [Cochain(k, values, ring)]
+    return [Cochain(k, values, _ring(cochain.group))]
 
 
 def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
-    """Boundary classes of every k-cell, as a pi_{k-1}-valued cochain."""
+    """Boundary classes of every k-cell, as a pi_{k-1}-valued cochain.  A
+    nonzero one keeps the probe's edge primitive or, for a sphere-valued
+    field, its Dirac string, if there is one."""
     cx = field_.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
     group = field_.space.homotopy_group(k - 1)
     values: dict[int, object] = {}
+    primitive = None
     if not group.trivial:
-        classes = boundary_classes(field_, k)
+        classes, whole = _probe(field_, k)
         if group.order == 2:
             classes = [v % 2 for v in classes]
         zero = (0, 0) if group.rank == 2 else 0
         values = {cid: v for cid, v in enumerate(classes) if v != zero}
-    return ObstructionCochain(cx, k, group, values, field_.space.name)
+        if values and field_.space.name == SPACE_SPHERE:
+            whole = dirac_string(field_)
+        if values and whole is not None:
+            primitive = []
+            for row in np.atleast_2d(whole):
+                nonzero = np.flatnonzero(row)
+                primitive.append(Cochain(k - 1, dict(zip(
+                    nonzero.tolist(), row[nonzero].tolist())), _ring(group)))
+    return ObstructionCochain(cx, k, group, values, field_.space.name,
+                              primitive)
 
 
 def verify_cocycle(cochain: ObstructionCochain) -> bool:
@@ -128,7 +162,12 @@ def evaluate(cochain: ObstructionCochain, chain: Chain):
 def obstruction_class(cochain: ObstructionCochain) -> str:
     """'trivial' when the cochain is a coboundary, 'nontrivial' otherwise.
 
-    Discrete-space flags have no cohomology class: 'not_applicable'.
+    A ``primitive`` a with δa = c, one coboundary per summand, certifies
+    'trivial'.  An edge primitive (k = 2) fails only where a 2-cell's
+    boundary is no cycle, which is an error; a Dirac string that fails, or
+    a cochain with no primitive, goes to the membership test of
+    :mod:`crystaltopo.homology`.  Discrete-space flags have no cohomology
+    class: 'not_applicable'.
     """
     cx = cochain.complex_
     k = cochain.k
@@ -138,6 +177,14 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
         return "not_applicable"
     if not cochain.values:
         return "trivial"
+    if cochain.primitive is not None:
+        if all(coboundary_map(a, cx) == c for a, c in
+               zip(cochain.primitive, _summands(cochain))):
+            return "trivial"
+        if k == 2:
+            raise InternalInconsistencyError(
+                "the obstruction cochain is not the coboundary of its edge "
+                "primitive (validate_complex finds where d d = 0 fails)")
     if k < 1 or cx.n_cells(k - 1) == 0:
         return "nontrivial"
     # delta: C^{k-1} -> C^k is the transpose of the k-th boundary matrix.
@@ -148,7 +195,10 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
 
 
 def pair_with_generators(cochain: ObstructionCochain) -> list[dict]:
-    """Pairing of the cochain with each homology generator of its degree."""
+    """Pairing of the cochain with each homology generator of its degree,
+    from the generators' tracked Smith reduction.  :func:`extend_field`
+    calls it for a nontrivial class only: a trivial class pairs to 0 with
+    every cycle, so there it reads just the orders of the group."""
     out = []
     for order, gen in homology_generators(cochain.complex_, cochain.k):
         out.append({"generator_order": order,
@@ -227,14 +277,18 @@ def extend_field(field_: OrderField) -> ExtensionReport:
             verdicts=verdicts, blocked_at=k, cochain=cochain,
             cocycle_ok=verify_cocycle(cochain),
             class_status=obstruction_class(cochain), probed=probed)
-        if cochain.group.name != "set":
+        if cochain.group.name != "set" and report.class_status == "trivial":
+            # <δa, z> = <a, ∂z> = 0 for every cycle z
+            zero = (0, 0) if cochain.group.rank == 2 else 0
+            report.generator_pairings = [
+                {"generator_order": order, "pairing": zero}
+                for order in generator_orders(cx, k)]
+            report.note = ("the obstruction class vanishes: some field "
+                           "agreeing on the lower skeleton extends")
+        elif cochain.group.name != "set":
             report.generator_pairings = pair_with_generators(cochain)
-            if report.class_status == "trivial":
-                report.note = ("the obstruction class vanishes: some field "
-                               "agreeing on the lower skeleton extends")
-            else:
-                report.note = ("the obstruction class is nonzero: no "
-                               "modification on lower cells can extend")
+            report.note = ("the obstruction class is nonzero: no "
+                           "modification on lower cells can extend")
         else:
             report.component_values = pi0_classes(
                 field_, vertex_components(cx))

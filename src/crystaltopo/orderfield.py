@@ -324,21 +324,31 @@ def _whole(sums: np.ndarray, tol: float, message: str, stop: int,
 
 def _edge_classes(field: OrderField, tail: np.ndarray, head: np.ndarray,
                   offsets: tuple[int, ...] | None, owner: np.ndarray,
-                  at: np.ndarray, coeff: np.ndarray, count: int) -> list:
+                  at: np.ndarray, coeff: np.ndarray,
+                  count: int) -> tuple[list, np.ndarray]:
     """δ on ``count`` cells of the cochain on edges from vertex ``tail[e]``
     to ``head[e]``, entry j adding ``coeff[j]`` times edge ``at[j]`` to
     cell ``owner[j]``: whole turns of each circle factor (value pair
-    offset, offset + 1), or with ``offsets`` None director flips mod 2."""
+    offset, offset + 1), or with ``offsets`` None director flips mod 2.
+
+    Also its integer primitive, a row per factor and an entry per edge:
+    the whole turns n(e) = (s(e) - (θ_head - θ_tail)) / 2π by which each
+    step s(e) differs from the change of the angles, or the flips.  The
+    angle changes sum to 0 around a cell boundary that is a cycle, so δn
+    equals the classes there."""
     x = np.asarray(field.values, dtype=float)
     if offsets is None:
         signs = _lift_signs(_dots(x[tail], x[head]))
         values, refused = (signs < 0)[:, None], (signs == 0)[:, None]
+        whole = values
     else:
         ids, end = np.unique(np.concatenate([tail, head]), return_inverse=True)
         cols = x[ids].T.tolist()
         theta = np.array([list(map(math.atan2, cols[o + 1], cols[o]))
                           for o in offsets]).T
-        values, refused = _angle_steps(*theta[end.reshape(2, -1)])
+        tail_angle, head_angle = theta[end.reshape(2, -1)]
+        values, refused = _angle_steps(tail_angle, head_angle)
+        whole = np.rint((values - (head_angle - tail_angle)) / math.tau)
     sums = np.array([np.bincount(owner, coeff * v[at], minlength=count)
                      for v in values.T], dtype=float)
     stop = owner[refused[at].any(axis=1)].min(initial=count)
@@ -348,7 +358,8 @@ def _edge_classes(field: OrderField, tail: np.ndarray, head: np.ndarray,
                     AmbiguousSamplingError(
                         "adjacent circle samples are antipodal within "
                         "tolerance; the winding is not determined"))
-    return out[0].tolist() if len(out) == 1 else list(zip(*out.tolist()))
+    classes = out[0].tolist() if len(out) == 1 else list(zip(*out.tolist()))
+    return classes, whole.T.astype(np.int64)
 
 
 def _checked_ids(ids: Iterable, n: int, what: str) -> list[int]:
@@ -371,7 +382,8 @@ def _loop_class(field: OrderField, loop: Iterable, offsets):
     if not (n := len(tail)):
         raise DimensionError("empty loop")
     return _edge_classes(field, tail, np.roll(tail, -1), offsets,
-                         np.zeros(n, int), np.arange(n), np.ones(n, int), 1)[0]
+                         np.zeros(n, int), np.arange(n), np.ones(n, int),
+                         1)[0][0]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -493,6 +505,51 @@ def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
                   stop, refusal)[0].tolist()
 
 
+def _frame(p: tuple) -> np.ndarray:
+    """Rows e1, e2, p: a right-handed orthonormal frame whose third axis
+    is the unit vector along ``p``."""
+    p = np.array(p) / np.linalg.norm(p)
+    e1 = np.cross(p, (0.0, 0.0, 1.0))
+    e1 /= np.linalg.norm(e1)
+    return np.array([e1, np.cross(p, e1), p])
+
+
+# Frames of the points of S^2 a Dirac string may start from, in turn.
+_STRING_FRAMES = [_frame(p) for p in ((0.29, 0.54, 0.79), (-0.71, 0.33, 0.62),
+                                      (0.58, -0.67, 0.46),
+                                      (-0.41, -0.52, -0.75))]
+
+
+def dirac_string(field: OrderField) -> np.ndarray | None:
+    """A Dirac string of a sphere-valued field: per 2-cell, ε times the
+    signed number of its row triangles that cover one point p, the first
+    of the ``_STRING_FRAMES`` axes that every triangle side (a, b) clears
+    by more than ``ANGLE_TOL`` in |det(p, a, b)|; None when none does.  A
+    triangle of samples (a, b, c) covers p with the sign of det(a, b, c),
+    which its solid angle takes, when det(p, a, b), det(p, b, c) and
+    det(p, c, a) all carry that sign.  Over a closed shell the counts sum
+    to the degree the solid angles give, so their δ is the cochain of
+    degrees, as :func:`boundary_classes` gives it at k = 3."""
+    tri, tri_ptr, eps, _, _ = _row_triangles(field.complex_)
+    values = np.asarray(field.values, dtype=float)
+    for frame in _STRING_FRAMES:
+        # The samples in the frame of p, a row per triangle corner: det(p,
+        # a, b) is the component of a × b along p, x_a y_b - y_a x_b.
+        x, y, z = (c[tri.T] for c in frame @ values.T)
+        sides = x * y[[1, 2, 0]] - y * x[[1, 2, 0]]
+        if (np.abs(sides) > ANGLE_TOL).all():
+            break
+    else:
+        return None
+    # det(a, b, c), expanded along the p column
+    det = (z * sides[[1, 2, 0]]).sum(axis=0)
+    ahead = sides > 0
+    cover = ((ahead[0] == ahead[1]) & (ahead[1] == ahead[2])
+             & (ahead[0] == (det > 0))) * np.sign(det)
+    face = np.repeat(np.arange(len(eps)), np.diff(tri_ptr))
+    return eps * np.bincount(face, cover, minlength=len(eps)).astype(np.int64)
+
+
 def winding_number(field: OrderField, loop: Sequence[int]) -> int:
     """Net turns of a circle-valued field around a closed vertex loop."""
     return _loop_class(field, loop, (0,))
@@ -538,7 +595,23 @@ def boundary_classes(field: OrderField, k: int,
     orientation a 2-cell's faces give its row), where only director shells
     are lifted, per 3-cell.  Spaces with nonabelian pi_1 are refused at
     k = 2.  A refusal is the one the first failing cell raises on its own.
+
+    The classes of a field are a coboundary: at k = 2 of the whole turns
+    or flips per edge that the same pass reads (``_probe`` returns them),
+    at k = 3, for a sphere-valued field, of its :func:`dirac_string` when
+    a point is clear of the samples' triangle sides.  With that primitive
+    :func:`crystaltopo.obstruction.obstruction_class` certifies a trivial
+    class without the membership test.
     """
+    return _probe(field, k, cell_ids)[0]
+
+
+def _probe(field: OrderField, k: int, cell_ids: Sequence[int] | None = None
+           ) -> tuple[list, np.ndarray | None]:
+    """:func:`boundary_classes` and, at k = 2, the integer primitive a of
+    the classes that ``_edge_classes`` reads, a row per summand of pi_1 and
+    an entry per edge (None otherwise): δa is the classes on every cell
+    whose boundary is a cycle."""
     cx = field.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
@@ -546,7 +619,7 @@ def boundary_classes(field: OrderField, k: int,
     ids = np.arange(len(layer)) if cell_ids is None else np.array(
         _checked_ids(cell_ids, len(layer), "cell"), dtype=np.int64)
     if not len(ids):
-        return []
+        return [], None
     space = field.space
     group = space.homotopy_group(k - 1)
 
@@ -555,8 +628,8 @@ def boundary_classes(field: OrderField, k: int,
             values = field.values
             ends = cx.edge_ends(None if cell_ids is None else ids)
             return [0 if values[a] == values[b] else 1
-                    for a, b in zip(*(e.tolist() for e in ends))]
-        return [0] * len(ids)
+                    for a, b in zip(*(e.tolist() for e in ends))], None
+        return [0] * len(ids), None
 
     if k == 2:
         if not group.abelian:
@@ -565,7 +638,7 @@ def boundary_classes(field: OrderField, k: int,
                 "do not assemble into an additive cochain")
         offsets = {SPACE_CIRCLE: (0,), SPACE_TORUS: (0, 2), SPACE_RP2: None}
         if space.name not in offsets:
-            return [0] * len(ids)
+            return [0] * len(ids), None
         owner, edges, coeff = layer.face_entries(ids)
         return _edge_classes(field, *cx.edge_ends(), offsets[space.name],
                              owner, edges, coeff, len(ids))
@@ -583,11 +656,11 @@ def boundary_classes(field: OrderField, k: int,
     if space.name not in (SPACE_SPHERE, SPACE_RP2):
         if refusal is not None:
             raise refusal
-        return [0] * len(ids)
+        return [0] * len(ids), None
     rows, entry = _row_positions(tri_ptr, faces)
     return _degrees(field, tri, rows, (coeff * eps[faces])[entry],
                     owner[entry], len(ids), stop, refusal,
-                    lift=space.name == SPACE_RP2)
+                    lift=space.name == SPACE_RP2), None
 
 
 def boundary_class(field: OrderField, k: int, cell_id: int):

@@ -419,3 +419,47 @@ def test_lattice_jobs_create_no_cell(no_cells, tmp_path, capsys):
         assert main([str(a) for a in argv] + ["--report", "json"]) == 0
         capsys.readouterr()
         assert no_cells == [], argv
+
+
+# Edges of every kind: graph edges either way round and a period-1 loop,
+# then faces that are no tail and head: unit coefficients of one sign,
+# a coefficient of 2, one face, none, and three.
+EDGE_FACES = [((0, -1), (1, 1)), ((1, 1), (2, -1)), ((0, -1), (0, 1)),
+              ((2, 1), (1, -1)), ((1, -1), (2, -1)), ((1, 2), (2, -2)),
+              ((1, 1),), (), ((0, -1), (1, 1), (2, 1))]
+MIXED_EDGES = DeltaComplex("ABC", [
+    [Cell((v,), ()) for v in range(3)],
+    [Cell((0, 1), faces) for faces in EDGE_FACES]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, len(EDGE_FACES) - 1), max_size=6))
+def test_edge_ends_of_chosen_edges_refuse_the_first_bad_id(ids):
+    # The ends are read from the two face entries at face_ptr[ids]; an
+    # edge whose faces are not one -1 and one +1 is refused by the first
+    # such id in the order asked.
+    layer = MIXED_EDGES.layers[1]
+    bad = [i for i in ids
+           if sorted(c for _, c in EDGE_FACES[i]) != [-1, 1]]
+    if bad:
+        with pytest.raises(UnsupportedConfigurationError, match=(
+                f"^edge {bad[0]} is not a graph edge: its faces are not "
+                r"one tail \(-1\) and one head \(\+1\)$")):
+            layer.ends(ids)
+        return
+    tail, head = layer.ends(ids)
+    assert tail.tolist() == [dict((c, f) for f, c in EDGE_FACES[i])[-1]
+                             for i in ids]
+    assert head.tolist() == [dict((c, f) for f, c in EDGE_FACES[i])[1]
+                             for i in ids]
+    assert tail.dtype == head.dtype == np.int64
+
+
+def test_edge_ends_of_every_edge_refuse_the_first_bad_edge():
+    with pytest.raises(UnsupportedConfigurationError,
+                       match="^edge 4 is not a graph edge"):
+        MIXED_EDGES.layers[1].ends()
+    good = DeltaComplex("ABC", [MIXED_EDGES.cells[0],
+                                MIXED_EDGES.cells[1][:4]])
+    assert [a.tolist() for a in good.layers[1].ends()] == [[0, 2, 0, 1],
+                                                           [1, 1, 0, 2]]

@@ -157,6 +157,39 @@ def test_obstruct_json_shape(capsys):
     assert doc["index_sum"]["index_sum"] == 0
 
 
+def _vortex_pair_angle(x, y, plus, minus):
+    return (math.atan2(y - plus[1], x - plus[0])
+            - math.atan2(y - minus[1], x - minus[0]))
+
+
+# A torus-valued field whose two factors each carry a vortex pair on the
+# periodic triangular 6x6 torus; its report, json then text.
+TORUS_PAIR_SHA256 = (
+    "f9b66393e88fed272f7999d29e983a44c13a2a881c4dd515a5a0d15f9437dcdb",
+    "d608ea5f88b8adb0d0c5ef46e1d2cdcb2027422308bdffd1bfc4e9d349d6185e")
+
+
+def test_torus_valued_vortex_pairs_pair_to_zero(capsys, tmp_path):
+    # The Z^2 class is trivial, so it pairs to (0, 0) with the one
+    # generator of H_2; the report is pinned byte for byte.
+    doc = dict(TORUS_DOC, index_box=[[0, 6], [0, 6]], field={
+        "space": "torus",
+        "samples": [[[x, y], [_vortex_pair_angle(x, y, (1.3, 1.6), (4.2, 3.7)),
+                              _vortex_pair_angle(x, y, (3.4, 0.7), (1.8, 4.4))]]
+                    for x in range(6) for y in range(6)]})
+    path = write_doc(tmp_path, doc)
+    digests = []
+    for mode in ("json", "text"):
+        rc, out, _ = run(capsys, "obstruct", path, "--report", mode)
+        assert rc == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == TORUS_PAIR_SHA256
+    report = json.loads(run(capsys, "obstruct", path, "--report", "json")[1])
+    assert report["blocked_at"] == 2 and report["class_status"] == "trivial"
+    assert report["generator_pairings"] == [
+        {"generator_order": 0, "pairing": [0, 0]}]
+
+
 def test_obstruct_spin_interface_sample(capsys):
     rc, out, _ = run(capsys, "obstruct", str(SAMPLES / "spin_interface.json"))
     assert rc == 0

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 
 from crystaltopo import LatticeSpec, build_lattice_complex
 from crystaltopo.complexes import RING_INT, Cell, Chain, DeltaComplex
-from crystaltopo.errors import ComplexBuildError, InternalInconsistencyError
+from crystaltopo.errors import (
+    ComplexBuildError,
+    DefectLocusError,
+    InternalInconsistencyError,
+)
 from crystaltopo.homology import (
+    generator_orders,
     homology,
     homology_generators,
     is_boundary,
@@ -21,13 +26,18 @@ from crystaltopo.homology import (
 from crystaltopo.lattice import DefectSpec
 from crystaltopo.snf import smith_normal_form
 
+import conftest
 from conftest import (
     dense_boundary,
+    make_big_entries,
+    make_circle,
     make_cylinder,
+    make_disc,
     make_grid,
     make_mobius,
     make_rp2,
     make_sphere,
+    make_tetra_surface,
     make_torus,
 )
 from oracles import box_points, torus_site
@@ -215,3 +225,39 @@ def test_h0_generators_follow_the_pivot_order_not_the_components():
     cx = DeltaComplex.from_simplices([("v0", "v2"), ("v1",)])
     assert [chain.coeffs for _, chain in homology_generators(cx, 0)] == \
         [{1: 1}, {2: 1}]
+
+
+MAKERS = [make_circle, make_disc, make_tetra_surface, make_cylinder,
+          make_mobius, make_rp2, make_torus, make_sphere, make_grid,
+          make_big_entries]
+
+
+def _assert_orders_read_from_the_groups(cx):
+    for k in range(cx.dim + 1):
+        assert generator_orders(cx, k) == [
+            order for order, _ in homology_generators(cx, k)]
+
+
+@pytest.mark.parametrize("maker", MAKERS, ids=lambda m: m.__name__)
+def test_generator_orders_are_the_torsion_then_the_free_rank(maker):
+    # A trivial obstruction class pairs to 0 with every generator, so the
+    # extension reads only these orders, with no tracked reduction.
+    _assert_orders_read_from_the_groups(maker())
+
+
+@pytest.mark.parametrize("spec", conftest.DEGENERATE_TORI,
+                         ids=lambda s: f"{s.scheme}-{s.dimension}-"
+                                       f"{s.index_box[0][1]}")
+def test_generator_orders_on_degenerate_tori(spec):
+    _assert_orders_read_from_the_groups(build_lattice_complex(spec)[0])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(conftest.lattice_specs())
+def test_generator_orders_on_lattice_samples(spec):
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except (ComplexBuildError, DefectLocusError):
+        return
+    _assert_orders_read_from_the_groups(cx)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -6,15 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import crystaltopo.obstruction as obstruction_mod
 from crystaltopo import (
+    AmbiguousSamplingError,
     Chain,
+    Cochain,
     CoefficientGroup,
+    ComplexBuildError,
+    DefectLocusError,
+    InternalInconsistencyError,
     ObstructionCochain,
     OrderField,
     UnsupportedConfigurationError,
     build_complex,
+    build_lattice_complex,
     cli,
     evaluate,
     extend_field,
@@ -27,8 +36,10 @@ from crystaltopo import (
     verify_cocycle,
 )
 from crystaltopo.orderfield import GROUP_Z
+from crystaltopo.snf import SmithDecomposition
 
-from conftest import circle_torus_doc, make_grid, make_sphere, make_torus
+from conftest import (circle_torus_doc, lattice_specs, make_grid, make_sphere,
+                      make_torus)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "docs" / "samples"
 
@@ -290,13 +301,13 @@ def test_each_obstruct_command_probes_a_degree_once(monkeypatch, tmp_path,
     # The index sum of a circle field reads the degree-2 classes that the
     # extension probed; no degree is probed twice.
     probes = []
-    probe = obstruction_mod.boundary_classes
+    probe = obstruction_mod._probe
 
     def counting(field_, k, *args):
         probes.append(k)
         return probe(field_, k, *args)
 
-    monkeypatch.setattr(obstruction_mod, "boundary_classes", counting)
+    monkeypatch.setattr(obstruction_mod, "_probe", counting)
     paths = [str(SAMPLES / f"{name}.json") for name in
              ("sphere_vortex_pair", "spin_interface", "vortex_line")]
     for name, angle in (("smooth", lambda x, y: 0.3 + math.tau * x / 6),
@@ -313,3 +324,171 @@ def test_each_obstruct_command_probes_a_degree_once(monkeypatch, tmp_path,
     # both circle fields print an index sum, one after a blocked extension
     assert blocked[-2:] == [None, 2]
     assert report["index_sum"]["consistent"]
+
+
+# ---------------------------------------------------------------------------
+# certified trivial classes
+# ---------------------------------------------------------------------------
+
+def _torus_pair(x, y):
+    return (_vortex_pair(x, y),
+            math.atan2(y - 0.7, x - 3.4) - math.atan2(y - 4.4, x - 1.8))
+
+
+def _hedgehog(label):
+    v = np.asarray(label, dtype=float) - (1.4, 1.55, 1.45)
+    return tuple(v / np.linalg.norm(v))
+
+
+def _director(label):
+    th = 0.5 * math.atan2(label[1] - 1.55, label[0] - 1.45)
+    return (math.cos(th), math.sin(th), 0.0)
+
+
+def _blocked_fields():
+    """Vertex-sampled fields whose class is trivial and blocked, one per
+    group-valued probe: Z, Z^2 and Z/2 at k = 2, Z at k = 3."""
+    torus = make_torus(6)
+    cube = build_complex(list(np.ndindex(4, 4, 4)), "cubic")
+    return [
+        OrderField.from_function(torus, make_space("circle"),
+                                 lambda lab: _vortex_pair(*lab)),
+        OrderField.from_function(torus, make_space("torus"),
+                                 lambda lab: _torus_pair(*lab)),
+        OrderField.from_function(cube, make_space("sphere_2"), _hedgehog),
+        OrderField.from_function(make_grid(4), make_space("projective_plane"),
+                                 _director),
+    ]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of membership tests and Smith reductions (with or without
+    transforms) made while a test runs."""
+    calls = Counter()
+    in_image = obstruction_mod._in_image
+    init = SmithDecomposition.__init__
+
+    def counting_in_image(*args, **kwargs):
+        calls["_in_image"] += 1
+        return in_image(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["SmithDecomposition"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(obstruction_mod, "_in_image", counting_in_image)
+    monkeypatch.setattr(SmithDecomposition, "__init__", counting_init)
+    return calls
+
+
+def test_blocked_fields_certify_their_class_without_a_solve(solver_calls):
+    # A primitive with δa = c proves the class trivial, and a trivial
+    # class pairs to 0 with every generator: no membership test and no
+    # Smith reduction runs, the walk's groups give the orders.
+    for f in _blocked_fields():
+        rep = extend_field(f)
+        assert rep.blocked_at == f.complex_.dim and rep.cocycle_ok
+        assert rep.cochain.primitive is not None
+        assert rep.class_status == "trivial"
+        zero = (0, 0) if f.space.name == "torus" else 0
+        betti = 1 if f.space.name in ("circle", "torus") else 0
+        assert rep.generator_pairings == [
+            {"generator_order": 0, "pairing": zero}] * betti
+    assert solver_calls == Counter()
+
+
+def test_uncertified_classes_still_reach_the_solvers(solver_calls, sphere):
+    # A hand-built cochain has no primitive: the membership test decides
+    # it and the generators' tracked reduction pairs it.
+    fund = orientability(sphere).fundamental_chain
+    fid = min(fund.coeffs)
+    lone = ObstructionCochain(sphere, 2, GROUP_Z, {fid: fund.coeffs[fid]},
+                              "circle")
+    assert obstruction_class(lone) == "nontrivial"
+    assert solver_calls["_in_image"] == 1
+    assert abs(pair_with_generators(lone)[0]["pairing"]) == 1
+    assert solver_calls["SmithDecomposition"] >= 1
+    # Two equal adjacent samples leave no point clear of every triangle
+    # side of a sphere-valued field: the membership test decides.
+    hedgehog = _blocked_fields()[2]
+    hedgehog.values[1] = hedgehog.values[0]
+    c = obstruction_cochain(hedgehog, 3)
+    assert c.values and c.primitive is None
+    assert obstruction_class(c) == "trivial"
+    assert solver_calls["_in_image"] == 2
+
+
+def test_an_edge_primitive_that_fails_its_check_is_an_error():
+    f = _blocked_fields()[0]
+    c = obstruction_cochain(f, 2)
+    (a,) = c.primitive
+    for edge in range(0, f.complex_.n_cells(1), 7):
+        bumped = Cochain(1, {**a.coeffs, edge: a.coeffs.get(edge, 0) + 1})
+        with pytest.raises(InternalInconsistencyError,
+                           match="not the coboundary of its edge primitive"):
+            obstruction_class(dataclasses.replace(c, primitive=[bumped]))
+    assert obstruction_class(c) == "trivial"
+
+
+def test_a_dirac_string_that_fails_its_check_falls_back_to_the_solve():
+    f = _blocked_fields()[2]
+    c = obstruction_cochain(f, 3)
+    (m,) = c.primitive
+    bumped = Cochain(2, {**m.coeffs, 0: m.coeffs.get(0, 0) + 1})
+    assert obstruction_class(dataclasses.replace(c, primitive=[bumped])) \
+        == "trivial"
+
+
+SPACES = {"circle": 2, "torus": 2, "projective_plane": 2, "sphere_2": 3}
+
+
+def _random_field(cx, space, seed):
+    """Random samples; a sphere-valued field points away from a random
+    point of the box, with noise, so that some cell can carry a degree."""
+    rng = np.random.default_rng(seed)
+    labels = cx.vertex_labels
+    if space == "circle":
+        return {lab: rng.uniform(-math.pi, math.pi) for lab in labels}
+    if space == "torus":
+        return {lab: tuple(rng.uniform(-math.pi, math.pi, 2)) for lab in labels}
+    vectors = rng.normal(size=(len(labels), 3))
+    if space == "sphere_2":
+        points = np.array(labels, dtype=float)
+        centre = rng.uniform(points.min(axis=0), points.max(axis=0))
+        vectors = 0.1 * vectors + points - centre
+    return {lab: tuple(v / np.linalg.norm(v))
+            for lab, v in zip(labels, vectors)}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(st.sampled_from(sorted(SPACES)), st.data(),
+       st.integers(0, 2 ** 32 - 1))
+def test_primitive_verdicts_agree_with_the_membership_test(space, data,
+                                                           seed):
+    k = SPACES[space]
+    spec = data.draw(lattice_specs().filter(lambda s: s.dimension >= k))
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except (ComplexBuildError, DefectLocusError):
+        return
+    if cx.dim < k or not cx.n_cells(k):
+        return
+    f = OrderField.from_samples(cx, make_space(space),
+                                _random_field(cx, space, seed))
+    try:
+        c = obstruction_cochain(f, k)
+    except AmbiguousSamplingError:
+        return
+    if not c.values:
+        return
+    assert c.primitive is not None or space == "sphere_2"
+    verdict = obstruction_class(c)
+    assert verdict == obstruction_class(
+        dataclasses.replace(c, primitive=None))
+    rep = extend_field(f)
+    assert rep.blocked_at == k and rep.class_status == verdict
+    # the zeros stand for the pairings the tracked reduction gives
+    assert rep.generator_pairings == pair_with_generators(c)

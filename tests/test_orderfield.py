@@ -561,7 +561,7 @@ def test_whole_turn_threshold_is_exact(sign, turns):
         n = len(walk) - 1
         return _edge_classes(f, walk[:-1], walk[1:], (0,),
                              np.zeros(n, np.int64), np.arange(n),
-                             np.ones(n, np.int64), 1)[0]
+                             np.ones(n, np.int64), 1)[0][0]
 
     assert whole_turns(0.99e-9) == sign * turns
     with pytest.raises(AmbiguousSamplingError, match="not an integer"):
