@@ -303,21 +303,16 @@ class CellLayer:
         """The tail and head of edges ``ids`` (all by default): their faces
         with coefficient -1 and +1, one 0-cell twice on a period-1 loop.
         Any other edge is refused, by its id: it is not a graph edge."""
-        rows = slice(None) if ids is None else np.asarray(ids, dtype=np.int64)
-        start = self.face_ptr[:-1][rows]
-        # The face entry pairs of the edges before the first with another
-        # count, at face_ptr[ids]; of every edge, the leading entries.
-        short = np.append(self.face_ptr[1:][rows] - start != 2, True).argmax()
-        pos = slice(0, 2 * short) if ids is None else np.ravel(
-            start[:short, None] + [0, 1])
-        c = self.coeffs[pos].reshape(-1, 2)
+        rows = self if ids is None else self.take(ids)
+        short = np.append(np.diff(rows.face_ptr) != 2, True).argmax()
+        c = rows.coeffs[:2 * short].reshape(-1, 2)
         bad = np.append((np.abs(c[:, 0]) != 1) | (c[:, 1] != -c[:, 0]), True)
-        if (first := bad.argmax()) < len(start):
+        if (first := bad.argmax()) < len(rows):
             raise UnsupportedConfigurationError(
-                f"edge {first if ids is None else rows[first]} is not a "
-                "graph edge: its faces are not one tail (-1) and one head "
-                "(+1)")
-        f, swap = self.faces[pos].reshape(-1, 2), c[:, 0] > 0
+                f"edge {first if ids is None else np.asarray(ids)[first]} is "
+                "not a graph edge: its faces are not one tail (-1) and one "
+                "head (+1)")
+        f, swap = rows.faces.reshape(-1, 2), c[:, 0] > 0
         return (np.where(swap, f[:, 1], f[:, 0]),
                 np.where(swap, f[:, 0], f[:, 1]))
 
@@ -577,31 +572,11 @@ class DeltaComplex:
 
     def chain(self, k: int, terms: Mapping[Sequence, object],
               ring: str = RING_INT) -> Chain:
-        """Build a chain from {vertex-label-tuple: coefficient} terms.
-
-        The labels are read in term order up to the first term naming no
-        vertex, and those terms are looked up by one :meth:`find_cells`
-        call per tuple length.  The first term that fails raises the error
-        :meth:`find_cell` gives it; the rest sum in term order.
-        """
-        spelled, rows = list(terms), []
-        for labels in spelled:
-            try:
-                rows.append([self.label_to_id[lab] for lab in labels])
-            except (KeyError, TypeError):
-                break
-        cid, sign = np.full(len(rows), -1), np.ones(len(rows), np.int64)
-        for size in set(map(len, rows)):
-            at = [i for i, row in enumerate(rows) if len(row) == size]
-            found = self.find_cells(k, np.array(
-                [rows[i] for i in at], dtype=np.int64).reshape(len(at), size))
-            cid[at], sign[at] = found[0], found[2]
-        failed = np.append(np.flatnonzero(cid < 0), len(rows))
-        if failed[0] < len(spelled):
-            self.find_cell(k, spelled[failed[0]])  # raises the term's error
+        """Build a chain from {vertex-label-tuple: coefficient} terms."""
         data: dict[int, object] = {}
-        for c, s, coeff in zip(cid.tolist(), sign.tolist(), terms.values()):
-            data[c] = data.get(c, 0) + s * coeff
+        for labels, coeff in terms.items():
+            cid, sign = self.find_cell(k, labels)
+            data[cid] = data.get(cid, 0) + sign * coeff
         return Chain(k, data, ring)
 
     def cochain(self, k: int, terms: Mapping[Sequence, object],

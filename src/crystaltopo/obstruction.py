@@ -14,16 +14,15 @@ the pairing with chains and the class decision run on the chain operators
 of :mod:`crystaltopo.complexes` and the membership test of
 :mod:`crystaltopo.homology`.
 
-A field's cochain is δ of the cochain its probe reads through the faces,
-and the probe also gives an integer primitive a of it: the whole turns by
-which the edge steps differ from the change of the angles, the director
-flips mod 2, or a Dirac string of a sphere-valued field (Berg and
-Lüscher, 1981; Steenrod, "The Topology of Fibre Bundles", 1951, part
-III).  One coboundary per summand checks δa = c, which certifies a
-``trivial`` class, and a trivial class pairs to 0 with every cycle z, as
-<δa, z> = <a, ∂z>.  The membership test runs only for cochains with no
-primitive: hand-built ones, director fields at k = 3, and sphere-valued
-fields with no point clear of the string.
+At k = 2 a field's cochain is δ of the edge cochain its probe reads
+through the faces, and the probe also gives that integer primitive a:
+the whole turns by which the edge steps differ from the change of the
+angles, or the director flips mod 2 (Steenrod, "The Topology of Fibre
+Bundles", 1951, part III).  One coboundary per summand checks δa = c,
+which certifies a ``trivial`` class, and a trivial class pairs to 0 with
+every cycle z, as <δa, z> = <a, ∂z>.  The membership test runs only for
+cochains with no primitive: hand-built ones and every field's cochain at
+k = 3.
 """
 
 from __future__ import annotations
@@ -55,11 +54,9 @@ from .homology import (
     vertex_components,
 )
 from .orderfield import (
-    SPACE_SPHERE,
     CoefficientGroup,
     OrderField,
     _probe,
-    dirac_string,
     pi0_classes,
 )
 
@@ -70,8 +67,10 @@ class ObstructionCochain:
 
     ``values`` maps k-cell ids to nonzero elements of ``group``: ints for
     Z and Z/2, integer pairs for Z^2, 0/1 transition flags for a discrete
-    space.  ``primitive``, when the probe gave one, holds a (k-1)-cochain
-    per summand of ``group`` whose coboundary the cochain should be.
+    space.  ``primitive``, when the probe gave one (k = 2), holds an edge
+    cochain per summand of ``group`` whose coboundary the cochain is; a
+    cochain whose ``values`` are changed needs ``primitive=None`` with
+    them.
     """
 
     complex_: DeltaComplex
@@ -102,8 +101,7 @@ def _summands(cochain: ObstructionCochain) -> list[Cochain]:
 
 def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     """Boundary classes of every k-cell, as a pi_{k-1}-valued cochain.  A
-    nonzero one keeps the probe's edge primitive or, for a sphere-valued
-    field, its Dirac string, if there is one."""
+    nonzero one keeps the probe's edge primitive, if there is one."""
     cx = field_.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
@@ -116,8 +114,6 @@ def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
             classes = [v % 2 for v in classes]
         zero = (0, 0) if group.rank == 2 else 0
         values = {cid: v for cid, v in enumerate(classes) if v != zero}
-        if values and field_.space.name == SPACE_SPHERE:
-            whole = dirac_string(field_)
         if values and whole is not None:
             primitive = []
             for row in np.atleast_2d(whole):
@@ -163,11 +159,11 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
     """'trivial' when the cochain is a coboundary, 'nontrivial' otherwise.
 
     A ``primitive`` a with δa = c, one coboundary per summand, certifies
-    'trivial'.  An edge primitive (k = 2) fails only where a 2-cell's
-    boundary is no cycle, which is an error; a Dirac string that fails, or
-    a cochain with no primitive, goes to the membership test of
-    :mod:`crystaltopo.homology`.  Discrete-space flags have no cohomology
-    class: 'not_applicable'.
+    'trivial'.  The probe's edge primitive fails only where a 2-cell's
+    boundary is no cycle, or when ``values`` were changed and the
+    primitive kept, and either is an error.  A cochain with no primitive
+    goes to the membership test of :mod:`crystaltopo.homology`.
+    Discrete-space flags have no cohomology class: 'not_applicable'.
     """
     cx = cochain.complex_
     k = cochain.k
@@ -181,10 +177,11 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
         if all(coboundary_map(a, cx) == c for a, c in
                zip(cochain.primitive, _summands(cochain))):
             return "trivial"
-        if k == 2:
-            raise InternalInconsistencyError(
-                "the obstruction cochain is not the coboundary of its edge "
-                "primitive (validate_complex finds where d d = 0 fails)")
+        raise InternalInconsistencyError(
+            "the obstruction cochain is not the coboundary of its edge "
+            "primitive: its values were changed and the primitive kept "
+            "(set primitive=None with them), or a 2-cell's boundary is no "
+            "cycle (validate_complex finds where d d = 0 fails)")
     if k < 1 or cx.n_cells(k - 1) == 0:
         return "nontrivial"
     # delta: C^{k-1} -> C^k is the transpose of the k-th boundary matrix.

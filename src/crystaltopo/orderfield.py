@@ -505,51 +505,6 @@ def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
                   stop, refusal)[0].tolist()
 
 
-def _frame(p: tuple) -> np.ndarray:
-    """Rows e1, e2, p: a right-handed orthonormal frame whose third axis
-    is the unit vector along ``p``."""
-    p = np.array(p) / np.linalg.norm(p)
-    e1 = np.cross(p, (0.0, 0.0, 1.0))
-    e1 /= np.linalg.norm(e1)
-    return np.array([e1, np.cross(p, e1), p])
-
-
-# Frames of the points of S^2 a Dirac string may start from, in turn.
-_STRING_FRAMES = [_frame(p) for p in ((0.29, 0.54, 0.79), (-0.71, 0.33, 0.62),
-                                      (0.58, -0.67, 0.46),
-                                      (-0.41, -0.52, -0.75))]
-
-
-def dirac_string(field: OrderField) -> np.ndarray | None:
-    """A Dirac string of a sphere-valued field: per 2-cell, ε times the
-    signed number of its row triangles that cover one point p, the first
-    of the ``_STRING_FRAMES`` axes that every triangle side (a, b) clears
-    by more than ``ANGLE_TOL`` in |det(p, a, b)|; None when none does.  A
-    triangle of samples (a, b, c) covers p with the sign of det(a, b, c),
-    which its solid angle takes, when det(p, a, b), det(p, b, c) and
-    det(p, c, a) all carry that sign.  Over a closed shell the counts sum
-    to the degree the solid angles give, so their δ is the cochain of
-    degrees, as :func:`boundary_classes` gives it at k = 3."""
-    tri, tri_ptr, eps, _, _ = _row_triangles(field.complex_)
-    values = np.asarray(field.values, dtype=float)
-    for frame in _STRING_FRAMES:
-        # The samples in the frame of p, a row per triangle corner: det(p,
-        # a, b) is the component of a × b along p, x_a y_b - y_a x_b.
-        x, y, z = (c[tri.T] for c in frame @ values.T)
-        sides = x * y[[1, 2, 0]] - y * x[[1, 2, 0]]
-        if (np.abs(sides) > ANGLE_TOL).all():
-            break
-    else:
-        return None
-    # det(a, b, c), expanded along the p column
-    det = (z * sides[[1, 2, 0]]).sum(axis=0)
-    ahead = sides > 0
-    cover = ((ahead[0] == ahead[1]) & (ahead[1] == ahead[2])
-             & (ahead[0] == (det > 0))) * np.sign(det)
-    face = np.repeat(np.arange(len(eps)), np.diff(tri_ptr))
-    return eps * np.bincount(face, cover, minlength=len(eps)).astype(np.int64)
-
-
 def winding_number(field: OrderField, loop: Sequence[int]) -> int:
     """Net turns of a circle-valued field around a closed vertex loop."""
     return _loop_class(field, loop, (0,))
@@ -596,12 +551,11 @@ def boundary_classes(field: OrderField, k: int,
     are lifted, per 3-cell.  Spaces with nonabelian pi_1 are refused at
     k = 2.  A refusal is the one the first failing cell raises on its own.
 
-    The classes of a field are a coboundary: at k = 2 of the whole turns
-    or flips per edge that the same pass reads (``_probe`` returns them),
-    at k = 3, for a sphere-valued field, of its :func:`dirac_string` when
-    a point is clear of the samples' triangle sides.  With that primitive
-    :func:`crystaltopo.obstruction.obstruction_class` certifies a trivial
-    class without the membership test.
+    At k = 2 the classes of a field are a coboundary, of the whole turns
+    or flips per edge that the same pass reads (``_probe`` returns them).
+    With that primitive :func:`crystaltopo.obstruction.obstruction_class`
+    certifies a trivial class without the membership test; the classes at
+    k = 3 come with none, and their class goes to that test.
     """
     return _probe(field, k, cell_ids)[0]
 

@@ -435,9 +435,8 @@ MIXED_EDGES = DeltaComplex("ABC", [
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, len(EDGE_FACES) - 1), max_size=6))
 def test_edge_ends_of_chosen_edges_refuse_the_first_bad_id(ids):
-    # The ends are read from the two face entries at face_ptr[ids]; an
-    # edge whose faces are not one -1 and one +1 is refused by the first
-    # such id in the order asked.
+    # An edge whose faces are not one -1 and one +1 is refused by the
+    # first such id in the order asked.
     layer = MIXED_EDGES.layers[1]
     bad = [i for i in ids
            if sorted(c for _, c in EDGE_FACES[i]) != [-1, 1]]

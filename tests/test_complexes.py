@@ -370,59 +370,6 @@ def test_cochain_pairing(circle):
     assert f.pair(z) == 6
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except Exception as exc:  # the refusal, by type and text
-        return type(exc), str(exc)
-
-
-def _chain_term_by_term(cx, k, terms, ring):
-    data = {}
-    for labels, coeff in terms.items():
-        cid, sign = cx.find_cell(k, labels)
-        data[cid] = data.get(cid, 0) + sign * coeff
-    return Chain(k, data, ring)
-
-
-def _term_complexes():
-    grid, _ = build_lattice_complex(LatticeSpec(
-        dimension=2, ambient=2, generators=((1.0, 0.0), (0.0, 1.0)),
-        index_box=((0, 2), (0, 2)), scheme="cubic"))
-    # period 2 gives edges that share their vertex pair
-    torus, _ = build_lattice_complex(LatticeSpec(
-        dimension=2, ambient=2, generators=((1.0, 0.0), (0.0, 1.0)),
-        index_box=((0, 2), (0, 2)), scheme="triangular",
-        boundary="periodic", periodic_axes=(1, 2)))
-    return [make_disc(), grid, torus]
-
-
-TERM_COMPLEXES = _term_complexes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(range(len(TERM_COMPLEXES))), st.integers(-1, 3),
-       st.sampled_from([RING_INT, RING_MOD2, RING_REAL]), st.data())
-def test_chain_resolves_its_terms_as_find_cell_does(which, k, ring, data):
-    # One find_cells batch resolves the terms; the first failing term
-    # raises what find_cell raises for it, and the sums keep term order.
-    cx = TERM_COMPLEXES[which]
-    label = st.sampled_from(list(cx.vertex_labels) * 8 + ["Z", 99])
-    spelled = st.lists(label, min_size=k + 1, max_size=k + 1).map(tuple)
-    key = st.one_of(*[spelled] * 6, st.lists(label, max_size=4).map(tuple),
-                    st.just(7))
-    terms = data.draw(st.dictionaries(
-        key, st.one_of(st.integers(-3, 3), st.floats(-2, 2)), max_size=6))
-    for build in (cx.chain, cx.cochain):
-        want = _outcome(lambda: _chain_term_by_term(cx, k, terms, ring))
-        got = _outcome(lambda: build(k, terms, ring))
-        if isinstance(want, Chain):
-            assert got.coeffs == want.coeffs and got.ring == ring
-            assert type(got) is (Chain if build == cx.chain else Cochain)
-        else:
-            assert got == want
-
-
 # ---------------------------------------------------------------------------
 # grid builders
 # ---------------------------------------------------------------------------

@@ -346,16 +346,14 @@ def _director(label):
 
 
 def _blocked_fields():
-    """Vertex-sampled fields whose class is trivial and blocked, one per
-    group-valued probe: Z, Z^2 and Z/2 at k = 2, Z at k = 3."""
+    """Vertex-sampled fields whose class is trivial and blocked at k = 2,
+    one per group-valued edge probe: Z, Z^2 and Z/2."""
     torus = make_torus(6)
-    cube = build_complex(list(np.ndindex(4, 4, 4)), "cubic")
     return [
         OrderField.from_function(torus, make_space("circle"),
                                  lambda lab: _vortex_pair(*lab)),
         OrderField.from_function(torus, make_space("torus"),
                                  lambda lab: _torus_pair(*lab)),
-        OrderField.from_function(cube, make_space("sphere_2"), _hedgehog),
         OrderField.from_function(make_grid(4), make_space("projective_plane"),
                                  _director),
     ]
@@ -409,14 +407,15 @@ def test_uncertified_classes_still_reach_the_solvers(solver_calls, sphere):
     assert solver_calls["_in_image"] == 1
     assert abs(pair_with_generators(lone)[0]["pairing"]) == 1
     assert solver_calls["SmithDecomposition"] >= 1
-    # Two equal adjacent samples leave no point clear of every triangle
-    # side of a sphere-valued field: the membership test decides.
-    hedgehog = _blocked_fields()[2]
-    hedgehog.values[1] = hedgehog.values[0]
-    c = obstruction_cochain(hedgehog, 3)
-    assert c.values and c.primitive is None
-    assert obstruction_class(c) == "trivial"
-    assert solver_calls["_in_image"] == 2
+    # A field's cochain at k = 3 has no primitive either: the membership
+    # test decides the hedgehog's class, whose pairings are still zeros.
+    solver_calls.clear()
+    cube = build_complex(list(np.ndindex(4, 4, 4)), "cubic")
+    rep = extend_field(OrderField.from_function(
+        cube, make_space("sphere_2"), _hedgehog))
+    assert rep.blocked_at == 3 and rep.cochain.primitive is None
+    assert rep.class_status == "trivial" and rep.generator_pairings == []
+    assert solver_calls == Counter({"_in_image": 1})
 
 
 def test_an_edge_primitive_that_fails_its_check_is_an_error():
@@ -431,13 +430,19 @@ def test_an_edge_primitive_that_fails_its_check_is_an_error():
     assert obstruction_class(c) == "trivial"
 
 
-def test_a_dirac_string_that_fails_its_check_falls_back_to_the_solve():
-    f = _blocked_fields()[2]
-    c = obstruction_cochain(f, 3)
-    (m,) = c.primitive
-    bumped = Cochain(2, {**m.coeffs, 0: m.coeffs.get(0, 0) + 1})
-    assert obstruction_class(dataclasses.replace(c, primitive=[bumped])) \
-        == "trivial"
+def test_changed_values_need_the_primitive_dropped_with_them():
+    # The primitive certifies the values the probe gave; changed values
+    # with the primitive kept are refused, naming both causes, and with
+    # primitive=None they go to the membership test: a lone unit on the
+    # closed torus is a nontrivial class.
+    c = obstruction_cochain(_blocked_fields()[0], 2)
+    moved = {min(c.values): 1}
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"values were changed and the primitive kept "
+                             r"\(set primitive=None with them\)"):
+        obstruction_class(dataclasses.replace(c, values=moved))
+    assert obstruction_class(
+        dataclasses.replace(c, values=moved, primitive=None)) == "nontrivial"
 
 
 SPACES = {"circle": 2, "torus": 2, "projective_plane": 2, "sphere_2": 3}
@@ -484,7 +489,7 @@ def test_primitive_verdicts_agree_with_the_membership_test(space, data,
         return
     if not c.values:
         return
-    assert c.primitive is not None or space == "sphere_2"
+    assert (c.primitive is None) == (space == "sphere_2")
     verdict = obstruction_class(c)
     assert verdict == obstruction_class(
         dataclasses.replace(c, primitive=None))
