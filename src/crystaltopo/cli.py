@@ -65,19 +65,16 @@ def _fail(msg: str) -> DocumentError:
     return DocumentError(msg)
 
 
-def _as_label(x: Any, where: str, index: int | None = None):
+def _as_label(x: Any, where: str, index: int):
     """JSON labels: lists become tuples so they can key vertex lookups.
 
     Only list and object elements are walked; scalars pass through as they
-    are.  A refusal names ``where``, or its entry ``where[index]``
-    (formatted only then)."""
+    are.  A refusal names the entry ``where[index]``, formatted only then."""
     if isinstance(x, list):
         return tuple([_as_label(v, where, index)
                       if isinstance(v, (list, dict)) else v for v in x])
     if isinstance(x, dict):
-        if index is not None:
-            where = f"{where}[{index}]"
-        raise _fail(f"{where}: a vertex label cannot be an object")
+        raise _fail(f"{where}[{index}]: a vertex label cannot be an object")
     return x
 
 
@@ -336,10 +333,8 @@ def _edge_data(doc: dict, key: str, cx: DeltaComplex) -> tuple:
 # Report rendering
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+def _fmt(x: float) -> str:
+    return format(x, ".12g")
 
 
 def _emit(report: dict, mode: str) -> str:

@@ -16,8 +16,12 @@ Each degree is stored only as int64 arrays in compressed sparse rows
 face ids and coefficients with row offsets, and a shape code per cell.
 Every reader in the package works on these arrays.  ``DeltaComplex.cells``
 is a read-only view of :class:`Cell` objects, built only when asked for.
-A boundary operator is read only as the sparse columns of
-``boundary_columns``, summed from the face arrays; no dense copy is kept.
+A boundary operator is read from the stored face rows: the coreduction
+walk of :mod:`crystaltopo.homology`, the field probes and
+``boundary_map``/``coboundary_map`` read them as they are, and
+``boundary_columns`` sums them into the sparse columns that the
+generators' Smith reduction and ``build --dump-matrices`` take; no dense
+copy is kept.
 
 Cells are looked up by vertex set in one cached index per degree, whose
 keys are the cells' sorted vertex ids as one int64 or as ``row_keys``:
@@ -879,8 +883,6 @@ def boundary_map(chain: Chain, complex_: DeltaComplex) -> Chain:
     if chain.dim and not 0 < chain.dim <= complex_.dim:
         raise DimensionError(f"no cells of dimension {chain.dim}")
     cids = _support(chain, complex_)
-    if chain.dim == 0:
-        return Chain(-1, {}, chain.ring)
     owner, faces, coeffs = complex_.layers[chain.dim].face_entries(cids)
     scale = list(chain.coeffs.values())
     data: dict[int, object] = {}

@@ -282,11 +282,10 @@ def _reduction(complex_: DeltaComplex, k: int,
 
 def homology(complex_: DeltaComplex, k: int,
              ring: str = RING_INT) -> HomologyGroup:
-    """The k-th homology group of the complex over the chosen ring."""
+    """The k-th homology group of the complex over the chosen ring; 0
+    outside degrees 0..dim, which hold no cells."""
     if ring not in RINGS:
         raise ValueError(f"unknown ring {ring!r}")
-    if k < 0 or k > complex_.dim:
-        return HomologyGroup(k, ring, 0)
     rank_k, _ = _reduction(complex_, k, ring)
     rank_up, torsion = _reduction(complex_, k + 1, ring)
     betti = complex_.n_cells(k) - rank_k - rank_up
@@ -520,9 +519,6 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
     """
     m = complex_.dim
     n_top = complex_.n_cells(m)
-    if n_top == 0:
-        return OrientabilityReport(True, m, closed=True,
-                                   fundamental_chain=Chain(m, {}, RING_INT))
 
     # The nonzero face entries of the top cells, grouped by face with each
     # group in cell order.
@@ -548,10 +544,10 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
         p, q = owner[first], owner[second]
         a, b = coeffs[first], coeffs[second]
         same = p == q
-        # eps_p * a + eps_q * b = 0 needs unit coefficients across cells.
+        # Two nonzero entries of total weight 2 are units, so only a cell
+        # glued to itself can fail eps * (a + b) = 0.
         consistent = (faces[first] == faces[second]).all() and not (
-            (a + b)[same].any()
-            or ((np.abs(a) != 1) | (np.abs(b) != 1))[~same].any())
+            (a + b)[same].any())
     if consistent:
         p, q = p[~same], q[~same]
         rel = (-a * b)[~same]
@@ -576,12 +572,11 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
             fundamental_chain=Chain(m, dict(enumerate(signs.tolist()))),
             boundary_chain=boundary if m >= 1 else None)
 
+    # The entries of an internal face sum to an even number, so the mod-2
+    # image avoids every internal face.
     all_ones = Chain(m, {i: 1 for i in range(n_top)}, RING_MOD2)
     mod2_image = boundary_map(all_ones, complex_)
-    if internal[list(mod2_image.coeffs)].any():
-        reason = "top cells do not pairwise cancel even modulo 2"
-    else:
-        reason = "no consistent orientation of the top cells exists"
     return OrientabilityReport(
         False, m, closed=(not mod2_image.coeffs),
-        mod2_certificate=all_ones, mod2_boundary=mod2_image, reason=reason)
+        mod2_certificate=all_ones, mod2_boundary=mod2_image,
+        reason="no consistent orientation of the top cells exists")

@@ -110,8 +110,6 @@ def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     primitive = None
     if not group.trivial:
         classes, whole = _probe(field_, k)
-        if group.order == 2:
-            classes = [v % 2 for v in classes]
         zero = (0, 0) if group.rank == 2 else 0
         values = {cid: v for cid, v in enumerate(classes) if v != zero}
         if values and whole is not None:
@@ -248,7 +246,6 @@ def extend_field(field_: OrderField) -> ExtensionReport:
     space = field_.space
     verdicts: list[SkeletonVerdict] = []
     probed: dict[int, ObstructionCochain] = {}
-    reached = 0
     for k in range(1, cx.dim + 1):
         group = space.homotopy_group(k - 1)
         n_k = cx.n_cells(k)
@@ -260,17 +257,15 @@ def extend_field(field_: OrderField) -> ExtensionReport:
             verdicts.append(SkeletonVerdict(
                 k, True, n_k, vacuous=True,
                 note="coefficient group is trivial"))
-            reached = k
             continue
         cochain = probed[k] = obstruction_cochain(field_, k)
         if not cochain.values:
             verdicts.append(SkeletonVerdict(k, True, n_k))
-            reached = k
             continue
         blocking = tuple(cochain.support)
         verdicts.append(SkeletonVerdict(k, False, n_k, blocking=blocking))
         report = ExtensionReport(
-            space=space.name, extends=False, reached=reached,
+            space=space.name, extends=False, reached=k - 1,
             verdicts=verdicts, blocked_at=k, cochain=cochain,
             cocycle_ok=verify_cocycle(cochain),
             class_status=obstruction_class(cochain), probed=probed)
@@ -292,7 +287,7 @@ def extend_field(field_: OrderField) -> ExtensionReport:
             report.note = ("a discrete field extends exactly when it is "
                            "constant on every connected component")
         return report
-    return ExtensionReport(space=space.name, extends=True, reached=reached,
+    return ExtensionReport(space=space.name, extends=True, reached=cx.dim,
                            verdicts=verdicts,
                            note="the field extends over the whole complex",
                            probed=probed)

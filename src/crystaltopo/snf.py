@@ -97,15 +97,11 @@ class SmithDecomposition:
     # operation F (A -> A F) takes V to V F and vinv to F^-1 vinv, so
     # input @ V == uinv @ A holds throughout.
     def _add_row(self, dst: int, src: int, k: int) -> None:
-        if not k:
-            return
         _add_line(self.rows, self.cols, dst, src, k)
         if self.track_u:
             add_multiple(self._uinv[src], self._uinv[dst], -k)
 
     def _add_col(self, dst: int, src: int, k: int) -> None:
-        if not k:
-            return
         _add_line(self.cols, self.rows, dst, src, k)
         if self.track_v:
             add_multiple(self._v[dst], self._v[src], k)
@@ -145,7 +141,8 @@ class SmithDecomposition:
         s = 0
         while s < min(self.m, self.n) and self._pivot_to(s):
             # Euclidean sweeps: clear column s and row s; every remainder
-            # round strictly shrinks |pivot| so this terminates.
+            # round strictly shrinks |pivot| so this terminates.  The pivot
+            # is the least |entry| left, so no quotient is 0.
             while True:
                 r, c = self.row_at[s], self.col_at[s]
                 pivot = rows[r][c]

@@ -542,6 +542,15 @@ def test_chain_operators_refuse_ids_outside_the_degree(circle):
     assert not coboundary_map(Cochain(1, {2: 1}), circle)
 
 
+@pytest.mark.parametrize("ring", [RING_INT, RING_MOD2, RING_REAL])
+def test_a_vertex_chain_bounds_to_the_empty_chain_below(circle, ring):
+    # a vertex has no face entries: the boundary of any 0-chain, empty or
+    # not, is the empty (-1)-chain over the chain's ring
+    for coeffs in ({}, {0: 1, 2: 3}, {1: 0.5}):
+        assert boundary_map(Chain(0, coeffs, ring), circle) == \
+            Chain(-1, {}, ring)
+
+
 @pytest.mark.parametrize("make", [Chain, Cochain])
 @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, "1", None])
 def test_chains_refuse_cell_ids_that_are_not_integers(make, bad):

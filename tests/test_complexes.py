@@ -18,6 +18,7 @@ from crystaltopo import (
     Cochain,
     ComplexBuildError,
     DeltaComplex,
+    DimensionError,
     LatticeSpec,
     UnsupportedConfigurationError,
     barycentric_subdivide,
@@ -107,6 +108,19 @@ def test_simplices_get_their_faces_filled_in():
     cx = DeltaComplex.from_simplices([("A", "B", "C")])
     assert cx.cell_counts() == [3, 3, 1]
     assert validate_complex(cx).ok
+
+
+def test_duplicate_vertex_labels_are_refused():
+    with pytest.raises(ComplexBuildError, match="^duplicate vertex labels$"):
+        DeltaComplex(("A", "B", "A"), [[Cell((0,), ()), Cell((1,), ()),
+                                        Cell((2,), ())]])
+
+
+def test_boundary_columns_start_at_degree_1(disc):
+    for k in (0, disc.dim + 1):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"boundary columns defined for 1 <= k <= 2, got {k}")):
+            complexes.boundary_columns(disc, k)
 
 
 def test_closing_faces_past_the_cell_cap_is_refused(monkeypatch):
@@ -382,6 +396,15 @@ def test_square_grid_counts():
 def test_triangular_grid_counts():
     cx = build_complex([(i, j) for i in range(2) for j in range(2)], "triangular")
     assert cx.cell_counts() == [4, 5, 2]
+
+
+def test_a_hull_of_2_62_grid_points_is_refused():
+    # each site is keyed by its row-major place in the hull, one int64
+    far = 2 ** 30
+    assert build_complex([(0, 0), (far, far)], "cubic").cell_counts() == [2]
+    with pytest.raises(ComplexBuildError,
+                       match="lattice indices span too wide a range"):
+        build_complex([(0, 0), (2 * far, 2 * far)], "cubic")
 
 
 def test_center_vacancy_drops_incident_cells():

@@ -9,11 +9,16 @@ from crystaltopo import (
     ComplexBuildError,
     DefectSpec,
     LatticeSpec,
+    RING_INT,
     RING_MOD2,
     RING_REAL,
+    Cell,
     Chain,
     DeltaComplex,
     DimensionError,
+    HomologyGroup,
+    InternalInconsistencyError,
+    OrientabilityReport,
     are_homologous,
     betti_numbers,
     boundary_map,
@@ -25,6 +30,7 @@ from crystaltopo import (
     is_boundary,
     is_cycle,
     orientability,
+    validate_complex,
     vertex_components,
 )
 
@@ -303,6 +309,38 @@ def test_grid_with_hole_has_no_top_cells_issue():
     cx = make_grid(removed=[(2, 2)])
     rep = orientability(cx)
     assert rep.orientable
+
+
+def test_the_complex_with_no_vertices_is_closed_and_orientable():
+    # no top cells: the empty fundamental chain, and no boundary chain in
+    # degree 0
+    assert orientability(DeltaComplex((), [()])) == OrientabilityReport(
+        True, 0, closed=True, fundamental_chain=Chain(0, {}, RING_INT))
+
+
+# ---------------------------------------------------------------------------
+# degrees outside the complex and the Morse complex check
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", [RING_INT, RING_MOD2, RING_REAL])
+def test_groups_outside_the_degrees_are_zero(ring):
+    for cx in (make_torus(), make_rp2(), DeltaComplex((), [()])):
+        for k in (-1, cx.dim + 1):
+            assert homology(cx, k, ring) == HomologyGroup(k, ring, 0)
+            assert cohomology(cx, k, ring) == HomologyGroup(k, ring, 0)
+
+
+def test_a_nonzero_square_of_the_morse_differential_is_an_error():
+    # a loop e with d e = 2a and a 2-cell f with d f = 2e: d d f = 4a,
+    # and no unit pairs, so all three cells are critical
+    cx = DeltaComplex("a", [[Cell((0,), ())], [Cell((0, 0), ((0, 2),))],
+                            [Cell((0, 0, 0), ((0, 2),))]])
+    with pytest.raises(InternalInconsistencyError,
+                       match=re.escape("Morse complex: d^M_1 d^M_2 is not "
+                                       "zero")):
+        homology(cx, 1)
+    assert validate_complex(cx).messages == (
+        "boundary of boundary nonzero on 2-cell 0",)
 
 
 # ---------------------------------------------------------------------------

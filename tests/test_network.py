@@ -82,6 +82,14 @@ def test_chain_input_works(circle):
     assert check_current_law(circle, ch).ok
 
 
+@pytest.mark.parametrize("check", [check_current_law, potential_check])
+@pytest.mark.parametrize("dim", [0, 2])
+def test_chain_input_must_be_a_1_chain(disc, check, dim):
+    with pytest.raises(DimensionError,
+                       match="^edge data must be 1-dimensional$"):
+        check(disc, Chain(dim, {0: 1.0}, "reals"))
+
+
 def _report_fields(report):
     fields = dict(vars(report))
     if fields.get("violating_loop") is not None:

@@ -18,6 +18,7 @@ from crystaltopo import (
     CoefficientGroup,
     ComplexBuildError,
     DefectLocusError,
+    IndexSumReport,
     InternalInconsistencyError,
     ObstructionCochain,
     OrderField,
@@ -42,14 +43,6 @@ from conftest import (circle_torus_doc, lattice_specs, make_grid, make_sphere,
                       make_torus)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "docs" / "samples"
-
-
-def _vortex_angles(labels, center, strength=1):
-    out = {}
-    for lab in labels:
-        x, y = lab
-        out[lab] = strength * math.atan2(y - center[1], x - center[0])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +168,32 @@ def test_torus_valued_vortex_winds_one_component(disc):
     assert value == (1, 0)
 
 
+def test_a_blocked_field_reaches_the_skeleton_below_its_block(disc):
+    # reached counts the skeleta the field extends over, vacuous ones (pi_0
+    # and pi_1 of the sphere) included: every one below the block
+    pos = {"A": (0.0, 1.0), "B": (-0.9, -0.5), "C": (0.9, -0.5), "D": (0.3, -1.2)}
+    angle = {k: math.atan2(v[1], v[0]) for k, v in pos.items()}
+    corners = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
+    fields = [
+        OrderField.from_samples(disc, make_space("circle"), angle),
+        OrderField.from_samples(
+            disc, make_space("projective_plane"),
+            {k: (math.cos(a / 2), math.sin(a / 2), 0.0)
+             for k, a in angle.items()}),
+        OrderField.from_function(
+            make_grid(4), make_space("finite_set", labels=("up", "down")),
+            lambda label: "up" if label[0] < 2 else "down"),
+        OrderField.from_function(
+            build_complex(corners, "cubic"), make_space("sphere_2"),
+            lambda label: tuple((np.asarray(label) - 0.5) / math.sqrt(0.75))),
+    ]
+    reports = [extend_field(f) for f in fields]
+    assert [(r.blocked_at, r.reached) for r in reports] == \
+        [(2, 1), (2, 1), (1, 0), (3, 2)]
+    # the director's flips around the disc's one triangle read as parity 1
+    assert reports[1].cochain.values == {0: 1}
+
+
 # ---------------------------------------------------------------------------
 # cochain calculus
 # ---------------------------------------------------------------------------
@@ -217,6 +236,12 @@ def test_class_ids_are_range_checked_before_an_early_answer(disc):
     c = ObstructionCochain(disc, 0, GROUP_Z, {999: 1}, "circle")
     with pytest.raises(IndexError, match="names a cell outside"):
         obstruction_class(c)
+
+
+def test_a_nonzero_0_cochain_is_a_nontrivial_class(disc):
+    # no (-1)-cells to be the coboundary of
+    c = ObstructionCochain(disc, 0, GROUP_Z, {0: 1}, "circle")
+    assert obstruction_class(c) == "nontrivial"
 
 
 def test_vortex_pair_cancels(sphere):
@@ -290,6 +315,16 @@ def test_index_sum_needs_closed_orientable(mobius):
     rep = index_sum_check(f)
     assert not rep.applicable
     assert "orientable" in rep.reason
+
+
+def test_index_sum_needs_a_surface_and_integer_windings(circle, torus):
+    line = OrderField.from_function(circle, make_space("circle"),
+                                    lambda label: 0.3)
+    assert index_sum_check(line).reason == "complex is not 2-dimensional"
+    shell = OrderField.from_function(torus, make_space("sphere_2"),
+                                     lambda label: (0.0, 0.0, 1.0))
+    assert index_sum_check(shell) == IndexSumReport(
+        False, reason="value space does not carry integer windings")
 
 
 def _vortex_pair(x, y):

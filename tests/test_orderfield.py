@@ -58,6 +58,7 @@ from oracles import (
     field_entries_oracle,
     field_samples_oracle,
     rp_parity_oracle,
+    solid_angle_oracle,
     sphere_degree_oracle,
     winding_number_oracle,
     winding_oracle,
@@ -94,6 +95,15 @@ def test_unknown_space_is_rejected():
 def test_finite_set_needs_labels():
     sp = make_space("finite_set", labels=("up", "down"))
     assert sp.homotopy_group(0).size == 2
+    with pytest.raises(UnsupportedConfigurationError,
+                       match="finite_set space needs a nonempty label list"):
+        make_space("finite_set")
+
+
+def test_homotopy_groups_stop_at_degree_2():
+    with pytest.raises(DimensionError,
+                       match="homotopy degree 3 is out of scope"):
+        make_space("sphere_2").homotopy_group(3)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +475,24 @@ def test_document_samples_match_the_entry_and_vertex_loops(drawn):
         assert _stored(got) == _stored(want)
 
 
+def test_document_labels_with_lists_in_lists_are_read_entry_by_entry():
+    # (0, [1]) does not hash, so the batch read of the samples gives way to
+    # the entry-by-entry one, which makes every list a tuple
+    doc = {"complex": {"cells": [[[0, [1]], [1, [0]]]]},
+           "field": {"space": "circle",
+                     "samples": [[[1, [0]], 0.5], [[0, [1]], 0.25]]}}
+    cx, _ = build_from_document(doc)
+    assert cx.vertex_labels == ((0, (1,)), (1, (0,)))
+    want = OrderField.from_samples(cx, make_space("circle"),
+                                   {(0, (1,)): 0.25, (1, (0,)): 0.5})
+    assert _stored(field_from_document(doc, cx).values) == \
+        _stored(want.values)
+    doc["field"]["samples"][1][0] = [1, [0]]
+    with pytest.raises(DocumentError, match=re.escape(
+            "field.samples[1]: vertex (1, (0,)) sampled twice")):
+        field_from_document(doc, cx)
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
 # ---------------------------------------------------------------------------
@@ -683,6 +711,30 @@ def test_constant_shell_has_degree_zero(tetra_surface):
     f = OrderField.from_samples(tetra_surface, sp,
                                 {v: (0.0, 0.0, 1.0) for v in "ABCD"})
     assert sphere_degree(f, _oriented_triangles(tetra_surface)) == 0
+
+
+def test_sphere_degree_matches_the_spherical_excess():
+    # l'Huilier's excess, signed by the triple product, shares no formula
+    # with the package's atan2 of the triple product: on the octahedron
+    # the signed areas of random unit samples sum to a whole number of
+    # spheres, and that number is the degree
+    octahedron = DeltaComplex.from_simplices(
+        [(x, y, z) for x in "xX" for y in "yY" for z in "zZ"])
+    tris = _oriented_triangles(octahedron)
+    rng = np.random.default_rng(2010)
+    degrees = []
+    for _ in range(300):
+        vectors = rng.normal(size=(6, 3))
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        f = OrderField.from_samples(
+            octahedron, make_space("sphere_2"),
+            dict(zip(octahedron.vertex_labels, map(tuple, vectors))))
+        turns = sum(c * solid_angle_oracle(*vectors[list(t)])
+                    for c, t in tris) / (4.0 * math.pi)
+        assert abs(turns - round(turns)) < 1e-6
+        assert sphere_degree(f, tris) == round(turns)
+        degrees.append(round(turns))
+    assert {-1, 1} <= set(degrees)  # 71 of the 300 are nonzero
 
 
 def _small_triangle_field(tetra_surface, degree):
