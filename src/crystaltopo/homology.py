@@ -509,13 +509,16 @@ class OrientabilityReport:
 
 
 def orientability(complex_: DeltaComplex) -> OrientabilityReport:
-    """Decide orientability of the top-dimensional layer by sign propagation.
+    """Decide orientability of the top-dimensional layer.
 
-    Top cells are glued across internal faces that appear in exactly two
-    face-list entries; a consistent choice of signs making all internal
-    faces cancel, propagated along the spanning forest of that gluing, is
-    a fundamental chain.  When no consistent choice exists, the all-ones
-    mod-2 chain is returned instead, with its mod-2 boundary.
+    A face is internal when the nonzero entries of the top cells on it
+    weigh 2 in all; a face weighing more refuses.  Signs on the top cells
+    orient them exactly when the boundary of the signed chain avoids every
+    internal face.  The signs are lifted along the spanning forest of the
+    gluing across internal faces with two entries in two different cells;
+    an orientation agrees with them up to one sign per component, so the
+    boundary of the lifted chain decides.  When it meets an internal face,
+    the all-ones mod-2 chain is returned instead, with its mod-2 boundary.
     """
     m = complex_.dim
     n_top = complex_.n_cells(m)
@@ -533,44 +536,29 @@ def orientability(complex_: DeltaComplex) -> OrientabilityReport:
                          minlength=complex_.n_cells(m - 1))
     internal = weight == 2
 
-    # The two entries of each internal face relate the signs of their
-    # cells.  A face with a single entry of weight 2 wraps its cell onto
-    # it twice with equal signs, and no orientation cancels it; it shows
-    # as an odd count or as a pair that straddles two faces.
-    pairs = np.flatnonzero(internal[faces])
-    consistent = not (weight > 2).any() and len(pairs) % 2 == 0
-    if consistent:
+    if not (weight > 2).any():
+        # The unit entries a, b of a glued face cancel when the signs of
+        # their cells satisfy eps_q = -a * b * eps_p; one flip per step
+        # with a = b on each cell's forest path fixes every sign.  The
+        # forest skips a cell glued to itself.
+        glued = internal & (np.bincount(faces, minlength=len(internal)) == 2)
+        pairs = np.flatnonzero(glued[faces])
         first, second = pairs[0::2], pairs[1::2]
-        p, q = owner[first], owner[second]
-        a, b = coeffs[first], coeffs[second]
-        same = p == q
-        # Two nonzero entries of total weight 2 are units, so only a cell
-        # glued to itself can fail eps * (a + b) = 0.
-        consistent = (faces[first] == faces[second]).all() and not (
-            (a + b)[same].any())
-    if consistent:
-        p, q = p[~same], q[~same]
-        rel = (-a * b)[~same]
-        # One flip per -1 step on each cell's forest path fixes every sign;
-        # each glued pair must agree.
-        signs = 1 - 2 * (spanning_forest(n_top, p, q, rel < 0).sums % 2)
-        consistent = bool((signs[q] == rel * signs[p]).all())
-
-    if consistent:
-        # Independent check: the image must avoid all internal faces.  No
-        # face has weight above 2, so the float sums are exact.
+        flip = coeffs[first] == coeffs[second]
+        signs = 1 - 2 * (spanning_forest(n_top, owner[first], owner[second],
+                                         flip).sums % 2)
+        # No face weighs more than 2, so the float sums are exact.
         image = np.bincount(faces, weights=coeffs * signs[owner],
                             minlength=len(internal)).astype(np.int64)
         bounding = np.flatnonzero(image)
-        if internal[bounding].any():
-            raise InternalInconsistencyError(
-                "sign propagation left an internal face uncancelled")
-        boundary = Chain(m - 1, dict(zip(bounding.tolist(),
-                                         image[bounding].tolist())), RING_INT)
-        return OrientabilityReport(
-            True, m, closed=not len(bounding),
-            fundamental_chain=Chain(m, dict(enumerate(signs.tolist()))),
-            boundary_chain=boundary if m >= 1 else None)
+        if not internal[bounding].any():
+            boundary = Chain(m - 1, dict(zip(bounding.tolist(),
+                                             image[bounding].tolist())),
+                             RING_INT)
+            return OrientabilityReport(
+                True, m, closed=not len(bounding),
+                fundamental_chain=Chain(m, dict(enumerate(signs.tolist()))),
+                boundary_chain=boundary if m >= 1 else None)
 
     # The entries of an internal face sum to an even number, so the mod-2
     # image avoids every internal face.

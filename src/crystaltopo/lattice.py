@@ -123,9 +123,10 @@ def check_generators(generators: Sequence[Sequence[float]], m: int,
                      n: int) -> np.ndarray:
     """Validate shapes and linear independence; return the m x n array.
 
-    Independence is judged by the Gram determinant against the scale of
-    the vectors themselves, so uniformly tiny but independent generators
-    pass while a near-coplanar triple fails.
+    Independence is judged on the rows divided by their largest |entry|,
+    by the Gram determinant against the scale of those rows, so the
+    verdict is scale-free: uniformly tiny or huge but independent
+    generators pass while a near-coplanar triple fails.
     """
     A = np.array(generators, dtype=float)
     if A.shape != (m, n):
@@ -133,22 +134,22 @@ def check_generators(generators: Sequence[Sequence[float]], m: int,
             f"expected {m} generators of length {n}, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DegenerateGeneratorsError("generator entries must be finite")
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms == 0.0):
-        k = int(np.argmin(norms))
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    if np.any(scale == 0.0):
+        k = int(np.argmin(scale))
         raise DegenerateGeneratorsError(f"generator {k + 1} is the zero vector")
-    gram = A @ A.T
-    vol = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
+    B = A / scale[:, None]
+    norms = np.linalg.norm(B, axis=1)
+    vol = math.sqrt(max(float(np.linalg.det(B @ B.T)), 0.0))
     if vol <= INDEPENDENCE_RTOL * float(np.prod(norms)):
-        # Name a culprit: the vector best explained by the others.
+        # Name a culprit: the vector best explained by the others.  A single
+        # generator passes, so there are others.
         worst, worst_k = -1.0, 0
         for k in range(m):
-            others = np.delete(A, k, axis=0)
-            if others.shape[0] == 0:
-                continue
-            coef, *_ = np.linalg.lstsq(others.T, A[k], rcond=None)
-            resid = float(np.linalg.norm(A[k] - others.T @ coef))
-            score = 1.0 - resid / max(norms[k], 1e-300)
+            others = np.delete(B, k, axis=0)
+            coef, *_ = np.linalg.lstsq(others.T, B[k], rcond=None)
+            resid = float(np.linalg.norm(B[k] - others.T @ coef))
+            score = 1.0 - resid / norms[k]
             if score > worst:
                 worst, worst_k = score, k
         raise DegenerateGeneratorsError(

@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crystaltopo.complexes import (
+    SHAPE_SIMPLEX,
     Cell,
+    CellLayer,
     Chain,
     Cochain,
     DeltaComplex,
@@ -431,6 +433,76 @@ def test_fundamental_chains_match_the_reference_dfs(spec):
         image = boundary_map(rep.fundamental_chain, cx)
         assert rep.closed == (not image)
         assert rep.boundary_chain == (image if cx.dim else None)
+
+
+def glued_pieces(rows):
+    """Per top cell, a representative of the piece it lies in, joining
+    cells across faces with two unit entries."""
+    entries = {}
+    for cell, row in enumerate(rows):
+        for fid, coeff in row:
+            if coeff:
+                entries.setdefault(fid, []).append((cell, abs(coeff)))
+    piece = list(range(len(rows)))
+
+    def find(c):
+        while piece[c] != c:
+            c = piece[c]
+        return c
+
+    for found in entries.values():
+        if [w for _, w in found] == [1, 1]:
+            piece[find(found[0][0])] = find(found[1][0])
+    return [find(c) for c in range(len(rows))]
+
+
+@SETTINGS
+@given(st.one_of(lattice_specs(), st.lists(
+           st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True),
+           min_size=1, max_size=8)),
+       st.data())
+def test_orientability_survives_reversed_cells_and_relabelled_vertices(
+        spec, data):
+    # Negating the face coefficients of some top cells reverses them: both
+    # verdicts stay, and on each piece the top cells glue into, the two
+    # fundamental chains and the reversals multiply to one sign.
+    cx = (build(spec) if isinstance(spec, LatticeSpec)
+          else DeltaComplex.from_simplices(spec))
+    if cx is None:
+        return
+    m, top = cx.dim, cx.layers[cx.dim]
+    n = len(top)
+    r = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    flipped = CellLayer(top.vertices, top.vertex_ptr, top.faces,
+                        top.coeffs * np.repeat(r, np.diff(top.face_ptr)),
+                        top.face_ptr, top.shapes)
+    rv = DeltaComplex.from_layers(cx.vertex_labels, cx.layers[:m] + (flipped,))
+    one, two = orientability(cx), orientability(rv)
+    assert (two.orientable, two.closed) == (one.orientable, one.closed)
+    if one.orientable:
+        s1, s2 = one.fundamental_chain.coeffs, two.fundamental_chain.coeffs
+        pieces = glued_pieces(face_rows(cx, m))
+        signs = {(pieces[c], s1[c] * s2[c] * int(r[c])) for c in range(n)}
+        assert len(signs) == len(set(pieces))
+
+    # Relabelling the vertices of a simplicial complex, here the one the
+    # simplices with distinct vertices span, changes no verdict and no
+    # group.
+    simplices = [c.vertices for cells in cx.cells for c in cells
+                 if c.shape == SHAPE_SIMPLEX
+                 and len(set(c.vertices)) == len(c.vertices)]
+    if not simplices:
+        return
+    perm = data.draw(st.permutations(range(cx.n_vertices)))
+    sx = DeltaComplex.from_simplices(simplices)
+    px = DeltaComplex.from_simplices([[perm[v] for v in s]
+                                      for s in simplices])
+    a, b = orientability(sx), orientability(px)
+    assert (b.orientable, b.closed) == (a.orientable, a.closed)
+    for k in range(sx.dim + 1):
+        for ring in (RING_INT, RING_MOD2, RING_REAL):
+            assert homology(px, k, ring) == homology(sx, k, ring)
 
 
 # ---------------------------------------------------------------------------

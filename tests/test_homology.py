@@ -311,6 +311,31 @@ def test_grid_with_hole_has_no_top_cells_issue():
     assert rep.orientable
 
 
+NO_ORIENTATION = "no consistent orientation of the top cells exists"
+
+
+@pytest.mark.parametrize("pages", [3, 4])
+def test_a_book_of_three_or_four_pages_is_not_orientable(pages):
+    # the spine is an edge of weight 3 or 4; the four pages' entries could
+    # cancel on it, so only the weight refuses the 4-page book
+    book = DeltaComplex.from_simplices([(0, 1, 2 + i) for i in range(pages)])
+    rep = orientability(book)
+    assert not rep.orientable and not rep.closed
+    assert rep.reason == NO_ORIENTATION
+
+
+@pytest.mark.parametrize("sign, orientable", [(-1, True), (1, False)])
+def test_a_cell_glued_to_itself_cancels_only_with_opposite_signs(sign,
+                                                                  orientable):
+    # the square a b a^sign b^-1 on one vertex: the torus for -1, the Klein
+    # bottle for +1
+    cells = [[Cell((0,), ())], [Cell((0,), ()), Cell((0,), ())],
+             [Cell((0,), ((0, 1), (1, 1), (0, sign), (1, -1)))]]
+    rep = orientability(DeltaComplex("A", cells))
+    assert rep.orientable is orientable and rep.closed
+    assert rep.reason == ("" if orientable else NO_ORIENTATION)
+
+
 def test_the_complex_with_no_vertices_is_closed_and_orientable():
     # no top cells: the empty fundamental chain, and no boundary chain in
     # degree 0

@@ -27,6 +27,7 @@ from crystaltopo import (
     reciprocal_basis,
     unit_cell_volume,
 )
+from crystaltopo.cli import main
 from crystaltopo.complexes import CellLayer
 from crystaltopo.lattice import MAX_BOX_SITES
 
@@ -78,6 +79,45 @@ def test_non_finite_generators_rejected(bad):
         warnings.simplefilter("error")
         with pytest.raises(DegenerateGeneratorsError, match="finite"):
             check_generators([(1.0, 0.0), (0.0, bad)], m=2, n=2)
+
+
+HUGE_AND_TINY = [[(1e200, 0.0), (0.0, 1e200)], [(1e200,)],
+                 [(1e-200, 0.0), (0.0, 1e-200)], [(1e-200,)]]
+
+
+@pytest.mark.parametrize("gens", HUGE_AND_TINY)
+def test_huge_and_tiny_generators_pass_without_warnings(gens):
+    # the verdict is scale-free: no norm or Gram determinant overflows or
+    # underflows, and the generators come back as given
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = check_generators(gens, m=len(gens), n=len(gens[0]))
+    assert np.array_equal(A, gens)
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([(1e200, 1.0), (2e200, 2.0)], "generator 1 lies in the span"),
+    ([(1.0, 0.0), (1.0, 1e-14)], "generator 1 lies in the span"),
+    ([(1e-200, 0.0), (0.0, 0.0)], "generator 2 is the zero vector"),
+])
+def test_dependent_generators_are_named_at_any_scale(gens, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeneratorsError, match=message):
+            check_generators(gens, m=2, n=2)
+
+
+@pytest.mark.parametrize("gens", HUGE_AND_TINY)
+def test_build_accepts_huge_and_tiny_generators(capsys, tmp_path, gens):
+    m = len(gens)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "dimension": m, "ambient": m, "generators": gens,
+        "index_box": [[0, 2]] * m, "scheme": "cubic"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["build", str(path)]) == 0
+    assert "validation: ok" in capsys.readouterr().out
 
 
 def test_unit_cell_volume_rectangular():
