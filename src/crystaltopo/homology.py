@@ -27,13 +27,19 @@ one tracked sparse Smith reduction of d_k gives the cycle basis and,
 through V^-1, the cycle coordinates Y of the columns of d_{k+1}; each
 generator is a sparse combination of cycle basis vectors, with the
 entries of one column of U_Y^-1 from the Smith form of Y.
+
+The top degree has a cheaper answer on the spanning forest of the dual
+graph: the top cells and one outside node, glued across each face with
+one or two unit entries.  It gives the rank of H_top of a manifold-like
+top layer, and a top cochain a primitive supported on the tree faces (a
+combinatorial Dirac string), with no walk.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -423,6 +429,108 @@ def are_homologous(a: Chain, b: Chain, complex_: DeltaComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The top degree on the dual gluing forest
+
+
+_TopForest = namedtuple("_TopForest",
+                        "order parent face own other manifold_like cycles")
+
+
+def _top_forest(complex_: DeltaComplex) -> _TopForest:
+    """The spanning forest of the dual graph of the top cells (dim >= 1),
+    made on first use and cached.
+
+    Node 0 is the outside, so the first tree grows from it, and node 1 + i
+    is top cell i.  A (dim-1)-face whose nonzero top-cell entries are one
+    ±1 joins its cell to the outside; one whose entries are two ±1 in two
+    different cells joins the two, flipped where the entries are equal, as
+    in :func:`orientability`.  Per node, in visit order, ``face`` names its
+    tree face (-1 at a root), ``own`` its entry there and ``other`` its
+    parent's (0 for the outside).  The top layer is ``manifold_like`` when
+    every face with a nonzero top entry is such an edge: then a top cycle
+    vanishes on every cell reached from the outside, and on a closed tree
+    it is a multiple of the sign-lifted chain, so H_top is free of rank
+    ``cycles``, the closed trees whose lifted chain has zero boundary.
+    """
+    cached = complex_._cache.get("top forest")
+    if cached is not None:
+        return cached
+    m = complex_.dim
+    top = complex_.layers[m]
+    n_top, n_faces = len(top), complex_.n_cells(m - 1)
+    # The nonzero face entries of the top cells, grouped by face with each
+    # group in cell order.
+    owner = np.repeat(np.arange(n_top), np.diff(top.face_ptr))
+    nonzero = top.coeffs != 0
+    order = np.argsort(top.faces[nonzero], kind="stable")
+    faces = top.faces[nonzero][order]
+    coeffs = top.coeffs[nonzero][order]
+    owner = owner[nonzero][order]
+    count = np.bincount(faces, minlength=n_faces)
+    units = count == np.bincount(faces[np.abs(coeffs) == 1],
+                                 minlength=n_faces)
+    edge_faces = np.flatnonzero(units & ((count == 1) | (count == 2)))
+    i = row_offsets(count)[edge_faces]
+    pair = count[edge_faces] == 2
+    j = i + pair  # a pair's second entry, a free face's only one
+    keep = ~pair | (owner[i] != owner[j])
+    edge_faces, i, j, pair = edge_faces[keep], i[keep], j[keep], pair[keep]
+    heads = np.where(pair, owner[i] + 1, 0)
+    tails = owner[j] + 1
+    head_co, tail_co = np.where(pair, coeffs[i], 0), coeffs[j]
+    forest = spanning_forest(n_top + 1, heads, tails,
+                             pair & (coeffs[i] == coeffs[j]))
+
+    # A closed tree's lifted chain is no cycle where the two entries of
+    # one of its glued faces do not cancel.
+    signs = 1 - 2 * (forest.sums % 2)
+    tree = np.empty_like(forest.order)
+    tree[forest.order] = np.cumsum(forest.parent[forest.order] < 0) - 1
+    open_ = pair & (head_co * signs[heads] + tail_co * signs[tails] != 0)
+    cycle = np.ones(tree.max() + 1, dtype=bool)
+    cycle[tree[heads[open_]]] = False
+    # Each node's tree edge; a root's -1 picks the appended entry.
+    e, tail = forest.edge, forest.sign > 0
+    head_co, tail_co = np.append(head_co, 0), np.append(tail_co, 0)
+    cached = complex_._cache["top forest"] = _TopForest(
+        forest.order.tolist(), forest.parent.tolist(),
+        np.append(edge_faces, -1)[e].tolist(),
+        np.where(tail, tail_co[e], head_co[e]).tolist(),
+        np.where(tail, head_co[e], tail_co[e]).tolist(),
+        len(edge_faces) == np.count_nonzero(count),
+        int(np.count_nonzero(cycle[1:])))
+    return cached
+
+
+def _top_primitive(complex_: DeltaComplex, cochain: Cochain) -> Cochain | None:
+    """A (dim-1)-cochain a with δa = ``cochain``, a top-degree cochain over
+    Z or Z/2, that is 0 off the tree faces of :func:`_top_forest`, or None
+    when the root of a closed tree keeps a residue (an odd one over Z/2).
+
+    In reverse visit order each cell's tree face takes its entry there
+    times what the cell's value lacks after its child faces, and the rest
+    of that face's coboundary is taken off the parent's value.
+    """
+    top = _top_forest(complex_)
+    rest = [0] * len(top.parent)
+    for i, v in cochain.coeffs.items():
+        rest[i + 1] = v
+    a: dict[int, int] = {}
+    for v in reversed(top.order):
+        x = rest[v]
+        if not x:
+            continue
+        if top.face[v] < 0:
+            if v and (x % 2 if cochain.ring == RING_MOD2 else x):
+                return None
+            continue
+        x *= top.own[v]
+        a[top.face[v]] = x
+        rest[top.parent[v]] -= top.other[v] * x
+    return Cochain(cochain.dim - 1, a, cochain.ring)
+
+
+# ---------------------------------------------------------------------------
 # Explicit generators
 
 
@@ -487,7 +595,13 @@ def homology_generators(complex_: DeltaComplex,
 def generator_orders(complex_: DeltaComplex, k: int) -> list[int]:
     """The orders :func:`homology_generators` lists, read from the group
     with no tracked reduction: each torsion factor in divisibility order,
-    then 0 per free summand."""
+    then 0 per free summand.  In the top degree k = dim >= 1 of a
+    manifold-like top layer the group is free of the rank the dual forest
+    counts (:func:`_top_forest`), and no walk is built."""
+    if k == complex_.dim >= 1:
+        top = _top_forest(complex_)
+        if top.manifold_like:
+            return [0] * top.cycles
     group = homology(complex_, k)
     return [*group.torsion, *[0] * group.betti]
 

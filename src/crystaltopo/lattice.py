@@ -124,9 +124,13 @@ def check_generators(generators: Sequence[Sequence[float]], m: int,
     """Validate shapes and linear independence; return the m x n array.
 
     Independence is judged on the rows divided by their largest |entry|,
-    by the Gram determinant against the scale of those rows, so the
+    by the volume they span against the product of their norms, so the
     verdict is scale-free: uniformly tiny or huge but independent
-    generators pass while a near-coplanar triple fails.
+    generators pass while a near-coplanar triple fails.  The volume is
+    |det| of a square array, else the product of |diag R| in the QR
+    factorisation of the rows as columns, and 0 for more rows than
+    columns; the Gram determinant, its square, would square their
+    condition number.
     """
     A = np.array(generators, dtype=float)
     if A.shape != (m, n):
@@ -140,7 +144,12 @@ def check_generators(generators: Sequence[Sequence[float]], m: int,
         raise DegenerateGeneratorsError(f"generator {k + 1} is the zero vector")
     B = A / scale[:, None]
     norms = np.linalg.norm(B, axis=1)
-    vol = math.sqrt(max(float(np.linalg.det(B @ B.T)), 0.0))
+    if m > n:
+        vol = 0.0
+    elif m == n:
+        vol = abs(float(np.linalg.det(B)))
+    else:
+        vol = float(np.prod(np.abs(np.diag(np.linalg.qr(B.T, mode="r")))))
     if vol <= INDEPENDENCE_RTOL * float(np.prod(norms)):
         # Name a culprit: the vector best explained by the others.  A single
         # generator passes, so there are others.

@@ -20,9 +20,12 @@ the whole turns by which the edge steps differ from the change of the
 angles, or the director flips mod 2 (Steenrod, "The Topology of Fibre
 Bundles", 1951, part III).  One coboundary per summand checks δa = c,
 which certifies a ``trivial`` class, and a trivial class pairs to 0 with
-every cycle z, as <δa, z> = <a, ∂z>.  The membership test runs only for
-cochains with no primitive: hand-built ones and every field's cochain at
-k = 3.
+every cycle z, as <δa, z> = <a, ∂z>.  In the top degree k = dim, which
+holds every field's cochain at k = 3, a is a combinatorial Dirac string:
+it runs through the tree faces of the dual gluing forest of the top cells
+(Dirac, "Quantised singularities in the electromagnetic field", 1931).
+The membership test runs only for cochains with no primitive: hand-built
+ones, and top cochains that leave a residue on a closed tree.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .errors import (
 )
 from .homology import (
     _in_image,
+    _top_primitive,
     euler_characteristic,
     generator_orders,
     homology_generators,
@@ -67,10 +71,11 @@ class ObstructionCochain:
 
     ``values`` maps k-cell ids to nonzero elements of ``group``: ints for
     Z and Z/2, integer pairs for Z^2, 0/1 transition flags for a discrete
-    space.  ``primitive``, when the probe gave one (k = 2), holds an edge
-    cochain per summand of ``group`` whose coboundary the cochain is; a
-    cochain whose ``values`` are changed needs ``primitive=None`` with
-    them.
+    space.  ``primitive`` holds a (k-1)-cochain per summand of ``group``
+    whose coboundary the cochain is: the probe's edge cochain at k = 2, or
+    in the top degree k = dim one supported on the tree faces of the dual
+    forest, when no closed tree keeps a residue.  A cochain whose
+    ``values`` are changed needs ``primitive=None`` with them.
     """
 
     complex_: DeltaComplex
@@ -101,7 +106,9 @@ def _summands(cochain: ObstructionCochain) -> list[Cochain]:
 
 def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     """Boundary classes of every k-cell, as a pi_{k-1}-valued cochain.  A
-    nonzero one keeps the probe's edge primitive, if there is one."""
+    nonzero one keeps the probe's edge primitive, if there is one, and
+    otherwise in the top degree gets one from the dual forest, if every
+    summand has one."""
     cx = field_.complex_
     if not 1 <= k <= cx.dim:
         raise DimensionError(f"no {k}-cells to probe")
@@ -118,8 +125,13 @@ def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
                 nonzero = np.flatnonzero(row)
                 primitive.append(Cochain(k - 1, dict(zip(
                     nonzero.tolist(), row[nonzero].tolist())), _ring(group)))
-    return ObstructionCochain(cx, k, group, values, field_.space.name,
-                              primitive)
+    cochain = ObstructionCochain(cx, k, group, values, field_.space.name,
+                                 primitive)
+    if values and primitive is None and k == cx.dim and group.name != "set":
+        parts = [_top_primitive(cx, part) for part in _summands(cochain)]
+        if all(a is not None for a in parts):
+            cochain.primitive = parts
+    return cochain
 
 
 def verify_cocycle(cochain: ObstructionCochain) -> bool:
@@ -158,9 +170,9 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
 
     A ``primitive`` a with δa = c, one coboundary per summand, certifies
     'trivial'.  The probe's edge primitive fails only where a 2-cell's
-    boundary is no cycle, or when ``values`` were changed and the
-    primitive kept, and either is an error.  A cochain with no primitive
-    goes to the membership test of :mod:`crystaltopo.homology`.
+    boundary is no cycle, and either primitive fails when ``values`` were
+    changed and the primitive kept; each is an error.  A cochain with no
+    primitive goes to the membership test of :mod:`crystaltopo.homology`.
     Discrete-space flags have no cohomology class: 'not_applicable'.
     """
     cx = cochain.complex_
@@ -176,10 +188,11 @@ def obstruction_class(cochain: ObstructionCochain) -> str:
                zip(cochain.primitive, _summands(cochain))):
             return "trivial"
         raise InternalInconsistencyError(
-            "the obstruction cochain is not the coboundary of its edge "
-            "primitive: its values were changed and the primitive kept "
-            "(set primitive=None with them), or a 2-cell's boundary is no "
-            "cycle (validate_complex finds where d d = 0 fails)")
+            "the obstruction cochain is not the coboundary of its "
+            f"{'edge' if k == 2 else 'face'} primitive: its values were "
+            "changed and the primitive kept (set primitive=None with them), "
+            "or a 2-cell's boundary is no cycle (validate_complex finds "
+            "where d d = 0 fails)")
     if k < 1 or cx.n_cells(k - 1) == 0:
         return "nontrivial"
     # delta: C^{k-1} -> C^k is the transpose of the k-th boundary matrix.

@@ -8,6 +8,7 @@ values, loops and signs, not values within a tolerance.
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ from crystaltopo.errors import (
     UnsupportedConfigurationError,
 )
 from crystaltopo.homology import (
+    _in_image,
+    _top_forest,
+    _top_primitive,
+    generator_orders,
     homology,
     is_boundary,
     is_cycle,
@@ -503,6 +508,67 @@ def test_orientability_survives_reversed_cells_and_relabelled_vertices(
     for k in range(sx.dim + 1):
         for ring in (RING_INT, RING_MOD2, RING_REAL):
             assert homology(px, k, ring) == homology(sx, k, ring)
+
+
+def klein_bottle(n=3):
+    """The n x n grid of squares, each cut into two triangles, with
+    (i, n) glued to (i, 0) and (n, j) to (0, -j)."""
+    def v(i, j):
+        return (0, -j % n) if i == n else (i, j % n)
+
+    return [t for i in range(n) for j in range(n)
+            for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+
+
+TOP_SHAPES = {
+    "Klein bottle": klein_bottle(),
+    "projective plane": [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6),
+                         (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 6),
+                         (3, 5, 6), (4, 5, 6)],
+    "3-page book": [(0, 1, 2, 3 + i) for i in range(3)],
+    "two spheres": [s for v in (0, 4) for s in combinations(range(v, v + 4),
+                                                            3)],
+}
+
+
+@SETTINGS
+@given(st.one_of(lattice_specs(), st.sampled_from(list(TOP_SHAPES.values())),
+                 st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=4,
+                                   unique=True), min_size=1, max_size=8)),
+       st.data())
+def test_the_dual_forest_answers_the_top_degree_like_the_walk(spec, data):
+    # The forest's H_top, on a manifold-like top layer, has the orders of
+    # the walk's group; every dual primitive has δa = c, and where no
+    # closed tree is one-sided a top cochain has one exactly when the
+    # membership test finds it a coboundary (over Z/2 every closed tree
+    # is a cycle).  On a free box every top cell is reached from the
+    # outside, so every top cochain has one.
+    if isinstance(spec, LatticeSpec):
+        cx = build(spec)
+    else:
+        cx = DeltaComplex.from_simplices(spec)
+    if cx is None or cx.dim < 1:
+        return
+    m, n = cx.dim, cx.n_cells(cx.dim)
+    group = homology(cx, m)
+    assert generator_orders(cx, m) == [*group.torsion, *[0] * group.betti]
+    top = _top_forest(cx)
+    closed = sum(p < 0 for p in top.parent) - 1
+    if top.manifold_like:
+        assert top.cycles == group.betti
+    for ring in (RING_INT, RING_MOD2):
+        c = Cochain(m, data.draw(st.dictionaries(
+            st.integers(0, n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            min_size=1, max_size=n)), ring)
+        a = _top_primitive(cx, c)
+        member = _in_image(cx, m, c.coeffs, ring, transpose=True)
+        if a is not None:
+            assert coboundary_map(a, cx) == c and member
+        if top.manifold_like and (ring == RING_MOD2 or top.cycles == closed):
+            assert (a is not None) == member
+        if isinstance(spec, LatticeSpec) and spec.boundary == "free":
+            assert a is not None
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,29 @@ def test_nearly_dependent_generators_rejected():
         check_generators([(1.0, 0.0), (1.0, 1e-14)], m=2, n=2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_independence_keeps_the_condition_unsquared(n):
+    # the spanned area 1e-8 stands above INDEPENDENCE_RTOL = 1e-10 and is
+    # accepted, in the plane and in space; its square, a Gram
+    # determinant, would round away to 0
+    def pair(eps):
+        return [(1.0, 0.0, 0.0)[:n], (1.0, eps, 0.0)[:n]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(check_generators(pair(1e-8), m=2, n=n),
+                              pair(1e-8))
+        with pytest.raises(DegenerateGeneratorsError,
+                           match="lies in the span of the others"):
+            check_generators(pair(1e-12), m=2, n=n)
+
+
+def test_more_generators_than_ambient_dimensions_span_no_volume():
+    with pytest.raises(DegenerateGeneratorsError,
+                       match="lies in the span of the others"):
+        check_generators([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], m=3, n=2)
+
+
 def test_fewer_generators_than_ambient_dimensions():
     gens = check_generators([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], m=2, n=3)
     assert gens.shape == (2, 3)

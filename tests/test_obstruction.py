@@ -18,6 +18,7 @@ from crystaltopo import (
     CoefficientGroup,
     ComplexBuildError,
     DefectLocusError,
+    DeltaComplex,
     IndexSumReport,
     InternalInconsistencyError,
     ObstructionCochain,
@@ -36,11 +37,13 @@ from crystaltopo import (
     pair_with_generators,
     verify_cocycle,
 )
+from crystaltopo.complexes import coboundary_map
+from crystaltopo.homology import _top_forest, _top_primitive, generator_orders
 from crystaltopo.orderfield import GROUP_Z
 from crystaltopo.snf import SmithDecomposition
 
 from conftest import (circle_torus_doc, lattice_specs, make_grid, make_sphere,
-                      make_torus)
+                      make_torus, torus_spec)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "docs" / "samples"
 
@@ -442,15 +445,29 @@ def test_uncertified_classes_still_reach_the_solvers(solver_calls, sphere):
     assert solver_calls["_in_image"] == 1
     assert abs(pair_with_generators(lone)[0]["pairing"]) == 1
     assert solver_calls["SmithDecomposition"] >= 1
-    # A field's cochain at k = 3 has no primitive either: the membership
-    # test decides the hedgehog's class, whose pairings are still zeros.
+    # A field's cochain at k = 3 gets its primitive from the dual forest:
+    # the hedgehog's class and its orders need no solver and no walk.
     solver_calls.clear()
     cube = build_complex(list(np.ndindex(4, 4, 4)), "cubic")
     rep = extend_field(OrderField.from_function(
         cube, make_space("sphere_2"), _hedgehog))
-    assert rep.blocked_at == 3 and rep.cochain.primitive is None
+    assert rep.blocked_at == 3 and rep.cochain.primitive is not None
     assert rep.class_status == "trivial" and rep.generator_pairings == []
-    assert solver_calls == Counter({"_in_image": 1})
+    assert solver_calls == Counter() and "coreduction" not in cube._cache
+    # A lone +1 cube on the closed 3-torus is left as a residue at the
+    # root of its one closed tree: no primitive, so the membership test
+    # decides, and the class is nontrivial.
+    solver_calls.clear()
+    torus3, _ = build_lattice_complex(torus_spec(3, "cubic", 3))
+    assert _top_primitive(torus3, Cochain(3, {0: 1})) is None
+    assert obstruction_class(ObstructionCochain(
+        torus3, 3, GROUP_Z, {0: 1}, "sphere_2")) == "nontrivial"
+    assert solver_calls["_in_image"] == 1
+    # Three tetrahedra on one triangle are no manifold-like top layer, so
+    # the walk gives the orders of H_3.
+    book = DeltaComplex.from_simplices([(0, 1, 2, 3 + i) for i in range(3)])
+    assert not _top_forest(book).manifold_like
+    assert generator_orders(book, 3) == [] and "coreduction" in book._cache
 
 
 def test_an_edge_primitive_that_fails_its_check_is_an_error():
@@ -462,6 +479,23 @@ def test_an_edge_primitive_that_fails_its_check_is_an_error():
         with pytest.raises(InternalInconsistencyError,
                            match="not the coboundary of its edge primitive"):
             obstruction_class(dataclasses.replace(c, primitive=[bumped]))
+    assert obstruction_class(c) == "trivial"
+
+
+def test_a_face_primitive_that_fails_its_check_is_an_error():
+    # The hedgehog's primitive runs through the tree faces of the dual
+    # forest; a bumped face, or changed values, fail its check.
+    cube = build_complex(list(np.ndindex(4, 4, 4)), "cubic")
+    c = obstruction_cochain(OrderField.from_function(
+        cube, make_space("sphere_2"), _hedgehog), 3)
+    (a,) = c.primitive
+    assert coboundary_map(a, cube) == Cochain(3, c.values)
+    bumped = Cochain(2, {**a.coeffs, 0: a.coeffs.get(0, 0) + 1})
+    for changed in (dataclasses.replace(c, primitive=[bumped]),
+                    dataclasses.replace(c, values={min(c.values): 2})):
+        with pytest.raises(InternalInconsistencyError,
+                           match="not the coboundary of its face primitive"):
+            obstruction_class(changed)
     assert obstruction_class(c) == "trivial"
 
 
@@ -524,7 +558,11 @@ def test_primitive_verdicts_agree_with_the_membership_test(space, data,
         return
     if not c.values:
         return
-    assert (c.primitive is None) == (space == "sphere_2")
+    # A field's cochain carries a primitive: the probe's edge cochain at
+    # k = 2, the dual forest's at k = 3, which on the oriented lattices
+    # leaves no residue unless a cube is glued to itself.
+    if c.primitive is None:
+        assert space == "sphere_2" and not _top_forest(cx).manifold_like
     verdict = obstruction_class(c)
     assert verdict == obstruction_class(
         dataclasses.replace(c, primitive=None))
