@@ -33,7 +33,8 @@ ANGLE_TOL = 1e-6
 UNIT_TOL = 1e-9
 # A winding sum in turns is whole up to the rounding of its summed steps.
 TURNS_TOL = 1e-9
-# A triangle's solid angle is undetermined where both atan2 arguments vanish.
+# A triangle's solid angle is undetermined where its determinant vanishes
+# and s <= 0: on atan2's branch cut the sign of det's rounding picks ±2π.
 DEGENERATE_DET_TOL = 1e-12
 DEGENERATE_DENOM_TOL = 1e-9
 # A summed solid angle in spheres is an integral degree up to sampling error.
@@ -438,6 +439,20 @@ def _row_triangles(cx: DeltaComplex) -> tuple:
     return table
 
 
+def _solid_angles(x: np.ndarray) -> tuple:
+    """For an (n, 3, 3) array of sample triples (a, b, c): the triple
+    product det = a · (b × c), s = 1 + a·b + b·c + c·a and the signed
+    solid angle 2 atan2(det, s) of each (Van Oosterom and Strackee), by
+    elementwise operations in one fixed order, so that each value is the
+    one the triple gives alone."""
+    a, b, c = x[:, 0], x[:, 1], x[:, 2]
+    det = (a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+           + a[:, 1] * (b[:, 2] * c[:, 0] - b[:, 0] * c[:, 2])
+           + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]))
+    s = 1.0 + _dots(a, b) + _dots(b, c) + _dots(c, a)
+    return det, s, 2.0 * np.arctan2(det, s)
+
+
 def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
              coeff: np.ndarray, owner: np.ndarray, count: int, stop: int,
              refusal: Exception | None, lift: bool = False) -> list[int]:
@@ -457,13 +472,11 @@ def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
         need, rows = np.unique(rows, return_inverse=True)
         tri = tri[need]
     x = np.asarray(field.values, dtype=float)[tri]
-    det = np.linalg.det(x)
-    dots = np.stack([_dots(x[:, i], x[:, (i + 1) % 3]) for i in range(3)],
-                    axis=1)
     if lift:
-        tri, det, dots = tri[rows], det[rows], dots[rows]
+        edges = _lift_signs(np.stack([_dots(x[:, i], x[:, (i + 1) % 3])
+                                      for i in range(3)], axis=1))[rows]
+        tri, x = tri[rows], x[rows]
         rows = np.arange(len(rows))
-        edges = _lift_signs(dots)
         lifting = np.isin(owner, owner[(edges != 1).any(axis=1)])
         # Nodes numbered by set, then vertex: each tree of the forest grows
         # from the least vertex of its part of the set.
@@ -486,19 +499,15 @@ def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
                        else AmbiguousSamplingError(
                            "line-field samples on the cell shell admit no "
                            "consistent sign lift; refine the sampling"))
-        # Negating a director negates the determinant and its dot products
-        # exactly: these are the signed directors' values.
-        det = det * sign.prod(axis=1)
-        dots = dots * (sign * sign[:, [1, 2, 0]])
-    s = 1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
+        x = x * sign[:, :, None]  # the signed directors
+    det, s, angle = _solid_angles(x)
     flat = owner[((np.abs(det) < DEGENERATE_DET_TOL)
-                  & (np.abs(s) < DEGENERATE_DENOM_TOL))[rows]]
+                  & (s < DEGENERATE_DENOM_TOL))[rows]]
     if flat.min(initial=stop) < stop:
         stop, refusal = flat.min(), AmbiguousSamplingError(
-            "a spherical triangle of samples is degenerate (near a half "
-            "great circle); the solid angle is not determined")
-    angle = np.array([2.0 * math.atan2(d, t)
-                      for d, t in zip(det.tolist(), s.tolist())])
+            "a spherical triangle of samples is degenerate (on a great "
+            "circle, not within any half of it); the solid angle is not "
+            "determined")
     total = np.bincount(owner, coeff * angle[rows], minlength=count)
     return _whole(total[None] / (4.0 * math.pi), DEGREE_TOL,
                   "summed solid angle {!r} turns is not close to an integer",

@@ -686,13 +686,19 @@ def rp_parity_oracle(values, loop):
 
 
 def _probe_solid_angle(a, b, c):
-    det = float(np.linalg.det(np.stack([a, b, c])))
+    # The triple product term by term, and np.arctan2, not math.atan2: on a
+    # one-element array each rounds as the package's batch does.  Where det
+    # vanishes and s <= 0 the angle sits on atan2's branch cut.
+    det = (a[0] * (b[1] * c[2] - b[2] * c[1])
+           + a[1] * (b[2] * c[0] - b[0] * c[2])
+           + a[2] * (b[0] * c[1] - b[1] * c[0]))
     s = 1.0 + float(a @ b) + float(b @ c) + float(c @ a)
-    if abs(det) < 1e-12 and abs(s) < 1e-9:
+    if abs(det) < 1e-12 and s < 1e-9:
         raise _ambiguous(
-            "a spherical triangle of samples is degenerate (near a half "
-            "great circle); the solid angle is not determined")
-    return 2.0 * math.atan2(det, s)
+            "a spherical triangle of samples is degenerate (on a great "
+            "circle, not within any half of it); the solid angle is not "
+            "determined")
+    return float(2.0 * np.arctan2([float(det)], [s])[0])
 
 
 def sphere_degree_oracle(values, triangles):

@@ -40,7 +40,8 @@ from crystaltopo import (
 from crystaltopo.cli import build_from_document, field_from_document
 from crystaltopo.complexes import SHAPE_CUBE, CellLayer
 from crystaltopo.errors import DocumentError
-from crystaltopo.orderfield import ANGLE_TOL, _angle_steps, _edge_classes
+from crystaltopo.orderfield import (ANGLE_TOL, _angle_steps, _edge_classes,
+                                    _solid_angles)
 
 from conftest import (
     lattice_specs,
@@ -54,6 +55,7 @@ from oracles import (
     ProbeRefused,
     SamplesUncovered,
     _probe_shell,
+    _probe_solid_angle,
     boundary_class_oracle,
     field_entries_oracle,
     field_samples_oracle,
@@ -735,6 +737,41 @@ def test_sphere_degree_matches_the_spherical_excess():
         assert sphere_degree(f, tris) == round(turns)
         degrees.append(round(turns))
     assert {-1, 1} <= set(degrees)  # 71 of the 300 are nonzero
+
+
+@pytest.mark.parametrize("tilt", [i / 10 for i in range(1, 15)])
+def test_a_face_on_a_great_circle_spanning_it_is_refused(tetra_surface, tilt):
+    # A, B and C lie 120 degrees apart on a great circle tilted about the
+    # x-axis: the face ABC covers one hemisphere or the other, so the
+    # degree is 0 or 1 by the side D is on, and neither is determined.
+    # det(A, B, C) is 0 up to rounding and s = 1 - 3/2 < 0: on atan2's
+    # branch cut the sign of that rounding would pick the answer.
+    samples = {"D": (0.3, 0.5, math.sqrt(0.66))}
+    for lab, phi in zip("ABC", (0.0, 2.0 * math.pi / 3, 4.0 * math.pi / 3)):
+        samples[lab] = (math.cos(phi), math.sin(phi) * math.cos(tilt),
+                        math.sin(phi) * math.sin(tilt))
+    f = OrderField.from_samples(tetra_surface, make_space("sphere_2"),
+                                samples)
+    with pytest.raises(AmbiguousSamplingError, match="degenerate"):
+        sphere_degree(f, _oriented_triangles(tetra_surface))
+
+
+def test_batched_solid_angles_are_those_of_each_triangle_alone():
+    # np.arctan2 and the triple product round each triangle as it does
+    # alone, whatever the batch length; the reference takes one triangle
+    # at a time.  The equator triples, within a quarter turn, have det
+    # exactly 0 and s > 0.
+    rng = np.random.default_rng(36)
+    phi = rng.uniform(0.0, math.pi / 2, size=(40, 3))
+    equator = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=2)
+    batches = [x / np.linalg.norm(x, axis=2)[:, :, None]
+               for x in (rng.normal(size=(n, 3, 3))
+                         for n in (1, 2, 7, 900, 5000))]
+    for x in [*batches, equator, equator[:, ::-1]]:
+        assert [_probe_solid_angle(*t).hex() for t in x] == \
+            [a.hex() for a in _solid_angles(x)[2].tolist()]
+    det, s, _ = _solid_angles(equator)
+    assert not det.any() and (s > 0).all()
 
 
 def _small_triangle_field(tetra_surface, degree):
