@@ -953,8 +953,9 @@ def spanning_forest(n: int, heads, tails, weights=None) -> Forest:
     sign: +1 as the tail of its tree edge, -1 as the head, 0 at a root.
     ``sums`` adds ``sign * weights[edge]`` along each node's tree path, one
     Python addition per node; without weights every sum is 0.  It is the
-    one graph walk of the package: components, potentials, orientations
-    and the sign lift of director shells all read it.
+    one graph walk of the package: components, potentials, the sign lift
+    of director shells and the one gluing pass of the top cells, which
+    gives orientations, H_top and Dirac strings, all read it.
     """
     heads = np.asarray(heads, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)

@@ -28,10 +28,11 @@ through V^-1, the cycle coordinates Y of the columns of d_{k+1}; each
 generator is a sparse combination of cycle basis vectors, with the
 entries of one column of U_Y^-1 from the Smith form of Y.
 
-The top degree has a cheaper answer on the spanning forest of the dual
-graph: the top cells and one outside node, glued across each face with
-one or two unit entries.  It gives the rank of H_top of a manifold-like
-top layer, and a top cochain a primitive supported on the tree faces (a
+The top degree has a cheaper answer in one cached gluing pass: the
+spanning forest of the top cells glued across faces with two unit
+entries, with an exit per tree, its least free face, if it has one.  It
+gives the orientation, the rank of H_top of a manifold-like top layer,
+and a top cochain a primitive on the tree faces and exits (a
 combinatorial Dirac string), with no walk.
 """
 
@@ -429,28 +430,32 @@ def are_homologous(a: Chain, b: Chain, complex_: DeltaComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The top degree on the dual gluing forest
+# The top degree on one gluing pass of the top cells
 
 
-_TopForest = namedtuple("_TopForest",
-                        "order parent face own other manifold_like cycles")
+_TopForest = namedtuple("_TopForest", "order parent face own exits signs "
+                        "image internal manifold_like closed cycles")
 
 
 def _top_forest(complex_: DeltaComplex) -> _TopForest:
-    """The spanning forest of the dual graph of the top cells (dim >= 1),
-    made on first use and cached.
+    """The one gluing pass of the top cells, made on first use and cached.
 
-    Node 0 is the outside, so the first tree grows from it, and node 1 + i
-    is top cell i.  A (dim-1)-face whose nonzero top-cell entries are one
-    ±1 joins its cell to the outside; one whose entries are two ±1 in two
-    different cells joins the two, flipped where the entries are equal, as
-    in :func:`orientability`.  Per node, in visit order, ``face`` names its
-    tree face (-1 at a root), ``own`` its entry there and ``other`` its
-    parent's (0 for the outside).  The top layer is ``manifold_like`` when
-    every face with a nonzero top entry is such an edge: then a top cycle
-    vanishes on every cell reached from the outside, and on a closed tree
-    it is a multiple of the sign-lifted chain, so H_top is free of rank
-    ``cycles``, the closed trees whose lifted chain has zero boundary.
+    It groups the nonzero top-cell face entries by face once.  A face is
+    ``internal`` when its entries weigh 2 in all.  The forest is
+    :func:`spanning_forest` over the top cells, with one edge per face
+    holding two ±1 entries, in face order, flipped where the entries are
+    equal, so that ``signs``, lifted from +1 at each root, cancel the two
+    entries of every tree face; a cell glued to itself is skipped.
+    ``image`` is the boundary of the lifted chain, None when a face weighs
+    more than 2.  Per cell, in visit order, ``face`` names its tree face
+    (-1 at a root) and ``own`` its entry there times its sign.  ``exits``
+    maps the root of each tree with a free face (one ±1 entry) to its
+    least one, as (face, cell, entry times sign); the other ``closed``
+    trees have none.  The layer is ``manifold_like`` when every face with
+    a nonzero entry is free or glued in two cells: then a top cycle
+    vanishes on every tree with an exit, and on a closed tree it is a
+    multiple of the lifted chain, so H_top is free of rank ``cycles``, the
+    closed trees whose glued faces all cancel.
     """
     cached = complex_._cache.get("top forest")
     if cached is not None:
@@ -458,8 +463,6 @@ def _top_forest(complex_: DeltaComplex) -> _TopForest:
     m = complex_.dim
     top = complex_.layers[m]
     n_top, n_faces = len(top), complex_.n_cells(m - 1)
-    # The nonzero face entries of the top cells, grouped by face with each
-    # group in cell order.
     owner = np.repeat(np.arange(n_top), np.diff(top.face_ptr))
     nonzero = top.coeffs != 0
     order = np.argsort(top.faces[nonzero], kind="stable")
@@ -467,66 +470,81 @@ def _top_forest(complex_: DeltaComplex) -> _TopForest:
     coeffs = top.coeffs[nonzero][order]
     owner = owner[nonzero][order]
     count = np.bincount(faces, minlength=n_faces)
-    units = count == np.bincount(faces[np.abs(coeffs) == 1],
-                                 minlength=n_faces)
-    edge_faces = np.flatnonzero(units & ((count == 1) | (count == 2)))
-    i = row_offsets(count)[edge_faces]
-    pair = count[edge_faces] == 2
-    j = i + pair  # a pair's second entry, a free face's only one
-    keep = ~pair | (owner[i] != owner[j])
-    edge_faces, i, j, pair = edge_faces[keep], i[keep], j[keep], pair[keep]
-    heads = np.where(pair, owner[i] + 1, 0)
-    tails = owner[j] + 1
-    head_co, tail_co = np.where(pair, coeffs[i], 0), coeffs[j]
-    forest = spanning_forest(n_top + 1, heads, tails,
-                             pair & (coeffs[i] == coeffs[j]))
-
-    # A closed tree's lifted chain is no cycle where the two entries of
-    # one of its glued faces do not cancel.
+    weight = np.bincount(faces, weights=np.abs(coeffs.astype(float)),
+                         minlength=n_faces)
+    internal = weight == 2
+    # The unit entries a, b of a glued face cancel when the signs of their
+    # cells satisfy eps_q = -a * b * eps_p; one flip per step with a = b
+    # on each cell's forest path fixes every sign.
+    pairs = np.flatnonzero((internal & (count == 2))[faces])
+    first, second = pairs[0::2], pairs[1::2]
+    forest = spanning_forest(n_top, owner[first], owner[second],
+                             coeffs[first] == coeffs[second])
     signs = 1 - 2 * (forest.sums % 2)
+    lifted = coeffs * signs[owner]
+    image = None
+    if not (weight > 2).any():  # then the float sums are exact
+        image = np.bincount(faces, weights=lifted,
+                            minlength=n_faces).astype(np.int64)
+
+    root = forest.parent[forest.order] < 0
     tree = np.empty_like(forest.order)
-    tree[forest.order] = np.cumsum(forest.parent[forest.order] < 0) - 1
-    open_ = pair & (head_co * signs[heads] + tail_co * signs[tails] != 0)
-    cycle = np.ones(tree.max() + 1, dtype=bool)
-    cycle[tree[heads[open_]]] = False
-    # Each node's tree edge; a root's -1 picks the appended entry.
-    e, tail = forest.edge, forest.sign > 0
-    head_co, tail_co = np.append(head_co, 0), np.append(tail_co, 0)
+    tree[forest.order] = np.cumsum(root) - 1
+    free = np.flatnonzero((count == 1)[faces] & (np.abs(coeffs) == 1))
+    manifold_like = len(free) + np.count_nonzero(
+        owner[first] != owner[second]) == np.count_nonzero(count)
+    rooted, least = np.unique(tree[owner[free]], return_index=True)
+    free = free[least]
+    cycle = np.ones(np.count_nonzero(root), dtype=bool)
+    cycle[rooted] = False
+    cycle[tree[owner[first[lifted[first] != -lifted[second]]]]] = False
+    # A root's edge -1 picks the appended entry.
+    e = forest.edge
     cached = complex_._cache["top forest"] = _TopForest(
         forest.order.tolist(), forest.parent.tolist(),
-        np.append(edge_faces, -1)[e].tolist(),
-        np.where(tail, tail_co[e], head_co[e]).tolist(),
-        np.where(tail, head_co[e], tail_co[e]).tolist(),
-        len(edge_faces) == np.count_nonzero(count),
-        int(np.count_nonzero(cycle[1:])))
+        np.append(faces[first], -1)[e].tolist(),
+        (-forest.sign * np.append(lifted[first], 0)[e]).tolist(),
+        dict(zip(forest.order[root][rooted].tolist(),
+                 zip(faces[free].tolist(), owner[free].tolist(),
+                     lifted[free].tolist()))),
+        signs.tolist(), image, internal, manifold_like,
+        len(cycle) - len(rooted), int(np.count_nonzero(cycle)))
     return cached
 
 
 def _top_primitive(complex_: DeltaComplex, cochain: Cochain) -> Cochain | None:
     """A (dim-1)-cochain a with δa = ``cochain``, a top-degree cochain over
-    Z or Z/2, that is 0 off the tree faces of :func:`_top_forest`, or None
-    when the root of a closed tree keeps a residue (an odd one over Z/2).
+    Z or Z/2, that is 0 off the tree faces and exits of :func:`_top_forest`
+    (a combinatorial Dirac string), or None when the root of a closed tree
+    keeps a residue (an odd one over Z/2).
 
-    In reverse visit order each cell's tree face takes its entry there
-    times what the cell's value lacks after its child faces, and the rest
-    of that face's coboundary is taken off the parent's value.
+    Values are taken times the cells' signs, so a tree face gives its
+    cell's value to the parent unchanged.  In reverse visit order each
+    cell's tree face takes its entry times what the cell lacks after its
+    child faces, which the parent then lacks too.  What the root of a tree
+    lacks, its value on the tree's lifted chain, is carried along the tree
+    path from the root to the exit's cell and put on the exit face.
     """
     top = _top_forest(complex_)
     rest = [0] * len(top.parent)
     for i, v in cochain.coeffs.items():
-        rest[i + 1] = v
+        rest[i] = top.signs[i] * v
     a: dict[int, int] = {}
     for v in reversed(top.order):
         x = rest[v]
         if not x:
             continue
-        if top.face[v] < 0:
-            if v and (x % 2 if cochain.ring == RING_MOD2 else x):
-                return None
-            continue
-        x *= top.own[v]
-        a[top.face[v]] = x
-        rest[top.parent[v]] -= top.other[v] * x
+        if top.face[v] >= 0:
+            a[top.face[v]] = top.own[v] * x
+            rest[top.parent[v]] += x
+        elif v in top.exits:
+            face, u, entry = top.exits[v]
+            a[face] = entry * x
+            while u != v:
+                a[top.face[u]] = a.get(top.face[u], 0) - top.own[u] * x
+                u = top.parent[u]
+        elif x % 2 if cochain.ring == RING_MOD2 else x:
+            return None
     return Cochain(cochain.dim - 1, a, cochain.ring)
 
 
@@ -596,7 +614,7 @@ def generator_orders(complex_: DeltaComplex, k: int) -> list[int]:
     """The orders :func:`homology_generators` lists, read from the group
     with no tracked reduction: each torsion factor in divisibility order,
     then 0 per free summand.  In the top degree k = dim >= 1 of a
-    manifold-like top layer the group is free of the rank the dual forest
+    manifold-like top layer the group is free of the rank the gluing pass
     counts (:func:`_top_forest`), and no walk is built."""
     if k == complex_.dim >= 1:
         top = _top_forest(complex_)
@@ -625,58 +643,38 @@ class OrientabilityReport:
 def orientability(complex_: DeltaComplex) -> OrientabilityReport:
     """Decide orientability of the top-dimensional layer.
 
-    A face is internal when the nonzero entries of the top cells on it
-    weigh 2 in all; a face weighing more refuses.  Signs on the top cells
-    orient them exactly when the boundary of the signed chain avoids every
-    internal face.  The signs are lifted along the spanning forest of the
-    gluing across internal faces with two entries in two different cells;
-    an orientation agrees with them up to one sign per component, so the
-    boundary of the lifted chain decides.  When it meets an internal face,
-    the all-ones mod-2 chain is returned instead, with its mod-2 boundary.
+    It reads the gluing pass :func:`_top_forest`.  A face weighing more
+    than 2 refuses.  Signs on the top cells orient them exactly when the
+    boundary of the signed chain avoids every internal face; an
+    orientation agrees with the forest's lifted signs up to one sign per
+    tree, so the boundary of the lifted chain decides.  When it meets an
+    internal face, the all-ones mod-2 chain is returned instead, with its
+    mod-2 boundary.  On a manifold-like layer the complex is orientable
+    and closed exactly when every tree is a closed cycle of the pass; a
+    mismatch raises :class:`InternalInconsistencyError`.
     """
     m = complex_.dim
-    n_top = complex_.n_cells(m)
-
-    # The nonzero face entries of the top cells, grouped by face with each
-    # group in cell order.
-    top = complex_.layers[m]
-    owner = np.repeat(np.arange(n_top), np.diff(top.face_ptr))
-    nonzero = top.coeffs != 0
-    order = np.argsort(top.faces[nonzero], kind="stable")
-    faces = top.faces[nonzero][order]
-    coeffs = top.coeffs[nonzero][order]
-    owner = owner[nonzero][order]
-    weight = np.bincount(faces, weights=np.abs(coeffs.astype(float)),
-                         minlength=complex_.n_cells(m - 1))
-    internal = weight == 2
-
-    if not (weight > 2).any():
-        # The unit entries a, b of a glued face cancel when the signs of
-        # their cells satisfy eps_q = -a * b * eps_p; one flip per step
-        # with a = b on each cell's forest path fixes every sign.  The
-        # forest skips a cell glued to itself.
-        glued = internal & (np.bincount(faces, minlength=len(internal)) == 2)
-        pairs = np.flatnonzero(glued[faces])
-        first, second = pairs[0::2], pairs[1::2]
-        flip = coeffs[first] == coeffs[second]
-        signs = 1 - 2 * (spanning_forest(n_top, owner[first], owner[second],
-                                         flip).sums % 2)
-        # No face weighs more than 2, so the float sums are exact.
-        image = np.bincount(faces, weights=coeffs * signs[owner],
-                            minlength=len(internal)).astype(np.int64)
-        bounding = np.flatnonzero(image)
-        if not internal[bounding].any():
-            boundary = Chain(m - 1, dict(zip(bounding.tolist(),
-                                             image[bounding].tolist())),
-                             RING_INT)
-            return OrientabilityReport(
-                True, m, closed=not len(bounding),
-                fundamental_chain=Chain(m, dict(enumerate(signs.tolist()))),
-                boundary_chain=boundary if m >= 1 else None)
+    top = _top_forest(complex_)
+    bounding = np.flatnonzero(top.image) if top.image is not None else None
+    orientable = bounding is not None and not top.internal[bounding].any()
+    if top.manifold_like and (orientable and not len(bounding)) != (
+            top.cycles == top.closed + len(top.exits)):
+        raise InternalInconsistencyError(
+            f"gluing pass: {top.cycles} closed cycles of "
+            f"{top.closed + len(top.exits)} trees disagree with the "
+            "orientation's boundary")
+    if orientable:
+        boundary = Chain(m - 1, dict(zip(bounding.tolist(),
+                                         top.image[bounding].tolist())),
+                         RING_INT)
+        return OrientabilityReport(
+            True, m, closed=not len(bounding),
+            fundamental_chain=Chain(m, dict(enumerate(top.signs))),
+            boundary_chain=boundary if m >= 1 else None)
 
     # The entries of an internal face sum to an even number, so the mod-2
     # image avoids every internal face.
-    all_ones = Chain(m, {i: 1 for i in range(n_top)}, RING_MOD2)
+    all_ones = Chain(m, {i: 1 for i in range(complex_.n_cells(m))}, RING_MOD2)
     mod2_image = boundary_map(all_ones, complex_)
     return OrientabilityReport(
         False, m, closed=(not mod2_image.coeffs),

@@ -22,8 +22,9 @@ Bundles", 1951, part III).  One coboundary per summand checks δa = c,
 which certifies a ``trivial`` class, and a trivial class pairs to 0 with
 every cycle z, as <δa, z> = <a, ∂z>.  In the top degree k = dim, which
 holds every field's cochain at k = 3, a is a combinatorial Dirac string:
-it runs through the tree faces of the dual gluing forest of the top cells
-(Dirac, "Quantised singularities in the electromagnetic field", 1931).
+it runs through the tree faces of the gluing forest of the top cells to
+an exit face (Dirac, "Quantised singularities in the electromagnetic
+field", 1931).
 The membership test runs only for cochains with no primitive: hand-built
 ones, and top cochains that leave a residue on a closed tree.
 """
@@ -107,7 +108,7 @@ def _summands(cochain: ObstructionCochain) -> list[Cochain]:
 def obstruction_cochain(field_: OrderField, k: int) -> ObstructionCochain:
     """Boundary classes of every k-cell, as a pi_{k-1}-valued cochain.  A
     nonzero one keeps the probe's edge primitive, if there is one, and
-    otherwise in the top degree gets one from the dual forest, if every
+    otherwise in the top degree gets one from the gluing pass, if every
     summand has one."""
     cx = field_.complex_
     if not 1 <= k <= cx.dim:

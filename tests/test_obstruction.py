@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import random
@@ -46,6 +47,8 @@ from conftest import (circle_torus_doc, lattice_specs, make_grid, make_sphere,
                       make_torus, torus_spec)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "docs" / "samples"
+# the package exports the function homology under the module's name
+homology_mod = importlib.import_module("crystaltopo.homology")
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +471,35 @@ def test_uncertified_classes_still_reach_the_solvers(solver_calls, sphere):
     book = DeltaComplex.from_simplices([(0, 1, 2, 3 + i) for i in range(3)])
     assert not _top_forest(book).manifold_like
     assert generator_orders(book, 3) == [] and "coreduction" in book._cache
+
+
+def test_one_gluing_pass_serves_the_index_sum_and_the_pairings(
+        monkeypatch, capsys):
+    # The vortex pair on a closed sphere reads the orientation for its
+    # index sum and H_2 for the pairings of its trivial class: one spanning
+    # forest over the 2-cells serves both.
+    path = str(SAMPLES / "sphere_vortex_pair.json")
+    cx, _ = cli.build_from_document(cli.load_document(path)[0])
+    sizes = []
+    forest = homology_mod.spanning_forest
+
+    def counting(n, *args):
+        sizes.append(n)
+        return forest(n, *args)
+
+    monkeypatch.setattr(homology_mod, "spanning_forest", counting)
+    assert cli.main(["obstruct", path, "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["index_sum"]["applicable"] and report["generator_pairings"]
+    assert sizes == [cx.n_cells(2)]
+    # The pass's closed cycles must agree with the orientation: a wrong
+    # count in the cache is an inconsistency, not a new answer.
+    top = _top_forest(cx)
+    assert orientability(cx).closed and top.cycles == 1
+    for wrong in (0, 2):
+        cx._cache["top forest"] = top._replace(cycles=wrong)
+        with pytest.raises(InternalInconsistencyError, match="gluing pass"):
+            orientability(cx)
 
 
 def test_an_edge_primitive_that_fails_its_check_is_an_error():
