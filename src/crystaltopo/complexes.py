@@ -47,7 +47,7 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from operator import eq, itemgetter, le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -433,16 +433,21 @@ class DeltaComplex:
         self.closure_defects = tuple(closure_defects)
         self._cache: dict = {}
 
+    def _cached(self, key, build):
+        """``build(self)``, built on the first call for ``key`` and kept:
+        the one store of what is derived from the read-only layers, which
+        never goes stale.  A build that raises stores nothing."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
     # -- structure queries -------------------------------------------------
 
     @property
     def cells(self) -> tuple[tuple[Cell, ...], ...]:
         """Per degree, the cells as :class:`Cell` objects (built once)."""
-        view = self._cache.get("cells")
-        if view is None:
-            view = self._cache["cells"] = tuple(
-                layer.cells() for layer in self.layers)
-        return view
+        return self._cached("cells", lambda cx: tuple(
+            layer.cells() for layer in cx.layers))
 
     @property
     def dim(self) -> int:
@@ -493,16 +498,16 @@ class DeltaComplex:
         (ascending among equal keys) then -1, the rows' width, and per cell
         then for -1 the sign of the permutation that sorts its stored
         spelling, or 0 where :meth:`find_cell` gives +1."""
-        if ("vertex index", k) not in self._cache:
-            layer = self.layers[k]
+        def build(cx):
+            layer = cx.layers[k]
             rows = padded_rows(layer.vertices, layer.vertex_ptr)
-            keys, rows, odd = self._set_keys(rows, rows.shape[1])
+            keys, rows, odd = cx._set_keys(rows, rows.shape[1])
             order = np.argsort(keys, kind="stable")
             spins = np.where((k == 1) | (k > 1) & (layer.shapes != CUBE),
                              1 - 2 * odd, 0)
-            self._cache["vertex index", k] = (keys[order], np.append(
-                order, -1), rows.shape[1], np.append(spins, 0))
-        return self._cache["vertex index", k]
+            return (keys[order], np.append(order, -1), rows.shape[1],
+                    np.append(spins, 0))
+        return self._cached(("vertex index", k), build)
 
     def _set_keys(self, rows: np.ndarray, width: int) -> tuple:
         """Keys of the vertex sets of an (m, 1..width) array of vertex ids
@@ -925,15 +930,10 @@ def boundary_columns(complex_: DeltaComplex, k: int) -> list[dict[int, int]]:
     if k < 1 or k > complex_.dim:
         raise DimensionError(
             f"boundary columns defined for 1 <= k <= {complex_.dim}, got {k}")
-    key = ("columns", k)
-    cached = complex_._cache.get(key)
-    if cached is None:
-        ptr, faces, coeffs = (a.tolist()
-                              for a in complex_.layers[k].summed_faces())
-        cached = [dict(zip(faces[s:e], coeffs[s:e]))
-                  for s, e in zip(ptr, ptr[1:])]
-        complex_._cache[key] = cached
-    return cached
+    def build(cx):
+        ptr, faces, coeffs = (a.tolist() for a in cx.layers[k].summed_faces())
+        return [dict(zip(faces[s:e], coeffs[s:e])) for s, e in pairwise(ptr)]
+    return complex_._cached(("columns", k), build)
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,7 @@ class _Coreduction:
 
 def _coreduction(complex_: DeltaComplex) -> _Coreduction:
     """The complex's one coreduction walk, made on first use and cached."""
-    walk = complex_._cache.get("coreduction")
-    if walk is None:
-        walk = complex_._cache["coreduction"] = _Coreduction(complex_)
-    return walk
+    return complex_._cached("coreduction", _Coreduction)
 
 
 def _reduction(complex_: DeltaComplex, k: int,
@@ -457,9 +454,11 @@ def _top_forest(complex_: DeltaComplex) -> _TopForest:
     multiple of the lifted chain, so H_top is free of rank ``cycles``, the
     closed trees whose glued faces all cancel.
     """
-    cached = complex_._cache.get("top forest")
-    if cached is not None:
-        return cached
+    return complex_._cached("top forest", _glue_top_cells)
+
+
+def _glue_top_cells(complex_: DeltaComplex) -> _TopForest:
+    """The gluing pass that :func:`_top_forest` keeps."""
     m = complex_.dim
     top = complex_.layers[m]
     n_top, n_faces = len(top), complex_.n_cells(m - 1)
@@ -500,7 +499,7 @@ def _top_forest(complex_: DeltaComplex) -> _TopForest:
     cycle[tree[owner[first[lifted[first] != -lifted[second]]]]] = False
     # A root's edge -1 picks the appended entry.
     e = forest.edge
-    cached = complex_._cache["top forest"] = _TopForest(
+    return _TopForest(
         forest.order.tolist(), forest.parent.tolist(),
         np.append(faces[first], -1)[e].tolist(),
         (-forest.sign * np.append(lifted[first], 0)[e]).tolist(),
@@ -509,7 +508,6 @@ def _top_forest(complex_: DeltaComplex) -> _TopForest:
                      lifted[free].tolist()))),
         signs.tolist(), image, internal, manifold_like,
         len(cycle) - len(rooted), int(np.count_nonzero(cycle)))
-    return cached
 
 
 def _top_primitive(complex_: DeltaComplex, cochain: Cochain) -> Cochain | None:

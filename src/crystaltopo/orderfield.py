@@ -411,7 +411,7 @@ def _row_triangles(cx: DeltaComplex) -> tuple:
     with row offsets: a triangle gives itself, a square (v0, v1, v2, v3)
     gives (v0, v1, v2) and (v0, v2, v3).  Per 2-cell also ε, its vertex
     count, and whether it is no triangle or square or no walk of its faces."""
-    if (table := cx._cache.get("row triangles")) is None:
+    def build(cx):
         squares = cx.layers[2]
         v, ptr = squares.vertices, squares.vertex_ptr
         size = np.diff(ptr)
@@ -434,9 +434,8 @@ def _row_triangles(cx: DeltaComplex) -> tuple:
         face = np.repeat(np.arange(len(squares)), np.diff(tri_ptr))
         tri = v[ptr[face][:, None] + [0, 1, 2]
                 + (np.arange(len(face)) - tri_ptr[face])[:, None] * [0, 1, 1]]
-        table = cx._cache["row triangles"] = (
-            tri, tri_ptr, np.where(minus, -1, 1), size, odd | minus & plus)
-    return table
+        return tri, tri_ptr, np.where(minus, -1, 1), size, odd | minus & plus
+    return cx._cached("row triangles", build)
 
 
 def _solid_angles(x: np.ndarray) -> tuple:
@@ -563,8 +562,10 @@ def boundary_classes(field: OrderField, k: int,
     At k = 2 the classes of a field are a coboundary, of the whole turns
     or flips per edge that the same pass reads (``_probe`` returns them).
     With that primitive :func:`crystaltopo.obstruction.obstruction_class`
-    certifies a trivial class without the membership test; the classes at
-    k = 3 come with none, and their class goes to that test.
+    certifies a trivial class without the membership test.  In the top
+    degree ``obstruction_cochain`` takes one from the gluing pass of the
+    top cells, so there only a cochain that leaves a residue on a closed
+    tree reaches that test.
     """
     return _probe(field, k, cell_ids)[0]
 

@@ -44,11 +44,24 @@ def make_mobius():
          ("C", "D", "E"), ("A", "B", "F"), ("A", "D", "F")])
 
 
-def make_rp2():
-    # minimal 6-vertex triangulation of the projective plane
-    faces = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+# minimal 6-vertex triangulation of the projective plane
+RP2_FACES = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
              (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
-    return DeltaComplex.from_simplices(faces)
+
+
+def make_rp2():
+    return DeltaComplex.from_simplices(RP2_FACES)
+
+
+def klein_bottle(n=3):
+    """The n x n grid of squares, each cut into two triangles, with
+    (i, n) glued to (i, 0) and (n, j) to (0, -j)."""
+    def v(i, j):
+        return (0, -j % n) if i == n else (i, j % n)
+
+    return [t for i in range(n) for j in range(n)
+            for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
 
 
 def torus_spec(n=3, scheme="triangular", m=2):
@@ -66,6 +79,14 @@ def torus_spec(n=3, scheme="triangular", m=2):
 # share their vertices; every one is a torus all the same.
 DEGENERATE_TORI = [torus_spec(n, scheme, m) for n in (1, 2)
                    for scheme in ("triangular", "cubic") for m in (2, 3)]
+
+
+def free_cubic_box(side):
+    spec = LatticeSpec(
+        dimension=3, ambient=3,
+        generators=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+        index_box=((0, side),) * 3, scheme="cubic", boundary="free")
+    return build_lattice_complex(spec)[0]
 
 
 def make_torus(n=3, scheme="triangular"):

@@ -6,6 +6,8 @@ Every comparison is exact: the package and the references must give equal
 values, loops and signs, not values within a tolerance.
 """
 
+import dataclasses
+import importlib
 import math
 import random
 from itertools import combinations
@@ -25,6 +27,7 @@ from crystaltopo.complexes import (
     RING_INT,
     RING_MOD2,
     RING_REAL,
+    boundary_columns,
     boundary_map,
     boundary_of_cell,
     coboundary_map,
@@ -41,14 +44,16 @@ from crystaltopo.homology import (
     _in_image,
     _top_forest,
     _top_primitive,
+    cohomology,
     generator_orders,
     homology,
+    homology_generators,
     is_boundary,
     is_cycle,
     orientability,
     vertex_components,
 )
-from crystaltopo.lattice import LatticeSpec, build_lattice_complex
+from crystaltopo.lattice import DefectSpec, LatticeSpec, build_lattice_complex
 from crystaltopo.network import (
     KIRCHHOFF_TOL,
     check_current_law,
@@ -57,6 +62,7 @@ from crystaltopo.network import (
 from crystaltopo.obstruction import (
     ObstructionCochain,
     evaluate,
+    extend_field,
     obstruction_class,
     verify_cocycle,
 )
@@ -70,7 +76,8 @@ from crystaltopo.orderfield import (
     make_space,
 )
 
-from conftest import dense_boundary, lattice_specs
+from conftest import (dense_boundary, free_cubic_box, klein_bottle,
+                      lattice_specs, torus_spec)
 from oracles import (
     coboundary_class_oracle,
     coboundary_oracle,
@@ -510,17 +517,6 @@ def test_orientability_survives_reversed_cells_and_relabelled_vertices(
             assert homology(px, k, ring) == homology(sx, k, ring)
 
 
-def klein_bottle(n=3):
-    """The n x n grid of squares, each cut into two triangles, with
-    (i, n) glued to (i, 0) and (n, j) to (0, -j)."""
-    def v(i, j):
-        return (0, -j % n) if i == n else (i, j % n)
-
-    return [t for i in range(n) for j in range(n)
-            for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
-                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
-
-
 TOP_SHAPES = {
     "Klein bottle": klein_bottle(),
     "projective plane": [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6),
@@ -750,3 +746,82 @@ def test_from_simplices_refusals_are_kept():
         DeltaComplex.from_simplices([("B", "A", "B")])
     with pytest.raises(TypeError):
         DeltaComplex.from_simplices([("A", 1)])
+
+
+# ---------------------------------------------------------------------------
+# one cache policy
+# ---------------------------------------------------------------------------
+
+homology_mod = importlib.import_module("crystaltopo.homology")
+complexes_mod = importlib.import_module("crystaltopo.complexes")
+orderfield_mod = importlib.import_module("crystaltopo.orderfield")
+
+
+def _every_answer(cx, field=None):
+    """What each reader of a complex answers, as comparable values."""
+    got = {"cells": cx.cells, "orientability": orientability(cx)}
+    for k in range(-1, cx.dim + 2):
+        for ring in (RING_INT, RING_MOD2, RING_REAL):
+            got["H", k, ring] = homology(cx, k, ring)
+            got["H^", k, ring] = cohomology(cx, k, ring)
+        got["orders", k] = generator_orders(cx, k)
+        got["generators", k] = [(order, chain.coeffs) for order, chain
+                                in homology_generators(cx, k)]
+    for k in range(cx.dim + 1):
+        rows = np.array([c.vertices for c in cx.cells[k][:6]])
+        got["find", k] = [a.tolist() for a in cx.find_cells(k, rows)]
+        if k:
+            got["columns", k] = boundary_columns(cx, k)
+            got["bounds", k] = is_boundary(boundary_of_cell(cx, k, 0), cx)
+    got["bounds", 0] = is_boundary(Chain(0, {0: 1, 1: -1}), cx)
+    if field is not None:
+        got["extends"] = extend_field(field)
+    return got
+
+
+def test_every_derived_structure_is_built_once_per_complex(monkeypatch):
+    # The walk, the gluing pass, the row triangles, the boundary columns,
+    # the vertex-set index and the Cell view are each built on first use
+    # and kept: with every builder broken, each reader answers as before.
+    holed = build_lattice_complex(dataclasses.replace(
+        torus_spec(3, "cubic", 3),
+        defects=(DefectSpec("vacancy", index=(1, 1, 1)),)))[0]
+    ball = free_cubic_box(4)
+    d = np.array(ball.vertex_labels, dtype=float) - [1.6, 2.3, 1.7]
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    field = OrderField.from_samples(ball, make_space("sphere_2"), dict(zip(
+        ball.vertex_labels, map(tuple, d))))
+    first = [_every_answer(holed), _every_answer(ball, field)]
+    assert first[1]["extends"].blocked_at == 3
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a cached structure was built again")
+
+    for owner, name in ((homology_mod, "_Coreduction"),
+                        (homology_mod, "spanning_forest"),
+                        (CellLayer, "summed_faces"), (CellLayer, "cells"),
+                        (complexes_mod, "padded_rows"),
+                        (orderfield_mod, "padded_rows")):
+        monkeypatch.setattr(owner, name, rebuilt)
+    assert [_every_answer(holed), _every_answer(ball, field)] == first
+
+
+def test_a_build_that_raises_stores_nothing(monkeypatch):
+    cx = free_cubic_box(2)
+    builds = []
+
+    def broken(complex_):
+        builds.append(complex_)
+        raise ArithmeticError("broken walk")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology_mod, "_Coreduction", broken)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="broken walk"):
+                homology(cx, 1)
+    assert builds == [cx, cx]
+    assert homology(cx, 1) == homology(free_cubic_box(2), 1)
+    with pytest.raises(ArithmeticError):
+        cx._cached("counts", broken)
+    counts = cx._cached("counts", DeltaComplex.cell_counts)
+    assert cx._cached("counts", broken) is counts == cx.cell_counts()

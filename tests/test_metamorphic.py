@@ -1,23 +1,21 @@
 """Transformations of the input whose effect on the answer is known, so the
 test needs no second implementation of any convention of the package."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystaltopo import (AmbiguousSamplingError, DeltaComplex, LatticeSpec,
-                         OrderField, boundary_classes, build_lattice_complex,
-                         extend_field, make_space)
+from crystaltopo import (RING_INT, RING_MOD2, RING_REAL,
+                         AmbiguousSamplingError, DefectLocusError,
+                         DefectSpec, DeltaComplex, OrderField,
+                         boundary_classes, build_lattice_complex,
+                         euler_characteristic, extend_field, homology,
+                         make_space, orientability)
 
-
-def _free_cubic_box(side):
-    spec = LatticeSpec(
-        dimension=3, ambient=3,
-        generators=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-        index_box=((0, side),) * 3, scheme="cubic", boundary="free")
-    return build_lattice_complex(spec)[0]
+from conftest import free_cubic_box, torus_spec
 
 
 def _rotation(rng):
@@ -44,7 +42,7 @@ def test_rotations_keep_and_reflections_negate_sphere_degrees(side, seed,
     # A hedgehog (or antihedgehog) about a point at least 0.2 from every
     # lattice plane, so no shell triangle comes near a great circle.
     rng = np.random.default_rng(seed)
-    cx = _free_cubic_box(side)
+    cx = free_cubic_box(side)
     centre = rng.integers(0, side, size=3) + rng.uniform(0.2, 0.8, size=3)
     d = np.array(cx.vertex_labels, dtype=float) - centre
     d = d if outward else -d
@@ -102,3 +100,71 @@ def test_relabelled_vertices_keep_the_radial_field_verdict(simplices, perm,
         got = (got[0], {frozenset(back[sorted(c)].tolist()) for c in got[1]},
                got[2])
     assert got == want
+
+
+
+@st.composite
+def _shifted_tori(draw):
+    """A fully periodic triangular 2-torus (period 3-7) or cubic 3-torus
+    (period 3-4); 0-3 vacancies then at most one line or surface defect,
+    each as (kind, axis, a site on its locus); a shift; and a seed."""
+    m = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 7) if m == 2 else st.integers(3, 4))
+    site = st.tuples(*[st.integers(0, n - 1)] * m)
+    defects = [("vacancy", None, v)
+               for v in draw(st.lists(site, max_size=3, unique=True))]
+    kind = draw(st.sampled_from([None, "line_defect", "surface_defect"]))
+    if kind:
+        defects.append((kind, draw(st.integers(1, m)), draw(site)))
+    return m, n, defects, draw(site), draw(st.integers(0, 2**32 - 1))
+
+
+def _shifted(m, n, defects, shift, angles):
+    """Cell counts, groups, Euler characteristic, orientability and, given
+    circle angles per site, the extension verdict of the torus whose
+    defect loci and samples are all moved by ``shift`` modulo n."""
+    specs = []
+    for kind, axis, site in defects:
+        site = [(p + s) % n for p, s in zip(site, shift)]
+        specs.append(
+            DefectSpec(kind, index=tuple(site)) if kind == "vacancy" else
+            DefectSpec(kind, axis=axis, transverse=tuple(
+                site[:axis - 1] + site[axis:])) if kind == "line_defect" else
+            DefectSpec(kind, axis=axis, coordinate=site[axis - 1]))
+    spec = torus_spec(n, "triangular" if m == 2 else "cubic", m)
+    try:
+        cx = build_lattice_complex(dataclasses.replace(
+            spec, defects=tuple(specs)))[0]
+    except DefectLocusError:
+        return "refused"
+    report = orientability(cx)
+    got = [cx.cell_counts(), euler_characteristic(cx),
+           (report.orientable, report.closed)]
+    got += [homology(cx, k, ring) for k in range(m + 1)
+            for ring in (RING_INT, RING_MOD2, RING_REAL)]
+    if angles is not None:
+        samples = {site: float(angles[tuple((p - s) % n for p, s in zip(
+            site, shift))]) for site in cx.vertex_labels}
+        try:
+            rep = extend_field(OrderField.from_samples(
+                cx, make_space("circle"), samples))
+        except AmbiguousSamplingError:
+            got.append("refused")
+        else:
+            got.append((rep.blocked_at, len(rep.verdicts[-1].blocking),
+                        rep.class_status))
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shifted_tori())
+def test_a_periodic_shift_keeps_groups_and_circle_verdicts(sample):
+    # A translation of the torus carries the sample onto the shifted one:
+    # the cells are renumbered and the gluing forest and walk start
+    # elsewhere, but no count, group or verdict may change.
+    m, n, defects, shift, seed = sample
+    angles = None
+    if m == 2:
+        angles = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (n, n))
+    assert _shifted(m, n, defects, shift, angles) == _shifted(
+        m, n, defects, (0,) * m, angles)

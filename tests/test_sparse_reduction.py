@@ -35,8 +35,10 @@ from crystaltopo.snf import smith_normal_form
 
 from conftest import (
     DEGENERATE_TORI,
+    RP2_FACES,
     circle_torus_doc,
     dense_boundary,
+    klein_bottle,
     make_circle,
     make_big_entries,
     make_disc,
@@ -415,6 +417,52 @@ def test_even_factors_other_than_two_vanish_over_the_fields():
     for ring, groups in expected.items():
         assert [(g.betti, g.torsion) for g in
                 (homology(cx, k, ring) for k in (0, 1))] == groups
+
+
+def xor_rank(columns):
+    """Rank over GF(2) of sparse integer columns {place: entry}: each is a
+    Python int whose bit p is set where its entry at place p is odd, kept
+    in an XOR basis by leading bit."""
+    basis = {}
+    for col in columns:
+        x = sum(1 << p for p, v in col.items() if v % 2)
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+    return len(basis)
+
+
+# RP^2 and the Klein bottle carry a factor 2 in their Morse block d^M_2.
+SIMPLEX_SHAPES = [RP2_FACES, klein_bottle(),
+                  [(0, 1, 2, 3 + i) for i in range(3)]]  # a 3-page book
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@example(SIMPLEX_SHAPES[0])
+@example(SIMPLEX_SHAPES[1])
+@example(SIMPLEX_SHAPES[2])
+@given(st.one_of(lattice_specs(), st.lists(
+    st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True),
+    min_size=1, max_size=8)))
+def test_each_morse_block_has_its_gf2_rank_by_xor(spec):
+    # An elimination that shares no code with the Smith forms: the Z/2
+    # groups must follow from the walk's pairs and the XOR ranks of its
+    # Morse blocks, not only from the Z factors read modulo 2.
+    if isinstance(spec, LatticeSpec):
+        cx = _build(spec)
+    else:
+        cx = DeltaComplex.from_simplices(spec)
+    walk = homology_mod._coreduction(cx)
+    ranks = [0] * (cx.dim + 2)  # of d_k over GF(2), by pairs and XOR
+    for k in range(1, cx.dim + 1):
+        r = xor_rank(walk.blocks[k])
+        assert r == sum(d % 2 for d in walk.factors[k])
+        ranks[k] = walk.pairs[k] + r
+    for k in range(cx.dim + 1):
+        assert homology(cx, k, RING_MOD2).betti == (
+            cx.n_cells(k) - ranks[k] - ranks[k + 1])
 
 
 @st.composite
