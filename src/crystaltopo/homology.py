@@ -16,11 +16,10 @@ counts the (k-1, k) pairs plus the rank of d^M_k; the torsion is that of
 d^M_k, from one Smith form of the small block.  By universal coefficients
 the invariant factors decide every ring: over R the rank counts the
 nonzero factors, over Z/2 the odd ones, and fields carry no torsion.  A
-chain bounds when it is a cycle and its flow lies in the image of d^M_k;
-a cochain is a coboundary when it is a cocycle and its dual flow, which
-eliminates the upper members of pairs through the coboundaries of their
-partners, lies in the image of the transposed block.  A query flows only
-its vector.
+chain bounds when it is a cycle and its flow lies in the image of d^M_k,
+a cochain is a coboundary when it is a cocycle and its dual flow lies in
+the row space of d^M_k: a query flows only its vector, which joins the
+stored block as one more column, or for a cochain one more row.
 
 Generators of a nonzero group read the sparse columns of the complex:
 one tracked sparse Smith reduction of d_k gives the cycle basis and,
@@ -363,13 +362,11 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
     """Whether ``vector`` lies in the image of d_k over ``ring``.
 
     With ``transpose`` the map is the coboundary delta^{k-1}, whose columns
-    are the rows of d_k.  The cached walk is a chain equivalence over Z,
-    so a chain lies in the image exactly when it is a cycle and its flow
-    lies in the image of the Morse block d^M_k; a cochain, when it is a
-    cocycle and its dual flow lies in the image of the transposed block.
-    The (co)cycle test is one ``boundary_map`` or ``coboundary_map`` over
-    Z, or over Z/2 for a mod-2 vector.  The flowed vector is appended to
-    the block and the invariant factors, read over ``ring``, are compared
+    are the rows of d_k.  The (co)cycle test is one ``boundary_map`` or
+    ``coboundary_map`` over Z, or over Z/2 for a mod-2 vector; the cached
+    walk, a chain equivalence over Z, decides the rest.  The flowed vector
+    joins the stored block, a chain as one more column and a cochain as one
+    more row, and the invariant factors, read over ``ring``, are compared
     with the block's own.  Over Z the vector lies in the image exactly when
     rank and torsion are unchanged: both lattices span the same
     saturation, so equal rank and an equal product of invariant factors
@@ -386,20 +383,19 @@ def _in_image(complex_: DeltaComplex, k: int, vector: Mapping[int, object],
     if (coboundary_map if transpose else boundary_map)(chain, complex_):
         return False
     offset = walk.offsets[chain.dim]
-    x = {offset + i: v for i, v in chain.coeffs.items()}
+    y = walk.flow({offset + i: v for i, v in chain.coeffs.items()}, transpose)
     block = walk.blocks[k]
     if transpose:
-        rows: list[dict] = [{} for _ in walk.critical[k - 1]]
-        for j, col in enumerate(block):
-            for p, v in col.items():
-                rows[p][j] = v
-        block = rows
+        row = len(walk.critical[k - 1])
+        block = [{**col, row: y[j]} if j in y else col
+                 for j, col in enumerate(block)]
+    else:
+        block = [*block, y]
 
     def over(factors):
         return _over(ring, len(factors), tuple(d for d in factors if d > 1))
 
-    return over(invariant_factors([*block, walk.flow(x, transpose)])) == \
-        over(walk.factors[k])
+    return over(invariant_factors(block)) == over(walk.factors[k])
 
 
 def is_boundary(chain: Chain, complex_: DeltaComplex) -> bool:

@@ -25,8 +25,14 @@ holds every field's cochain at k = 3, a is a combinatorial Dirac string:
 it runs through the tree faces of the gluing forest of the top cells to
 an exit face (Dirac, "Quantised singularities in the electromagnetic
 field", 1931).
-The membership test runs only for cochains with no primitive: hand-built
-ones, and top cochains that leave a residue on a closed tree.
+
+A vertex-sampled field is null-homotopic on the skeleton below its
+class's: the vertices at k = 2, and the edges for S^2 at k = 3, as S^2
+is simply connected.  So its first obstruction class vanishes (part
+III); only hand-built cochains and director fields at k = 3 can be
+nontrivial.  The membership test runs only for cochains with no
+primitive: hand-built ones, and top cochains that leave a residue on a
+closed tree.
 """
 
 from __future__ import annotations
@@ -44,11 +50,7 @@ from .complexes import (
     _support,
     coboundary_map,
 )
-from .errors import (
-    DimensionError,
-    InternalInconsistencyError,
-    UnsupportedConfigurationError,
-)
+from .errors import DimensionError, InternalInconsistencyError
 from .homology import (
     _in_image,
     _top_primitive,
@@ -263,10 +265,6 @@ def extend_field(field_: OrderField) -> ExtensionReport:
     for k in range(1, cx.dim + 1):
         group = space.homotopy_group(k - 1)
         n_k = cx.n_cells(k)
-        if not group.abelian and n_k > 0:
-            raise UnsupportedConfigurationError(
-                f"pi_{k - 1} of {space.name} is nonabelian; the cellwise "
-                "classes do not form an additive cochain")
         if group.trivial:
             verdicts.append(SkeletonVerdict(
                 k, True, n_k, vacuous=True,

@@ -467,10 +467,8 @@ def _degrees(field: OrderField, tri: np.ndarray, rows: np.ndarray,
     lifted stops the pass: a nearly perpendicular joined pair is refused
     first, then an odd cycle of pairs pointing apart.
     """
-    if len(rows) < len(tri):  # few entries: only the triangles they name
-        need, rows = np.unique(rows, return_inverse=True)
-        tri = tri[need]
-    x = np.asarray(field.values, dtype=float)[tri]
+    # np.take makes the same copy as indexing by tri, several times faster
+    x = np.take(np.asarray(field.values, dtype=float), tri, axis=0)
     if lift:
         edges = _lift_signs(np.stack([_dots(x[:, i], x[:, (i + 1) % 3])
                                       for i in range(3)], axis=1))[rows]
@@ -550,22 +548,18 @@ def boundary_classes(field: OrderField, k: int,
 
     One batched pass over the cells ``cell_ids`` (every k-cell by
     default), with one value per cell in that order; ids are checked by
-    ``_checked_ids``.  Each value lives in pi_{k-1} of the order-parameter
-    space: a 0/1 transition flag for pi_0, integers or parities for pi_1,
-    an integer degree for pi_2: δ, by the face coefficients, of an edge
-    cochain at k = 2 (angle steps or director flips from each ``edge_ends``
-    tail to head) or a 2-cell cochain at k = 3 (solid angles, with the
-    orientation a 2-cell's faces give its row), where only director shells
-    are lifted, per 3-cell.  Spaces with nonabelian pi_1 are refused at
-    k = 2.  A refusal is the one the first failing cell raises on its own.
-
-    At k = 2 the classes of a field are a coboundary, of the whole turns
-    or flips per edge that the same pass reads (``_probe`` returns them).
-    With that primitive :func:`crystaltopo.obstruction.obstruction_class`
-    certifies a trivial class without the membership test.  In the top
-    degree ``obstruction_cochain`` takes one from the gluing pass of the
-    top cells, so there only a cochain that leaves a residue on a closed
-    tree reaches that test.
+    ``_checked_ids``.  Chosen cells or not, the pass reads every edge at
+    k = 2 and every row triangle at k = 3.  Each value lives in pi_{k-1}
+    of the order-parameter space: a 0/1 transition flag for pi_0,
+    integers or parities for pi_1, an integer degree for pi_2: δ, by the
+    face coefficients, of an edge cochain at k = 2 (angle steps or
+    director flips from each ``edge_ends`` tail to head) or a 2-cell
+    cochain at k = 3 (solid angles, with the orientation a 2-cell's faces
+    give its row), where only director shells are lifted, per 3-cell.
+    Spaces with nonabelian pi_1 are refused at k = 2.  A refusal is the
+    one the first failing cell raises on its own.  At k = 2 the classes
+    are δ of the whole turns or flips per edge that the same pass reads,
+    which ``_probe`` returns as their primitive.
     """
     return _probe(field, k, cell_ids)[0]
 

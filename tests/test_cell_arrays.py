@@ -318,6 +318,13 @@ def test_hand_built_cells_are_checked(cells, match):
         DeltaComplex(["a"], cells)
 
 
+def test_faces_that_are_no_pairs_at_all_are_refused():
+    # bare ids have no length to check; the refusal is the same
+    with pytest.raises(ComplexBuildError, match=r"^faces must be \(face id, "
+                                                r"coefficient\) pairs$"):
+        DeltaComplex(["a"], [[Cell((0,), ())], [Cell((0,), (0, 1))]])
+
+
 def test_int64_extremes_are_kept_exactly():
     big = 2 ** 63 - 1
     cells = [[Cell((0,), ()), Cell((1,), ())],

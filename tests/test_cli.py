@@ -400,6 +400,21 @@ def test_hostile_index_box_exits_2_quickly(capsys, tmp_path):
     assert "sites" in err and "limit" in err
 
 
+def test_a_complex_with_a_missing_face_reports_each_failure_on_a_line(
+        capsys, tmp_path):
+    doc = {"complex": {"cells": [["A", "B", "C"], ["A", "B"]],
+                       "auto_close": False}}
+    rc, out, _ = run(capsys, "build", write_doc(tmp_path, doc))
+    assert rc == 0
+    assert out.splitlines()[3:] == [
+        "validation: FAILED",
+        "  closure violation: 2-cell ('A', 'B', 'C') is missing face "
+        "('B', 'C')",
+        "  closure violation: 2-cell ('A', 'B', 'C') is missing face "
+        "('A', 'C')",
+        "  boundary of boundary nonzero on 2-cell 0"]
+
+
 def test_closing_a_large_explicit_simplex_exits_2(capsys, tmp_path):
     # one 30-vertex simplex closes to 2^30 - 1 cells
     doc = {"complex": {"cells": [list(range(30))]}}

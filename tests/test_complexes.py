@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -32,6 +33,7 @@ from crystaltopo import (
     validate_complex,
 )
 from crystaltopo import complexes
+from crystaltopo.cli import main
 from crystaltopo.errors import DefectLocusError
 from crystaltopo.lattice import DefectSpec
 
@@ -100,6 +102,29 @@ def test_chain_rings_do_not_mix():
         homology(make_circle(), 1, "rationals")
 
 
+def test_chains_of_different_degrees_do_not_mix():
+    with pytest.raises(DimensionError,
+                       match="^chain dimensions differ: 1 vs 2$"):
+        Chain(1, {0: 1}) + Chain(2, {0: 1})
+    with pytest.raises(DimensionError,
+                       match="^pairing a 2-cochain with a 1-chain$"):
+        Cochain(2, {0: 1}).pair(Chain(1, {0: 1}))
+
+
+def test_a_chain_is_shown_but_not_hashed():
+    chain = Chain(1, {4: -2, 0: 1}, RING_MOD2)
+    with pytest.raises(TypeError, match="^chains are mutable value objects; "
+                                        "not hashable$"):
+        hash(chain)
+    assert repr(chain) == f"Chain(dim=1, {{0: 1}}, {RING_MOD2})"
+    assert repr(Cochain(2, {3: 5, 1: -1})) == \
+        f"Cochain(dim=2, {{1: -1, 3: 5}}, {RING_INT})"
+
+
+def test_a_valid_complex_reads_as_valid():
+    assert str(validate_complex(make_disc())) == "complex valid"
+
+
 # ---------------------------------------------------------------------------
 # explicit complexes
 # ---------------------------------------------------------------------------
@@ -130,6 +155,28 @@ def test_closing_faces_past_the_cell_cap_is_refused(monkeypatch):
         6, 15, 20, 15, 6, 1]
     with pytest.raises(ComplexBuildError, match="limit of 100 cells"):
         DeltaComplex.from_simplices([range(10)])
+
+
+def _disjoint_simplices(count, size=15):
+    return [list(range(size * i, size * (i + 1))) for i in range(count)]
+
+
+def test_a_closure_past_the_real_cell_cap_is_refused_while_it_grows(
+        capsys, tmp_path):
+    # Each 15-vertex simplex closes to 2^15 - 1 = 32 767 cells, under the
+    # cap on its own: seven of them (229 369 cells) pass it only as their
+    # faces are added, six (196 602) stay under it.
+    over = ("closing the cells under faces passes the limit of 200000 "
+            "cells")
+    with pytest.raises(ComplexBuildError, match=f"^{over}$"):
+        DeltaComplex.from_simplices(_disjoint_simplices(7))
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps({"complex": {"cells": _disjoint_simplices(7)}}))
+    assert main(["build", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {over}\n" and captured.out == ""
+    cx = DeltaComplex.from_simplices(_disjoint_simplices(6))
+    assert sum(cx.cell_counts()) == 6 * (2 ** 15 - 1) == 196_602
 
 
 @st.composite

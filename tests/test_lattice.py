@@ -152,6 +152,12 @@ def test_unit_cell_volume_sheared():
     assert unit_cell_volume([(1, 0), (1, 1)]) == pytest.approx(1.0)
 
 
+def test_unit_cell_volume_needs_a_square_generator_matrix():
+    with pytest.raises(DimensionError, match="^unit cell volume needs as many "
+                                             "generators as ambient dimensions$"):
+        unit_cell_volume([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+
+
 def test_reciprocal_basis_duality():
     gens = [(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
     rec = reciprocal_basis(gens)
@@ -332,6 +338,13 @@ def test_defect_spec_arity_validation():
         DefectSpec("line_defect", axis=4, transverse=(0, 0)).validated(3)
     with pytest.raises(DefectLocusError):
         DefectSpec("no_such_kind", index=(0, 0)).validated(2)
+
+
+def test_a_surface_defect_needs_its_coordinate():
+    with pytest.raises(DefectLocusError,
+                       match="^surface_defect needs a coordinate$"):
+        DefectSpec("surface_defect", axis=1).validated(2)
+    assert DefectSpec("surface_defect", axis=1, coordinate=0).validated(2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import math
 import random
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import crystaltopo.obstruction as obstruction_mod
@@ -20,11 +21,13 @@ from crystaltopo import (
     ComplexBuildError,
     DefectLocusError,
     DeltaComplex,
+    DimensionError,
     IndexSumReport,
     InternalInconsistencyError,
     ObstructionCochain,
     OrderField,
     UnsupportedConfigurationError,
+    boundary_classes,
     build_complex,
     build_lattice_complex,
     cli,
@@ -279,6 +282,25 @@ def test_evaluate_is_linear(disc):
     assert evaluate(c, za) == 2
     assert evaluate(c, zb) == -3
     assert evaluate(c, za + zb) == -1
+
+
+def test_a_cochain_pairs_only_with_chains_of_its_degree(disc):
+    # transition flags are read without a Cochain, so evaluate checks the
+    # degree itself
+    flags = ObstructionCochain(disc, 1, CoefficientGroup("set", size=2),
+                               {0: 1}, "finite_set")
+    for c in (flags, ObstructionCochain(disc, 2, GROUP_Z, {0: 1}, "circle")):
+        with pytest.raises(DimensionError, match=(
+                f"^pairing a {c.k}-cochain with a 0-chain$")):
+            evaluate(c, Chain(0, {0: 1}))
+
+
+def test_degrees_without_cells_have_nothing_to_probe(disc):
+    f = OrderField.from_function(disc, make_space("circle"), lambda lab: 0.0)
+    with pytest.raises(DimensionError, match="^no 0-cells to probe$"):
+        obstruction_cochain(f, 0)
+    with pytest.raises(DimensionError, match="^no 3-cells to probe$"):
+        boundary_classes(f, disc.dim + 1)
 
 
 def test_set_valued_cochains_have_no_classes(disc):
@@ -602,3 +624,47 @@ def test_primitive_verdicts_agree_with_the_membership_test(space, data,
     assert rep.blocked_at == k and rep.class_status == verdict
     # the zeros stand for the pairings the tracked reduction gives
     assert rep.generator_pairings == pair_with_generators(c)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(st.sampled_from(sorted(SPACES)).flatmap(lambda space: st.tuples(
+    st.just(space), lattice_specs().filter(
+        lambda s: s.dimension >= SPACES[space]))),
+    st.integers(0, 2 ** 32 - 1))
+@example(("circle", torus_spec(4)), 1)
+@example(("circle", torus_spec(3, "cubic", 3)), 2)
+@example(("sphere_2", torus_spec(3, "cubic", 3)), 0)
+def test_a_sampled_field_has_a_certified_trivial_class(sample, seed):
+    # A vertex-sampled field is null-homotopic on the skeleton below the one
+    # its class is about: the vertices at k = 2, the edges for S^2 at k = 3,
+    # as S^2 is simply connected.  So its first obstruction class vanishes
+    # (Steenrod, part III), and a primitive certifies it with no membership
+    # test.  A director field met at k = 3 is a secondary obstruction, which
+    # this does not cover (ROADMAP item 3).
+    space, spec = sample
+    try:
+        cx, _ = build_lattice_complex(spec)
+    except (ComplexBuildError, DefectLocusError):
+        return
+    f = OrderField.from_samples(cx, make_space(space),
+                                _random_field(cx, space, seed))
+    with mock.patch.object(obstruction_mod, "_in_image",
+                           wraps=obstruction_mod._in_image) as in_image:
+        try:
+            rep = extend_field(f)
+        except AmbiguousSamplingError:
+            return
+    if space == "projective_plane" and rep.blocked_at == 3:
+        return
+    if not rep.extends:
+        c = rep.cochain
+        assert rep.class_status == "trivial" and c.primitive is not None
+        assert [coboundary_map(a, cx) for a in c.primitive] == \
+            obstruction_mod._summands(c)
+    assert in_image.call_count == 0
+    # <δa, [X]> = <a, ∂[X]> = 0 on a closed orientable surface, whatever
+    # its Euler number: the sampled angles share one frame
+    if space == "circle" and cx.dim == 2:
+        assert index_sum_check(f, rep.probed[2]).index_sum in (None, 0)
